@@ -31,12 +31,12 @@ type QueryOutcome struct {
 // an in-progress update) is not cancellable, and a query that already
 // started is not torn down mid-evaluation.
 //
-// The slot is taken *after* the graph's read lock: a goroutine holding a
-// token is always computing, never parked behind a writer, so one
-// graph's long update can never drain the pool and stall queries to
-// other graphs. The trade-off is that a query queued for a slot holds
-// its target graph's read lock while it waits, delaying writers to that
-// graph (only) until the pool frees up.
+// The slot is taken *before* the graph's read lock: a query parked in
+// the queue holds nothing, so writers to its graph never wait for the
+// pool to free up, and giving up while parked has nothing to release.
+// The trade-off is that a query holding a slot may itself wait behind an
+// in-progress update to its graph; updates hold the lock for
+// microseconds to milliseconds, queries for their whole evaluation.
 func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Pattern, k int) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -49,8 +49,6 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 	if err != nil {
 		return nil, err
 	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
 	_, spWait := trace.StartSpan(ctx, "engine.wait")
 	e.waiting.Add(1)
 	select {
@@ -65,6 +63,8 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 	defer func() { <-e.sem }()
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
+	mg.mu.RLock()
+	defer mg.mu.RUnlock()
 	return e.queryLocked(ctx, graphName, mg, q, k, start), nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"expfinder/internal/dataset"
 	"expfinder/internal/generator"
@@ -261,4 +262,71 @@ func TestReAddedGraphDoesNotServeStaleCache(t *testing.T) {
 	if res2.Relation.Size() != 0 {
 		t.Errorf("relation size = %d on empty graph, want 0", res2.Relation.Size())
 	}
+}
+
+// TestQueuedQueryDoesNotBlockWriters pins the dispatch order of QueryCtx:
+// a query parked waiting for an execution slot holds no graph lock, so an
+// update to its graph completes while it is parked (and the query then
+// answers the updated graph); one that gives up while parked leaves
+// neither a slot nor a lock behind.
+func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
+	e := New(Options{Parallelism: 1})
+	g, p := dataset.PaperGraph()
+	if err := e.AddGraph("paper", g); err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.PaperQuery()
+	e.sem <- struct{}{} // occupy the only slot: every query from here on parks
+
+	parked := func(ctx context.Context) <-chan QueryOutcome {
+		ch := e.QueryAsync(ctx, QueryRequest{Graph: "paper", Pattern: q})
+		for deadline := time.Now().Add(10 * time.Second); e.QueuedQueries() == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("query never reached the slot queue")
+			}
+		}
+		return ch
+	}
+	write := func(up incremental.Update) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.ApplyUpdates("paper", []incremental.Update{up})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("update blocked behind a query that is only queued for a slot")
+		}
+	}
+
+	e1 := dataset.E1(p)
+	ch := parked(context.Background())
+	write(incremental.Insert(e1.From, e1.To))
+	<-e.sem // free the slot; the parked query runs against the updated graph
+	oc := <-ch
+	if oc.Err != nil {
+		t.Fatal(oc.Err)
+	}
+	if sd, _ := q.Lookup("SD"); !oc.Result.Relation.Has(sd, p.Fred) {
+		t.Error("parked query answered the pre-update graph")
+	}
+
+	e.sem <- struct{}{}
+	ctx, cancel := context.WithCancel(context.Background())
+	ch = parked(ctx)
+	cancel()
+	if oc := <-ch; !errors.Is(oc.Err, context.Canceled) {
+		t.Fatalf("cancelled while parked: err = %v, want context.Canceled", oc.Err)
+	}
+	if e.QueuedQueries() != 0 || e.InflightQueries() != 0 || len(e.sem) != 1 {
+		t.Errorf("after cancel: queued=%d inflight=%d slots held=%d, want 0, 0 and the test's own 1",
+			e.QueuedQueries(), e.InflightQueries(), len(e.sem))
+	}
+	write(incremental.Delete(e1.From, e1.To)) // no read lock left behind
+	<-e.sem
 }

@@ -101,7 +101,7 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// CacheSize bounds the result-graph and ranking memo maps (entries).
+	// CacheSize bounds the result-graph and ranking memo (entries).
 	// Default 128.
 	CacheSize int
 	// CacheBytes is the byte budget of the match-relation result cache,
@@ -136,8 +136,9 @@ type Options struct {
 // graph never blocks queries on another at the lock level. The one
 // cross-graph coupling is the shared execution pool: at most Parallelism
 // queries compute at once, so under a saturated pool a query queues for
-// a slot regardless of which graph it targets (tokens are only ever held
-// while computing, so the pool always drains at compute speed).
+// a slot regardless of which graph it targets. A queued query holds no
+// graph lock, so it never delays a writer; a query holding a token waits
+// at most for the update in progress on its own graph.
 type Engine struct {
 	mu    sync.RWMutex // guards gs, the registry map, only
 	opts  Options
@@ -172,14 +173,21 @@ type Engine struct {
 	readOnly bool
 	leader   string
 
-	// rgCache memoizes result graphs alongside the relation cache: a cache
-	// hit would otherwise pay the full result-graph reconstruction (one
-	// bounded BFS per match), which dominates repeat-query latency.
-	// Entries are immutable once built; eviction is wholesale when the map
-	// outgrows the relation cache capacity.
-	rgMu      sync.Mutex
-	rgCache   map[cache.Key]*match.ResultGraph
-	rankCache map[cache.Key][]rank.Ranked // full ranking, best-first
+	// memo keeps each answer's result graph and full ranking alongside the
+	// relation cache: a cache hit would otherwise pay the result-graph
+	// reconstruction (one BFS per match) and the ranking (two Dijkstra runs
+	// per output match) again. Entries are immutable once built; eviction
+	// is wholesale when the map reaches Options.CacheSize entries.
+	memoMu sync.Mutex
+	memo   map[cache.Key]*memoEntry
+}
+
+// memoEntry is what the engine remembers per answered (graph version,
+// pattern): the result graph and the best-first ranking of all matches of
+// the output node. Callers slice off their top K; neither is ever mutated.
+type memoEntry struct {
+	rg      *match.ResultGraph
+	ranking []rank.Ranked
 }
 
 // managed is one registered graph with everything attached to it. Its
@@ -230,14 +238,13 @@ func New(opts Options) *Engine {
 		par = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		opts:      opts,
-		par:       par,
-		cache:     cache.New(opts.CacheBytes),
-		gs:        map[string]*managed{},
-		hub:       subscribe.NewHub(),
-		sem:       make(chan struct{}, par),
-		rgCache:   map[cache.Key]*match.ResultGraph{},
-		rankCache: map[cache.Key][]rank.Ranked{},
+		opts:  opts,
+		par:   par,
+		cache: cache.New(opts.CacheBytes),
+		gs:    map[string]*managed{},
+		hub:   subscribe.NewHub(),
+		sem:   make(chan struct{}, par),
+		memo:  map[cache.Key]*memoEntry{},
 	}
 	if opts.Persistence != nil {
 		e.persStop = make(chan struct{})
@@ -272,51 +279,35 @@ func (e *Engine) lookup(graphName string) (*managed, error) {
 	return mg, nil
 }
 
-// resultGraphFor returns the memoized result graph for (key, rel), building
-// it on demand.
-func (e *Engine) resultGraphFor(key cache.Key, g *graph.Graph, q *pattern.Pattern, rel *match.Relation) *match.ResultGraph {
-	e.rgMu.Lock()
-	if rg, ok := e.rgCache[key]; ok {
-		e.rgMu.Unlock()
-		return rg
+// memoFor returns the memoized result graph and ranking for (key, rel),
+// building them on a miss. The two stages report as separate spans either
+// way, so a hit shows as two empty ones.
+func (e *Engine) memoFor(ctx context.Context, key cache.Key, g *graph.Graph, q *pattern.Pattern, rel *match.Relation) *memoEntry {
+	e.memoMu.Lock()
+	m, hit := e.memo[key]
+	e.memoMu.Unlock()
+	_, spRG := trace.StartSpan(ctx, "result_graph")
+	if !hit {
+		m = &memoEntry{rg: match.BuildResultGraph(g, q, rel)}
 	}
-	e.rgMu.Unlock()
-	rg := match.BuildResultGraph(g, q, rel)
-	e.rgMu.Lock()
+	spRG.End()
+	_, spRank := trace.StartSpan(ctx, "rank.topk")
+	defer spRank.End()
+	if hit {
+		return m
+	}
+	m.ranking = rank.TopKWithResultGraph(m.rg, q, rel, 0) // 0 = rank all
 	capacity := e.opts.CacheSize
 	if capacity <= 0 {
 		capacity = 128
 	}
-	if len(e.rgCache) >= capacity {
-		e.rgCache = map[cache.Key]*match.ResultGraph{}
+	e.memoMu.Lock()
+	if len(e.memo) >= capacity {
+		e.memo = map[cache.Key]*memoEntry{}
 	}
-	e.rgCache[key] = rg
-	e.rgMu.Unlock()
-	return rg
-}
-
-// rankingFor returns the memoized full (best-first) ranking of the output
-// node's matches, building it on demand. Callers slice off their top K; the
-// shared slice is never mutated.
-func (e *Engine) rankingFor(key cache.Key, rg *match.ResultGraph, q *pattern.Pattern, rel *match.Relation) []rank.Ranked {
-	e.rgMu.Lock()
-	if ranked, ok := e.rankCache[key]; ok {
-		e.rgMu.Unlock()
-		return ranked
-	}
-	e.rgMu.Unlock()
-	ranked := rank.TopKWithResultGraph(rg, q, rel, 0) // 0 = rank all
-	e.rgMu.Lock()
-	capacity := e.opts.CacheSize
-	if capacity <= 0 {
-		capacity = 128
-	}
-	if len(e.rankCache) >= capacity {
-		e.rankCache = map[cache.Key][]rank.Ranked{}
-	}
-	e.rankCache[key] = ranked
-	e.rgMu.Unlock()
-	return ranked
+	e.memo[key] = m
+	e.memoMu.Unlock()
+	return m
 }
 
 // AddGraph registers a graph under a name. The engine owns the graph from
@@ -447,18 +438,13 @@ func (e *Engine) removeGraph(name string) error {
 	// query re-inserts after this purge can never serve a graph later
 	// re-registered under the same name.
 	e.cache.InvalidateGraph(name)
-	e.rgMu.Lock()
-	for key := range e.rgCache {
+	e.memoMu.Lock()
+	for key := range e.memo {
 		if key.GraphName == name {
-			delete(e.rgCache, key)
+			delete(e.memo, key)
 		}
 	}
-	for key := range e.rankCache {
-		if key.GraphName == name {
-			delete(e.rankCache, key)
-		}
-	}
-	e.rgMu.Unlock()
+	e.memoMu.Unlock()
 	return nil
 }
 
@@ -526,15 +512,11 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 	qctx, sp := trace.StartSpan(ctx, "engine.query")
 	rel, source, plan := e.evaluate(qctx, graphName, mg, q)
 	key := cache.Key{GraphName: graphName, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash()}
-	_, spRG := trace.StartSpan(qctx, "result_graph")
-	rg := e.resultGraphFor(key, mg.g, q, rel)
-	spRG.End()
-	_, spRank := trace.StartSpan(qctx, "rank.topk")
-	ranked := e.rankingFor(key, rg, q, rel)
+	m := e.memoFor(qctx, key, mg.g, q, rel)
+	ranked := m.ranking
 	if k > 0 && k < len(ranked) {
 		ranked = ranked[:k]
 	}
-	spRank.End()
 	if sp != nil {
 		sp.SetStr("graph", graphName)
 		sp.SetStr("plan", string(plan))
@@ -552,7 +534,7 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 	}
 	return &Result{
 		Relation:    rel,
-		ResultGraph: rg,
+		ResultGraph: m.rg,
 		TopK:        append([]rank.Ranked(nil), ranked...),
 		Plan:        plan,
 		Source:      source,

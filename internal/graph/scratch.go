@@ -41,3 +41,39 @@ func acquireScratch(n int) *bfsScratch {
 }
 
 func (s *bfsScratch) release() { scratchPool.Put(s) }
+
+// multiScratch is the reusable state of one VisitOutBalls pass: per node a
+// 64-bit set of the centers that have seen it, and the same for the
+// current and the next frontier. The sets are all-zero between passes;
+// release clears exactly the entries the pass touched.
+type multiScratch struct {
+	seen, cur, next   []uint64
+	frontier, reached []NodeID // nodes with a nonzero cur / next set
+	touched           []NodeID // nodes with a nonzero seen set
+}
+
+var multiScratchPool = sync.Pool{New: func() any { return &multiScratch{} }}
+
+func acquireMultiScratch(n int) *multiScratch {
+	s := multiScratchPool.Get().(*multiScratch)
+	if len(s.seen) < n {
+		s.seen, s.cur, s.next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	}
+	return s
+}
+
+func (s *multiScratch) release() {
+	for _, v := range s.touched {
+		s.seen[v] = 0
+	}
+	// A finished pass leaves both frontiers empty; one cut short by a
+	// panicking callback must not hand its sets to the next caller.
+	for _, v := range s.frontier {
+		s.cur[v] = 0
+	}
+	for _, v := range s.reached {
+		s.next[v] = 0
+	}
+	s.frontier, s.reached, s.touched = s.frontier[:0], s.reached[:0], s.touched[:0]
+	multiScratchPool.Put(s)
+}

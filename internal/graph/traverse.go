@@ -105,6 +105,68 @@ func (g *Graph) visitBall(center NodeID, radius int, reverse bool, fn func(id No
 	}
 }
 
+// VisitOutBalls walks the out-balls of up to 64 centers in one
+// level-synchronous pass: fn(id, d, from) reports that id lies at hop
+// distance d from every centers[i] whose bit i is set in from, within
+// radii[i] (negative: unbounded; 0: that center is skipped). For each
+// center the (id, d) pairs are exactly those VisitOutBall reports,
+// nonempty-path semantics included, in breadth-first order. A node's
+// adjacency is scanned once per level for all the centers that reach it
+// there, so overlapping balls — deep or unbounded ones over one graph —
+// cost far less than one walk each, while disjoint balls cost the same.
+func (g *Graph) VisitOutBalls(centers []NodeID, radii []int, fn func(id NodeID, d int, from uint64)) {
+	if len(centers) > 64 || len(radii) != len(centers) {
+		panic("graph: VisitOutBalls takes at most 64 centers and one radius per center")
+	}
+	s := acquireMultiScratch(len(g.nodes))
+	defer s.release()
+	for i, c := range centers {
+		if g.Has(c) && radii[i] != 0 {
+			// The center's own bit stays clear in seen, so a cycle back to
+			// it reports it at the cycle's length like any other node; when
+			// it is expanded a second time every neighbour is already seen.
+			if s.cur[c] == 0 {
+				s.frontier = append(s.frontier, c)
+			}
+			s.cur[c] |= 1 << i
+		}
+	}
+	for d := 0; len(s.frontier) > 0; d++ {
+		var live uint64 // centers whose radius reaches past d
+		for i, r := range radii {
+			if r < 0 || r > d {
+				live |= 1 << i
+			}
+		}
+		for _, v := range s.frontier {
+			f := s.cur[v] & live
+			s.cur[v] = 0
+			if f == 0 {
+				continue
+			}
+			for _, nb := range g.out[v] {
+				fresh := f &^ s.seen[nb]
+				if fresh == 0 {
+					continue
+				}
+				if s.seen[nb] == 0 {
+					s.touched = append(s.touched, nb)
+				}
+				s.seen[nb] |= fresh
+				if s.next[nb] == 0 {
+					s.reached = append(s.reached, nb)
+				}
+				s.next[nb] |= fresh
+			}
+		}
+		for _, w := range s.reached {
+			fn(w, d+1, s.next[w])
+		}
+		s.cur, s.next = s.next, s.cur
+		s.frontier, s.reached = s.reached, s.frontier[:0]
+	}
+}
+
 // Distance returns the hop distance of the shortest nonempty path from u to
 // v, or Unreachable. Because paths must be nonempty, Distance(u, u) is the
 // length of the shortest cycle through u (or Unreachable on acyclic parts).

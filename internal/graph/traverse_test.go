@@ -275,6 +275,65 @@ func TestVisitBallMatchesBall(t *testing.T) {
 	}
 }
 
+// TestVisitOutBallsMatchesVisitOutBall pins the batched walk to the
+// single-center one: for every center of a batch — duplicates, dead and
+// unknown ids, radius 0, bounded and unbounded radii mixed — the same
+// (node, distance) pairs, each reported once.
+func TestVisitOutBallsMatchesVisitOutBall(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(40)
+		g := randomDigraph(r, n, r.Intn(4*n), trial%3 == 0)
+		if trial%5 == 0 {
+			_ = g.RemoveNode(NodeID(r.Intn(n)))
+		}
+		centers := make([]NodeID, 1+r.Intn(64))
+		radii := make([]int, len(centers))
+		for i := range centers {
+			centers[i] = NodeID(r.Intn(n+1)) - 1 // -1 and n-1.. : Invalid through the last id
+			radii[i] = r.Intn(6) - 1
+		}
+		got := make([]map[NodeID]int, len(centers))
+		for i := range got {
+			got[i] = map[NodeID]int{}
+		}
+		lastD := 0
+		g.VisitOutBalls(centers, radii, func(id NodeID, d int, from uint64) {
+			if d < lastD || from == 0 {
+				t.Fatalf("trial %d: report (%d, %d, %b) out of breadth-first order or empty", trial, id, d, from)
+			}
+			lastD = d
+			for i := range centers {
+				if from&(1<<i) == 0 {
+					continue
+				}
+				if _, dup := got[i][id]; dup {
+					t.Fatalf("trial %d: node %d reported twice for center %d", trial, id, i)
+				}
+				got[i][id] = d
+			}
+			if from>>len(centers) != 0 {
+				t.Fatalf("trial %d: from %b names a center past %d", trial, from, len(centers))
+			}
+		})
+		for i, c := range centers {
+			want := map[NodeID]int{}
+			g.VisitOutBall(c, radii[i], func(id NodeID, d int) bool {
+				want[id] = d
+				return true
+			})
+			if len(got[i]) != len(want) {
+				t.Fatalf("trial %d center %d (node %d, radius %d): got %v want %v", trial, i, c, radii[i], got[i], want)
+			}
+			for id, d := range want {
+				if got[i][id] != d {
+					t.Fatalf("trial %d center %d (node %d, radius %d) node %d: got %d want %d", trial, i, c, radii[i], id, got[i][id], d)
+				}
+			}
+		}
+	}
+}
+
 func TestVisitBallEarlyStop(t *testing.T) {
 	g, ids := buildChain(t, 6)
 	calls := 0

@@ -154,7 +154,7 @@ func TestResultGraphDeduplicatesParallelDerivations(t *testing.T) {
 	if rg.NumEdges() != 1 {
 		t.Errorf("NumEdges = %d, want 1 (deduplicated)", rg.NumEdges())
 	}
-	if pn := rg.PNodeOf[b]; len(pn) != 2 {
-		t.Errorf("PNodeOf[b] = %v, want both B1 and B2", pn)
+	if pn := rg.PNodeOf(b); len(pn) != 2 {
+		t.Errorf("PNodeOf(b) = %v, want both B1 and B2", pn)
 	}
 }

@@ -1,9 +1,7 @@
 package rank
 
 import (
-	"container/heap"
 	"math"
-	"sort"
 
 	"expfinder/internal/graph"
 	"expfinder/internal/match"
@@ -75,14 +73,20 @@ func (Degree) Name() string { return "degree" }
 
 // Score implements Metric.
 func (Degree) Score(rg *match.ResultGraph, v graph.NodeID) (float64, int) {
-	if !rg.Has(v) {
+	i, ok := rg.IndexOf(v)
+	if !ok {
 		return math.Inf(1), 0
 	}
-	deg := len(rg.Out(v)) + len(rg.In(v))
+	deg := degree(rg, i)
 	if deg == 0 {
 		return math.Inf(1), 0
 	}
 	return -float64(deg), deg
+}
+
+// degree is the number of result edges touching node index i.
+func degree(rg *match.ResultGraph, i int) int {
+	return len(rg.OutAt(i)) + len(rg.InAt(i))
 }
 
 // PageRank scores by (negated) PageRank over the result graph, treating
@@ -102,16 +106,17 @@ func (PageRank) Name() string { return "pagerank" }
 // cases it; Score computes the full vector and reads one entry (correct,
 // if wasteful, for direct calls).
 func (p PageRank) Score(rg *match.ResultGraph, v graph.NodeID) (float64, int) {
-	pr := p.vector(rg)
-	score, ok := pr[v]
+	i, ok := rg.IndexOf(v)
 	if !ok {
 		return math.Inf(1), 0
 	}
-	return -score, len(rg.Out(v)) + len(rg.In(v))
+	return -p.vector(rg)[i], degree(rg, i)
 }
 
-// vector computes PageRank over the result graph.
-func (p PageRank) vector(rg *match.ResultGraph) map[graph.NodeID]float64 {
+// vector computes PageRank over the result graph, indexed like rg.Nodes().
+// Every sum runs in node-index and then edge order, which fixes the
+// floating-point result.
+func (p PageRank) vector(rg *match.ResultGraph) []float64 {
 	damping := p.Damping
 	if damping == 0 {
 		damping = 0.85
@@ -120,61 +125,59 @@ func (p PageRank) vector(rg *match.ResultGraph) map[graph.NodeID]float64 {
 	if iters == 0 {
 		iters = 30
 	}
-	nodes := rg.Nodes()
-	n := len(nodes)
+	n := rg.NumNodes()
 	if n == 0 {
 		return nil
 	}
-	pr := make(map[graph.NodeID]float64, n)
-	for _, v := range nodes {
-		pr[v] = 1.0 / float64(n)
+	pr, next := make([]float64, n), make([]float64, n)
+	for i := range pr {
+		pr[i] = 1.0 / float64(n)
 	}
 	// Out-weight totals: affinity 1/weight per edge.
-	outTotal := make(map[graph.NodeID]float64, n)
-	for _, v := range nodes {
-		for _, e := range rg.Out(v) {
-			outTotal[v] += 1.0 / float64(e.Weight)
+	outTotal := make([]float64, n)
+	for i := range outTotal {
+		for _, e := range rg.OutAt(i) {
+			outTotal[i] += 1.0 / float64(e.Weight)
 		}
 	}
 	for it := 0; it < iters; it++ {
-		next := make(map[graph.NodeID]float64, n)
 		base := (1 - damping) / float64(n)
 		var sinkMass float64
-		for _, v := range nodes {
-			if outTotal[v] == 0 {
-				sinkMass += pr[v]
+		for i := range pr {
+			if outTotal[i] == 0 {
+				sinkMass += pr[i]
 			}
 		}
-		for _, v := range nodes {
-			next[v] = base + damping*sinkMass/float64(n)
+		for i := range next {
+			next[i] = base + damping*sinkMass/float64(n)
 		}
-		for _, v := range nodes {
-			if outTotal[v] == 0 {
+		for i := range pr {
+			if outTotal[i] == 0 {
 				continue
 			}
-			share := damping * pr[v] / outTotal[v]
-			for _, e := range rg.Out(v) {
+			share := damping * pr[i] / outTotal[i]
+			for _, e := range rg.OutAt(i) {
 				next[e.To] += share / float64(e.Weight)
 			}
 		}
-		pr = next
+		pr, next = next, pr
 	}
 	return pr
 }
 
 // bulkScorer is implemented by metrics whose scores are cheaper to compute
 // for all nodes at once (PageRank); TopKByMetric uses it when available.
+// The scores are indexed like rg.Nodes().
 type bulkScorer interface {
-	scoreAll(rg *match.ResultGraph) map[graph.NodeID]float64
+	scoreAll(rg *match.ResultGraph) []float64
 }
 
-func (p PageRank) scoreAll(rg *match.ResultGraph) map[graph.NodeID]float64 {
+func (p PageRank) scoreAll(rg *match.ResultGraph) []float64 {
 	pr := p.vector(rg)
-	out := make(map[graph.NodeID]float64, len(pr))
-	for v, s := range pr {
-		out[v] = -s
+	for i := range pr {
+		pr[i] = -pr[i]
 	}
-	return out
+	return pr
 }
 
 // TopKByMetric ranks the output node's matches under the given metric and
@@ -187,37 +190,19 @@ func TopKByMetric(g *graph.Graph, q *pattern.Pattern, r *match.Relation, k int, 
 
 // TopKByMetricWithResultGraph is TopKByMetric over a pre-built result graph.
 func TopKByMetricWithResultGraph(rg *match.ResultGraph, q *pattern.Pattern, r *match.Relation, k int, metric Metric) []Ranked {
-	matches := r.MatchesOf(q.Output())
-	if k <= 0 || k > len(matches) {
-		k = len(matches)
+	score := func(v graph.NodeID) (Ranked, bool) {
+		rank, connected := metric.Score(rg, v)
+		return Ranked{Node: v, Rank: rank, Connected: connected}, true
 	}
-	var bulk map[graph.NodeID]float64
 	if bs, ok := metric.(bulkScorer); ok {
-		bulk = bs.scoreAll(rg)
-	}
-	h := make(rankHeap, 0, k+1)
-	for _, v := range matches {
-		var sc Ranked
-		if bulk != nil {
-			score, ok := bulk[v]
+		bulk := bs.scoreAll(rg)
+		score = func(v graph.NodeID) (Ranked, bool) {
+			i, ok := rg.IndexOf(v)
 			if !ok {
-				score = math.Inf(1)
+				return Ranked{Node: v, Rank: math.Inf(1)}, true
 			}
-			sc = Ranked{Node: v, Rank: score, Connected: len(rg.Out(v)) + len(rg.In(v))}
-		} else {
-			score, connected := metric.Score(rg, v)
-			sc = Ranked{Node: v, Rank: score, Connected: connected}
-		}
-		if len(h) < k {
-			heap.Push(&h, sc)
-			continue
-		}
-		if better(sc, h[0]) {
-			h[0] = sc
-			heap.Fix(&h, 0)
+			return Ranked{Node: v, Rank: bulk[i], Connected: degree(rg, i)}, true
 		}
 	}
-	res := []Ranked(h)
-	sort.Slice(res, func(i, j int) bool { return better(res[i], res[j]) })
-	return res
+	return best(r.MatchesOf(q.Output()), k, score)
 }

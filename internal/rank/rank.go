@@ -14,7 +14,6 @@
 package rank
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -37,55 +36,26 @@ type Ranked struct {
 // Score computes the rank of a single output-node match within a result
 // graph. The boolean is false when v is not a node of the result graph.
 func Score(rg *match.ResultGraph, v graph.NodeID) (Ranked, bool) {
-	if !rg.Has(v) {
+	i, ok := rg.IndexOf(v)
+	if !ok {
 		return Ranked{}, false
 	}
-	down := rg.Distances(v, false) // v to descendants
-	up := rg.Distances(v, true)    // ancestors to v
-	sum := 0
-	connected := map[graph.NodeID]bool{}
-	for w, d := range down {
-		if w == v {
-			continue
-		}
-		sum += d
-		connected[w] = true
-	}
-	for w, d := range up {
-		if w == v {
-			continue
-		}
-		sum += d
-		connected[w] = true
-	}
-	r := Ranked{Node: v, Connected: len(connected)}
-	if len(connected) == 0 {
+	s := match.AcquireScratch()
+	defer s.Release()
+	return scoreAt(rg, s, i), true
+}
+
+// scoreAt is Score by node index on a caller-held scratch: one forward and
+// one backward Dijkstra over the result graph.
+func scoreAt(rg *match.ResultGraph, s *match.Scratch, i int) Ranked {
+	sum, connected := rg.Impact(s, i)
+	r := Ranked{Node: rg.Nodes()[i], Connected: connected}
+	if connected == 0 {
 		r.Rank = math.Inf(1)
 	} else {
-		r.Rank = float64(sum) / float64(len(connected))
+		r.Rank = float64(sum) / float64(connected)
 	}
-	return r, true
-}
-
-// rankHeap is a bounded max-heap over ranks: the worst (largest) rank sits
-// at the top so it can be evicted when a better candidate arrives.
-type rankHeap []Ranked
-
-func (h rankHeap) Len() int { return len(h) }
-func (h rankHeap) Less(i, j int) bool {
-	if h[i].Rank != h[j].Rank {
-		return h[i].Rank > h[j].Rank
-	}
-	return h[i].Node > h[j].Node
-}
-func (h rankHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *rankHeap) Push(x any)   { *h = append(*h, x.(Ranked)) }
-func (h *rankHeap) Pop() any {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+	return r
 }
 
 // better reports whether a should be preferred to b (lower rank, ties
@@ -95,6 +65,22 @@ func better(a, b Ranked) bool {
 		return a.Rank < b.Rank
 	}
 	return a.Node < b.Node
+}
+
+// best scores every match and returns the k best (k <= 0: all), best-first.
+// Matches score reports false for are left out.
+func best(matches []graph.NodeID, k int, score func(v graph.NodeID) (Ranked, bool)) []Ranked {
+	res := make([]Ranked, 0, len(matches))
+	for _, v := range matches {
+		if sc, ok := score(v); ok {
+			res = append(res, sc)
+		}
+	}
+	sort.Slice(res, func(i, j int) bool { return better(res[i], res[j]) })
+	if k > 0 && k < len(res) {
+		res = append([]Ranked(nil), res[:k]...) // do not pin the full ranking
+	}
+	return res
 }
 
 // TopK scores every match of the pattern's output node in the relation and
@@ -107,28 +93,16 @@ func TopK(g *graph.Graph, q *pattern.Pattern, r *match.Relation, k int) []Ranked
 
 // TopKWithResultGraph is TopK for callers that already built the result
 // graph (the engine builds it once and reuses it for display and ranking).
+// It costs two Dijkstra runs over the result graph per output match, all
+// on one scratch.
 func TopKWithResultGraph(rg *match.ResultGraph, q *pattern.Pattern, r *match.Relation, k int) []Ranked {
-	out := q.Output()
-	matches := r.MatchesOf(out)
-	if k <= 0 || k > len(matches) {
-		k = len(matches)
-	}
-	h := make(rankHeap, 0, k+1)
-	for _, v := range matches {
-		sc, ok := Score(rg, v)
+	s := match.AcquireScratch()
+	defer s.Release()
+	return best(r.MatchesOf(q.Output()), k, func(v graph.NodeID) (Ranked, bool) {
+		i, ok := rg.IndexOf(v)
 		if !ok {
-			continue
+			return Ranked{}, false
 		}
-		if len(h) < k {
-			heap.Push(&h, sc)
-			continue
-		}
-		if better(sc, h[0]) {
-			h[0] = sc
-			heap.Fix(&h, 0)
-		}
-	}
-	res := []Ranked(h)
-	sort.Slice(res, func(i, j int) bool { return better(res[i], res[j]) })
-	return res
+		return scoreAt(rg, s, i), true
+	})
 }

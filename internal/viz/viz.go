@@ -123,9 +123,10 @@ func WriteResultGraph(w io.Writer, g *graph.Graph, rg *match.ResultGraph, opts O
 		}
 		fmt.Fprintf(&b, "  n%d [label=\"%s\"%s];\n", v, caption(g, v, &opts), attrs)
 	}
-	for _, v := range rg.Nodes() {
-		for _, e := range rg.Out(v) {
-			fmt.Fprintf(&b, "  n%d -> n%d [label=\"%d\"];\n", v, e.To, e.Weight)
+	nodes := rg.Nodes()
+	for i, v := range nodes {
+		for _, e := range rg.OutAt(i) {
+			fmt.Fprintf(&b, "  n%d -> n%d [label=\"%d\"];\n", v, nodes[e.To], e.Weight)
 		}
 	}
 	b.WriteString("}\n")
