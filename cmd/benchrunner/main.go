@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp e1|...|e7|a1|...|a11|all] [-scale small|full] [-seed N]
+//	benchrunner [-exp e1|...|e7|a1|...|a9|a11|all] [-scale small|full] [-seed N]
 //	            [-artifacts DIR]
 //
 // Every a-series experiment additionally writes a machine-readable
@@ -50,7 +50,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: e1..e7, a1..a11, or all")
+	exp := flag.String("exp", "all", "experiment id: e1..e7, a1..a9, a11, or all")
 	scale := flag.String("scale", "small", "small (fast) or full sweeps")
 	seed := flag.Int64("seed", 1, "workload seed")
 	artifacts := flag.String("artifacts", ".", "directory for BENCH_<exp>.json artifacts (empty disables)")
@@ -62,10 +62,9 @@ func main() {
 		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4,
 		"e5": runE5, "e6": runE6, "e7": runE7,
 		"a1": runA1, "a2": runA2, "a3": runA3, "a4": runA4, "a5": runA5,
-		"a6": runA6, "a7": runA7, "a8": runA8, "a9": runA9, "a10": runA10,
-		"a11": runA11,
+		"a6": runA6, "a7": runA7, "a8": runA8, "a9": runA9, "a11": runA11,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a11"}
 	if *exp == "all" {
 		for _, id := range order {
 			runners[id](full, *seed)
@@ -357,13 +356,9 @@ func runE5(full bool, seed int64) {
 		c := compress.CompressWithView(g, compress.Bisimulation, compress.View{"experience"})
 		opsSrc := g.Clone()
 		r := rand.New(rand.NewSource(seed + 13))
-		iops := randomOps(r, opsSrc, b)
-		cops := make([]compress.Update, len(iops))
-		for i, op := range iops {
-			cops[i] = compress.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
+		ops := randomOps(r, opsSrc, b)
 		start := time.Now()
-		if err := c.Maintain(cops); err != nil {
+		if err := c.Maintain(ops); err != nil {
 			panic(err)
 		}
 		dMaintain := time.Since(start)

@@ -7,10 +7,7 @@ import (
 )
 
 // Update is one edge insertion or deletion against the source graph.
-type Update struct {
-	Insert   bool
-	From, To graph.NodeID
-}
+type Update = graph.Update
 
 // Insert returns an edge-insertion update.
 func Insert(from, to graph.NodeID) Update { return Update{Insert: true, From: from, To: to} }

@@ -73,10 +73,7 @@ type Options struct {
 }
 
 // Update is one edge insertion or deletion applied through Sync.
-type Update struct {
-	Insert   bool
-	From, To graph.NodeID
-}
+type Update = graph.Update
 
 // Index is a bidirectional landmark labeling over one graph. Reads
 // (WithinOut, WithinIn, Distance, Stats) are safe concurrently with each

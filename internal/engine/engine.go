@@ -20,11 +20,21 @@
 //     algorithm when every bound is 1, the cubic bounded-simulation
 //     algorithm otherwise ("optimized query plans").
 //
+// Steps 2 to 4 route only through a maintainer that is attached and
+// fresh; a stale or dropped one costs a plan, never an answer.
+//
+// Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
+// writes and replicated replay run the same validate → apply → sync every
+// maintainer once → log sequence under the graph's write lock, with edge
+// batches passed to every maintainer and the log as one []graph.Update. A
+// maintainer that cannot repair in place goes stale or is dropped — a
+// simulation-equivalence quotient lives until the first write — and the
+// write itself never fails on its account.
+//
 // Beyond one-shot queries, the engine hosts continuous queries
 // (Subscribe): standing patterns whose match deltas stream to clients as
-// updates are applied, maintained through internal/subscribe by the same
-// per-graph mutation fan-out that keeps registered queries, compressed
-// views, and distance indexes consistent.
+// updates are applied, maintained through internal/subscribe as the last
+// maintainer of that pipeline.
 package engine
 
 import (
@@ -122,11 +132,6 @@ type Options struct {
 	// before registering graphs whose state should come back. See
 	// internal/wal and docs/ARCHITECTURE.md ("Durability").
 	Persistence *wal.Manager
-	// DisableStats turns off online graph statistics (degree/label
-	// histograms; see internal/stats). On by default — maintenance is
-	// O(1) per mutated edge — this switch exists for the a10 bench
-	// baseline arm and as an escape hatch.
-	DisableStats bool
 }
 
 // Engine manages graphs and evaluates queries. Safe for concurrent use.
@@ -203,7 +208,7 @@ type managed struct {
 	comp     *compress.Compressed            // optional
 	idx      *distindex.Index                // optional landmark distance index
 	part     *partition.Partitioning         // optional edge-cut partitioning
-	st       *stats.Graph                    // optional online graph statistics
+	st       *stats.Graph                    // online graph statistics
 	matchers map[string]*incremental.Matcher // pattern hash -> matcher
 	queries  map[string]*pattern.Pattern     // pattern hash -> registered pattern
 
@@ -356,26 +361,23 @@ func (e *Engine) register(name string, g *graph.Graph) error {
 
 // registerWith is register with pre-built statistics — the recovery
 // path restores them from a persisted snapshot instead of paying the
-// full recount. A nil st builds fresh (unless stats are disabled).
+// full recount. A nil st builds fresh.
 func (e *Engine) registerWith(name string, g *graph.Graph, st *stats.Graph) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.gs[name]; ok {
 		return fmt.Errorf("%w: %q", ErrGraphExists, name)
 	}
-	mg := &managed{
+	if st == nil {
+		st = stats.NewGraph(g)
+	}
+	e.gs[name] = &managed{
 		epoch:    e.epochs.Add(1),
 		g:        g,
+		st:       st,
 		matchers: map[string]*incremental.Matcher{},
 		queries:  map[string]*pattern.Pattern{},
 	}
-	if !e.opts.DisableStats {
-		if st == nil {
-			st = stats.NewGraph(g)
-		}
-		mg.st = st
-	}
-	e.gs[name] = mg
 	return nil
 }
 
@@ -756,388 +758,9 @@ func (e *Engine) RegisteredQueries(graphName string) ([]*pattern.Pattern, error)
 	return out, nil
 }
 
-// Delta describes how one registered query's matches changed.
-type Delta struct {
-	PatternHash string
-	Added       []match.Pair
-	Removed     []match.Pair
-}
-
-// ApplyUpdates applies edge updates to the named graph, repairs every
-// registered query incrementally, maintains the compressed graph if
-// present, and fans match deltas out to live subscriptions. It returns
-// per-registered-query deltas; PushUpdates additionally reports the
-// subscription fan-out count.
-func (e *Engine) ApplyUpdates(graphName string, ops []incremental.Update) ([]Delta, error) {
-	deltas, _, err := e.applyUpdates(context.Background(), graphName, ops)
-	return deltas, err
-}
-
-// ApplyUpdatesCtx is ApplyUpdates threading ctx through to the WAL
-// append, so traced update requests capture the durability cost (see
-// internal/trace). Cancellation is NOT consulted: once called, the
-// batch applies atomically exactly as ApplyUpdates would.
-func (e *Engine) ApplyUpdatesCtx(ctx context.Context, graphName string, ops []incremental.Update) ([]Delta, error) {
-	deltas, _, err := e.applyUpdates(ctx, graphName, ops)
-	return deltas, err
-}
-
-func (e *Engine) applyUpdates(ctx context.Context, graphName string, ops []incremental.Update) ([]Delta, int, error) {
-	if err := e.writable(); err != nil {
-		return nil, 0, err
-	}
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return nil, 0, err
-	}
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	// Apply to the graph once; consumers sync post-hoc.
-	for i, op := range ops {
-		var err error
-		if op.Insert {
-			err = mg.g.AddEdge(op.From, op.To)
-		} else {
-			err = mg.g.RemoveEdge(op.From, op.To)
-		}
-		if err != nil {
-			// Roll back the prefix so graph and consumers stay consistent.
-			for j := i - 1; j >= 0; j-- {
-				if ops[j].Insert {
-					_ = mg.g.RemoveEdge(ops[j].From, ops[j].To)
-				} else {
-					_ = mg.g.AddEdge(ops[j].From, ops[j].To)
-				}
-			}
-			// The rollback left the content unchanged but advanced the
-			// version; the index's labels still describe the graph
-			// exactly, so keep it routed instead of letting the version
-			// gap silently demote every query to the direct plan.
-			if mg.idx != nil {
-				mg.idx.RefreshVersion()
-			}
-			// Same reasoning for the partitioning: the edge set (and so
-			// the boundary bookkeeping) is back to exactly what it was.
-			if mg.part != nil {
-				mg.part.RefreshVersion()
-			}
-			// And for the statistics: every histogram still counts the
-			// restored content exactly.
-			mg.st.RefreshVersion(mg.g)
-			// Log the apply+rollback sequence as one record (best-effort —
-			// the apply error is the one the caller must see). The content
-			// is unchanged, but the rollback re-added edges by APPEND, so
-			// adjacency ORDER changed; replaying the same op sequence
-			// reproduces it exactly, keeping recovery byte-identical. A
-			// bare version record would not.
-			if pers := e.opts.Persistence; pers != nil && i > 0 {
-				rb := make([]wal.Update, 0, 2*i)
-				for j := 0; j < i; j++ {
-					rb = append(rb, wal.Update{Insert: ops[j].Insert, From: ops[j].From, To: ops[j].To})
-				}
-				for j := i - 1; j >= 0; j-- {
-					rb = append(rb, wal.Update{Insert: !ops[j].Insert, From: ops[j].From, To: ops[j].To})
-				}
-				_ = pers.LogUpdatesCtx(ctx, graphName, rb, mg.g.Version())
-			}
-			return nil, 0, fmt.Errorf("engine: apply op %d: %w", i, err)
-		}
-	}
-	// The graph is final from here on; logBatch makes it durable. It runs
-	// on every exit path past this point — including downstream sync
-	// errors, where the graph HAS changed and skipping the log would let
-	// the WAL silently diverge from live state (replay would then fail or,
-	// worse, reconstruct a different graph).
-	logBatch := func() error {
-		pers := e.opts.Persistence
-		if pers == nil || len(ops) == 0 {
-			return nil
-		}
-		wops := make([]wal.Update, len(ops))
-		for i, op := range ops {
-			wops[i] = wal.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		return pers.LogUpdatesCtx(ctx, graphName, wops, mg.g.Version())
-	}
-	var deltas []Delta
-	for h, m := range mg.matchers {
-		added, removed, err := m.Sync(ops)
-		if err != nil {
-			_ = logBatch()
-			return nil, 0, fmt.Errorf("engine: sync matcher %s: %w", h[:8], err)
-		}
-		deltas = append(deltas, Delta{PatternHash: h, Added: added, Removed: removed})
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].PatternHash < deltas[j].PatternHash })
-	if mg.comp != nil {
-		cops := make([]compress.Update, len(ops))
-		for i, op := range ops {
-			cops[i] = compress.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		if err := mg.comp.Sync(cops); err != nil {
-			_ = logBatch()
-			return nil, 0, fmt.Errorf("engine: sync compressed graph: %w", err)
-		}
-	}
-	if mg.idx != nil {
-		iops := make([]distindex.Update, len(ops))
-		for i, op := range ops {
-			iops[i] = distindex.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		mg.idx.Sync(iops)
-	}
-	if mg.part != nil {
-		pops := make([]partition.Update, len(ops))
-		for i, op := range ops {
-			pops[i] = partition.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		mg.part.Sync(pops)
-	}
-	if mg.st != nil {
-		sops := make([]stats.Update, len(ops))
-		for i, op := range ops {
-			sops[i] = stats.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		mg.st.Sync(mg.g, sops)
-	}
-	// Fan out to live subscriptions last, so their deltas reflect the
-	// same post-update graph every other consumer settled on (dirty
-	// standing queries recompute here — the lazy invalidation path).
-	notified := e.hub.HandleUpdates(graphName, mg.g, ops)
-	if err := logBatch(); err != nil {
-		return deltas, notified, fmt.Errorf("engine: log updates: %w", err)
-	}
-	return deltas, notified, nil
-}
-
-// AddNode inserts a node into a managed graph, keeping registered queries
-// and the compressed form in sync.
-func (e *Engine) AddNode(graphName, label string, attrs graph.Attrs) (graph.NodeID, error) {
-	if err := e.writable(); err != nil {
-		return graph.Invalid, err
-	}
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return graph.Invalid, err
-	}
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	id := mg.g.AddNode(label, attrs)
-	// The node exists from here on; log it on every exit path (see the
-	// logBatch comment in applyUpdates — an unlogged AddNode would shift
-	// every later replayed node id).
-	logNode := func() error {
-		if pers := e.opts.Persistence; pers != nil {
-			return pers.LogAddNode(graphName, label, attrs, mg.g.Version())
-		}
-		return nil
-	}
-	for _, m := range mg.matchers {
-		m.SyncNodeAdded(id)
-	}
-	if mg.comp != nil {
-		if err := mg.comp.SyncNodeAdded(id); err != nil {
-			_ = logNode()
-			return id, fmt.Errorf("engine: sync compressed graph: %w", err)
-		}
-	}
-	if mg.idx != nil {
-		mg.idx.SyncNodeAdded(id)
-	}
-	if mg.part != nil {
-		mg.part.SyncNodeAdded(id)
-	}
-	mg.st.SyncNodeAdded(mg.g, id)
-	e.hub.HandleNodeAdded(graphName, mg.g, id)
-	if err := logNode(); err != nil {
-		return id, fmt.Errorf("engine: log add node: %w", err)
-	}
-	return id, nil
-}
-
-// RemoveNode removes a node and its incident edges from a managed graph,
-// repairing registered queries and the compressed form incrementally.
-func (e *Engine) RemoveNode(graphName string, id graph.NodeID) error {
-	if err := e.writable(); err != nil {
-		return err
-	}
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return err
-	}
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	if !mg.g.Has(id) {
-		return graph.ErrNoNode
-	}
-	// Removing a node shrinks reachability, which 2-hop labels cannot
-	// repair in place: invalidate up front (queries stay exact through
-	// the index's BFS fallback until a rebuild).
-	if mg.idx != nil {
-		mg.idx.Invalidate()
-	}
-	// Standing queries cannot repair through a disappearing node either:
-	// mark them dirty and let the next update batch, flush, or subscribe
-	// pay one full recompute for any burst of removals.
-	e.hub.Invalidate(graphName)
-	// Phase 1: detach incident edges through the ordinary edge-update
-	// path, so cascades run while the graph is still consistent.
-	var ops []incremental.Update
-	for _, v := range mg.g.Out(id) {
-		ops = append(ops, incremental.Delete(id, v))
-	}
-	for _, u := range mg.g.In(id) {
-		if u != id { // self-loop already covered by the out pass
-			ops = append(ops, incremental.Delete(u, id))
-		}
-	}
-	// On any failure past the first edge removal, the graph HAS changed:
-	// log exactly the detach prefix that applied, so the WAL tracks live
-	// state even on the error paths (see the logBatch comment in
-	// applyUpdates).
-	detached := 0
-	logDetached := func() {
-		pers := e.opts.Persistence
-		if pers == nil || detached == 0 {
-			return
-		}
-		wops := make([]wal.Update, detached)
-		for i := 0; i < detached; i++ {
-			wops[i] = wal.Update{Insert: false, From: ops[i].From, To: ops[i].To}
-		}
-		_ = pers.LogUpdates(graphName, wops, mg.g.Version())
-	}
-	for _, op := range ops {
-		if err := mg.g.RemoveEdge(op.From, op.To); err != nil {
-			logDetached()
-			return fmt.Errorf("engine: detach node %d: %w", id, err)
-		}
-		detached++
-	}
-	for _, m := range mg.matchers {
-		if _, _, err := m.Sync(ops); err != nil {
-			logDetached()
-			return fmt.Errorf("engine: sync matcher: %w", err)
-		}
-	}
-	if mg.comp != nil {
-		cops := make([]compress.Update, len(ops))
-		for i, op := range ops {
-			cops[i] = compress.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		if err := mg.comp.Sync(cops); err != nil {
-			logDetached()
-			return fmt.Errorf("engine: sync compressed graph: %w", err)
-		}
-	}
-	if mg.part != nil {
-		// The detach ops clear the node's boundary bookkeeping; the
-		// node itself leaves its fragment below.
-		pops := make([]partition.Update, len(ops))
-		for i, op := range ops {
-			pops[i] = partition.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		mg.part.Sync(pops)
-	}
-	if mg.st != nil {
-		// The detach ops walk the node down to degree zero in the
-		// histograms; SyncNodeRemoved below drops the isolated node.
-		sops := make([]stats.Update, len(ops))
-		for i, op := range ops {
-			sops[i] = stats.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		mg.st.Sync(mg.g, sops)
-	}
-	// Phase 2: the node is isolated; clear it everywhere and drop it.
-	for _, m := range mg.matchers {
-		m.SyncNodeRemoving(id)
-	}
-	if mg.comp != nil {
-		if err := mg.comp.SyncNodeRemoving(id); err != nil {
-			logDetached()
-			return fmt.Errorf("engine: sync compressed graph: %w", err)
-		}
-	}
-	if err := mg.g.RemoveNode(id); err != nil {
-		logDetached()
-		return err
-	}
-	// Versions moved past the syncs' snapshots; refresh them.
-	for _, m := range mg.matchers {
-		m.RefreshVersion()
-	}
-	if mg.comp != nil {
-		mg.comp.RefreshVersion()
-	}
-	if mg.part != nil {
-		mg.part.SyncNodeRemoved(id)
-	}
-	mg.st.SyncNodeRemoved(mg.g, id)
-	// One record covers the whole removal (incident-edge detach included):
-	// replay re-removes the node wholesale and restores this version.
-	if pers := e.opts.Persistence; pers != nil {
-		if err := pers.LogRemoveNode(graphName, id, mg.g.Version()); err != nil {
-			return fmt.Errorf("engine: log remove node: %w", err)
-		}
-	}
-	return nil
-}
-
-// SetNodeAttr updates one attribute of a node in a managed graph, keeping
-// registered queries and the compressed form in sync (the predicate and
-// signature changes are repaired incrementally).
-func (e *Engine) SetNodeAttr(graphName string, id graph.NodeID, key string, v graph.Value) error {
-	if err := e.writable(); err != nil {
-		return err
-	}
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return err
-	}
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	if err := mg.g.SetAttr(id, key, v); err != nil {
-		return err
-	}
-	// The attribute is set from here on; log it on every exit path (see
-	// the logBatch comment in applyUpdates).
-	logAttr := func() error {
-		if pers := e.opts.Persistence; pers != nil {
-			return pers.LogSetAttr(graphName, id, key, v, mg.g.Version())
-		}
-		return nil
-	}
-	for _, m := range mg.matchers {
-		if _, _, err := m.SyncAttrChanged(id); err != nil {
-			_ = logAttr()
-			return fmt.Errorf("engine: sync matcher: %w", err)
-		}
-	}
-	if mg.comp != nil {
-		if err := mg.comp.SyncAttrChanged(id); err != nil {
-			_ = logAttr()
-			return fmt.Errorf("engine: sync compressed graph: %w", err)
-		}
-	}
-	if mg.idx != nil {
-		// Attributes do not affect distances; just follow the version.
-		mg.idx.SyncAttrChanged(id)
-	}
-	if mg.part != nil {
-		// Attributes do not affect ownership either.
-		mg.part.SyncAttrChanged(id)
-	}
-	// Attributes move no histogram; the stats just follow the version.
-	mg.st.SyncAttrChanged(mg.g)
-	// Standing queries take the lazy-recompute path (see RemoveNode).
-	e.hub.Invalidate(graphName)
-	if err := logAttr(); err != nil {
-		return fmt.Errorf("engine: log attr update: %w", err)
-	}
-	return nil
-}
-
-// CompressGraph builds (or replaces) the compressed form of a graph.
+// CompressGraph builds (or replaces) the compressed form of a graph. Only
+// a bisimulation quotient is maintained under writes; one built with the
+// simulation-equivalence scheme is dropped by the first write.
 func (e *Engine) CompressGraph(graphName string, scheme compress.Scheme, view compress.View) (*compress.Compressed, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {

@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"expfinder/internal/bsim"
+	"expfinder/internal/compress"
 	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
 	"expfinder/internal/partition"
 	"expfinder/internal/pattern"
+	"expfinder/internal/simulation"
 	"expfinder/internal/subscribe"
 	"expfinder/internal/testutil"
 	"expfinder/internal/wal"
@@ -210,7 +212,8 @@ func TestPartitionMutationRepair(t *testing.T) {
 
 // TestPartitionRollbackKeepsFresh: a failed update batch rolls back and
 // must leave the partitioning routed (content unchanged, version
-// re-stamped) — the same contract the distance index has.
+// re-stamped) — the same contract the distance index has, and the
+// bisimulation quotient too.
 func TestPartitionRollbackKeepsFresh(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	q := dataset.PaperQuery()
@@ -219,6 +222,10 @@ func TestPartitionRollbackKeepsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := e.PartitionGraph("g", partition.Options{Parts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	comp, err := e.CompressGraph("g", compress.Bisimulation, compress.View{"experience"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	nodes := g.Nodes()
@@ -242,6 +249,25 @@ func TestPartitionRollbackKeepsFresh(t *testing.T) {
 	}
 	if res.Relation.String() != directRelation(t, e, "g", q) {
 		t.Fatal("relation diverged after rollback")
+	}
+	// A plain-simulation query routes through the quotient, which still
+	// describes the restored content exactly and was re-stamped with the
+	// rest: its own staleness check (Maintain's) agrees.
+	plain, err := pattern.Parse(`node SA [label = "SA", experience >= 5] output
+node SD [label = "SD", experience >= 2]
+edge SA -> SD bound 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = e.Query("g", plain, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != SourceCompressed || !res.Relation.Equal(simulation.Compute(g, plain)) {
+		t.Fatalf("plain query after rollback: source %v, relation %v", res.Source, res.Relation)
+	}
+	if err := comp.Maintain(nil); err != nil {
+		t.Fatalf("quotient after rollback: %v", err)
 	}
 }
 

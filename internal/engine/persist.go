@@ -1,9 +1,10 @@
 package engine
 
-// Durable persistence: the engine front-end of internal/wal. Mutation
-// paths in engine.go append to the graph's write-ahead log while holding
-// the graph's lock; this file owns the rest of the lifecycle — boot-time
-// recovery, checkpoints (snapshot + log truncation), and shutdown.
+// Durable persistence: the engine front-end of internal/wal. The write
+// pipeline in mutate.go appends to the graph's write-ahead log while
+// holding the graph's lock; this file owns the rest of the lifecycle —
+// boot-time recovery, checkpoints (snapshot + log truncation), and
+// shutdown.
 //
 // Recovery contract: Recover() registers every persisted graph at its
 // exact pre-crash content and graph.Version() (a torn record at the log
@@ -49,7 +50,7 @@ type GraphRecovery struct {
 	IndexErr string `json:"index_error,omitempty"`
 	// StatsRestored reports that a persisted statistics snapshot matched
 	// the recovered graph and was installed without a full recount; false
-	// means the statistics were rebuilt from scratch (or are disabled).
+	// means the statistics were rebuilt from scratch.
 	StatsRestored bool `json:"stats_restored,omitempty"`
 	// Err is set when this graph could not be recovered (its files are
 	// left untouched for inspection); other graphs still recover.
@@ -99,7 +100,7 @@ func (e *Engine) Recover() (*RecoverySummary, error) {
 		// graph (same version, nodes, edges, consistent counts) skips the
 		// registration recount; anything off falls back to a full rebuild.
 		var st *stats.Graph
-		if !e.opts.DisableStats && rec.Stats != nil {
+		if rec.Stats != nil {
 			var snap stats.Snapshot
 			if json.Unmarshal(rec.Stats, &snap) == nil {
 				st = stats.Restore(rec.Graph, &snap)
@@ -154,14 +155,12 @@ func (e *Engine) Checkpoint(graphName string) error {
 	// them instead of recounting. The snapshot call rebuilds first if
 	// stale, so what lands on disk always describes the checkpointed
 	// version exactly.
-	if mg.st != nil {
-		data, err := json.Marshal(mg.st.Snapshot(mg.g))
-		if err != nil {
-			return fmt.Errorf("engine: marshal stats snapshot: %w", err)
-		}
-		if err := pers.SetStatsSnapshot(graphName, data); err != nil {
-			return fmt.Errorf("engine: persist stats snapshot: %w", err)
-		}
+	data, err := json.Marshal(mg.st.Snapshot(mg.g))
+	if err != nil {
+		return fmt.Errorf("engine: marshal stats snapshot: %w", err)
+	}
+	if err := pers.SetStatsSnapshot(graphName, data); err != nil {
+		return fmt.Errorf("engine: persist stats snapshot: %w", err)
 	}
 	return nil
 }

@@ -5,24 +5,20 @@ package engine
 // with ReadOnlyError naming the leader — while the replication client
 // feeds it leader state through two bypass paths: InstallReplicaGraph
 // (snapshot install) and ApplyReplicatedRecord (record replay). Records
-// replay through the same decoded form as crash recovery
-// (wal.Record.Apply is the reference semantics), but routed through the
-// engine so every attached consumer — incremental matchers, compressed
-// form, distance index, partitioning, live subscriptions — syncs
-// exactly as it would on a native mutation. That is what lets a
+// replay in the same decoded form as crash recovery (wal.Record.Apply is
+// the reference semantics), through the one write pipeline every native
+// mutation runs (see mutate.go), so every maintainer — incremental
+// matchers, compressed form, distance index, partitioning, statistics,
+// live subscriptions — syncs by the same code. That is what lets a
 // follower serve queries AND subscriptions with results byte-identical
 // to the leader at the same applied offset.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
-	"expfinder/internal/compress"
-	"expfinder/internal/distindex"
 	"expfinder/internal/graph"
-	"expfinder/internal/incremental"
-	"expfinder/internal/partition"
-	"expfinder/internal/stats"
 	"expfinder/internal/wal"
 )
 
@@ -147,223 +143,14 @@ func (e *Engine) DropReplicaGraph(name string) error {
 }
 
 // ApplyReplicatedRecord replays one leader WAL record onto a follower
-// graph, bypassing the read-only guard. The mutation applies exactly as
-// wal.Record.Apply would in crash recovery — same ops, same version
-// restore — but through the engine's consumer fan-out, so matchers,
-// accelerators, and live subscriptions advance in lockstep. Records at
-// or below the graph's version are skipped (ring replay after a
-// reconnect legitimately overlaps). Errors mean the follower diverged
-// from the leader's stream; the caller must resync by snapshot, not
-// retry.
+// graph, bypassing the read-only guard. It runs the same pipeline as a
+// native write — wal.Record.Apply is the reference for what reaches the
+// graph — so matchers, accelerators and live subscriptions advance in
+// lockstep with the leader's. Records at or below the graph's version are
+// skipped (ring replay after a reconnect legitimately overlaps). Errors
+// mean the follower diverged from the leader's stream; the caller must
+// resync by snapshot, not retry.
 func (e *Engine) ApplyReplicatedRecord(name string, rec *wal.Record) error {
-	mg, err := e.lookup(name)
-	if err != nil {
-		return err
-	}
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	if rec.Post <= mg.g.Version() {
-		return nil
-	}
-	if err := e.applyRecordLocked(name, mg, rec); err != nil {
-		return err
-	}
-	// Restore the leader's exact post-mutation version, then let every
-	// consumer's freshness tracking catch up to it (their syncs above saw
-	// the pre-restore version).
-	mg.g.RestoreVersion(rec.Post)
-	for _, m := range mg.matchers {
-		m.RefreshVersion()
-	}
-	if mg.comp != nil {
-		mg.comp.RefreshVersion()
-	}
-	if mg.idx != nil && rec.Kind != wal.RecRemoveNode {
-		mg.idx.RefreshVersion()
-	}
-	if mg.part != nil {
-		mg.part.RefreshVersion()
-	}
-	// The stats synced with the pre-restore version too; re-stamp at the
-	// leader's, or every follower stats read would pay a full recount.
-	mg.st.RefreshVersion(mg.g)
-	// Re-log to local persistence so a follower crash recovers to the
-	// applied offset without re-fetching from the leader.
-	if pers := e.opts.Persistence; pers != nil {
-		if err := pers.LogRecord(name, rec); err != nil {
-			return fmt.Errorf("engine: re-log replicated record: %w", err)
-		}
-	}
-	return nil
-}
-
-// applyRecordLocked dispatches one record kind under mg.mu, mirroring
-// the corresponding native mutation path's consumer fan-out.
-func (e *Engine) applyRecordLocked(name string, mg *managed, rec *wal.Record) error {
-	switch rec.Kind {
-	case wal.RecUpdates:
-		ops := make([]incremental.Update, len(rec.Ops))
-		for i, op := range rec.Ops {
-			ops[i] = incremental.Update{Insert: op.Insert, From: op.From, To: op.To}
-		}
-		for i, op := range ops {
-			var err error
-			if op.Insert {
-				err = mg.g.AddEdge(op.From, op.To)
-			} else {
-				err = mg.g.RemoveEdge(op.From, op.To)
-			}
-			if err != nil {
-				return fmt.Errorf("engine: replicate op %d: %w", i, err)
-			}
-		}
-		for h, m := range mg.matchers {
-			if _, _, err := m.Sync(ops); err != nil {
-				return fmt.Errorf("engine: replicate sync matcher %s: %w", h[:8], err)
-			}
-		}
-		if mg.comp != nil {
-			cops := make([]compress.Update, len(ops))
-			for i, op := range ops {
-				cops[i] = compress.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			if err := mg.comp.Sync(cops); err != nil {
-				return fmt.Errorf("engine: replicate sync compressed graph: %w", err)
-			}
-		}
-		if mg.idx != nil {
-			iops := make([]distindex.Update, len(ops))
-			for i, op := range ops {
-				iops[i] = distindex.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			mg.idx.Sync(iops)
-		}
-		if mg.part != nil {
-			pops := make([]partition.Update, len(ops))
-			for i, op := range ops {
-				pops[i] = partition.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			mg.part.Sync(pops)
-		}
-		if mg.st != nil {
-			sops := make([]stats.Update, len(ops))
-			for i, op := range ops {
-				sops[i] = stats.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			mg.st.Sync(mg.g, sops)
-		}
-		e.hub.HandleUpdates(name, mg.g, ops)
-	case wal.RecAddNode:
-		id := mg.g.AddNode(rec.Label, rec.Attrs)
-		for _, m := range mg.matchers {
-			m.SyncNodeAdded(id)
-		}
-		if mg.comp != nil {
-			if err := mg.comp.SyncNodeAdded(id); err != nil {
-				return fmt.Errorf("engine: replicate sync compressed graph: %w", err)
-			}
-		}
-		if mg.idx != nil {
-			mg.idx.SyncNodeAdded(id)
-		}
-		if mg.part != nil {
-			mg.part.SyncNodeAdded(id)
-		}
-		mg.st.SyncNodeAdded(mg.g, id)
-		e.hub.HandleNodeAdded(name, mg.g, id)
-	case wal.RecRemoveNode:
-		if !mg.g.Has(rec.ID) {
-			return fmt.Errorf("engine: replicate remove node %d: %w", rec.ID, graph.ErrNoNode)
-		}
-		// Mirror RemoveNode: invalidate what cannot repair, detach
-		// incident edges through the edge-update path, then drop the node.
-		if mg.idx != nil {
-			mg.idx.Invalidate()
-		}
-		e.hub.Invalidate(name)
-		var ops []incremental.Update
-		for _, v := range mg.g.Out(rec.ID) {
-			ops = append(ops, incremental.Delete(rec.ID, v))
-		}
-		for _, u := range mg.g.In(rec.ID) {
-			if u != rec.ID {
-				ops = append(ops, incremental.Delete(u, rec.ID))
-			}
-		}
-		for _, op := range ops {
-			if err := mg.g.RemoveEdge(op.From, op.To); err != nil {
-				return fmt.Errorf("engine: replicate detach node %d: %w", rec.ID, err)
-			}
-		}
-		for _, m := range mg.matchers {
-			if _, _, err := m.Sync(ops); err != nil {
-				return fmt.Errorf("engine: replicate sync matcher: %w", err)
-			}
-		}
-		if mg.comp != nil {
-			cops := make([]compress.Update, len(ops))
-			for i, op := range ops {
-				cops[i] = compress.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			if err := mg.comp.Sync(cops); err != nil {
-				return fmt.Errorf("engine: replicate sync compressed graph: %w", err)
-			}
-		}
-		if mg.part != nil {
-			pops := make([]partition.Update, len(ops))
-			for i, op := range ops {
-				pops[i] = partition.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			mg.part.Sync(pops)
-		}
-		if mg.st != nil {
-			sops := make([]stats.Update, len(ops))
-			for i, op := range ops {
-				sops[i] = stats.Update{Insert: op.Insert, From: op.From, To: op.To}
-			}
-			mg.st.Sync(mg.g, sops)
-		}
-		for _, m := range mg.matchers {
-			m.SyncNodeRemoving(rec.ID)
-		}
-		if mg.comp != nil {
-			if err := mg.comp.SyncNodeRemoving(rec.ID); err != nil {
-				return fmt.Errorf("engine: replicate sync compressed graph: %w", err)
-			}
-		}
-		if err := mg.g.RemoveNode(rec.ID); err != nil {
-			return fmt.Errorf("engine: replicate remove node %d: %w", rec.ID, err)
-		}
-		if mg.part != nil {
-			mg.part.SyncNodeRemoved(rec.ID)
-		}
-		mg.st.SyncNodeRemoved(mg.g, rec.ID)
-	case wal.RecSetAttr:
-		if err := mg.g.SetAttr(rec.ID, rec.Key, rec.Val); err != nil {
-			return fmt.Errorf("engine: replicate set attr on node %d: %w", rec.ID, err)
-		}
-		for _, m := range mg.matchers {
-			if _, _, err := m.SyncAttrChanged(rec.ID); err != nil {
-				return fmt.Errorf("engine: replicate sync matcher: %w", err)
-			}
-		}
-		if mg.comp != nil {
-			if err := mg.comp.SyncAttrChanged(rec.ID); err != nil {
-				return fmt.Errorf("engine: replicate sync compressed graph: %w", err)
-			}
-		}
-		if mg.idx != nil {
-			mg.idx.SyncAttrChanged(rec.ID)
-		}
-		if mg.part != nil {
-			mg.part.SyncAttrChanged(rec.ID)
-		}
-		mg.st.SyncAttrChanged(mg.g)
-		e.hub.Invalidate(name)
-	case wal.RecVersion:
-		// Version restore below is the whole mutation.
-	default:
-		return fmt.Errorf("engine: replicate unknown record kind %d", rec.Kind)
-	}
-	return nil
+	_, err := e.mutate(context.Background(), name, rec, true)
+	return err
 }

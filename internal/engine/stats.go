@@ -25,8 +25,7 @@ func patternShape(q *pattern.Pattern) string {
 }
 
 // GraphStatistics returns the named graph's statistics snapshot,
-// rebuilding first if the counters have gone stale. Returns nil (no
-// error) when the engine runs with DisableStats.
+// rebuilding first if the counters have gone stale.
 func (e *Engine) GraphStatistics(graphName string) (*stats.Snapshot, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -39,7 +38,7 @@ func (e *Engine) GraphStatistics(graphName string) (*stats.Snapshot, error) {
 
 // StatsRebuilds reports how many from-scratch recounts the named
 // graph's statistics have paid (1 for the build at registration; more
-// means a reader caught a stale stamp). 0 with DisableStats.
+// means a reader caught a stale stamp).
 func (e *Engine) StatsRebuilds(graphName string) (uint64, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {

@@ -12,9 +12,10 @@ import (
 	"context"
 	"fmt"
 
-	"expfinder/internal/incremental"
+	"expfinder/internal/graph"
 	"expfinder/internal/pattern"
 	"expfinder/internal/subscribe"
+	"expfinder/internal/wal"
 )
 
 // Subscribe registers a standing query on the named graph and returns a
@@ -55,15 +56,16 @@ func (e *Engine) SubscriptionStats() subscribe.Stats { return e.hub.Stats() }
 // PushUpdates is ApplyUpdates for streaming workloads: it applies the
 // edge updates, repairs registered queries, and additionally reports how
 // many live subscriptions were handed a delta by the fan-out.
-func (e *Engine) PushUpdates(graphName string, ops []incremental.Update) (deltas []Delta, notified int, err error) {
+func (e *Engine) PushUpdates(graphName string, ops []graph.Update) (deltas []Delta, notified int, err error) {
 	return e.PushUpdatesCtx(context.Background(), graphName, ops)
 }
 
 // PushUpdatesCtx is PushUpdates threading ctx through to the WAL append
 // so traced streaming updates capture the durability cost. Like
 // ApplyUpdatesCtx, cancellation is not consulted.
-func (e *Engine) PushUpdatesCtx(ctx context.Context, graphName string, ops []incremental.Update) (deltas []Delta, notified int, err error) {
-	return e.applyUpdates(ctx, graphName, ops)
+func (e *Engine) PushUpdatesCtx(ctx context.Context, graphName string, ops []graph.Update) (deltas []Delta, notified int, err error) {
+	out, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecUpdates, Ops: ops}, false)
+	return out.deltas, out.notified, err
 }
 
 // FlushSubscriptions forces the lazy recompute of any standing queries

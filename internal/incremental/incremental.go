@@ -27,10 +27,7 @@ import (
 )
 
 // Update is one edge insertion or deletion.
-type Update struct {
-	Insert   bool
-	From, To graph.NodeID
-}
+type Update = graph.Update
 
 // Insert returns an edge-insertion update.
 func Insert(from, to graph.NodeID) Update { return Update{Insert: true, From: from, To: to} }

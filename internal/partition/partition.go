@@ -256,10 +256,7 @@ func (pt *Partitioning) covers(g *graph.Graph) bool {
 }
 
 // Update is one edge mutation, already applied to the graph.
-type Update struct {
-	Insert   bool
-	From, To graph.NodeID
-}
+type Update = graph.Update
 
 // Sync repairs the cut/ghost bookkeeping after ops were applied to the
 // graph (post-apply contract, like incremental.Matcher.Sync). Ownership

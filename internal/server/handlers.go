@@ -139,9 +139,9 @@ func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
 		body["partitions"] = ptStats
 	}
 	// The online statistics: log-bucketed degree histograms, label
-	// frequencies, and label-pair selectivities (absent with stats
-	// disabled). Works on followers too — a pure read.
-	if snap, err := s.eng.GraphStatistics(name); err == nil && snap != nil {
+	// frequencies, and label-pair selectivities. Works on followers too —
+	// a pure read.
+	if snap, err := s.eng.GraphStatistics(name); err == nil {
 		body["statistics"] = snap
 	}
 	writeJSON(w, http.StatusOK, body)

@@ -78,7 +78,7 @@ func (s *Server) registerStatsMetrics() {
 	graphSnapshots := func() map[string]*stats.Snapshot {
 		out := map[string]*stats.Snapshot{}
 		for _, name := range s.eng.ListGraphs() {
-			if snap, err := s.eng.GraphStatistics(name); err == nil && snap != nil {
+			if snap, err := s.eng.GraphStatistics(name); err == nil {
 				out[name] = snap
 			}
 		}

@@ -48,12 +48,8 @@ func BucketUpperBound(i int) int {
 	return 1<<i - 1
 }
 
-// Update is one edge mutation, in the same shape every other engine
-// consumer uses.
-type Update struct {
-	Insert   bool
-	From, To graph.NodeID
-}
+// Update is one edge mutation, already applied to the graph.
+type Update = graph.Update
 
 // labelID is a dense intern id for a node label; label-pair counting
 // hashes one uint64 per edge op instead of two strings.
@@ -112,13 +108,10 @@ func (s *Graph) Fresh(g *graph.Graph) bool {
 
 // RefreshVersion re-stamps the counters at g's current version without
 // touching them. For the paths where the version moved but the content
-// the counters describe did not: the applyUpdates rollback (content
+// the counters describe did not: a rolled-back update batch (content
 // restored, version advanced) and replicated-record replay (version
 // restored to the leader's after the syncs already ran).
 func (s *Graph) RefreshVersion(g *graph.Graph) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.version = g.Version()
 	s.mu.Unlock()
@@ -128,9 +121,6 @@ func (s *Graph) RefreshVersion(g *graph.Graph) {
 // (1 for a freshly built instance; more means a consumer caught a
 // stale stamp).
 func (s *Graph) Rebuilds() uint64 {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rebuilds
@@ -174,9 +164,6 @@ func moveBucket(hist *[DegreeBuckets]int64, d, delta int) {
 // version. The engine calls it under the graph's write lock, after the
 // other consumers, on exactly the ops that applied.
 func (s *Graph) Sync(g *graph.Graph, ops []Update) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, op := range ops {
@@ -207,9 +194,6 @@ func (s *Graph) Sync(g *graph.Graph, ops []Update) {
 // SyncNodeAdded accounts a node just added to g (zero degree, label
 // from the graph) and stamps the counters.
 func (s *Graph) SyncNodeAdded(g *graph.Graph, id graph.NodeID) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.growLocked(id)
@@ -226,9 +210,6 @@ func (s *Graph) SyncNodeAdded(g *graph.Graph, id graph.NodeID) {
 // detaches incident edges through Sync first (mirroring RemoveNode's
 // two-phase shape), so the node leaves at degree zero.
 func (s *Graph) SyncNodeRemoved(g *graph.Graph, id graph.NodeID) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.growLocked(id)
@@ -320,9 +301,6 @@ type Snapshot struct {
 // stale — stale statistics are rebuilt, never trusted. The caller must
 // hold the graph's read lock (or otherwise exclude mutations).
 func (s *Graph) Snapshot(g *graph.Graph) *Snapshot {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version != g.Version() {
@@ -383,8 +361,8 @@ func renderHist(hist *[DegreeBuckets]int64) []DegreeBucketCount {
 }
 
 // Compute is the reference recount: statistics of g built from scratch
-// and rendered. The property tests and the a10 accuracy gate compare
-// incrementally maintained snapshots against it.
+// and rendered. The property tests compare incrementally maintained
+// snapshots against it.
 func Compute(g *graph.Graph) *Snapshot { return NewGraph(g).Snapshot(g) }
 
 // Equal reports whether two snapshots describe identical statistics

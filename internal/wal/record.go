@@ -28,13 +28,8 @@ const (
 	RecVersion    byte = 5
 )
 
-// Update is one edge insertion or deletion, the WAL's mirror of
-// incremental.Update (the log sits below the matching layers and must
-// not import them).
-type Update struct {
-	Insert   bool
-	From, To graph.NodeID
-}
+// Update is one logged edge insertion or deletion.
+type Update = graph.Update
 
 // Record is the decoded form of one log entry. Post is the graph's
 // version immediately after the mutation; replay restores it exactly, so
@@ -236,13 +231,7 @@ func (r *Record) Apply(g *graph.Graph) error {
 	switch r.Kind {
 	case RecUpdates:
 		for _, op := range r.Ops {
-			var err error
-			if op.Insert {
-				err = g.AddEdge(op.From, op.To)
-			} else {
-				err = g.RemoveEdge(op.From, op.To)
-			}
-			if err != nil {
+			if err := op.Apply(g); err != nil {
 				return fmt.Errorf("wal: replay edge op %d->%d: %w", op.From, op.To, err)
 			}
 		}

@@ -446,43 +446,21 @@ func (m *Manager) HasState(name string) bool {
 // LogUpdates appends one edge-update batch. postVersion is the graph's
 // version after the batch applied.
 func (m *Manager) LogUpdates(name string, ops []Update, postVersion uint64) error {
-	return m.LogUpdatesCtx(context.Background(), name, ops, postVersion)
+	return m.LogRecord(context.Background(), name, &Record{Kind: RecUpdates, Post: postVersion, Ops: ops})
 }
 
-// LogUpdatesCtx is LogUpdates emitting a "wal.append" trace span — with
-// payload size and fsync policy attributes — when ctx carries an active
-// trace (see internal/trace). Durability is identical either way.
-func (m *Manager) LogUpdatesCtx(ctx context.Context, name string, ops []Update, postVersion uint64) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	return m.appendCtx(ctx, name, &Record{Kind: RecUpdates, Post: postVersion, Ops: ops})
-}
-
-// LogAddNode appends a node insertion.
-func (m *Manager) LogAddNode(name, label string, attrs graph.Attrs, postVersion uint64) error {
-	return m.append(name, &Record{Kind: RecAddNode, Post: postVersion, Label: label, Attrs: attrs})
-}
-
-// LogRemoveNode appends a node removal (incident edges implied).
-func (m *Manager) LogRemoveNode(name string, id graph.NodeID, postVersion uint64) error {
-	return m.append(name, &Record{Kind: RecRemoveNode, Post: postVersion, ID: id})
-}
-
-// LogSetAttr appends a single-attribute update.
-func (m *Manager) LogSetAttr(name string, id graph.NodeID, key string, v graph.Value, postVersion uint64) error {
-	return m.append(name, &Record{Kind: RecSetAttr, Post: postVersion, ID: id, Key: key, Val: v})
-}
-
-// LogRecord appends an already-decoded record verbatim — the follower's
-// re-logging path: a replica with its own data directory persists the
-// exact records the leader shipped, so its crash recovery replays the
-// same stream.
-func (m *Manager) LogRecord(name string, rec *Record) error {
+// LogRecord appends a record as is — the engine's one logging call: a
+// native mutation logs the record it just applied (rec.Post is the graph's
+// version after it), and a follower with its own data directory re-logs
+// the exact records the leader shipped, so its crash recovery replays the
+// same stream. An empty update batch is not logged. When ctx carries an
+// active trace (see internal/trace) the append emits a "wal.append" span
+// with payload size and fsync policy; durability is identical either way.
+func (m *Manager) LogRecord(ctx context.Context, name string, rec *Record) error {
 	if rec.Kind == RecUpdates && len(rec.Ops) == 0 {
 		return nil
 	}
-	return m.append(name, rec)
+	return m.append(ctx, name, rec)
 }
 
 // LogVersion appends a pure version advance for writers whose content
@@ -500,14 +478,10 @@ func (m *Manager) LogVersion(name string, postVersion uint64) error {
 	if skip {
 		return nil
 	}
-	return m.append(name, &Record{Kind: RecVersion, Post: postVersion})
+	return m.append(context.Background(), name, &Record{Kind: RecVersion, Post: postVersion})
 }
 
-func (m *Manager) append(name string, rec *Record) error {
-	return m.appendCtx(context.Background(), name, rec)
-}
-
-func (m *Manager) appendCtx(ctx context.Context, name string, rec *Record) error {
+func (m *Manager) append(ctx context.Context, name string, rec *Record) error {
 	gl, err := m.lookup(name)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -69,8 +70,8 @@ func mutate(t *testing.T, m *Manager, name string, g *graph.Graph, r *rand.Rand,
 			label := testutil.Labels[r.Intn(len(testutil.Labels))]
 			attrs := graph.Attrs{"experience": graph.Int(int64(r.Intn(10)))}
 			g.AddNode(label, attrs)
-			if err := m.LogAddNode(name, label, attrs, g.Version()); err != nil {
-				t.Fatalf("LogAddNode: %v", err)
+			if err := m.LogRecord(context.Background(), name, &Record{Kind: RecAddNode, Post: g.Version(), Label: label, Attrs: attrs}); err != nil {
+				t.Fatalf("log add node: %v", err)
 			}
 		case k < 8: // remove node
 			nodes := g.Nodes()
@@ -81,8 +82,8 @@ func mutate(t *testing.T, m *Manager, name string, g *graph.Graph, r *rand.Rand,
 			if err := g.RemoveNode(id); err != nil {
 				t.Fatalf("RemoveNode: %v", err)
 			}
-			if err := m.LogRemoveNode(name, id, g.Version()); err != nil {
-				t.Fatalf("LogRemoveNode: %v", err)
+			if err := m.LogRecord(context.Background(), name, &Record{Kind: RecRemoveNode, Post: g.Version(), ID: id}); err != nil {
+				t.Fatalf("log remove node: %v", err)
 			}
 		case k < 9: // set attr
 			nodes := g.Nodes()
@@ -94,8 +95,8 @@ func mutate(t *testing.T, m *Manager, name string, g *graph.Graph, r *rand.Rand,
 			if err := g.SetAttr(id, "experience", v); err != nil {
 				t.Fatalf("SetAttr: %v", err)
 			}
-			if err := m.LogSetAttr(name, id, "experience", v, g.Version()); err != nil {
-				t.Fatalf("LogSetAttr: %v", err)
+			if err := m.LogRecord(context.Background(), name, &Record{Kind: RecSetAttr, Post: g.Version(), ID: id, Key: "experience", Val: v}); err != nil {
+				t.Fatalf("log set attr: %v", err)
 			}
 		default: // bare version advance (rolled-back batch)
 			g.RestoreVersion(g.Version() + 2)
@@ -145,11 +146,11 @@ func TestEmptyGraphRecoversFromWALAlone(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	a := g.AddNode("SA", graph.Attrs{"name": graph.String("Ann")})
-	if err := m.LogAddNode("g", "SA", graph.Attrs{"name": graph.String("Ann")}, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA", Attrs: graph.Attrs{"name": graph.String("Ann")}}); err != nil {
 		t.Fatal(err)
 	}
 	b := g.AddNode("SD", nil)
-	if err := m.LogAddNode("g", "SD", nil, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SD"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.AddEdge(a, b); err != nil {
@@ -237,7 +238,7 @@ func TestNeedsCheckpointThreshold(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		g.AddNode("SA", nil)
-		if err := m.LogAddNode("g", "SA", nil, g.Version()); err != nil {
+		if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,10 +333,10 @@ func TestNonMonotoneVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.AddNode("SA", nil)
-	if err := m.LogAddNode("g", "SA", nil, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}); err != nil {
 		t.Fatal(err)
 	}
-	err := m.LogAddNode("g", "SA", nil, g.Version()) // same version again
+	err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}) // same version again
 	if !errors.Is(err, ErrNonMonotone) {
 		t.Fatalf("got %v, want ErrNonMonotone", err)
 	}
@@ -361,7 +362,7 @@ func TestClosedManagerRefusesWork(t *testing.T) {
 		t.Fatalf("Create after close: %v", err)
 	}
 	g.AddNode("SA", nil)
-	if err := m.LogAddNode("g", "SA", nil, g.Version()); !errors.Is(err, ErrClosed) {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Log after close: %v", err)
 	}
 }
@@ -375,7 +376,7 @@ func TestCorruptMiddleSegmentFailsLoudly(t *testing.T) {
 	}
 	for i := 0; i < 60; i++ {
 		g.AddNode("SA", graph.Attrs{"experience": graph.Int(int64(i))})
-		if err := m.LogAddNode("g", "SA", graph.Attrs{"experience": graph.Int(int64(i))}, g.Version()); err != nil {
+		if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA", Attrs: graph.Attrs{"experience": graph.Int(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,7 +415,7 @@ func TestBitRotMidFinalSegmentFailsLoudly(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		g.AddNode("SA", graph.Attrs{"experience": graph.Int(int64(i))})
-		if err := m.LogAddNode("g", "SA", graph.Attrs{"experience": graph.Int(int64(i))}, g.Version()); err != nil {
+		if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA", Attrs: graph.Attrs{"experience": graph.Int(int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +452,7 @@ func TestTornTailIsQuarantinedNotDeleted(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		g.AddNode("SA", nil)
-		if err := m.LogAddNode("g", "SA", nil, g.Version()); err != nil {
+		if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +487,7 @@ func TestTornTailIsQuarantinedNotDeleted(t *testing.T) {
 	}
 	mutateG := rec.Graph
 	mutateG.AddNode("SD", nil)
-	if err := m2.LogAddNode("g", "SD", nil, mutateG.Version()); err != nil {
+	if err := m2.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: mutateG.Version(), Label: "SD"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Checkpoint("g", mutateG); err != nil {
@@ -504,7 +505,7 @@ func TestBrokenLogPoisonsUntilCheckpointRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.AddNode("SA", nil)
-	if err := m.LogAddNode("g", "SA", nil, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a write failure by closing the segment file under the log.
@@ -516,7 +517,7 @@ func TestBrokenLogPoisonsUntilCheckpointRepairs(t *testing.T) {
 	gl.f.Close()
 	gl.mu.Unlock()
 	g.AddNode("SD", nil)
-	if err := m.LogAddNode("g", "SD", nil, g.Version()); err == nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SD"}); err == nil {
 		t.Fatal("append to a closed file succeeded")
 	}
 	if !m.NeedsCheckpoint("g") {
@@ -525,14 +526,14 @@ func TestBrokenLogPoisonsUntilCheckpointRepairs(t *testing.T) {
 	// Every further append refuses until the checkpoint re-syncs: silently
 	// accepting records here would shift replayed node ids.
 	g.AddNode("BA", nil)
-	if err := m.LogAddNode("g", "BA", nil, g.Version()); !errors.Is(err, ErrBroken) {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "BA"}); !errors.Is(err, ErrBroken) {
 		t.Fatalf("append on broken log: %v, want ErrBroken", err)
 	}
 	if err := m.Checkpoint("g", g); err != nil {
 		t.Fatalf("repair checkpoint: %v", err)
 	}
 	g.AddNode("ST", nil)
-	if err := m.LogAddNode("g", "ST", nil, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "ST"}); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 	want := imageOf(t, g)
@@ -554,7 +555,7 @@ func TestIntervalFsyncFailurePoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.AddNode("SA", nil)
-	if err := m.LogAddNode("g", "SA", nil, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}); err != nil {
 		t.Fatal(err)
 	}
 	gl, err := m.lookup("g")
@@ -580,7 +581,7 @@ func TestIntervalFsyncFailurePoisonsLog(t *testing.T) {
 		t.Fatalf("fsync failure did not mark the log broken: %+v", st.Graphs)
 	}
 	g.AddNode("SD", nil)
-	if err := m.LogAddNode("g", "SD", nil, g.Version()); !errors.Is(err, ErrBroken) {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SD"}); !errors.Is(err, ErrBroken) {
 		t.Fatalf("append after failed fsync: %v, want ErrBroken", err)
 	}
 	// Checkpoint repairs, as with append failures.
@@ -588,7 +589,7 @@ func TestIntervalFsyncFailurePoisonsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.AddNode("BA", nil)
-	if err := m.LogAddNode("g", "BA", nil, g.Version()); err != nil {
+	if err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "BA"}); err != nil {
 		t.Fatal(err)
 	}
 }
