@@ -8,7 +8,10 @@ package bsim
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"expfinder/internal/graph"
 	"expfinder/internal/match"
@@ -46,16 +49,26 @@ type batchCounter interface {
 // batch counting.
 const defaultQueryCost = 32
 
-// probeSamples is how many candidates the per-edge strategy probe
-// traverses; sampling several (evenly spaced through the candidate list)
-// keeps one unrepresentative candidate — a sink, or the one hub — from
-// deciding the strategy for the whole edge.
-const probeSamples = 4
+// probeSamples is how many candidates (evenly spaced through the
+// candidate list) the per-edge strategy probe asks the oracle about.
+// Per-candidate oracle cost is bimodal — a candidate that reaches a target
+// is usually decided by the target's first label entry, one that reaches
+// none scans every target label to its end — so a handful of samples can
+// miss the expensive mode entirely; sixteen rarely do.
+const probeSamples = 16
 
-// bfsNodeCost is the per-visited-node overhead of a bounded BFS (queue
-// and callback bookkeeping), in adjacency-entry units. Ball work is
-// edges scanned plus this times nodes visited.
+// pairCost is the fixed overhead of one oracle query beside the label
+// entries it scans, in adjacency-entry units.
+const pairCost = 4
+
+// bfsNodeCost is the per-expanded-node overhead of a ball walk (frontier
+// and callback bookkeeping), in adjacency-entry units. Walk work is edges
+// scanned plus this times nodes expanded.
 const bfsNodeCost = 4
+
+// passWidth is how many ball centres one pass of the batched walk carries:
+// the width of the graph kernel's per-node centre set.
+const passWidth = 64
 
 // Compute returns the unique maximum bounded-simulation relation M(Q,G).
 //
@@ -64,413 +77,566 @@ const bfsNodeCost = 4
 // counting the candidates of u' inside v's bounded out-ball, and propagate
 // removals with a worklist — when v' falls out of cand(u'), every candidate
 // in v's bounded *in*-ball loses one unit of support on the corresponding
-// edge. Worst case O(|Eq| * |V| * (|V|+|E|)).
+// edge. Balls are walked 64 centres per level-synchronous pass (see
+// initCounts and propagate), never one at a time. Worst case
+// O(|Eq| * |V| * (|V|+|E|)).
 func Compute(g *graph.Graph, q *pattern.Pattern) *match.Relation {
-	s := newState(context.Background(), g, q, 1, nil)
-	return s.relation()
+	return compute(context.Background(), g, q, 1, nil)
 }
 
 // ComputeParallel is Compute with the two heavy refinement phases —
 // predicate evaluation over every (pattern node, data node) pair, and the
-// support-counter initialization (one bounded BFS per (pattern edge,
-// candidate)) — fanned out over the given number of workers by
-// partitioning the data-node range into contiguous chunks. The removal
-// propagation stays serial (it is a tiny fraction of the work and
-// inherently sequential). workers <= 1 falls back to the serial path.
+// support-counter initialization — fanned out over the given number of
+// workers: predicates by contiguous node ranges, counters by whole passes.
+// The removal propagation stays serial (it is a small fraction of the
+// work and inherently sequential). workers <= 1 falls back to the serial
+// path.
 //
 // The result is deterministic: bounded simulation has a unique maximum
 // relation and the refinement is confluent, so the relation is identical
 // to Compute's for every worker count.
 func ComputeParallel(g *graph.Graph, q *pattern.Pattern, workers int) *match.Relation {
-	return ComputeParallelCtx(context.Background(), g, q, workers)
+	return compute(context.Background(), g, q, workers, nil)
 }
 
-// ComputeParallelCtx is ComputeParallel under a (possibly traced)
-// context: when ctx carries an active trace span, the three refinement
-// phases record child spans with their candidate/removal counts. The
-// relation is byte-identical with and without tracing — spans only
-// observe.
+// ComputeParallelCtx is ComputeParallel under a context. When ctx carries
+// an active trace span, the three refinement phases record child spans
+// with their candidate, pass and removal counts; the relation is
+// byte-identical with and without tracing — spans only observe. When ctx
+// is cancelled the evaluation stops at the next pass boundary and returns
+// nil.
 func ComputeParallelCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int) *match.Relation {
-	s := newState(ctx, g, q, workers, nil)
-	return s.relation()
+	return compute(ctx, g, q, workers, nil)
 }
 
-// ComputeIndexed is Compute with the support-counter initialization
-// answered by a distance oracle: instead of one bounded BFS per (pattern
-// edge, candidate), each counter is the number of target candidates the
-// oracle proves within the bound — |cand(u)| * |cand(u')| near-constant
-// queries per edge instead of |cand(u)| graph traversals. This wins when
-// predicates are selective and bounds are large (big balls, small
-// candidate lists) and loses when candidate sets rival ball sizes; the
-// relation is identical either way.
+// ComputeIndexed is Compute with a distance oracle attached: per pattern
+// edge, the support counters are either walked as in Compute or counted
+// as the number of target candidates the oracle proves within the bound —
+// |cand(u)| * |cand(u')| near-constant queries instead of graph
+// traversals. The oracle takes an edge only where a probe prices it below
+// the walk (selective predicates and large bounds: big balls, short
+// candidate lists); the relation is identical either way.
 func ComputeIndexed(g *graph.Graph, q *pattern.Pattern, ix Oracle) *match.Relation {
-	s := newState(context.Background(), g, q, 1, ix)
-	return s.relation()
+	return compute(context.Background(), g, q, 1, ix)
 }
 
 // ComputeIndexedParallel is ComputeIndexed fanned out like ComputeParallel.
 func ComputeIndexedParallel(g *graph.Graph, q *pattern.Pattern, ix Oracle, workers int) *match.Relation {
-	return ComputeIndexedParallelCtx(context.Background(), g, q, ix, workers)
+	return compute(context.Background(), g, q, workers, ix)
 }
 
-// ComputeIndexedParallelCtx is ComputeIndexedParallel under a (possibly
-// traced) context; see ComputeParallelCtx.
+// ComputeIndexedParallelCtx is ComputeIndexedParallel under a context; see
+// ComputeParallelCtx for tracing and cancellation.
 func ComputeIndexedParallelCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, ix Oracle, workers int) *match.Relation {
-	s := newState(ctx, g, q, workers, ix)
+	return compute(ctx, g, q, workers, ix)
+}
+
+func compute(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int, ix Oracle) *match.Relation {
+	s := acquireState(ctx, g, q, workers, ix)
+	defer s.release()
+
+	_, sp := trace.StartSpan(ctx, "bsim.init_cands")
+	s.initCands()
+	if sp != nil { // untraced runs skip the tally
+		var n int64
+		for _, l := range s.lists {
+			n += int64(len(l))
+		}
+		sp.SetInt("candidates", n)
+		sp.End()
+	}
+
+	_, sp = trace.StartSpan(ctx, "bsim.init_counts")
+	ok := s.initCounts()
+	sp.SetInt("zero_support", int64(s.removals))
+	sp.SetBool("oracle", ix != nil)
+	sp.SetInt("passes", int64(s.passes))
+	sp.SetInt("forward_edges", int64(s.forwardEdges))
+	sp.SetInt("backward_edges", int64(s.backwardEdges))
+	sp.End()
+	if !ok {
+		return nil
+	}
+
+	_, sp = trace.StartSpan(ctx, "bsim.propagate")
+	s.passes = 0 // each span reports its own phase's passes
+	ok = s.propagate()
+	sp.SetInt("removals", int64(s.removals))
+	sp.SetInt("passes", int64(s.passes))
+	sp.End()
+	if !ok {
+		return nil
+	}
 	return s.relation()
 }
 
-// removal is a (pattern node, data node) candidate pair pending removal.
-type removal struct {
-	u pattern.NodeIdx
-	v graph.NodeID
+// counting is how one pattern edge's support counters are initialized.
+type counting uint8
+
+const (
+	countAdjacent counting = iota // bound 1: scan each candidate's successor list
+	countOracle                   // ask the oracle, one candidate against the target list
+	countForward                  // walk out-balls from cand(u), 64 per pass
+	countBackward                 // walk in-balls from cand(u'), 64 per pass
+)
+
+// pass is one unit of counter initialization: up to passWidth consecutive
+// entries of the candidate list its edge's strategy walks — cand(u') for
+// countBackward, cand(u) otherwise.
+type pass struct {
+	edge   int
+	lo, hi int
 }
 
-// state carries the candidate sets and per-edge support counters of a run.
+// state is the working set of one evaluation. Everything in it but the
+// inputs is pooled: an evaluation allocates only the relation it returns.
 type state struct {
-	g     *graph.Graph
-	q     *pattern.Pattern
-	ix    Oracle // optional distance oracle for support-counter init
-	maxID int
-	cand  [][]bool  // [patternNode][nodeID]
-	count [][]int32 // [patternEdgeIdx][nodeID] remaining support
+	ctx     context.Context
+	g       *graph.Graph
+	q       *pattern.Pattern
+	ix      Oracle // optional distance oracle for support-counter init
+	workers int
+
+	cand    [][]bool         // [patternNode][nodeID]
+	count   [][]int32        // [patternEdgeIdx][nodeID] remaining support
+	lists   [][]graph.NodeID // [patternNode] the initial candidates, ascending
+	removed [][]graph.NodeID // [patternNode] removed candidates not yet propagated
+	plan    []counting       // [patternEdgeIdx]
+	todo    []pass
+	sizes   []int // [patternNode] surviving candidates, for sizing the relation
+
+	removals                            int // candidates removed so far
+	passes, forwardEdges, backwardEdges int // span attributes
 }
 
-func newState(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int, ix Oracle) *state {
-	nq := q.NumNodes()
-	s := &state{
-		g:     g,
-		q:     q,
-		ix:    ix,
-		maxID: g.MaxID(),
-		cand:  make([][]bool, nq),
-		count: make([][]int32, len(q.Edges())),
-	}
-	_, spCands := trace.StartSpan(ctx, "bsim.init_cands")
-	s.initCands(workers)
-	if spCands != nil {
-		spCands.SetInt("candidates", s.countCandidates())
-		spCands.End()
-	}
+var statePool = sync.Pool{New: func() any { return &state{} }}
 
-	var worklist []removal
-	removals := 0
-	remove := func(u pattern.NodeIdx, v graph.NodeID) {
-		if s.cand[u][v] {
-			s.cand[u][v] = false
-			removals++
-			worklist = append(worklist, removal{u, v})
-		}
-	}
-
-	// Initialize support counters with one bounded BFS per (edge, candidate).
-	// Zero-support candidates are only *recorded* here and removed after
-	// every counter is initialized: removing eagerly would leave later
-	// edges' counters unaware of the node, and the worklist would then
-	// decrement support the counter never included (double-decrement).
-	edges := q.Edges()
-	for ei := range edges {
-		s.count[ei] = make([]int32, s.maxID)
-	}
-	_, spCounts := trace.StartSpan(ctx, "bsim.init_counts")
-	pending := s.initCounts(workers)
-	if spCounts != nil {
-		spCounts.SetInt("zero_support", int64(len(pending)))
-		spCounts.SetBool("oracle", ix != nil)
-		spCounts.End()
-	}
-	for _, p := range pending {
-		remove(p.u, p.v)
-	}
-
-	// Propagate removals through bounded in-balls.
-	_, spProp := trace.StartSpan(ctx, "bsim.propagate")
-	for len(worklist) > 0 {
-		rm := worklist[len(worklist)-1]
-		worklist = worklist[:len(worklist)-1]
-		for ei, e := range edges {
-			if e.To != rm.u {
-				continue
-			}
-			from, bound := e.From, e.Bound
-			g.VisitInBall(rm.v, bound, func(p graph.NodeID, _ int) bool {
-				if !s.cand[from][p] {
-					return true
-				}
-				s.count[ei][p]--
-				if s.count[ei][p] == 0 {
-					remove(from, p)
-				}
-				return true
-			})
-		}
-	}
-	if spProp != nil {
-		spProp.SetInt("removals", int64(removals))
-		spProp.End()
-	}
+// acquireState returns a pooled state sized for q over g, with candidate
+// sets and counters zeroed and every list empty.
+func acquireState(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int, ix Oracle) *state {
+	s := statePool.Get().(*state)
+	s.ctx, s.g, s.q, s.ix, s.workers = ctx, g, q, ix, workers
+	nq, ne, n := q.NumNodes(), len(q.Edges()), g.MaxID()
+	s.cand = zeroed(s.cand, nq, n)
+	s.count = zeroed(s.count, ne, n)
+	s.lists = zeroed(s.lists, nq, 0)
+	s.removed = zeroed(s.removed, nq, 0)
+	s.plan = append(s.plan[:0], make([]counting, ne)...)
+	s.todo = s.todo[:0]
+	s.removals, s.passes, s.forwardEdges, s.backwardEdges = 0, 0, 0, 0
 	return s
 }
 
-// countCandidates tallies the initial candidate-set sizes; called only
-// on traced runs (the scan is cheap next to the fixpoint but not free).
-func (s *state) countCandidates() int64 {
-	var n int64
-	for u := range s.cand {
-		for _, ok := range s.cand[u] {
-			if ok {
-				n++
-			}
-		}
+// zeroed resizes rows to m slices of n zero values each, reusing the rows'
+// backing arrays where they are large enough.
+func zeroed[T any](rows [][]T, m, n int) [][]T {
+	if cap(rows) < m {
+		rows = append(rows[:cap(rows)], make([][]T, m-cap(rows))...)
 	}
-	return n
+	rows = rows[:m]
+	for i, r := range rows {
+		if cap(r) < n {
+			rows[i] = make([]T, n)
+			continue
+		}
+		rows[i] = r[:n]
+		clear(rows[i])
+	}
+	return rows
 }
 
+func (s *state) release() {
+	s.ctx, s.g, s.q, s.ix = nil, nil, nil, nil
+	statePool.Put(s)
+}
+
+// cancelled reports whether the evaluation's context is done; checked
+// between passes.
+func (s *state) cancelled() bool { return s.ctx.Err() != nil }
+
 // parallelFloor is the node-range size below which fanning out is pure
-// overhead and the chunk helpers run serially.
+// overhead and the chunk helper runs serially.
 const parallelFloor = 256
 
 // chunked splits [0, n) into contiguous per-worker ranges and runs fn on
 // each concurrently. fn must only write to cells owned by its range.
-func chunked(n, workers int, fn func(w, lo, hi int)) {
+func chunked(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n < parallelFloor {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }
 
 // initCands fills the initial candidate sets by evaluating every pattern
 // node's predicate against every data node, partitioned across workers by
-// node range. Cells are per-(pattern node, data node), so chunks never
-// write the same cell.
-func (s *state) initCands(workers int) {
+// node range (cells are per-(pattern node, data node), so chunks never
+// write the same cell), then lists each set in ascending id order.
+func (s *state) initCands() {
 	nq := s.q.NumNodes()
-	preds := make([]pattern.Predicate, nq)
-	for u := 0; u < nq; u++ {
-		s.cand[u] = make([]bool, s.maxID)
-		preds[u] = s.q.Node(pattern.NodeIdx(u)).Pred
-	}
-	chunked(s.maxID, workers, func(_, lo, hi int) {
+	chunked(s.g.MaxID(), s.workers, func(lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			n, ok := s.g.Node(graph.NodeID(vi))
 			if !ok {
 				continue
 			}
 			for u := 0; u < nq; u++ {
-				if preds[u].Eval(n) {
+				if s.q.Node(pattern.NodeIdx(u)).Pred.Eval(n) {
 					s.cand[u][vi] = true
 				}
 			}
 		}
 	})
-}
-
-// candList materializes the candidate set of pattern node u as a slice,
-// for the oracle-driven counting loops.
-func (s *state) candList(u pattern.NodeIdx) []graph.NodeID {
-	var out []graph.NodeID
-	for vi, ok := range s.cand[u] {
-		if ok {
-			out = append(out, graph.NodeID(vi))
+	for u, set := range s.cand {
+		for vi, ok := range set {
+			if ok {
+				s.lists[u] = append(s.lists[u], graph.NodeID(vi))
+			}
 		}
 	}
-	return out
 }
 
-// oracleWins probes whether counting support via the oracle beats the
-// bounded BFS for one pattern edge: for a few evenly spaced candidates it
-// measures the work a BFS count costs (adjacency entries scanned plus
-// per-node overhead) against the work the oracle's batch count reports,
-// then compares the totals. The probe is deterministic — work counts,
-// not wall time — so plan behavior is reproducible, and each sample runs
-// both measurements under a geometrically growing shared budget, so its
-// cost is bounded by a small multiple of the *cheaper* strategy — the
-// probe never pays a losing side to completion.
-func (s *state) oracleWins(candidates, targets []graph.NodeID, bound int, bc batchCounter, batched bool) bool {
-	if len(candidates) == 0 || len(targets) == 0 {
+// remove takes v out of cand(u) and queues it for propagation.
+func (s *state) remove(u pattern.NodeIdx, v graph.NodeID) {
+	if s.cand[u][v] {
+		s.cand[u][v] = false
+		s.removals++
+		s.removed[u] = append(s.removed[u], v)
+	}
+}
+
+// initCounts fills the support counters and removes the candidates left
+// without support on some edge; it reports false when cancelled.
+//
+// The counter of candidate v on edge (u,u') is |ball(v) ∩ cand(u')|. Bound-1
+// edges read it off v's successor list. Any other edge walks balls 64
+// centres per pass, from whichever side has the shorter candidate list:
+// forward from cand(u), adding one to a centre's counter for every target
+// candidate its out-ball reaches, or backward from cand(u') over in-edges,
+// adding to a reached candidate's counter the number of centres whose
+// in-ball it lies in. Both are the same sum over the pairs (v, v') with v'
+// in ball(v); the shorter side takes fewer passes. With an oracle attached
+// a probe may instead hand the edge to per-candidate oracle counts.
+//
+// Passes are independent, so with workers > 1 they are handed out whole:
+// a forward, adjacent or oracle pass writes only its own centres'
+// counters, and backward passes add atomically.
+//
+// Zero-support candidates are removed only after every counter is
+// initialized: removing eagerly would leave later edges' counters unaware
+// of the node, and propagation would then decrement support the counter
+// never included.
+func (s *state) initCounts() bool {
+	edges := s.q.Edges()
+	for ei, e := range edges {
+		from, to := s.lists[e.From], s.lists[e.To]
+		walked := from
+		switch {
+		case e.Bound == 1:
+			s.plan[ei] = countAdjacent
+		case len(to) < len(from):
+			s.plan[ei], walked = countBackward, to
+		default:
+			s.plan[ei] = countForward
+		}
+		first := 0
+		if s.ix != nil && e.Bound != 1 && len(walked) > 0 {
+			// The probe runs the walk's first pass for real, so a walk that
+			// keeps the edge starts at its second.
+			if s.probe(ei, walked) {
+				s.plan[ei], walked = countOracle, from
+			} else {
+				first = min(passWidth, len(walked))
+			}
+		}
+		switch s.plan[ei] {
+		case countForward:
+			s.forwardEdges++
+		case countBackward:
+			s.backwardEdges++
+		}
+		for lo := first; lo < len(walked); lo += passWidth {
+			s.todo = append(s.todo, pass{ei, lo, min(lo+passWidth, len(walked))})
+		}
+	}
+	if !s.runPasses() {
 		return false
 	}
-	samples := probeSamples
-	if samples > len(candidates) {
-		samples = len(candidates)
-	}
-	step := len(candidates) / samples
-	ballWork, pairWork := 0, 0
-	for i := 0; i < samples; i++ {
-		pw, bw := s.probeSample(candidates[i*step], targets, bound, bc, batched)
-		pairWork += pw
-		ballWork += bw
-	}
-	// 3:2 calibration: a label entry probed costs ~1.5x an adjacency
-	// entry scanned (pointer-chasing vs sequential frontier walks).
-	return pairWork*3 < ballWork*2
-}
-
-// probeSample measures one candidate's pairwise-oracle work and BFS-count
-// work under a shared budget that quadruples until at least one side
-// finishes. The finished side's number is exact; a capped side's number
-// is a lower bound already past the budget the other side met — enough
-// to order them, which is all the strategy choice needs.
-func (s *state) probeSample(v graph.NodeID, targets []graph.NodeID, bound int, bc batchCounter, batched bool) (pairWork, ballWork int) {
-	if !batched {
-		pairWork = len(targets) * defaultQueryCost
-		ballWork = s.cappedBallWork(v, bound, pairWork*2)
-		return pairWork, ballWork
-	}
-	for budget := 1 << 8; ; budget *= 4 {
-		pairWork = bc.ProbePairWork(v, targets, bound, budget)
-		ballWork = s.cappedBallWork(v, bound, budget)
-		pairDone, ballDone := pairWork <= budget, ballWork <= budget
-		switch {
-		case pairDone && ballDone:
-			return pairWork, ballWork
-		case pairDone:
-			// Measure the ball up to the 3:2 decision margin: if it is
-			// still capped past pairWork*3/2 the comparison lands on the
-			// oracle with the clamped value, which is all we need.
-			ballWork = s.cappedBallWork(v, bound, pairWork*3/2)
-			return pairWork, ballWork
-		case ballDone:
-			// Symmetric: a pair probe capped past ballWork already loses
-			// the 3:2 comparison with its clamped value.
-			pairWork = bc.ProbePairWork(v, targets, bound, ballWork)
-			return pairWork, ballWork
-		}
-		if budget >= 1<<30 {
-			return pairWork, ballWork
+	s.passes += len(s.todo)
+	for ei, e := range edges {
+		cnt := s.count[ei]
+		for _, v := range s.lists[e.From] {
+			if cnt[v] == 0 {
+				s.remove(e.From, v)
+			}
 		}
 	}
+	return true
 }
 
-// cappedBallWork totals the work of one bounded BFS count from v —
-// adjacency entries scanned plus per-node overhead — giving up once the
-// tally exceeds budget.
-func (s *state) cappedBallWork(v graph.NodeID, bound, budget int) int {
-	work := s.g.OutDegree(v)
-	s.g.VisitOutBall(v, bound, func(w graph.NodeID, _ int) bool {
-		work += s.g.OutDegree(w) + bfsNodeCost
-		return work <= budget
-	})
-	return work
+// runPasses executes s.todo, on the caller's goroutine or handed out pass
+// by pass to s.workers of them; false means the context was cancelled
+// before every pass ran.
+func (s *state) runPasses() bool {
+	workers := min(s.workers, len(s.todo))
+	if workers <= 1 {
+		for _, p := range s.todo {
+			if s.cancelled() {
+				return false
+			}
+			s.countPass(p, false, math.MaxInt)
+		}
+		return true
+	}
+	var next atomic.Int64
+	var stopped atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(s.todo) {
+					return
+				}
+				if s.cancelled() {
+					stopped.Store(true)
+					return
+				}
+				s.countPass(s.todo[i], true, math.MaxInt)
+			}
+		}()
+	}
+	wg.Wait()
+	return !stopped.Load()
 }
 
-// initCounts fills the support counters, returning the zero-support
-// candidates. With workers > 1 the node range is split into contiguous
-// chunks processed concurrently; counter cells are per-(edge, node), so
-// writes never collide across chunks.
-//
-// Three counting strategies, chosen per edge: bound-1 edges count over
-// the adjacency list directly; with an oracle attached, larger bounds
-// count oracle answers against the target candidate list; otherwise one
-// bounded BFS per candidate walks the out-ball.
-func (s *state) initCounts(workers int) []removal {
-	edges := s.q.Edges()
-	// Per-edge oracle strategy, decided deterministically up front (the
-	// candidate sets are stable during counter init): materialize the
-	// target candidate list, probe the ball cost of the first candidate,
-	// and take the oracle only where pairwise queries are cheaper.
-	var toLists [][]graph.NodeID
-	var useIx []bool
-	bc, batched := s.ix.(batchCounter)
-	if s.ix != nil {
-		toLists = make([][]graph.NodeID, len(edges))
-		useIx = make([]bool, len(edges))
-		for ei, e := range edges {
-			if e.Bound == 1 {
+// countPass counts one pass's share of its edge's support. shared says
+// other passes of the same edge may be running, so a backward pass must
+// add atomically. A walking pass tallies its work — adjacency entries
+// scanned plus per-node overhead — and gives up, returning false with the
+// counters partly filled, once the tally exceeds budget; see probe.
+func (s *state) countPass(p pass, shared bool, budget int) bool {
+	e := s.q.Edges()[p.edge]
+	cnt := s.count[p.edge]
+	switch s.plan[p.edge] {
+	case countAdjacent:
+		// OutBall(v, 1) is exactly the successor list (simple graphs: no
+		// parallel edges; a self-loop puts v in its own ball and in Out(v)
+		// alike).
+		candTo := s.cand[e.To]
+		for _, v := range s.lists[e.From][p.lo:p.hi] {
+			var c int32
+			for _, w := range s.g.Out(v) {
+				if candTo[w] {
+					c++
+				}
+			}
+			cnt[v] = c
+		}
+		return true
+	case countOracle:
+		targets := s.lists[e.To]
+		bc, batched := s.ix.(batchCounter)
+		for _, v := range s.lists[e.From][p.lo:p.hi] {
+			if batched {
+				cnt[v] = int32(bc.CountWithinOut(v, targets, e.Bound))
 				continue
 			}
-			toLists[ei] = s.candList(e.To)
-			useIx[ei] = s.oracleWins(s.candList(e.From), toLists[ei], e.Bound, bc, batched)
-		}
-	}
-	countChunk := func(lo, hi int) []removal {
-		var pending []removal
-		for ei, e := range edges {
-			candTo := s.cand[e.To]
-			for vi := lo; vi < hi; vi++ {
-				v := graph.NodeID(vi)
-				if !s.cand[e.From][v] {
-					continue
-				}
-				var c int32
-				switch {
-				case e.Bound == 1:
-					// OutBall(v, 1) is exactly the successor list (simple
-					// graphs: no parallel edges; a self-loop puts v in its
-					// own ball and in Out(v) alike).
-					for _, w := range s.g.Out(v) {
-						if candTo[w] {
-							c++
-						}
-					}
-				case s.ix != nil && useIx[ei]:
-					if batched {
-						c = int32(bc.CountWithinOut(v, toLists[ei], e.Bound))
-					} else {
-						for _, w := range toLists[ei] {
-							if s.ix.WithinOut(v, w, e.Bound) {
-								c++
-							}
-						}
-					}
-				default:
-					s.g.VisitOutBall(v, e.Bound, func(w graph.NodeID, _ int) bool {
-						if candTo[w] {
-							c++
-						}
-						return true
-					})
-				}
-				s.count[ei][v] = c
-				if c == 0 {
-					pending = append(pending, removal{e.From, v})
+			var c int32
+			for _, w := range targets {
+				if s.ix.WithinOut(v, w, e.Bound) {
+					c++
 				}
 			}
+			cnt[v] = c
 		}
-		return pending
+		return true
 	}
-	if workers <= 1 || s.maxID < parallelFloor {
-		return countChunk(0, s.maxID)
+	var radii [passWidth]int
+	for i := range radii {
+		radii[i] = e.Bound
 	}
-	results := make([][]removal, workers)
-	chunked(s.maxID, workers, func(w, lo, hi int) {
-		results[w] = countChunk(lo, hi)
+	work, budgeted := 0, budget < math.MaxInt
+	if s.plan[p.edge] == countForward {
+		centres, candTo := s.lists[e.From][p.lo:p.hi], s.cand[e.To]
+		s.g.VisitOutBalls(centres, radii[:len(centres)], func(w graph.NodeID, _ int, from uint64) bool {
+			if candTo[w] {
+				for ; from != 0; from &= from - 1 {
+					cnt[centres[bits.TrailingZeros64(from)]]++
+				}
+			}
+			if budgeted {
+				work += s.g.OutDegree(w) + bfsNodeCost
+			}
+			return work <= budget
+		})
+		return work <= budget
+	}
+	centres, candFrom := s.lists[e.To][p.lo:p.hi], s.cand[e.From]
+	s.g.VisitInBalls(centres, radii[:len(centres)], func(v graph.NodeID, _ int, from uint64) bool {
+		if candFrom[v] {
+			if n := int32(bits.OnesCount64(from)); shared {
+				atomic.AddInt32(&cnt[v], n)
+			} else {
+				cnt[v] += n
+			}
+		}
+		if budgeted {
+			work += s.g.InDegree(v) + bfsNodeCost
+		}
+		return work <= budget
 	})
-	var pending []removal
-	for _, r := range results {
-		pending = append(pending, r...)
-	}
-	return pending
+	return work <= budget
 }
 
+// probe decides whether the oracle should count edge ei instead of the
+// walk over `walked`, by pricing both in adjacency-entry units. The
+// oracle's price is sampled (see oraclePrice). The walk's price is not
+// sampled but paid: its first pass runs for real under a budget of the
+// oracle's price per pass, and the walk keeps the edge exactly when that
+// pass finishes within it. So a walk that wins has wasted nothing but the
+// oracle's samples, and a walk that loses is cut off having spent no more
+// than the oracle will. The probe is deterministic — work counts, not
+// wall time — so plan behaviour is reproducible.
+func (s *state) probe(ei int, walked []graph.NodeID) (oracleWins bool) {
+	passes := (len(walked) + passWidth - 1) / passWidth
+	budget := s.oraclePrice(ei, passes)
+	if budget < math.MaxInt {
+		budget /= passes
+	}
+	s.passes++
+	if s.countPass(pass{ei, 0, min(passWidth, len(walked))}, false, budget) {
+		return false
+	}
+	for _, v := range s.lists[s.q.Edges()[ei].From] {
+		s.count[ei][v] = 0
+	}
+	return true
+}
+
+// oraclePrice estimates the work of counting edge ei through the oracle:
+// a few evenly spaced candidates report the label work their count
+// against the target list would do, plus a fixed overhead per pair, scaled
+// up to the whole candidate list. It is math.MaxInt as soon as the samples'
+// running mean exceeds a candidate's share of the most a walk of that many
+// passes could cost — a partial index falling back to one BFS per pair, or
+// bounded queries the labels cannot decide — so sampling a losing oracle
+// costs a fraction of the walk. The first samples are held to four
+// samples' allowance together, so one expensive candidate among cheap
+// ones does not veto on its own.
+func (s *state) oraclePrice(ei, passes int) int {
+	e := s.q.Edges()[ei]
+	from, to := s.lists[e.From], s.lists[e.To]
+	// A pass scans the graph at most once per level, and this many levels
+	// cover all but pathological diameters.
+	levels := 8
+	if e.Bound > 0 && e.Bound < levels {
+		levels = e.Bound
+	}
+	share := passes * levels * (s.g.NumEdges() + bfsNodeCost*s.g.NumNodes()) / len(from)
+	samples := min(probeSamples, len(from))
+	bc, batched := s.ix.(batchCounter)
+	work := 0
+	for i := 0; i < samples; i++ {
+		allowance := share * max(i+1, 4)
+		work += len(to) * pairCost
+		if batched {
+			work += bc.ProbePairWork(from[i*(len(from)/samples)], to, e.Bound, allowance-work)
+		} else {
+			work += len(to) * defaultQueryCost
+		}
+		if work > allowance {
+			return math.MaxInt
+		}
+	}
+	return work * len(from) / samples
+}
+
+// propagate drains the removal worklists: the removed candidates of one
+// pattern node u' leave 64 at a time, and one backward pass per edge
+// (u,u') takes from every candidate of u the support those 64 gave it —
+// the number of them whose in-ball it lies in — removing it in turn when
+// none is left. The refinement is confluent, so batching changes the
+// order of removals, never the relation. It reports false when cancelled.
+func (s *state) propagate() bool {
+	edges := s.q.Edges()
+	var batch [passWidth]graph.NodeID
+	var radii [passWidth]int
+	for {
+		// The longest worklist first: fuller passes, fewer of them.
+		u := 0
+		for v := range s.removed {
+			if len(s.removed[v]) > len(s.removed[u]) {
+				u = v
+			}
+		}
+		if len(s.removed[u]) == 0 {
+			return true
+		}
+		if s.cancelled() {
+			return false
+		}
+		rest := max(0, len(s.removed[u])-passWidth)
+		centres := batch[:copy(batch[:], s.removed[u][rest:])]
+		s.removed[u] = s.removed[u][:rest]
+		for ei, e := range edges {
+			if int(e.To) != u {
+				continue
+			}
+			for i := range centres {
+				radii[i] = e.Bound
+			}
+			s.passes++
+			cnt, from := s.count[ei], e.From
+			s.g.VisitInBalls(centres, radii[:len(centres)], func(p graph.NodeID, _ int, hit uint64) bool {
+				if s.cand[from][p] {
+					cnt[p] -= int32(bits.OnesCount64(hit))
+					if cnt[p] == 0 {
+						s.remove(from, p)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// relation returns the surviving candidates as M(Q,G): empty when some
+// pattern node has none left.
 func (s *state) relation() *match.Relation {
-	r := match.NewRelation(s.q.NumNodes())
-	for u := range s.cand {
-		for vi, ok := range s.cand[u] {
-			if ok {
-				r.Add(pattern.NodeIdx(u), graph.NodeID(vi))
+	s.sizes = s.sizes[:0]
+	for u, l := range s.lists {
+		n := 0
+		for _, v := range l {
+			if s.cand[u][v] {
+				n++
+			}
+		}
+		if n == 0 {
+			return match.NewRelation(len(s.lists))
+		}
+		s.sizes = append(s.sizes, n)
+	}
+	r := match.NewRelationSized(s.sizes)
+	for u, l := range s.lists {
+		for _, v := range l {
+			if s.cand[u][v] {
+				r.Add(pattern.NodeIdx(u), v)
 			}
 		}
 	}
-	return r.Normalize()
+	return r
 }
 
 // ComputeNaive evaluates the defining fixpoint directly, re-deriving every

@@ -26,10 +26,13 @@ type QueryOutcome struct {
 
 // QueryCtx is Query with cancellation: it waits for an execution slot
 // (the engine runs at most Parallelism queries at once) and gives up if
-// ctx is cancelled while waiting for one. Cancellation is checked at
-// the dispatch boundary only: a wait for the graph's read lock (behind
-// an in-progress update) is not cancellable, and a query that already
-// started is not torn down mid-evaluation.
+// ctx is cancelled while waiting for one. A wait for the graph's read
+// lock (behind an in-progress update) is not cancellable. Once started,
+// a bounded-simulation evaluation (direct, indexed, or over the quotient)
+// checks ctx between its ball-walk passes: a cancelled query returns
+// ctx.Err() within a few passes, caches nothing, and frees its slot and
+// the read lock. The plain-simulation and partitioned evaluators, and
+// result-graph construction and ranking, run to completion.
 //
 // The slot is taken *before* the graph's read lock: a query parked in
 // the queue holds nothing, so writers to its graph never wait for the
@@ -65,15 +68,15 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 	defer e.inflight.Add(-1)
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	return e.queryLocked(ctx, graphName, mg, q, k, start), nil
+	return e.queryLocked(ctx, graphName, mg, q, k, start)
 }
 
 // QueryBatch evaluates a batch of queries concurrently on a worker pool
 // bounded by the engine's Parallelism, returning one outcome per request
 // in request order. Each query is answered exactly as Query would answer
 // it — the executor only changes scheduling, never results. Requests not
-// yet started when ctx is cancelled fail with ctx.Err(); in-flight
-// queries run to completion.
+// yet started when ctx is cancelled fail with ctx.Err(), and so do
+// in-flight ones that reach a cancellation point (see QueryCtx).
 func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest) []QueryOutcome {
 	out := make([]QueryOutcome, len(reqs))
 	workers := e.par

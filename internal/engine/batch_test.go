@@ -330,3 +330,83 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 	write(incremental.Delete(e1.From, e1.To)) // no read lock left behind
 	<-e.sem
 }
+
+// TestCancelledQueryReleasesSlotAndLock cancels a query in the middle of a
+// bounded-simulation evaluation that takes tens of milliseconds: it must
+// return ctx.Err() within a pass, hand back its execution slot and the
+// graph's read lock (a writer that was waiting behind it proceeds), and
+// leave nothing in the relation cache or the memo.
+func TestCancelledQueryReleasesSlotAndLock(t *testing.T) {
+	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 20000, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := pattern.Parse(`node SA [label = "SA", experience >= 8] output
+node SD [label = "SD", specialty = "Programmer", experience >= 4]
+node BA [label = "BA", specialty = "Business Analyst", experience >= 3]
+edge SA -> SD bound *
+edge SA -> BA bound 4
+edge SD -> BA bound *
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Parallelism: 1})
+	if err := e.AddGraph("g", g); err != nil {
+		t.Fatal(err)
+	}
+
+	// The evaluators poll ctx.Err between passes; the 12th poll parks the
+	// query mid-evaluation until the test lets it see the cancellation.
+	midway, release := make(chan struct{}), make(chan struct{})
+	ctx := &testutil.PollCtx{Context: context.Background(), N: 12, At: func() { close(midway); <-release }}
+	ch := e.QueryAsync(ctx, QueryRequest{Graph: "g", Pattern: q, K: 10})
+	select {
+	case <-midway:
+	case oc := <-ch:
+		t.Fatalf("query finished before its 12th pass boundary: %+v", oc)
+	}
+	// Mid-evaluation: the query holds the slot and the read lock, so this
+	// writer waits.
+	up := incremental.Insert(0, 1)
+	if g.HasEdge(0, 1) {
+		up = incremental.Delete(0, 1)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := e.ApplyUpdates("g", []incremental.Update{up})
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		t.Fatalf("writer got through a query holding the read lock (err %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if oc := <-ch; !errors.Is(oc.Err, context.Canceled) || oc.Result != nil {
+		t.Fatalf("cancelled mid-evaluation: result %v, err %v; want nil, context.Canceled", oc.Result, oc.Err)
+	}
+	if after := ctx.Polls() - ctx.N; after > 1 {
+		t.Errorf("%d pass boundaries polled after the cancellation, want at most 1", after)
+	}
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("writer still blocked: the cancelled query left its read lock behind")
+	}
+	if e.InflightQueries() != 0 || len(e.sem) != 0 {
+		t.Errorf("after cancel: inflight=%d slots held=%d, want 0 and 0", e.InflightQueries(), len(e.sem))
+	}
+	if n := e.CacheStats().Entries; n != 0 {
+		t.Errorf("cancelled query left %d relation-cache entries", n)
+	}
+	e.memoMu.Lock()
+	memo := len(e.memo)
+	e.memoMu.Unlock()
+	if memo != 0 {
+		t.Errorf("cancelled query left %d memo entries", memo)
+	}
+}

@@ -82,7 +82,8 @@ const (
 	PlanSimulation Plan = "simulation"         // quadratic, all bounds 1
 	PlanBounded    Plan = "bounded-simulation" // cubic
 	// PlanIndexed is bounded simulation with support counters answered by
-	// the graph's landmark distance index instead of per-candidate BFS.
+	// the graph's landmark distance index where a per-edge probe prices
+	// that below the ball walk.
 	// Selected whenever a fresh index is registered and the query has
 	// bounds beyond 1; the relation is identical to PlanBounded's.
 	PlanIndexed Plan = "indexed-bounded-simulation"
@@ -510,9 +511,14 @@ func (e *Engine) Query(graphName string, q *pattern.Pattern, k int) (*Result, er
 // read and an execution token. When ctx carries an active trace (see
 // internal/trace) the pipeline emits an "engine.query" span with one
 // child per stage; results are byte-identical with and without tracing.
-func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern, k int, start time.Time) *Result {
+func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern, k int, start time.Time) (*Result, error) {
 	qctx, sp := trace.StartSpan(ctx, "engine.query")
-	rel, source, plan := e.evaluate(qctx, graphName, mg, q)
+	rel, source, plan, err := e.evaluate(qctx, graphName, mg, q)
+	if err != nil {
+		sp.SetStr("error", err.Error())
+		sp.End()
+		return nil, err
+	}
 	key := cache.Key{GraphName: graphName, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash()}
 	m := e.memoFor(qctx, key, mg.g, q, rel)
 	ranked := m.ranking
@@ -541,7 +547,7 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 		Plan:        plan,
 		Source:      source,
 		Elapsed:     time.Since(start),
-	}
+	}, nil
 }
 
 // evalWorkers is the intra-query worker budget: the full Parallelism for
@@ -561,8 +567,10 @@ func (e *Engine) evalWorkers() int {
 
 // evaluate runs the pipeline described in the package comment. Callers
 // hold mg.mu for at least read. Trace spans (one per pipeline stage)
-// are emitted only when ctx carries an active trace.
-func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern) (*match.Relation, Source, Plan) {
+// are emitted only when ctx carries an active trace. The bounded
+// evaluators give up at their next pass when ctx is cancelled; evaluate
+// then returns ctx.Err() and caches nothing.
+func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern) (*match.Relation, Source, Plan, error) {
 	plan := PlanBounded
 	if q.IsPlainSimulation() {
 		// Bound-1 obligations are adjacency scans; the index cannot beat
@@ -587,12 +595,12 @@ func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q 
 		spCache.End()
 	}
 	if hit {
-		return cached, SourceCache, plan
+		return cached, SourceCache, plan, nil
 	}
 	if m, ok := mg.matchers[q.Hash()]; ok {
 		rel := m.Relation()
 		e.cache.Put(key, rel)
-		return rel, SourceIncremental, plan
+		return rel, SourceIncremental, plan, nil
 	}
 	// Results persisted to the store in a previous session are reusable as
 	// long as the graph version (deterministic for a given mutation
@@ -611,7 +619,7 @@ func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q 
 		if usable {
 			rel := rec.Relation()
 			e.cache.Put(key, rel)
-			return rel, SourceStore, plan
+			return rel, SourceStore, plan, nil
 		}
 	}
 	// The indexed and partitioned plans answer on the original graph and
@@ -626,10 +634,14 @@ func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q 
 		} else {
 			onQ = bsim.ComputeParallelCtx(cctx, mg.comp.Graph(), q, e.evalWorkers())
 		}
+		if onQ == nil {
+			spComp.End()
+			return nil, SourceCompressed, plan, ctx.Err()
+		}
 		rel := mg.comp.Decompress(onQ)
 		spComp.End()
 		e.cache.Put(key, rel)
-		return rel, SourceCompressed, plan
+		return rel, SourceCompressed, plan, nil
 	}
 	var rel *match.Relation
 	source := SourceDirect
@@ -683,13 +695,16 @@ func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q 
 		rel = bsim.ComputeParallelCtx(bctx, mg.g, q, e.evalWorkers())
 		spB.End()
 	}
+	if rel == nil {
+		return nil, source, plan, ctx.Err()
+	}
 	e.cache.Put(key, rel)
 	if e.opts.Store != nil {
 		// Persistence is best-effort: a failed write must not fail the
 		// query (the result is still correct and cached in memory).
 		_ = e.opts.Store.SaveResult(storage.NewResultRecord(q, graphName, mg.g.Version(), mg.fingerprint(), rel))
 	}
-	return rel, source, plan
+	return rel, source, plan, nil
 }
 
 // compressedUsable reports whether the quotient can answer q exactly:

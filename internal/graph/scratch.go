@@ -42,7 +42,7 @@ func acquireScratch(n int) *bfsScratch {
 
 func (s *bfsScratch) release() { scratchPool.Put(s) }
 
-// multiScratch is the reusable state of one VisitOutBalls pass: per node a
+// multiScratch is the reusable state of one batched ball walk: per node a
 // 64-bit set of the centers that have seen it, and the same for the
 // current and the next frontier. The sets are all-zero between passes;
 // release clears exactly the entries the pass touched.
@@ -66,8 +66,8 @@ func (s *multiScratch) release() {
 	for _, v := range s.touched {
 		s.seen[v] = 0
 	}
-	// A finished pass leaves both frontiers empty; one cut short by a
-	// panicking callback must not hand its sets to the next caller.
+	// A finished pass leaves both frontiers empty; one its callback stopped
+	// (or cut short by panicking) must not hand its sets to the next caller.
 	for _, v := range s.frontier {
 		s.cur[v] = 0
 	}

@@ -114,9 +114,24 @@ func (g *Graph) visitBall(center NodeID, radius int, reverse bool, fn func(id No
 // adjacency is scanned once per level for all the centers that reach it
 // there, so overlapping balls — deep or unbounded ones over one graph —
 // cost far less than one walk each, while disjoint balls cost the same.
-func (g *Graph) VisitOutBalls(centers []NodeID, radii []int, fn func(id NodeID, d int, from uint64)) {
+// Returning false stops the whole walk.
+func (g *Graph) VisitOutBalls(centers []NodeID, radii []int, fn func(id NodeID, d int, from uint64) bool) {
+	g.visitBalls(centers, radii, false, fn)
+}
+
+// VisitInBalls is VisitOutBalls over reversed edges: bit i of from says
+// that id reaches centers[i] via d hops.
+func (g *Graph) VisitInBalls(centers []NodeID, radii []int, fn func(id NodeID, d int, from uint64) bool) {
+	g.visitBalls(centers, radii, true, fn)
+}
+
+func (g *Graph) visitBalls(centers []NodeID, radii []int, reverse bool, fn func(id NodeID, d int, from uint64) bool) {
 	if len(centers) > 64 || len(radii) != len(centers) {
-		panic("graph: VisitOutBalls takes at most 64 centers and one radius per center")
+		panic("graph: a batched ball walk takes at most 64 centers and one radius per center")
+	}
+	adj := g.out
+	if reverse {
+		adj = g.in
 	}
 	s := acquireMultiScratch(len(g.nodes))
 	defer s.release()
@@ -144,7 +159,7 @@ func (g *Graph) VisitOutBalls(centers []NodeID, radii []int, fn func(id NodeID, 
 			if f == 0 {
 				continue
 			}
-			for _, nb := range g.out[v] {
+			for _, nb := range adj[v] {
 				fresh := f &^ s.seen[nb]
 				if fresh == 0 {
 					continue
@@ -160,7 +175,9 @@ func (g *Graph) VisitOutBalls(centers []NodeID, radii []int, fn func(id NodeID, 
 			}
 		}
 		for _, w := range s.reached {
-			fn(w, d+1, s.next[w])
+			if !fn(w, d+1, s.next[w]) {
+				return
+			}
 		}
 		s.cur, s.next = s.next, s.cur
 		s.frontier, s.reached = s.reached, s.frontier[:0]

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -280,7 +281,20 @@ func TestVisitBallMatchesBall(t *testing.T) {
 // unknown ids, radius 0, bounded and unbounded radii mixed — the same
 // (node, distance) pairs, each reported once.
 func TestVisitOutBallsMatchesVisitOutBall(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
+	checkBatchedBalls(t, 11, (*Graph).VisitOutBalls, (*Graph).VisitOutBall)
+}
+
+// TestVisitInBallsMatchesVisitInBall is the same property over reversed
+// edges.
+func TestVisitInBallsMatchesVisitInBall(t *testing.T) {
+	checkBatchedBalls(t, 13, (*Graph).VisitInBalls, (*Graph).VisitInBall)
+}
+
+func checkBatchedBalls(t *testing.T, seed int64,
+	batched func(*Graph, []NodeID, []int, func(NodeID, int, uint64) bool),
+	single func(*Graph, NodeID, int, func(NodeID, int) bool)) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + r.Intn(40)
 		g := randomDigraph(r, n, r.Intn(4*n), trial%3 == 0)
@@ -298,7 +312,7 @@ func TestVisitOutBallsMatchesVisitOutBall(t *testing.T) {
 			got[i] = map[NodeID]int{}
 		}
 		lastD := 0
-		g.VisitOutBalls(centers, radii, func(id NodeID, d int, from uint64) {
+		batched(g, centers, radii, func(id NodeID, d int, from uint64) bool {
 			if d < lastD || from == 0 {
 				t.Fatalf("trial %d: report (%d, %d, %b) out of breadth-first order or empty", trial, id, d, from)
 			}
@@ -315,10 +329,11 @@ func TestVisitOutBallsMatchesVisitOutBall(t *testing.T) {
 			if from>>len(centers) != 0 {
 				t.Fatalf("trial %d: from %b names a center past %d", trial, from, len(centers))
 			}
+			return true
 		})
 		for i, c := range centers {
 			want := map[NodeID]int{}
-			g.VisitOutBall(c, radii[i], func(id NodeID, d int) bool {
+			single(g, c, radii[i], func(id NodeID, d int) bool {
 				want[id] = d
 				return true
 			})
@@ -349,6 +364,29 @@ func TestVisitBallEarlyStop(t *testing.T) {
 	g.VisitOutBall(ids[0], -1, func(id NodeID, d int) bool { count++; return true })
 	if count != 5 {
 		t.Fatalf("full walk after early stop visited %d nodes, want 5", count)
+	}
+}
+
+// TestVisitBallsEarlyStop: a batched walk stops at the first false, and
+// the pooled scratch it leaves behind is clean for the next walk.
+func TestVisitBallsEarlyStop(t *testing.T) {
+	g, ids := buildChain(t, 6)
+	centers, radii := []NodeID{ids[0], ids[1]}, []int{-1, -1}
+	calls := 0
+	g.VisitOutBalls(centers, radii, func(NodeID, int, uint64) bool {
+		calls++
+		return calls < 2
+	})
+	if calls != 2 {
+		t.Fatalf("early stop after 2 calls, got %d", calls)
+	}
+	pairs := 0
+	g.VisitOutBalls(centers, radii, func(_ NodeID, _ int, from uint64) bool {
+		pairs += bits.OnesCount64(from)
+		return true
+	})
+	if pairs != 5+4 {
+		t.Fatalf("full walk after early stop reported %d (center, node) pairs, want 9", pairs)
 	}
 }
 

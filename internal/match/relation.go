@@ -40,6 +40,17 @@ func NewRelation(n int) *Relation {
 	return r
 }
 
+// NewRelationSized is NewRelation with room for sizes[u] matches of pattern
+// node u, for builders that know the counts up front: filling a presized
+// set allocates nothing more.
+func NewRelationSized(sizes []int) *Relation {
+	r := &Relation{sets: make([]map[graph.NodeID]bool, len(sizes))}
+	for i, n := range sizes {
+		r.sets[i] = make(map[graph.NodeID]bool, n)
+	}
+	return r
+}
+
 // NumPatternNodes returns the number of pattern nodes the relation covers.
 func (r *Relation) NumPatternNodes() int { return len(r.sets) }
 

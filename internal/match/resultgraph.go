@@ -204,10 +204,10 @@ func (b *builder) findEdges(g *graph.Graph, edges []pattern.Edge, rg *ResultGrap
 	from := make([]bool, np)
 	radii := make([]int, batch)
 	lo := 0 // node index of the batch's first source
-	visit := func(w graph.NodeID, d int, sources uint64) {
+	visit := func(w graph.NodeID, d int, sources uint64) bool {
 		j, ok := b.indexOf(w)
 		if !ok {
-			return
+			return true
 		}
 		targets := rg.pnodes[rg.pnOff[j]:rg.pnOff[j+1]]
 		for ; sources != 0; sources &= sources - 1 {
@@ -219,6 +219,7 @@ func (b *builder) findEdges(g *graph.Graph, edges []pattern.Edge, rg *ResultGrap
 				}
 			}
 		}
+		return true
 	}
 	for ; lo < len(rg.nodes); lo += batch {
 		centers := rg.nodes[lo:min(lo+batch, len(rg.nodes))]
