@@ -153,8 +153,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "", "preload graphs from this store directory")
 	demo := flag.Bool("demo", true, "preload the paper's Fig. 1 dataset as graph \"paper\"")
-	cacheSize := flag.Int("cache", 256, "result-graph/ranking memo capacity (entries)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (relation-size accounted)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (each answer charged its relation, result graph and ranking)")
 	parallelism := flag.Int("parallelism", 0, "max concurrent query executions (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "enable durable persistence (per-graph WAL + snapshots) rooted here")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always | interval | off")
@@ -200,7 +199,7 @@ func main() {
 		fatal("err", "-replication-listen requires -data-dir: the write-ahead log is the replication stream")
 	}
 
-	opts := engine.Options{CacheSize: *cacheSize, CacheBytes: *cacheBytes, Parallelism: *parallelism}
+	opts := engine.Options{CacheBytes: *cacheBytes, Parallelism: *parallelism}
 	var walMgr *wal.Manager
 	if *dataDir != "" {
 		policy, err := wal.ParseFsyncPolicy(*fsync)

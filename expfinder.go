@@ -472,7 +472,7 @@ func Generate(kind GeneratorKind, cfg GeneratorConfig) (*Graph, error) {
 
 // Storage.
 type (
-	// Store is a directory-backed repository of graphs and results.
+	// Store is a directory-backed repository of graphs.
 	Store = storage.Store
 	// StoreFormat selects the on-disk graph format.
 	StoreFormat = storage.Format

@@ -1,11 +1,14 @@
-// Package cache provides the query-result cache of ExpFinder's query
-// engine: results keyed by (graph identity, graph version, pattern hash)
-// with LRU eviction under a byte budget. Entries are charged by the
-// approximate heap footprint of their match relation (see
-// match.Relation.ApproxBytes), so one enormous result cannot masquerade
-// as cheap the way it could under entry-count accounting. A cached entry
-// is valid only while the graph version matches, so updates applied
-// outside the incremental machinery silently invalidate stale results.
+// Package cache is the one place ExpFinder's query engine remembers an
+// answer: per (graph identity, graph version, pattern hash) one immutable
+// Entry holding M(Q,G), its result graph and the full ranking, under LRU
+// eviction against a single byte budget. An entry is charged what all
+// three occupy (match.Relation.ApproxBytes, match.ResultGraph.ApproxBytes,
+// the ranking slice), so one enormous result cannot masquerade as cheap
+// the way it could under entry-count accounting. Nothing is copied in or
+// out: Store freezes the relation and every hit hands out the same
+// pointers. An entry is valid only while the graph version matches, so
+// updates applied outside the incremental machinery silently invalidate
+// stale results.
 package cache
 
 import (
@@ -13,6 +16,7 @@ import (
 	"sync"
 
 	"expfinder/internal/match"
+	"expfinder/internal/rank"
 )
 
 // Key identifies a cached result. Epoch distinguishes graph *instances*
@@ -30,16 +34,19 @@ type Key struct {
 type Stats struct {
 	Hits, Misses, Evictions int
 	Entries                 int
-	// Bytes is the accounted footprint of all resident relations;
-	// BudgetBytes is the eviction threshold.
+	// Bytes is the accounted footprint of all resident entries (relation,
+	// result graph and ranking); BudgetBytes is the eviction threshold.
 	Bytes       int64
 	BudgetBytes int64
 }
 
 // DefaultBudget is the byte budget used when a caller passes a
 // non-positive one: 64 MiB, roughly the footprint of a few hundred
-// mid-size match relations.
+// mid-size answers.
 const DefaultBudget int64 = 64 << 20
+
+// rankedBytes is the size of one rank.Ranked (id, score, count; padded).
+const rankedBytes = 24
 
 // Cache is a byte-budgeted LRU of query results, safe for concurrent
 // use. The newest entry is always admitted — even one larger than the
@@ -56,14 +63,20 @@ type Cache struct {
 	evicted int
 }
 
-type entry struct {
-	key   Key
-	rel   *match.Relation
-	bytes int64
+// Entry is one query's whole answer. It is immutable once stored: every
+// lookup of its key returns this same pointer, and holders only read.
+type Entry struct {
+	Relation    *match.Relation
+	ResultGraph *match.ResultGraph // nil for an entry stored through Put
+	Ranking     []rank.Ranked      // every match of the output node, best first
+	// Bytes is what the entry is charged against the budget, set by Store.
+	Bytes int64
+
+	key Key
 }
 
-// New returns a cache evicting LRU-first once the accounted relation
-// bytes exceed budgetBytes (DefaultBudget if non-positive).
+// New returns a cache evicting LRU-first once the accounted entry bytes
+// exceed budgetBytes (DefaultBudget if non-positive).
 func New(budgetBytes int64) *Cache {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultBudget
@@ -75,61 +88,64 @@ func New(budgetBytes int64) *Cache {
 	}
 }
 
-// Get returns a clone of the cached relation for key, if present. Clones
-// keep cached entries immutable even if callers mutate the result.
-func (c *Cache) Get(key Key) (*match.Relation, bool) {
-	rel, _, ok := c.GetSized(key)
-	return rel, ok
-}
-
-// GetSized is Get reporting the entry's accounted byte size alongside —
-// already tracked for the eviction budget, so a tracing caller can
-// attribute a hit's size without re-measuring the relation.
-func (c *Cache) GetSized(key Key) (*match.Relation, int64, bool) {
+// Lookup returns the entry stored under key, if present.
+func (c *Cache) Lookup(key Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, 0, false
+		return nil, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	en := el.Value.(*entry)
-	return en.rel.Clone(), en.bytes, true
+	return el.Value.(*Entry), true
 }
 
-// Put stores a clone of the relation under key, evicting least recently
-// used entries until the byte budget holds again. The entry just stored
-// is never evicted by its own insert.
-func (c *Cache) Put(key Key, rel *match.Relation) {
-	clone := rel.Clone()
-	size := clone.ApproxBytes()
+// Store freezes en's relation, charges en its bytes and publishes it under
+// key (replacing any previous entry), evicting least recently used entries
+// until the byte budget holds again. The entry just stored is never
+// evicted by its own insert. The caller must not modify en afterwards.
+func (c *Cache) Store(key Key, en *Entry) {
+	en.Relation.Freeze()
+	en.key = key
+	en.Bytes = en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes
+	if en.ResultGraph != nil {
+		en.Bytes += en.ResultGraph.ApproxBytes()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		en := el.Value.(*entry)
-		c.bytes += size - en.bytes
-		en.rel, en.bytes = clone, size
+		c.bytes -= el.Value.(*Entry).Bytes
+		el.Value = en
 		c.ll.MoveToFront(el)
-		c.evictOver()
-		return
+	} else {
+		c.items[key] = c.ll.PushFront(en)
 	}
-	el := c.ll.PushFront(&entry{key: key, rel: clone, bytes: size})
-	c.items[key] = el
-	c.bytes += size
+	c.bytes += en.Bytes
 	c.evictOver()
 }
+
+// Get is Lookup for callers that want only the relation.
+func (c *Cache) Get(key Key) (*match.Relation, bool) {
+	if en, ok := c.Lookup(key); ok {
+		return en.Relation, true
+	}
+	return nil, false
+}
+
+// Put is Store for callers that have only the relation.
+func (c *Cache) Put(key Key, rel *match.Relation) { c.Store(key, &Entry{Relation: rel}) }
 
 // evictOver drops LRU entries while over budget, sparing the newest.
 // Callers hold c.mu.
 func (c *Cache) evictOver() {
 	for c.bytes > c.budget && c.ll.Len() > 1 {
 		oldest := c.ll.Back()
-		en := oldest.Value.(*entry)
+		en := oldest.Value.(*Entry)
 		c.ll.Remove(oldest)
 		delete(c.items, en.key)
-		c.bytes -= en.bytes
+		c.bytes -= en.Bytes
 		c.evicted++
 	}
 }
@@ -141,27 +157,13 @@ func (c *Cache) InvalidateGraph(graphName string) {
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		if en := el.Value.(*entry); en.key.GraphName == graphName {
+		if en := el.Value.(*Entry); en.key.GraphName == graphName {
 			c.ll.Remove(el)
 			delete(c.items, en.key)
-			c.bytes -= en.bytes
+			c.bytes -= en.Bytes
 		}
 		el = next
 	}
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes returns the accounted footprint of all resident relations.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // Stats returns a snapshot of cache counters.

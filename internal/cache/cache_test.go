@@ -7,6 +7,8 @@ import (
 
 	"expfinder/internal/graph"
 	"expfinder/internal/match"
+	"expfinder/internal/pattern"
+	"expfinder/internal/rank"
 )
 
 func rel(pairs ...int) *match.Relation {
@@ -54,21 +56,133 @@ func TestVersionedKeysDistinct(t *testing.T) {
 	}
 }
 
-func TestClonesProtectEntries(t *testing.T) {
+// mustPanic runs f and fails unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestStoredRelationIsSharedAndFrozen is the no-copy contract: Put keeps
+// the caller's relation, every Get returns that same pointer, and because
+// it is shared it can no longer be modified — by the storer or a reader.
+func TestStoredRelationIsSharedAndFrozen(t *testing.T) {
 	c := New(budgetFor(2))
 	k := Key{GraphName: "g", GraphVersion: 1, PatternHash: "h"}
 	original := rel(1)
 	c.Put(k, original)
-	original.Add(0, 99) // mutate after insert
 	got, _ := c.Get(k)
-	if got.Has(0, 99) {
-		t.Error("cache stored a live reference on Put")
+	if again, _ := c.Get(k); got != original || again != original {
+		t.Fatalf("Get returned %p and %p, want the stored pointer %p both times", got, again, original)
 	}
-	got.Add(0, 50) // mutate the returned copy
-	again, _ := c.Get(k)
-	if again.Has(0, 50) {
-		t.Error("cache returned a live reference on Get")
+	mustPanic(t, "Add on the stored relation", func() { original.Add(0, 99) })
+	mustPanic(t, "Add on a returned relation", func() { got.Add(0, 50) })
+	mustPanic(t, "Remove on a returned relation", func() { got.Remove(0, 1) })
+	if got.Normalize(); got.Size() != 1 || !got.Has(0, 1) {
+		t.Errorf("relation changed under rejected mutations: %v", got)
 	}
+	private := got.Clone()
+	private.Add(0, 50) // a clone is the way to a mutable copy
+	if got.Has(0, 50) {
+		t.Error("mutating a clone reached the cached relation")
+	}
+}
+
+// fanEntry is an answer whose result graph dominates its bytes: n "A"
+// nodes each pointing at the same n "B" nodes match A -> B with n*n result
+// edges (16 bytes each) against 2n relation pairs.
+func fanEntry(n int) *Entry {
+	g := graph.New(2 * n)
+	r := match.NewRelation(2)
+	for i := 0; i < 2*n; i++ {
+		label, u := "A", 0
+		if i >= n {
+			label, u = "B", 1
+		}
+		r.Add(pattern.NodeIdx(u), g.AddNode(label, nil))
+	}
+	for a := 0; a < n; a++ {
+		for b := n; b < 2*n; b++ {
+			_ = g.AddEdge(graph.NodeID(a), graph.NodeID(b)) // ids are 0..2n-1, no duplicates
+		}
+	}
+	q, err := pattern.Parse("node A [label=A] output\nnode B [label=B]\nedge A -> B bound 1\n")
+	if err != nil {
+		panic(err)
+	}
+	rg := match.BuildResultGraph(g, q, r)
+	return &Entry{Relation: r, ResultGraph: rg, Ranking: rank.TopKWithResultGraph(rg, q, r, 0)}
+}
+
+// TestEntryChargedForResultGraphAndRanking stores whole answers: the
+// accounted bytes are the three parts' sum, and a budget that would hold
+// many such relations holds only as many entries as their result graphs
+// allow.
+func TestEntryChargedForResultGraphAndRanking(t *testing.T) {
+	const n = 32
+	en := fanEntry(n)
+	relBytes, rgBytes := en.Relation.ApproxBytes(), en.ResultGraph.ApproxBytes()
+	want := relBytes + rgBytes + int64(len(en.Ranking))*rankedBytes
+	if en.ResultGraph.NumEdges() != n*n || len(en.Ranking) != n || rgBytes < 8*relBytes {
+		t.Fatalf("fixture: %d edges, %d ranked, result graph %d B vs relation %d B; want %d, %d and a dominant result graph",
+			en.ResultGraph.NumEdges(), len(en.Ranking), rgBytes, relBytes, n*n, n)
+	}
+	c := New(2*want + want/2) // room for two whole answers, or ~20 bare relations
+	k := func(i int) Key { return Key{GraphName: "g", GraphVersion: uint64(i), PatternHash: "h"} }
+	c.Store(k(1), en)
+	if en.Bytes != want || c.Stats().Bytes != want {
+		t.Fatalf("entry charged %d (cache %d), want %d", en.Bytes, c.Stats().Bytes, want)
+	}
+	c.Store(k(2), fanEntry(n))
+	c.Store(k(3), fanEntry(n))
+	st := c.Stats()
+	if st.Entries != 2 || st.Evictions != 1 || st.Bytes != 2*want {
+		t.Errorf("after three answers: %+v, want 2 entries, 1 eviction, %d bytes", st, 2*want)
+	}
+	if _, ok := c.Lookup(k(1)); ok {
+		t.Error("the least recently used answer survived")
+	}
+	got, ok := c.Lookup(k(3))
+	if !ok || got.ResultGraph == nil || len(got.Ranking) != n {
+		t.Errorf("Lookup lost parts of the entry: %+v", got)
+	}
+}
+
+// TestConcurrentHitsShareOneEntry has many goroutines hit one key and read
+// everything the entry holds at once. Under -race this is the proof that a
+// hit hands out pointers to data nothing writes any more.
+func TestConcurrentHitsShareOneEntry(t *testing.T) {
+	c := New(0)
+	k := Key{GraphName: "g", GraphVersion: 1, PatternHash: "h"}
+	stored := fanEntry(8)
+	c.Store(k, stored)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				en, ok := c.Lookup(k)
+				if !ok || en != stored || en.Relation != stored.Relation || en.ResultGraph != stored.ResultGraph {
+					t.Errorf("hit returned %p (ok %v), want the stored entry %p", en, ok, stored)
+					return
+				}
+				if len(en.Relation.Pairs()) != 16 || en.ResultGraph.NumEdges() != 64 || len(en.ResultGraph.Out(0)) != 8 || len(en.Ranking) != 8 {
+					t.Errorf("entry read back wrong: %d pairs, %d edges", en.Relation.Size(), en.ResultGraph.NumEdges())
+					return
+				}
+				if rel, _ := c.Get(k); rel != stored.Relation {
+					t.Error("Get returned a different relation than Lookup")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLRUEvictionUnderByteBudget(t *testing.T) {
@@ -98,19 +212,19 @@ func TestLargeEntryEvictsManySmall(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		c.Put(k(i), rel(i))
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+	if c.Stats().Entries != 4 {
+		t.Fatalf("Len = %d, want 4", c.Stats().Entries)
 	}
 	// One relation worth ~4 single-pair entries displaces all but itself.
 	c.Put(k(5), rel(10, 11, 12, 13, 14, 15, 16, 17, 18))
-	if c.Len() != 1 {
-		t.Errorf("Len after oversized insert = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Errorf("Len after oversized insert = %d, want 1", c.Stats().Entries)
 	}
 	if _, ok := c.Get(k(5)); !ok {
 		t.Error("newest entry must survive its own insert")
 	}
-	if c.Bytes() > budgetFor(4)+rel(1).ApproxBytes()*16 {
-		t.Errorf("bytes accounting off: %d", c.Bytes())
+	if c.Stats().Bytes > budgetFor(4)+rel(1).ApproxBytes()*16 {
+		t.Errorf("bytes accounting off: %d", c.Stats().Bytes)
 	}
 }
 
@@ -121,8 +235,8 @@ func TestOversizedEntryStillAdmitted(t *testing.T) {
 	if _, ok := c.Get(k); !ok {
 		t.Error("newest entry must be admitted even over budget")
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Errorf("Len = %d, want 1", c.Stats().Entries)
 	}
 }
 
@@ -135,11 +249,11 @@ func TestPutSameKeyReplaces(t *testing.T) {
 	if got.Size() != 3 {
 		t.Errorf("size after replace = %d, want 3", got.Size())
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Errorf("Len = %d, want 1", c.Stats().Entries)
 	}
-	if c.Bytes() != rel(1, 2, 3).ApproxBytes() {
-		t.Errorf("bytes after replace = %d, want %d", c.Bytes(), rel(1, 2, 3).ApproxBytes())
+	if c.Stats().Bytes != rel(1, 2, 3).ApproxBytes() {
+		t.Errorf("bytes after replace = %d, want %d", c.Stats().Bytes, rel(1, 2, 3).ApproxBytes())
 	}
 }
 
@@ -149,13 +263,13 @@ func TestInvalidateGraph(t *testing.T) {
 		c.Put(Key{GraphName: "a", GraphVersion: uint64(i), PatternHash: "h"}, rel(i))
 		c.Put(Key{GraphName: "b", GraphVersion: uint64(i), PatternHash: "h"}, rel(i))
 	}
-	before := c.Bytes()
+	before := c.Stats().Bytes
 	c.InvalidateGraph("a")
-	if c.Len() != 3 {
-		t.Errorf("Len after invalidate = %d, want 3", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Errorf("Len after invalidate = %d, want 3", c.Stats().Entries)
 	}
-	if c.Bytes() >= before {
-		t.Errorf("bytes not released on invalidate: %d -> %d", before, c.Bytes())
+	if c.Stats().Bytes >= before {
+		t.Errorf("bytes not released on invalidate: %d -> %d", before, c.Stats().Bytes)
 	}
 	if _, ok := c.Get(Key{GraphName: "b", GraphVersion: 1, PatternHash: "h"}); !ok {
 		t.Error("unrelated graph entries were dropped")
@@ -180,8 +294,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Bytes() > budgetFor(16)+rel(1).ApproxBytes() {
-		t.Errorf("cache exceeded budget: %d bytes", c.Bytes())
+	if c.Stats().Bytes > budgetFor(16)+rel(1).ApproxBytes() {
+		t.Errorf("cache exceeded budget: %d bytes", c.Stats().Bytes)
 	}
 }
 
@@ -192,7 +306,7 @@ func TestDefaultBudget(t *testing.T) {
 	}
 	k1 := Key{GraphName: "g", GraphVersion: 1, PatternHash: "h"}
 	c.Put(k1, rel(1))
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Errorf("Len = %d, want 1", c.Stats().Entries)
 	}
 }

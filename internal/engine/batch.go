@@ -31,8 +31,12 @@ type QueryOutcome struct {
 // a bounded-simulation evaluation (direct, indexed, or over the quotient)
 // checks ctx between its ball-walk passes: a cancelled query returns
 // ctx.Err() within a few passes, caches nothing, and frees its slot and
-// the read lock. The plain-simulation and partitioned evaluators, and
-// result-graph construction and ranking, run to completion.
+// the read lock. The plain-simulation and partitioned evaluators,
+// result-graph construction and ranking each run to completion once
+// started, but ctx is checked at the boundaries between them — after the
+// relation and after the result graph — and the answer enters the cache
+// only as the last step, so a query cancelled at any of those points also
+// returns ctx.Err() and caches nothing.
 //
 // The slot is taken *before* the graph's read lock: a query parked in
 // the queue holds nothing, so writers to its graph never wait for the

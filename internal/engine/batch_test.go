@@ -335,7 +335,7 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 // bounded-simulation evaluation that takes tens of milliseconds: it must
 // return ctx.Err() within a pass, hand back its execution slot and the
 // graph's read lock (a writer that was waiting behind it proceeds), and
-// leave nothing in the relation cache or the memo.
+// leave nothing in the result cache.
 func TestCancelledQueryReleasesSlotAndLock(t *testing.T) {
 	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 20000, AvgDegree: 8, Seed: 1})
 	if err != nil {
@@ -401,12 +401,52 @@ edge SD -> BA bound *
 		t.Errorf("after cancel: inflight=%d slots held=%d, want 0 and 0", e.InflightQueries(), len(e.sem))
 	}
 	if n := e.CacheStats().Entries; n != 0 {
-		t.Errorf("cancelled query left %d relation-cache entries", n)
+		t.Errorf("cancelled query left %d result-cache entries", n)
 	}
-	e.memoMu.Lock()
-	memo := len(e.memo)
-	e.memoMu.Unlock()
-	if memo != 0 {
-		t.Errorf("cancelled query left %d memo entries", memo)
+}
+
+// TestCancelledAtStageBoundaryCachesNothing cancels a query after its
+// relation is computed: plain simulation never polls ctx, so after
+// QueryCtx's entry check the next polls are the stage boundaries — the 2nd
+// after the relation, the 3rd after the result graph, before the ranking.
+// Either way the query returns ctx.Err() and the cache stays empty, so the
+// same query afterwards is a miss with the right answer.
+func TestCancelledAtStageBoundaryCachesNothing(t *testing.T) {
+	g, _ := dataset.PaperGraph()
+	q, err := pattern.Parse("node SA [label=SA] output\nnode GD [label=GD]\nedge SA -> GD bound 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		poll int64
+	}{{"after relation", 2}, {"after result graph", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Options{Parallelism: 1})
+			if err := e.AddGraph("g", g.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			ctx := &testutil.PollCtx{Context: context.Background(), N: tc.poll}
+			res, err := e.QueryCtx(ctx, "g", q, 1)
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("result %v, err %v; want nil, context.Canceled", res, err)
+			}
+			if got := ctx.Polls(); got != tc.poll {
+				t.Fatalf("query polled ctx %d times, want to stop at poll %d", got, tc.poll)
+			}
+			if st := e.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
+				t.Errorf("cancelled query left %d cache entries (%d bytes)", st.Entries, st.Bytes)
+			}
+			if e.InflightQueries() != 0 || len(e.sem) != 0 {
+				t.Errorf("after cancel: inflight=%d slots held=%d, want 0 and 0", e.InflightQueries(), len(e.sem))
+			}
+			res, err = e.Query("g", q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Source != SourceDirect || res.Relation.IsEmpty() || len(res.TopK) != 1 {
+				t.Errorf("query after the cancelled one: source %v, relation %v, top %v; want a direct, nonempty answer", res.Source, res.Relation, res.TopK)
+			}
+		})
 	}
 }

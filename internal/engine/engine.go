@@ -7,8 +7,9 @@
 //
 // Evaluation pipeline for a query Q on graph G:
 //
-//  1. return the cached M(Q,G) if the cache holds one for G's current
-//     version;
+//  1. return the cached answer — M(Q,G), its result graph and the full
+//     ranking, one immutable internal/cache entry — if the cache holds one
+//     for G's current version;
 //  2. if Q is registered for incremental maintenance, read the maintained
 //     relation;
 //  3. if a fresh distance index is registered and the query has bounds
@@ -21,7 +22,11 @@
 //     algorithm otherwise ("optimized query plans").
 //
 // Steps 2 to 4 route only through a maintainer that is attached and
-// fresh; a stale or dropped one costs a plan, never an answer.
+// fresh; a stale or dropped one costs a plan, never an answer. queryLocked
+// does step 1 and, after a miss, stores the one entry; evaluate is steps 2
+// to 5 and touches neither the cache nor any file. What a Result carries
+// is the entry's own relation and result graph, shared with every other
+// holder and never copied: the relation is frozen (match.Relation.Freeze).
 //
 // Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
 // writes and replicated replay run the same validate → apply → sync every
@@ -59,7 +64,6 @@ import (
 	"expfinder/internal/rank"
 	"expfinder/internal/simulation"
 	"expfinder/internal/stats"
-	"expfinder/internal/storage"
 	"expfinder/internal/subscribe"
 	"expfinder/internal/trace"
 	"expfinder/internal/wal"
@@ -102,7 +106,6 @@ type Source string
 // Sources.
 const (
 	SourceCache       Source = "cache"
-	SourceStore       Source = "store"
 	SourceIncremental Source = "incremental"
 	SourceCompressed  Source = "compressed"
 	SourceIndexed     Source = "indexed"
@@ -112,14 +115,14 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// CacheSize bounds the result-graph and ranking memo (entries).
-	// Default 128.
+	// CacheSize is ignored. It counted entries of a memo that no longer
+	// exists and stays only because bench/layers.go, which a code change
+	// may not edit, names it; the next benchmark change removes it.
 	CacheSize int
-	// CacheBytes is the byte budget of the match-relation result cache,
-	// accounted by relation footprint. <= 0 means cache.DefaultBudget.
+	// CacheBytes is the byte budget of the result cache: each answer is
+	// charged its relation, result graph and ranking. <= 0 means
+	// cache.DefaultBudget.
 	CacheBytes int64
-	// Store, when set, persists saved graphs and results.
-	Store *storage.Store
 	// Parallelism bounds how many queries the engine executes
 	// concurrently (QueryBatch, QueryAsync, and overlapping Query calls)
 	// and how many workers the bounded-simulation inner loop may fan out
@@ -178,22 +181,6 @@ type Engine struct {
 	roMu     sync.RWMutex
 	readOnly bool
 	leader   string
-
-	// memo keeps each answer's result graph and full ranking alongside the
-	// relation cache: a cache hit would otherwise pay the result-graph
-	// reconstruction (one BFS per match) and the ranking (two Dijkstra runs
-	// per output match) again. Entries are immutable once built; eviction
-	// is wholesale when the map reaches Options.CacheSize entries.
-	memoMu sync.Mutex
-	memo   map[cache.Key]*memoEntry
-}
-
-// memoEntry is what the engine remembers per answered (graph version,
-// pattern): the result graph and the best-first ranking of all matches of
-// the output node. Callers slice off their top K; neither is ever mutated.
-type memoEntry struct {
-	rg      *match.ResultGraph
-	ranking []rank.Ranked
 }
 
 // managed is one registered graph with everything attached to it. Its
@@ -212,29 +199,6 @@ type managed struct {
 	st       *stats.Graph                    // online graph statistics
 	matchers map[string]*incremental.Matcher // pattern hash -> matcher
 	queries  map[string]*pattern.Pattern     // pattern hash -> registered pattern
-
-	// fp memoizes the graph's content fingerprint per version: computing
-	// it is a full O(V+E) serialization, far too heavy to repeat on every
-	// store-path check. Guarded by fpMu because queries computing it hold
-	// mu only for read.
-	fpMu      sync.Mutex
-	fp        uint64
-	fpVersion uint64
-	fpValid   bool
-}
-
-// fingerprint returns the graph's memoized content fingerprint. The
-// caller holds mg.mu (read or write), so the graph cannot change
-// underneath the computation.
-func (mg *managed) fingerprint() uint64 {
-	v := mg.g.Version()
-	mg.fpMu.Lock()
-	defer mg.fpMu.Unlock()
-	if !mg.fpValid || mg.fpVersion != v {
-		mg.fp = storage.GraphFingerprint(mg.g)
-		mg.fpVersion, mg.fpValid = v, true
-	}
-	return mg.fp
 }
 
 // New returns an engine with the given options.
@@ -250,7 +214,6 @@ func New(opts Options) *Engine {
 		gs:    map[string]*managed{},
 		hub:   subscribe.NewHub(),
 		sem:   make(chan struct{}, par),
-		memo:  map[cache.Key]*memoEntry{},
 	}
 	if opts.Persistence != nil {
 		e.persStop = make(chan struct{})
@@ -283,37 +246,6 @@ func (e *Engine) lookup(graphName string) (*managed, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoGraph, graphName)
 	}
 	return mg, nil
-}
-
-// memoFor returns the memoized result graph and ranking for (key, rel),
-// building them on a miss. The two stages report as separate spans either
-// way, so a hit shows as two empty ones.
-func (e *Engine) memoFor(ctx context.Context, key cache.Key, g *graph.Graph, q *pattern.Pattern, rel *match.Relation) *memoEntry {
-	e.memoMu.Lock()
-	m, hit := e.memo[key]
-	e.memoMu.Unlock()
-	_, spRG := trace.StartSpan(ctx, "result_graph")
-	if !hit {
-		m = &memoEntry{rg: match.BuildResultGraph(g, q, rel)}
-	}
-	spRG.End()
-	_, spRank := trace.StartSpan(ctx, "rank.topk")
-	defer spRank.End()
-	if hit {
-		return m
-	}
-	m.ranking = rank.TopKWithResultGraph(m.rg, q, rel, 0) // 0 = rank all
-	capacity := e.opts.CacheSize
-	if capacity <= 0 {
-		capacity = 128
-	}
-	e.memoMu.Lock()
-	if len(e.memo) >= capacity {
-		e.memo = map[cache.Key]*memoEntry{}
-	}
-	e.memo[key] = m
-	e.memoMu.Unlock()
-	return m
 }
 
 // AddGraph registers a graph under a name. The engine owns the graph from
@@ -436,18 +368,11 @@ func (e *Engine) removeGraph(name string) error {
 	mg.removed = true
 	e.hub.CloseGraph(name)
 	mg.mu.Unlock()
-	// Purge caches for memory hygiene. Correctness does not depend on
+	// Purge the cache for memory hygiene. Correctness does not depend on
 	// this: keys carry the managed epoch, so entries a still-in-flight
 	// query re-inserts after this purge can never serve a graph later
 	// re-registered under the same name.
 	e.cache.InvalidateGraph(name)
-	e.memoMu.Lock()
-	for key := range e.memo {
-		if key.GraphName == name {
-			delete(e.memo, key)
-		}
-	}
-	e.memoMu.Unlock()
 	return nil
 }
 
@@ -491,6 +416,10 @@ func (e *Engine) ListGraphs() []string {
 
 // Result is the full answer to a query: the match relation, the result
 // graph for visualization, the ranked top-K experts, and provenance.
+// Relation and ResultGraph are the cache entry's own and shared with every
+// other holder of the same answer: read them, never modify them (a frozen
+// relation panics on Add/Remove; Clone it for a private copy). TopK is the
+// caller's own slice.
 type Result struct {
 	Relation    *match.Relation
 	ResultGraph *match.ResultGraph
@@ -508,20 +437,36 @@ func (e *Engine) Query(graphName string, q *pattern.Pattern, k int) (*Result, er
 }
 
 // queryLocked runs the evaluation pipeline. The caller holds mg.mu for
-// read and an execution token. When ctx carries an active trace (see
-// internal/trace) the pipeline emits an "engine.query" span with one
-// child per stage; results are byte-identical with and without tracing.
+// read and an execution token. It is the only code that reads or fills
+// the result cache: one lookup, and after a miss — evaluate, result graph,
+// ranking — one store. ctx is checked at each of those stage boundaries; a
+// cancelled query returns ctx.Err() and caches nothing. When ctx carries
+// an active trace (see internal/trace) the pipeline emits an
+// "engine.query" span with one child per stage; results are byte-identical
+// with and without tracing.
 func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern, k int, start time.Time) (*Result, error) {
 	qctx, sp := trace.StartSpan(ctx, "engine.query")
-	rel, source, plan, err := e.evaluate(qctx, graphName, mg, q)
-	if err != nil {
-		sp.SetStr("error", err.Error())
-		sp.End()
-		return nil, err
-	}
 	key := cache.Key{GraphName: graphName, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash()}
-	m := e.memoFor(qctx, key, mg.g, q, rel)
-	ranked := m.ranking
+	_, spCache := trace.StartSpan(qctx, "cache.lookup")
+	en, hit := e.cache.Lookup(key)
+	if spCache != nil {
+		spCache.SetBool("hit", hit)
+		if hit {
+			spCache.SetInt("bytes", en.Bytes)
+		}
+		spCache.End()
+	}
+	plan, source := routePlan(mg, q), SourceCache
+	if !hit {
+		var err error
+		if en, source, plan, err = e.answer(qctx, mg, q, plan); err != nil {
+			sp.SetStr("error", err.Error())
+			sp.End()
+			return nil, err
+		}
+		e.cache.Store(key, en)
+	}
+	ranked := en.Ranking
 	if k > 0 && k < len(ranked) {
 		ranked = ranked[:k]
 	}
@@ -530,24 +475,48 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 		sp.SetStr("plan", string(plan))
 		sp.SetStr("source", string(source))
 		sp.SetStr("shape", patternShape(q))
-		sp.SetInt("matches", int64(rel.Size()))
-		if source != SourceCache {
-			// Bytes the engine had to materialize (a cache hit reports its
-			// size on the cache.lookup span instead) — the accounting
-			// ledger's served-vs-computed split reads both.
-			sp.SetInt("result_bytes", rel.ApproxBytes())
+		sp.SetInt("matches", int64(en.Relation.Size()))
+		if !hit {
+			// Bytes the engine had to materialize; a hit reports the same
+			// quantity — the entry's accounted bytes — on its cache.lookup
+			// span, and the accounting ledger's served-vs-computed split
+			// reads both.
+			sp.SetInt("result_bytes", en.Bytes)
 		}
 		sp.SetInt("k", int64(k))
 		sp.End()
 	}
 	return &Result{
-		Relation:    rel,
-		ResultGraph: m.rg,
+		Relation:    en.Relation,
+		ResultGraph: en.ResultGraph,
 		TopK:        append([]rank.Ranked(nil), ranked...),
 		Plan:        plan,
 		Source:      source,
 		Elapsed:     time.Since(start),
 	}, nil
+}
+
+// answer builds the cache entry for a miss: the relation by the routed
+// plan, then its result graph, then the ranking of every match of the
+// output node (callers slice off their top K).
+func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*cache.Entry, Source, Plan, error) {
+	rel, source, plan, err := e.evaluate(ctx, mg, q, plan)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, source, plan, err
+	}
+	_, spRG := trace.StartSpan(ctx, "result_graph")
+	rg := match.BuildResultGraph(mg.g, q, rel)
+	spRG.End()
+	if err := ctx.Err(); err != nil {
+		return nil, source, plan, err
+	}
+	_, spRank := trace.StartSpan(ctx, "rank.topk")
+	ranking := rank.TopKWithResultGraph(rg, q, rel, 0) // 0 = rank all
+	spRank.End()
+	return &cache.Entry{Relation: rel, ResultGraph: rg, Ranking: ranking}, source, plan, nil
 }
 
 // evalWorkers is the intra-query worker budget: the full Parallelism for
@@ -565,62 +534,34 @@ func (e *Engine) evalWorkers() int {
 	return w
 }
 
-// evaluate runs the pipeline described in the package comment. Callers
-// hold mg.mu for at least read. Trace spans (one per pipeline stage)
-// are emitted only when ctx carries an active trace. The bounded
-// evaluators give up at their next pass when ctx is cancelled; evaluate
-// then returns ctx.Err() and caches nothing.
-func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern) (*match.Relation, Source, Plan, error) {
-	plan := PlanBounded
-	if q.IsPlainSimulation() {
+// routePlan picks the algorithm for q from which maintainers of mg are
+// attached and fresh. Callers hold mg.mu for at least read.
+func routePlan(mg *managed, q *pattern.Pattern) Plan {
+	switch {
+	case q.IsPlainSimulation():
 		// Bound-1 obligations are adjacency scans; the index cannot beat
 		// them, so plain-simulation queries never take the indexed plan.
-		plan = PlanSimulation
-	} else if mg.part != nil && mg.part.Fresh(mg.g) && partitionedWins(q) {
+		return PlanSimulation
+	case mg.part != nil && mg.part.Fresh(mg.g) && partitionedWins(q):
 		// Shallow bounded patterns stay fragment-local: the partitioned
 		// plan parallelizes the whole refinement, where the index only
 		// accelerates individual reachability probes.
-		plan = PlanPartitioned
-	} else if mg.idx != nil && mg.idx.Fresh(mg.g) {
-		plan = PlanIndexed
+		return PlanPartitioned
+	case mg.idx != nil && mg.idx.Fresh(mg.g):
+		return PlanIndexed
 	}
-	key := cache.Key{GraphName: graphName, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash()}
-	_, spCache := trace.StartSpan(ctx, "cache.lookup")
-	cached, cachedBytes, hit := e.cache.GetSized(key)
-	if spCache != nil {
-		spCache.SetBool("hit", hit)
-		if hit {
-			spCache.SetInt("bytes", cachedBytes)
-		}
-		spCache.End()
-	}
-	if hit {
-		return cached, SourceCache, plan, nil
-	}
+	return PlanBounded
+}
+
+// evaluate computes M(Q,G) by steps 2 to 5 of the package comment, given
+// the routed plan; it returns the plan it ended up running. Callers hold
+// mg.mu for at least read. Trace spans (one per pipeline stage) are
+// emitted only when ctx carries an active trace. The bounded evaluators
+// give up at their next pass when ctx is cancelled; evaluate then returns
+// ctx.Err().
+func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*match.Relation, Source, Plan, error) {
 	if m, ok := mg.matchers[q.Hash()]; ok {
-		rel := m.Relation()
-		e.cache.Put(key, rel)
-		return rel, SourceIncremental, plan, nil
-	}
-	// Results persisted to the store in a previous session are reusable as
-	// long as the graph version (deterministic for a given mutation
-	// history) still matches — and the content fingerprint too, since a
-	// different graph registered under a recycled name can collide on
-	// (name, version).
-	if e.opts.Store != nil {
-		_, spStore := trace.StartSpan(ctx, "store.lookup")
-		rec, err := e.opts.Store.LoadResult(graphName, q.Hash())
-		usable := err == nil && rec.GraphVersion == mg.g.Version() &&
-			rec.NumPNodes == q.NumNodes() && rec.GraphFP == mg.fingerprint()
-		if spStore != nil {
-			spStore.SetBool("hit", usable)
-			spStore.End()
-		}
-		if usable {
-			rel := rec.Relation()
-			e.cache.Put(key, rel)
-			return rel, SourceStore, plan, nil
-		}
+		return m.Relation(), SourceIncremental, plan, nil
 	}
 	// The indexed and partitioned plans answer on the original graph and
 	// take precedence over compressed routing (the quotient would
@@ -640,7 +581,6 @@ func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q 
 		}
 		rel := mg.comp.Decompress(onQ)
 		spComp.End()
-		e.cache.Put(key, rel)
 		return rel, SourceCompressed, plan, nil
 	}
 	var rel *match.Relation
@@ -697,12 +637,6 @@ func (e *Engine) evaluate(ctx context.Context, graphName string, mg *managed, q 
 	}
 	if rel == nil {
 		return nil, source, plan, ctx.Err()
-	}
-	e.cache.Put(key, rel)
-	if e.opts.Store != nil {
-		// Persistence is best-effort: a failed write must not fail the
-		// query (the result is still correct and cached in memory).
-		_ = e.opts.Store.SaveResult(storage.NewResultRecord(q, graphName, mg.g.Version(), mg.fingerprint(), rel))
 	}
 	return rel, source, plan, nil
 }
@@ -890,30 +824,4 @@ func (e *Engine) Index(graphName string) (*distindex.Index, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoIndex, graphName)
 	}
 	return mg.idx, nil
-}
-
-// SaveGraph persists a managed graph to the engine's store.
-func (e *Engine) SaveGraph(graphName string, format storage.Format) error {
-	if e.opts.Store == nil {
-		return errors.New("engine: no store configured")
-	}
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return err
-	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	return e.opts.Store.SaveGraph(graphName, mg.g, format)
-}
-
-// LoadGraph loads a graph from the store and registers it.
-func (e *Engine) LoadGraph(graphName string) error {
-	if e.opts.Store == nil {
-		return errors.New("engine: no store configured")
-	}
-	g, err := e.opts.Store.LoadGraph(graphName)
-	if err != nil {
-		return err
-	}
-	return e.AddGraph(graphName, g)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
 	"expfinder/internal/pattern"
-	"expfinder/internal/storage"
+	"expfinder/internal/rank"
 	"expfinder/internal/testutil"
 )
 
@@ -65,6 +66,63 @@ func TestQueryCacheHit(t *testing.T) {
 	if st.Hits != 1 {
 		t.Errorf("cache hits = %d, want 1", st.Hits)
 	}
+}
+
+// TestHitsShareTheEntryButNotTopK pins what a Result may alias. Relation
+// and ResultGraph are the cache entry's own, the same pointers for every
+// holder, read here from many goroutines at once (the -race half of the
+// contract) and frozen. TopK is each caller's own slice: growing one
+// Result's TopK in place must not reach the cached ranking another Result
+// is cut from.
+func TestHitsShareTheEntryButNotTopK(t *testing.T) {
+	e, _ := newPaperEngine(t)
+	q := dataset.PaperQuery()
+	first, err := e.Query("paper", q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]rank.Ranked(nil), first.TopK...)
+	if len(want) < 2 {
+		t.Fatalf("fixture ranks %d experts, need at least 2", len(want))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.Query("paper", q, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Source != SourceCache || res.Relation != first.Relation || res.ResultGraph != first.ResultGraph {
+				t.Errorf("hit (source %v) returned relation %p, result graph %p; want the entry's %p, %p",
+					res.Source, res.Relation, res.ResultGraph, first.Relation, first.ResultGraph)
+			}
+			if res.Relation.Size() != 7 || len(res.Relation.Pairs()) != 7 || res.ResultGraph.NumNodes() != 7 {
+				t.Errorf("shared answer read back wrong: %v", res.Relation)
+			}
+			// k=1 of a longer ranking: an append with spare capacity would
+			// overwrite the cached second place.
+			res.TopK = append(res.TopK, rank.Ranked{Node: -1})
+		}()
+	}
+	wg.Wait()
+	again, err := e.Query("paper", q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.TopK, want) {
+		t.Errorf("ranking after callers appended to their TopK = %v, want %v", again.TopK, want)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Add on a Result's relation did not panic")
+			}
+		}()
+		again.Relation.Add(0, 0)
+	}()
 }
 
 func TestPlanSelection(t *testing.T) {
@@ -340,109 +398,6 @@ func TestRegisteredQueriesListing(t *testing.T) {
 	qs, _ = e.RegisteredQueries("paper")
 	if len(qs) != 1 {
 		t.Errorf("re-registration duplicated: %d", len(qs))
-	}
-}
-
-func TestPersistedResultsSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	store, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := dataset.PaperQuery()
-
-	// Session 1: evaluate once; the result lands in the store.
-	e1 := New(Options{Store: store})
-	g1, _ := dataset.PaperGraph()
-	if err := e1.AddGraph("paper", g1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e1.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != SourceDirect {
-		t.Fatalf("first query source = %v", res.Source)
-	}
-
-	// Session 2 (fresh engine, identically rebuilt graph -> same version):
-	// the persisted result must be served without recomputation.
-	e2 := New(Options{Store: store})
-	g2, _ := dataset.PaperGraph()
-	if err := e2.AddGraph("paper", g2); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e2.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Source != SourceStore {
-		t.Errorf("restart query source = %v, want store", res2.Source)
-	}
-	if !res2.Relation.Equal(res.Relation) {
-		t.Error("persisted relation differs")
-	}
-
-	// A graph at a different version must not reuse the stale result.
-	e3 := New(Options{Store: store})
-	g3, p := dataset.PaperGraph()
-	if err := g3.AddEdge(p.Fred, p.Pat); err != nil {
-		t.Fatal(err)
-	}
-	if err := e3.AddGraph("paper", g3); err != nil {
-		t.Fatal(err)
-	}
-	res3, err := e3.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Source == SourceStore {
-		t.Error("stale persisted result served for a mutated graph")
-	}
-	sd, _ := q.Lookup("SD")
-	if !res3.Relation.Has(sd, p.Fred) {
-		t.Error("mutated-graph query missing Fred")
-	}
-}
-
-func TestEngineStoreGraphRoundTrip(t *testing.T) {
-	store, err := storage.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(Options{Store: store})
-	g, _ := dataset.PaperGraph()
-	if err := e.AddGraph("paper", g); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveGraph("paper", storage.FormatBinary); err != nil {
-		t.Fatalf("SaveGraph: %v", err)
-	}
-	if got := e.ListGraphs(); len(got) != 1 || got[0] != "paper" {
-		t.Errorf("ListGraphs = %v", got)
-	}
-	// Fresh engine loads from the store.
-	e2 := New(Options{Store: store})
-	if err := e2.LoadGraph("paper"); err != nil {
-		t.Fatalf("LoadGraph: %v", err)
-	}
-	g2, err := e2.Graph("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Equal(g) {
-		t.Error("store round-trip changed the graph")
-	}
-	// Missing graph / missing store errors.
-	if err := e.SaveGraph("nope", storage.FormatJSON); !errors.Is(err, ErrNoGraph) {
-		t.Errorf("SaveGraph missing err = %v", err)
-	}
-	e3 := New(Options{})
-	if err := e3.SaveGraph("paper", storage.FormatJSON); err == nil {
-		t.Error("SaveGraph without store accepted")
-	}
-	if err := e3.LoadGraph("paper"); err == nil {
-		t.Error("LoadGraph without store accepted")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
 	"expfinder/internal/pattern"
-	"expfinder/internal/storage"
 )
 
 func TestIndexedPlanRouting(t *testing.T) {
@@ -309,109 +308,4 @@ func TestConcurrentIndexedQueriesAndInserts(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// buildLabeledGraph constructs a graph with a fixed mutation count (four
-// AddNode + three AddEdge calls -> version 7 every time) so two different
-// contents land on the same version — the recycled-name collision the
-// store path must disambiguate by fingerprint.
-func buildLabeledGraph(labels [4]string) *graph.Graph {
-	g := graph.New(4)
-	var ids [4]graph.NodeID
-	for i, l := range labels {
-		ids[i] = g.AddNode(l, graph.Attrs{"experience": graph.Int(int64(5 + i))})
-	}
-	_ = g.AddEdge(ids[0], ids[1])
-	_ = g.AddEdge(ids[1], ids[2])
-	_ = g.AddEdge(ids[2], ids[3])
-	return g
-}
-
-func TestStoreHitRequiresMatchingFingerprint(t *testing.T) {
-	store, err := storage.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := pattern.Parse(`
-node A [label = "A"] output
-node B [label = "B"]
-edge A -> B bound 2
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Session 1: evaluate and persist on graph content X.
-	e1 := New(Options{Store: store})
-	if err := e1.AddGraph("g", buildLabeledGraph([4]string{"A", "B", "C", "D"})); err != nil {
-		t.Fatal(err)
-	}
-	res1, err := e1.Query("g", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Source != SourceDirect {
-		t.Fatalf("first query source = %v", res1.Source)
-	}
-
-	// Same name, same version, same content: the persisted result hits.
-	e2 := New(Options{Store: store})
-	if err := e2.AddGraph("g", buildLabeledGraph([4]string{"A", "B", "C", "D"})); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e2.Query("g", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Source != SourceStore {
-		t.Fatalf("matching version+fingerprint source = %v, want store", res2.Source)
-	}
-	if !res2.Relation.Equal(res1.Relation) {
-		t.Fatal("persisted relation differs")
-	}
-
-	// Same name RECYCLED for different content at the same version: the
-	// fingerprint must veto the (name, version) collision.
-	e3 := New(Options{Store: store})
-	if err := e3.AddGraph("g", buildLabeledGraph([4]string{"B", "A", "C", "D"})); err != nil {
-		t.Fatal(err)
-	}
-	res3, err := e3.Query("g", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Source == SourceStore {
-		t.Fatal("stale persisted result served for a different graph under a recycled name")
-	}
-	// And the freshly computed answer reflects the new content: B no
-	// longer follows A, so the relation is empty.
-	if !res3.Relation.IsEmpty() {
-		t.Fatalf("recycled-name relation = %v, want empty", res3.Relation)
-	}
-
-	// res3's direct evaluation overwrote the persisted record with the new
-	// content's fingerprint — so the new content now hits, and the old one
-	// misses again: last write wins, keyed by fingerprint.
-	e4 := New(Options{Store: store})
-	if err := e4.AddGraph("g", buildLabeledGraph([4]string{"B", "A", "C", "D"})); err != nil {
-		t.Fatal(err)
-	}
-	res4, err := e4.Query("g", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res4.Source != SourceStore {
-		t.Fatalf("rewritten record source = %v, want store", res4.Source)
-	}
-	e5 := New(Options{Store: store})
-	if err := e5.AddGraph("g", buildLabeledGraph([4]string{"A", "B", "C", "D"})); err != nil {
-		t.Fatal(err)
-	}
-	res5, err := e5.Query("g", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res5.Source == SourceStore {
-		t.Fatal("original content served from a record persisted for different content")
-	}
 }

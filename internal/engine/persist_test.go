@@ -363,53 +363,40 @@ func TestEngineCrashRecoveryTornLog(t *testing.T) {
 	}
 }
 
-func TestRecoverRestoresExactVersionForStoredResults(t *testing.T) {
+// TestRecoverRestoresExactVersion pins what version-keyed consumers (the
+// result cache's keys, a follower's RestoreVersion) rely on: a recovered
+// graph re-enters at the exact mutation count it was closed at, not at a
+// count recomputed from the replay, and with the identical image.
+func TestRecoverRestoresExactVersion(t *testing.T) {
 	dir := t.TempDir()
-	storeDir := t.TempDir()
 	r := rand.New(rand.NewSource(31))
-	store, err := storage.Open(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(Options{Persistence: m, Store: store})
+	e := durableEngine(t, dir, wal.Options{})
 	if err := e.AddGraph("g", testutil.RandomGraph(r, 30, 90)); err != nil {
 		t.Fatal(err)
 	}
 	churn(t, e, "g", r, 30)
-	q := testutil.RandomPattern(r, 3)
-	if _, err := e.Query("g", q, 3); err != nil { // persists the result record
+	g, err := e.Graph("g")
+	if err != nil {
 		t.Fatal(err)
 	}
+	wantVersion, wantImage := g.Version(), engineImage(t, e, "g")
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A recovered graph re-enters at its exact version + fingerprint, so
-	// the stored result is reusable across the restart — the strongest
-	// observable proof that versions survive recovery.
-	m2, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store2, err := storage.Open(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := New(Options{Persistence: m2, Store: store2})
-	defer e2.Close()
+	e2 := durableEngine(t, dir, wal.Options{})
 	if _, err := e2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e2.Query("g", q, 3)
+	g2, err := e2.Graph("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != SourceStore {
-		t.Fatalf("post-recovery source %v, want %v (version/fingerprint mismatch)", res.Source, SourceStore)
+	if g2.Version() != wantVersion {
+		t.Fatalf("recovered at version %d, closed at %d", g2.Version(), wantVersion)
+	}
+	if !bytes.Equal(engineImage(t, e2, "g"), wantImage) {
+		t.Fatal("recovered image differs from the image at close")
 	}
 }
 

@@ -27,8 +27,13 @@ type Pair struct {
 // Invariant (enforced by Normalize): a nonempty relation has at least one
 // match for every pattern node. If any pattern node has no match, the
 // entire relation is empty — that is the paper's definition of M(Q,G).
+//
+// A relation is mutable while an evaluator builds it and frozen (Freeze)
+// once it enters the result cache: from then on every holder shares one
+// pointer, and Add, Remove and a Normalize that would clear it panic.
 type Relation struct {
-	sets []map[graph.NodeID]bool // indexed by pattern.NodeIdx
+	sets   []map[graph.NodeID]bool // indexed by pattern.NodeIdx
+	frozen bool
 }
 
 // NewRelation returns an empty relation for a pattern with n nodes.
@@ -54,11 +59,32 @@ func NewRelationSized(sizes []int) *Relation {
 // NumPatternNodes returns the number of pattern nodes the relation covers.
 func (r *Relation) NumPatternNodes() int { return len(r.sets) }
 
+// Freeze makes the relation immutable. The result cache freezes what it
+// stores before publishing the pointer, so a shared relation is only ever
+// read. Clone yields a mutable copy.
+func (r *Relation) Freeze() {
+	if !r.frozen { // no write to a relation other goroutines may be reading
+		r.frozen = true
+	}
+}
+
+func (r *Relation) mutable() {
+	if r.frozen {
+		panic("match: mutation of a frozen relation (it is shared through the result cache; Clone it first)")
+	}
+}
+
 // Add inserts the pair (u, v).
-func (r *Relation) Add(u pattern.NodeIdx, v graph.NodeID) { r.sets[u][v] = true }
+func (r *Relation) Add(u pattern.NodeIdx, v graph.NodeID) {
+	r.mutable()
+	r.sets[u][v] = true
+}
 
 // Remove deletes the pair (u, v).
-func (r *Relation) Remove(u pattern.NodeIdx, v graph.NodeID) { delete(r.sets[u], v) }
+func (r *Relation) Remove(u pattern.NodeIdx, v graph.NodeID) {
+	r.mutable()
+	delete(r.sets[u], v)
+}
 
 // Has reports whether (u, v) is in the relation.
 func (r *Relation) Has(u pattern.NodeIdx, v graph.NodeID) bool { return r.sets[u][v] }
@@ -127,10 +153,15 @@ func (r *Relation) Pairs() []Pair {
 
 // Normalize enforces the all-or-nothing semantics of M(Q,G): if any pattern
 // node ended up with no matches, every set is cleared. It returns the
-// (possibly emptied) relation for chaining.
+// (possibly emptied) relation for chaining. Normalizing an already normal
+// relation changes nothing and is allowed on a frozen one.
 func (r *Relation) Normalize() *Relation {
 	for _, s := range r.sets {
 		if len(s) == 0 {
+			if r.IsEmpty() {
+				return r
+			}
+			r.mutable()
 			for i := range r.sets {
 				r.sets[i] = map[graph.NodeID]bool{}
 			}
@@ -140,7 +171,7 @@ func (r *Relation) Normalize() *Relation {
 	return r
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep, mutable copy.
 func (r *Relation) Clone() *Relation {
 	c := NewRelation(len(r.sets))
 	for u, s := range r.sets {

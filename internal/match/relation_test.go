@@ -45,6 +45,36 @@ func TestNormalizeEmptiesAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestFrozenRelationRejectsMutation: after Freeze only a Normalize that
+// has nothing to clear goes through; a clone is mutable again.
+func TestFrozenRelationRejectsMutation(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return
+	}
+	r := NewRelation(2)
+	r.Add(0, 1)
+	r.Freeze()
+	if !panics(func() { r.Add(1, 2) }) || !panics(func() { r.Remove(0, 1) }) {
+		t.Error("Add/Remove on a frozen relation did not panic")
+	}
+	if !panics(func() { r.Normalize() }) {
+		t.Error("a Normalize that must clear a frozen relation did not panic")
+	}
+	if r.Size() != 1 || !r.Has(0, 1) {
+		t.Errorf("rejected mutations changed the relation: %v", r)
+	}
+	c := r.Clone()
+	c.Add(1, 2)
+	c.Freeze()
+	empty := NewRelation(2)
+	empty.Freeze()
+	if panics(func() { c.Normalize(); empty.Normalize() }) {
+		t.Error("Normalize of an already normal frozen relation panicked")
+	}
+}
+
 func TestPairsSortedDeterministically(t *testing.T) {
 	r := NewRelation(2)
 	r.Add(1, 9)

@@ -277,6 +277,14 @@ func (rg *ResultGraph) NumNodes() int { return len(rg.nodes) }
 // NumEdges returns the number of result edges.
 func (rg *ResultGraph) NumEdges() int { return len(rg.out.edges) }
 
+// ApproxBytes is the heap footprint of the frozen arrays — exact up to
+// slice headers — which the result cache charges to its byte budget:
+// 20 bytes per node (id, id order, three CSR offsets), 8 per pattern-node
+// entry and 16 per edge (both directions).
+func (rg *ResultGraph) ApproxBytes() int64 {
+	return 20*int64(len(rg.nodes)) + 8*int64(len(rg.pnodes)) + 16*int64(len(rg.out.edges))
+}
+
 // IndexOf returns the index of data node v in Nodes, if it is a node of
 // the result graph.
 func (rg *ResultGraph) IndexOf(v graph.NodeID) (int, bool) {

@@ -201,6 +201,21 @@ func TestStatsClientsEndpoint(t *testing.T) {
 		}
 	}
 
+	// All six queries are one answer: alice's first computed it, the other
+	// five were served from the cache. Both sides of the ledger charge the
+	// same quantity per query — the cache entry's accounted bytes (relation,
+	// result graph and ranking) — so served is exactly 5x computed.
+	_, body = do(t, "GET", ts.URL+"/api/v1/cache/stats", nil)
+	var cst api.CacheStatsResponse
+	if err := json.Unmarshal(body, &cst); err != nil {
+		t.Fatal(err)
+	}
+	tot := cs.Totals
+	if cst.Entries != 1 || tot.CacheBytesComputed != cst.Bytes || tot.CacheBytesServed != 5*cst.Bytes {
+		t.Errorf("one entry of %d bytes (entries %d), missed once and hit five times: computed %d, served %d",
+			cst.Bytes, cst.Entries, tot.CacheBytesComputed, tot.CacheBytesServed)
+	}
+
 	resp, body = do(t, "GET", ts.URL+"/api/v1/stats/clients?window=bogus", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus window: %d %s", resp.StatusCode, body)

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
-	"expfinder/internal/bsim"
 	"expfinder/internal/dataset"
 	"expfinder/internal/graph"
 	"expfinder/internal/testutil"
@@ -160,53 +157,6 @@ func TestStoreRejectsBadNames(t *testing.T) {
 		if err := s.SaveGraph(name, g, FormatJSON); !errors.Is(err, ErrBadName) {
 			t.Errorf("SaveGraph(%q) err = %v, want ErrBadName", name, err)
 		}
-	}
-}
-
-func TestResultRecordRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := dataset.PaperGraph()
-	q := dataset.PaperQuery()
-	rel := bsim.Compute(g, q)
-	rec := NewResultRecord(q, "paper", g.Version(), GraphFingerprint(g), rel)
-	if err := s.SaveResult(rec); err != nil {
-		t.Fatalf("SaveResult: %v", err)
-	}
-	back, err := s.LoadResult("paper", q.Hash())
-	if err != nil {
-		t.Fatalf("LoadResult: %v", err)
-	}
-	if back.GraphVersion != g.Version() {
-		t.Errorf("version = %d, want %d", back.GraphVersion, g.Version())
-	}
-	if !back.Relation().Equal(rel) {
-		t.Error("result record round-trip changed the relation")
-	}
-	if _, err := s.LoadResult("paper", "0123456789abcdef0123"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing result err = %v", err)
-	}
-}
-
-func TestLoadResultRejectsCorruptedFile(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := dataset.PaperGraph()
-	q := dataset.PaperQuery()
-	rec := NewResultRecord(q, "paper", g.Version(), GraphFingerprint(g), bsim.Compute(g, q))
-	if err := s.SaveResult(rec); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.Root(), "results", resultKey("paper", q.Hash())+".json")
-	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadResult("paper", q.Hash()); err == nil {
-		t.Error("corrupted result file accepted")
 	}
 }
 

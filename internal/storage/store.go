@@ -1,18 +1,14 @@
 package storage
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"expfinder/internal/graph"
-	"expfinder/internal/match"
-	"expfinder/internal/pattern"
 )
 
 // Format selects how graphs are written to disk.
@@ -37,21 +33,17 @@ var (
 	ErrBadName  = errors.New("storage: invalid name")
 )
 
-// Store is a directory-backed repository of named graphs and cached query
-// results. Layout:
+// Store is a directory-backed repository of named graphs. Layout:
 //
 //	<root>/graphs/<name>.json|.efb
-//	<root>/results/<key>.json
 type Store struct {
 	root string
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"graphs", "results"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("storage: init %s: %w", sub, err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "graphs"), 0o755); err != nil {
+		return nil, fmt.Errorf("storage: init graphs: %w", err)
 	}
 	return &Store{root: dir}, nil
 }
@@ -161,104 +153,4 @@ func (s *Store) DeleteGraph(name string) error {
 		return fmt.Errorf("%w: graph %q", ErrNotFound, name)
 	}
 	return nil
-}
-
-// ResultRecord is the persisted form of a query result: the match pairs
-// plus enough metadata to detect staleness.
-type ResultRecord struct {
-	PatternHash  string     `json:"pattern_hash"`
-	GraphName    string     `json:"graph_name"`
-	GraphVersion uint64     `json:"graph_version"`
-	GraphFP      uint64     `json:"graph_fp"`
-	NumPNodes    int        `json:"num_pattern_nodes"`
-	Pairs        [][2]int64 `json:"pairs"`
-}
-
-// GraphFingerprint digests a graph's full content (nodes, labels,
-// attributes, edges) via its canonical JSON form. Result records carry it
-// so a stored result is only reused for the graph it was computed on —
-// the (name, version) pair alone aliases across different graphs
-// registered under a recycled name, since versions are per-graph
-// mutation counters.
-func GraphFingerprint(g *graph.Graph) uint64 {
-	h := fnv.New64a()
-	_ = g.WriteJSON(h)
-	return h.Sum64()
-}
-
-// NewResultRecord captures a relation for persistence. graphFP is the
-// GraphFingerprint of the graph the relation was computed on (callers
-// that evaluate repeatedly should memoize it rather than recompute).
-func NewResultRecord(q *pattern.Pattern, graphName string, graphVersion, graphFP uint64, r *match.Relation) *ResultRecord {
-	rec := &ResultRecord{
-		PatternHash:  q.Hash(),
-		GraphName:    graphName,
-		GraphVersion: graphVersion,
-		GraphFP:      graphFP,
-		NumPNodes:    r.NumPatternNodes(),
-	}
-	for _, p := range r.Pairs() {
-		rec.Pairs = append(rec.Pairs, [2]int64{int64(p.PNode), int64(p.Node)})
-	}
-	return rec
-}
-
-// Relation reconstructs the match relation from the record.
-func (rec *ResultRecord) Relation() *match.Relation {
-	r := match.NewRelation(rec.NumPNodes)
-	for _, p := range rec.Pairs {
-		r.Add(pattern.NodeIdx(p[0]), graph.NodeID(p[1]))
-	}
-	return r
-}
-
-// resultKey builds the filename key for a (graph, pattern) combination.
-func resultKey(graphName, patternHash string) string {
-	return graphName + "-" + patternHash[:16]
-}
-
-// SaveResult persists a query result record.
-func (s *Store) SaveResult(rec *ResultRecord) error {
-	if err := ValidName(rec.GraphName); err != nil {
-		return err
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.root, "results", resultKey(rec.GraphName, rec.PatternHash)+".json")
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadResult retrieves a persisted result for the (graph, pattern) pair,
-// or ErrNotFound.
-func (s *Store) LoadResult(graphName, patternHash string) (*ResultRecord, error) {
-	if err := ValidName(graphName); err != nil {
-		return nil, err
-	}
-	path := filepath.Join(s.root, "results", resultKey(graphName, patternHash)+".json")
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: result %s", ErrNotFound, resultKey(graphName, patternHash))
-	}
-	if err != nil {
-		return nil, err
-	}
-	var rec ResultRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("storage: decode result: %w", err)
-	}
-	return &rec, nil
 }
