@@ -5,42 +5,9 @@ import (
 	"testing"
 
 	"expfinder/internal/distindex"
-	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/pattern"
-)
-
-// The repository benchmark's dataset (bench/inputs.go: collab, 6,000
-// nodes, average degree 8, seed 1) and the two shapes
-// internal/match/bench_test.go uses — the broadest Fig. 1 pattern and a
-// selective-deep one with `*` edges — plus a star: one selective centre
-// whose three obligations have bounds 2, 3 and 4, so its candidate list is
-// far shorter than any of its targets'.
-const (
-	broadDSL = `node SA [label = "SA", experience >= 0] output
-node SD [label = "SD", experience >= 0]
-node BA [label = "BA", experience >= 0]
-node ST [label = "ST", experience >= 0]
-edge SA -> SD bound 3
-edge SA -> BA bound 2
-edge SD -> ST bound 3
-edge ST -> SD bound 2
-`
-	deepDSL = `node SA [label = "SA", experience >= 8] output
-node SD [label = "SD", specialty = "Programmer", experience >= 4]
-node BA [label = "BA", specialty = "Business Analyst", experience >= 3]
-edge SA -> SD bound *
-edge SA -> BA bound 4
-edge SD -> BA bound *
-`
-	starDSL = `node SA [label = "SA", experience >= 10] output
-node SD [label = "SD", experience >= 1]
-node BA [label = "BA", experience >= 1]
-node ST [label = "ST", experience >= 1]
-edge SA -> SD bound 2
-edge SA -> BA bound 3
-edge SA -> ST bound 4
-`
+	"expfinder/internal/testutil"
 )
 
 type shape struct {
@@ -48,20 +15,14 @@ type shape struct {
 	q    *pattern.Pattern
 }
 
+// collab is the repository benchmark's dataset with the two shapes
+// internal/match/bench_test.go uses plus the star.
 var collab = sync.OnceValues(func() (*graph.Graph, []shape) {
-	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 6000, AvgDegree: 8, Seed: 1})
-	if err != nil {
-		panic(err) // constant arguments
-	}
 	var shapes []shape
-	for _, in := range []struct{ name, dsl string }{{"broad", broadDSL}, {"deep", deepDSL}, {"star", starDSL}} {
-		q, err := pattern.Parse(in.dsl)
-		if err != nil {
-			panic(err)
-		}
-		shapes = append(shapes, shape{in.name, q})
+	for _, in := range []struct{ name, dsl string }{{"broad", testutil.BroadDSL}, {"deep", testutil.DeepDSL}, {"star", testutil.StarDSL}} {
+		shapes = append(shapes, shape{in.name, testutil.MustParse(in.dsl)})
 	}
-	return g, shapes
+	return testutil.CollabGraph(), shapes
 })
 
 var collabIndex = sync.OnceValue(func() *distindex.Index {

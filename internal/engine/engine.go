@@ -515,7 +515,16 @@ func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, pl
 	}
 	_, spRank := trace.StartSpan(ctx, "rank.topk")
 	ranking := rank.TopKWithResultGraph(rg, q, rel, 0) // 0 = rank all
-	spRank.End()
+	if spRank != nil {
+		// What the ranking's cost depends on. batches counts the 64-wide
+		// walks; 0 says every match was searched on its own.
+		spRank.SetInt("matches", int64(len(ranking)))
+		spRank.SetInt("batches", int64(rg.ImpactBatches(len(ranking))))
+		spRank.SetInt("nodes", int64(rg.NumNodes()))
+		spRank.SetInt("edges", int64(rg.NumEdges()))
+		spRank.SetInt("max_weight", int64(rg.MaxWeight()))
+		spRank.End()
+	}
 	return &cache.Entry{Relation: rel, ResultGraph: rg, Ranking: ranking}, source, plan, nil
 }
 

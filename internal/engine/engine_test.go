@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
 	"expfinder/internal/testutil"
+	"expfinder/internal/trace"
 )
 
 func newPaperEngine(t *testing.T) (*Engine, dataset.People) {
@@ -65,6 +67,40 @@ func TestQueryCacheHit(t *testing.T) {
 	st := e.CacheStats()
 	if st.Hits != 1 {
 		t.Errorf("cache hits = %d, want 1", st.Hits)
+	}
+}
+
+// TestRankSpanExplainsItself: the rank.topk span of a traced miss carries
+// the sizes its cost depends on, and tracing changes no answer.
+func TestRankSpanExplainsItself(t *testing.T) {
+	e := New(Options{})
+	if err := e.AddGraph("collab", testutil.CollabGraph().Clone()); err != nil {
+		t.Fatal(err)
+	}
+	q := testutil.MustParse(testutil.BroadDSL)
+	tracer := trace.New(trace.Options{Sample: 1})
+	ctx, tr := tracer.Start(context.Background(), "t", "test", true)
+	res, err := e.QueryCtx(ctx, "collab", q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tracer.Finish(tr).Find("rank.topk")
+	if sp == nil {
+		t.Fatal("no rank.topk span")
+	}
+	want := map[string]any{
+		"matches":    int64(len(res.TopK)),
+		"batches":    int64((len(res.TopK) + 63) / 64),
+		"nodes":      int64(res.ResultGraph.NumNodes()),
+		"edges":      int64(res.ResultGraph.NumEdges()),
+		"max_weight": int64(3),
+	}
+	if !reflect.DeepEqual(sp.Attrs, want) {
+		t.Errorf("rank.topk attributes = %v, want %v", sp.Attrs, want)
+	}
+	plain := rank.TopK(testutil.CollabGraph(), q, res.Relation, 0)
+	if !reflect.DeepEqual(res.TopK, plain) {
+		t.Error("traced ranking differs from the untraced one")
 	}
 }
 

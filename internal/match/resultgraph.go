@@ -43,6 +43,9 @@ type ResultGraph struct {
 	out, in adjacency
 	pnOff   []int32 // node i matches pnodes[pnOff[i]:pnOff[i+1]], ascending
 	pnodes  []pattern.NodeIdx
+	// maxWeight is the heaviest edge (0 without edges); weights are hop
+	// distances, so every one lies in 1..maxWeight.
+	maxWeight int32
 }
 
 // adjacency is one direction of the edge set in CSR form: node i's edges
@@ -215,6 +218,7 @@ func (b *builder) findEdges(g *graph.Graph, edges []pattern.Edge, rg *ResultGrap
 			for _, u := range targets {
 				if int(need[k*np+int(u)]) >= d {
 					b.found = append(b.found, foundEdge{int32(lo + k), IEdge{To: j, Weight: int32(d)}})
+					rg.maxWeight = max(rg.maxWeight, int32(d))
 					break
 				}
 			}
@@ -276,6 +280,10 @@ func (rg *ResultGraph) NumNodes() int { return len(rg.nodes) }
 
 // NumEdges returns the number of result edges.
 func (rg *ResultGraph) NumEdges() int { return len(rg.out.edges) }
+
+// MaxWeight returns the weight of the heaviest result edge, 0 if there is
+// none.
+func (rg *ResultGraph) MaxWeight() int { return int(rg.maxWeight) }
 
 // ApproxBytes is the heap footprint of the frozen arrays — exact up to
 // slice headers — which the result cache charges to its byte budget:

@@ -5,33 +5,10 @@ import (
 	"testing"
 
 	"expfinder/internal/bsim"
-	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
-)
-
-// The same inputs as internal/match's BenchmarkBuildResultGraph: the
-// repository benchmark's dataset (collab, 6,000 nodes, average degree 8,
-// seed 1) with its broadest Fig. 1-shaped pattern and a selective-deep
-// pattern with `*` edges.
-const (
-	broadDSL = `node SA [label = "SA", experience >= 0] output
-node SD [label = "SD", experience >= 0]
-node BA [label = "BA", experience >= 0]
-node ST [label = "ST", experience >= 0]
-edge SA -> SD bound 3
-edge SA -> BA bound 2
-edge SD -> ST bound 3
-edge ST -> SD bound 2
-`
-	deepDSL = `node SA [label = "SA", experience >= 8] output
-node SD [label = "SD", specialty = "Programmer", experience >= 4]
-node BA [label = "BA", specialty = "Business Analyst", experience >= 3]
-edge SA -> SD bound *
-edge SA -> BA bound 4
-edge SD -> BA bound *
-`
+	"expfinder/internal/testutil"
 )
 
 type fixture struct {
@@ -41,21 +18,28 @@ type fixture struct {
 	rg   *match.ResultGraph
 }
 
+// benchInputs are rankings over the repository benchmark's dataset, on both
+// sides of the batch-or-single rule: `broad` and `deep` (internal/match's
+// BenchmarkBuildResultGraph inputs) rank hundreds of matches 64 per walk,
+// `shallow` is the small ranking of mixed-rw's read pool, and `few` ranks
+// four matches over deep's dense result graph, where a batched walk would
+// lose to the heap.
 var benchInputs = sync.OnceValues(func() (*graph.Graph, []fixture) {
-	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 6000, AvgDegree: 8, Seed: 1})
-	if err != nil {
-		panic(err) // constant arguments
-	}
+	g := testutil.CollabGraph()
 	var fs []fixture
-	for _, in := range []struct{ name, dsl string }{{"broad", broadDSL}, {"deep", deepDSL}} {
-		q, err := pattern.Parse(in.dsl)
-		if err != nil {
-			panic(err)
-		}
+	for _, in := range []struct{ name, dsl string }{
+		{"broad", testutil.BroadDSL}, {"deep", testutil.DeepDSL}, {"shallow", testutil.ShallowDSL},
+	} {
+		q := testutil.MustParse(in.dsl)
 		rel := bsim.Compute(g, q)
 		fs = append(fs, fixture{in.name, q, rel, match.BuildResultGraph(g, q, rel)})
 	}
-	return g, fs
+	deep := fs[1]
+	few := match.NewRelation(deep.q.NumNodes())
+	for _, v := range deep.rel.MatchesOf(deep.q.Output())[:4] {
+		few.Add(deep.q.Output(), v)
+	}
+	return g, append(fs, fixture{"few", deep.q, few, deep.rg})
 })
 
 var sinkRanked []Ranked
@@ -69,6 +53,7 @@ func BenchmarkTopKWithResultGraph(b *testing.B) {
 				sinkRanked = TopKWithResultGraph(f.rg, f.q, f.rel, 0) // rank all, as the engine does
 			}
 			b.ReportMetric(float64(f.rel.CountOf(f.q.Output())), "matches")
+			b.ReportMetric(float64(f.rg.ImpactBatches(f.rel.CountOf(f.q.Output()))), "batches")
 		})
 	}
 }

@@ -211,3 +211,85 @@ func TestDifferentialAgainstMapReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wideCase draws inputs whose ranking takes several batched walks: more
+// than 64 matches of the output node, over a testutil.ChainGraph whose `*`
+// pattern edges become result edges several times heavier than the
+// weight-1 ones beside them, with pattern self-edges and 2-cycles
+// (result cycles through the matches being ranked) and matches no result
+// edge touches.
+func wideCase(r *rand.Rand) (*graph.Graph, *pattern.Pattern, *match.Relation) {
+	n := 70 + r.Intn(60)
+	g := testutil.ChainGraph(r, n, 8, n/2)
+	nq := 1 + r.Intn(3)
+	q := pattern.New()
+	for i := 0; i < nq; i++ {
+		q.MustAddNode(fmt.Sprintf("n%d", i), pattern.Predicate{})
+	}
+	bounds := []int{1, 2, pattern.Unbounded}
+	for i := 1 + r.Intn(3*nq); i > 0; i-- {
+		_ = q.AddEdge(pattern.NodeIdx(r.Intn(nq)), pattern.NodeIdx(r.Intn(nq)), bounds[r.Intn(len(bounds))])
+	}
+	if err := q.SetOutput(pattern.NodeIdx(r.Intn(nq))); err != nil {
+		panic(err)
+	}
+	rel := match.NewRelation(nq)
+	for u := 0; u < nq; u++ {
+		density := 0.3
+		if u == int(q.Output()) {
+			density = 0.97
+		}
+		for v := 0; v < n; v++ {
+			if r.Float64() < density {
+				rel.Add(pattern.NodeIdx(u), graph.NodeID(v))
+			}
+		}
+	}
+	return g, q, rel
+}
+
+// TestBatchedRankingAgainstMapReference pins the rankings that go through
+// the 64-wide walk — the paper's TopK and the two distance metrics — to the
+// map-based reference on wideCase inputs: same nodes in the same order (ties
+// included), same Connected, bit-equal ranks. The relation ranked has
+// output matches the result graph was not built with, which TopK leaves out
+// and the metrics rank last at +Inf.
+func TestBatchedRankingAgainstMapReference(t *testing.T) {
+	batched, isolated, heaviest := 0, 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		g, q, rel := wideCase(rand.New(rand.NewSource(seed)))
+		rg, ref := match.BuildResultGraph(g, q, rel), refBuildResultGraph(g, q, rel)
+		more := rel.Clone()
+		for v := g.MaxID(); v < g.MaxID()+3; v++ {
+			more.Add(q.Output(), graph.NodeID(v))
+		}
+		more.Remove(q.Output(), rel.MatchesOf(q.Output())[0])
+		if rg.ImpactBatches(more.CountOf(q.Output())) > 1 {
+			batched++
+		}
+		heaviest = max(heaviest, rg.MaxWeight())
+		for _, k := range []int{0, 5} {
+			got, want := TopKWithResultGraph(rg, q, more, k), refTopKWithResultGraph(ref, q, more, k)
+			if !sameRanking(got, want) {
+				t.Errorf("seed %d: TopKWithResultGraph(k=%d) = %v, want %v", seed, k, got, want)
+			}
+			if k == 0 && len(got) > 0 && got[len(got)-1].Connected == 0 {
+				isolated++
+			}
+			for _, m := range []struct {
+				m   Metric
+				ref refMetric
+			}{{AvgDistance{}, refAvgDistance{}}, {Closeness{}, refCloseness{}}} {
+				got := TopKByMetricWithResultGraph(rg, q, more, k, m.m)
+				want := refTopKByMetricWithResultGraph(ref, q, more, k, m.ref)
+				if !sameRanking(got, want) {
+					t.Errorf("seed %d: TopKByMetric(%s, k=%d) = %v, want %v", seed, m.m.Name(), k, got, want)
+				}
+			}
+		}
+	}
+	if batched < 30 || isolated == 0 || heaviest < 8 {
+		t.Errorf("inputs too tame: %d of 40 rankings took several walks, %d ended in an isolated match, heaviest edge %d",
+			batched, isolated, heaviest)
+	}
+}

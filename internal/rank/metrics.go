@@ -52,16 +52,21 @@ func (Closeness) Name() string { return "closeness" }
 
 // Score implements Metric.
 func (Closeness) Score(rg *match.ResultGraph, v graph.NodeID) (float64, int) {
-	r, ok := Score(rg, v)
-	if !ok || r.Connected == 0 {
-		return math.Inf(1), 0
+	r, _ := Score(rg, v) // not a node: the zero Ranked, connected to nothing
+	return closeness(r), r.Connected
+}
+
+// closeness turns an average-distance rank into inverted closeness.
+func closeness(r Ranked) float64 {
+	if r.Connected == 0 {
+		return math.Inf(1)
 	}
 	// Closeness = connected / total distance; invert for lower-is-better.
 	total := r.Rank * float64(r.Connected)
 	if total == 0 {
-		return 0, r.Connected
+		return 0
 	}
-	return total / float64(r.Connected*r.Connected), r.Connected
+	return total / float64(r.Connected*r.Connected)
 }
 
 // Degree ranks by (negated) degree in the result graph: experts touching
@@ -165,19 +170,42 @@ func (p PageRank) vector(rg *match.ResultGraph) []float64 {
 	return pr
 }
 
-// bulkScorer is implemented by metrics whose scores are cheaper to compute
-// for all nodes at once (PageRank); TopKByMetric uses it when available.
-// The scores are indexed like rg.Nodes().
+// bulkScorer is implemented by metrics that score all of M(uo) at once more
+// cheaply than match by match: PageRank computes one vector, the
+// distance-based metrics walk 64 matches at a time. scoreAll returns one
+// Ranked per match, in order; a match that is not a node of rg scores +Inf
+// and is connected to nothing.
 type bulkScorer interface {
-	scoreAll(rg *match.ResultGraph) []float64
+	scoreAll(rg *match.ResultGraph, matches []graph.NodeID) []Ranked
 }
 
-func (p PageRank) scoreAll(rg *match.ResultGraph) []float64 {
-	pr := p.vector(rg)
-	for i := range pr {
-		pr[i] = -pr[i]
+func (AvgDistance) scoreAll(rg *match.ResultGraph, matches []graph.NodeID) []Ranked {
+	_, ims := impacts(rg, matches) // a match outside rg has the zero impact
+	res := make([]Ranked, len(matches))
+	for j, v := range matches {
+		res[j] = ranked(v, ims[j])
 	}
-	return pr
+	return res
+}
+
+func (Closeness) scoreAll(rg *match.ResultGraph, matches []graph.NodeID) []Ranked {
+	res := AvgDistance{}.scoreAll(rg, matches)
+	for j := range res {
+		res[j].Rank = closeness(res[j])
+	}
+	return res
+}
+
+func (p PageRank) scoreAll(rg *match.ResultGraph, matches []graph.NodeID) []Ranked {
+	pr := p.vector(rg)
+	res := make([]Ranked, len(matches))
+	for j, v := range matches {
+		res[j] = Ranked{Node: v, Rank: math.Inf(1)}
+		if i, ok := rg.IndexOf(v); ok {
+			res[j] = Ranked{Node: v, Rank: -pr[i], Connected: degree(rg, i)}
+		}
+	}
+	return res
 }
 
 // TopKByMetric ranks the output node's matches under the given metric and
@@ -190,19 +218,14 @@ func TopKByMetric(g *graph.Graph, q *pattern.Pattern, r *match.Relation, k int, 
 
 // TopKByMetricWithResultGraph is TopKByMetric over a pre-built result graph.
 func TopKByMetricWithResultGraph(rg *match.ResultGraph, q *pattern.Pattern, r *match.Relation, k int, metric Metric) []Ranked {
-	score := func(v graph.NodeID) (Ranked, bool) {
-		rank, connected := metric.Score(rg, v)
-		return Ranked{Node: v, Rank: rank, Connected: connected}, true
-	}
+	matches := r.MatchesOf(q.Output())
 	if bs, ok := metric.(bulkScorer); ok {
-		bulk := bs.scoreAll(rg)
-		score = func(v graph.NodeID) (Ranked, bool) {
-			i, ok := rg.IndexOf(v)
-			if !ok {
-				return Ranked{Node: v, Rank: math.Inf(1)}, true
-			}
-			return Ranked{Node: v, Rank: bulk[i], Connected: degree(rg, i)}, true
-		}
+		return best(bs.scoreAll(rg, matches), k)
 	}
-	return best(r.MatchesOf(q.Output()), k, score)
+	res := make([]Ranked, len(matches))
+	for j, v := range matches {
+		rank, connected := metric.Score(rg, v)
+		res[j] = Ranked{Node: v, Rank: rank, Connected: connected}
+	}
+	return best(res, k)
 }

@@ -42,18 +42,14 @@ func Score(rg *match.ResultGraph, v graph.NodeID) (Ranked, bool) {
 	}
 	s := match.AcquireScratch()
 	defer s.Release()
-	return scoreAt(rg, s, i), true
+	return ranked(v, rg.Impact(s, i)), true // one forward and one backward Dijkstra
 }
 
-// scoreAt is Score by node index on a caller-held scratch: one forward and
-// one backward Dijkstra over the result graph.
-func scoreAt(rg *match.ResultGraph, s *match.Scratch, i int) Ranked {
-	sum, connected := rg.Impact(s, i)
-	r := Ranked{Node: rg.Nodes()[i], Connected: connected}
-	if connected == 0 {
-		r.Rank = math.Inf(1)
-	} else {
-		r.Rank = float64(sum) / float64(connected)
+// ranked is f(uo,v) from v's impact.
+func ranked(v graph.NodeID, im match.Impact) Ranked {
+	r := Ranked{Node: v, Rank: math.Inf(1), Connected: im.Connected}
+	if im.Connected > 0 {
+		r.Rank = float64(im.Sum) / float64(im.Connected)
 	}
 	return r
 }
@@ -67,20 +63,29 @@ func better(a, b Ranked) bool {
 	return a.Node < b.Node
 }
 
-// best scores every match and returns the k best (k <= 0: all), best-first.
-// Matches score reports false for are left out.
-func best(matches []graph.NodeID, k int, score func(v graph.NodeID) (Ranked, bool)) []Ranked {
-	res := make([]Ranked, 0, len(matches))
-	for _, v := range matches {
-		if sc, ok := score(v); ok {
-			res = append(res, sc)
-		}
-	}
+// best sorts res best-first and returns its k best (k <= 0: all).
+func best(res []Ranked, k int) []Ranked {
 	sort.Slice(res, func(i, j int) bool { return better(res[i], res[j]) })
 	if k > 0 && k < len(res) {
 		res = append([]Ranked(nil), res[:k]...) // do not pin the full ranking
 	}
 	return res
+}
+
+// impacts resolves matches to node indices of rg once (-1: not a node) and
+// computes all their impacts on one pooled scratch, 64 matches per walk
+// when there are enough of them (see match.ResultGraph.Impacts).
+func impacts(rg *match.ResultGraph, matches []graph.NodeID) ([]int32, []match.Impact) {
+	idx := make([]int32, len(matches))
+	for k, v := range matches {
+		i, _ := rg.IndexOf(v)
+		idx[k] = int32(i)
+	}
+	out := make([]match.Impact, len(matches))
+	s := match.AcquireScratch()
+	defer s.Release()
+	rg.Impacts(s, idx, out)
+	return idx, out
 }
 
 // TopK scores every match of the pattern's output node in the relation and
@@ -93,16 +98,15 @@ func TopK(g *graph.Graph, q *pattern.Pattern, r *match.Relation, k int) []Ranked
 
 // TopKWithResultGraph is TopK for callers that already built the result
 // graph (the engine builds it once and reuses it for display and ranking).
-// It costs two Dijkstra runs over the result graph per output match, all
-// on one scratch.
+// Matches that are not nodes of rg are left out.
 func TopKWithResultGraph(rg *match.ResultGraph, q *pattern.Pattern, r *match.Relation, k int) []Ranked {
-	s := match.AcquireScratch()
-	defer s.Release()
-	return best(r.MatchesOf(q.Output()), k, func(v graph.NodeID) (Ranked, bool) {
-		i, ok := rg.IndexOf(v)
-		if !ok {
-			return Ranked{}, false
+	matches := r.MatchesOf(q.Output())
+	idx, ims := impacts(rg, matches)
+	res := make([]Ranked, 0, len(matches))
+	for j, v := range matches {
+		if idx[j] >= 0 {
+			res = append(res, ranked(v, ims[j]))
 		}
-		return scoreAt(rg, s, i), true
-	})
+	}
+	return best(res, k)
 }

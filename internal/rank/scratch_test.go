@@ -22,8 +22,8 @@ func minAllocs(f func()) float64 {
 }
 
 // TestTopKAllocs holds ranking to a fixed number of allocations per call:
-// the sorted match list and the result slice, nothing per output match or
-// per Dijkstra run.
+// the sorted match list, its node indices, the impacts and the result
+// slice, nothing per output match, per Dijkstra run or per batched walk.
 func TestTopKAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

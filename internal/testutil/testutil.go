@@ -34,6 +34,27 @@ func RandomGraph(r *rand.Rand, n, m int) *graph.Graph {
 	return g
 }
 
+// ChainGraph builds n nodes labeled from the first two Labels, joined
+// i -> i+1 except where a chain breaks (about every link nodes), plus up to
+// chords random edges, self-loops included. Its long sparse paths make `*`
+// pattern edges into result edges as heavy as a chain piece is long, right
+// beside weight-1 ones.
+func ChainGraph(r *rand.Rand, n, link, chords int) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode(Labels[r.Intn(2)], nil)
+	}
+	for i := 0; i+1 < n; i++ {
+		if r.Intn(link) > 0 {
+			_ = g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+		}
+	}
+	for i := r.Intn(chords + 1); i > 0; i-- {
+		_ = g.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))) // duplicates rejected
+	}
+	return g
+}
+
 // RandomPattern builds a random connected pattern with nq nodes, random
 // label predicates, random experience thresholds, and bounds drawn from
 // {1, 1, 2, 3} (bound 1 overweighted so plain-simulation paths get
