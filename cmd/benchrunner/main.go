@@ -1013,11 +1013,10 @@ func runA6(full bool, seed int64) {
 		}
 	}
 	if bestAtMax > 0 {
-		fmt.Printf("at P=GOMAXPROCS(%d): %.2fx over the single-lock serial path (target >= 2x on multi-core hosts)\n",
+		fmt.Printf("at P=GOMAXPROCS(%d): %.2fx over the single-lock serial path\n",
 			maxP, float64(dSerial)/float64(bestAtMax))
 		art.add("speedup_at_gomaxprocs", float64(dSerial)/float64(bestAtMax), "x")
 	}
 	fmt.Println("relations byte-identical to the serial path at every fragment count and strategy (enforced)")
-	fmt.Println("shape check: greedy cuts far fewer edges than hash, so it exchanges fewer boundary deltas; speedup grows with cores while messages stay flat.")
 	art.write()
 }

@@ -85,7 +85,7 @@
 //	POST   /api/v1/graphs/{name}/partitions    build edge-cut partitioning ({"parts": P, "strategy": "greedy|hash"})
 //	GET    /api/v1/graphs/{name}/partitions    partition stats (fragments, cut edges, exchange volume)
 //	DELETE /api/v1/graphs/{name}/partitions    drop partitioning
-//	POST   /api/v1/query/batch                 {"queries": [{"graph": ..., "dsl": ..., "k": 5}, ...]}
+//	POST   /api/v1/query/batch                 {"queries": [{"graph": ..., "dsl": ..., "k": 5, "semantics": "bounded|dual"}, ...]}
 //	POST   /api/v1/graphs/{name}/subscriptions      register a continuous query ({"dsl": ..., "k": 5})
 //	GET    /api/v1/graphs/{name}/subscriptions      list subscriptions
 //	DELETE /api/v1/graphs/{name}/subscriptions/{id} cancel a subscription

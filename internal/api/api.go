@@ -61,7 +61,8 @@ type CreateGraphResponse struct {
 
 // QueryRequest carries a pattern in JSON form or DSL text, plus K and an
 // optional matching semantics ("bounded" default, or "dual": additionally
-// enforce ancestor obligations).
+// enforce ancestor obligations). Both go through the engine's one query
+// pipeline: slot, cache, trace, plan record and client ledger alike.
 type QueryRequest struct {
 	Pattern   json.RawMessage `json:"pattern,omitempty"`
 	DSL       string          `json:"dsl,omitempty"`
@@ -94,14 +95,14 @@ type QueryResponse struct {
 }
 
 // BatchQuery is one query of a batch request: a target graph plus the
-// single-endpoint pattern/DSL, K, and metric fields (bounded semantics
-// only — dual simulation has no engine pipeline to dispatch through).
+// single-endpoint pattern/DSL, K, semantics and metric fields.
 type BatchQuery struct {
-	Graph   string          `json:"graph"`
-	Pattern json.RawMessage `json:"pattern,omitempty"`
-	DSL     string          `json:"dsl,omitempty"`
-	K       int             `json:"k"`
-	Metric  string          `json:"metric,omitempty"`
+	Graph     string          `json:"graph"`
+	Pattern   json.RawMessage `json:"pattern,omitempty"`
+	DSL       string          `json:"dsl,omitempty"`
+	K         int             `json:"k"`
+	Semantics string          `json:"semantics,omitempty"`
+	Metric    string          `json:"metric,omitempty"`
 }
 
 // BatchRequest evaluates many queries in one request.

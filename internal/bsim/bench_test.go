@@ -1,11 +1,13 @@
 package bsim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"expfinder/internal/distindex"
 	"expfinder/internal/graph"
+	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/testutil"
 )
@@ -16,10 +18,10 @@ type shape struct {
 }
 
 // collab is the repository benchmark's dataset with the two shapes
-// internal/match/bench_test.go uses plus the star.
+// internal/match/bench_test.go uses plus the star and the shallow one.
 var collab = sync.OnceValues(func() (*graph.Graph, []shape) {
 	var shapes []shape
-	for _, in := range []struct{ name, dsl string }{{"broad", testutil.BroadDSL}, {"deep", testutil.DeepDSL}, {"star", testutil.StarDSL}} {
+	for _, in := range []struct{ name, dsl string }{{"broad", testutil.BroadDSL}, {"deep", testutil.DeepDSL}, {"star", testutil.StarDSL}, {"shallow", testutil.ShallowDSL}} {
 		shapes = append(shapes, shape{in.name, testutil.MustParse(in.dsl)})
 	}
 	return testutil.CollabGraph(), shapes
@@ -40,6 +42,27 @@ func BenchmarkComputeCollab(b *testing.B) {
 			}
 			b.ReportMetric(float64(benchSink.Size()), "pairs")
 		})
+	}
+}
+
+// BenchmarkDualCollab sets dual simulation beside bounded simulation on the
+// same patterns: what the parent counters add to each pass. The star is
+// the shape where counting at all loses to early-exit witness checks.
+func BenchmarkDualCollab(b *testing.B) {
+	g, shapes := collab()
+	for _, sh := range shapes {
+		for _, sem := range []struct {
+			name string
+			sem  match.Semantics
+		}{{"dual", match.Dual}, {"bounded", match.Bounded}} {
+			b.Run(sh.name+"/"+sem.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = Evaluate(context.Background(), g, sh.q, sem.sem, 1, nil)
+				}
+				b.ReportMetric(float64(benchSink.Size()), "pairs")
+			})
+		}
 	}
 }
 

@@ -81,58 +81,56 @@ const passWidth = 64
 // initCounts and propagate), never one at a time. Worst case
 // O(|Eq| * |V| * (|V|+|E|)).
 func Compute(g *graph.Graph, q *pattern.Pattern) *match.Relation {
-	return compute(context.Background(), g, q, 1, nil)
+	return Evaluate(context.Background(), g, q, match.Bounded, 1, nil)
 }
 
-// ComputeParallel is Compute with the two heavy refinement phases —
-// predicate evaluation over every (pattern node, data node) pair, and the
-// support-counter initialization — fanned out over the given number of
-// workers: predicates by contiguous node ranges, counters by whole passes.
-// The removal propagation stays serial (it is a small fraction of the
-// work and inherently sequential). workers <= 1 falls back to the serial
-// path.
-//
-// The result is deterministic: bounded simulation has a unique maximum
-// relation and the refinement is confluent, so the relation is identical
-// to Compute's for every worker count.
+// ComputeParallel is Compute on the given number of workers; see Evaluate.
 func ComputeParallel(g *graph.Graph, q *pattern.Pattern, workers int) *match.Relation {
-	return compute(context.Background(), g, q, workers, nil)
+	return Evaluate(context.Background(), g, q, match.Bounded, workers, nil)
 }
 
-// ComputeParallelCtx is ComputeParallel under a context. When ctx carries
-// an active trace span, the three refinement phases record child spans
-// with their candidate, pass and removal counts; the relation is
-// byte-identical with and without tracing — spans only observe. When ctx
-// is cancelled the evaluation stops at the next pass boundary and returns
-// nil.
-func ComputeParallelCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int) *match.Relation {
-	return compute(ctx, g, q, workers, nil)
-}
-
-// ComputeIndexed is Compute with a distance oracle attached: per pattern
-// edge, the support counters are either walked as in Compute or counted
-// as the number of target candidates the oracle proves within the bound —
-// |cand(u)| * |cand(u')| near-constant queries instead of graph
-// traversals. The oracle takes an edge only where a probe prices it below
-// the walk (selective predicates and large bounds: big balls, short
-// candidate lists); the relation is identical either way.
+// ComputeIndexed is Compute with a distance oracle attached; see Evaluate.
 func ComputeIndexed(g *graph.Graph, q *pattern.Pattern, ix Oracle) *match.Relation {
-	return compute(context.Background(), g, q, 1, ix)
+	return Evaluate(context.Background(), g, q, match.Bounded, 1, ix)
 }
 
-// ComputeIndexedParallel is ComputeIndexed fanned out like ComputeParallel.
-func ComputeIndexedParallel(g *graph.Graph, q *pattern.Pattern, ix Oracle, workers int) *match.Relation {
-	return compute(context.Background(), g, q, workers, ix)
-}
-
-// ComputeIndexedParallelCtx is ComputeIndexedParallel under a context; see
-// ComputeParallelCtx for tracing and cancellation.
-func ComputeIndexedParallelCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, ix Oracle, workers int) *match.Relation {
-	return compute(ctx, g, q, workers, ix)
-}
-
-func compute(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int, ix Oracle) *match.Relation {
-	s := acquireState(ctx, g, q, workers, ix)
+// Evaluate is the kernel's one entry point: the unique maximum relation of
+// q over g under sem, which Compute, ComputeParallel and ComputeIndexed
+// call with their fixed arguments.
+//
+// sem: match.Dual gives every candidate v' of u' a second counter per
+// pattern edge (u,u') — the candidates of u with v' inside their bounded
+// out-ball, its parents — filled by the same passes that fill the support
+// counters and drained by the mirror walk; see initCounts and propagate.
+//
+// workers: the two heavy refinement phases — predicate evaluation over
+// every (pattern node, data node) pair, and counter initialization — fan
+// out over that many goroutines: predicates by contiguous node ranges,
+// counters by whole passes. The removal propagation stays serial (it is a
+// small fraction of the work and inherently sequential). workers <= 1 is
+// the serial path. The refinement is confluent, so the relation is
+// identical for every worker count.
+//
+// ix: when non-nil, a bounded-simulation pattern edge's support counters
+// are either walked or counted as the number of target candidates the
+// oracle proves within the bound — |cand(u)| * |cand(u')| near-constant
+// queries instead of graph traversals. The oracle takes an edge only where
+// a probe prices it below the walk (selective predicates and large bounds:
+// big balls, short candidate lists); the relation is identical either
+// way. Dual evaluations ignore it: the oracle counts one end of a pair,
+// the walk that tallies both ends measured 2x to 740x faster.
+//
+// ctx: when it carries an active trace span, the three refinement phases
+// record child spans with their candidate, pass and removal counts; the
+// relation is byte-identical with and without tracing — spans only
+// observe. When ctx is cancelled the evaluation stops at the next pass
+// boundary and returns nil.
+func Evaluate(ctx context.Context, g *graph.Graph, q *pattern.Pattern, sem match.Semantics, workers int, ix Oracle) *match.Relation {
+	dual := sem == match.Dual
+	if dual {
+		ix = nil
+	}
+	s := acquireState(ctx, g, q, dual, workers, ix)
 	defer s.release()
 
 	_, sp := trace.StartSpan(ctx, "bsim.init_cands")
@@ -195,10 +193,12 @@ type state struct {
 	g       *graph.Graph
 	q       *pattern.Pattern
 	ix      Oracle // optional distance oracle for support-counter init
+	dual    bool   // also hold candidates to their parent obligations
 	workers int
 
 	cand    [][]bool         // [patternNode][nodeID]
 	count   [][]int32        // [patternEdgeIdx][nodeID] remaining support
+	parent  [][]int32        // [patternEdgeIdx][nodeID] remaining parents; dual only
 	lists   [][]graph.NodeID // [patternNode] the initial candidates, ascending
 	removed [][]graph.NodeID // [patternNode] removed candidates not yet propagated
 	plan    []counting       // [patternEdgeIdx]
@@ -213,12 +213,16 @@ var statePool = sync.Pool{New: func() any { return &state{} }}
 
 // acquireState returns a pooled state sized for q over g, with candidate
 // sets and counters zeroed and every list empty.
-func acquireState(ctx context.Context, g *graph.Graph, q *pattern.Pattern, workers int, ix Oracle) *state {
+func acquireState(ctx context.Context, g *graph.Graph, q *pattern.Pattern, dual bool, workers int, ix Oracle) *state {
 	s := statePool.Get().(*state)
-	s.ctx, s.g, s.q, s.ix, s.workers = ctx, g, q, ix, workers
+	s.ctx, s.g, s.q, s.ix, s.dual, s.workers = ctx, g, q, ix, dual, workers
 	nq, ne, n := q.NumNodes(), len(q.Edges()), g.MaxID()
 	s.cand = zeroed(s.cand, nq, n)
 	s.count = zeroed(s.count, ne, n)
+	s.parent = s.parent[:0]
+	if dual {
+		s.parent = zeroed(s.parent, ne, n)
+	}
 	s.lists = zeroed(s.lists, nq, 0)
 	s.removed = zeroed(s.removed, nq, 0)
 	s.plan = append(s.plan[:0], make([]counting, ne)...)
@@ -327,14 +331,22 @@ func (s *state) remove(u pattern.NodeIdx, v graph.NodeID) {
 // in ball(v); the shorter side takes fewer passes. With an oracle attached
 // a probe may instead hand the edge to per-candidate oracle counts.
 //
-// Passes are independent, so with workers > 1 they are handed out whole:
-// a forward, adjacent or oracle pass writes only its own centres'
-// counters, and backward passes add atomically.
+// Under dual simulation the parent counter of candidate v' on the same
+// edge is |{v in cand(u) : v' in ball(v)}| — that pair set again, tallied
+// at its other end, so the same pass fills both: where a forward pass adds
+// one to each centre that reaches v', it adds their number to the parent
+// counter of v', and where a backward pass adds to v the number of centres
+// it reaches, it adds one to each of those centres' parent counters.
 //
-// Zero-support candidates are removed only after every counter is
-// initialized: removing eagerly would leave later edges' counters unaware
-// of the node, and propagation would then decrement support the counter
-// never included.
+// Passes are independent, so with workers > 1 they are handed out whole:
+// a pass writes its own centres' counters plainly and adds to the
+// counters of the nodes it reaches — which other passes of the edge may
+// reach too — atomically.
+//
+// Candidates without support, or under dual simulation without a parent,
+// are removed only after every counter of both kinds is initialized:
+// removing eagerly would leave later edges' counters unaware of the node,
+// and propagation would then decrement support the counter never included.
 func (s *state) initCounts() bool {
 	edges := s.q.Edges()
 	for ei, e := range edges {
@@ -379,6 +391,14 @@ func (s *state) initCounts() bool {
 				s.remove(e.From, v)
 			}
 		}
+		if s.dual {
+			par := s.parent[ei]
+			for _, w := range s.lists[e.To] {
+				if par[w] == 0 {
+					s.remove(e.To, w)
+				}
+			}
+		}
 	}
 	return true
 }
@@ -421,12 +441,17 @@ func (s *state) runPasses() bool {
 	return !stopped.Load()
 }
 
-// countPass counts one pass's share of its edge's support. shared says
-// other passes of the same edge may be running, so a backward pass must
-// add atomically. A walking pass tallies its work — adjacency entries
+// countPass counts one pass's share of its edge's support, and under dual
+// simulation of its parents. shared says other passes of the same edge may
+// be running, so additions to a reached node's counter must be atomic. A
+// walking pass of a bounded evaluation tallies its work — adjacency entries
 // scanned plus per-node overhead — and gives up, returning false with the
 // counters partly filled, once the tally exceeds budget; see probe.
 func (s *state) countPass(p pass, shared bool, budget int) bool {
+	if s.dual {
+		s.countPassDual(p, shared)
+		return true
+	}
 	e := s.q.Edges()[p.edge]
 	cnt := s.count[p.edge]
 	switch s.plan[p.edge] {
@@ -500,6 +525,60 @@ func (s *state) countPass(p pass, shared bool, budget int) bool {
 	return work <= budget
 }
 
+// countPassDual is countPass filling both counters of every pair it finds.
+// A dual evaluation has no oracle, hence no probe and no budget.
+func (s *state) countPassDual(p pass, shared bool) {
+	e := s.q.Edges()[p.edge]
+	cnt, par := s.count[p.edge], s.parent[p.edge]
+	add := func(c *int32, n int32) {
+		if shared {
+			atomic.AddInt32(c, n)
+		} else {
+			*c += n
+		}
+	}
+	var radii [passWidth]int
+	for i := range radii {
+		radii[i] = e.Bound
+	}
+	switch s.plan[p.edge] {
+	case countAdjacent:
+		candTo := s.cand[e.To]
+		for _, v := range s.lists[e.From][p.lo:p.hi] {
+			var c int32
+			for _, w := range s.g.Out(v) {
+				if candTo[w] {
+					c++
+					add(&par[w], 1)
+				}
+			}
+			cnt[v] = c
+		}
+	case countForward:
+		centres, candTo := s.lists[e.From][p.lo:p.hi], s.cand[e.To]
+		s.g.VisitOutBalls(centres, radii[:len(centres)], func(w graph.NodeID, _ int, from uint64) bool {
+			if candTo[w] {
+				add(&par[w], int32(bits.OnesCount64(from)))
+				for ; from != 0; from &= from - 1 {
+					cnt[centres[bits.TrailingZeros64(from)]]++
+				}
+			}
+			return true
+		})
+	case countBackward:
+		centres, candFrom := s.lists[e.To][p.lo:p.hi], s.cand[e.From]
+		s.g.VisitInBalls(centres, radii[:len(centres)], func(v graph.NodeID, _ int, from uint64) bool {
+			if candFrom[v] {
+				add(&cnt[v], int32(bits.OnesCount64(from)))
+				for ; from != 0; from &= from - 1 {
+					par[centres[bits.TrailingZeros64(from)]]++
+				}
+			}
+			return true
+		})
+	}
+}
+
 // probe decides whether the oracle should count edge ei instead of the
 // walk over `walked`, by pricing both in adjacency-entry units. The
 // oracle's price is sampled (see oraclePrice). The walk's price is not
@@ -567,8 +646,11 @@ func (s *state) oraclePrice(ei, passes int) int {
 // pattern node u' leave 64 at a time, and one backward pass per edge
 // (u,u') takes from every candidate of u the support those 64 gave it —
 // the number of them whose in-ball it lies in — removing it in turn when
-// none is left. The refinement is confluent, so batching changes the
-// order of removals, never the relation. It reports false when cancelled.
+// none is left. Under dual simulation one forward pass per edge (u',w) is
+// the mirror: every candidate of w loses the parents those 64 were, the
+// number of them whose out-ball it lies in. The refinement is
+// confluent, so batching changes the order of removals, never the
+// relation. It reports false when cancelled.
 func (s *state) propagate() bool {
 	edges := s.q.Edges()
 	var batch [passWidth]graph.NodeID
@@ -591,23 +673,39 @@ func (s *state) propagate() bool {
 		centres := batch[:copy(batch[:], s.removed[u][rest:])]
 		s.removed[u] = s.removed[u][:rest]
 		for ei, e := range edges {
-			if int(e.To) != u {
+			support, parents := int(e.To) == u, s.dual && int(e.From) == u
+			if !support && !parents {
 				continue
 			}
 			for i := range centres {
 				radii[i] = e.Bound
 			}
-			s.passes++
-			cnt, from := s.count[ei], e.From
-			s.g.VisitInBalls(centres, radii[:len(centres)], func(p graph.NodeID, _ int, hit uint64) bool {
-				if s.cand[from][p] {
-					cnt[p] -= int32(bits.OnesCount64(hit))
-					if cnt[p] == 0 {
-						s.remove(from, p)
+			if support {
+				s.passes++
+				cnt, from := s.count[ei], e.From
+				s.g.VisitInBalls(centres, radii[:len(centres)], func(p graph.NodeID, _ int, hit uint64) bool {
+					if s.cand[from][p] {
+						cnt[p] -= int32(bits.OnesCount64(hit))
+						if cnt[p] == 0 {
+							s.remove(from, p)
+						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
+			if parents {
+				s.passes++
+				par, to := s.parent[ei], e.To
+				s.g.VisitOutBalls(centres, radii[:len(centres)], func(c graph.NodeID, _ int, hit uint64) bool {
+					if s.cand[to][c] {
+						par[c] -= int32(bits.OnesCount64(hit))
+						if par[c] == 0 {
+							s.remove(to, c)
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
+	"expfinder/internal/match"
 	"expfinder/internal/testutil"
 )
 
@@ -49,7 +50,7 @@ func TestQuickIndexedParallelMatchesSerial(t *testing.T) {
 		ix := distindex.Build(g, distindex.Options{})
 		want := Compute(g, q)
 		for _, workers := range []int{1, 2, 4, 8} {
-			if !ComputeIndexedParallel(g, q, ix, workers).Equal(want) {
+			if !Evaluate(t.Context(), g, q, match.Bounded, workers, ix).Equal(want) {
 				return false
 			}
 		}

@@ -158,16 +158,18 @@ func (s *refState) initCounts() []refRemoval {
 // Label populations are drawn to put candidate lists on the pass
 // boundaries (63, 64, 65, 129), to leave some empty, and to make one side
 // of an edge far shorter than the other in either order — which is what
-// picks the walk direction.
+// picks the walk direction. wide draws most populations beyond two passes.
 type diffCase struct {
 	g *graph.Graph
 	q *pattern.Pattern
 }
 
-func randomDiffCase(r *rand.Rand) diffCase {
+func randomDiffCase(r *rand.Rand, wide bool) diffCase {
 	labels := []string{"A", "B", "C", "D"}
 	sizes := []int{0, 1, 2, 5, 9, 20}
-	if r.Intn(3) == 0 {
+	if wide {
+		sizes = []int{0, 5, 129, 150, 193, 260}
+	} else if r.Intn(3) == 0 {
 		sizes = []int{0, 3, 63, 64, 65, 129}
 	}
 	g := graph.New(0)
@@ -224,7 +226,7 @@ func randomDiffCase(r *rand.Rand) diffCase {
 func TestDifferentialAgainstReference(t *testing.T) {
 	forward, backward := 0, 0
 	prop := func(seed int64) bool {
-		c := randomDiffCase(rand.New(rand.NewSource(seed)))
+		c := randomDiffCase(rand.New(rand.NewSource(seed)), false)
 		want := refCompute(c.g, c.q)
 		if naive := ComputeNaive(c.g, c.q); naive.String() != want.String() {
 			t.Logf("seed %d: reference %v, naive %v", seed, want, naive)
@@ -232,7 +234,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		}
 		for _, e := range c.q.Edges() {
 			if e.Bound != 1 {
-				s := acquireState(t.Context(), c.g, c.q, 1, nil)
+				s := acquireState(t.Context(), c.g, c.q, false, 1, nil)
 				s.initCands()
 				if from, to := len(s.lists[e.From]), len(s.lists[e.To]); to < from {
 					backward++
@@ -250,8 +252,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			"ComputeParallel/4":        ComputeParallel(c.g, c.q, 4),
 			"ComputeIndexed/complete":  ComputeIndexed(c.g, c.q, complete),
 			"ComputeIndexed/partial":   ComputeIndexed(c.g, c.q, partial),
-			"ComputeIndexedParallel/2": ComputeIndexedParallel(c.g, c.q, complete, 2),
-			"ComputeIndexedParallel/4": ComputeIndexedParallel(c.g, c.q, partial, 4),
+			"Evaluate/complete/2":      Evaluate(t.Context(), c.g, c.q, match.Bounded, 2, complete),
+			"Evaluate/partial/4":       Evaluate(t.Context(), c.g, c.q, match.Bounded, 4, partial),
 			"ComputeIndexed/unbatched": ComputeIndexed(c.g, c.q, unbatched{complete}),
 		}
 		for name, rel := range got {
@@ -274,3 +276,99 @@ func TestDifferentialAgainstReference(t *testing.T) {
 type unbatched struct{ ix *distindex.Index }
 
 func (u unbatched) WithinOut(a, b graph.NodeID, bound int) bool { return u.ix.WithinOut(a, b, bound) }
+
+// refDual is the defining fixpoint of dual simulation — strongsim.DualNaive
+// with each obligation checked by one early-exit ball walk instead of a
+// materialized ball — and the reference for the kernel's parent counters.
+func refDual(g *graph.Graph, q *pattern.Pattern) *match.Relation {
+	s := &refState{g: g, q: q, maxID: g.MaxID(), cand: make([][]bool, q.NumNodes())}
+	s.initCands()
+	witness := func(visit func(graph.NodeID, int, func(graph.NodeID, int) bool), v graph.NodeID, bound int, set []bool) (ok bool) {
+		visit(v, bound, func(w graph.NodeID, _ int) bool {
+			ok = set[w]
+			return !ok
+		})
+		return ok
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, e := range q.Edges() {
+			for vi := 0; vi < s.maxID; vi++ {
+				v := graph.NodeID(vi)
+				if s.cand[e.From][v] && !witness(g.VisitOutBall, v, e.Bound, s.cand[e.To]) {
+					s.cand[e.From][v], changed = false, true
+				}
+				if s.cand[e.To][v] && !witness(g.VisitInBall, v, e.Bound, s.cand[e.From]) {
+					s.cand[e.To][v], changed = false, true
+				}
+			}
+		}
+	}
+	r := match.NewRelation(q.NumNodes())
+	for u := range s.cand {
+		for vi, ok := range s.cand[u] {
+			if ok {
+				r.Add(pattern.NodeIdx(u), graph.NodeID(vi))
+			}
+		}
+	}
+	return r.Normalize()
+}
+
+// TestDifferentialDualAgainstReference pins the kernel's dual evaluations,
+// serial and on 4 workers, to the defining fixpoint on inputs whose
+// candidate lists mostly span several passes, and checks the draw reached
+// what the parent counters depend on: both walk directions, adjacent,
+// unbounded and self edges, candidates removed for want of a parent alone,
+// and empty results.
+func TestDifferentialDualAgainstReference(t *testing.T) {
+	var forward, backward, adjacent, unbounded, self, multipass, parentOnly, empty int
+	prop := func(seed int64) bool {
+		c := randomDiffCase(rand.New(rand.NewSource(seed)), seed%4 != 0)
+		want := refDual(c.g, c.q)
+		for _, workers := range []int{1, 4} {
+			if got := Evaluate(t.Context(), c.g, c.q, match.Dual, workers, nil); got.String() != want.String() {
+				t.Logf("seed %d: dual on %d workers = %v, reference %v", seed, workers, got, want)
+				return false
+			}
+		}
+		if want.IsEmpty() {
+			empty++
+		} else if bounded := Compute(c.g, c.q); bounded.Size() > want.Size() {
+			parentOnly++
+		}
+		s := acquireState(t.Context(), c.g, c.q, true, 1, nil)
+		s.initCands()
+		for _, e := range c.q.Edges() {
+			from, to := len(s.lists[e.From]), len(s.lists[e.To])
+			switch {
+			case e.Bound == 1:
+				adjacent++
+			case to < from:
+				backward++
+			case from > 0:
+				forward++
+			}
+			if e.Bound == pattern.Unbounded {
+				unbounded++
+			}
+			if e.From == e.To {
+				self++
+			}
+			if min(from, to) > 2*passWidth {
+				multipass++
+			}
+		}
+		s.release()
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for name, n := range map[string]int{"forward": forward, "backward": backward, "adjacent": adjacent, "unbounded": unbounded,
+		"self": self, "multipass": multipass, "parent-only removals": parentOnly, "empty": empty} {
+		if n < 20 {
+			t.Errorf("%s exercised %d times, want at least 20", name, n)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package cache is the one place ExpFinder's query engine remembers an
-// answer: per (graph identity, graph version, pattern hash) one immutable
-// Entry holding M(Q,G), its result graph and the full ranking, under LRU
-// eviction against a single byte budget. An entry is charged what all
-// three occupy (match.Relation.ApproxBytes, match.ResultGraph.ApproxBytes,
+// answer: per (graph identity, graph version, pattern hash, semantics) one
+// immutable Entry holding M(Q,G), its result graph and the full ranking,
+// under LRU eviction against a single byte budget. An entry is charged what
+// all three occupy (match.Relation.ApproxBytes, match.ResultGraph.ApproxBytes,
 // the ranking slice), so one enormous result cannot masquerade as cheap
 // the way it could under entry-count accounting. Nothing is copied in or
 // out: Store freezes the relation and every hit hands out the same
@@ -23,11 +23,14 @@ import (
 // registered under the same name: without it, a graph removed and
 // re-added under its old name could collide with stale entries (versions
 // are per-graph mutation counters, so they restart and can repeat).
+// Semantics' zero value is bounded simulation, so a key that does not name
+// one means what it meant before dual answers were cached.
 type Key struct {
 	GraphName    string
 	Epoch        uint64
 	GraphVersion uint64
 	PatternHash  string
+	Semantics    match.Semantics
 }
 
 // Stats reports cache effectiveness and occupancy.

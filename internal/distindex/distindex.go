@@ -76,7 +76,7 @@ type Options struct {
 type Update = graph.Update
 
 // Index is a bidirectional landmark labeling over one graph. Reads
-// (WithinOut, WithinIn, Distance, Stats) are safe concurrently with each
+// (WithinOut, Distance, Stats) are safe concurrently with each
 // other; mutations (Sync, SyncNodeAdded, Invalidate, ...) must be
 // serialized with reads by the owner — the engine holds the graph's
 // write lock for them, exactly as it does for graph mutations.
@@ -353,13 +353,6 @@ func (ix *Index) prunedBFS(h graph.NodeID, reverse bool, sc *buildScratch) []nod
 
 // Graph returns the graph the index was built over.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
-
-// Complete reports whether every live node is a landmark, i.e. whether
-// every query is answered from labels alone with no BFS fallback. Callers
-// doing per-pair existence scans (the dual-simulation path) should insist
-// on a complete index: on a partial one every label-undecided pair pays a
-// bounded BFS, which can dwarf the single traversal it replaces.
-func (ix *Index) Complete() bool { return ix.complete }
 
 // Fresh reports whether the index describes g's current state: same
 // graph, version unchanged (or repaired in lockstep), and not invalidated

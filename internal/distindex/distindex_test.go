@@ -53,9 +53,6 @@ func checkAllPairs(t *testing.T, g *graph.Graph, ix *Index, tag string) {
 				if got != want {
 					t.Fatalf("%s: WithinOut(%d, %d, %d) = %v, want %v", tag, u, v, bound, got, want)
 				}
-				if gotIn, wantIn := ix.WithinIn(v, u, bound), want; gotIn != wantIn {
-					t.Fatalf("%s: WithinIn(%d, %d, %d) = %v, want %v", tag, v, u, bound, gotIn, wantIn)
-				}
 			}
 			if d, want := ix.Distance(u, v), g.Distance(u, v); d != want {
 				t.Fatalf("%s: Distance(%d, %d) = %d, want %d", tag, u, v, d, want)

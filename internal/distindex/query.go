@@ -164,12 +164,6 @@ func (ix *Index) WithinOut(u, v graph.NodeID, bound int) bool {
 	return ix.fallbackWithin(u, v, bound)
 }
 
-// WithinIn reports whether v lies inside u's in-ball of radius bound:
-// some nonempty path v -> u of length <= bound exists.
-func (ix *Index) WithinIn(u, v graph.NodeID, bound int) bool {
-	return ix.WithinOut(v, u, bound)
-}
-
 // cycleWithin answers WithinOut(v, v, bound): is v on a cycle of length
 // <= bound? The shortest cycle through v is 1 + min over out-neighbors w
 // of d(w -> v), so the labels decide it in O(outdeg * |label|).
@@ -340,7 +334,7 @@ func (ix *Index) countWithinOut(u graph.NodeID, targets []graph.NodeID, bound in
 // Distance returns the exact nonempty-path hop distance d(u -> v), or
 // graph.Unreachable. On a complete, usable index it is answered from the
 // labels; otherwise it degrades to the graph BFS. Primarily for tests and
-// diagnostics — the matcher integrations use WithinOut/WithinIn.
+// diagnostics — the matcher integration uses WithinOut.
 func (ix *Index) Distance(u, v graph.NodeID) int {
 	if !ix.g.Has(u) || !ix.g.Has(v) {
 		return graph.Unreachable

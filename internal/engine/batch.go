@@ -5,16 +5,26 @@ import (
 	"sync"
 	"time"
 
+	"expfinder/internal/match"
 	"expfinder/internal/pattern"
+	"expfinder/internal/rank"
 	"expfinder/internal/trace"
 )
 
-// QueryRequest names one query of a batch: the target graph, the pattern,
-// and the top-K cutoff (k <= 0 ranks all matches of the output node).
+// QueryRequest is one query in full: the target graph, the pattern, the
+// top-K cutoff (K <= 0 ranks all matches of the output node), and the two
+// things a query may vary beside them.
 type QueryRequest struct {
 	Graph   string
 	Pattern *pattern.Pattern
 	K       int
+	// Semantics is the matching semantics; the zero value is the paper's
+	// bounded simulation. Each semantics has its own cached answer.
+	Semantics match.Semantics
+	// Metric is the ranking function. nil is the paper's average distance,
+	// served from the answer's cached ranking; any other metric is ranked
+	// on each request from the answer's relation and result graph.
+	Metric rank.Metric
 }
 
 // QueryOutcome is the answer to one QueryRequest: exactly one of Result
@@ -24,19 +34,25 @@ type QueryOutcome struct {
 	Err    error
 }
 
-// QueryCtx is Query with cancellation: it waits for an execution slot
-// (the engine runs at most Parallelism queries at once) and gives up if
-// ctx is cancelled while waiting for one. A wait for the graph's read
-// lock (behind an in-progress update) is not cancellable. Once started,
-// a bounded-simulation evaluation (direct, indexed, or over the quotient)
-// checks ctx between its ball-walk passes: a cancelled query returns
-// ctx.Err() within a few passes, caches nothing, and frees its slot and
-// the read lock. The plain-simulation and partitioned evaluators,
-// result-graph construction and ranking each run to completion once
-// started, but ctx is checked at the boundaries between them — after the
-// relation and after the result graph — and the answer enters the cache
-// only as the last step, so a query cancelled at any of those points also
-// returns ctx.Err() and caches nothing.
+// QueryCtx is Execute for the paper's query: bounded simulation ranked by
+// average distance.
+func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Pattern, k int) (*Result, error) {
+	return e.Execute(ctx, QueryRequest{Graph: graphName, Pattern: q, K: k})
+}
+
+// Execute answers one query, whatever its semantics and metric, through
+// the one pipeline: it waits for an execution slot (the engine runs at
+// most Parallelism queries at once) and gives up if ctx is cancelled while
+// waiting for one. A wait for the graph's read lock (behind an in-progress
+// update) is not cancellable. Once started, an evaluation on the
+// refinement kernel (every plan but the partitioned one) checks ctx
+// between its ball-walk passes: a cancelled query returns ctx.Err() within
+// a few passes, caches nothing, and frees its slot and the read lock. The
+// partitioned evaluator, result-graph construction and ranking each run to
+// completion once started, but ctx is checked at the boundaries between
+// them — after the relation and after the result graph — and the answer
+// enters the cache only as the last step, so a query cancelled at any of
+// those points also returns ctx.Err() and caches nothing.
 //
 // The slot is taken *before* the graph's read lock: a query parked in
 // the queue holds nothing, so writers to its graph never wait for the
@@ -44,15 +60,15 @@ type QueryOutcome struct {
 // The trade-off is that a query holding a slot may itself wait behind an
 // in-progress update to its graph; updates hold the lock for
 // microseconds to milliseconds, queries for their whole evaluation.
-func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Pattern, k int) (*Result, error) {
-	if err := q.Validate(); err != nil {
+func (e *Engine) Execute(ctx context.Context, req QueryRequest) (*Result, error) {
+	if err := req.Pattern.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	mg, err := e.lookup(graphName)
+	mg, err := e.lookup(req.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +88,7 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 	defer e.inflight.Add(-1)
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	return e.queryLocked(ctx, graphName, mg, q, k, start)
+	return e.queryLocked(ctx, mg, req, start)
 }
 
 // QueryBatch evaluates a batch of queries concurrently on a worker pool
@@ -80,7 +96,7 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 // in request order. Each query is answered exactly as Query would answer
 // it — the executor only changes scheduling, never results. Requests not
 // yet started when ctx is cancelled fail with ctx.Err(), and so do
-// in-flight ones that reach a cancellation point (see QueryCtx).
+// in-flight ones that reach a cancellation point (see Execute).
 func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest) []QueryOutcome {
 	out := make([]QueryOutcome, len(reqs))
 	workers := e.par
@@ -97,7 +113,7 @@ func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest) []QueryOut
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res, err := e.QueryCtx(ctx, reqs[i].Graph, reqs[i].Pattern, reqs[i].K)
+				res, err := e.Execute(ctx, reqs[i])
 				out[i] = QueryOutcome{Result: res, Err: err}
 			}
 		}()
@@ -116,7 +132,7 @@ func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest) []QueryOut
 func (e *Engine) QueryAsync(ctx context.Context, req QueryRequest) <-chan QueryOutcome {
 	ch := make(chan QueryOutcome, 1)
 	go func() {
-		res, err := e.QueryCtx(ctx, req.Graph, req.Pattern, req.K)
+		res, err := e.Execute(ctx, req)
 		ch <- QueryOutcome{Result: res, Err: err}
 		close(ch)
 	}()

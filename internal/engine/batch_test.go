@@ -14,6 +14,7 @@ import (
 	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
+	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
 	"expfinder/internal/testutil"
@@ -331,9 +332,9 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 	<-e.sem
 }
 
-// TestCancelledQueryReleasesSlotAndLock cancels a query in the middle of a
-// bounded-simulation evaluation that takes tens of milliseconds: it must
-// return ctx.Err() within a pass, hand back its execution slot and the
+// TestCancelledQueryReleasesSlotAndLock cancels a query in the middle of an
+// evaluation that takes tens of milliseconds, under either semantics: it
+// must return ctx.Err() within a pass, hand back its execution slot and the
 // graph's read lock (a writer that was waiting behind it proceeds), and
 // leave nothing in the result cache.
 func TestCancelledQueryReleasesSlotAndLock(t *testing.T) {
@@ -351,6 +352,11 @@ edge SD -> BA bound *
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("bounded", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Bounded) })
+	t.Run("dual", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Dual) })
+}
+
+func cancelMidEvaluation(t *testing.T, g *graph.Graph, q *pattern.Pattern, sem match.Semantics) {
 	e := New(Options{Parallelism: 1})
 	if err := e.AddGraph("g", g); err != nil {
 		t.Fatal(err)
@@ -360,7 +366,7 @@ edge SD -> BA bound *
 	// query mid-evaluation until the test lets it see the cancellation.
 	midway, release := make(chan struct{}), make(chan struct{})
 	ctx := &testutil.PollCtx{Context: context.Background(), N: 12, At: func() { close(midway); <-release }}
-	ch := e.QueryAsync(ctx, QueryRequest{Graph: "g", Pattern: q, K: 10})
+	ch := e.QueryAsync(ctx, QueryRequest{Graph: "g", Pattern: q, K: 10, Semantics: sem})
 	select {
 	case <-midway:
 	case oc := <-ch:
@@ -406,21 +412,30 @@ edge SD -> BA bound *
 }
 
 // TestCancelledAtStageBoundaryCachesNothing cancels a query after its
-// relation is computed: plain simulation never polls ctx, so after
-// QueryCtx's entry check the next polls are the stage boundaries — the 2nd
-// after the relation, the 3rd after the result graph, before the ranking.
-// Either way the query returns ctx.Err() and the cache stays empty, so the
-// same query afterwards is a miss with the right answer.
+// relation is computed: the last two polls of an undisturbed miss are the
+// stage boundaries — after the relation, and after the result graph,
+// before the ranking. Either way the query returns ctx.Err() and the cache
+// stays empty, so the same query afterwards is a miss with the right
+// answer.
 func TestCancelledAtStageBoundaryCachesNothing(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	q, err := pattern.Parse("node SA [label=SA] output\nnode GD [label=GD]\nedge SA -> GD bound 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
+	undisturbed := &testutil.PollCtx{Context: context.Background(), N: 1 << 60}
+	dry := New(Options{Parallelism: 1})
+	if err := dry.AddGraph("g", g.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dry.QueryCtx(undisturbed, "g", q, 1); err != nil {
+		t.Fatal(err)
+	}
+	last := undisturbed.Polls()
 	for _, tc := range []struct {
 		name string
 		poll int64
-	}{{"after relation", 2}, {"after result graph", 3}} {
+	}{{"after relation", last - 1}, {"after result graph", last}} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(Options{Parallelism: 1})
 			if err := e.AddGraph("g", g.Clone()); err != nil {

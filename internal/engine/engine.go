@@ -5,7 +5,8 @@
 // graphs when one is available — the coordination described in §II of the
 // paper.
 //
-// Evaluation pipeline for a query Q on graph G:
+// Evaluation pipeline for a query Q on graph G, under either matching
+// semantics (match.Semantics is a field of the query and of the cache key):
 //
 //  1. return the cached answer — M(Q,G), its result graph and the full
 //     ranking, one immutable internal/cache entry — if the cache holds one
@@ -17,16 +18,18 @@
 //     plan;
 //  4. if a compressed graph Gc compatible with Q exists, evaluate on Gc
 //     and expand;
-//  5. otherwise evaluate directly — with the quadratic simulation
-//     algorithm when every bound is 1, the cubic bounded-simulation
-//     algorithm otherwise ("optimized query plans").
+//  5. otherwise evaluate directly on the refinement kernel (internal/bsim),
+//     under the plan name "simulation" when every bound is 1 and
+//     "bounded-simulation" otherwise.
 //
-// Steps 2 to 4 route only through a maintainer that is attached and
-// fresh; a stale or dropped one costs a plan, never an answer. queryLocked
-// does step 1 and, after a miss, stores the one entry; evaluate is steps 2
-// to 5 and touches neither the cache nor any file. What a Result carries
-// is the entry's own relation and result graph, shared with every other
-// holder and never copied: the relation is frozen (match.Relation.Freeze).
+// Steps 2 to 4 are maintainers of the bounded-simulation relation only: a
+// dual-simulation query goes from step 1 straight to the kernel on G. They
+// route only through a maintainer that is attached and fresh; a stale or
+// dropped one costs a plan, never an answer. queryLocked does step 1 and,
+// after a miss, stores the one entry; evaluate is steps 2 to 5 and touches
+// neither the cache nor any file. What a Result carries is the entry's own
+// relation and result graph, shared with every other holder and never
+// copied: the relation is frozen (match.Relation.Freeze).
 //
 // Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
 // writes and replicated replay run the same validate → apply → sync every
@@ -62,7 +65,6 @@ import (
 	"expfinder/internal/partition"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
-	"expfinder/internal/simulation"
 	"expfinder/internal/stats"
 	"expfinder/internal/subscribe"
 	"expfinder/internal/trace"
@@ -83,8 +85,13 @@ type Plan string
 
 // Plans.
 const (
-	PlanSimulation Plan = "simulation"         // quadratic, all bounds 1
+	PlanSimulation Plan = "simulation"         // all bounds 1: every ball is a successor list
 	PlanBounded    Plan = "bounded-simulation" // cubic
+	// PlanDual is dual simulation, evaluated by the same kernel with its
+	// parent counters on, always on the original graph: the matchers, the
+	// quotient, the partitioning and the index maintain or accelerate the
+	// bounded-simulation relation only.
+	PlanDual Plan = "dual-simulation"
 	// PlanIndexed is bounded simulation with support counters answered by
 	// the graph's landmark distance index where a per-edge probe prices
 	// that below the ball walk.
@@ -444,9 +451,10 @@ func (e *Engine) Query(graphName string, q *pattern.Pattern, k int) (*Result, er
 // an active trace (see internal/trace) the pipeline emits an
 // "engine.query" span with one child per stage; results are byte-identical
 // with and without tracing.
-func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed, q *pattern.Pattern, k int, start time.Time) (*Result, error) {
+func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest, start time.Time) (*Result, error) {
+	q, k := req.Pattern, req.K
 	qctx, sp := trace.StartSpan(ctx, "engine.query")
-	key := cache.Key{GraphName: graphName, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash()}
+	key := cache.Key{GraphName: req.Graph, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash(), Semantics: req.Semantics}
 	_, spCache := trace.StartSpan(qctx, "cache.lookup")
 	en, hit := e.cache.Lookup(key)
 	if spCache != nil {
@@ -456,7 +464,7 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 		}
 		spCache.End()
 	}
-	plan, source := routePlan(mg, q), SourceCache
+	plan, source := routePlan(mg, q, req.Semantics), SourceCache
 	if !hit {
 		var err error
 		if en, source, plan, err = e.answer(qctx, mg, q, plan); err != nil {
@@ -466,12 +474,20 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 		}
 		e.cache.Store(key, en)
 	}
-	ranked := en.Ranking
-	if k > 0 && k < len(ranked) {
-		ranked = ranked[:k]
+	topK := en.Ranking
+	if req.Metric != nil {
+		_, spRank := trace.StartSpan(qctx, "rank.topk")
+		topK = rank.TopKByMetricWithResultGraph(en.ResultGraph, q, en.Relation, k, req.Metric)
+		spRank.SetStr("metric", req.Metric.Name())
+		spRank.End()
+	} else {
+		if k > 0 && k < len(topK) {
+			topK = topK[:k]
+		}
+		topK = append([]rank.Ranked(nil), topK...) // the entry's ranking is shared
 	}
 	if sp != nil {
-		sp.SetStr("graph", graphName)
+		sp.SetStr("graph", req.Graph)
 		sp.SetStr("plan", string(plan))
 		sp.SetStr("source", string(source))
 		sp.SetStr("shape", patternShape(q))
@@ -489,7 +505,7 @@ func (e *Engine) queryLocked(ctx context.Context, graphName string, mg *managed,
 	return &Result{
 		Relation:    en.Relation,
 		ResultGraph: en.ResultGraph,
-		TopK:        append([]rank.Ranked(nil), ranked...),
+		TopK:        topK,
 		Plan:        plan,
 		Source:      source,
 		Elapsed:     time.Since(start),
@@ -543,10 +559,12 @@ func (e *Engine) evalWorkers() int {
 	return w
 }
 
-// routePlan picks the algorithm for q from which maintainers of mg are
-// attached and fresh. Callers hold mg.mu for at least read.
-func routePlan(mg *managed, q *pattern.Pattern) Plan {
+// routePlan picks the algorithm for q under sem from which maintainers of
+// mg are attached and fresh. Callers hold mg.mu for at least read.
+func routePlan(mg *managed, q *pattern.Pattern, sem match.Semantics) Plan {
 	switch {
+	case sem == match.Dual:
+		return PlanDual
 	case q.IsPlainSimulation():
 		// Bound-1 obligations are adjacency scans; the index cannot beat
 		// them, so plain-simulation queries never take the indexed plan.
@@ -565,47 +583,43 @@ func routePlan(mg *managed, q *pattern.Pattern) Plan {
 // evaluate computes M(Q,G) by steps 2 to 5 of the package comment, given
 // the routed plan; it returns the plan it ended up running. Callers hold
 // mg.mu for at least read. Trace spans (one per pipeline stage) are
-// emitted only when ctx carries an active trace. The bounded evaluators
-// give up at their next pass when ctx is cancelled; evaluate then returns
-// ctx.Err().
+// emitted only when ctx carries an active trace. The kernel gives up at
+// its next pass when ctx is cancelled; evaluate then returns ctx.Err().
 func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*match.Relation, Source, Plan, error) {
-	if m, ok := mg.matchers[q.Hash()]; ok {
-		return m.Relation(), SourceIncremental, plan, nil
+	// kernel runs the refinement kernel on the original graph under the
+	// named stage span.
+	kernel := func(span string, sem match.Semantics) *match.Relation {
+		kctx, sp := trace.StartSpan(ctx, span)
+		defer sp.End()
+		return bsim.Evaluate(kctx, mg.g, q, sem, e.evalWorkers(), nil)
 	}
+	var rel *match.Relation
+	source := SourceDirect
+	switch m, registered := mg.matchers[q.Hash()]; {
+	case plan == PlanDual:
+		rel = kernel("eval.dual", match.Dual)
+	case registered:
+		return m.Relation(), SourceIncremental, plan, nil
 	// The indexed and partitioned plans answer on the original graph and
 	// take precedence over compressed routing (the quotient would
 	// recompute the balls they already paid for, and the partitioning
 	// does not describe the quotient).
-	if plan != PlanIndexed && plan != PlanPartitioned && mg.comp != nil && e.compressedUsable(mg.comp, q, plan) {
+	case plan != PlanIndexed && plan != PlanPartitioned && mg.comp != nil && e.compressedUsable(mg.comp, q, plan):
+		source = SourceCompressed
 		cctx, spComp := trace.StartSpan(ctx, "eval.compressed")
-		var onQ *match.Relation
-		if plan == PlanSimulation {
-			onQ = simulation.Compute(mg.comp.Graph(), q)
-		} else {
-			onQ = bsim.ComputeParallelCtx(cctx, mg.comp.Graph(), q, e.evalWorkers())
+		if onQ := bsim.Evaluate(cctx, mg.comp.Graph(), q, match.Bounded, e.evalWorkers(), nil); onQ != nil {
+			rel = mg.comp.Decompress(onQ)
 		}
-		if onQ == nil {
-			spComp.End()
-			return nil, SourceCompressed, plan, ctx.Err()
-		}
-		rel := mg.comp.Decompress(onQ)
 		spComp.End()
-		return rel, SourceCompressed, plan, nil
-	}
-	var rel *match.Relation
-	source := SourceDirect
-	switch plan {
-	case PlanSimulation:
-		_, spSim := trace.StartSpan(ctx, "eval.simulation")
-		rel = simulation.Compute(mg.g, q)
-		spSim.End()
-	case PlanIndexed:
+	case plan == PlanSimulation:
+		rel = kernel("eval.simulation", match.Bounded)
+	case plan == PlanIndexed:
 		ictx, spIdx := trace.StartSpan(ctx, "eval.indexed")
 		var before distindex.Stats
 		if spIdx != nil {
 			before = mg.idx.Stats()
 		}
-		rel = bsim.ComputeIndexedParallelCtx(ictx, mg.g, q, mg.idx, e.evalWorkers())
+		rel = bsim.Evaluate(ictx, mg.g, q, match.Bounded, e.evalWorkers(), mg.idx)
 		if spIdx != nil {
 			// Counter deltas around this evaluation; exact when queries do
 			// not overlap (always, in tests), approximate under concurrency.
@@ -617,11 +631,11 @@ func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, 
 			spIdx.End()
 		}
 		source = SourceIndexed
-	case PlanPartitioned:
+	case plan == PlanPartitioned:
 		pctx, spPart := trace.StartSpan(ctx, "eval.partitioned")
 		var st partition.EvalStats
 		var err error
-		rel, st, err = partition.EvalCtx(pctx, mg.g, q, mg.part, partition.Bounded)
+		rel, st, err = partition.EvalCtx(pctx, mg.g, q, mg.part, match.Bounded)
 		if spPart != nil {
 			spPart.SetInt("supersteps", int64(st.Supersteps))
 			spPart.SetInt("messages", int64(st.Messages))
@@ -632,17 +646,12 @@ func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, 
 		if err != nil {
 			// Unreachable while routing gates on Fresh under the graph's
 			// lock; answer exactly anyway rather than fail the query.
-			bctx, spB := trace.StartSpan(ctx, "eval.bounded")
-			rel = bsim.ComputeParallelCtx(bctx, mg.g, q, e.evalWorkers())
-			spB.End()
-			plan = PlanBounded
+			rel, plan = kernel("eval.bounded", match.Bounded), PlanBounded
 		} else {
 			source = SourcePartitioned
 		}
 	default:
-		bctx, spB := trace.StartSpan(ctx, "eval.bounded")
-		rel = bsim.ComputeParallelCtx(bctx, mg.g, q, e.evalWorkers())
-		spB.End()
+		rel = kernel("eval.bounded", match.Bounded)
 	}
 	if rel == nil {
 		return nil, source, plan, ctx.Err()

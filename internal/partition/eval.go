@@ -36,17 +36,13 @@ import (
 	"expfinder/internal/trace"
 )
 
-// Semantics selects which fixpoint Eval computes.
-type Semantics int
-
-// Semantics values.
+// The fixpoints Eval computes, under the names this package has always
+// exported them: Bounded is byte-identical to bsim.Compute (descendant
+// obligations only), Dual to strongsim.Dual (descendant and ancestor
+// obligations).
 const (
-	// Bounded computes bounded simulation: byte-identical to
-	// bsim.Compute (descendant obligations only).
-	Bounded Semantics = iota
-	// Dual computes bounded dual simulation: byte-identical to
-	// strongsim.Dual (descendant and ancestor obligations).
-	Dual
+	Bounded = match.Bounded
+	Dual    = match.Dual
 )
 
 // EvalStats reports one evaluator run's coordination costs. All three
@@ -88,7 +84,7 @@ type evalState struct {
 	g     *graph.Graph
 	q     *pattern.Pattern
 	pt    *Partitioning
-	sem   Semantics
+	sem   match.Semantics
 	edges []pattern.Edge
 	frag  [][]graph.NodeID // owned live nodes per fragment, ascending
 	cand  [][]bool         // [patternNode][nodeID]
@@ -101,7 +97,7 @@ type evalState struct {
 // strongsim.Dual for every partitioning. ErrStale is returned when pt
 // was built over a different graph or has not been synced past a node
 // addition (the engine checks Fresh before routing here).
-func Eval(g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem Semantics) (*match.Relation, EvalStats, error) {
+func Eval(g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem match.Semantics) (*match.Relation, EvalStats, error) {
 	return EvalCtx(context.Background(), g, q, pt, sem)
 }
 
@@ -109,7 +105,7 @@ func Eval(g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem Semantics) (
 // (see internal/trace): one span per phase plus one per superstep, whose
 // message and removal attributes sum to the returned EvalStats. The
 // relation is byte-identical with and without tracing.
-func EvalCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem Semantics) (*match.Relation, EvalStats, error) {
+func EvalCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem match.Semantics) (*match.Relation, EvalStats, error) {
 	if !pt.covers(g) {
 		return nil, EvalStats{}, ErrStale
 	}

@@ -225,6 +225,44 @@ func TestStatsClientsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDualQueryIsAccounted: a dual query is an engine query like any other
+// — its miss charges the client the bytes it made the engine compute, its
+// hit the same bytes as served, and both reach the plan-outcome recorder
+// under the plan "dual-simulation".
+func TestDualQueryIsAccounted(t *testing.T) {
+	ts, srv := newConfiguredServer(t, Config{TraceSample: 1})
+	uploadPaperGraph(t, ts)
+	for i := 0; i < 2; i++ {
+		if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
+			map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3, "semantics": "dual"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("dual query %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	_, body := do(t, "GET", ts.URL+"/api/v1/stats/clients?window=total", nil)
+	var cs api.ClientStatsResponse
+	if err := json.Unmarshal(body, &cs); err != nil {
+		t.Fatal(err)
+	}
+	_, body = do(t, "GET", ts.URL+"/api/v1/cache/stats", nil)
+	var cst api.CacheStatsResponse
+	if err := json.Unmarshal(body, &cst); err != nil {
+		t.Fatal(err)
+	}
+	if tot := cs.Totals; cst.Entries != 1 || cst.Bytes == 0 || tot.CacheBytesComputed != cst.Bytes || tot.CacheBytesServed != cst.Bytes {
+		t.Errorf("one dual entry of %d bytes (entries %d), missed once and hit once: computed %d, served %d",
+			cst.Bytes, cst.Entries, tot.CacheBytesComputed, tot.CacheBytesServed)
+	}
+	var recorded int64
+	for _, pt := range srv.recorder.PlanTotals() {
+		if pt.Graph == "paper" && pt.Plan == "dual-simulation" {
+			recorded = pt.Count
+		}
+	}
+	if recorded != 2 {
+		t.Errorf("plan-outcome recorder holds %d dual-simulation outcomes, want 2 (%+v)", recorded, srv.recorder.PlanTotals())
+	}
+}
+
 // TestSLOEndpoint checks GET /slo reports the route classes the
 // workload touched, across all three windows.
 func TestSLOEndpoint(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"expfinder/internal/api"
 	"expfinder/internal/compress"
@@ -26,7 +25,6 @@ import (
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
-	"expfinder/internal/strongsim"
 	"expfinder/internal/viz"
 )
 
@@ -160,11 +158,12 @@ func (s *Server) graphDOT(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.buf)
 }
 
-// metricByName resolves a ranking metric; "" means the paper's default.
+// metricByName resolves a ranking metric. "" and the paper's default by
+// name are nil: the ranking every cached answer already carries.
 func metricByName(name string) (rank.Metric, error) {
 	switch name {
 	case "", rank.AvgDistance{}.Name():
-		return rank.AvgDistance{}, nil
+		return nil, nil
 	case rank.Closeness{}.Name():
 		return rank.Closeness{}, nil
 	case rank.Degree{}.Name():
@@ -191,6 +190,20 @@ func parsePattern(req api.QueryRequest) (*pattern.Pattern, error) {
 	}
 }
 
+// engineQuery resolves a wire query's metric and semantics names into the
+// engine's request.
+func engineQuery(graphName string, q *pattern.Pattern, k int, metricName, semanticsName string) (engine.QueryRequest, error) {
+	metric, err := metricByName(metricName)
+	if err != nil {
+		return engine.QueryRequest{}, err
+	}
+	sem, err := match.ParseSemantics(semanticsName)
+	if err != nil {
+		return engine.QueryRequest{}, err
+	}
+	return engine.QueryRequest{Graph: graphName, Pattern: q, K: k, Semantics: sem, Metric: metric}, nil
+}
+
 func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req api.QueryRequest
@@ -203,64 +216,14 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidPattern, err)
 		return
 	}
-	metric, err := metricByName(req.Metric)
+	ereq, err := engineQuery(name, q, req.K, req.Metric, req.Semantics)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var res *engine.Result
-	switch req.Semantics {
-	case "", "bounded":
-		res, err = s.eng.QueryCtx(r.Context(), name, q, req.K)
-		if err != nil {
-			writeErr(w, statusFor(err), err)
-			return
-		}
-		if req.Metric != "" && req.Metric != (rank.AvgDistance{}).Name() {
-			res.TopK = rank.TopKByMetricWithResultGraph(res.ResultGraph, q, res.Relation, req.K, metric)
-		}
-	case "dual":
-		// Dual simulation bypasses the engine pipeline (no cache or
-		// compression routing is defined for it); evaluated directly
-		// inside the graph's read scope — through the distance index
-		// when a fresh *complete* one is registered (a partial index
-		// would pay a per-pair BFS fallback for every label-undecided
-		// witness check, easily dwarfing the single traversal it
-		// replaces). The index pointer is fetched before entering the
-		// read scope (no nested engine locks); freshness is re-checked
-		// inside it.
-		if err := q.Validate(); err != nil {
-			writeCode(w, http.StatusBadRequest, api.CodeInvalidPattern, err)
-			return
-		}
-		ix, ixErr := s.eng.Index(name)
-		err = s.eng.WithGraph(name, func(g *graph.Graph) error {
-			start := time.Now()
-			var rel *match.Relation
-			source := engine.SourceDirect
-			if ixErr == nil && ix.Complete() && ix.Fresh(g) {
-				rel = strongsim.DualIndexedCtx(r.Context(), g, q, ix)
-				source = engine.SourceIndexed
-			} else {
-				rel = strongsim.DualCtx(r.Context(), g, q)
-			}
-			rg := match.BuildResultGraph(g, q, rel)
-			res = &engine.Result{
-				Relation:    rel,
-				ResultGraph: rg,
-				TopK:        rank.TopKByMetricWithResultGraph(rg, q, rel, req.K, metric),
-				Plan:        "dual-simulation",
-				Source:      source,
-				Elapsed:     time.Since(start),
-			}
-			return nil
-		})
-		if err != nil {
-			writeErr(w, statusFor(err), err)
-			return
-		}
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown semantics %q", req.Semantics))
+	res, err := s.eng.Execute(r.Context(), ereq)
+	if err != nil {
+		writeErr(w, statusFor(err), err)
 		return
 	}
 	resp := s.render(name, q, res, r.URL.Query().Get("dot") == "1")
@@ -336,21 +299,19 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entries := make([]api.BatchEntry, len(req.Queries))
-	patterns := make([]*pattern.Pattern, len(req.Queries))
-	metrics := make([]rank.Metric, len(req.Queries))
 	var reqs []engine.QueryRequest
 	var at []int // reqs index -> entries index
 	for i, bq := range req.Queries {
 		q, err := parsePattern(api.QueryRequest{Pattern: bq.Pattern, DSL: bq.DSL})
+		var ereq engine.QueryRequest
 		if err == nil {
-			metrics[i], err = metricByName(bq.Metric)
+			ereq, err = engineQuery(bq.Graph, q, bq.K, bq.Metric, bq.Semantics)
 		}
 		if err != nil {
 			entries[i].Error = err.Error()
 			continue
 		}
-		patterns[i] = q
-		reqs = append(reqs, engine.QueryRequest{Graph: bq.Graph, Pattern: q, K: bq.K})
+		reqs = append(reqs, ereq)
 		at = append(at, i)
 	}
 	outcomes := s.eng.QueryBatch(r.Context(), reqs)
@@ -360,12 +321,7 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 			entries[i].Error = oc.Err.Error()
 			continue
 		}
-		bq := req.Queries[i]
-		if bq.Metric != "" && bq.Metric != (rank.AvgDistance{}).Name() {
-			oc.Result.TopK = rank.TopKByMetricWithResultGraph(
-				oc.Result.ResultGraph, patterns[i], oc.Result.Relation, bq.K, metrics[i])
-		}
-		entries[i].QueryResponse = s.render(bq.Graph, patterns[i], oc.Result, false)
+		entries[i].QueryResponse = s.render(reqs[j].Graph, reqs[j].Pattern, oc.Result, false)
 	}
 	writeJSON(w, http.StatusOK, api.BatchResponse{Results: entries, Trace: inlineTrace(r)})
 }

@@ -431,6 +431,8 @@ func TestQueryBatchEndpoint(t *testing.T) {
 		{"graph": "missing", "dsl": dataset.PaperQueryDSL, "k": 1},
 		{"graph": "paper", "dsl": "node broken ["},
 		{"graph": "paper", "dsl": dataset.PaperQueryDSL, "k": 2, "metric": "degree"},
+		{"graph": "paper", "dsl": dataset.PaperQueryDSL, "k": 1, "semantics": "dual"},
+		{"graph": "paper", "dsl": dataset.PaperQueryDSL, "semantics": "psychic"},
 	}}
 	resp, body := do(t, "POST", ts.URL+"/api/query/batch", req)
 	if resp.StatusCode != 200 {
@@ -449,8 +451,8 @@ func TestQueryBatchEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != 4 {
-		t.Fatalf("results = %d, want 4", len(out.Results))
+	if len(out.Results) != 6 {
+		t.Fatalf("results = %d, want 6", len(out.Results))
 	}
 	if out.Results[0].Error != "" || out.Results[0].Plan != "bounded-simulation" {
 		t.Errorf("result 0 = %+v", out.Results[0])
@@ -466,6 +468,14 @@ func TestQueryBatchEndpoint(t *testing.T) {
 	}
 	if out.Results[3].Error != "" || len(out.Results[3].TopK) != 2 {
 		t.Errorf("result 3 = %+v", out.Results[3])
+	}
+	// One bounded and one dual entry in the same batch: each its own plan
+	// and relation (Dan and Mat have no ST ancestor within one hop).
+	if d := out.Results[4]; d.Error != "" || d.Plan != "dual-simulation" || len(d.Matches["SD"]) != 1 || len(out.Results[0].Matches["SD"]) != 3 {
+		t.Errorf("result 4 (dual) = %+v beside result 0 (bounded) = %+v", d, out.Results[0])
+	}
+	if !strings.Contains(out.Results[5].Error, "unknown semantics") {
+		t.Errorf("result 5 error = %q, want unknown semantics", out.Results[5].Error)
 	}
 }
 
@@ -602,35 +612,52 @@ func TestIndexSurvivesUpdateFlow(t *testing.T) {
 	}
 }
 
+// TestQueryDualSemanticsIndexed: a distance index does not change how a
+// dual query is answered — same matches and top-K before and after
+// POST …/index, never source "indexed". The repeat right after the build
+// is a hit (an index is not a write); the insert that follows bumps the
+// graph version, so the last query is evaluated with the repaired index
+// attached and fresh, and the engine still runs the kernel without it.
 func TestQueryDualSemanticsIndexed(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 
 	dualReq := `{"dsl": "node SD [label = \"SD\"] output\nnode BA [label = \"BA\"]\nedge SD -> BA bound 2", "semantics": "dual", "k": 3}`
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query", dualReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dual query: %d %s", resp.StatusCode, body)
+	ask := func(wantSource string) queryResponse {
+		t.Helper()
+		resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query", dualReq)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("dual query: %d %s", resp.StatusCode, body)
+		}
+		var out queryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Plan != string(engine.PlanDual) || out.Source != wantSource {
+			t.Fatalf("dual plan/source = %s/%s, want dual-simulation/%s", out.Plan, out.Source, wantSource)
+		}
+		return out
 	}
-	var direct queryResponse
-	if err := json.Unmarshal(body, &direct); err != nil {
-		t.Fatal(err)
-	}
+	direct := ask("direct")
 	if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, body)
 	}
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/query", dualReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("indexed dual query: %d %s", resp.StatusCode, body)
+	answers := []queryResponse{ask("cache")}
+	// Bill (GD) -> Tess (ST): neither matches the pattern, so the answer
+	// stays and the index is repaired in place.
+	if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+		`{"ops": [{"op": "insert", "from": 2, "to": 9}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d %s", resp.StatusCode, body)
 	}
-	var indexed queryResponse
-	if err := json.Unmarshal(body, &indexed); err != nil {
-		t.Fatal(err)
+	var st struct{ Fresh bool }
+	if _, body := do(t, "GET", ts.URL+"/api/graphs/paper/index", nil); json.Unmarshal(body, &st) != nil || !st.Fresh {
+		t.Fatalf("index not fresh after the insert: %s", body)
 	}
-	if indexed.Source != string(engine.SourceIndexed) {
-		t.Fatalf("dual source = %s, want indexed", indexed.Source)
-	}
-	if fmt.Sprintf("%v", indexed.Matches) != fmt.Sprintf("%v", direct.Matches) ||
-		fmt.Sprintf("%v", indexed.TopK) != fmt.Sprintf("%v", direct.TopK) {
-		t.Fatalf("indexed dual answer differs:\n%v\nvs\n%v", indexed, direct)
+	answers = append(answers, ask("direct"))
+	for i, got := range answers {
+		if fmt.Sprintf("%v", got.Matches) != fmt.Sprintf("%v", direct.Matches) ||
+			fmt.Sprintf("%v", got.TopK) != fmt.Sprintf("%v", direct.TopK) {
+			t.Fatalf("dual answer %d after the index was built differs:\n%v\nvs\n%v", i, got, direct)
+		}
 	}
 }

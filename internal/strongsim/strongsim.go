@@ -24,225 +24,24 @@ import (
 	"context"
 	"sort"
 
+	"expfinder/internal/bsim"
 	"expfinder/internal/graph"
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
-	"expfinder/internal/trace"
 )
-
-// Oracle answers exact bounded-reachability queries under nonempty-path
-// semantics: WithinOut(u, v, k) — is v inside u's out-ball of radius k? —
-// and WithinIn(u, v, k) — is v inside u's in-ball? (k < 0 = unbounded.)
-// distindex.Index implements it.
-type Oracle interface {
-	WithinOut(u, v graph.NodeID, bound int) bool
-	WithinIn(u, v graph.NodeID, bound int) bool
-}
 
 // Dual returns the unique maximum (bounded) dual simulation relation: the
 // largest relation where every match satisfies its predicate, every pattern
 // out-edge (u,u') with bound k is witnessed by a matching descendant within
-// k hops, and every pattern in-edge (u”,u) with bound k by a matching
-// ancestor within k hops.
+// k hops, and every pattern in-edge (u0,u) with bound k by a matching
+// ancestor within k hops. It is the bounded-simulation kernel run with the
+// parent counters on; this package owns no refinement loop of its own.
 func Dual(g *graph.Graph, q *pattern.Pattern) *match.Relation {
-	return dual(context.Background(), g, q, nil)
+	return bsim.Evaluate(context.Background(), g, q, match.Dual, 1, nil)
 }
 
-// DualCtx is Dual emitting trace spans for each refinement phase when ctx
-// carries an active trace (see internal/trace). The relation is
-// byte-identical with and without tracing — spans only observe.
-func DualCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern) *match.Relation {
-	return dual(ctx, g, q, nil)
-}
-
-// DualIndexed is Dual with witness checks answered by a distance oracle:
-// instead of walking bounded balls, each obligation scans the (static)
-// predicate-candidate list of the obliged pattern node and asks the oracle
-// per pair. Like bsim.ComputeIndexed this wins when predicates are
-// selective and bounds large; the relation is identical either way. Use a
-// complete index here (distindex's default): on a partial one every
-// label-undecided pair falls back to a bounded BFS, which repeated across
-// a candidate list easily dwarfs the one traversal it replaces.
-func DualIndexed(g *graph.Graph, q *pattern.Pattern, ix Oracle) *match.Relation {
-	return dual(context.Background(), g, q, ix)
-}
-
-// DualIndexedCtx is DualIndexed emitting trace spans for each refinement
-// phase when ctx carries an active trace.
-func DualIndexedCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, ix Oracle) *match.Relation {
-	return dual(ctx, g, q, ix)
-}
-
-func dual(ctx context.Context, g *graph.Graph, q *pattern.Pattern, ix Oracle) *match.Relation {
-	nq := q.NumNodes()
-	maxID := g.MaxID()
-	cand := make([][]bool, nq)
-	// preds[u]: the static predicate-candidate list, the oracle strategy's
-	// scan universe (cand shrinks during refinement; preds does not).
-	preds := make([][]graph.NodeID, nq)
-	_, spCands := trace.StartSpan(ctx, "dual.init_cands")
-	for u := 0; u < nq; u++ {
-		cand[u] = make([]bool, maxID)
-		pred := q.Node(pattern.NodeIdx(u)).Pred
-		g.ForEachNode(func(n graph.Node) {
-			if pred.Eval(n) {
-				cand[u][n.ID] = true
-				preds[u] = append(preds[u], n.ID)
-			}
-		})
-	}
-	if spCands != nil {
-		var n int64
-		for u := range preds {
-			n += int64(len(preds[u]))
-		}
-		spCands.SetInt("candidates", n)
-		spCands.SetBool("oracle", ix != nil)
-		spCands.End()
-	}
-
-	type pairT struct {
-		u pattern.NodeIdx
-		v graph.NodeID
-	}
-	var worklist []pairT
-	removals := 0
-	remove := func(u pattern.NodeIdx, v graph.NodeID) {
-		if cand[u][v] {
-			cand[u][v] = false
-			removals++
-			worklist = append(worklist, pairT{u, v})
-		}
-	}
-
-	// witness reports whether some current candidate of pu lies within
-	// bound hops of v (forward for out-obligations, backward for in).
-	witness := func(pu pattern.NodeIdx, v graph.NodeID, bound int, reverse bool) bool {
-		set := cand[pu]
-		if ix != nil && bound != 1 {
-			for _, w := range preds[pu] {
-				if !set[w] {
-					continue
-				}
-				if reverse {
-					if ix.WithinIn(v, w, bound) {
-						return true
-					}
-				} else if ix.WithinOut(v, w, bound) {
-					return true
-				}
-			}
-			return false
-		}
-		ok := false
-		visit := g.VisitOutBall
-		if reverse {
-			visit = g.VisitInBall
-		}
-		visit(v, bound, func(w graph.NodeID, _ int) bool {
-			if set[w] {
-				ok = true
-				return false
-			}
-			return true
-		})
-		return ok
-	}
-
-	satisfies := func(u pattern.NodeIdx, v graph.NodeID) bool {
-		for _, e := range q.OutEdges(u) {
-			if !witness(e.To, v, e.Bound, false) {
-				return false
-			}
-		}
-		for _, e := range q.InEdges(u) {
-			if !witness(e.From, v, e.Bound, true) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// recheckAround seeds rechecks for every candidate of pu within bound
-	// hops of v (upstream when reverse, downstream otherwise).
-	recheckAround := func(pu pattern.NodeIdx, v graph.NodeID, bound int, reverse bool) {
-		if ix != nil && bound != 1 {
-			for _, w := range preds[pu] {
-				if !cand[pu][w] {
-					continue
-				}
-				within := false
-				if reverse {
-					// w upstream of v: v inside w's out-ball.
-					within = ix.WithinOut(w, v, bound)
-				} else {
-					within = ix.WithinOut(v, w, bound)
-				}
-				if within && !satisfies(pu, w) {
-					remove(pu, w)
-				}
-			}
-			return
-		}
-		visit := g.VisitOutBall
-		if reverse {
-			visit = g.VisitInBall
-		}
-		visit(v, bound, func(w graph.NodeID, _ int) bool {
-			if cand[pu][w] && !satisfies(pu, w) {
-				remove(pu, w)
-			}
-			return true
-		})
-	}
-
-	// Initial sweep: every candidate is suspect.
-	_, spSweep := trace.StartSpan(ctx, "dual.sweep")
-	for u := 0; u < nq; u++ {
-		for _, v := range preds[u] {
-			if cand[u][v] && !satisfies(pattern.NodeIdx(u), v) {
-				remove(pattern.NodeIdx(u), v)
-			}
-		}
-	}
-	if spSweep != nil {
-		spSweep.SetInt("removals", int64(removals))
-		spSweep.End()
-	}
-	// Cascade: a removal can break neighbours in both directions.
-	sweepRemovals := removals
-	_, spCascade := trace.StartSpan(ctx, "dual.cascade")
-	for len(worklist) > 0 {
-		p := worklist[len(worklist)-1]
-		worklist = worklist[:len(worklist)-1]
-		for _, e := range q.InEdges(p.u) {
-			// (p.u, p.v) was a descendant witness for candidates of e.From
-			// within e.Bound hops upstream.
-			recheckAround(e.From, p.v, e.Bound, true)
-		}
-		for _, e := range q.OutEdges(p.u) {
-			// ... and an ancestor witness for candidates of e.To downstream.
-			recheckAround(e.To, p.v, e.Bound, false)
-		}
-	}
-	if spCascade != nil {
-		spCascade.SetInt("removals", int64(removals-sweepRemovals))
-		spCascade.End()
-	}
-
-	r := match.NewRelation(nq)
-	for u := 0; u < nq; u++ {
-		for vi := 0; vi < maxID; vi++ {
-			if cand[u][vi] {
-				r.Add(pattern.NodeIdx(u), graph.NodeID(vi))
-			}
-		}
-	}
-	return r.Normalize()
-}
-
-// DualNaive iterates the defining fixpoint directly; the oracle for
-// property tests against Dual.
+// DualNaive iterates the defining fixpoint directly; the reference the
+// kernel's dual evaluations are tested against.
 func DualNaive(g *graph.Graph, q *pattern.Pattern) *match.Relation {
 	nq := q.NumNodes()
 	maxID := g.MaxID()

@@ -7,7 +7,6 @@ import (
 
 	"expfinder/internal/bsim"
 	"expfinder/internal/dataset"
-	"expfinder/internal/distindex"
 	"expfinder/internal/graph"
 	"expfinder/internal/pattern"
 	"expfinder/internal/testutil"
@@ -229,39 +228,5 @@ func TestDualEdgelessPattern(t *testing.T) {
 	dual := Dual(g, q)
 	if dual.CountOf(x) != 2 {
 		t.Errorf("edgeless dual = %v, want the 2 SAs", dual)
-	}
-}
-
-// Property: dual simulation with a distance oracle attached computes the
-// identical relation — for complete and partial indexes alike.
-func TestQuickDualIndexedMatchesDirect(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50}
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(r, 4+r.Intn(16), r.Intn(50))
-		q := testutil.RandomPattern(r, 1+r.Intn(4))
-		want := Dual(g, q)
-		if !DualIndexed(g, q, distindex.Build(g, distindex.Options{})).Equal(want) {
-			t.Logf("seed %d: complete index diverged", seed)
-			return false
-		}
-		partial := distindex.Build(g, distindex.Options{Landmarks: 1 + r.Intn(3)})
-		if !DualIndexed(g, q, partial).Equal(want) {
-			t.Logf("seed %d: partial index diverged", seed)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDualIndexedOnPaperGraph(t *testing.T) {
-	g, _ := dataset.PaperGraph()
-	q := dataset.PaperQuery()
-	ix := distindex.Build(g, distindex.Options{})
-	if !DualIndexed(g, q, ix).Equal(Dual(g, q)) {
-		t.Fatal("indexed dual relation diverges on the paper graph")
 	}
 }
