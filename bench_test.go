@@ -1,8 +1,8 @@
 package expfinder_test
 
-// One testing.B benchmark per experiment in DESIGN.md §5. These are the
-// `go test -bench` counterparts of cmd/benchrunner, which prints the full
-// sweep tables recorded in EXPERIMENTS.md.
+// One testing.B benchmark per experiment of the paper's evaluation — the
+// `go test -bench` counterparts of cmd/benchrunner's e1..e7 sweep tables —
+// followed by the ablations of this implementation's design choices.
 
 import (
 	"context"
@@ -262,7 +262,7 @@ func BenchmarkE7Baselines(b *testing.B) {
 	})
 }
 
-// Ablation benches for design choices called out in DESIGN.md.
+// Ablation benches for this implementation's design choices.
 
 // BenchmarkAblationParallel quantifies the parallel support-counting
 // ablation of bounded simulation.

@@ -1,70 +1,46 @@
-// Command benchrunner regenerates the paper's evaluation (DESIGN.md §5):
-// it runs each experiment's parameter sweep and prints the table recorded
-// in EXPERIMENTS.md. Absolute numbers depend on the host; the *shapes* —
-// who wins, by what factor, where crossovers fall — reproduce the demo's
-// claims.
+// Command benchrunner reproduces the paper's evaluation: each experiment
+// e1..e7 runs one parameter sweep of the demo and prints its table beside
+// the paper's claim. Absolute numbers depend on the host. Timings of the
+// serving system itself come from bench/ (bash bench/run.sh), not from here.
 //
 // Usage:
 //
-//	benchrunner [-exp e1|...|e7|a1|...|a9|a11|all] [-scale small|full] [-seed N]
-//	            [-artifacts DIR]
-//
-// Every a-series experiment additionally writes a machine-readable
-// BENCH_<exp>.json artifact (timings, speedups, exchange volumes) into
-// -artifacts (default "."; empty disables), so the performance
-// trajectory is tracked per PR.
+//	benchrunner [-exp e1|...|e7|all] [-scale small|full] [-seed N]
 package main
 
 import (
-	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"math/rand"
-	"os"
-	"runtime"
-	"sort"
 	"time"
 
 	"expfinder"
 	"expfinder/internal/bsim"
 	"expfinder/internal/compress"
 	"expfinder/internal/dataset"
-	"expfinder/internal/distindex"
-	"expfinder/internal/engine"
 	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
 	"expfinder/internal/isomorphism"
 	"expfinder/internal/match"
-	"expfinder/internal/partition"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
 	"expfinder/internal/simulation"
-	"expfinder/internal/storage"
-	"expfinder/internal/strongsim"
-	"expfinder/internal/subscribe"
-	"expfinder/internal/wal"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: e1..e7, a1..a9, a11, or all")
+	exp := flag.String("exp", "all", "experiment id: e1..e7, or all")
 	scale := flag.String("scale", "small", "small (fast) or full sweeps")
 	seed := flag.Int64("seed", 1, "workload seed")
-	artifacts := flag.String("artifacts", ".", "directory for BENCH_<exp>.json artifacts (empty disables)")
 	flag.Parse()
-	artifactsDir = *artifacts
 
 	full := *scale == "full"
 	runners := map[string]func(bool, int64){
 		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4,
 		"e5": runE5, "e6": runE6, "e7": runE7,
-		"a1": runA1, "a2": runA2, "a3": runA3, "a4": runA4, "a5": runA5,
-		"a6": runA6, "a7": runA7, "a8": runA8, "a9": runA9, "a11": runA11,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a11"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7"}
 	if *exp == "all" {
 		for _, id := range order {
 			runners[id](full, *seed)
@@ -77,7 +53,6 @@ func main() {
 		log.Fatalf("unknown experiment %q", *exp)
 	}
 	run(full, *seed)
-	_ = os.Stdout
 }
 
 // hiringQuery is the Fig. 1-shaped query used across experiments; bound1
@@ -168,7 +143,6 @@ func runE2(full bool, seed int64) {
 		dB := timeIt(3, func() { relB = bsim.Compute(g, qB) })
 		fmt.Printf("%10d %15s %15s %10d %10d\n", n, dSim, dB, relS.Size(), relB.Size())
 	}
-	fmt.Println("shape check: bounded simulation costs more than simulation; both polynomial.")
 }
 
 // runE3 finds the incremental-vs-batch crossover (the demo: incremental
@@ -422,601 +396,4 @@ func runE7(full bool, seed int64) {
 		n, dIso, dSim, dB)
 
 	_ = expfinder.Unreachable // keep the public facade linked into the tool
-}
-
-// runA1 reports the design-choice ablations DESIGN.md calls out: parallel
-// support counting, the cache hit path, and the matching-semantics ladder
-// (simulation ⊂ bounded ⊂ dual in cost; dual ⊆ bounded in matches).
-func runA1(full bool, seed int64) {
-	fmt.Println("=== A1: ablations ===")
-	n := 5000
-	if full {
-		n = 20000
-	}
-	g := collab(n, seed)
-	q := hiringQuery(false)
-	art := newArtifact("a1", full, seed)
-
-	fmt.Printf("-- parallel support counting (n=%d) --\n", n)
-	serial := timeIt(3, func() { bsim.Compute(g, q) })
-	art.addDuration("serial", serial)
-	fmt.Printf("%10s %15s %10s\n", "workers", "time", "speedup")
-	fmt.Printf("%10d %15s %10s\n", 1, serial, "1.00x")
-	for _, w := range []int{2, 4, 8} {
-		d := timeIt(3, func() { bsim.ComputeParallel(g, q, w) })
-		fmt.Printf("%10d %15s %9.2fx\n", w, d, float64(serial)/float64(d))
-		art.add(fmt.Sprintf("parallel_w%d_speedup", w), float64(serial)/float64(d), "x")
-	}
-
-	fmt.Println("-- result cache --")
-	eng := engine.New(engine.Options{})
-	if err := eng.AddGraph("g", g); err != nil {
-		panic(err)
-	}
-	cold := timeIt(1, func() {
-		if _, err := eng.Query("g", q, 1); err != nil {
-			panic(err)
-		}
-	})
-	hit := timeIt(3, func() {
-		if _, err := eng.Query("g", q, 1); err != nil {
-			panic(err)
-		}
-	})
-	fmt.Printf("cold query %s, cache hit %s (%.0fx)\n", cold, hit, float64(cold)/float64(hit))
-	art.addDuration("query_cold", cold)
-	art.addDuration("query_cache_hit", hit)
-
-	fmt.Println("-- semantics ladder (n=1000) --")
-	gs := collab(1000, seed)
-	qSim := hiringQuery(true)
-	relSim := simulation.Compute(gs, qSim)
-	dSim := timeIt(3, func() { simulation.Compute(gs, qSim) })
-	relB := bsim.Compute(gs, q)
-	dB := timeIt(3, func() { bsim.Compute(gs, q) })
-	relD := strongsim.Dual(gs, q)
-	dD := timeIt(1, func() { strongsim.Dual(gs, q) })
-	fmt.Printf("%12s %15s %10s\n", "semantics", "time", "|M|")
-	fmt.Printf("%12s %15s %10d\n", "simulation", dSim, relSim.Size())
-	fmt.Printf("%12s %15s %10d\n", "bounded", dB, relB.Size())
-	fmt.Printf("%12s %15s %10d\n", "dual", dD, relD.Size())
-	for _, p := range relD.Pairs() {
-		if !relB.Has(p.PNode, p.Node) {
-			panic("dual not a subset of bounded")
-		}
-	}
-	fmt.Println("dual ⊆ bounded verified; dual pays for ancestor obligations.")
-	art.addDuration("semantics_simulation", dSim)
-	art.addDuration("semantics_bounded", dB)
-	art.addDuration("semantics_dual", dD)
-	art.write()
-}
-
-// runA2 sweeps the parallel batch query executor: a fixed batch of
-// distinct Fig. 1-shaped queries dispatched through engine.QueryBatch at
-// increasing Parallelism, against the same batch answered serially. A
-// fresh engine per run keeps the result cache out of the numbers.
-func runA2(full bool, seed int64) {
-	fmt.Println("=== A2: parallel batch query executor ===")
-	n := 5000
-	if full {
-		n = 39000 // ~100k collaboration edges, the ISSUE 1 baseline
-	}
-	g := collab(n, seed)
-	const nQueries = 16
-	reqs := make([]engine.QueryRequest, nQueries)
-	for i, q := range dataset.BenchQueries(nQueries) {
-		reqs[i] = engine.QueryRequest{Graph: "g", Pattern: q, K: 5}
-	}
-	runBatch := func(par int) time.Duration {
-		eng := engine.New(engine.Options{Parallelism: par})
-		if err := eng.AddGraph("g", g); err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		for _, oc := range eng.QueryBatch(context.Background(), reqs) {
-			if oc.Err != nil {
-				panic(oc.Err)
-			}
-		}
-		return time.Since(start)
-	}
-	fmt.Printf("batch of %d distinct queries, collab graph n=%d (%d edges)\n",
-		nQueries, g.NumNodes(), g.NumEdges())
-	art := newArtifact("a2", full, seed)
-	serial := runBatch(1)
-	art.addDuration("batch_serial", serial)
-	fmt.Printf("%12s %15s %10s %12s\n", "parallelism", "batch time", "speedup", "queries/s")
-	fmt.Printf("%12d %15s %10s %12.1f\n", 1, serial, "1.00x", float64(nQueries)/serial.Seconds())
-	for _, par := range []int{2, 4, 8} {
-		d := runBatch(par)
-		fmt.Printf("%12d %15s %9.2fx %12.1f\n", par, d,
-			float64(serial)/float64(d), float64(nQueries)/d.Seconds())
-		art.add(fmt.Sprintf("batch_par%d_speedup", par), float64(serial)/float64(d), "x")
-	}
-	fmt.Println("shape check: speedup approaches min(parallelism, cores); results identical at every level.")
-	art.write()
-}
-
-// a3Query builds the index-friendly workload of A3: selective predicates
-// (small candidate lists) with deep bounds (big balls) — the regime where
-// pairwise label queries beat per-candidate bounded BFS.
-func a3Query(bound int) *pattern.Pattern {
-	b := "*"
-	if bound != pattern.Unbounded {
-		b = fmt.Sprint(bound)
-	}
-	q, err := pattern.Parse(fmt.Sprintf(`
-node SA [label = "SA", experience >= 12] output
-node SD [label = "SD", specialty = "DevOps", experience >= 6]
-node BA [label = "BA", specialty = "Product Analyst", experience >= 5]
-edge SA -> SD bound %s
-edge SA -> BA bound %s
-edge SD -> BA bound %s
-`, b, b, b))
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
-// runA3 sweeps the landmark distance index (ISSUE 2): indexed vs direct
-// bounded-simulation evaluation on the 100k-edge generator graph, with
-// byte-identical relations and top-K pinned per query. Selective deep-bound
-// queries are the index's home turf; the Fig. 1 query (broad candidate
-// sets, bounds <= 3) rides along to show where building one does NOT pay.
-func runA3(full bool, seed int64) {
-	fmt.Println("=== A3: landmark distance index vs direct bounded evaluation ===")
-	n := 5000
-	if full {
-		n = 39000 // ~100k collaboration edges, the ISSUE 1 baseline
-	}
-	g := collab(n, seed)
-	fmt.Printf("collab graph n=%d (%d edges)\n", g.NumNodes(), g.NumEdges())
-	art := newArtifact("a3", full, seed)
-
-	engIx := engine.New(engine.Options{})
-	if err := engIx.AddGraph("g", g); err != nil {
-		panic(err)
-	}
-	buildStart := time.Now()
-	st, err := engIx.BuildIndex("g", distindex.Options{})
-	if err != nil {
-		panic(err)
-	}
-	build := time.Since(buildStart)
-	fmt.Printf("index: %d landmarks (complete), %d label entries (%.1f per node/side), %.1f MB, built in %s\n",
-		st.Landmarks, st.Entries, float64(st.Entries)/float64(2*st.Nodes),
-		float64(st.Bytes)/(1<<20), build)
-	ix, err := engIx.Index("g")
-	if err != nil {
-		panic(err)
-	}
-
-	queries := []struct {
-		name string
-		q    *pattern.Pattern
-	}{
-		{"selective bound-4", a3Query(4)},
-		{"selective unbounded", a3Query(pattern.Unbounded)},
-		{"fig1 broad bounds<=3", hiringQuery(false)},
-	}
-
-	fmt.Printf("%22s %8s %15s %15s %10s\n", "query", "|M|", "direct", "indexed", "speedup")
-	var totDirect, totIndexed time.Duration
-	for _, nq := range queries {
-		// Correctness gate: the engine routes through the index and the
-		// answer — relation and top-K — is byte-identical to the direct
-		// plan's.
-		engD := engine.New(engine.Options{})
-		if err := engD.AddGraph("g", g); err != nil {
-			panic(err)
-		}
-		resD, err := engD.Query("g", nq.q, 10)
-		if err != nil {
-			panic(err)
-		}
-		resI, err := engIx.Query("g", nq.q, 10)
-		if err != nil {
-			panic(err)
-		}
-		if resI.Plan != engine.PlanIndexed || resI.Source != engine.SourceIndexed {
-			panic(fmt.Sprintf("%s: plan/source = %v/%v, want indexed", nq.name, resI.Plan, resI.Source))
-		}
-		if resD.Relation.String() != resI.Relation.String() {
-			panic(nq.name + ": indexed relation diverged from direct")
-		}
-		if fmt.Sprintf("%+v", resD.TopK) != fmt.Sprintf("%+v", resI.TopK) {
-			panic(nq.name + ": indexed top-K diverged from direct")
-		}
-
-		dDirect := timeIt(3, func() { bsim.Compute(g, nq.q) })
-		dIndexed := timeIt(3, func() { bsim.ComputeIndexed(g, nq.q, ix) })
-		totDirect += dDirect
-		totIndexed += dIndexed
-		fmt.Printf("%22s %8d %15s %15s %9.2fx\n",
-			nq.name, resD.Relation.Size(), dDirect, dIndexed,
-			float64(dDirect)/float64(dIndexed))
-		art.add(nq.name+" speedup", float64(dDirect)/float64(dIndexed), "x")
-	}
-	art.addDuration("index_build", build)
-	art.add("total_speedup", float64(totDirect)/float64(totIndexed), "x")
-	fmt.Printf("%22s %8s %15s %15s %9.2fx\n", "total", "", totDirect, totIndexed,
-		float64(totDirect)/float64(totIndexed))
-	if saved := totDirect - totIndexed; saved > 0 {
-		fmt.Printf("build cost amortizes after ~%.0f query workloads like this one\n",
-			math.Ceil(float64(build)/float64(saved)))
-	}
-	fmt.Println("shape check (read the table, it is not computed): the index is for selective unbounded queries; bounded and broad shallow ones ride the batched walk at ~1x.")
-	art.write()
-}
-
-// runA4 sweeps the continuous-query subsystem (ISSUE 3): N standing
-// subscriptions fed a stream of edge-update batches, against the naive
-// client strategy of re-running every query after every batch. Each
-// subscriber folds its snapshot + delta events through a Mirror, and the
-// sweep enforces that every mirrored relation is byte-identical to a
-// fresh batch evaluation of the final graph — the streamed protocol
-// never trades correctness for latency.
-func runA4(full bool, seed int64) {
-	fmt.Println("=== A4: continuous queries (streamed deltas) vs naive re-query ===")
-	n, rounds, batch, nSubs := 5000, 20, 20, 4
-	if full {
-		// ~100k collaboration edges, the ISSUE 1 baseline; fewer, larger
-		// rounds keep the naive arm's full recomputes tractable.
-		n, rounds, batch, nSubs = 39000, 8, 50, 2
-	}
-	g := collab(n, seed)
-	queries := dataset.BenchQueries(nSubs)
-	fmt.Printf("collab graph n=%d (%d edges), %d standing queries, %d rounds x %d edge updates\n",
-		g.NumNodes(), g.NumEdges(), nSubs, rounds, batch)
-
-	// Precompute one feasible update stream shared by both arms.
-	opsSrc := g.Clone()
-	r := rand.New(rand.NewSource(seed + 23))
-	stream := make([][]incremental.Update, rounds)
-	for i := range stream {
-		stream[i] = randomOps(r, opsSrc, batch)
-	}
-
-	// Streamed arm: subscribe once (the snapshot pays the initial
-	// evaluation), then PushUpdates per round and drain the deltas.
-	engS := engine.New(engine.Options{})
-	if err := engS.AddGraph("g", g.Clone()); err != nil {
-		panic(err)
-	}
-	subs := make([]*subscribe.Subscription, nSubs)
-	mirrors := make([]*subscribe.Mirror, nSubs)
-	setupStart := time.Now()
-	for i, q := range queries {
-		var err error
-		subs[i], err = engS.Subscribe("g", q, subscribe.Options{})
-		if err != nil {
-			panic(err)
-		}
-		mirrors[i] = subscribe.NewMirror(q.NumNodes())
-		drainSub(subs[i], mirrors[i])
-	}
-	setup := time.Since(setupStart)
-
-	streamStart := time.Now()
-	for _, ops := range stream {
-		if _, _, err := engS.PushUpdates("g", ops); err != nil {
-			panic(err)
-		}
-		for i := range subs {
-			drainSub(subs[i], mirrors[i])
-		}
-	}
-	dStream := time.Since(streamStart)
-
-	// Naive arm: after every batch, re-run every standing query from
-	// scratch — what a client without subscriptions must do to stay
-	// current.
-	gN := g.Clone()
-	naive := make([]*match.Relation, nSubs)
-	naiveStart := time.Now()
-	for _, ops := range stream {
-		for _, op := range ops {
-			var err error
-			if op.Insert {
-				err = gN.AddEdge(op.From, op.To)
-			} else {
-				err = gN.RemoveEdge(op.From, op.To)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		for i, q := range queries {
-			naive[i] = bsim.Compute(gN, q)
-		}
-	}
-	dNaive := time.Since(naiveStart)
-
-	// Correctness gate: every mirrored relation is byte-identical to the
-	// naive arm's final recompute.
-	for i := range queries {
-		if mirrors[i].Relation().String() != naive[i].String() {
-			panic(fmt.Sprintf("a4: subscription %d diverged from naive re-query", i))
-		}
-	}
-
-	perRoundS := dStream / time.Duration(rounds)
-	perRoundN := dNaive / time.Duration(rounds)
-	fmt.Printf("%12s %15s %15s %10s\n", "", "per round", "total", "speedup")
-	fmt.Printf("%12s %15s %15s %10s\n", "naive", perRoundN, dNaive, "1.00x")
-	fmt.Printf("%12s %15s %15s %9.2fx\n", "streamed", perRoundS, dStream,
-		float64(dNaive)/float64(dStream))
-	art := newArtifact("a4", full, seed)
-	art.addDuration("naive_total", dNaive)
-	art.addDuration("streamed_total", dStream)
-	art.addDuration("subscribe_setup", setup)
-	art.add("streamed_speedup", float64(dNaive)/float64(dStream), "x")
-	art.write()
-	st := engS.SubscriptionStats()
-	fmt.Printf("subscribe setup (initial evaluations): %s; hub: %d deltas published, %d recomputes\n",
-		setup, st.Published, st.Recomputes)
-	fmt.Println("final relations byte-identical across arms (enforced)")
-	fmt.Println("shape check: streamed deltas beat naive re-query by growing margins as graphs and query counts grow.")
-}
-
-// drainSub folds every buffered event of s into mi.
-func drainSub(s *subscribe.Subscription, mi *subscribe.Mirror) {
-	for {
-		ev, ok := s.Poll()
-		if !ok {
-			return
-		}
-		if err := mi.Apply(ev); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// engineImage serializes a managed graph through the exact-image codec —
-// the byte-level identity the durability contract is stated in.
-func engineImage(eng *engine.Engine, name string) []byte {
-	var buf bytes.Buffer
-	if err := eng.WithGraph(name, func(g *graph.Graph) error {
-		return storage.WriteGraphImage(&buf, g)
-	}); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// runA5 sweeps the durable persistence subsystem (ISSUE 4): the same
-// update-ingest workload pushed through engine.ApplyUpdates with
-// durability disabled and with the write-ahead log under each fsync
-// policy, against the 100k-edge generator graph at full scale. Every arm
-// must end byte-identical (image codec, version included), and each
-// durable arm is recovered into a fresh engine and re-verified — the
-// bench doubles as an end-to-end recovery check.
-func runA5(full bool, seed int64) {
-	fmt.Println("=== A5: durable ingest — WAL fsync policies vs in-memory ===")
-	n, rounds, batch := 5000, 40, 50
-	if full {
-		// ~100k collaboration edges, the ISSUE 1 baseline.
-		n, rounds, batch = 39000, 80, 200
-	}
-	base := collab(n, seed)
-	fmt.Printf("collab graph n=%d (%d edges), %d rounds x %d edge updates\n",
-		base.NumNodes(), base.NumEdges(), rounds, batch)
-
-	// One feasible update stream shared by every arm.
-	opsSrc := base.Clone()
-	r := rand.New(rand.NewSource(seed + 31))
-	stream := make([][]incremental.Update, rounds)
-	for i := range stream {
-		stream[i] = randomOps(r, opsSrc, batch)
-	}
-	totalOps := rounds * batch
-
-	type arm struct {
-		name    string
-		durable bool
-		policy  wal.FsyncPolicy
-	}
-	arms := []arm{
-		{"memory", false, 0},
-		{"wal-off", true, wal.FsyncOff},
-		{"wal-interval", true, wal.FsyncInterval},
-		{"wal-always", true, wal.FsyncAlways},
-	}
-
-	var refImage []byte
-	var baseline time.Duration
-	art := newArtifact("a5", full, seed)
-	fmt.Printf("%14s %15s %12s %10s %10s\n", "durability", "ingest time", "updates/s", "overhead", "recovered")
-	for _, a := range arms {
-		var dir string
-		opts := engine.Options{}
-		if a.durable {
-			var err error
-			dir, err = os.MkdirTemp("", "expfinder-a5-*")
-			if err != nil {
-				panic(err)
-			}
-			m, err := wal.Open(wal.Options{Dir: dir, Fsync: a.policy})
-			if err != nil {
-				panic(err)
-			}
-			opts.Persistence = m
-		}
-		eng := engine.New(opts)
-		if err := eng.AddGraph("g", base.Clone()); err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		for _, ops := range stream {
-			if _, err := eng.ApplyUpdates("g", ops); err != nil {
-				panic(err)
-			}
-		}
-		d := time.Since(start)
-		image := engineImage(eng, "g")
-		// Correctness gate: every durability level must produce the same
-		// final graph, byte for byte (checksummed image, version included).
-		if refImage == nil {
-			refImage, baseline = image, d
-		} else if !bytes.Equal(image, refImage) {
-			panic(a.name + ": final graph image diverged from the in-memory arm")
-		}
-		recovered := "-"
-		if a.durable {
-			if err := eng.Close(); err != nil {
-				panic(err)
-			}
-			m2, err := wal.Open(wal.Options{Dir: dir})
-			if err != nil {
-				panic(err)
-			}
-			eng2 := engine.New(engine.Options{Persistence: m2})
-			if _, err := eng2.Recover(); err != nil {
-				panic(err)
-			}
-			if !bytes.Equal(engineImage(eng2, "g"), refImage) {
-				panic(a.name + ": recovered graph image diverged")
-			}
-			if err := eng2.Close(); err != nil {
-				panic(err)
-			}
-			recovered = "ok"
-			os.RemoveAll(dir)
-		}
-		fmt.Printf("%14s %15s %12.0f %9.2fx %10s\n",
-			a.name, d, float64(totalOps)/d.Seconds(), float64(d)/float64(baseline), recovered)
-		art.addDuration(a.name+"_ingest", d)
-		art.add(a.name+"_updates_per_s", float64(totalOps)/d.Seconds(), "ops/s")
-		art.add(a.name+"_overhead", float64(d)/float64(baseline), "x")
-	}
-	fmt.Println("final graph images byte-identical across all arms; durable arms recovered and re-verified (enforced)")
-	fmt.Println("shape check: fsync=off rides close to memory, always pays one sync per batch, interval sits between.")
-	art.write()
-}
-
-// runA6 sweeps the partitioned-graph subsystem (ISSUE 5): edge-cut
-// sharding plus the partition-parallel bounded-simulation evaluator,
-// against the single-lock serial path on the 100k-edge generator graph.
-// Every fragment count must produce a byte-identical relation
-// (enforced), and the engine-level route is gated end to end: plan,
-// source, relation, and top-K must match the direct engine's. The table
-// reports the boundary-exchange volume (messages, supersteps) that a
-// multi-process deployment of the same coordinator would put on the
-// network.
-func runA6(full bool, seed int64) {
-	fmt.Println("=== A6: partition-parallel bounded simulation vs single-lock path ===")
-	n := 5000
-	if full {
-		n = 39000 // ~100k collaboration edges, the ISSUE 1 baseline
-	}
-	g := collab(n, seed)
-	q := hiringQuery(false)
-	art := newArtifact("a6", full, seed)
-	fmt.Printf("collab graph n=%d (%d edges), Fig. 1-shaped query (bounds <= 3)\n",
-		g.NumNodes(), g.NumEdges())
-
-	// Reference: the serial single-lock path.
-	var ref *match.Relation
-	dSerial := timeIt(3, func() { ref = bsim.Compute(g, q) })
-	art.addDuration("serial", dSerial)
-	fmt.Printf("serial bounded simulation: %s\n", dSerial)
-
-	// Engine-level gate at P=GOMAXPROCS: the partitioned route answers
-	// exactly what the direct engine answers, as the partitioned plan.
-	maxP := runtime.GOMAXPROCS(0)
-	engD := engine.New(engine.Options{})
-	if err := engD.AddGraph("g", g); err != nil {
-		panic(err)
-	}
-	resD, err := engD.Query("g", q, 10)
-	if err != nil {
-		panic(err)
-	}
-	engP := engine.New(engine.Options{})
-	if err := engP.AddGraph("g", g); err != nil {
-		panic(err)
-	}
-	if _, err := engP.PartitionGraph("g", partition.Options{Parts: maxP}); err != nil {
-		panic(err)
-	}
-	resP, err := engP.Query("g", q, 10)
-	if err != nil {
-		panic(err)
-	}
-	if resP.Plan != engine.PlanPartitioned || resP.Source != engine.SourcePartitioned {
-		panic(fmt.Sprintf("a6: plan/source = %v/%v, want partitioned", resP.Plan, resP.Source))
-	}
-	if resD.Relation.String() != resP.Relation.String() {
-		panic("a6: partitioned relation diverged from direct")
-	}
-	if fmt.Sprintf("%+v", resD.TopK) != fmt.Sprintf("%+v", resP.TopK) {
-		panic("a6: partitioned top-K diverged from direct")
-	}
-
-	// Fragment-count sweep, both strategies at P=GOMAXPROCS plus a P
-	// ladder on greedy.
-	parts := []int{1, 2, 4, 8}
-	have := false
-	for _, p := range parts {
-		if p == maxP {
-			have = true
-		}
-	}
-	if !have {
-		parts = append(parts, maxP)
-		sort.Ints(parts)
-	}
-	fmt.Printf("%10s %8s %6s %9s %15s %10s %6s %12s\n",
-		"strategy", "parts", "cut%", "ghosts", "time", "speedup", "steps", "messages")
-	bestAtMax := time.Duration(0)
-	for _, p := range parts {
-		for _, strat := range []partition.Strategy{partition.StrategyGreedy, partition.StrategyHash} {
-			if p != maxP && p != 4 && strat == partition.StrategyHash {
-				continue // the hash arm rides along at representative P only
-			}
-			pt, err := partition.Partition(g, partition.Options{Parts: p, Strategy: strat})
-			if err != nil {
-				panic(err)
-			}
-			pst := pt.Stats()
-			ghosts := 0
-			for _, fs := range pst.Fragments {
-				ghosts += fs.Ghosts
-			}
-			var rel *match.Relation
-			var est partition.EvalStats
-			d := timeIt(3, func() {
-				var evalErr error
-				rel, est, evalErr = partition.Eval(g, q, pt, partition.Bounded)
-				if evalErr != nil {
-					panic(evalErr)
-				}
-			})
-			// Correctness gate: byte-identical at every P and strategy.
-			if rel.String() != ref.String() {
-				panic(fmt.Sprintf("a6: relation diverged at P=%d strategy=%s", p, strat))
-			}
-			speedup := float64(dSerial) / float64(d)
-			fmt.Printf("%10s %8d %5.1f%% %9d %15s %9.2fx %6d %12d\n",
-				strat, p, pst.CutRatio*100, ghosts, d, speedup, est.Supersteps, est.Messages)
-			label := fmt.Sprintf("%s_p%d", strat, p)
-			art.addDuration(label, d)
-			art.add(label+"_speedup", speedup, "x")
-			art.add(label+"_messages", float64(est.Messages), "deltas")
-			art.add(label+"_supersteps", float64(est.Supersteps), "rounds")
-			art.add(label+"_cut_ratio", pst.CutRatio, "ratio")
-			if p == maxP && strat == partition.StrategyGreedy {
-				bestAtMax = d
-			}
-		}
-	}
-	if bestAtMax > 0 {
-		fmt.Printf("at P=GOMAXPROCS(%d): %.2fx over the single-lock serial path\n",
-			maxP, float64(dSerial)/float64(bestAtMax))
-		art.add("speedup_at_gomaxprocs", float64(dSerial)/float64(bestAtMax), "x")
-	}
-	fmt.Println("relations byte-identical to the serial path at every fragment count and strategy (enforced)")
-	art.write()
 }

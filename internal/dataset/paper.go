@@ -71,8 +71,7 @@ func E1(p People) graph.Edge { return graph.Edge{From: p.Fred, To: p.Pat} }
 
 // BenchQueries returns n distinct Fig. 1-shaped queries — experience
 // thresholds and first-edge bounds vary so no two share a result-cache
-// key. The batch-executor benchmarks (bench_test.go, benchrunner -exp
-// a2) share this workload so their baselines stay comparable.
+// key: the workload of BenchmarkBatchExecutor (bench_test.go).
 func BenchQueries(n int) []*pattern.Pattern {
 	qs := make([]*pattern.Pattern, n)
 	for i := range qs {

@@ -15,9 +15,11 @@ import (
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
 	"expfinder/internal/match"
+	"expfinder/internal/partition"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
 	"expfinder/internal/testutil"
+	"expfinder/internal/trace"
 )
 
 // batchWorkload is a shared graph plus a set of distinct queries against
@@ -95,13 +97,17 @@ func sameRanking(a, b []rank.Ranked) bool {
 }
 
 // TestExecutorDeterminism pins the ISSUE acceptance check: identical match
-// relations and top-K ranking for Parallelism 1, 4, and GOMAXPROCS.
+// relations and top-K ranking for Parallelism 1, 4, and GOMAXPROCS — and
+// under a live trace, which observes the evaluation and never steers it.
 func TestExecutorDeterminism(t *testing.T) {
 	g, qs := batchWorkload(t, 8)
-	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
+	arms := []struct {
+		par    int
+		traced bool
+	}{{1, false}, {4, false}, {runtime.GOMAXPROCS(0), false}, {4, true}}
 	var baseline []QueryOutcome
-	for _, par := range levels {
-		e := New(Options{Parallelism: par})
+	for _, arm := range arms {
+		e := New(Options{Parallelism: arm.par})
 		if err := e.AddGraph("g", g); err != nil {
 			t.Fatal(err)
 		}
@@ -109,10 +115,18 @@ func TestExecutorDeterminism(t *testing.T) {
 		for i, q := range qs {
 			reqs[i] = QueryRequest{Graph: "g", Pattern: q, K: 10}
 		}
-		out := e.QueryBatch(context.Background(), reqs)
+		var tracer *trace.Tracer // nil: Start and Finish do nothing
+		if arm.traced {
+			tracer = trace.New(trace.Options{Sample: 1})
+		}
+		ctx, tr := tracer.Start(context.Background(), "t1", "batch", false)
+		out := e.QueryBatch(ctx, reqs)
+		if tj := tracer.Finish(tr); arm.traced && (tj == nil || tj.Find("engine.query") == nil) {
+			t.Fatalf("traced arm recorded no engine.query span: %+v", tj)
+		}
 		for i, oc := range out {
 			if oc.Err != nil {
-				t.Fatalf("parallelism %d request %d: %v", par, i, oc.Err)
+				t.Fatalf("arm %+v request %d: %v", arm, i, oc.Err)
 			}
 		}
 		if baseline == nil {
@@ -121,10 +135,10 @@ func TestExecutorDeterminism(t *testing.T) {
 		}
 		for i := range out {
 			if !out[i].Result.Relation.Equal(baseline[i].Result.Relation) {
-				t.Errorf("parallelism %d request %d: relation differs from parallelism %d", par, i, levels[0])
+				t.Errorf("arm %+v request %d: relation differs from arm %+v", arm, i, arms[0])
 			}
 			if !sameRanking(out[i].Result.TopK, baseline[i].Result.TopK) {
-				t.Errorf("parallelism %d request %d: top-K differs from parallelism %d", par, i, levels[0])
+				t.Errorf("arm %+v request %d: top-K differs from arm %+v", arm, i, arms[0])
 			}
 		}
 	}
@@ -333,44 +347,61 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 }
 
 // TestCancelledQueryReleasesSlotAndLock cancels a query in the middle of an
-// evaluation that takes tens of milliseconds, under either semantics: it
-// must return ctx.Err() within a pass, hand back its execution slot and the
-// graph's read lock (a writer that was waiting behind it proceeds), and
-// leave nothing in the result cache.
+// evaluation that takes tens of milliseconds, under either semantics and on
+// the partitioned plan: it must return ctx.Err() within a pass (a superstep,
+// partitioned), hand back its execution slot and the graph's read lock (a
+// writer that was waiting behind it proceeds), and leave nothing in the
+// result cache.
 func TestCancelledQueryReleasesSlotAndLock(t *testing.T) {
 	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 20000, AvgDegree: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := pattern.Parse(`node SA [label = "SA", experience >= 8] output
+	const dsl = `node SA [label = "SA", experience >= 8] output
 node SD [label = "SD", specialty = "Programmer", experience >= 4]
 node BA [label = "BA", specialty = "Business Analyst", experience >= 3]
-edge SA -> SD bound *
+edge SA -> SD bound %s
 edge SA -> BA bound 4
-edge SD -> BA bound *
-`)
+edge SD -> BA bound %s
+`
+	q, err := pattern.Parse(fmt.Sprintf(dsl, "*", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("bounded", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Bounded) })
-	t.Run("dual", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Dual) })
+	shallow, err := pattern.Parse(fmt.Sprintf(dsl, "2", "3")) // max bound 4: routed to the fragments
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("bounded", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Bounded, 0, 12) })
+	t.Run("dual", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Dual, 0, 12) })
+	// A miss polls once before its slot and twice after its relation, so a
+	// 4th poll exists only if the partitioned evaluator itself polls: after
+	// its candidate init, then before every superstep.
+	t.Run("partitioned", func(t *testing.T) { cancelMidEvaluation(t, g, shallow, match.Bounded, 2, 4) })
 }
 
-func cancelMidEvaluation(t *testing.T, g *graph.Graph, q *pattern.Pattern, sem match.Semantics) {
+// cancelMidEvaluation parks the query inside its parkAt-th ctx.Err poll;
+// parts > 0 partitions the graph first.
+func cancelMidEvaluation(t *testing.T, g *graph.Graph, q *pattern.Pattern, sem match.Semantics, parts int, parkAt int64) {
 	e := New(Options{Parallelism: 1})
 	if err := e.AddGraph("g", g); err != nil {
 		t.Fatal(err)
 	}
+	if parts > 0 {
+		if _, err := e.PartitionGraph("g", partition.Options{Parts: parts}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// The evaluators poll ctx.Err between passes; the 12th poll parks the
-	// query mid-evaluation until the test lets it see the cancellation.
+	// The evaluators poll ctx.Err between passes; the parkAt-th poll parks
+	// the query mid-evaluation until the test lets it see the cancellation.
 	midway, release := make(chan struct{}), make(chan struct{})
-	ctx := &testutil.PollCtx{Context: context.Background(), N: 12, At: func() { close(midway); <-release }}
+	ctx := &testutil.PollCtx{Context: context.Background(), N: parkAt, At: func() { close(midway); <-release }}
 	ch := e.QueryAsync(ctx, QueryRequest{Graph: "g", Pattern: q, K: 10, Semantics: sem})
 	select {
 	case <-midway:
 	case oc := <-ch:
-		t.Fatalf("query finished before its 12th pass boundary: %+v", oc)
+		t.Fatalf("query finished before its pass boundary %d: %+v", parkAt, oc)
 	}
 	// Mid-evaluation: the query holds the slot and the read lock, so this
 	// writer waits.

@@ -584,7 +584,8 @@ func routePlan(mg *managed, q *pattern.Pattern, sem match.Semantics) Plan {
 // the routed plan; it returns the plan it ended up running. Callers hold
 // mg.mu for at least read. Trace spans (one per pipeline stage) are
 // emitted only when ctx carries an active trace. The kernel gives up at
-// its next pass when ctx is cancelled; evaluate then returns ctx.Err().
+// its next pass, the partitioned evaluator at its next superstep, when ctx
+// is cancelled; evaluate then returns ctx.Err().
 func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*match.Relation, Source, Plan, error) {
 	// kernel runs the refinement kernel on the original graph under the
 	// named stage span.
@@ -636,19 +637,23 @@ func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, 
 		var st partition.EvalStats
 		var err error
 		rel, st, err = partition.EvalCtx(pctx, mg.g, q, mg.part, match.Bounded)
+		stale := errors.Is(err, partition.ErrStale)
 		if spPart != nil {
 			spPart.SetInt("supersteps", int64(st.Supersteps))
 			spPart.SetInt("messages", int64(st.Messages))
 			spPart.SetInt("removals", int64(st.Removals))
-			spPart.SetBool("fallback", err != nil)
+			spPart.SetBool("fallback", stale)
 			spPart.End()
 		}
-		if err != nil {
+		switch {
+		case err == nil:
+			source = SourcePartitioned
+		case stale:
 			// Unreachable while routing gates on Fresh under the graph's
 			// lock; answer exactly anyway rather than fail the query.
 			rel, plan = kernel("eval.bounded", match.Bounded), PlanBounded
-		} else {
-			source = SourcePartitioned
+		default:
+			return nil, source, plan, err
 		}
 	default:
 		rel = kernel("eval.bounded", match.Bounded)

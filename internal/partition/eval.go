@@ -104,7 +104,9 @@ func Eval(g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem match.Semant
 // EvalCtx is Eval emitting trace spans when ctx carries an active trace
 // (see internal/trace): one span per phase plus one per superstep, whose
 // message and removal attributes sum to the returned EvalStats. The
-// relation is byte-identical with and without tracing.
+// relation is byte-identical with and without tracing. ctx is polled
+// after each initialisation phase and before every superstep; a cancelled
+// run returns ctx.Err() and no relation.
 func EvalCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, pt *Partitioning, sem match.Semantics) (*match.Relation, EvalStats, error) {
 	if !pt.covers(g) {
 		return nil, EvalStats{}, ErrStale
@@ -120,6 +122,9 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, pt *Partit
 	_, spCands := trace.StartSpan(ctx, "part.init_cands")
 	s.initCands()
 	spCands.End()
+	if err := ctx.Err(); err != nil {
+		return nil, EvalStats{}, err
+	}
 	_, spCounts := trace.StartSpan(ctx, "part.init_counts")
 	pending := s.initCounts()
 	if spCounts != nil {
@@ -131,7 +136,10 @@ func EvalCtx(ctx context.Context, g *graph.Graph, q *pattern.Pattern, pt *Partit
 		spCounts.End()
 	}
 
-	st := s.fixpoint(ctx, pending)
+	st, err := s.fixpoint(ctx, pending)
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
 	pt.noteEval(st)
 
 	nq := q.NumNodes()
@@ -256,13 +264,17 @@ func (s *evalState) countBall(v graph.NodeID, bound int, set []bool, reverse boo
 // fixpoint runs the bulk-synchronous refinement loop. When ctx carries
 // an active trace, every barrier round gets a "superstep" span whose
 // messages/removals attributes are that round's deltas — summing them
-// across spans reproduces the returned EvalStats.
-func (s *evalState) fixpoint(ctx context.Context, pending [][]removal) EvalStats {
+// across spans reproduces the returned EvalStats. ctx is polled before
+// every round, the first included; a cancelled loop returns ctx.Err().
+func (s *evalState) fixpoint(ctx context.Context, pending [][]removal) (EvalStats, error) {
 	p := s.pt.parts
 	var st EvalStats
 	inbox := make([][]delta, p)
 	removed := make([]int, p)
 	for {
+		if err := ctx.Err(); err != nil {
+			return EvalStats{}, err
+		}
 		work := false
 		for f := 0; f < p; f++ {
 			if len(pending[f]) > 0 || len(inbox[f]) > 0 {
@@ -313,7 +325,7 @@ func (s *evalState) fixpoint(ctx context.Context, pending [][]removal) EvalStats
 	for f := 0; f < p; f++ {
 		st.Removals += removed[f]
 	}
-	return st
+	return st, nil
 }
 
 // refineFragment drives fragment f to its local fixpoint: apply incoming

@@ -325,6 +325,25 @@ func TestAccountingDisabled(t *testing.T) {
 			t.Errorf("%s code = %q", path, env.Error.Code)
 		}
 	}
+
+	// Accounting and admission observe and queue, never steer: the default
+	// server, one without accounting and one with neither answer the Fig. 1
+	// query with the same bytes.
+	var want []byte
+	for _, cfg := range []Config{{}, {DisableAccounting: true}, {DisableAccounting: true, MaxInflight: -1}} {
+		ts, _ := newConfiguredServer(t, cfg)
+		uploadPaperGraph(t, ts)
+		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 5})
+		body = elapsedRE.ReplaceAll(body, []byte(`"elapsed_us":0`))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: query: %d %s", cfg, resp.StatusCode, body)
+		}
+		if want == nil {
+			want = body
+		} else if !bytes.Equal(body, want) {
+			t.Errorf("%+v answers differently from the default server:\n got %s\nwant %s", cfg, body, want)
+		}
+	}
 }
 
 // TestShedHeaviestClient fills the admission queue and asserts the

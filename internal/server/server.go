@@ -79,7 +79,7 @@ type Config struct {
 	// DisableAccounting turns off the per-client resource ledger, the
 	// SLO tracker, and their endpoints/metrics. Accounting is on by
 	// default: it observes finished requests only, so results are
-	// byte-identical either way (enforced by benchrunner -exp a11).
+	// byte-identical either way (TestAccountingDisabled).
 	DisableAccounting bool
 	// AccountClients bounds how many distinct clients the ledger tracks
 	// individually (the rest fold into an "other" bucket); 0 means 32.

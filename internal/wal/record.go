@@ -11,11 +11,11 @@ import (
 )
 
 // Record kinds, one per engine mutation path. RecVersion carries no
-// mutation: it advances the version counter alone, for writers whose
-// content is unchanged but whose version moved. (The engine's rollback
-// path does NOT use it — a rollback re-adds edges by append, changing
-// adjacency ORDER, so it logs the forward+inverse op sequence instead to
-// keep recovery byte-identical.)
+// mutation: it advances the version counter alone. Nothing writes one
+// any more (a rollback re-adds edges by append, changing adjacency ORDER,
+// so the engine logs the forward+inverse op sequence instead to keep
+// recovery byte-identical), but logs already on disk may hold one, so
+// encode, decode and replay keep reading it.
 //
 // The kinds are exported because replication ships record payloads
 // verbatim: a follower decodes the same bytes the leader framed and

@@ -463,24 +463,6 @@ func (m *Manager) LogRecord(ctx context.Context, name string, rec *Record) error
 	return m.append(ctx, name, rec)
 }
 
-// LogVersion appends a pure version advance for writers whose content
-// is unchanged but whose version moved (the engine's rollback path logs
-// op sequences instead — see record.go). A no-op when the version did
-// not actually advance.
-func (m *Manager) LogVersion(name string, postVersion uint64) error {
-	gl, err := m.lookup(name)
-	if err != nil {
-		return err
-	}
-	gl.mu.Lock()
-	skip := postVersion <= gl.lastVersion
-	gl.mu.Unlock()
-	if skip {
-		return nil
-	}
-	return m.append(context.Background(), name, &Record{Kind: RecVersion, Post: postVersion})
-}
-
 func (m *Manager) append(ctx context.Context, name string, rec *Record) error {
 	gl, err := m.lookup(name)
 	if err != nil {

@@ -100,8 +100,8 @@ func mutate(t *testing.T, m *Manager, name string, g *graph.Graph, r *rand.Rand,
 			}
 		default: // bare version advance (rolled-back batch)
 			g.RestoreVersion(g.Version() + 2)
-			if err := m.LogVersion(name, g.Version()); err != nil {
-				t.Fatalf("LogVersion: %v", err)
+			if err := m.LogRecord(context.Background(), name, &Record{Kind: RecVersion, Post: g.Version()}); err != nil {
+				t.Fatalf("log version: %v", err)
 			}
 		}
 	}
@@ -339,10 +339,6 @@ func TestNonMonotoneVersionRejected(t *testing.T) {
 	err := m.LogRecord(context.Background(), "g", &Record{Kind: RecAddNode, Post: g.Version(), Label: "SA"}) // same version again
 	if !errors.Is(err, ErrNonMonotone) {
 		t.Fatalf("got %v, want ErrNonMonotone", err)
-	}
-	// LogVersion at the same version is the sanctioned no-op.
-	if err := m.LogVersion("g", g.Version()); err != nil {
-		t.Fatalf("LogVersion same-version: %v", err)
 	}
 }
 
