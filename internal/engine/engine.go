@@ -11,8 +11,8 @@
 //  1. return the cached answer — M(Q,G), its result graph and the full
 //     ranking, one immutable internal/cache entry — if the cache holds one
 //     for G's current version;
-//  2. if Q is registered for incremental maintenance, read the maintained
-//     relation;
+//  2. if Q is a standing query — registered for incremental maintenance,
+//     watched by a subscription, or both — read the maintained relation;
 //  3. if a fresh distance index is registered and the query has bounds
 //     beyond 1, evaluate with the index-accelerated bounded-simulation
 //     plan;
@@ -41,8 +41,10 @@
 //
 // Beyond one-shot queries, the engine hosts continuous queries
 // (Subscribe): standing patterns whose match deltas stream to clients as
-// updates are applied, maintained through internal/subscribe as the last
-// maintainer of that pipeline.
+// updates are applied. A subscribed pattern is maintained by the same
+// matcher as a registered one — one per pattern, whoever holds it — and
+// after every mutation internal/subscribe diffs and delivers what the
+// matchers settled on.
 package engine
 
 import (
@@ -191,21 +193,62 @@ type Engine struct {
 }
 
 // managed is one registered graph with everything attached to it. Its
-// mutex guards the graph, the compressed form, and the matcher registry;
-// queries hold it for read, mutations for write. epoch is the engine-wide
-// registration counter distinguishing this instance from any other graph
-// ever registered under the same name.
+// mutex guards the graph, the compressed form, and the standing queries;
+// queries hold it for read, mutations, registrations and subscription
+// changes for write. epoch is the engine-wide registration counter
+// distinguishing this instance from any other graph ever registered under
+// the same name.
 type managed struct {
-	mu       sync.RWMutex
-	epoch    uint64
-	removed  bool // set under mu by RemoveGraph; Subscribe re-checks it
-	g        *graph.Graph
-	comp     *compress.Compressed            // optional
-	idx      *distindex.Index                // optional landmark distance index
-	part     *partition.Partitioning         // optional edge-cut partitioning
-	st       *stats.Graph                    // online graph statistics
-	matchers map[string]*incremental.Matcher // pattern hash -> matcher
-	queries  map[string]*pattern.Pattern     // pattern hash -> registered pattern
+	mu      sync.RWMutex
+	epoch   uint64
+	removed bool // set under mu by RemoveGraph; Subscribe re-checks it
+	g       *graph.Graph
+	comp    *compress.Compressed      // optional
+	idx     *distindex.Index          // optional landmark distance index
+	part    *partition.Partitioning   // optional edge-cut partitioning
+	st      *stats.Graph              // online graph statistics
+	queries map[string]*standingQuery // pattern hash -> standing query
+}
+
+// standingQuery is one pattern under incremental maintenance on a graph:
+// registered through RegisterQuery, watched through Subscribe, or both,
+// with one matcher either way. It lives while either holds it.
+type standingQuery struct {
+	m          *incremental.Matcher
+	q          *pattern.Pattern
+	registered bool
+}
+
+// standing returns q's standing query, starting its maintenance if nothing
+// holds it yet. Callers hold mg.mu for write.
+func (mg *managed) standing(q *pattern.Pattern) *standingQuery {
+	h := q.Hash()
+	sq, ok := mg.queries[h]
+	if !ok {
+		q = q.Clone()
+		sq = &standingQuery{m: incremental.NewMatcher(mg.g, q), q: q}
+		mg.queries[h] = sq
+	}
+	return sq
+}
+
+// relationOf is the subscription hub's view of the standing queries: the
+// maintained relation of the one with the given hash, or nil when the
+// graph keeps none under it.
+func (mg *managed) relationOf(hash string) *match.Relation {
+	if sq, ok := mg.queries[hash]; ok {
+		return sq.m.Relation()
+	}
+	return nil
+}
+
+// release ends maintenance of the standing query with the given hash once
+// neither a registration nor a subscription holds it. Callers hold mg.mu
+// for write.
+func (e *Engine) release(name string, mg *managed, hash string) {
+	if sq, ok := mg.queries[hash]; ok && !sq.registered && !e.hub.Watched(name, hash) {
+		delete(mg.queries, hash)
+	}
 }
 
 // New returns an engine with the given options.
@@ -312,11 +355,10 @@ func (e *Engine) registerWith(name string, g *graph.Graph, st *stats.Graph) erro
 		st = stats.NewGraph(g)
 	}
 	e.gs[name] = &managed{
-		epoch:    e.epochs.Add(1),
-		g:        g,
-		st:       st,
-		matchers: map[string]*incremental.Matcher{},
-		queries:  map[string]*pattern.Pattern{},
+		epoch:   e.epochs.Add(1),
+		g:       g,
+		st:      st,
+		queries: map[string]*standingQuery{},
 	}
 	return nil
 }
@@ -596,11 +638,11 @@ func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, 
 	}
 	var rel *match.Relation
 	source := SourceDirect
-	switch m, registered := mg.matchers[q.Hash()]; {
+	switch sq, standing := mg.queries[q.Hash()]; {
 	case plan == PlanDual:
 		rel = kernel("eval.dual", match.Dual)
-	case registered:
-		return m.Relation(), SourceIncremental, plan, nil
+	case standing:
+		return sq.m.Relation(), SourceIncremental, plan, nil
 	// The indexed and partitioned plans answer on the original graph and
 	// take precedence over compressed routing (the quotient would
 	// recompute the balls they already paid for, and the partitioning
@@ -678,7 +720,9 @@ func (e *Engine) compressedUsable(c *compress.Compressed, q *pattern.Pattern, pl
 func (e *Engine) CacheStats() cache.Stats { return e.cache.Stats() }
 
 // RegisterQuery starts incremental maintenance for q on the named graph:
-// subsequent ApplyUpdates calls repair its result instead of recomputing.
+// subsequent ApplyUpdates calls repair its result instead of recomputing,
+// and report its deltas. A pattern some subscription already watches keeps
+// its matcher.
 func (e *Engine) RegisterQuery(graphName string, q *pattern.Pattern) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -689,16 +733,12 @@ func (e *Engine) RegisterQuery(graphName string, q *pattern.Pattern) error {
 	}
 	mg.mu.Lock()
 	defer mg.mu.Unlock()
-	h := q.Hash()
-	if _, ok := mg.matchers[h]; ok {
-		return nil // already registered
-	}
-	mg.matchers[h] = incremental.NewMatcher(mg.g, q)
-	mg.queries[h] = q.Clone()
+	mg.standing(q).registered = true
 	return nil
 }
 
-// UnregisterQuery stops incremental maintenance for q.
+// UnregisterQuery stops incremental maintenance for q, unless a
+// subscription still watches it.
 func (e *Engine) UnregisterQuery(graphName string, q *pattern.Pattern) error {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -707,15 +747,17 @@ func (e *Engine) UnregisterQuery(graphName string, q *pattern.Pattern) error {
 	mg.mu.Lock()
 	defer mg.mu.Unlock()
 	h := q.Hash()
-	if _, ok := mg.matchers[h]; !ok {
+	sq, ok := mg.queries[h]
+	if !ok || !sq.registered {
 		return fmt.Errorf("%w: %s", ErrNotTracked, q.Node(q.Output()).Name)
 	}
-	delete(mg.matchers, h)
-	delete(mg.queries, h)
+	sq.registered = false
+	e.release(graphName, mg, h)
 	return nil
 }
 
-// RegisteredQueries returns the patterns under incremental maintenance.
+// RegisteredQueries returns the patterns registered for incremental
+// maintenance; patterns only subscriptions watch are not listed.
 func (e *Engine) RegisteredQueries(graphName string) ([]*pattern.Pattern, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -724,8 +766,10 @@ func (e *Engine) RegisteredQueries(graphName string) ([]*pattern.Pattern, error)
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
 	out := make([]*pattern.Pattern, 0, len(mg.queries))
-	for _, q := range mg.queries {
-		out = append(out, q.Clone())
+	for _, sq := range mg.queries {
+		if sq.registered {
+			out = append(out, sq.q.Clone())
+		}
 	}
 	return out, nil
 }

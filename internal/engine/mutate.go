@@ -3,7 +3,7 @@ package engine
 // The write path. A mutation is a value — a wal.Record — and every write
 // runs the same pipeline under the graph's write lock:
 //
-//	validate → apply to graph → sync every maintainer once → log
+//	validate → apply to graph → sync every maintainer once → publish → log
 //
 // The public write methods build a record and hand it to mutate; so does
 // ApplyReplicatedRecord with the records a leader shipped. The two differ
@@ -12,11 +12,16 @@ package engine
 // the version the graph reached; a replicated one skips records it already
 // holds and restores the leader's version instead.
 //
-// Maintainers — registered matchers, the quotient, the distance index, the
-// partitioning, the statistics, the subscription hub — are told in that
-// fixed order. One that cannot repair in place is dropped or left stale
-// and no query routes through it: the fan-out never stops half way, and a
-// mutation that changed the graph never fails on a maintainer's account.
+// Maintainers — the standing queries' matchers, the quotient, the distance
+// index, the partitioning, the statistics — are told in that fixed order,
+// every one of them on every mutation kind. A matcher is one per standing
+// query, whether a registration, a subscription or both holds it; one that
+// cannot repair in place is rebuilt from scratch. Any other maintainer
+// that cannot is dropped or left stale and no query routes through it: the
+// fan-out never stops half way, and a mutation that changed the graph
+// never fails on a maintainer's account. Then the subscription hub diffs
+// each subscribed query's repaired relation against the one it last
+// published and delivers the delta.
 
 import (
 	"context"
@@ -24,6 +29,7 @@ import (
 	"sort"
 
 	"expfinder/internal/graph"
+	"expfinder/internal/incremental"
 	"expfinder/internal/match"
 	"expfinder/internal/wal"
 )
@@ -38,7 +44,7 @@ type Delta struct {
 // applied is what one run of the pipeline produced.
 type applied struct {
 	deltas   []Delta      // RecUpdates: per-registered-query deltas, by pattern hash
-	notified int          // RecUpdates: live subscriptions handed a delta
+	notified int          // live subscriptions handed a delta
 	id       graph.NodeID // RecAddNode: the node inserted, else graph.Invalid
 	// done holds the edge ops that reached the graph before apply failed
 	// part-way; the maintainers have not seen them.
@@ -104,7 +110,7 @@ func (e *Engine) mutate(ctx context.Context, name string, rec *wal.Record, repli
 	if replicated && rec.Post <= mg.g.Version() {
 		return out, nil
 	}
-	if out, err = e.apply(name, mg, rec); err != nil {
+	if out, err = e.apply(mg, rec); err != nil {
 		if replicated || len(out.done) == 0 {
 			return out, err
 		}
@@ -121,6 +127,9 @@ func (e *Engine) mutate(ctx context.Context, name string, rec *wal.Record, repli
 		}
 		rec = &wal.Record{Kind: wal.RecUpdates, Ops: ops}
 	}
+	// Subscriptions go last, so their deltas reflect the same graph every
+	// other maintainer settled on.
+	out.notified = e.hub.Publish(name, mg.g, mg.relationOf)
 	if replicated {
 		mg.g.RestoreVersion(rec.Post)
 	} else {
@@ -142,7 +151,7 @@ func (e *Engine) mutate(ctx context.Context, name string, rec *wal.Record, repli
 
 // apply performs rec on the graph and tells every maintainer. On error the
 // graph is unchanged except for the edge ops reported in done.
-func (e *Engine) apply(name string, mg *managed, rec *wal.Record) (out applied, err error) {
+func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 	out.id = graph.Invalid
 	switch rec.Kind {
 	case wal.RecUpdates:
@@ -150,14 +159,10 @@ func (e *Engine) apply(name string, mg *managed, rec *wal.Record) (out applied, 
 			return out, err
 		}
 		out.deltas = mg.syncEdges(rec.Ops)
-		// Subscriptions go last, so their deltas reflect the same graph
-		// every other maintainer settled on (dirty standing queries
-		// recompute here — the lazy invalidation path).
-		out.notified = e.hub.HandleUpdates(name, mg.g, rec.Ops)
 	case wal.RecAddNode:
 		out.id = mg.g.AddNode(rec.Label, rec.Attrs)
-		for _, m := range mg.matchers {
-			m.SyncNodeAdded(out.id)
+		for _, sq := range mg.queries {
+			sq.m.SyncNodeAdded(out.id)
 		}
 		if mg.comp != nil && mg.comp.SyncNodeAdded(out.id) != nil {
 			mg.comp = nil
@@ -169,21 +174,16 @@ func (e *Engine) apply(name string, mg *managed, rec *wal.Record) (out applied, 
 			mg.part.SyncNodeAdded(out.id)
 		}
 		mg.st.SyncNodeAdded(mg.g, out.id)
-		e.hub.HandleNodeAdded(name, mg.g, out.id)
 	case wal.RecRemoveNode:
 		if !mg.g.Has(rec.ID) {
 			return out, graph.ErrNoNode
 		}
 		// Removing a node shrinks reachability, which 2-hop labels cannot
 		// repair in place: the index goes stale (queries stay exact through
-		// its BFS fallback until a rebuild). Standing queries cannot repair
-		// through a disappearing node either: they go dirty, and the next
-		// update batch, flush or subscribe pays one recompute for any burst
-		// of removals.
+		// its BFS fallback until a rebuild).
 		if mg.idx != nil {
 			mg.idx.Invalidate()
 		}
-		e.hub.Invalidate(name)
 		// Detach the incident edges as an ordinary edge batch, so cascades
 		// run while the graph is still consistent; then the node is
 		// isolated and leaves everywhere.
@@ -200,8 +200,8 @@ func (e *Engine) apply(name string, mg *managed, rec *wal.Record) (out applied, 
 			return out, err
 		}
 		mg.syncEdges(ops)
-		for _, m := range mg.matchers {
-			m.SyncNodeRemoving(rec.ID)
+		for _, sq := range mg.queries {
+			sq.m.SyncNodeRemoving(rec.ID)
 		}
 		if mg.comp != nil && mg.comp.SyncNodeRemoving(rec.ID) != nil {
 			mg.comp = nil
@@ -217,9 +217,9 @@ func (e *Engine) apply(name string, mg *managed, rec *wal.Record) (out applied, 
 		if err := mg.g.SetAttr(rec.ID, rec.Key, rec.Val); err != nil {
 			return out, err
 		}
-		for h, m := range mg.matchers {
-			if _, _, err := m.SyncAttrChanged(rec.ID); err != nil {
-				mg.dropQuery(h)
+		for _, sq := range mg.queries {
+			if _, _, err := sq.m.SyncAttrChanged(rec.ID); err != nil {
+				mg.rebuild(sq)
 			}
 		}
 		if mg.comp != nil && mg.comp.SyncAttrChanged(rec.ID) != nil {
@@ -234,8 +234,6 @@ func (e *Engine) apply(name string, mg *managed, rec *wal.Record) (out applied, 
 			mg.part.SyncAttrChanged(rec.ID)
 		}
 		mg.st.SyncAttrChanged(mg.g)
-		// Standing queries take the lazy-recompute path, as for removals.
-		e.hub.Invalidate(name)
 	case wal.RecVersion:
 		// Restoring the version, in mutate, is the whole mutation.
 	default:
@@ -255,20 +253,21 @@ func applyEdges(g *graph.Graph, ops []graph.Update) (done []graph.Update, err er
 	return nil, nil
 }
 
-// syncEdges tells every maintainer but the subscription hub about edge
-// ops already on the graph, and returns the registered queries' deltas
-// sorted by pattern hash. The quotient survives only while its scheme
-// repairs in place: a simulation-equivalence quotient is dropped by the
-// first write.
+// syncEdges tells every maintainer about edge ops already on the graph,
+// and returns the registered queries' deltas sorted by pattern hash. The
+// quotient survives only while its scheme repairs in place: a
+// simulation-equivalence quotient is dropped by the first write.
 func (mg *managed) syncEdges(ops []graph.Update) []Delta {
 	var deltas []Delta
-	for h, m := range mg.matchers {
-		added, removed, err := m.Sync(ops)
+	for h, sq := range mg.queries {
+		added, removed, err := sq.m.Sync(ops)
 		if err != nil {
-			mg.dropQuery(h)
+			mg.rebuild(sq)
 			continue
 		}
-		deltas = append(deltas, Delta{PatternHash: h, Added: added, Removed: removed})
+		if sq.registered {
+			deltas = append(deltas, Delta{PatternHash: h, Added: added, Removed: removed})
+		}
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].PatternHash < deltas[j].PatternHash })
 	if mg.comp != nil && mg.comp.Sync(ops) != nil {
@@ -284,19 +283,19 @@ func (mg *managed) syncEdges(ops []graph.Update) []Delta {
 	return deltas
 }
 
-// dropQuery ends incremental maintenance of a registered query whose
-// matcher could not repair itself; the query is evaluated directly from
-// then on.
-func (mg *managed) dropQuery(hash string) {
-	delete(mg.matchers, hash)
-	delete(mg.queries, hash)
+// rebuild replaces a matcher that could not repair itself with one
+// evaluated from scratch, so no registration or subscriber is lost. The
+// write reports no delta for that query; its subscribers still get one,
+// since the hub diffs relations.
+func (mg *managed) rebuild(sq *standingQuery) {
+	sq.m = incremental.NewMatcher(mg.g, sq.q)
 }
 
 // refreshVersions re-stamps every maintainer at the graph's version. An
 // invalidated index stays stale.
 func (mg *managed) refreshVersions() {
-	for _, m := range mg.matchers {
-		m.RefreshVersion()
+	for _, sq := range mg.queries {
+		sq.m.RefreshVersion()
 	}
 	if mg.comp != nil {
 		mg.comp.RefreshVersion()

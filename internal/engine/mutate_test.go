@@ -34,7 +34,8 @@ func mustParse(t testing.TB, dsl string) *pattern.Pattern {
 // reach every other maintainer, and stop queries routing through the
 // quotient — the write used to fail after the graph had changed, leaving
 // partitions, statistics and subscribers behind and the quotient serving
-// the old graph.
+// the old graph. The plain pattern is queried only while no subscription
+// watches it, since a standing query answers from its matcher.
 func TestSimEqQuotientDroppedByFirstWrite(t *testing.T) {
 	plain := mustParse(t, `node A [label = "A"] output
 node B [label = "B", experience >= 2]
@@ -81,25 +82,24 @@ edge A -> B bound 2`)
 			if err := e.RegisterQuery("g", bounded); err != nil {
 				t.Fatal(err)
 			}
+			if res, err := e.Query("g", plain, 0); err != nil || res.Source != SourceCompressed {
+				t.Fatalf("before the write: source %v, err %v; want the quotient to route", res.Source, err)
+			}
 			sub, err := e.Subscribe("g", plain, subscribe.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			mi := subscribe.NewMirror(plain.NumNodes())
 			drainSub(t, sub, mi)
-			if res, err := e.Query("g", plain, 0); err != nil || res.Source != SourceCompressed {
-				t.Fatalf("before the write: source %v, err %v; want the quotient to route", res.Source, err)
-			}
 			before := mi.Seq()
 
 			if err := kind.mutate(e); err != nil {
 				t.Fatalf("mutation failed on the quotient's account: %v", err)
 			}
-			// Removals and attribute changes reach subscribers lazily.
-			if _, err := e.FlushSubscriptions("g"); err != nil {
+			drainSub(t, sub, mi)
+			if err := e.Unsubscribe(sub.ID()); err != nil {
 				t.Fatal(err)
 			}
-			drainSub(t, sub, mi)
 
 			want, wantBounded := simulation.Compute(g, plain).String(), bsim.Compute(g, bounded).String()
 			res, err := e.Query("g", plain, 0)
@@ -166,7 +166,7 @@ func maintainerState(t *testing.T, e *Engine, name string) string {
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
 	return fmt.Sprintf("version=%d matchers=%d quotient=%v index=%v partitions=%v statistics=%v",
-		mg.g.Version(), len(mg.matchers), mg.comp != nil,
+		mg.g.Version(), len(mg.queries), mg.comp != nil,
 		mg.idx != nil && mg.idx.Fresh(mg.g), mg.part != nil && mg.part.Fresh(mg.g), mg.st.Fresh(mg.g))
 }
 
@@ -322,14 +322,6 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 			if a.Plan != b.Plan || a.Source != b.Source || !a.Relation.Equal(b.Relation) || !sameRanking(a.TopK, b.TopK) {
 				t.Fatalf("step %d: answers diverge: native %v/%v %v, replica %v/%v %v",
 					step, a.Plan, a.Source, a.Relation, b.Plan, b.Source, b.Relation)
-			}
-		}
-		// Removals and attribute changes reach subscribers lazily, at the
-		// next applied batch — which a rolled-back batch is on the replica
-		// only. Flushing every step keeps the two streams in step.
-		for _, e := range engines {
-			if _, err := e.FlushSubscriptions("g"); err != nil {
-				t.Fatal(err)
 			}
 		}
 		if a, b := events(subs[0]), events(subs[1]); !reflect.DeepEqual(a, b) {

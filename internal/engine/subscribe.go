@@ -2,11 +2,13 @@ package engine
 
 // Continuous queries: the engine front-end of internal/subscribe. A
 // subscription is a standing query whose match deltas stream to the
-// client as the graph evolves, maintained by the same per-graph
-// coordination as registered queries, compressed views, and distance
-// indexes — every mutation path fans out to the hub while holding the
-// graph's lock, so subscribers observe exactly the relation sequence the
-// mutations produced.
+// client as the graph evolves. Its pattern is maintained by the graph's
+// standing-query matcher — the one a RegisterQuery of the same pattern
+// uses — which every mutation repairs in place; the mutation then
+// publishes to the hub while still holding the graph's lock, so
+// subscribers observe exactly the relation sequence the mutations
+// produced. Subscribe, Unsubscribe and UnregisterQuery take the graph's
+// write lock before the hub's (lock order: graph → hub).
 
 import (
 	"context"
@@ -20,28 +22,49 @@ import (
 
 // Subscribe registers a standing query on the named graph and returns a
 // subscription whose first event is a snapshot of the current relation;
-// subsequent events are match deltas published by ApplyUpdates /
-// PushUpdates, node insertions, and flushes after invalidating mutations
-// (RemoveNode, SetNodeAttr). Subscriptions sharing a pattern share one
-// incremental matcher.
+// subsequent events are the match deltas every mutation publishes
+// (ApplyUpdates / PushUpdates, AddNode, RemoveNode, SetNodeAttr, and
+// replicated records). Subscriptions sharing a pattern — with each other
+// and with a registered query — share one incremental matcher.
 func (e *Engine) Subscribe(graphName string, q *pattern.Pattern, opts subscribe.Options) (*subscribe.Subscription, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
 		return nil, err
 	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
 	if mg.removed {
 		// Lost the race with RemoveGraph: registering now would create a
 		// subscription nothing can ever close.
 		return nil, fmt.Errorf("%w: %q", ErrNoGraph, graphName)
 	}
-	return e.hub.Subscribe(graphName, mg.g, q, opts)
+	mg.standing(q)
+	return e.hub.Subscribe(graphName, mg.g, q, mg.relationOf, opts), nil
 }
 
 // Unsubscribe closes a subscription by id. The last subscriber of a
-// standing query releases its matcher.
-func (e *Engine) Unsubscribe(id string) error { return e.hub.Unsubscribe(id) }
+// pattern nobody registered ends its maintenance.
+func (e *Engine) Unsubscribe(id string) error {
+	s, err := e.hub.Get(id)
+	if err != nil {
+		return err
+	}
+	mg, err := e.lookup(s.GraphName())
+	if err != nil {
+		// The graph is being removed, which closes the subscription anyway.
+		return e.hub.Unsubscribe(id)
+	}
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	if err := e.hub.Unsubscribe(id); err != nil {
+		return err
+	}
+	e.release(s.GraphName(), mg, s.PatternHash())
+	return nil
+}
 
 // Subscription resolves a live subscription by id.
 func (e *Engine) Subscription(id string) (*subscribe.Subscription, error) { return e.hub.Get(id) }
@@ -66,19 +89,4 @@ func (e *Engine) PushUpdates(graphName string, ops []graph.Update) (deltas []Del
 func (e *Engine) PushUpdatesCtx(ctx context.Context, graphName string, ops []graph.Update) (deltas []Delta, notified int, err error) {
 	out, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecUpdates, Ops: ops}, false)
 	return out.deltas, out.notified, err
-}
-
-// FlushSubscriptions forces the lazy recompute of any standing queries
-// invalidated by node removals or attribute changes and publishes the
-// resulting net deltas, returning the number of subscriptions notified.
-// Callers only need it to bound staleness between update batches —
-// ApplyUpdates flushes as part of its fan-out.
-func (e *Engine) FlushSubscriptions(graphName string) (int, error) {
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return 0, err
-	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	return e.hub.Flush(graphName, mg.g), nil
 }

@@ -45,10 +45,12 @@ type pair struct {
 }
 
 // Matcher incrementally maintains M(Q,G) for one registered query. It owns
-// edge updates to the graph: all changes must go through Apply so the
-// matcher's candidate sets stay consistent with the graph. Node insertions,
-// node removals and attribute changes invalidate the matcher; register a
-// fresh one (the engine does this automatically).
+// edge updates to the graph: all changes must go through Apply (or, when a
+// coordinator applies them, be reported through Sync) so the matcher's
+// candidate sets stay consistent with the graph. Node insertions, node
+// removals and attribute changes are repaired in place by the Sync* methods
+// of nodes.go. Matchers are not safe for concurrent use (the engine
+// serializes them under the graph's write lock).
 type Matcher struct {
 	g       *graph.Graph
 	q       *pattern.Pattern
@@ -60,66 +62,6 @@ type Matcher struct {
 	inEdges  [][]pattern.Edge
 	maxBound int  // largest finite bound
 	unbound  bool // whether any edge is unbounded
-	// Reusable BFS scratch: epoch-marked visited array and queue, so the
-	// hot recheck path allocates nothing. Matchers are not safe for
-	// concurrent use (the engine serializes them).
-	mark  []uint32
-	epoch uint32
-	queue []ballEntry
-}
-
-type ballEntry struct {
-	id graph.NodeID
-	d  int32
-}
-
-// visitBall walks the nodes within 1..k hops from v (k < 0 means
-// unbounded), forward or reverse, invoking fn with each node and its hop
-// distance. fn returning false stops the walk. Nonempty-path semantics: v
-// itself is visited if it lies on a cycle within the radius.
-func (m *Matcher) visitBall(v graph.NodeID, k int, reverse bool, fn func(graph.NodeID, int) bool) {
-	m.epoch++
-	if m.epoch == 0 { // wrapped: reset marks
-		for i := range m.mark {
-			m.mark[i] = 0
-		}
-		m.epoch = 1
-	}
-	m.mark[v] = m.epoch
-	m.queue = m.queue[:0]
-	m.queue = append(m.queue, ballEntry{v, 0})
-	sawCenter := false
-	for qi := 0; qi < len(m.queue); qi++ {
-		cur := m.queue[qi]
-		if k >= 0 && int(cur.d) >= k {
-			continue
-		}
-		var next []graph.NodeID
-		if reverse {
-			next = m.g.In(cur.id)
-		} else {
-			next = m.g.Out(cur.id)
-		}
-		for _, nb := range next {
-			if nb == v {
-				if !sawCenter {
-					sawCenter = true
-					if !fn(v, int(cur.d)+1) {
-						return
-					}
-				}
-				continue
-			}
-			if m.mark[nb] == m.epoch {
-				continue
-			}
-			m.mark[nb] = m.epoch
-			if !fn(nb, int(cur.d)+1) {
-				return
-			}
-			m.queue = append(m.queue, ballEntry{nb, cur.d + 1})
-		}
-	}
 }
 
 // NewMatcher computes the initial relation and returns a matcher registered
@@ -135,7 +77,6 @@ func NewMatcher(g *graph.Graph, q *pattern.Pattern) *Matcher {
 		inEdges:  make([][]pattern.Edge, nq),
 	}
 	m.maxBound, m.unbound = q.MaxBound()
-	m.mark = make([]uint32, m.maxID)
 	for u := 0; u < nq; u++ {
 		m.outEdges[u] = q.OutEdges(pattern.NodeIdx(u))
 		m.inEdges[u] = q.InEdges(pattern.NodeIdx(u))
@@ -191,7 +132,7 @@ func (m *Matcher) satisfies(u pattern.NodeIdx, v graph.NodeID) bool {
 			}
 		} else {
 			tgt := m.cand[e.To]
-			m.visitBall(v, e.Bound, false, func(w graph.NodeID, _ int) bool {
+			m.g.VisitOutBall(v, e.Bound, func(w graph.NodeID, _ int) bool {
 				if tgt[w] {
 					ok = true
 					return false
@@ -207,7 +148,7 @@ func (m *Matcher) satisfies(u pattern.NodeIdx, v graph.NodeID) bool {
 }
 
 // refine runs the removal fixpoint: recheck each seeded pair; remove
-// violators; cascade rechecks through bounded in-balls of removed matches.
+// violators; cascade rechecks to the candidates they supported.
 func (m *Matcher) refine(worklist []pair) (removed []pair) {
 	for len(worklist) > 0 {
 		p := worklist[len(worklist)-1]
@@ -215,34 +156,47 @@ func (m *Matcher) refine(worklist []pair) (removed []pair) {
 		if !m.cand[p.u][p.v] || m.satisfies(p.u, p.v) {
 			continue
 		}
-		m.cand[p.u][p.v] = false
 		removed = append(removed, p)
-		for _, e := range m.inEdges[p.u] {
-			src := m.cand[e.From]
-			if e.Bound == 1 {
-				for _, w := range m.g.In(p.v) {
-					if src[w] {
-						worklist = append(worklist, pair{e.From, w})
-					}
-				}
-				continue
-			}
-			from := e.From
-			m.visitBall(p.v, e.Bound, true, func(w graph.NodeID, _ int) bool {
-				if src[w] {
-					worklist = append(worklist, pair{from, w})
-				}
-				return true
-			})
-		}
+		worklist = m.drop(worklist, p)
 	}
 	return removed
+}
+
+// drop removes p from the candidate sets and appends to worklist every
+// candidate p may have supported, to be rechecked.
+func (m *Matcher) drop(worklist []pair, p pair) []pair {
+	m.cand[p.u][p.v] = false
+	m.visitUpstream(p, func(s pair) {
+		if m.cand[s.u][s.v] {
+			worklist = append(worklist, s)
+		}
+	})
+	return worklist
+}
+
+// visitUpstream calls fn with every pair p can support: for each pattern
+// edge (w, p.u) with bound k, the pair (w, x) for every data node x within
+// k hops upstream of p.v.
+func (m *Matcher) visitUpstream(p pair, fn func(pair)) {
+	for _, e := range m.inEdges[p.u] {
+		from := e.From
+		if e.Bound == 1 {
+			for _, x := range m.g.In(p.v) {
+				fn(pair{from, x})
+			}
+			continue
+		}
+		m.g.VisitInBall(p.v, e.Bound, func(x graph.NodeID, _ int) bool {
+			fn(pair{from, x})
+			return true
+		})
+	}
 }
 
 // Apply applies the updates to the graph and repairs the relation. It
 // returns the delta to the (un-normalized) match sets: pairs added and
 // pairs removed. Callers who need the normalized delta should diff
-// Relation() snapshots (the engine does).
+// Relation() snapshots (the subscription hub does).
 func (m *Matcher) Apply(ops []Update) (added, removed []match.Pair, err error) {
 	if m.g.Version() != m.version {
 		return nil, nil, ErrStale
@@ -269,30 +223,37 @@ func (m *Matcher) Apply(ops []Update) (added, removed []match.Pair, err error) {
 // the *first* deleted edge on it is still intact, placing the candidate in
 // that edge source's post-update in-ball.
 func (m *Matcher) Sync(ops []Update) (added, removed []match.Pair, err error) {
-	var delSeeds []pair
-	var insSources []graph.NodeID
+	// A deletion puts the candidates around its source under suspicion.
+	var suspects []pair
 	for _, op := range ops {
-		if op.Insert {
-			insSources = append(insSources, op.From)
-		} else {
-			delSeeds = append(delSeeds, m.deletionSeeds(op.From)...)
+		if !op.Insert {
+			m.visitAffected(op.From, func(p pair) {
+				if m.cand[p.u][p.v] {
+					suspects = append(suspects, p)
+				}
+			})
 		}
 	}
+	// An insertion offers the pairs around its source tentative admission.
+	tentative := m.admissionClosure(func(offer func(pair)) {
+		for _, op := range ops {
+			if op.Insert {
+				m.visitAffected(op.From, offer)
+			}
+		}
+	})
+	added, removed = m.repair(suspects, tentative)
+	return added, removed, nil
+}
 
-	// Additions: closure of tentative re-admissions seeded upstream of each
-	// inserted edge, computed against the fully updated graph.
-	tentative := m.admissionClosure(insSources)
-
-	// Final refinement: every tentative pair plus every deletion-affected
-	// pair is suspect.
-	seeds := append(delSeeds, tentative...)
-	removedPairs := m.refine(seeds)
-
+// repair runs the final refinement over the suspects plus every tentative
+// pair, and returns the change to the candidate sets: the tentative pairs
+// that survived, and the pre-existing pairs that did not.
+func (m *Matcher) repair(suspects, tentative []pair) (added, removed []match.Pair) {
+	removedPairs := m.refine(append(suspects, tentative...))
 	tentSet := make(map[pair]bool, len(tentative))
 	for _, p := range tentative {
 		tentSet[p] = true
-	}
-	for _, p := range tentative {
 		if m.cand[p.u][p.v] {
 			added = append(added, match.Pair{PNode: p.u, Node: p.v})
 		}
@@ -305,7 +266,7 @@ func (m *Matcher) Sync(ops []Update) (added, removed []match.Pair, err error) {
 		}
 	}
 	m.version = m.g.Version()
-	return added, removed, nil
+	return added, removed
 }
 
 // affectRadius returns the reverse-ball radius around an updated edge's
@@ -325,115 +286,66 @@ func (m *Matcher) affectRadius(u int) int {
 	return radius
 }
 
-// deletionSeeds returns the candidate pairs whose bounded out-balls may
-// shrink when an out-edge of node a is deleted: for each pattern node with
-// obligations, its candidates within bound-1 hops upstream of a (including
-// a itself). A seeded pair is fully rechecked by refine, so one seed per
-// pair suffices even when several pattern edges are implicated.
-func (m *Matcher) deletionSeeds(a graph.NodeID) []pair {
-	var seeds []pair
+// visitAffected calls fn with every pair whose bounded out-balls may gain
+// or lose members when an out-edge of node a is inserted or deleted: for
+// each pattern node with obligations, a itself and every node within
+// bound-1 hops upstream of a. A seeded pair is fully rechecked by refine,
+// so one seed per pair suffices even when several pattern edges are
+// implicated.
+func (m *Matcher) visitAffected(a graph.NodeID, fn func(pair)) {
+	for u := range m.cand {
+		if len(m.outEdges[u]) > 0 {
+			fn(pair{pattern.NodeIdx(u), a})
+		}
+	}
 	globalRadius := m.maxBound - 1
 	if m.unbound {
 		globalRadius = -1 // unbounded edges: full reverse reachability
 	}
-	for u := range m.cand {
-		if len(m.outEdges[u]) > 0 && m.cand[u][a] {
-			seeds = append(seeds, pair{pattern.NodeIdx(u), a})
-		}
-	}
 	if globalRadius == 0 || (!m.unbound && m.maxBound == 0) {
-		return seeds // all bounds 1 (or no edges): only a itself is affected
+		return // all bounds 1 (or no edges): only a itself is affected
 	}
-	m.visitBall(a, globalRadius, true, func(w graph.NodeID, d int) bool {
+	m.g.VisitInBall(a, globalRadius, func(w graph.NodeID, d int) bool {
 		for u := range m.cand {
-			if !m.cand[u][w] {
-				continue
-			}
 			if r := m.affectRadius(u); r == -1 || d <= r {
-				seeds = append(seeds, pair{pattern.NodeIdx(u), w})
+				fn(pair{pattern.NodeIdx(u), w})
 			}
 		}
 		return true
 	})
-	return seeds
 }
 
-// admissionClosure tentatively re-admits predicate-satisfying non-candidates
-// that might have become valid because of inserted edges, transitively: a
-// re-admitted match can enable further upstream re-admissions, and mutually
-// supporting groups must enter together before refinement judges them.
-// The tentative pairs are merged into the candidate sets; refine() strips
-// the unjustified ones.
-func (m *Matcher) admissionClosure(insSources []graph.NodeID) []pair {
-	if len(insSources) == 0 {
-		return nil
-	}
-	var tentative []pair
-	queued := map[pair]bool{}
-	var queue []pair
-
-	// enqueue (u, v) if v satisfies u's predicate and is not already in.
-	consider := func(u pattern.NodeIdx, v graph.NodeID) {
-		if m.cand[u][v] {
+// admissionClosure tentatively admits every pair seed offers that
+// satisfies its pattern node's predicate and is not a candidate yet, and
+// transitively every such pair upstream of an admitted one: an admitted
+// pair can enable further upstream admissions, and mutually supporting
+// groups must enter together before refinement judges them. seed makes
+// all its offers before any is admitted. The tentative pairs are merged
+// into the candidate sets; refine strips the unjustified ones.
+func (m *Matcher) admissionClosure(seed func(offer func(pair))) []pair {
+	var tentative, queue []pair
+	var queued map[pair]bool
+	consider := func(p pair) {
+		if m.cand[p.u][p.v] || queued[p] {
 			return
 		}
-		p := pair{u, v}
-		if queued[p] {
+		n, ok := m.g.Node(p.v)
+		if !ok || !m.q.Node(p.u).Pred.Eval(n) {
 			return
 		}
-		n, ok := m.g.Node(v)
-		if !ok || !m.q.Node(u).Pred.Eval(n) {
-			return
+		if queued == nil {
+			queued = map[pair]bool{}
 		}
 		queued[p] = true
 		queue = append(queue, p)
 	}
-
-	// Seeds: nodes whose out-ball gained members through an inserted edge
-	// (a, b) are those within bound-1 hops upstream of a, plus a itself.
-	globalRadius := m.maxBound - 1
-	if m.unbound {
-		globalRadius = -1
-	}
-	for _, a := range insSources {
-		for u := range m.cand {
-			if len(m.outEdges[u]) > 0 {
-				consider(pattern.NodeIdx(u), a)
-			}
-		}
-		if globalRadius == 0 || (!m.unbound && m.maxBound == 0) {
-			continue
-		}
-		m.visitBall(a, globalRadius, true, func(w graph.NodeID, d int) bool {
-			for u := range m.cand {
-				if r := m.affectRadius(u); r == -1 || d <= r {
-					consider(pattern.NodeIdx(u), w)
-				}
-			}
-			return true
-		})
-	}
-
-	// Closure: admitting (u, v) can enable any predicate-satisfying node
-	// within bound hops upstream of v under a pattern edge (w, u).
+	seed(consider)
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		m.cand[p.u][p.v] = true
 		tentative = append(tentative, p)
-		for _, e := range m.inEdges[p.u] {
-			from := e.From
-			if e.Bound == 1 {
-				for _, w := range m.g.In(p.v) {
-					consider(from, w)
-				}
-				continue
-			}
-			m.visitBall(p.v, e.Bound, true, func(w graph.NodeID, _ int) bool {
-				consider(from, w)
-				return true
-			})
-		}
+		m.visitUpstream(p, consider)
 	}
 	return tentative
 }

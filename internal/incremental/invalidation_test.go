@@ -10,11 +10,10 @@ import (
 	"expfinder/internal/testutil"
 )
 
-// These tests pin the matcher invalidation paths the continuous-query
-// subsystem's lazy-recompute fallback relies on (internal/subscribe):
-// node removals and attribute changes arriving in the middle of an edge
-// update stream, and the ErrStale signal that tells a coordinator the
-// matcher can no longer be repaired in place.
+// These tests pin the node-level repair paths every standing query in the
+// engine relies on — node removals and attribute changes arriving in the
+// middle of an edge update stream — and the ErrStale signal that tells a
+// coordinator the matcher can no longer be repaired in place.
 
 // removeNodeLikeEngine replays the engine's node-removal sequence against
 // a lone matcher: detach incident edges through the coordinated Sync
@@ -68,9 +67,8 @@ func randomStream(r *rand.Rand, scratch *graph.Graph, nOps int) []Update {
 
 // TestNodeRemovalMidStream interleaves node removals with edge churn and
 // checks the maintained relation equals a batch recomputation after every
-// step — the exactness the subscription fallback depends on when it
-// chooses NOT to invalidate (engine-coordinated removals) versus when it
-// must (uncoordinated ones).
+// step — the exactness subscribers depend on, since the engine repairs
+// standing queries through coordinated removals instead of recomputing.
 func TestNodeRemovalMidStream(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		r := rand.New(rand.NewSource(int64(400 + trial)))
@@ -95,9 +93,9 @@ func TestNodeRemovalMidStream(t *testing.T) {
 	}
 }
 
-// TestAttrChangeMidStream interleaves attribute flips (the other
-// invalidation trigger) with edge churn, checking both the maintained
-// relation and the exactness of the reported deltas.
+// TestAttrChangeMidStream interleaves attribute flips with edge churn,
+// checking both the maintained relation and the exactness of the reported
+// deltas.
 func TestAttrChangeMidStream(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		r := rand.New(rand.NewSource(int64(600 + trial)))
@@ -142,10 +140,10 @@ func TestAttrChangeMidStream(t *testing.T) {
 	}
 }
 
-// TestStaleMatcherSignalsRecompute pins the contract behind the lazy
-// fallback: a graph mutated outside the matcher's coordinated paths
-// refuses further Apply calls with ErrStale, and a rebuilt matcher
-// (what the subscription hub does) restores the exact relation.
+// TestStaleMatcherSignalsRecompute pins the contract behind the engine's
+// rebuild fallback: a graph mutated outside the matcher's coordinated
+// paths refuses further Apply calls with ErrStale, and a rebuilt matcher
+// restores the exact relation.
 func TestStaleMatcherSignalsRecompute(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	g := testutil.RandomGraph(r, 40, 160)

@@ -24,8 +24,8 @@ import (
 // a graph mutation the matcher does not see individually).
 func (m *Matcher) RefreshVersion() { m.version = m.g.Version() }
 
-// ensureCap grows the matcher's dense per-node structures after the graph
-// allocated new node ids.
+// ensureCap grows the candidate sets after the graph allocated new node
+// ids.
 func (m *Matcher) ensureCap() {
 	maxID := m.g.MaxID()
 	if maxID <= m.maxID {
@@ -36,9 +36,6 @@ func (m *Matcher) ensureCap() {
 		copy(grown, m.cand[u])
 		m.cand[u] = grown
 	}
-	mark := make([]uint32, maxID)
-	copy(mark, m.mark)
-	m.mark = mark
 	m.maxID = maxID
 }
 
@@ -91,99 +88,22 @@ func (m *Matcher) SyncAttrChanged(id graph.NodeID) (added, removed []match.Pair,
 	if !ok {
 		return nil, nil, graph.ErrNoNode
 	}
-	// Disqualifications: pairs whose predicate no longer holds.
-	var seeds []pair
+	// A pair whose predicate no longer holds leaves at once, and its
+	// dependents become suspects, exactly as in the edge-deletion path.
+	var suspects []pair
 	for u := range m.cand {
-		uIdx := pattern.NodeIdx(u)
-		if m.cand[u][id] && !m.q.Node(uIdx).Pred.Eval(n) {
-			m.cand[u][id] = false
-			removed = append(removed, match.Pair{PNode: uIdx, Node: id})
-			// Dependents of (u, id) must be rechecked, exactly as in the
-			// edge-deletion path.
-			for _, e := range m.inEdges[u] {
-				src := e.From
-				if e.Bound == 1 {
-					for _, w := range m.g.In(id) {
-						if m.cand[src][w] {
-							seeds = append(seeds, pair{src, w})
-						}
-					}
-					continue
-				}
-				m.visitBall(id, e.Bound, true, func(w graph.NodeID, _ int) bool {
-					if m.cand[src][w] {
-						seeds = append(seeds, pair{src, w})
-					}
-					return true
-				})
-			}
+		p := pair{pattern.NodeIdx(u), id}
+		if m.cand[u][id] && !m.q.Node(p.u).Pred.Eval(n) {
+			removed = append(removed, match.Pair{PNode: p.u, Node: id})
+			suspects = m.drop(suspects, p)
 		}
 	}
-	for _, p := range m.refine(seeds) {
-		removed = append(removed, match.Pair{PNode: p.u, Node: p.v})
-	}
-
-	// Qualifications: the node may newly satisfy predicates. Seed the
-	// admission closure directly with the node for every pattern position;
-	// the closure handles upstream enablement.
-	tentative := m.admissionSeedNode(id)
-	stripped := m.refine(tentative)
-	strippedSet := make(map[pair]bool, len(stripped))
-	for _, p := range stripped {
-		strippedSet[p] = true
-	}
-	for _, p := range tentative {
-		if m.cand[p.u][p.v] && !strippedSet[p] {
-			added = append(added, match.Pair{PNode: p.u, Node: p.v})
+	// Every position of the node is offered to the admission closure.
+	tentative := m.admissionClosure(func(offer func(pair)) {
+		for u := range m.cand {
+			offer(pair{pattern.NodeIdx(u), id})
 		}
-	}
-	m.version = m.g.Version()
-	return added, removed, nil
-}
-
-// admissionSeedNode runs the admission closure seeded with one node across
-// all pattern positions (used for attribute changes, where the node's
-// eligibility itself changed rather than the graph topology).
-func (m *Matcher) admissionSeedNode(id graph.NodeID) []pair {
-	var tentative []pair
-	queued := map[pair]bool{}
-	var queue []pair
-	consider := func(u pattern.NodeIdx, v graph.NodeID) {
-		if m.cand[u][v] {
-			return
-		}
-		p := pair{u, v}
-		if queued[p] {
-			return
-		}
-		n, ok := m.g.Node(v)
-		if !ok || !m.q.Node(u).Pred.Eval(n) {
-			return
-		}
-		queued[p] = true
-		queue = append(queue, p)
-	}
-	for u := range m.cand {
-		consider(pattern.NodeIdx(u), id)
-	}
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		m.cand[p.u][p.v] = true
-		tentative = append(tentative, p)
-		for _, e := range m.inEdges[p.u] {
-			from := e.From
-			if e.Bound == 1 {
-				for _, w := range m.g.In(p.v) {
-					consider(from, w)
-				}
-				continue
-			}
-			m.visitBall(p.v, e.Bound, true, func(w graph.NodeID, _ int) bool {
-				consider(from, w)
-				return true
-			})
-		}
-	}
-	return tentative
+	})
+	gained, lost := m.repair(suspects, tentative)
+	return gained, append(removed, lost...), nil
 }

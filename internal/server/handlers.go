@@ -395,10 +395,6 @@ func (s *Server) removeNode(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	// Node removals invalidate standing queries lazily; flush here so
-	// subscribers streaming events see the delta now rather than at the
-	// next edge-update batch.
-	_, _ = s.eng.FlushSubscriptions(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -420,8 +416,6 @@ func (s *Server) setNodeAttrs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// One flush after the whole attribute batch (see removeNode).
-	_, _ = s.eng.FlushSubscriptions(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 

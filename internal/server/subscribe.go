@@ -136,8 +136,6 @@ func renderTopK(topk []rank.Ranked) []subscribeTopEntry {
 // streamEvents serves GET .../subscriptions/{id}/events as Server-Sent
 // Events: one "snapshot" or "delta" event per subscription event, a
 // terminal "closed" event when the subscription or its graph goes away.
-// Pending invalidations are flushed once at stream start so a subscriber
-// attaching after node churn is not left waiting on a stale relation.
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 	sub, err := s.lookupSub(r)
 	if err != nil {
@@ -149,7 +147,6 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, errors.New("response writer cannot stream"))
 		return
 	}
-	_, _ = s.eng.FlushSubscriptions(sub.GraphName())
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")

@@ -269,10 +269,9 @@ func TestSubscriptionStreamGraphRemoved(t *testing.T) {
 	}
 }
 
-// TestSubscriptionStreamsNodeMutations pins the bounded-staleness fix:
-// node-level mutation endpoints flush the lazy invalidation, so an SSE
-// subscriber sees the delta immediately instead of at the next edge
-// batch.
+// TestSubscriptionStreamsNodeMutations: node-level mutations repair the
+// standing query in place and publish at once, so an SSE subscriber sees
+// the delta immediately instead of at the next edge batch.
 func TestSubscriptionStreamsNodeMutations(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)

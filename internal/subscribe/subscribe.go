@@ -3,11 +3,13 @@
 // receives *match deltas* — the pairs that entered and left M(Q,G) — as
 // updates stream into the graph, instead of re-polling full queries.
 //
-// The design wraps the incremental matchers of internal/incremental behind
-// a subscription registry (Hub):
+// The Hub is delivery only; it maintains no relation itself. The engine
+// keeps one incremental matcher per standing query — registered,
+// subscribed, or both — repairs it in place on every mutation, and then
+// calls Publish with a lookup of each pattern's current relation:
 //
 //   - Subscriptions sharing a (graph, pattern) are grouped so each distinct
-//     standing query is maintained by exactly one incremental.Matcher no
+//     standing query is diffed, ranked and revisioned once per publish no
 //     matter how many clients watch it.
 //   - Every subscription owns a bounded delta buffer. A subscriber that
 //     consumes too slowly never blocks the update path or grows memory
@@ -17,11 +19,6 @@
 //   - Rapid update bursts coalesce: consecutive unconsumed delta events
 //     merge into one, with add/remove pairs cancelling, so a subscriber
 //     waking late reads the net effect, not the full history.
-//   - Node removals and attribute changes invalidate a group's matcher
-//     (Invalidate). The recompute is lazy: the group is only re-evaluated
-//     from scratch — and the resulting net delta published — at the next
-//     update batch, flush, or subscribe on that graph, so a burst of node
-//     churn costs one recompute, not one per operation.
 //   - The protocol is deterministic: a subscriber first receives a snapshot
 //     of the current relation (Kind == Snapshot), then deltas in revision
 //     order. Applying the events in sequence (see Mirror) reconstructs a
@@ -29,9 +26,9 @@
 //     property-tested in this package and in internal/engine.
 //
 // The Hub performs no locking of the data graph itself: callers (the
-// engine) pass the graph into each handler while holding that graph's
-// lock, mirroring how the engine coordinates its other per-graph
-// consumers (compressed views, distance indexes).
+// engine) pass the graph into Subscribe and Publish while holding that
+// graph's lock, so the relations they hand over and the ranking read a
+// stable graph.
 package subscribe
 
 import (
@@ -41,7 +38,6 @@ import (
 	"sync"
 
 	"expfinder/internal/graph"
-	"expfinder/internal/incremental"
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
@@ -139,7 +135,7 @@ func (s *Subscription) ID() string { return s.id }
 func (s *Subscription) GraphName() string { return s.graph }
 
 // PatternHash returns the standing query's hash (subscriptions with equal
-// hashes on one graph share a matcher).
+// hashes on one graph share one group, and one matcher in the engine).
 func (s *Subscription) PatternHash() string { return s.hash }
 
 // Pattern returns the standing query. The returned pattern is shared and
@@ -342,19 +338,21 @@ func sortedPairs(set map[match.Pair]bool) []match.Pair {
 	return out
 }
 
-// group is one standing query on one graph: the shared matcher, the last
-// published (normalized) relation, the revision counter, and the
-// subscriptions watching it.
+// group is one standing query on one graph: the last published
+// (normalized) relation, the revision counter, and the subscriptions
+// watching it.
 type group struct {
-	graphName string
-	hash      string
-	q         *pattern.Pattern
-	m         *incremental.Matcher
-	last      *match.Relation // last published relation (normalized)
-	rev       uint64
-	dirty     bool // matcher invalidated; recompute lazily
-	subs      map[string]*Subscription
+	hash string
+	q    *pattern.Pattern
+	last *match.Relation // last published relation (normalized)
+	rev  uint64
+	subs map[string]*Subscription
 }
+
+// RelationOf resolves a standing query's pattern hash to its current
+// relation, normalized. The engine passes a lookup into the matchers it
+// keeps, so the hub reads the relation every other maintainer settled on.
+type RelationOf func(hash string) *match.Relation
 
 // maxK returns the largest K requested by the group's subscribers, so the
 // ranking is computed once per publish at the widest cutoff.
@@ -372,30 +370,28 @@ func (gr *group) maxK() int {
 type Stats struct {
 	Subscriptions int    `json:"subscriptions"`
 	Groups        int    `json:"groups"`
-	Published     uint64 `json:"published"`  // delta publishes (per group)
-	Recomputes    uint64 `json:"recomputes"` // lazy full recomputes after invalidation
-	Resyncs       uint64 `json:"resyncs"`    // overflow snapshots pushed
-	Coalesced     uint64 `json:"coalesced"`  // delta merges into unconsumed events
+	Published     uint64 `json:"published"` // delta publishes (per group)
+	Resyncs       uint64 `json:"resyncs"`   // overflow snapshots pushed
+	Coalesced     uint64 `json:"coalesced"` // delta merges into unconsumed events
 	// Backlog is the total of buffered, undelivered events across live
 	// subscriptions — the health registry's slow-consumer signal.
 	Backlog int `json:"backlog"`
 }
 
 // Hub is the subscription registry: it owns every live Subscription and
-// the per-(graph, pattern) matcher groups behind them. All methods are
-// safe for concurrent use; methods taking a *graph.Graph additionally
-// require the caller to hold that graph's lock (the engine's per-graph
-// mutex) so the matcher reads a stable graph.
+// the per-(graph, pattern) groups behind them. All methods are safe for
+// concurrent use; methods taking a *graph.Graph additionally require the
+// caller to hold that graph's lock (the engine's per-graph mutex) so the
+// relations and rankings read a stable graph.
 type Hub struct {
 	mu     sync.Mutex
 	nextID uint64
 	groups map[string]map[string]*group // graph name -> pattern hash -> group
 	subs   map[string]*Subscription
 
-	published  uint64
-	recomputes uint64
-	resyncs    uint64
-	coalesced  uint64
+	published uint64
+	resyncs   uint64
+	coalesced uint64
 }
 
 // NewHub returns an empty registry.
@@ -408,13 +404,11 @@ func NewHub() *Hub {
 
 // Subscribe registers a standing query against graphName and returns the
 // subscription, whose first buffered event is a snapshot of the current
-// relation. Subscriptions with an equal pattern hash share one matcher;
-// the first subscriber pays the initial evaluation (or the recompute of
-// an invalidated group).
-func (h *Hub) Subscribe(graphName string, g *graph.Graph, q *pattern.Pattern, opts Options) (*Subscription, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
+// relation. Subscriptions with an equal pattern hash share one group; the
+// first one asks relationOf for the relation to start from, later ones
+// start from the group's last published relation, which every Publish
+// keeps current. q must be valid (pattern.Validate).
+func (h *Hub) Subscribe(graphName string, g *graph.Graph, q *pattern.Pattern, relationOf RelationOf, opts Options) *Subscription {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	byHash, ok := h.groups[graphName]
@@ -425,14 +419,8 @@ func (h *Hub) Subscribe(graphName string, g *graph.Graph, q *pattern.Pattern, op
 	hash := q.Hash()
 	gr, ok := byHash[hash]
 	if !ok {
-		m := incremental.NewMatcher(g, q)
-		gr = &group{
-			graphName: graphName, hash: hash, q: q.Clone(),
-			m: m, last: m.Relation(), subs: map[string]*Subscription{},
-		}
+		gr = &group{hash: hash, q: q.Clone(), last: relationOf(hash), subs: map[string]*Subscription{}}
 		byHash[hash] = gr
-	} else if gr.dirty {
-		h.recomputeLocked(gr, g) // publishes the catch-up delta to existing subs
 	}
 	h.nextID++
 	s := &Subscription{
@@ -446,11 +434,11 @@ func (h *Hub) Subscribe(graphName string, g *graph.Graph, q *pattern.Pattern, op
 	gr.subs[s.id] = s
 	h.subs[s.id] = s
 	s.push(h.snapshotLocked(gr, g, s.opts.K))
-	return s, nil
+	return s
 }
 
 // Unsubscribe closes and removes a subscription; the last subscriber of a
-// group releases its matcher.
+// group releases the group.
 func (h *Hub) Unsubscribe(id string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -512,75 +500,32 @@ func (h *Hub) List(graphName string) []Info {
 	return out
 }
 
-// HandleUpdates repairs every standing query on graphName after ops were
-// applied to g, and fans the per-query deltas out to subscribers. Dirty
-// (invalidated) groups take the lazy full-recompute path instead of an
-// incremental sync. Returns the number of subscriptions notified. The
-// caller holds g's lock and has already applied ops.
-func (h *Hub) HandleUpdates(graphName string, g *graph.Graph, ops []incremental.Update) int {
+// Publish fans out what the last mutation of graphName did to its
+// standing queries: for every group on the graph, in pattern-hash order,
+// it diffs relationOf(hash) against the last published relation and
+// pushes the delta, if any, to each subscriber; a group relationOf knows
+// nothing of (nil) is left alone. It returns the number of subscriptions
+// notified. The caller holds g's lock and has already repaired the
+// relations relationOf returns.
+func (h *Hub) Publish(graphName string, g *graph.Graph, relationOf RelationOf) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	notified := 0
 	for _, gr := range h.sortedGroups(graphName) {
-		if gr.dirty {
-			notified += h.recomputeLocked(gr, g)
-			continue
+		if cur := relationOf(gr.hash); cur != nil {
+			notified += h.publishLocked(gr, g, cur)
 		}
-		if _, _, err := gr.m.Sync(ops); err != nil {
-			// The matcher lost track of the graph (it changed outside the
-			// coordinated paths). Degrade to the recompute fallback rather
-			// than serving stale deltas.
-			gr.dirty = true
-			notified += h.recomputeLocked(gr, g)
-			continue
-		}
-		notified += h.publishLocked(gr, g)
 	}
 	return notified
 }
 
-// HandleNodeAdded repairs standing queries after a node insertion (an
-// isolated new node can only vacuously enter candidate sets; the matcher
-// handles it without invalidation). The caller holds g's lock.
-func (h *Hub) HandleNodeAdded(graphName string, g *graph.Graph, id graph.NodeID) int {
+// Watched reports whether any live subscription on graphName watches the
+// pattern with the given hash.
+func (h *Hub) Watched(graphName, hash string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	notified := 0
-	for _, gr := range h.sortedGroups(graphName) {
-		if gr.dirty {
-			continue // already pending a recompute; it will see the node
-		}
-		gr.m.SyncNodeAdded(id)
-		notified += h.publishLocked(gr, g)
-	}
-	return notified
-}
-
-// Invalidate marks every standing query on graphName dirty: their
-// matchers can no longer be repaired in place (node removal, attribute
-// change). The full recompute is deferred to the next update batch,
-// flush, or subscribe — a burst of invalidations costs one recompute.
-func (h *Hub) Invalidate(graphName string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, gr := range h.groups[graphName] {
-		gr.dirty = true
-	}
-}
-
-// Flush recomputes every dirty standing query on graphName and publishes
-// the resulting net deltas. Returns the number of subscriptions notified.
-// The caller holds g's lock.
-func (h *Hub) Flush(graphName string, g *graph.Graph) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	notified := 0
-	for _, gr := range h.sortedGroups(graphName) {
-		if gr.dirty {
-			notified += h.recomputeLocked(gr, g)
-		}
-	}
-	return notified
+	_, ok := h.groups[graphName][hash]
+	return ok
 }
 
 // CloseGraph closes every subscription on graphName with ErrGraphRemoved
@@ -618,8 +563,7 @@ func (h *Hub) Stats() Stats {
 	}
 	return Stats{
 		Subscriptions: len(h.subs), Groups: groups,
-		Published: h.published, Recomputes: h.recomputes,
-		Resyncs: h.resyncs, Coalesced: coalesced, Backlog: backlog,
+		Published: h.published, Resyncs: h.resyncs, Coalesced: coalesced, Backlog: backlog,
 	}
 }
 
@@ -642,20 +586,9 @@ func (h *Hub) sortedGroups(graphName string) []*group {
 	return out
 }
 
-// recomputeLocked is the lazy full-recompute fallback: rebuild the
-// group's matcher from the current graph, diff against the last published
-// relation, and publish the net delta. Called with h.mu and g's lock held.
-func (h *Hub) recomputeLocked(gr *group, g *graph.Graph) int {
-	gr.m = incremental.NewMatcher(g, gr.q)
-	gr.dirty = false
-	h.recomputes++
-	return h.publishLocked(gr, g)
-}
-
-// publishLocked diffs the group's current relation against the last
+// publishLocked diffs the group's current relation cur against the last
 // published one and pushes the delta (if any) to every subscriber.
-func (h *Hub) publishLocked(gr *group, g *graph.Graph) int {
-	cur := gr.m.Relation()
+func (h *Hub) publishLocked(gr *group, g *graph.Graph, cur *match.Relation) int {
 	added, removed := gr.last.Diff(cur)
 	if len(added) == 0 && len(removed) == 0 {
 		return 0

@@ -10,24 +10,36 @@ import (
 	"expfinder/internal/dataset"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
+	"expfinder/internal/match"
+	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
 	"expfinder/internal/testutil"
 )
 
-// applyOps mutates g the way the engine does before HandleUpdates.
-func applyOps(t *testing.T, g *graph.Graph, ops []incremental.Update) {
+// The hub maintains nothing: these tests own the matcher the engine would
+// keep for a pattern, repair it, and publish through the hub as the
+// engine's write path does.
+
+// relationOf is the hub's view of one test-owned matcher.
+func relationOf(m *incremental.Matcher) RelationOf {
+	return func(string) *match.Relation { return m.Relation() }
+}
+
+// subscribe starts maintaining q on g with a fresh matcher and subscribes
+// to it.
+func subscribe(h *Hub, g *graph.Graph, q *pattern.Pattern, opts Options) (*Subscription, *incremental.Matcher) {
+	m := incremental.NewMatcher(g, q)
+	return h.Subscribe("g", g, q, relationOf(m), opts), m
+}
+
+// update applies ops to g through m and publishes the result, returning
+// the number of subscriptions notified.
+func update(t *testing.T, h *Hub, g *graph.Graph, m *incremental.Matcher, ops []incremental.Update) int {
 	t.Helper()
-	for _, op := range ops {
-		var err error
-		if op.Insert {
-			err = g.AddEdge(op.From, op.To)
-		} else {
-			err = g.RemoveEdge(op.From, op.To)
-		}
-		if err != nil {
-			t.Fatalf("apply %+v: %v", op, err)
-		}
+	if _, _, err := m.Apply(ops); err != nil {
+		t.Fatalf("apply %+v: %v", ops, err)
 	}
+	return h.Publish("g", g, relationOf(m))
 }
 
 // randomOps builds nOps feasible random updates, mutating scratch to keep
@@ -71,10 +83,7 @@ func TestSnapshotThenDeltaProtocol(t *testing.T) {
 	g, p := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{})
 	mi := NewMirror(q.NumNodes())
 	if n := drainInto(t, s, mi); n != 1 {
 		t.Fatalf("want 1 snapshot event, got %d", n)
@@ -86,8 +95,7 @@ func TestSnapshotThenDeltaProtocol(t *testing.T) {
 	// The paper's Example 3 insertion adds exactly (SD, Fred).
 	e1 := dataset.E1(p)
 	ops := []incremental.Update{incremental.Insert(e1.From, e1.To)}
-	applyOps(t, g, ops)
-	if n := h.HandleUpdates("g", g, ops); n != 1 {
+	if n := update(t, h, g, m, ops); n != 1 {
 		t.Fatalf("notified %d subs, want 1", n)
 	}
 	ev, ok := s.Poll()
@@ -105,20 +113,21 @@ func TestSnapshotThenDeltaProtocol(t *testing.T) {
 	}
 }
 
+// TestSharedGroupSingleMatcher: subscriptions to one pattern share one
+// group, and only the first asks for the relation to start from.
 func TestSharedGroupSingleMatcher(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s1, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	asked := 0
+	relOf := func(string) *match.Relation { asked++; return bsim.Compute(g, q) }
+	s1 := h.Subscribe("g", g, q, relOf, Options{})
+	s2 := h.Subscribe("g", g, q.Clone(), relOf, Options{})
+	if st := h.Stats(); st.Groups != 1 || st.Subscriptions != 2 || asked != 1 {
+		t.Fatalf("want 1 group / 2 subs / 1 relation asked for, got %+v, %d", st, asked)
 	}
-	s2, err := h.Subscribe("g", g, q.Clone(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := h.Stats(); st.Groups != 1 || st.Subscriptions != 2 {
-		t.Fatalf("want 1 group / 2 subs, got %+v", st)
+	if !h.Watched("g", q.Hash()) {
+		t.Fatal("subscribed pattern not watched")
 	}
 	if s1.ID() == s2.ID() {
 		t.Fatalf("ids collide: %s", s1.ID())
@@ -129,7 +138,7 @@ func TestSharedGroupSingleMatcher(t *testing.T) {
 	if err := h.Unsubscribe(s2.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if st := h.Stats(); st.Groups != 0 || st.Subscriptions != 0 {
+	if st := h.Stats(); st.Groups != 0 || st.Subscriptions != 0 || h.Watched("g", q.Hash()) {
 		t.Fatalf("want empty hub after unsubscribes, got %+v", st)
 	}
 	if err := h.Unsubscribe(s1.ID()); !errors.Is(err, ErrNoSubscription) {
@@ -142,10 +151,7 @@ func TestCoalescingMergesBursts(t *testing.T) {
 	g := testutil.RandomGraph(r, 60, 240)
 	q := testutil.RandomPattern(r, 3)
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{Buffer: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{Buffer: 4})
 	mi := NewMirror(q.NumNodes())
 	drainInto(t, s, mi)
 
@@ -153,9 +159,7 @@ func TestCoalescingMergesBursts(t *testing.T) {
 	// the buffer at a single pending delta (snapshot already drained).
 	scratch := g.Clone()
 	for i := 0; i < 12; i++ {
-		ops := randomOps(r, scratch, 5)
-		applyOps(t, g, ops)
-		h.HandleUpdates("g", g, ops)
+		update(t, h, g, m, randomOps(r, scratch, 5))
 	}
 	info := s.Info()
 	if info.Buffered > 1 {
@@ -171,23 +175,18 @@ func TestCoalescingMergesBursts(t *testing.T) {
 }
 
 func TestOverflowResyncsWithSnapshot(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
+	r := rand.New(rand.NewSource(3)) // a seed whose pattern matches, so deltas overflow
 	g := testutil.RandomGraph(r, 60, 240)
 	q := testutil.RandomPattern(r, 3)
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{Buffer: 2, NoCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{Buffer: 2, NoCoalesce: true})
 	mi := NewMirror(q.NumNodes())
 	drainInto(t, s, mi)
 
 	scratch := g.Clone()
 	published := uint64(0)
 	for i := 0; i < 30; i++ {
-		ops := randomOps(r, scratch, 6)
-		applyOps(t, g, ops)
-		h.HandleUpdates("g", g, ops)
+		update(t, h, g, m, randomOps(r, scratch, 6))
 	}
 	published = h.Stats().Published
 	if published <= 2 {
@@ -217,62 +216,17 @@ func TestOverflowResyncsWithSnapshot(t *testing.T) {
 	}
 }
 
-func TestInvalidateRecomputesLazily(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	g := testutil.RandomGraph(r, 50, 200)
-	q := testutil.RandomPattern(r, 3)
-	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mi := NewMirror(q.NumNodes())
-	drainInto(t, s, mi)
-
-	// A burst of attribute churn: each op invalidates, none recomputes.
-	for i := 0; i < 5; i++ {
-		id := graph.NodeID(r.Intn(50))
-		if err := g.SetAttr(id, "experience", graph.Int(int64(r.Intn(10)))); err != nil {
-			t.Fatal(err)
-		}
-		h.Invalidate("g")
-	}
-	if st := h.Stats(); st.Recomputes != 0 {
-		t.Fatalf("invalidation must be lazy, got %+v", st)
-	}
-
-	// The next update batch pays exactly one recompute and publishes the
-	// combined net delta.
-	scratch := g.Clone()
-	ops := randomOps(r, scratch, 4)
-	applyOps(t, g, ops)
-	h.HandleUpdates("g", g, ops)
-	if st := h.Stats(); st.Recomputes != 1 {
-		t.Fatalf("want exactly 1 lazy recompute, got %+v", st)
-	}
-	drainInto(t, s, mi)
-	if want := bsim.Compute(g, q); mi.Relation().String() != want.String() {
-		t.Fatalf("post-invalidation relation diverged:\n got %v\nwant %v", mi.Relation(), want)
-	}
-
-	// Flush with nothing dirty is a no-op.
-	if n := h.Flush("g", g); n != 0 {
-		t.Fatalf("clean flush notified %d", n)
-	}
-}
-
+// TestFlushPublishesAfterInvalidate: attribute changes the matcher
+// repaired in place reach subscribers at the next Publish.
 func TestFlushPublishesAfterInvalidate(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{})
 	mi := NewMirror(q.NumNodes())
 	drainInto(t, s, mi)
 
-	// Disqualify every SA by zeroing experience, then flush.
+	// Disqualify every SA by zeroing experience, then publish.
 	var sa []graph.NodeID
 	g.ForEachNode(func(n graph.Node) {
 		if n.Label == "SA" {
@@ -283,15 +237,19 @@ func TestFlushPublishesAfterInvalidate(t *testing.T) {
 		if err := g.SetAttr(id, "experience", graph.Int(0)); err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := m.SyncAttrChanged(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	h.Invalidate("g")
-	h.Flush("g", g)
+	if n := h.Publish("g", g, relationOf(m)); n != 1 {
+		t.Fatalf("notified %d subs, want 1", n)
+	}
 	drainInto(t, s, mi)
 	if !mi.Relation().IsEmpty() {
 		t.Fatalf("relation should normalize to empty, got %v", mi.Relation())
 	}
 	if want := bsim.Compute(g, q); mi.Relation().String() != want.String() {
-		t.Fatalf("flush diverged from batch:\n got %v\nwant %v", mi.Relation(), want)
+		t.Fatalf("publish diverged from batch:\n got %v\nwant %v", mi.Relation(), want)
 	}
 }
 
@@ -300,19 +258,10 @@ func TestLateSubscriberGetsCurrentSnapshot(t *testing.T) {
 	g := testutil.RandomGraph(r, 50, 200)
 	q := testutil.RandomPattern(r, 3)
 	h := NewHub()
-	s1, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := g.Clone()
-	ops := randomOps(r, scratch, 10)
-	applyOps(t, g, ops)
-	h.HandleUpdates("g", g, ops)
+	s1, m := subscribe(h, g, q, Options{})
+	update(t, h, g, m, randomOps(r, g.Clone(), 10))
 
-	s2, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := h.Subscribe("g", g, q, relationOf(m), Options{})
 	ev, ok := s2.Poll()
 	if !ok || ev.Kind != Snapshot {
 		t.Fatalf("late subscriber's first event must be a snapshot, got %+v", ev)
@@ -331,10 +280,7 @@ func TestTopKRankedDeltas(t *testing.T) {
 	g, p := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{K: 2})
 	ev, _ := s.Poll()
 	wantTop := rank.TopK(g, q, bsim.Compute(g, q), 2)
 	if len(ev.TopK) != len(wantTop) {
@@ -346,9 +292,7 @@ func TestTopKRankedDeltas(t *testing.T) {
 		}
 	}
 	e1 := dataset.E1(p)
-	ops := []incremental.Update{incremental.Insert(e1.From, e1.To)}
-	applyOps(t, g, ops)
-	h.HandleUpdates("g", g, ops)
+	update(t, h, g, m, []incremental.Update{incremental.Insert(e1.From, e1.To)})
 	ev, ok := s.Poll()
 	if !ok {
 		t.Fatal("no delta after update")
@@ -368,10 +312,7 @@ func TestCloseGraphTerminatesSubscriptions(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := subscribe(h, g, q, Options{})
 	h.CloseGraph("g")
 	// The pre-close snapshot is still readable, then the terminal error.
 	if _, ok := s.Poll(); !ok {
@@ -392,10 +333,7 @@ func TestNextBlocksUntilPublish(t *testing.T) {
 	g, p := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{})
 	if _, err := s.Next(nil); err != nil { // snapshot
 		t.Fatal(err)
 	}
@@ -408,9 +346,7 @@ func TestNextBlocksUntilPublish(t *testing.T) {
 		close(got)
 	}()
 	e1 := dataset.E1(p)
-	ops := []incremental.Update{incremental.Insert(e1.From, e1.To)}
-	applyOps(t, g, ops)
-	h.HandleUpdates("g", g, ops)
+	update(t, h, g, m, []incremental.Update{incremental.Insert(e1.From, e1.To)})
 	ev, ok := <-got
 	if !ok || ev.Kind != Delta {
 		t.Fatalf("blocked Next woke with %+v ok=%v", ev, ok)
@@ -418,10 +354,10 @@ func TestNextBlocksUntilPublish(t *testing.T) {
 }
 
 // TestQuickStreamEqualsBatch is the package-level half of the acceptance
-// property: a subscription fed a randomized update stream — edge churn,
-// attribute churn with lazy invalidation, sporadic consumption through a
-// small buffer — ends with a mirrored relation byte-identical to a fresh
-// batch evaluation of the final graph.
+// property: a subscription fed a randomized update stream — edge churn and
+// attribute churn, each repaired by the matcher and published, with
+// sporadic consumption through a small buffer — ends with a mirrored
+// relation byte-identical to a fresh batch evaluation of the final graph.
 func TestQuickStreamEqualsBatch(t *testing.T) {
 	trials := 30
 	if testing.Short() {
@@ -432,31 +368,27 @@ func TestQuickStreamEqualsBatch(t *testing.T) {
 		g := testutil.RandomGraph(r, 40+r.Intn(40), 150+r.Intn(150))
 		q := testutil.RandomPattern(r, 2+r.Intn(3))
 		h := NewHub()
-		s, err := h.Subscribe("g", g, q, Options{Buffer: 1 + r.Intn(4), NoCoalesce: r.Intn(2) == 0})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, m := subscribe(h, g, q, Options{Buffer: 1 + r.Intn(4), NoCoalesce: r.Intn(2) == 0})
 		mi := NewMirror(q.NumNodes())
 		scratch := g.Clone()
 		for round := 0; round < 15; round++ {
 			switch r.Intn(4) {
-			case 0: // attribute churn: invalidate lazily
+			case 0: // attribute churn, repaired in place
 				id := graph.NodeID(r.Intn(g.MaxID()))
 				if g.Has(id) {
 					_ = g.SetAttr(id, "experience", graph.Int(int64(r.Intn(10))))
-					_ = scratch.SetAttr(id, "experience", graph.Int(int64(r.Intn(10))))
-					h.Invalidate("g")
+					if _, _, err := m.SyncAttrChanged(id); err != nil {
+						t.Fatal(err)
+					}
+					h.Publish("g", g, relationOf(m))
 				}
 			default:
-				ops := randomOps(r, scratch, 1+r.Intn(6))
-				applyOps(t, g, ops)
-				h.HandleUpdates("g", g, ops)
+				update(t, h, g, m, randomOps(r, scratch, 1+r.Intn(6)))
 			}
 			if r.Intn(3) == 0 { // sporadic consumption
 				drainInto(t, s, mi)
 			}
 		}
-		h.Flush("g", g)
 		drainInto(t, s, mi)
 		want := bsim.Compute(g, q)
 		if got := mi.Relation(); got.String() != want.String() {
@@ -495,10 +427,7 @@ func TestConcurrentConsumersDrainEverything(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	q := dataset.PaperQuery()
 	h := NewHub()
-	s, err := h.Subscribe("g", g, q, Options{NoCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, m := subscribe(h, g, q, Options{NoCoalesce: true})
 	if _, err := s.Next(nil); err != nil { // snapshot
 		t.Fatal(err)
 	}
@@ -525,9 +454,7 @@ func TestConcurrentConsumersDrainEverything(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for published < 3 {
 		before := h.Stats().Published
-		ops := randomOps(r, scratch, 4)
-		applyOps(t, g, ops)
-		h.HandleUpdates("g", g, ops)
+		update(t, h, g, m, randomOps(r, scratch, 4))
 		published += int(h.Stats().Published - before)
 	}
 	for i := 0; i < published; i++ {
