@@ -8,7 +8,7 @@
 //	                 [-data-dir DIR] [-fsync always|interval|off]
 //	                 [-replication-listen ADDR | -replicate-from ADDR]
 //	                 [-auth-token TOKEN] [-rate-limit N] [-rate-burst N]
-//	                 [-max-inflight N] [-max-queue N] [-request-timeout D]
+//	                 [-parallelism N] [-request-timeout D]
 //	                 [-cache-bytes N] [-trace-sample F] [-slow-query D] [-debug]
 //	                 [-log-format text|json] [-accounting] [-account-clients N]
 //	                 [-slo-targets query=500ms,read=100ms] [-shed-heaviest]
@@ -29,11 +29,13 @@
 // its resume state), so a restart catches up by record replay instead
 // of re-fetching every graph.
 //
-// Serving-tier guardrails (all optional): -auth-token requires a bearer
-// token on every API route, -rate-limit enforces a per-client
-// token-bucket rate (req/s), and admission control (-max-inflight,
-// -max-queue, -request-timeout) sheds excess load with 503 +
-// Retry-After before the engine's worker pool saturates. Non-2xx
+// Serving-tier guardrails: -auth-token requires a bearer token on every
+// API route, -rate-limit enforces a per-client token-bucket rate
+// (req/s), and -request-timeout sets the deadline propagated into the
+// engine. Every query, and every other request but streams, promote and
+// the debug routes, waits for one of the engine's -parallelism execution
+// slots in one queue bounded at 4x that; past it, requests are shed with
+// 503 + Retry-After. Non-2xx
 // responses carry the uniform envelope
 // {"error":{"code","message","details"}} with stable machine-readable
 // codes.
@@ -57,8 +59,8 @@
 // targets, e.g. "query=250ms,mutation=100ms"); component health
 // (replication lag, checkpoint age, WAL growth, admission queue,
 // subscription backlog) rolls up into /healthz as ok|degraded|unhealthy
-// with per-component reasons. -shed-heaviest lets admission control
-// shed the heaviest client first under queue pressure. All log output —
+// with per-component reasons. -shed-heaviest sheds the heaviest client
+// first under queue pressure. All log output —
 // access log, slow_query lines, boot and replication notices — is
 // structured; -log-format json renders one JSON object per line.
 //
@@ -154,14 +156,12 @@ func main() {
 	storeDir := flag.String("store", "", "preload graphs from this store directory")
 	demo := flag.Bool("demo", true, "preload the paper's Fig. 1 dataset as graph \"paper\"")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (each answer charged its relation, result graph and ranking)")
-	parallelism := flag.Int("parallelism", 0, "max concurrent query executions (0 = GOMAXPROCS)")
+	parallelism := flag.Int("parallelism", 0, "execution slots shared by queries and other requests; 4x as many may queue before 503 (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "enable durable persistence (per-graph WAL + snapshots) rooted here")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always | interval | off")
 	authToken := flag.String("auth-token", "", "require this bearer token on all API routes (empty = open)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s (0 = off)")
 	rateBurst := flag.Int("rate-burst", 0, "rate-limit burst size (0 = one second of rate)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing requests (0 = GOMAXPROCS, negative = no admission control)")
-	maxQueue := flag.Int("max-queue", 0, "max requests queued for an execution slot before shedding with 503 (0 = 4x max-inflight)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline propagated into the engine (0 = none)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests traced into the debug ring (0 = explicit ?trace=1 only, 1 = all)")
 	slowQuery := flag.Duration("slow-query", 0, "log and retain requests slower than this (0 = off)")
@@ -172,7 +172,7 @@ func main() {
 	accounting := flag.Bool("accounting", true, "per-client resource accounting and SLO tracking")
 	accountClients := flag.Int("account-clients", 0, "max clients the ledger tracks individually before folding the rest into \"other\" (0 = default)")
 	sloTargetsFlag := flag.String("slo-targets", "", "override per-route-class p99 latency targets, e.g. query=250ms,mutation=100ms")
-	shedHeaviest := flag.Bool("shed-heaviest", false, "under admission-queue pressure, shed the dominant client's requests first")
+	shedHeaviest := flag.Bool("shed-heaviest", false, "under execution-queue pressure, shed the dominant client's requests first")
 	flag.Parse()
 
 	format, err := logx.ParseFormat(*logFormat)
@@ -334,8 +334,6 @@ func main() {
 		AuthToken:      *authToken,
 		RateLimit:      *rateLimit,
 		RateBurst:      *rateBurst,
-		MaxInflight:    *maxInflight,
-		MaxQueue:       *maxQueue,
 		RequestTimeout: *requestTimeout,
 		TraceSample:    *traceSample,
 		SlowQuery:      *slowQuery,

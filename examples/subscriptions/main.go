@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -122,7 +123,7 @@ edge SA -> SD bound 2
 			log.Fatal(err)
 		}
 		start := time.Now()
-		if _, _, err := eng.PushUpdates("net", ops); err != nil {
+		if _, _, err := eng.PushUpdates(context.Background(), "net", ops); err != nil {
 			log.Fatal(err)
 		}
 		pushed += time.Since(start)

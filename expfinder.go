@@ -242,8 +242,8 @@ type (
 	Engine = engine.Engine
 	// EngineOptions configures an Engine. Parallelism bounds concurrent
 	// query executions (QueryBatch/QueryAsync and overlapping Query
-	// calls) and the bounded-simulation worker fan-out; 0 means
-	// GOMAXPROCS.
+	// calls), with 4×Parallelism more queued, and the bounded-simulation
+	// worker fan-out; 0 means GOMAXPROCS.
 	EngineOptions = engine.Options
 	// QueryResult is a query answer with provenance.
 	QueryResult = engine.Result
@@ -258,6 +258,9 @@ type (
 	// BatchOutcome is the per-query answer of Engine.QueryBatch and
 	// Engine.QueryAsync: exactly one of Result and Err is set.
 	BatchOutcome = engine.QueryOutcome
+	// ErrOverloaded is a query's refusal by a full execution pool: more
+	// than 5×Parallelism queries at once (see EngineOptions).
+	ErrOverloaded = engine.ErrOverloaded
 )
 
 // The values of BatchQuery.Semantics.

@@ -1,6 +1,7 @@
 package expfinder_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -285,7 +286,7 @@ func TestPublicSubscriptions(t *testing.T) {
 	}
 
 	// Example 3's insertion streams exactly +(SD, Fred).
-	if _, notified, err := eng.PushUpdates("team", []expfinder.Update{
+	if _, notified, err := eng.PushUpdates(context.Background(), "team", []expfinder.Update{
 		expfinder.InsertEdge(ids["Fred"], ids["Pat"]),
 	}); err != nil || notified != 1 {
 		t.Fatalf("push: notified=%d err=%v", notified, err)

@@ -61,8 +61,9 @@ type Charge struct {
 	Wall     time.Duration
 	BytesOut int64
 
-	// Queue is time spent waiting for an admission or engine worker
-	// slot, from the admission.wait/engine.wait spans.
+	// Queue is time spent waiting for slots of the engine's execution
+	// pool, from the admission.wait spans: one per query or batch entry,
+	// or one for the whole request on every other admitted route.
 	Queue time.Duration
 	// CacheBytesServed is result bytes answered from the cache;
 	// CacheBytesComputed is result bytes the engine had to evaluate.
@@ -87,7 +88,7 @@ func (c *Charge) AddTrace(tj *trace.TraceJSON) {
 	}
 	tj.Walk(func(sp *trace.SpanJSON) {
 		switch sp.Name {
-		case "admission.wait", "engine.wait":
+		case "admission.wait":
 			c.Queue += time.Duration(sp.DurationUS) * time.Microsecond
 		case "engine.query":
 			c.Candidates += attrInt(sp.Attrs, "matches")

@@ -38,8 +38,8 @@ const (
 	CodeUnauthorized = "unauthorized"
 	// CodeRateLimited: the per-client token bucket is empty (429).
 	CodeRateLimited = "rate_limited"
-	// CodeOverloaded: admission control shed the request (503); retry
-	// after the Retry-After header's delay.
+	// CodeOverloaded: the engine's execution-pool queue was full and shed
+	// the request (503); retry after the Retry-After header's delay.
 	CodeOverloaded = "overloaded"
 	// CodeDeadlineExceeded: the request's deadline elapsed while queued
 	// or executing (504).

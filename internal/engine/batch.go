@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"expfinder/internal/graph"
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
@@ -25,6 +28,91 @@ type QueryRequest struct {
 	// served from the answer's cached ranking; any other metric is ranked
 	// on each request from the answer's relation and result graph.
 	Metric rank.Metric
+	// Render, when set, runs on a successful answer while the graph's read
+	// lock is still held, so whatever it reads of the graph (display
+	// names, DOT) is the version the answer was computed on. It must not
+	// retain the graph or call back into the engine.
+	Render func(*graph.Graph, *Result)
+}
+
+// ErrOverloaded is the execution pool's refusal: every slot is held and
+// the wait queue is at its bound, so one more waiter would only grow the
+// tail. It carries what the refused caller saw.
+type ErrOverloaded struct {
+	Queued, Bound int
+}
+
+func (e *ErrOverloaded) Error() string {
+	return fmt.Sprintf("engine overloaded: %d of %d queue places taken", e.Queued, e.Bound)
+}
+
+// PoolStats is one reading of the execution pool.
+type PoolStats struct {
+	Held   int // slots taken, by evaluating queries and admitted requests
+	Queued int // callers waiting for a slot
+	Bound  int // the queue's bound: 4×Parallelism
+}
+
+// pool is the engine's one execution pool: Parallelism slots and a wait
+// queue bounded at 4×Parallelism. Every query takes its slot here inside
+// Execute, and the serving tier takes one here for each request it does
+// not hand to Execute (Admit), so a request waits in one queue only.
+type pool struct {
+	slots  chan struct{}
+	queued atomic.Int64
+	bound  int64
+}
+
+func newPool(par int) *pool {
+	return &pool{slots: make(chan struct{}, par), bound: 4 * int64(par)}
+}
+
+// acquire takes a slot, queueing up to the bound, under one
+// "admission.wait" span. It fails with *ErrOverloaded when the queue is
+// full and with ctx's error when ctx ends first.
+func (p *pool) acquire(ctx context.Context) error {
+	_, sp := trace.StartSpan(ctx, "admission.wait")
+	defer sp.End()
+	select {
+	case p.slots <- struct{}{}: // fast path: an idle slot
+		return nil
+	default:
+	}
+	for { // CAS-bounded enqueue
+		q := p.queued.Load()
+		if q >= p.bound {
+			return &ErrOverloaded{Queued: int(q), Bound: int(p.bound)}
+		}
+		if p.queued.CompareAndSwap(q, q+1) {
+			break
+		}
+	}
+	defer p.queued.Add(-1)
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (p *pool) release() { <-p.slots }
+
+// Pool reads the execution pool.
+func (e *Engine) Pool() PoolStats {
+	return PoolStats{Held: len(e.pool.slots), Queued: int(e.pool.queued.Load()), Bound: int(e.pool.bound)}
+}
+
+// Admit takes one slot of the execution pool for work the caller runs
+// itself, under the same queue bound and "admission.wait" span as a
+// query; call release when done. A caller holding a slot must not call
+// Execute (or QueryBatch, QueryAsync): at Parallelism 1 it would wait for
+// its own slot.
+func (e *Engine) Admit(ctx context.Context) (release func(), err error) {
+	if err := e.pool.acquire(ctx); err != nil {
+		return nil, err
+	}
+	return e.pool.release, nil
 }
 
 // QueryOutcome is the answer to one QueryRequest: exactly one of Result
@@ -41,10 +129,10 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 }
 
 // Execute answers one query, whatever its semantics and metric, through
-// the one pipeline: it waits for an execution slot (the engine runs at
-// most Parallelism queries at once) and gives up if ctx is cancelled while
-// waiting for one. A wait for the graph's read lock (behind an in-progress
-// update) is not cancellable. Once started, an evaluation on the
+// the one pipeline: it waits for a slot of the execution pool, fails with
+// *ErrOverloaded when the pool's queue is full, and gives up if ctx is
+// cancelled while waiting. A wait for the graph's read lock (behind an
+// in-progress update) is not cancellable. Once started, an evaluation on the
 // refinement kernel (every plan but the partitioned one) checks ctx
 // between its ball-walk passes: a cancelled query returns ctx.Err() within
 // a few passes, caches nothing, and frees its slot and the read lock. The
@@ -72,23 +160,19 @@ func (e *Engine) Execute(ctx context.Context, req QueryRequest) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	_, spWait := trace.StartSpan(ctx, "engine.wait")
-	e.waiting.Add(1)
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		e.waiting.Add(-1)
-		spWait.End()
-		return nil, ctx.Err()
+	if err := e.pool.acquire(ctx); err != nil {
+		return nil, err
 	}
-	e.waiting.Add(-1)
-	spWait.End()
-	defer func() { <-e.sem }()
-	e.inflight.Add(1)
-	defer e.inflight.Add(-1)
+	defer e.pool.release()
+	e.evaluating.Add(1)
+	defer e.evaluating.Add(-1)
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	return e.queryLocked(ctx, mg, req, start)
+	res, err := e.queryLocked(ctx, mg, req, start)
+	if err == nil && req.Render != nil {
+		req.Render(mg.g, res)
+	}
+	return res, err
 }
 
 // QueryBatch evaluates a batch of queries concurrently on a worker pool
@@ -96,7 +180,9 @@ func (e *Engine) Execute(ctx context.Context, req QueryRequest) (*Result, error)
 // in request order. Each query is answered exactly as Query would answer
 // it — the executor only changes scheduling, never results. Requests not
 // yet started when ctx is cancelled fail with ctx.Err(), and so do
-// in-flight ones that reach a cancellation point (see Execute).
+// in-flight ones that reach a cancellation point (see Execute). Each entry
+// takes its own slot of the execution pool; one refused by a full queue
+// fails alone with *ErrOverloaded.
 func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest) []QueryOutcome {
 	out := make([]QueryOutcome, len(reqs))
 	workers := e.par
@@ -128,7 +214,9 @@ func (e *Engine) QueryBatch(ctx context.Context, reqs []QueryRequest) []QueryOut
 
 // QueryAsync dispatches one query through the bounded executor and
 // returns a channel that delivers its outcome (buffered: the result is
-// never lost if the caller reads late).
+// never lost if the caller reads late). Like Execute it fails with
+// *ErrOverloaded when more than 5×Parallelism queries and admitted
+// requests are in the pool at once.
 func (e *Engine) QueryAsync(ctx context.Context, req QueryRequest) <-chan QueryOutcome {
 	ch := make(chan QueryOutcome, 1)
 	go func() {

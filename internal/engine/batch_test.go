@@ -291,11 +291,14 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := dataset.PaperQuery()
-	e.sem <- struct{}{} // occupy the only slot: every query from here on parks
+	release, err := e.Admit(context.Background()) // occupy the only slot: every query from here on parks
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	parked := func(ctx context.Context) <-chan QueryOutcome {
 		ch := e.QueryAsync(ctx, QueryRequest{Graph: "paper", Pattern: q})
-		for deadline := time.Now().Add(10 * time.Second); e.QueuedQueries() == 0; runtime.Gosched() {
+		for deadline := time.Now().Add(10 * time.Second); e.Pool().Queued == 0; runtime.Gosched() {
 			if time.Now().After(deadline) {
 				t.Fatal("query never reached the slot queue")
 			}
@@ -322,7 +325,7 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 	e1 := dataset.E1(p)
 	ch := parked(context.Background())
 	write(incremental.Insert(e1.From, e1.To))
-	<-e.sem // free the slot; the parked query runs against the updated graph
+	release() // free the slot; the parked query runs against the updated graph
 	oc := <-ch
 	if oc.Err != nil {
 		t.Fatal(oc.Err)
@@ -331,19 +334,71 @@ func TestQueuedQueryDoesNotBlockWriters(t *testing.T) {
 		t.Error("parked query answered the pre-update graph")
 	}
 
-	e.sem <- struct{}{}
+	if release, err = e.Admit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ch = parked(ctx)
 	cancel()
 	if oc := <-ch; !errors.Is(oc.Err, context.Canceled) {
 		t.Fatalf("cancelled while parked: err = %v, want context.Canceled", oc.Err)
 	}
-	if e.QueuedQueries() != 0 || e.InflightQueries() != 0 || len(e.sem) != 1 {
-		t.Errorf("after cancel: queued=%d inflight=%d slots held=%d, want 0, 0 and the test's own 1",
-			e.QueuedQueries(), e.InflightQueries(), len(e.sem))
+	if st := e.Pool(); st.Queued != 0 || e.evaluating.Load() != 0 || st.Held != 1 {
+		t.Errorf("after cancel: queued=%d evaluating=%d slots held=%d, want 0, 0 and the test's own 1",
+			st.Queued, e.evaluating.Load(), st.Held)
 	}
 	write(incremental.Delete(e1.From, e1.To)) // no read lock left behind
-	<-e.sem
+	release()
+}
+
+// TestFullQueueOverloads fills the execution pool — its one slot and its
+// queue of 4×Parallelism — so that one more caller, through Execute, as a
+// QueryBatch entry or through Admit, is refused at once with
+// *ErrOverloaded carrying the depth and the bound; once the holder leaves,
+// the queued queries answer and the pool is empty again.
+func TestFullQueueOverloads(t *testing.T) {
+	e := New(Options{Parallelism: 1})
+	g, _ := dataset.PaperGraph()
+	if err := e.AddGraph("paper", g); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := QueryRequest{Graph: "paper", Pattern: dataset.PaperQuery(), K: 1}
+	release, err := e.Admit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parked []<-chan QueryOutcome
+	for i := 0; i < 4; i++ {
+		parked = append(parked, e.QueryAsync(ctx, req))
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.Pool().Queued < 4; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue reached %d of 4", e.Pool().Queued)
+		}
+	}
+	overloaded := func(how string, err error) {
+		t.Helper()
+		var ov *ErrOverloaded
+		if !errors.As(err, &ov) || ov.Queued != 4 || ov.Bound != 4 {
+			t.Errorf("%s on a full pool: err = %v, want ErrOverloaded{4, 4}", how, err)
+		}
+	}
+	_, err = e.Execute(ctx, req)
+	overloaded("Execute", err)
+	overloaded("QueryBatch entry", e.QueryBatch(ctx, []QueryRequest{req})[0].Err)
+	_, err = e.Admit(ctx)
+	overloaded("Admit", err)
+
+	release()
+	for i, ch := range parked {
+		if oc := <-ch; oc.Err != nil {
+			t.Errorf("queued query %d: %v", i, oc.Err)
+		}
+	}
+	if st := e.Pool(); st.Held != 0 || st.Queued != 0 || e.evaluating.Load() != 0 {
+		t.Errorf("after the queue drained: held=%d queued=%d evaluating=%d, want 0, 0, 0", st.Held, st.Queued, e.evaluating.Load())
+	}
 }
 
 // TestCancelledQueryReleasesSlotAndLock cancels a query in the middle of an
@@ -434,8 +489,8 @@ func cancelMidEvaluation(t *testing.T, g *graph.Graph, q *pattern.Pattern, sem m
 	case <-time.After(10 * time.Second):
 		t.Fatal("writer still blocked: the cancelled query left its read lock behind")
 	}
-	if e.InflightQueries() != 0 || len(e.sem) != 0 {
-		t.Errorf("after cancel: inflight=%d slots held=%d, want 0 and 0", e.InflightQueries(), len(e.sem))
+	if e.evaluating.Load() != 0 || e.Pool().Held != 0 {
+		t.Errorf("after cancel: evaluating=%d slots held=%d, want 0 and 0", e.evaluating.Load(), e.Pool().Held)
 	}
 	if n := e.CacheStats().Entries; n != 0 {
 		t.Errorf("cancelled query left %d result-cache entries", n)
@@ -483,8 +538,8 @@ func TestCancelledAtStageBoundaryCachesNothing(t *testing.T) {
 			if st := e.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
 				t.Errorf("cancelled query left %d cache entries (%d bytes)", st.Entries, st.Bytes)
 			}
-			if e.InflightQueries() != 0 || len(e.sem) != 0 {
-				t.Errorf("after cancel: inflight=%d slots held=%d, want 0 and 0", e.InflightQueries(), len(e.sem))
+			if e.evaluating.Load() != 0 || e.Pool().Held != 0 {
+				t.Errorf("after cancel: evaluating=%d slots held=%d, want 0 and 0", e.evaluating.Load(), e.Pool().Held)
 			}
 			res, err = e.Query("g", q, 1)
 			if err != nil {

@@ -132,10 +132,11 @@ type Options struct {
 	// charged its relation, result graph and ranking. <= 0 means
 	// cache.DefaultBudget.
 	CacheBytes int64
-	// Parallelism bounds how many queries the engine executes
-	// concurrently (QueryBatch, QueryAsync, and overlapping Query calls)
-	// and how many workers the bounded-simulation inner loop may fan out
-	// to. <= 0 means GOMAXPROCS. Results never depend on it.
+	// Parallelism is the execution pool's slot count — how many queries
+	// (QueryBatch, QueryAsync, and overlapping Query calls) and Admit
+	// holders run at once; 4×Parallelism more may wait — and how many
+	// workers the bounded-simulation inner loop may fan out to. <= 0 means
+	// GOMAXPROCS. Results never depend on it.
 	Parallelism int
 	// Persistence, when set, makes every graph mutation durable: each
 	// mutation appends to the graph's write-ahead log under the graph's
@@ -153,10 +154,10 @@ type Options struct {
 // lock contention never crosses graph boundaries — an update on one
 // graph never blocks queries on another at the lock level. The one
 // cross-graph coupling is the shared execution pool: at most Parallelism
-// queries compute at once, so under a saturated pool a query queues for
-// a slot regardless of which graph it targets. A queued query holds no
-// graph lock, so it never delays a writer; a query holding a token waits
-// at most for the update in progress on its own graph.
+// queries and admitted requests run at once, so under a saturated pool a
+// query queues for a slot regardless of which graph it targets. A queued
+// query holds no graph lock, so it never delays a writer; a query holding
+// a slot waits at most for the update in progress on its own graph.
 type Engine struct {
 	mu    sync.RWMutex // guards gs, the registry map, only
 	opts  Options
@@ -164,15 +165,12 @@ type Engine struct {
 	cache *cache.Cache
 	gs    map[string]*managed
 
-	// sem holds one token per allowed concurrent query execution;
-	// inflight counts executions holding a token so evaluate can split
-	// the worker budget between inter- and intra-query parallelism.
-	// waiting counts queries parked for a token — the pool's queue depth,
-	// exported as a gauge by the serving tier.
-	sem      chan struct{}
-	inflight atomic.Int32
-	waiting  atomic.Int32
-	epochs   atomic.Uint64 // graph-registration counter, see managed.epoch
+	pool *pool
+	// evaluating counts queries holding a slot inside Execute, so
+	// evalWorkers splits the worker budget among the queries that use CPU
+	// — not among Admit holders, such as a writer parked on a graph lock.
+	evaluating atomic.Int32
+	epochs     atomic.Uint64 // graph-registration counter, see managed.epoch
 
 	// hub is the continuous-query registry (see Subscribe): every graph
 	// mutation path fans match deltas out to its live subscriptions while
@@ -263,7 +261,7 @@ func New(opts Options) *Engine {
 		cache: cache.New(opts.CacheBytes),
 		gs:    map[string]*managed{},
 		hub:   subscribe.NewHub(),
-		sem:   make(chan struct{}, par),
+		pool:  newPool(par),
 	}
 	if opts.Persistence != nil {
 		e.persStop = make(chan struct{})
@@ -275,14 +273,6 @@ func New(opts Options) *Engine {
 
 // Parallelism reports the engine's effective worker bound.
 func (e *Engine) Parallelism() int { return e.par }
-
-// InflightQueries reports how many queries hold an execution token right
-// now — the worker pool's occupancy (at most Parallelism).
-func (e *Engine) InflightQueries() int { return int(e.inflight.Load()) }
-
-// QueuedQueries reports how many queries are parked waiting for an
-// execution token — the pool's queue depth.
-func (e *Engine) QueuedQueries() int { return int(e.waiting.Load()) }
 
 // lookup resolves a graph name to its managed entry. Callers lock the
 // returned entry; the registry lock is not held on return, so the entry
@@ -486,7 +476,7 @@ func (e *Engine) Query(graphName string, q *pattern.Pattern, k int) (*Result, er
 }
 
 // queryLocked runs the evaluation pipeline. The caller holds mg.mu for
-// read and an execution token. It is the only code that reads or fills
+// read and an execution slot. It is the only code that reads or fills
 // the result cache: one lookup, and after a miss — evaluate, result graph,
 // ranking — one store. ctx is checked at each of those stage boundaries; a
 // cancelled query returns ctx.Err() and caches nothing. When ctx carries
@@ -587,14 +577,14 @@ func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, pl
 }
 
 // evalWorkers is the intra-query worker budget: the full Parallelism for
-// a lone query, split evenly when several queries are in flight so a
+// a lone query, split evenly when several queries are evaluating so a
 // batch does not oversubscribe the machine par-squared ways.
 func (e *Engine) evalWorkers() int {
-	inflight := int(e.inflight.Load())
-	if inflight < 1 {
-		inflight = 1
+	n := int(e.evaluating.Load())
+	if n < 1 {
+		n = 1
 	}
-	w := e.par / inflight
+	w := e.par / n
 	if w < 1 {
 		w = 1
 	}

@@ -111,7 +111,13 @@ func TestRankSpanExplainsItself(t *testing.T) {
 // Result's TopK in place must not reach the cached ranking another Result
 // is cut from.
 func TestHitsShareTheEntryButNotTopK(t *testing.T) {
-	e, _ := newPaperEngine(t)
+	// One slot per goroutine below, whatever GOMAXPROCS is: the default
+	// pool of a 1-CPU host queues only 4 and would refuse the rest.
+	e := New(Options{Parallelism: 8})
+	g, _ := dataset.PaperGraph()
+	if err := e.AddGraph("paper", g); err != nil {
+		t.Fatal(err)
+	}
 	q := dataset.PaperQuery()
 	first, err := e.Query("paper", q, 0)
 	if err != nil {

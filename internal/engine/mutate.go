@@ -58,15 +58,7 @@ type applied struct {
 // subscription fan-out count. A batch with an invalid op is rolled back
 // whole and changes nothing.
 func (e *Engine) ApplyUpdates(graphName string, ops []graph.Update) ([]Delta, error) {
-	return e.ApplyUpdatesCtx(context.Background(), graphName, ops)
-}
-
-// ApplyUpdatesCtx is ApplyUpdates threading ctx through to the WAL
-// append, so traced update requests capture the durability cost (see
-// internal/trace). Cancellation is NOT consulted: once called, the
-// batch applies atomically exactly as ApplyUpdates would.
-func (e *Engine) ApplyUpdatesCtx(ctx context.Context, graphName string, ops []graph.Update) ([]Delta, error) {
-	out, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecUpdates, Ops: ops}, false)
+	out, err := e.mutate(context.Background(), graphName, &wal.Record{Kind: wal.RecUpdates, Ops: ops}, false)
 	return out.deltas, err
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -302,7 +303,7 @@ func TestSubscriptionsOnPartitionedGraph(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := e.PushUpdates("g", ops); err != nil {
+		if _, _, err := e.PushUpdates(context.Background(), "g", ops); err != nil {
 			t.Fatal(err)
 		}
 		drainSub(t, sub, mi)

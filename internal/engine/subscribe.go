@@ -78,15 +78,11 @@ func (e *Engine) SubscriptionStats() subscribe.Stats { return e.hub.Stats() }
 
 // PushUpdates is ApplyUpdates for streaming workloads: it applies the
 // edge updates, repairs registered queries, and additionally reports how
-// many live subscriptions were handed a delta by the fan-out.
-func (e *Engine) PushUpdates(graphName string, ops []graph.Update) (deltas []Delta, notified int, err error) {
-	return e.PushUpdatesCtx(context.Background(), graphName, ops)
-}
-
-// PushUpdatesCtx is PushUpdates threading ctx through to the WAL append
-// so traced streaming updates capture the durability cost. Like
-// ApplyUpdatesCtx, cancellation is not consulted.
-func (e *Engine) PushUpdatesCtx(ctx context.Context, graphName string, ops []graph.Update) (deltas []Delta, notified int, err error) {
+// many live subscriptions were handed a delta by the fan-out. ctx reaches
+// the WAL append, so a traced update captures its durability cost (see
+// internal/trace); cancellation is not consulted: once called, the batch
+// applies atomically.
+func (e *Engine) PushUpdates(ctx context.Context, graphName string, ops []graph.Update) (deltas []Delta, notified int, err error) {
 	out, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecUpdates, Ops: ops}, false)
 	return out.deltas, out.notified, err
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -50,7 +51,7 @@ func TestSubscribeSnapshotAndPushUpdates(t *testing.T) {
 	}
 
 	e1 := dataset.E1(p)
-	deltas, notified, err := e.PushUpdates("g", []incremental.Update{incremental.Insert(e1.From, e1.To)})
+	deltas, notified, err := e.PushUpdates(context.Background(), "g", []incremental.Update{incremental.Insert(e1.From, e1.To)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +494,7 @@ func TestQuickSubscriptionStreamEqualsMatch(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := e.PushUpdates("g", ops); err != nil {
+				if _, _, err := e.PushUpdates(context.Background(), "g", ops); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -68,9 +68,9 @@ func sloObjectives(targets map[string]time.Duration) map[string]account.Objectiv
 }
 
 // HealthThresholds tunes when a component degrades the /healthz
-// rollup. Zero fields take the documented defaults; admission-queue
-// thresholds are structural (half full degrades, full is unhealthy)
-// and not configurable here.
+// rollup. Zero fields take the documented defaults; the execution
+// pool's queue thresholds are structural (half full degrades, full is
+// unhealthy) and not configurable here.
 type HealthThresholds struct {
 	// ReplicationLagDegraded / ReplicationLagUnhealthy are lag-record
 	// thresholds (defaults 500 / 5000).
@@ -173,15 +173,12 @@ func (s *Server) registerHealthComponents() {
 	})
 
 	s.health.Register("admission_queue", func() (account.HealthStatus, string) {
-		if s.admit == nil {
-			return account.StatusOK, ""
-		}
-		depth := s.admit.queued.Load()
+		st := s.eng.Pool()
 		switch {
-		case depth >= s.admit.maxQueue:
-			return account.StatusUnhealthy, fmt.Sprintf("queue full (%d/%d), shedding", depth, s.admit.maxQueue)
-		case depth*2 >= s.admit.maxQueue:
-			return account.StatusDegraded, fmt.Sprintf("queue %d/%d over half full", depth, s.admit.maxQueue)
+		case st.Queued >= st.Bound:
+			return account.StatusUnhealthy, fmt.Sprintf("queue full (%d/%d), shedding", st.Queued, st.Bound)
+		case st.Queued*2 >= st.Bound:
+			return account.StatusDegraded, fmt.Sprintf("queue %d/%d over half full", st.Queued, st.Bound)
 		}
 		return account.StatusOK, ""
 	})
@@ -226,7 +223,7 @@ func (s *Server) registerAccountMetrics() {
 		"Request wall time charged per client since boot.",
 		func(cu account.ClientUsage) float64 { return float64(cu.WallUS) / 1e6 })
 	clientCounter("expfinder_client_queue_seconds_total",
-		"Admission/engine queue wait charged per client (traced requests).",
+		"Execution-pool queue wait charged per client (traced requests).",
 		func(cu account.ClientUsage) float64 { return float64(cu.QueueUS) / 1e6 })
 	clientCounter("expfinder_client_bytes_out_total",
 		"Response bytes charged per client since boot.",

@@ -326,11 +326,10 @@ func TestAccountingDisabled(t *testing.T) {
 		}
 	}
 
-	// Accounting and admission observe and queue, never steer: the default
-	// server, one without accounting and one with neither answer the Fig. 1
-	// query with the same bytes.
+	// Accounting observes, never steers: the default server and one without
+	// accounting answer the Fig. 1 query with the same bytes.
 	var want []byte
-	for _, cfg := range []Config{{}, {DisableAccounting: true}, {DisableAccounting: true, MaxInflight: -1}} {
+	for _, cfg := range []Config{{}, {DisableAccounting: true}} {
 		ts, _ := newConfiguredServer(t, cfg)
 		uploadPaperGraph(t, ts)
 		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 5})
@@ -346,25 +345,25 @@ func TestAccountingDisabled(t *testing.T) {
 	}
 }
 
-// TestShedHeaviestClient fills the admission queue and asserts the
-// dominant client is shed with the heaviest_client reason while a light
-// client still queues, and that plain queue-full sheds carry the queue
+// TestShedHeaviestClient fills the engine's execution pool and asserts
+// the dominant client is shed with the heaviest_client reason while light
+// clients still queue, and that plain queue-full sheds carry the queue
 // depth in their details.
 func TestShedHeaviestClient(t *testing.T) {
-	eng := engine.New(engine.Options{})
-	s := New(eng, Config{MaxInflight: 1, MaxQueue: 1, ShedHeaviest: true})
+	eng := engine.New(engine.Options{Parallelism: 1})
+	s := New(eng, Config{ShedHeaviest: true})
 	// The last minute of history: "heavy" owns all the wall time.
 	s.ledger.Charge(account.Charge{Client: "heavy", Status: 200, Wall: time.Second})
 
-	started := make(chan struct{}, 4)
+	maxQueue := 4 * eng.Parallelism()
+	started := make(chan struct{}, 1+maxQueue)
 	release := make(chan struct{})
 	blocked := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		started <- struct{}{}
 		<-release
 	})
-	ts := httptest.NewServer(s.withAdmission(blocked))
+	ts := httptest.NewServer(s.withAdmission(poolSlot, blocked))
 	defer ts.Close()
-	defer close(release)
 
 	type result struct {
 		status int
@@ -381,16 +380,20 @@ func TestShedHeaviestClient(t *testing.T) {
 
 	holder := fire("heavy") // takes the slot
 	<-started
-	queued := fire("light") // queues (depth 1 of 1)
+	var queued []chan result
+	for i := 0; i < maxQueue; i++ {
+		queued = append(queued, fire("light")) // queue, to depth 4 of 4
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.admit.queued.Load() != 1 {
+	for eng.Pool().Queued != maxQueue {
 		if time.Now().After(deadline) {
-			t.Fatal("light request never queued")
+			t.Fatalf("%d of %d light requests queued", eng.Pool().Queued, maxQueue)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Queue half full and "heavy" holds the majority wall share: shed it.
+	// Queue at least half full and "heavy" holds the majority wall share:
+	// shed it.
 	res := <-fire("heavy")
 	if res.status != http.StatusServiceUnavailable {
 		t.Fatalf("heavy client: %d, want 503", res.status)
@@ -410,20 +413,21 @@ func TestShedHeaviestClient(t *testing.T) {
 		t.Fatalf("light client: %d, want 503", res.status)
 	}
 	env = decodeEnvelope(t, res.body)
-	if got, ok := env.Error.Details["queue_depth"].(float64); !ok || got != 1 {
-		t.Errorf("queue_depth detail = %v, want 1", env.Error.Details["queue_depth"])
+	if got, ok := env.Error.Details["queue_depth"].(float64); !ok || got != float64(maxQueue) {
+		t.Errorf("queue_depth detail = %v, want %d", env.Error.Details["queue_depth"], maxQueue)
 	}
-	if got, ok := env.Error.Details["max_queue"].(float64); !ok || got != 1 {
-		t.Errorf("max_queue detail = %v, want 1", env.Error.Details["max_queue"])
+	if got, ok := env.Error.Details["max_queue"].(float64); !ok || got != float64(maxQueue) {
+		t.Errorf("max_queue detail = %v, want %d", env.Error.Details["max_queue"], maxQueue)
 	}
 
-	release <- struct{}{}
-	release <- struct{}{}
+	close(release)
 	if res := <-holder; res.status != http.StatusOK {
 		t.Errorf("holder finished %d", res.status)
 	}
-	if res := <-queued; res.status != http.StatusOK {
-		t.Errorf("queued request finished %d", res.status)
+	for _, ch := range queued {
+		if res := <-ch; res.status != http.StatusOK {
+			t.Errorf("queued request finished %d", res.status)
+		}
 	}
 }
 

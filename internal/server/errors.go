@@ -28,14 +28,28 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 // writeErr renders err as the error envelope, deriving the stable code
 // from the error chain (falling back to a status-default code). A
 // read-only rejection carries the leader's address in details so a
-// client can redirect its write without a second lookup.
+// client can redirect its write without a second lookup; an overload
+// carries the queue it found full.
 func writeErr(w http.ResponseWriter, status int, err error) {
 	var details map[string]any
 	var ro *engine.ReadOnlyError
-	if errors.As(err, &ro) && ro.Leader != "" {
+	var ov *engine.ErrOverloaded
+	switch {
+	case errors.As(err, &ro) && ro.Leader != "":
 		details = map[string]any{"leader": ro.Leader}
+	case errors.As(err, &ov):
+		details = overloadDetails(w, ov)
 	}
 	writeEnvelope(w, status, codeFor(status, err), err.Error(), details)
+}
+
+// overloadDetails sets Retry-After on a shed response and returns the
+// envelope details: the queue depth tells a shed client how far behind
+// it is — depth/Parallelism slot releases must happen first — so a deeper
+// queue warrants a longer back-off than the 1-second floor.
+func overloadDetails(w http.ResponseWriter, ov *engine.ErrOverloaded) map[string]any {
+	w.Header().Set("Retry-After", "1")
+	return map[string]any{"retry_after_seconds": 1, "queue_depth": ov.Queued, "max_queue": ov.Bound}
 }
 
 // writeCode renders err under an explicit code, for call sites whose
@@ -62,6 +76,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, engine.ErrReadOnly):
 		return http.StatusForbidden
+	case errors.As(err, new(*engine.ErrOverloaded)):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	default:

@@ -4,7 +4,7 @@ package server
 // internal/api; every handler here decodes into and encodes from those
 // DTOs, shared verbatim by the /api/v1 surface and the legacy /api
 // aliases. Handlers run innermost in the middleware chain, so
-// r.Context() already carries the admission deadline when one is
+// r.Context() already carries the request deadline when one is
 // configured — engine calls taking a context stop computing when the
 // client's budget runs out.
 
@@ -221,36 +221,21 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := s.eng.Execute(r.Context(), ereq)
-	if err != nil {
+	var resp queryResponse
+	withDot := r.URL.Query().Get("dot") == "1"
+	ereq.Render = func(g *graph.Graph, res *engine.Result) { resp = responseFor(g, q, res, withDot) }
+	if _, err := s.eng.Execute(r.Context(), ereq); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	resp := s.render(name, q, res, r.URL.Query().Get("dot") == "1")
 	resp.Trace = inlineTrace(r)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// render builds the wire response inside the graph's read scope so
-// display-name lookups and DOT export never race engine mutations. If
-// the graph was removed after the query answered (against its
-// pre-removal snapshot), the result is still rendered — just without
-// graph-resident display names or DOT.
-func (s *Server) render(name string, q *pattern.Pattern, res *engine.Result, withDot bool) queryResponse {
-	var resp queryResponse
-	if err := s.eng.WithGraph(name, func(g *graph.Graph) error {
-		resp = responseFor(g, q, res, withDot)
-		return nil
-	}); err != nil {
-		resp = responseFor(nil, q, res, false)
-	}
-	return resp
-}
-
 // responseFor renders an engine result into the wire form shared by the
-// single-query and batch endpoints. g may be nil (graph removed after
-// the query answered): matches and ranks still render, display names
-// and DOT are skipped.
+// single-query and batch endpoints. It runs as the query's Render, inside
+// the read scope the answer was computed in, so display names and DOT
+// come from the same graph version as the matches.
 func responseFor(g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot bool) queryResponse {
 	resp := queryResponse{
 		Plan:      string(res.Plan),
@@ -269,14 +254,12 @@ func responseFor(g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot
 	}
 	for _, t := range res.TopK {
 		entry := api.TopEntry{Node: int64(t.Node), Rank: t.Rank, Connected: t.Connected}
-		if g != nil {
-			if v, ok := g.Attr(t.Node, "name"); ok {
-				entry.Name = v.Str()
-			}
+		if v, ok := g.Attr(t.Node, "name"); ok {
+			entry.Name = v.Str()
 		}
 		resp.TopK = append(resp.TopK, entry)
 	}
-	if withDot && g != nil {
+	if withDot {
 		var dot jsonBuilder
 		if err := viz.WriteTopK(&dot, g, res.ResultGraph, res.TopK, viz.Options{}); err == nil {
 			resp.ResultDOT = dot.String()
@@ -287,7 +270,8 @@ func responseFor(g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot
 
 // queryBatch evaluates many queries in one request through the engine's
 // bounded parallel executor. Outcomes come back in request order, and a
-// failed query never fails the batch.
+// failed query — one shed by a full execution pool included — never
+// fails the batch.
 func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
@@ -311,17 +295,17 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 			entries[i].Error = err.Error()
 			continue
 		}
+		ereq.Render = func(g *graph.Graph, res *engine.Result) { entries[i].QueryResponse = responseFor(g, q, res, false) }
 		reqs = append(reqs, ereq)
 		at = append(at, i)
 	}
-	outcomes := s.eng.QueryBatch(r.Context(), reqs)
-	for j, oc := range outcomes {
-		i := at[j]
+	for j, oc := range s.eng.QueryBatch(r.Context(), reqs) {
 		if oc.Err != nil {
-			entries[i].Error = oc.Err.Error()
-			continue
+			if errors.As(oc.Err, new(*engine.ErrOverloaded)) {
+				s.mShed.Inc()
+			}
+			entries[at[j]].Error = oc.Err.Error()
 		}
-		entries[i].QueryResponse = s.render(reqs[j].Graph, reqs[j].Pattern, oc.Result, false)
 	}
 	writeJSON(w, http.StatusOK, api.BatchResponse{Results: entries, Trace: inlineTrace(r)})
 }
@@ -345,7 +329,7 @@ func (s *Server) applyUpdates(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	deltas, notified, err := s.eng.PushUpdatesCtx(r.Context(), name, ops)
+	deltas, notified, err := s.eng.PushUpdates(r.Context(), name, ops)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return

@@ -3,14 +3,13 @@ package server
 // The middleware chain of the serving tier. Per request (outermost
 // first): request-id assignment -> structured logging -> per-route
 // metrics -> surface marking (v1 vs deprecated legacy alias) -> token
-// auth -> per-client rate limiting -> admission control with deadline
-// propagation -> handler. /healthz and /metrics are mounted outside
-// the auth/rate/admission chain so probes and scrapes keep answering
-// under overload.
+// auth -> per-client rate limiting -> deadline propagation and entry
+// into the engine's execution pool -> handler. /healthz and /metrics
+// are mounted outside the auth/rate/admission chain so probes and
+// scrapes keep answering under overload.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -21,7 +20,7 @@ import (
 	"time"
 
 	"expfinder/internal/api"
-	"expfinder/internal/trace"
+	"expfinder/internal/engine"
 )
 
 type ctxKey int
@@ -127,7 +126,8 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 }
 
 // withMetrics names the route for the access log and records the
-// request count and latency histogram under that name.
+// request count and latency histogram under that name. A 503 is always a
+// shed (errors.go), so the shed counter is kept here too.
 func (s *Server) withMetrics(route string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if ri, ok := r.Context().Value(ctxKeyRoute).(*routeInfo); ok {
@@ -143,6 +143,9 @@ func (s *Server) withMetrics(route string, next http.Handler) http.Handler {
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
+		}
+		if status == http.StatusServiceUnavailable {
+			s.mShed.Inc()
 		}
 		s.mReqs.Inc(route, r.Method, strconv.Itoa(status))
 		s.mLatency.Observe(time.Since(start).Seconds(), route)
@@ -281,62 +284,15 @@ func (s *Server) withRateLimit(next http.Handler) http.Handler {
 	})
 }
 
-// admission bounds how much work the server accepts: MaxInflight
-// requests execute concurrently, up to maxQueue more wait for a slot,
-// and everything beyond that is shed immediately with 503 + Retry-After
-// — a full queue means waiting clients already cover the next several
-// slot releases, so piling on more traffic only grows tail latency.
-type admission struct {
-	slots    chan struct{}
-	maxQueue int64
-	queued   atomic.Int64
-}
-
-func newAdmission(maxInflight, maxQueue int) *admission {
-	if maxQueue <= 0 {
-		maxQueue = 4 * maxInflight
-	}
-	return &admission{slots: make(chan struct{}, maxInflight), maxQueue: int64(maxQueue)}
-}
-
-// errShed reports a request shed at admission.
-var errShed = errors.New("server overloaded: admission queue full")
-
-// acquire takes an execution slot, queueing up to the bound; release
-// with the returned func. Fails with errShed when the queue is full or
-// ctx's error when the caller's deadline fires first.
-func (a *admission) acquire(ctx context.Context) (func(), error) {
-	select {
-	case a.slots <- struct{}{}: // fast path: idle slot
-		return func() { <-a.slots }, nil
-	default:
-	}
-	// CAS-bounded enqueue.
-	for {
-		q := a.queued.Load()
-		if q >= a.maxQueue {
-			return nil, errShed
-		}
-		if a.queued.CompareAndSwap(q, q+1) {
-			break
-		}
-	}
-	defer a.queued.Add(-1)
-	select {
-	case a.slots <- struct{}{}:
-		return func() { <-a.slots }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// withAdmission applies admission control and propagates the request
-// timeout as a context deadline so the engine stops computing for
-// clients that already gave up.
-func (s *Server) withAdmission(next http.Handler) http.Handler {
-	if s.admit == nil {
-		return next
-	}
+// withAdmission propagates the request timeout as a context deadline, so
+// the engine stops computing for clients that already gave up, and puts
+// the request into the engine's execution pool the way its route says: a
+// poolSlot route holds one slot for the whole request, a poolEngine route
+// none — each query it runs takes its own inside Execute. A full pool
+// queue sheds with 503 + Retry-After (errors.go): waiting clients already
+// cover the next several slot releases, so more traffic only grows the
+// tail.
+func (s *Server) withAdmission(mode pooling, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if s.cfg.RequestTimeout > 0 {
@@ -348,47 +304,24 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 		// Targeted shedding: once the queue is half full, the client
 		// burning the majority of the last minute's wall time is shed
 		// first — one heavy tenant should not queue everyone else out.
-		if s.cfg.ShedHeaviest && s.ledger != nil && s.admit.queued.Load()*2 >= s.admit.maxQueue {
+		if st := s.eng.Pool(); s.cfg.ShedHeaviest && s.ledger != nil && st.Queued*2 >= st.Bound {
 			if heavy, share := s.ledger.Heaviest(time.Minute); heavy != "" && share >= 0.5 && clientKey(r) == heavy {
-				s.mShed.Inc()
 				s.mShedHeavy.Inc()
-				s.shed(w, errShed, map[string]any{
-					"retry_after_seconds": 1,
-					"reason":              "heaviest_client",
-					"wall_share":          share,
-					"queue_depth":         s.admit.queued.Load(),
-					"max_queue":           s.admit.maxQueue,
-				})
+				ov := &engine.ErrOverloaded{Queued: st.Queued, Bound: st.Bound}
+				details := overloadDetails(w, ov)
+				details["reason"], details["wall_share"] = "heaviest_client", share
+				writeEnvelope(w, http.StatusServiceUnavailable, api.CodeOverloaded, ov.Error(), details)
 				return
 			}
 		}
-		_, spWait := trace.StartSpan(ctx, "admission.wait")
-		release, err := s.admit.acquire(ctx)
-		spWait.End()
-		if err != nil {
-			if errors.Is(err, errShed) {
-				s.mShed.Inc()
-				// The queue depth tells a shed client how far behind it is:
-				// depth/MaxInflight slot releases must happen first, so a
-				// deeper queue warrants a longer back-off than Retry-After's
-				// 1-second floor.
-				s.shed(w, err, map[string]any{
-					"retry_after_seconds": 1,
-					"queue_depth":         s.admit.queued.Load(),
-					"max_queue":           s.admit.maxQueue,
-				})
+		if mode == poolSlot {
+			release, err := s.eng.Admit(ctx)
+			if err != nil {
+				writeErr(w, statusFor(err), err)
 				return
 			}
-			writeErr(w, statusFor(err), err)
-			return
+			defer release()
 		}
-		defer release()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// shed renders the 503 overload envelope with Retry-After.
-func (s *Server) shed(w http.ResponseWriter, err error, details map[string]any) {
-	w.Header().Set("Retry-After", "1")
-	writeEnvelope(w, http.StatusServiceUnavailable, api.CodeOverloaded, err.Error(), details)
 }

@@ -6,6 +6,7 @@ package server
 // legacy /api aliases against /api/v1.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"expfinder/internal/api"
+	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
 )
 
@@ -137,20 +139,22 @@ func TestRateLimiterRefill(t *testing.T) {
 	}
 }
 
-// TestQueueShed drives the admission middleware deterministically: one
-// slot held by a blocked request, one queued, and the next shed with
+// TestQueueShed fills the engine's execution pool through the admission
+// middleware deterministically: at Parallelism 1 one slot is held by a
+// blocked request, 4×Parallelism more queue, and the next is shed with
 // 503 + Retry-After.
 func TestQueueShed(t *testing.T) {
-	eng := engine.New(engine.Options{})
-	s := New(eng, Config{MaxInflight: 1, MaxQueue: 1})
+	eng := engine.New(engine.Options{Parallelism: 1})
+	s := New(eng)
 
-	started := make(chan struct{}, 2)
+	maxQueue := 4 * eng.Parallelism()
+	started := make(chan struct{}, 1+maxQueue)
 	release := make(chan struct{})
-	h := s.withAdmission(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := s.withMetrics("test", s.withAdmission(poolSlot, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		started <- struct{}{}
 		<-release // reads proceed immediately once release is closed
 		w.WriteHeader(http.StatusOK)
-	}))
+	})))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -175,23 +179,25 @@ func TestQueueShed(t *testing.T) {
 	}()
 	<-started
 
-	// Second request queues; wait until the queue registers it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if code := get(); code != http.StatusOK {
-			t.Errorf("queued request: %d", code)
-		}
-	}()
+	// The next four queue; wait until the pool registers them.
+	for i := 0; i < maxQueue; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := get(); code != http.StatusOK {
+				t.Errorf("queued request: %d", code)
+			}
+		}()
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.admit.queued.Load() != 1 {
+	for eng.Pool().Queued != maxQueue {
 		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
+			t.Fatalf("%d of %d requests queued", eng.Pool().Queued, maxQueue)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Third request finds the queue full and is shed.
+	// The next request finds the queue full and is shed.
 	resp, err := http.Get(ts.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +218,102 @@ func TestQueueShed(t *testing.T) {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 
-	// Unblock: slot holder finishes, queued request runs to completion.
+	// Unblock: slot holder finishes, queued requests run to completion.
 	close(release)
 	wg.Wait()
+	if st := eng.Pool(); st.Held != 0 || st.Queued != 0 {
+		t.Errorf("after the queue drained: held=%d queued=%d, want 0 and 0", st.Held, st.Queued)
+	}
+}
+
+// TestQueryShedByEngine fills the execution pool from outside the serving
+// tier: a query route holds no slot of its own, so the query is refused
+// by Execute, and the server renders that refusal as the same 503 envelope
+// with the queue's depth and bound, while a batch entry fails alone.
+func TestQueryShedByEngine(t *testing.T) {
+	eng := engine.New(engine.Options{Parallelism: 1})
+	s := New(eng)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	uploadPaperGraph(t, ts)
+	const query = `{"dsl": "node A output", "k": 3}`
+
+	release, err := eng.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/api/v1/graphs/paper/query", "application/json", strings.NewReader(query))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("queued query: %d", resp.StatusCode)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); eng.Pool().Queued != 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 queries queued", eng.Pool().Queued)
+		}
+	}
+
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", query)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("query on a full pool: %d (Retry-After %q) %s, want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	env := decodeEnvelope(t, body)
+	if env.Error.Code != api.CodeOverloaded || env.Error.Details["queue_depth"] != 4.0 || env.Error.Details["max_queue"] != 4.0 {
+		t.Errorf("shed envelope = %+v, want code overloaded with queue_depth 4, max_queue 4", env.Error)
+	}
+	resp, body = do(t, "POST", ts.URL+"/api/v1/query/batch",
+		`{"queries": [{"graph": "paper", "dsl": "node A output"}]}`)
+	var batch api.BatchResponse
+	if err := json.Unmarshal(body, &batch); err != nil || resp.StatusCode != http.StatusOK || len(batch.Results) != 1 ||
+		!strings.Contains(batch.Results[0].Error, "overloaded") {
+		t.Errorf("batch on a full pool: %d %s, want 200 with a per-entry overload error", resp.StatusCode, body)
+	}
+	if got := s.mShed.Value(); got != 2 {
+		t.Errorf("shed counter = %d, want 2 (the query and the batch entry)", got)
+	}
+
+	release()
+	wg.Wait()
+}
+
+// TestEveryRouteAnswersAtParallelismOne sends one request to every route
+// of the table on a one-slot engine. Any status will do, but each must
+// answer: a route that held the slot and then called Execute would wait
+// for its own slot until the request deadline.
+func TestEveryRouteAnswersAtParallelismOne(t *testing.T) {
+	body := fmt.Sprintf(`{"dsl": %q, "k": 1, "queries": [{"graph": "paper", "dsl": %q}], "ops": [{"op": "insert", "from": 0, "to": 1}]}`,
+		dataset.PaperQueryDSL, dataset.PaperQueryDSL)
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, rt := range New(engine.New(engine.Options{})).routes() {
+		t.Run(rt.name, func(t *testing.T) {
+			eng := engine.New(engine.Options{Parallelism: 1})
+			ts := httptest.NewServer(New(eng, Config{RequestTimeout: 10 * time.Second}))
+			defer ts.Close()
+			uploadPaperGraph(t, ts)
+			path := strings.NewReplacer("{name}", "paper", "{id}", "0").Replace(rt.pattern)
+			req, err := http.NewRequest(rt.method, ts.URL+api.Prefix+path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s did not answer: %v", rt.method, path, err)
+			}
+			resp.Body.Close()
+		})
+	}
 }
 
 // TestDeadlinePropagation configures a request timeout so short it has
@@ -386,12 +485,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE expfinder_http_request_duration_seconds histogram",
 		"expfinder_admission_shed_total 0",
 		"expfinder_admission_queue_depth 0",
+		"expfinder_admission_inflight 0",
 		"expfinder_graphs 1",
 		"expfinder_cache_bytes",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// One pool, one gauge pair.
+	if strings.Count(out, "_inflight gauge\n") != 1 || strings.Count(out, "_queue_depth gauge\n") != 1 {
+		t.Errorf("/metrics has more than one inflight/queue gauge pair:\n%s", out)
 	}
 }
 
@@ -415,7 +519,7 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 }
 
 func TestSSEStillStreamsThroughChain(t *testing.T) {
-	// The SSE route opts out of admission; this guards the Flusher
+	// The SSE route opts out of the pool; this guards the Flusher
 	// passthrough of the statusWriter wrapper under the full chain.
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)

@@ -13,17 +13,17 @@
 // of the same handlers (emitting a Deprecation header) so pre-v1
 // clients keep working byte-for-byte. Every request flows through a
 // middleware chain — request id, structured logging, per-route metrics,
-// optional bearer auth, per-client rate limiting, and admission control
-// that sheds load with 503 + Retry-After before the engine's worker
-// pool saturates (see middleware.go and routes.go). GET /metrics serves
-// Prometheus-style text; /healthz and /metrics bypass auth, rate
-// limiting, and admission so probes keep answering under overload.
+// optional bearer auth, per-client rate limiting, and admission into
+// the engine's one execution pool, which sheds load with 503 +
+// Retry-After once its bounded queue is full (see middleware.go and
+// routes.go). GET /metrics serves Prometheus-style text; /healthz and
+// /metrics bypass auth, rate limiting, and the pool so probes keep
+// answering under overload.
 package server
 
 import (
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"time"
 
 	"expfinder/internal/account"
@@ -37,9 +37,8 @@ import (
 )
 
 // Config tunes the serving tier. The zero value (what bare New(eng)
-// uses) keeps every guardrail off except admission control, which
-// defaults to the engine's own execution parallelism — the point past
-// which accepting more work can only grow queues.
+// uses) keeps every guardrail off; admission is not configured here —
+// requests wait in the engine's execution pool, sized by its Parallelism.
 type Config struct {
 	// AuthToken, when non-empty, requires "Authorization: Bearer <token>"
 	// on every API route (/healthz and /metrics stay open).
@@ -50,15 +49,8 @@ type Config struct {
 	// RateBurst is the token-bucket depth; 0 means one second of
 	// RateLimit (minimum 1).
 	RateBurst int
-	// MaxInflight bounds concurrently executing requests. 0 means
-	// GOMAXPROCS (matching the engine's default worker pool); negative
-	// disables admission control entirely.
-	MaxInflight int
-	// MaxQueue bounds requests waiting for an execution slot; beyond it
-	// requests are shed with 503 + Retry-After. 0 means 4x MaxInflight.
-	MaxQueue int
 	// RequestTimeout is propagated as a context deadline into the engine
-	// on admission-controlled routes; 0 means no deadline.
+	// on every route that uses the execution pool; 0 means no deadline.
 	RequestTimeout time.Duration
 	// Logger, when set, receives one structured event per request (the
 	// access log), plus slow_query events; text vs. JSON rendering is
@@ -72,8 +64,8 @@ type Config struct {
 	// threshold to the slow-query log (GET /api/v1/debug/slow) and, when
 	// configured, the structured Logger.
 	SlowQuery time.Duration
-	// Debug mounts net/http/pprof under /debug/pprof/ — outside
-	// admission control (profiling an overloaded server is the point)
+	// Debug mounts net/http/pprof under /debug/pprof/ — outside the
+	// execution pool (profiling an overloaded server is the point)
 	// but behind bearer auth when AuthToken is set.
 	Debug bool
 	// DisableAccounting turns off the per-client resource ledger, the
@@ -91,8 +83,8 @@ type Config struct {
 	// Health tunes the component-health thresholds /healthz rolls up;
 	// zero fields take the defaults documented on HealthThresholds.
 	Health HealthThresholds
-	// ShedHeaviest lets admission control prefer the heaviest client:
-	// once the admission queue is at least half full, requests from a
+	// ShedHeaviest lets admission prefer the heaviest client: once the
+	// execution pool's queue is at least half full, requests from a
 	// client consuming the majority of the last minute's wall time are
 	// shed immediately instead of queueing. Off by default.
 	ShedHeaviest bool
@@ -112,7 +104,6 @@ type Server struct {
 
 	registry *metrics.Registry
 	limiter  *rateLimiter
-	admit    *admission
 	tracer   *trace.Tracer
 	recorder *stats.Recorder
 	// ledger and slo are nil when Config.DisableAccounting is set; both
@@ -130,8 +121,8 @@ type Server struct {
 }
 
 // New returns a server over the given engine. With no Config the
-// serving tier runs open (no auth, no rate limit) with default
-// admission control — the pre-v1 behavior plus overload protection.
+// serving tier runs open (no auth, no rate limit), with the engine's
+// execution pool as its overload protection.
 func New(eng *engine.Engine, cfg ...Config) *Server {
 	var c Config
 	if len(cfg) > 0 {
@@ -150,13 +141,6 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 	if c.RateLimit > 0 {
 		s.limiter = newRateLimiter(c.RateLimit, c.RateBurst)
 	}
-	if c.MaxInflight >= 0 {
-		inflight := c.MaxInflight
-		if inflight == 0 {
-			inflight = runtime.GOMAXPROCS(0)
-		}
-		s.admit = newAdmission(inflight, c.MaxQueue)
-	}
 
 	s.mReqs = s.registry.NewCounter("expfinder_http_requests_total",
 		"HTTP requests served, by route, method, and status code.",
@@ -164,24 +148,18 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 	s.mLatency = s.registry.NewHistogram("expfinder_http_request_duration_seconds",
 		"HTTP request latency in seconds, by route.", nil, "route")
 	s.mShed = s.registry.NewCounter("expfinder_admission_shed_total",
-		"Requests shed by admission control with 503.")
+		"Requests (503) and batch entries shed by a full execution-pool queue.")
 	s.mShedHeavy = s.registry.NewCounter("expfinder_admission_shed_heaviest_total",
 		"Requests shed specifically because their client was the window's heaviest.")
 	s.mRateLimited = s.registry.NewCounter("expfinder_rate_limited_total",
 		"Requests rejected by the per-client rate limiter with 429.")
 	s.registry.NewGaugeFunc("expfinder_admission_queue_depth",
-		"Requests waiting for an execution slot.", func() float64 {
-			if s.admit == nil {
-				return 0
-			}
-			return float64(s.admit.queued.Load())
+		"Queries and requests waiting for an execution slot.", func() float64 {
+			return float64(s.eng.Pool().Queued)
 		})
 	s.registry.NewGaugeFunc("expfinder_admission_inflight",
-		"Requests holding an execution slot.", func() float64 {
-			if s.admit == nil {
-				return 0
-			}
-			return float64(len(s.admit.slots))
+		"Execution slots held by queries and requests.", func() float64 {
+			return float64(s.eng.Pool().Held)
 		})
 	s.registry.NewGaugeFunc("expfinder_graphs",
 		"Graphs managed by the engine.", func() float64 {
@@ -207,10 +185,6 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 		"Result-cache misses since boot.", func() float64 {
 			return float64(s.eng.CacheStats().Misses)
 		})
-	s.registry.NewGaugeFunc("expfinder_engine_inflight",
-		"Queries holding an engine execution token.", func() float64 {
-			return float64(s.eng.InflightQueries())
-		})
 	s.registry.NewGaugeFunc("expfinder_replication_lag_records",
 		"Replication lag in records: a follower's distance behind the "+
 			"leader's last heartbeat, or a leader's worst follower gap. "+
@@ -219,10 +193,6 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 				return 0
 			}
 			return float64(s.repl.Lag())
-		})
-	s.registry.NewGaugeFunc("expfinder_engine_queue_depth",
-		"Queries parked waiting for an engine execution token.", func() float64 {
-			return float64(s.eng.QueuedQueries())
 		})
 	metrics.RegisterRuntime(s.registry)
 
@@ -258,7 +228,7 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.Handle("GET /metrics", s.registry.Handler())
 	if c.Debug {
-		// pprof sits outside rate limiting and admission — profiling an
+		// pprof sits outside rate limiting and the pool — profiling an
 		// overloaded server is exactly the point — but inside auth when a
 		// token is configured.
 		pp := http.NewServeMux()

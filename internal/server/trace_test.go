@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"expfinder/internal/api"
 	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
 	"expfinder/internal/trace"
@@ -131,6 +132,46 @@ func TestInlineTraceIndexedQuery(t *testing.T) {
 	}
 	if _, ok := ei.Attrs["probes"]; !ok {
 		t.Fatalf("eval.indexed attrs = %v, want oracle probe counts", ei.Attrs)
+	}
+}
+
+// TestOneWaitSpanPerQuery pins the one queue a query waits in: a traced
+// query carries exactly one wait span, and a 3-entry batch three — one
+// beside each entry's engine.query, none for the route itself.
+func TestOneWaitSpanPerQuery(t *testing.T) {
+	ts, _ := newConfiguredServer(t, Config{})
+	uploadPaperGraph(t, ts)
+	count := func(tj *trace.TraceJSON) (waits, queries int) {
+		tj.Walk(func(sp *trace.SpanJSON) {
+			switch {
+			case strings.HasSuffix(sp.Name, ".wait"):
+				waits++
+			case sp.Name == "engine.query":
+				queries++
+			}
+		})
+		return waits, queries
+	}
+
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query?trace=1",
+		map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3})
+	var qr api.QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK || qr.Trace == nil {
+		t.Fatalf("traced query: %d %s", resp.StatusCode, body)
+	}
+	if waits, queries := count(qr.Trace); waits != 1 || queries != 1 {
+		t.Errorf("query trace: %d wait spans, %d engine.query spans; want 1 and 1", waits, queries)
+	}
+
+	entry := map[string]any{"graph": "paper", "dsl": dataset.PaperQueryDSL}
+	resp, body = do(t, "POST", ts.URL+"/api/v1/query/batch?trace=1",
+		map[string]any{"queries": []any{entry, entry, entry}})
+	var br api.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil || resp.StatusCode != http.StatusOK || br.Trace == nil {
+		t.Fatalf("traced batch: %d %s", resp.StatusCode, body)
+	}
+	if waits, queries := count(br.Trace); waits != 3 || queries != 3 {
+		t.Errorf("batch trace: %d wait spans, %d engine.query spans; want 3 and 3", waits, queries)
 	}
 }
 
