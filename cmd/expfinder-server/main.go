@@ -1,6 +1,6 @@
 // Command expfinder-server serves the ExpFinder HTTP API — the library's
 // stand-in for the demo's desktop GUI. It optionally preloads the paper's
-// Fig. 1 dataset and any graphs from a store directory.
+// Fig. 1 dataset and imports the graphs of a store directory.
 //
 // Usage:
 //
@@ -18,6 +18,12 @@
 // snapshots growing logs, and at boot the server recovers every
 // persisted graph — content, node ids, and version — before serving.
 // -fsync selects the durability/throughput trade-off (default interval).
+//
+// -store DIR is a one-shot import: at boot, every graph in the store
+// whose name the engine does not already hold (recovered from -data-dir,
+// or the demo graph) is loaded and added. With -data-dir an imported
+// graph is persisted like any other, so later boots recover it from the
+// write-ahead log and skip its store file without decoding it.
 //
 // Replication (see ARCHITECTURE.md): -replication-listen ADDR makes
 // this node a leader streaming its WAL to followers (requires
@@ -153,7 +159,7 @@ func parseSLOTargets(s string) (map[string]time.Duration, error) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storeDir := flag.String("store", "", "preload graphs from this store directory")
+	storeDir := flag.String("store", "", "one-shot import at boot: add this store directory's graphs whose names are not already held (recovered or demo)")
 	demo := flag.Bool("demo", true, "preload the paper's Fig. 1 dataset as graph \"paper\"")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (each answer charged its relation, result graph and ranking)")
 	parallelism := flag.Int("parallelism", 0, "execution slots shared by queries and other requests; 4x as many may queue before 503 (0 = GOMAXPROCS)")
@@ -315,7 +321,16 @@ func main() {
 		if err != nil {
 			fatal("op", "list store", "err", err)
 		}
+		held := map[string]bool{}
+		for _, name := range eng.ListGraphs() {
+			held[name] = true
+		}
 		for _, name := range names {
+			if held[name] {
+				logger.Event("preload", "graph", name, "source", "store",
+					"note", "already present (recovered)")
+				continue
+			}
 			g, err := store.LoadGraph(name)
 			if err != nil {
 				logger.Event("preload_skipped", "graph", name, "source", "store", "err", err)

@@ -6,6 +6,10 @@
 //
 //	expgen -kind collab -nodes 10000 -degree 8 -seed 1 -o graph.efb
 //	expgen -kind twitter -nodes 50000 -format json -o - | jq '.nodes | length'
+//
+// The binary format is the exact graph image (the write-ahead log's
+// snapshot codec), so a .efb dropped into a store's graphs/ directory
+// loads as is; JSON is the interchange format.
 package main
 
 import (
@@ -60,7 +64,7 @@ func run() error {
 	case "json":
 		return g.WriteJSON(w)
 	case "binary":
-		return storage.WriteGraphBinary(w, g)
+		return storage.WriteGraphImage(w, g)
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}

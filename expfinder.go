@@ -399,16 +399,6 @@ func MatchIndexed(g *Graph, q *Query, ix *DistanceIndex) *MatchRelation {
 	return bsim.ComputeIndexed(g, q, ix)
 }
 
-// MatchDualIndexed is MatchDual; the index is ignored. Dual simulation
-// runs on the same batched ball walks as Match, which tally both ends of
-// every (ancestor, descendant) pair in one pass and measured 2x to 740x
-// faster than asking the index per pair.
-//
-// Deprecated: use MatchDual.
-func MatchDualIndexed(g *Graph, q *Query, _ *DistanceIndex) *MatchRelation {
-	return strongsim.Dual(g, q)
-}
-
 // Partitioned graphs: edge-cut sharding plus a partition-parallel
 // evaluator. Each fragment refines the candidates of the nodes it owns
 // concurrently and removals crossing a fragment boundary travel as

@@ -21,7 +21,6 @@ import (
 
 // Leader defaults.
 const (
-	DefaultRingRecords    = 1024
 	DefaultOutboxFrames   = 4096
 	DefaultHeartbeatEvery = 500 * time.Millisecond
 	helloTimeout          = 10 * time.Second
@@ -31,17 +30,14 @@ const (
 type LeaderOptions struct {
 	// Engine serves graph state for snapshot installs. Required.
 	Engine *engine.Engine
-	// WAL is the manager whose record stream is shipped. Required — a
-	// leader without a WAL has no totally-ordered stream to ship, which
-	// is why -replication-listen requires -data-dir.
+	// WAL is the manager whose record stream is shipped, and whose
+	// retained segments serve reconnect catch-up. Required — a leader
+	// without a WAL has no totally-ordered stream to ship, which is why
+	// -replication-listen requires -data-dir.
 	WAL *wal.Manager
 	// Listener accepts follower connections. Required; the Leader owns
 	// and closes it.
 	Listener net.Listener
-	// RingRecords bounds the per-graph ring of recent records kept for
-	// reconnect catch-up; a follower whose gap outruns the ring gets a
-	// snapshot install instead. Default DefaultRingRecords.
-	RingRecords int
 	// OutboxFrames bounds each follower's send queue. A follower too
 	// slow to drain it is severed (it reconnects and resumes from its
 	// applied offset) so one stalled replica can never block the
@@ -61,8 +57,11 @@ type LeaderOptions struct {
 type Leader struct {
 	opts LeaderOptions
 
-	mu        sync.Mutex
-	rings     map[string]*ring
+	mu sync.Mutex
+	// incs holds each graph's incarnation id: version arithmetic against
+	// a follower (same version, WAL replay) is only valid when its
+	// incarnation matches, because a drop-and-recreate restarts versions.
+	incs      map[string]uint64
 	followers map[*followerConn]struct{}
 	closed    bool
 
@@ -72,54 +71,6 @@ type Leader struct {
 	snapshotsSent  atomic.Uint64
 	recordsShipped atomic.Uint64
 	severed        atomic.Uint64
-}
-
-// ringRec is one recent record retained for reconnect catch-up.
-type ringRec struct {
-	post    uint64
-	payload []byte
-}
-
-// ring holds a graph's recent records. low is the graph version
-// immediately before recs[0]: a follower at version v >= low can be
-// caught up by replaying the records with post > v; below low the gap
-// has been evicted and only a snapshot can catch it up. inc is the
-// incarnation id of the graph history this ring belongs to — version
-// arithmetic against a follower is only valid when its incarnation
-// matches (a drop-and-recreate restarts versions, so a bare version is
-// ambiguous).
-type ring struct {
-	inc uint64
-
-	mu   sync.Mutex
-	low  uint64
-	recs []ringRec
-}
-
-func (r *ring) push(post uint64, payload []byte, capRecords int) {
-	r.mu.Lock()
-	r.recs = append(r.recs, ringRec{post: post, payload: payload})
-	for len(r.recs) > capRecords {
-		r.low = r.recs[0].post
-		r.recs = r.recs[1:]
-	}
-	r.mu.Unlock()
-}
-
-// replayFrom returns the retained records with post > v, or ok=false if
-// the ring no longer covers version v.
-func (r *ring) replayFrom(v uint64) (recs []ringRec, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v < r.low {
-		return nil, false
-	}
-	for _, rr := range r.recs {
-		if rr.post > v {
-			recs = append(recs, rr)
-		}
-	}
-	return recs, true
 }
 
 // followerConn is one accepted follower. Its outbox decouples the
@@ -149,9 +100,6 @@ func NewLeader(opts LeaderOptions) (*Leader, error) {
 	if opts.Engine == nil || opts.WAL == nil || opts.Listener == nil {
 		return nil, errors.New("replication: leader needs Engine, WAL, and Listener")
 	}
-	if opts.RingRecords <= 0 {
-		opts.RingRecords = DefaultRingRecords
-	}
 	if opts.OutboxFrames <= 0 {
 		opts.OutboxFrames = DefaultOutboxFrames
 	}
@@ -160,7 +108,7 @@ func NewLeader(opts LeaderOptions) (*Leader, error) {
 	}
 	l := &Leader{
 		opts:      opts,
-		rings:     map[string]*ring{},
+		incs:      map[string]uint64{},
 		followers: map[*followerConn]struct{}{},
 		stopc:     make(chan struct{}),
 	}
@@ -229,7 +177,7 @@ func (l *Leader) GraphCreated(name string, g *graph.Graph) {
 		return
 	}
 	l.mu.Lock()
-	l.rings[name] = &ring{inc: inc, low: g.Version()}
+	l.incs[name] = inc
 	fcs := l.followerList()
 	l.mu.Unlock()
 	for _, fc := range fcs {
@@ -253,7 +201,7 @@ func (l *Leader) GraphDropped(name string) {
 		return
 	}
 	l.mu.Lock()
-	delete(l.rings, name)
+	delete(l.incs, name)
 	fcs := l.followerList()
 	l.mu.Unlock()
 	for _, fc := range fcs {
@@ -270,26 +218,21 @@ func (l *Leader) GraphDropped(name string) {
 }
 
 // RecordAppended runs on the mutation path, under the graph's write
-// lock and its log lock: it must only copy, ring-push, and enqueue.
-// Slow followers overflow their outbox and are severed — never waited
-// on.
-func (l *Leader) RecordAppended(name string, payload []byte, post uint64) {
-	pc := append([]byte(nil), payload...)
+// lock and its log lock: it must only encode and enqueue. Slow followers
+// overflow their outbox and are severed — never waited on.
+func (l *Leader) RecordAppended(name string, payload []byte, _ uint64) {
 	l.mu.Lock()
-	r := l.rings[name]
-	if r == nil {
-		// Created before the observer was installed: ring coverage starts
-		// at this record (followers below it catch up by snapshot).
-		r = &ring{inc: rand.Uint64(), low: post - 1}
-		l.rings[name] = r
+	if _, ok := l.incs[name]; !ok {
+		// Created before the observer was installed: a new incarnation
+		// starts here (followers holding older state catch up by snapshot).
+		l.incs[name] = rand.Uint64()
 	}
 	fcs := l.followerList()
 	l.mu.Unlock()
-	r.push(post, pc, l.opts.RingRecords)
 	if len(fcs) == 0 {
 		return
 	}
-	enc, err := EncodeNamed(MsgRecord, name, pc)
+	enc, err := EncodeNamed(MsgRecord, name, payload)
 	if err != nil {
 		return
 	}
@@ -414,7 +357,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 // graph. Each graph's decision runs under that graph's read lock, which
 // excludes appends: whatever is enqueued here plus the records that
 // arrive after live is set is the complete, gapless stream. Version
-// arithmetic (same-version, ring replay) is trusted only when the
+// arithmetic (same-version, WAL replay) is trusted only when the
 // follower's incarnation id matches the leader's — a follower holding a
 // previous incarnation of the name at a coincidentally plausible
 // version must be re-seeded by snapshot, never patched.
@@ -445,25 +388,32 @@ func (l *Leader) catchUp(fc *followerConn, have, haveIncs map[string]uint64) err
 		err := l.opts.Engine.WithGraph(name, func(g *graph.Graph) error {
 			cur := g.Version()
 			l.mu.Lock()
-			r := l.rings[name]
-			if r == nil {
+			myInc, ok := l.incs[name]
+			if !ok {
 				// Created before the observer was installed; start an
 				// incarnation here so later reconnects can resume by replay.
-				r = &ring{inc: rand.Uint64(), low: cur}
-				l.rings[name] = r
+				myInc = rand.Uint64()
+				l.incs[name] = myInc
 			}
 			l.mu.Unlock()
 			v, ok := have[name]
 			inc, incOK := haveIncs[name]
-			sameInc := ok && incOK && inc == r.inc
+			sameInc := ok && incOK && inc == myInc
 			if sameInc && v == cur {
 				fc.setLive(name)
 				return nil
 			}
 			if sameInc && v < cur {
-				if recs, covered := r.replayFrom(v); covered {
-					for _, rr := range recs {
-						enc, err := EncodeNamed(MsgRecord, name, rr.payload)
+				// Collected under the log lock and shipped after it is
+				// released: syncs and checkpoints need that lock, and the
+				// follower's outbox may block.
+				recs, covered, err := l.opts.WAL.RecordsSince(name, v)
+				if err != nil {
+					l.logf("replication: catch-up %q from the WAL: %v (sending a snapshot)", name, err)
+				}
+				if covered {
+					for _, payload := range recs {
+						enc, err := EncodeNamed(MsgRecord, name, payload)
 						if err != nil {
 							return err
 						}
@@ -476,13 +426,14 @@ func (l *Leader) catchUp(fc *followerConn, have, haveIncs map[string]uint64) err
 					return nil
 				}
 			}
-			// New graph, evicted gap, incarnation mismatch, or a follower
-			// ahead of the leader (divergent history): install a snapshot.
+			// New graph, a gap a checkpoint truncated, a broken log, an
+			// incarnation mismatch, or a follower ahead of the leader
+			// (divergent history): install a snapshot.
 			var img bytes.Buffer
 			if err := storage.WriteGraphImage(&img, g); err != nil {
 				return err
 			}
-			payload, err := EncodeSnapshot(name, r.inc, img.Bytes())
+			payload, err := EncodeSnapshot(name, myInc, img.Bytes())
 			if err != nil {
 				return err
 			}

@@ -53,13 +53,15 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestReplicationConvergenceProperty is the PR's centerpiece: for
+// TestReplicationConvergenceProperty is replication's centerpiece: for
 // arbitrary mutation streams, arbitrary disconnect points, and both
-// catch-up paths (record replay and snapshot install, forced by varying
-// the ring size), the follower converges to a state byte-identical to
-// the leader — and to a third engine crash-recovered from the leader's
-// WAL directory, tying replication correctness to the recovery
-// correctness the WAL tests already establish.
+// catch-up paths (replay from the leader's WAL segments, and snapshot
+// install once a checkpoint has truncated the gap — both forced by
+// checkpointing at random steps over small random segments), the
+// follower converges to a state byte-identical to the leader — and to a
+// third engine crash-recovered from the leader's WAL directory, tying
+// replication correctness to the recovery correctness the WAL tests
+// already establish.
 func TestReplicationConvergenceProperty(t *testing.T) {
 	iters := 12
 	if testing.Short() {
@@ -76,31 +78,14 @@ func TestReplicationConvergenceProperty(t *testing.T) {
 
 func runConvergenceIteration(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
-	// Small rings force the snapshot-install catch-up path after a
-	// disconnect; big rings force record replay. Exercise both.
-	ringSizes := []int{1, 4, 64, 1024}
-	ringRecords := ringSizes[r.Intn(len(ringSizes))]
+	// Small segments make a reconnect replay across several rotated
+	// segments; the random checkpoints below truncate gaps and force
+	// snapshot installs. Exercise both.
+	segBytes := int64(64 + r.Intn(2048))
 
 	ldir := t.TempDir()
-	lm, err := wal.Open(wal.Options{Dir: ldir, Fsync: wal.FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leng := engine.New(engine.Options{Persistence: lm})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLeader(LeaderOptions{
-		Engine:         leng,
-		WAL:            lm,
-		Listener:       ln,
-		RingRecords:    ringRecords,
-		HeartbeatEvery: 15 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	le := startLeader(t, wal.Options{Dir: ldir, Fsync: wal.FsyncOff, SegmentBytes: segBytes})
+	leng, lm, l := le.eng, le.wal, le.leader
 	defer func() {
 		l.Close()
 		leng.Close()
@@ -169,6 +154,10 @@ func runConvergenceIteration(t *testing.T, seed int64) {
 					t.Fatal(err)
 				}
 			}
+		case r.Intn(60) == 0: // checkpoint: truncates the log below it
+			if err := leng.Checkpoint(names[r.Intn(created)]); err != nil {
+				t.Fatal(err)
+			}
 		case r.Intn(25) == 0: // fault injection
 			mu.Lock()
 			fc := cur
@@ -185,7 +174,7 @@ func runConvergenceIteration(t *testing.T, seed int64) {
 		}
 	}
 
-	waitConverged(t, leng, feng, fmt.Sprintf("seed %d ring %d", seed, ringRecords))
+	waitConverged(t, leng, feng, fmt.Sprintf("seed %d segment bytes %d", seed, segBytes))
 
 	// The final tie to crash recovery: an engine recovered cold from the
 	// leader's WAL directory must be byte-identical to both live nodes.

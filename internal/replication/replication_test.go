@@ -8,7 +8,10 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,9 +32,21 @@ type leaderEnv struct {
 	leader *Leader
 }
 
-func newLeaderEnv(t *testing.T, ringRecords int) *leaderEnv {
+func newLeaderEnv(t *testing.T) *leaderEnv {
 	t.Helper()
-	m, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncOff})
+	le := startLeader(t, wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncOff})
+	t.Cleanup(func() {
+		le.leader.Close()
+		le.eng.Close()
+	})
+	return le
+}
+
+// startLeader opens a WAL with opts and starts a leader over it; the
+// caller closes the leader and then the engine.
+func startLeader(t *testing.T, opts wal.Options) *leaderEnv {
+	t.Helper()
+	m, err := wal.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +59,11 @@ func newLeaderEnv(t *testing.T, ringRecords int) *leaderEnv {
 		Engine:         eng,
 		WAL:            m,
 		Listener:       ln,
-		RingRecords:    ringRecords,
 		HeartbeatEvery: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		l.Close()
-		eng.Close()
-	})
 	return &leaderEnv{eng: eng, wal: m, leader: l}
 }
 
@@ -301,7 +311,7 @@ func TestReadFrameRejectsDamage(t *testing.T) {
 // ---- leader/follower lifecycle ----
 
 func TestLeaderFollowerBasic(t *testing.T) {
-	le := newLeaderEnv(t, DefaultRingRecords)
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(1))
 
 	// Graph created BEFORE the follower connects: snapshot install.
@@ -363,7 +373,7 @@ func TestLeaderFollowerBasic(t *testing.T) {
 }
 
 func TestFollowerPromote(t *testing.T) {
-	le := newLeaderEnv(t, DefaultRingRecords)
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(2))
 	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 15, 40)); err != nil {
 		t.Fatal(err)
@@ -392,9 +402,10 @@ func TestFollowerPromote(t *testing.T) {
 // TestMidStreamDisconnectResumes severs the replication link mid-stream
 // at arbitrary byte counts (torn frame on the wire) and checks the
 // follower reconnects and resumes from its applied offset via record
-// replay — snapshots must not be needed when the ring covers the gap.
+// replay — snapshots must not be needed when the leader's retained WAL
+// covers the gap.
 func TestMidStreamDisconnectResumes(t *testing.T) {
-	le := newLeaderEnv(t, DefaultRingRecords)
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(3))
 	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 25, 70)); err != nil {
 		t.Fatal(err)
@@ -433,22 +444,27 @@ func TestMidStreamDisconnectResumes(t *testing.T) {
 		t.Fatal("fault injection never forced a reconnect")
 	}
 	if st.SnapshotsInstalled > 1 {
-		t.Fatalf("ring-covered resume took %d snapshots, want the initial one only", st.SnapshotsInstalled)
+		t.Fatalf("WAL-covered resume took %d snapshots, want the initial one only", st.SnapshotsInstalled)
 	}
 }
 
-// TestEvictedRingFallsBackToSnapshot disconnects a follower, pushes more
-// records than the ring retains, and checks catch-up switches to a
-// snapshot install.
-func TestEvictedRingFallsBackToSnapshot(t *testing.T) {
-	le := newLeaderEnv(t, 8) // tiny ring
+// TestCheckpointWhileAwayFallsBackToSnapshot disconnects a follower,
+// mutates, and checkpoints the leader's graph while the follower is away:
+// the checkpoint truncated the log below the follower's version, so the
+// reconnect must install exactly one more snapshot.
+func TestCheckpointWhileAwayFallsBackToSnapshot(t *testing.T) {
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(4))
 	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 25, 70)); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	var cur *testutil.FaultConn
+	var away atomic.Bool
 	dial := func(addr string) (net.Conn, error) {
+		if away.Load() {
+			return nil, errors.New("follower kept away")
+		}
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
@@ -461,18 +477,31 @@ func TestEvictedRingFallsBackToSnapshot(t *testing.T) {
 	}
 	feng, f := newFollowerEnv(t, le.leader.Addr(), dial)
 	waitConverged(t, le.eng, feng, "initial")
-	base := f.Status().SnapshotsInstalled
+	// The counter ticks just after an install lands, so wait for it.
+	waitSnapshots := func(n uint64) uint64 {
+		deadline := time.Now().Add(5 * time.Second)
+		for f.Status().SnapshotsInstalled < n && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		return f.Status().SnapshotsInstalled
+	}
+	base := waitSnapshots(1)
 
-	// Cut the link, then outrun the ring while the follower is away.
+	// Cut the link and keep the follower away until the checkpoint lands.
+	away.Store(true)
 	mu.Lock()
 	cur.Sever()
 	mu.Unlock()
 	for i := 0; i < 100; i++ {
 		mutate(t, le.eng, "g", r)
 	}
-	waitConverged(t, le.eng, feng, "post-eviction")
-	if got := f.Status().SnapshotsInstalled; got <= base {
-		t.Fatalf("catch-up beyond the ring must snapshot-install (before %d, after %d)", base, got)
+	if err := le.eng.Checkpoint("g"); err != nil {
+		t.Fatal(err)
+	}
+	away.Store(false)
+	waitConverged(t, le.eng, feng, "post-checkpoint")
+	if got := waitSnapshots(base + 1); got != base+1 {
+		t.Fatalf("catch-up across a checkpoint took %d snapshots, want exactly one more than %d", got, base)
 	}
 }
 
@@ -545,7 +574,7 @@ func TestSlowFollowerSevered(t *testing.T) {
 // records re-log locally, so a follower restart recovers its state from
 // disk and resumes from that offset.
 func TestFollowerPersistenceRestart(t *testing.T) {
-	le := newLeaderEnv(t, DefaultRingRecords)
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(6))
 	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 20, 60)); err != nil {
 		t.Fatal(err)
@@ -609,7 +638,7 @@ func TestFollowerPersistenceRestart(t *testing.T) {
 // incarnation state must NOT be trusted for version arithmetic — the
 // leader re-seeds it by snapshot even though its versions look right.
 func TestFollowerRestartWithoutStateResyncsBySnapshot(t *testing.T) {
-	le := newLeaderEnv(t, DefaultRingRecords)
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(7))
 	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 15, 40)); err != nil {
 		t.Fatal(err)
@@ -655,6 +684,46 @@ func TestFollowerRestartWithoutStateResyncsBySnapshot(t *testing.T) {
 	for f2.Status().SnapshotsInstalled == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unverifiable restart state was resumed by replay, want snapshot re-seed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestShutdownLeaksNoGoroutines starts a leader, a follower and one
+// catch-up, then closes follower, leader and both engines: every
+// goroutine replication started (accept, heartbeat, per-follower reader
+// and writer, the follower's run loop) and the WAL's sync loop must be
+// gone within a deadline.
+func TestShutdownLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	le := startLeader(t, wal.Options{Dir: t.TempDir()}) // interval fsync: a sync loop runs too
+	r := rand.New(rand.NewSource(8))
+	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 15, 40)); err != nil {
+		t.Fatal(err)
+	}
+	feng := engine.New(engine.Options{})
+	f, err := NewFollower(FollowerOptions{
+		Engine: feng, Leader: le.leader.Addr(),
+		ReconnectMin: 10 * time.Millisecond, ReconnectMax: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		mutate(t, le.eng, "g", r)
+	}
+	waitConverged(t, le.eng, feng, "before shutdown")
+
+	f.Close()
+	le.leader.Close()
+	feng.Close()
+	le.eng.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			var dump bytes.Buffer
+			_ = pprof.Lookup("goroutine").WriteTo(&dump, 1)
+			t.Fatalf("%d goroutines after shutdown, %d before:\n%s", runtime.NumGoroutine(), before, dump.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -18,7 +18,7 @@ import (
 // without paying a rebuild on every read (the replay path re-stamps
 // the freshness version after each applied record).
 func TestFollowerServesStats(t *testing.T) {
-	le := newLeaderEnv(t, DefaultRingRecords)
+	le := newLeaderEnv(t)
 	r := rand.New(rand.NewSource(11))
 	if err := le.eng.AddGraph("g", testutil.RandomGraph(r, 20, 60)); err != nil {
 		t.Fatal(err)

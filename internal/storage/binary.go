@@ -1,8 +1,9 @@
-// Package storage persists graphs and query results as files, the demo's
-// storage layer ("all the graphs and query results are stored and managed
-// as files"). Graphs can be stored as JSON (interoperable) or in a compact
-// checksummed binary format; results are JSON with enough metadata to
-// detect staleness against the source graph.
+// Package storage persists graphs as files, the demo's storage layer
+// ("all the graphs ... are stored and managed as files"). A Store keeps
+// named graphs as JSON (the interchange format, tombstones compacted
+// away) or as the checksummed binary image the write-ahead log also
+// snapshots with (WriteGraphImage); the package also imports SNAP-style
+// edge lists and owns the binary conventions the WAL's records share.
 package storage
 
 import (
@@ -17,23 +18,8 @@ import (
 	"expfinder/internal/graph"
 )
 
-// Binary format:
-//
-//	magic "EXPF" | format version (uvarint) | node count (uvarint)
-//	per node: label | attr count | (key, kind, payload)*
-//	edge count (uvarint), then per edge: from, to (uvarints)
-//	crc32 (IEEE, little-endian uint32) of everything before it
-//
-// Strings are length-prefixed (uvarint + bytes). Node ids are implicit
-// (dense, in order); tombstones are compacted away like the JSON codec.
-const (
-	binaryMagic   = "EXPF"
-	binaryVersion = 1
-)
-
-// Binary decoding errors.
+// Image decoding errors.
 var (
-	ErrBadMagic    = errors.New("storage: not an ExpFinder binary graph file")
 	ErrBadVersion  = errors.New("storage: unsupported binary format version")
 	ErrBadChecksum = errors.New("storage: checksum mismatch (corrupted file)")
 )
@@ -105,70 +91,6 @@ func WriteValue(w io.Writer, v graph.Value) error {
 
 func zigzag(i int64) uint64   { return uint64((i << 1) ^ (i >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// WriteGraphBinary encodes g to w in the binary format.
-func WriteGraphBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := io.WriteString(cw, binaryMagic); err != nil {
-		return err
-	}
-	if err := WriteUvarint(cw, binaryVersion); err != nil {
-		return err
-	}
-	if err := WriteUvarint(cw, uint64(g.NumNodes())); err != nil {
-		return err
-	}
-	remap := make([]graph.NodeID, g.MaxID())
-	next := graph.NodeID(0)
-	var encErr error
-	g.ForEachNode(func(n graph.Node) {
-		if encErr != nil {
-			return
-		}
-		remap[n.ID] = next
-		next++
-		if encErr = WriteString(cw, n.Label); encErr != nil {
-			return
-		}
-		if encErr = WriteUvarint(cw, uint64(len(n.Attrs))); encErr != nil {
-			return
-		}
-		// Deterministic attribute order for byte-stable files.
-		for _, k := range sortedKeys(n.Attrs) {
-			if encErr = WriteString(cw, k); encErr != nil {
-				return
-			}
-			if encErr = WriteValue(cw, n.Attrs[k]); encErr != nil {
-				return
-			}
-		}
-	})
-	if encErr != nil {
-		return encErr
-	}
-	if err := WriteUvarint(cw, uint64(g.NumEdges())); err != nil {
-		return err
-	}
-	g.ForEachEdge(func(e graph.Edge) {
-		if encErr != nil {
-			return
-		}
-		if encErr = WriteUvarint(cw, uint64(remap[e.From])); encErr != nil {
-			return
-		}
-		encErr = WriteUvarint(cw, uint64(remap[e.To]))
-	})
-	if encErr != nil {
-		return encErr
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.crc)
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 func sortedKeys(a graph.Attrs) []string {
 	keys := make([]string, 0, len(a))
@@ -247,89 +169,6 @@ func ReadValue(r BinaryReader) (graph.Value, error) {
 	}
 }
 
-// ReadGraphBinary decodes a graph from the binary format, verifying the
-// checksum.
-func ReadGraphBinary(r io.Reader) (*graph.Graph, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("storage: read magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, ErrBadMagic
-	}
-	ver, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, err
-	}
-	if ver != binaryVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	nNodes, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, err
-	}
-	if nNodes > 1<<31 {
-		return nil, fmt.Errorf("storage: implausible node count %d", nNodes)
-	}
-	g := graph.New(allocHint(nNodes))
-	for i := uint64(0); i < nNodes; i++ {
-		label, err := ReadString(cr, 1<<20)
-		if err != nil {
-			return nil, fmt.Errorf("storage: node %d label: %w", i, err)
-		}
-		nAttrs, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, err
-		}
-		if nAttrs > 1<<16 {
-			return nil, fmt.Errorf("storage: implausible attr count %d", nAttrs)
-		}
-		var attrs graph.Attrs
-		if nAttrs > 0 {
-			attrs = make(graph.Attrs, nAttrs)
-			for a := uint64(0); a < nAttrs; a++ {
-				key, err := ReadString(cr, 1<<20)
-				if err != nil {
-					return nil, err
-				}
-				val, err := ReadValue(cr)
-				if err != nil {
-					return nil, err
-				}
-				attrs[key] = val
-			}
-		}
-		g.AddNode(label, attrs)
-	}
-	nEdges, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nEdges; i++ {
-		from, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, err
-		}
-		to, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.AddEdge(graph.NodeID(from), graph.NodeID(to)); err != nil {
-			return nil, fmt.Errorf("storage: edge %d (%d->%d): %w", i, from, to, err)
-		}
-	}
-	wantCRC := cr.crc
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(cr.r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("storage: read checksum: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crcBuf[:]) != wantCRC {
-		return nil, ErrBadChecksum
-	}
-	return g, nil
-}
-
 // allocHint caps count-prefix-driven allocations: counts are read from
 // untrusted input before the elements that justify them, so a corrupt
 // prefix must not translate into a multi-gigabyte make. Decoding appends
@@ -342,12 +181,13 @@ func allocHint(n uint64) int {
 	return int(n)
 }
 
-// Image format: the write-ahead log's snapshot codec. Unlike the graph
-// binary format above — which compacts tombstones and renumbers nodes,
-// fine for import/export — an image preserves the graph's exact
-// in-memory identity: node ids (tombstones included), adjacency order,
-// and the mutation version. WAL records logged after a snapshot
-// reference original node ids, so checkpoints must not renumber.
+// Image format: the one binary graph format — the Store's binary files,
+// the write-ahead log's snapshots and the replication snapshot installs.
+// Unlike the JSON codec, which compacts tombstones and renumbers nodes,
+// an image preserves the graph's exact in-memory identity: node ids
+// (tombstones included), adjacency order, and the mutation version. WAL
+// records logged after a snapshot reference original node ids, so
+// checkpoints must not renumber.
 //
 //	magic "EXPI" | format version (uvarint) | graph version (uvarint)
 //	max id (uvarint), then per id slot: alive byte (0|1),

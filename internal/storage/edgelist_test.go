@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -140,21 +141,16 @@ func TestImportedGraphIsQueryable(t *testing.T) {
 	if err := ApplyNodeTable(strings.NewReader(table), g, idMap); err != nil {
 		t.Fatal(err)
 	}
-	// Round-trip through the binary codec too.
-	var buf strings.Builder
-	bw := &writerAdapter{&buf}
-	if err := WriteGraphBinary(bw, g); err != nil {
+	// Round-trip through the binary image codec too.
+	var buf bytes.Buffer
+	if err := WriteGraphImage(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadGraphBinary(strings.NewReader(buf.String()))
+	back, err := ReadGraphImage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Equal(back) {
-		t.Error("imported graph binary round-trip failed")
+	if !g.Equal(back) || back.Version() != g.Version() {
+		t.Error("imported graph image round-trip failed")
 	}
 }
-
-type writerAdapter struct{ b *strings.Builder }
-
-func (w *writerAdapter) Write(p []byte) (int, error) { return w.b.Write(p) }

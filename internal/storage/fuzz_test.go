@@ -1,14 +1,17 @@
 package storage
 
-// Fuzz targets for the binary decoders and the edge-list importer.
+// Fuzz targets for the graph image decoder, the Store's binary graph
+// files (which hold images) and the edge-list importer.
 // Recovery feeds these torn and corrupt files, so the contract is
 // strict: arbitrary input must produce (graph, nil) or (nil, error) —
 // never a panic, and never an unbounded allocation driven by a corrupt
 // count prefix. `go test` runs the seed corpus on every CI pass;
-// `go test -fuzz FuzzReadGraphBinary ./internal/storage` explores.
+// `go test -fuzz FuzzReadGraphImage ./internal/storage` explores.
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -35,22 +38,23 @@ func seedGraph() *graph.Graph {
 	return g
 }
 
-func binarySeeds(tb testing.TB) [][]byte {
+// imageSeeds are the image decoder's corpus: a valid image, a file from
+// the retired compacting codec ("EXPF" magic, which must fail cleanly),
+// degenerate prefixes, an absurd count, a truncation, and one-byte
+// corruptions.
+func imageSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	var bin, img bytes.Buffer
-	if err := WriteGraphBinary(&bin, seedGraph()); err != nil {
-		tb.Fatal(err)
-	}
+	var img bytes.Buffer
 	if err := WriteGraphImage(&img, seedGraph()); err != nil {
 		tb.Fatal(err)
 	}
-	valid := bin.Bytes()
+	valid := img.Bytes()
 	seeds := [][]byte{
 		valid,
-		img.Bytes(), // wrong magic for the binary decoder, right for image
+		[]byte("EXPF\x01\x01\x02SA\x00\x00\x00\x12\x34\x56\x78"), // retired codec
 		{},
-		[]byte("EXPF"),
-		[]byte("EXPF\x01\xff\xff\xff\xff\xff\xff\xff\xff\x01"), // absurd node count
+		[]byte("EXPI"),
+		[]byte("EXPI\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\x01"), // absurd max id
 		valid[:len(valid)/2], // truncation
 	}
 	// One-byte corruption at a few positions.
@@ -62,20 +66,52 @@ func binarySeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
+// FuzzReadGraphBinary feeds arbitrary bytes to the Store as a binary
+// (.efb) graph file. LoadGraph must yield exactly one of graph/error, a
+// failure must name the graph, and a success must decode exactly what
+// the image codec decodes from the same bytes.
 func FuzzReadGraphBinary(f *testing.F) {
-	for _, s := range binarySeeds(f) {
+	for _, s := range imageSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadGraphBinary(bytes.NewReader(data))
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "graphs", "g"+FormatBinary.ext()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.LoadGraph("g")
 		if (g == nil) == (err == nil) {
 			t.Fatalf("exactly one of graph/error must be set: g=%v err=%v", g, err)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), `"g"`) {
+				t.Fatalf("LoadGraph error does not name the graph: %v", err)
+			}
+			return
+		}
+		want, werr := ReadGraphImage(bytes.NewReader(data))
+		if werr != nil {
+			t.Fatalf("LoadGraph accepted bytes the image codec rejects: %v", werr)
+		}
+		var got, exp bytes.Buffer
+		if err := WriteGraphImage(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteGraphImage(&exp, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+			t.Fatal("LoadGraph and ReadGraphImage decoded different graphs")
 		}
 	})
 }
 
 func FuzzReadGraphImage(f *testing.F) {
-	for _, s := range binarySeeds(f) {
+	for _, s := range imageSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

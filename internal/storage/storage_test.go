@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,50 +18,50 @@ import (
 func TestBinaryRoundTrip(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	var buf bytes.Buffer
-	if err := WriteGraphBinary(&buf, g); err != nil {
-		t.Fatalf("WriteGraphBinary: %v", err)
+	if err := WriteGraphImage(&buf, g); err != nil {
+		t.Fatalf("WriteGraphImage: %v", err)
 	}
-	back, err := ReadGraphBinary(&buf)
+	back, err := ReadGraphImage(&buf)
 	if err != nil {
-		t.Fatalf("ReadGraphBinary: %v", err)
+		t.Fatalf("ReadGraphImage: %v", err)
 	}
-	if !g.Equal(back) {
-		t.Error("binary round-trip changed the graph")
+	if !g.Equal(back) || back.Version() != g.Version() {
+		t.Error("image round-trip changed the graph")
 	}
 }
 
 func TestBinaryIsDeterministic(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	var a, b bytes.Buffer
-	if err := WriteGraphBinary(&a, g); err != nil {
+	if err := WriteGraphImage(&a, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGraphBinary(&b, g); err != nil {
+	if err := WriteGraphImage(&b, g); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("binary encoding not byte-stable")
+		t.Error("image encoding not byte-stable")
 	}
 }
 
 func TestBinaryDetectsCorruption(t *testing.T) {
 	g, _ := dataset.PaperGraph()
 	var buf bytes.Buffer
-	if err := WriteGraphBinary(&buf, g); err != nil {
+	if err := WriteGraphImage(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	// Flip one byte somewhere in the middle.
 	data[len(data)/2] ^= 0xFF
-	if _, err := ReadGraphBinary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadGraphImage(bytes.NewReader(data)); err == nil {
 		t.Error("corrupted file accepted")
 	}
 	// Truncation must error too.
-	if _, err := ReadGraphBinary(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if _, err := ReadGraphImage(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Error("truncated file accepted")
 	}
 	// Wrong magic.
-	if _, err := ReadGraphBinary(bytes.NewReader([]byte("NOPE1234"))); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadGraphImage(bytes.NewReader([]byte("NOPE1234"))); !errors.Is(err, ErrBadImage) {
 		t.Errorf("bad magic err = %v", err)
 	}
 }
@@ -78,10 +81,10 @@ func TestBinaryAllValueKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteGraphBinary(&buf, g); err != nil {
+	if err := WriteGraphImage(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadGraphBinary(&buf)
+	back, err := ReadGraphImage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +99,10 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := testutil.RandomGraph(r, 20, 60)
 		var buf bytes.Buffer
-		if err := WriteGraphBinary(&buf, g); err != nil {
+		if err := WriteGraphImage(&buf, g); err != nil {
 			return false
 		}
-		back, err := ReadGraphBinary(&buf)
+		back, err := ReadGraphImage(&buf)
 		if err != nil {
 			return false
 		}
@@ -147,6 +150,25 @@ func TestStoreGraphLifecycle(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsRetiredBinaryFiles pins the one-codec rule: a .efb
+// file from the retired compacting codec ("EXPF" magic) is not read; the
+// load fails with ErrBadImage, naming the graph, so an operator knows
+// which file to re-export through JSON.
+func TestStoreRejectsRetiredBinaryFiles(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte("EXPF\x01\x00\x00\x00\x00\x00\x00")
+	if err := os.WriteFile(filepath.Join(s.Root(), "graphs", "old.efb"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.LoadGraph("old")
+	if !errors.Is(err, ErrBadImage) || !strings.Contains(err.Error(), `"old"`) {
+		t.Fatalf("LoadGraph(retired .efb) err = %v, want ErrBadImage naming the graph", err)
+	}
+}
+
 func TestStoreRejectsBadNames(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -161,17 +183,17 @@ func TestStoreRejectsBadNames(t *testing.T) {
 }
 
 func TestBinaryCompactness(t *testing.T) {
-	// The binary format should beat JSON by a wide margin on large graphs.
+	// The binary image should beat JSON by a wide margin on large graphs.
 	r := rand.New(rand.NewSource(1))
 	g := testutil.RandomGraph(r, 2000, 10000)
 	var bin, js bytes.Buffer
-	if err := WriteGraphBinary(&bin, g); err != nil {
+	if err := WriteGraphImage(&bin, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	if bin.Len() >= js.Len() {
-		t.Errorf("binary (%d bytes) not smaller than JSON (%d bytes)", bin.Len(), js.Len())
+		t.Errorf("image (%d bytes) not smaller than JSON (%d bytes)", bin.Len(), js.Len())
 	}
 }

@@ -14,7 +14,8 @@ import (
 // Format selects how graphs are written to disk.
 type Format uint8
 
-// Supported on-disk graph formats.
+// Supported on-disk graph formats. FormatBinary files (.efb) hold the
+// exact graph image (WriteGraphImage): ids, tombstones and version.
 const (
 	FormatJSON Format = iota
 	FormatBinary
@@ -75,7 +76,7 @@ func (s *Store) SaveGraph(name string, g *graph.Graph, format Format) error {
 	defer os.Remove(tmp.Name())
 	var werr error
 	if format == FormatBinary {
-		werr = WriteGraphBinary(tmp, g)
+		werr = WriteGraphImage(tmp, g)
 	} else {
 		werr = g.WriteJSON(tmp)
 	}
@@ -88,7 +89,9 @@ func (s *Store) SaveGraph(name string, g *graph.Graph, format Format) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// LoadGraph reads a named graph, trying the binary format first.
+// LoadGraph reads a named graph, trying the binary format first. A binary
+// file that is not a graph image (such as one written by the retired
+// compacting codec) fails with ErrBadImage, wrapped with the name.
 func (s *Store) LoadGraph(name string) (*graph.Graph, error) {
 	if err := ValidName(name); err != nil {
 		return nil, err
@@ -103,10 +106,15 @@ func (s *Store) LoadGraph(name string) (*graph.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
+		read := graph.ReadJSON
 		if format == FormatBinary {
-			return ReadGraphBinary(f)
+			read = ReadGraphImage
 		}
-		return graph.ReadJSON(f)
+		g, err := read(f)
+		if err != nil {
+			return nil, fmt.Errorf("storage: load graph %q: %w", name, err)
+		}
+		return g, nil
 	}
 	return nil, fmt.Errorf("%w: graph %q", ErrNotFound, name)
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -199,69 +198,89 @@ func listState(dir string) (snaps, segs []stateFile, err error) {
 	return snaps, segs, nil
 }
 
-// replaySegment applies a segment's records to g. tolerateTorn (the
-// final segment) turns a trailing partial or CRC-failing frame into a
-// clean stop instead of an error; a torn segment header is likewise a
-// clean empty segment, the signature of a crash at rotation.
+// replaySegment applies a segment's records to g, skipping those the
+// snapshot already covers (a crash between snapshot rename and segment
+// deletion leaves such overlap). tolerateTorn is scanSegment's.
 func replaySegment(path string, g *graph.Graph, tolerateTorn bool) (replayed int, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, false, err
-	}
-	br := bytes.NewReader(data)
-	hdr := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr) != segMagic {
-		if tolerateTorn {
-			return 0, true, nil
-		}
-		return 0, false, errors.New("bad segment magic")
-	}
-	if v, err := binary.ReadUvarint(br); err != nil || v != segFormatVersion {
-		if tolerateTorn {
-			return 0, true, nil
-		}
-		return 0, false, fmt.Errorf("unsupported segment format")
-	}
-	if _, err := binary.ReadUvarint(br); err != nil { // base version (informational)
-		if tolerateTorn {
-			return 0, true, nil
-		}
-		return 0, false, fmt.Errorf("truncated segment header")
-	}
-	for br.Len() > 0 {
-		tearAt := len(data) - br.Len()
-		plen, err := binary.ReadUvarint(br)
-		if err != nil || plen > 1<<30 || int64(plen)+4 > int64(br.Len()) {
-			if tolerateTorn {
-				return replayed, true, tornOrCorrupt(data, tearAt, replayed)
-			}
-			return replayed, false, fmt.Errorf("truncated frame after %d records", replayed)
-		}
-		payload := make([]byte, plen)
-		_, _ = io.ReadFull(br, payload)
-		var crcBuf [4]byte
-		_, _ = io.ReadFull(br, crcBuf[:])
-		if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(payload) {
-			if tolerateTorn {
-				return replayed, true, tornOrCorrupt(data, tearAt, replayed)
-			}
-			return replayed, false, fmt.Errorf("frame checksum mismatch after %d records", replayed)
-		}
+	torn, err = scanSegment(path, tolerateTorn, func(payload []byte) error {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
 			// The CRC matched, so this is not a torn write: the writer and
 			// reader disagree about the format. Never silently drop it.
-			return replayed, false, err
+			return err
 		}
 		if rec.Post <= g.Version() {
-			continue // already covered by the snapshot
+			return nil
 		}
 		if err := rec.Apply(g); err != nil {
-			return replayed, false, err
+			return err
 		}
 		replayed++
+		return nil
+	})
+	return replayed, torn, err
+}
+
+// scanSegment is the WAL's one segment reader, shared by recovery and
+// replication catch-up: it hands each CRC-verified record payload of a
+// segment file to fn, in order. Payloads alias the file's bytes, which
+// nothing reuses, so fn may retain them. tolerateTorn (the final segment
+// at recovery) turns a trailing partial or CRC-failing frame into a clean
+// stop reported as torn instead of an error — unless a valid record
+// follows the damage (tornOrCorrupt); a torn segment header likewise
+// reads as an empty torn segment, the signature of a crash at rotation.
+// An error from fn stops the scan and is returned as is.
+func scanSegment(path string, tolerateTorn bool, fn func(payload []byte) error) (torn bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false, err
 	}
-	return replayed, false, nil
+	// Header: magic, then two uvarints — the format version (must match)
+	// and the base version (informational; the file name carries it too).
+	off := len(segMagic)
+	hdrOK := bytes.HasPrefix(data, []byte(segMagic))
+	for i := 0; hdrOK && i < 2; i++ {
+		v, n := binary.Uvarint(data[off:])
+		hdrOK = n > 0 && (i > 0 || v == segFormatVersion)
+		off += n
+	}
+	if !hdrOK {
+		if tolerateTorn {
+			return true, nil
+		}
+		return false, errors.New("bad segment header")
+	}
+	for frames := 0; off < len(data); frames++ {
+		payload, next, ok := frameAt(data, off)
+		if !ok {
+			if tolerateTorn {
+				return true, tornOrCorrupt(data, off, frames)
+			}
+			return false, fmt.Errorf("truncated or damaged frame after %d records", frames)
+		}
+		if err := fn(payload); err != nil {
+			return false, err
+		}
+		off = next
+	}
+	return false, nil
+}
+
+// frameAt decodes the frame starting at data[off] — uvarint length,
+// payload, CRC32 of the payload — returning the payload and the offset
+// just past the frame, or ok=false if no whole, CRC-valid frame starts
+// there.
+func frameAt(data []byte, off int) (payload []byte, next int, ok bool) {
+	plen, n := binary.Uvarint(data[off:])
+	if n <= 0 || plen > 1<<30 || plen+4 > uint64(len(data)-off-n) {
+		return nil, 0, false
+	}
+	end := off + n + int(plen)
+	payload = data[off+n : end : end]
+	if binary.LittleEndian.Uint32(data[end:]) != crc32.ChecksumIEEE(payload) {
+		return nil, 0, false
+	}
+	return payload, end + 4, true
 }
 
 // tornOrCorrupt decides what a damaged frame at the end of the final
@@ -275,25 +294,12 @@ func replaySegment(path string, g *graph.Graph, tolerateTorn bool) (replayed int
 // which is the lesser failure (quarantine keeps the bytes).
 func tornOrCorrupt(data []byte, tearAt, replayed int) error {
 	const scanWindow = 1 << 20
-	rest := data[tearAt:]
-	limit := len(rest)
-	if limit > scanWindow {
-		limit = scanWindow
-	}
-	for off := 1; off < limit; off++ {
-		br := bytes.NewReader(rest[off:])
-		plen, err := binary.ReadUvarint(br)
-		if err != nil || plen == 0 || plen > 1<<30 || int64(plen)+4 > int64(br.Len()) {
-			continue
-		}
-		body := len(rest) - br.Len() // first byte after the length varint
-		payload := rest[body : body+int(plen)]
-		crc := binary.LittleEndian.Uint32(rest[body+int(plen) : body+int(plen)+4])
-		if crc != crc32.ChecksumIEEE(payload) {
-			continue
-		}
-		if _, derr := DecodeRecord(payload); derr == nil {
-			return fmt.Errorf("damaged frame after %d records is followed by a valid record at +%d bytes — mid-segment corruption, not a torn tail", replayed, off)
+	limit := min(len(data), tearAt+scanWindow)
+	for off := tearAt + 1; off < limit; off++ {
+		if payload, _, ok := frameAt(data, off); ok {
+			if _, derr := DecodeRecord(payload); derr == nil {
+				return fmt.Errorf("damaged frame after %d records is followed by a valid record at +%d bytes — mid-segment corruption, not a torn tail", replayed, off-tearAt)
+			}
 		}
 	}
 	return nil

@@ -23,7 +23,10 @@
 // A checkpoint writes a fresh snapshot (temp file + rename, both
 // fsynced), rotates to a new segment, and deletes the segments the
 // snapshot covers — safe because checkpoints run under the graph's lock,
-// so every logged record is at or below the snapshot version.
+// so every logged record is at or below the snapshot version. The
+// retained segments are the only record history: recovery replays them,
+// and a replication leader catches a reconnecting follower up from them
+// (RecordsSince), both through one frame scanner.
 //
 // Durability is configurable per manager: FsyncAlways syncs after every
 // append, FsyncInterval syncs on a background ticker (bounded loss),
@@ -493,6 +496,47 @@ func (m *Manager) Checkpoint(name string, g *graph.Graph) error {
 		return err
 	}
 	return gl.checkpointLocked(g)
+}
+
+// RecordsSince returns the framed record payloads of a graph's retained
+// log with post-mutation version > v, oldest first — the replication
+// leader's reconnect catch-up source. covered reports whether they are
+// the complete history after v: v is at or beyond the base version of
+// the oldest retained segment (a checkpoint truncates below it), and the
+// log is not broken (a broken log no longer tracks live state). The
+// caller holds the graph's lock (read suffices), so no append is in
+// flight; the segments are listed and read under the log lock, which a
+// checkpoint needs before it can delete them.
+func (m *Manager) RecordsSince(name string, v uint64) (payloads [][]byte, covered bool, err error) {
+	gl, err := m.lookup(name)
+	if err != nil {
+		return nil, false, err
+	}
+	gl.mu.Lock()
+	defer gl.mu.Unlock()
+	if gl.broken || gl.f == nil {
+		return nil, false, nil
+	}
+	_, segs, err := listState(gl.dir)
+	if err != nil || len(segs) == 0 || v < segs[0].ver {
+		return nil, false, err
+	}
+	for i, seg := range segs {
+		if i+1 < len(segs) && segs[i+1].ver <= v {
+			continue // every record here is at or below the next base
+		}
+		_, err := scanSegment(filepath.Join(gl.dir, seg.name), false, func(payload []byte) error {
+			rec, err := DecodeRecord(payload)
+			if err == nil && rec.Post > v {
+				payloads = append(payloads, payload)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, false, fmt.Errorf("wal: scan %q segment %s: %w", name, seg.name, err)
+		}
+	}
+	return payloads, true, nil
 }
 
 // NeedsCheckpoint reports whether the graph's WAL has outgrown
