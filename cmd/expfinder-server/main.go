@@ -10,14 +10,17 @@
 //	                 [-auth-token TOKEN] [-rate-limit N] [-rate-burst N]
 //	                 [-parallelism N] [-request-timeout D]
 //	                 [-cache-bytes N] [-trace-sample F] [-slow-query D] [-debug]
-//	                 [-log-format text|json] [-accounting] [-account-clients N]
+//	                 [-log-format text|json]
 //	                 [-slo-targets query=500ms,read=100ms] [-shed-heaviest]
 //
 // With -data-dir set, every graph mutation is durable: mutations append
 // to a per-graph write-ahead log under DIR, a background checkpointer
 // snapshots growing logs, and at boot the server recovers every
 // persisted graph — content, node ids, and version — before serving.
-// -fsync selects the durability/throughput trade-off (default interval).
+// Only graphs are persisted: statistics are recounted at recovery, and a
+// distance index, partitioning or quotient built before the restart must
+// be requested again. -fsync selects the durability/throughput trade-off
+// (default interval).
 //
 // -store DIR is a one-shot import: at boot, every graph in the store
 // whose name the engine does not already hold (recovered from -data-dir,
@@ -57,10 +60,10 @@
 // the bearer token when one is configured). Both debug rings accept
 // ?plan=, ?route=, and ?min_ms= filters.
 //
-// Accounting (on by default, -accounting=false to disable): every
-// finished request is charged to its client (the X-Client-ID header,
-// else the remote host — the same key the rate limiter uses) and served
-// back at GET /api/v1/stats/clients; per-route-class SLO attainment
+// Accounting (always on): every finished request is charged to its
+// client (the X-Client-ID header, else the remote host — the same key
+// the rate limiter uses; the 32 heaviest are tracked individually) and
+// served back at GET /api/v1/stats/clients; per-route-class SLO attainment
 // with burn rates is at GET /api/v1/slo (-slo-targets overrides the p99
 // targets, e.g. "query=250ms,mutation=100ms"); component health
 // (replication lag, checkpoint age, WAL growth, admission queue,
@@ -70,8 +73,8 @@
 // access log, slow_query lines, boot and replication notices — is
 // structured; -log-format json renders one JSON object per line.
 //
-// API overview (current surface, mounted at /api/v1; the legacy /api/*
-// paths serve the same handlers and answer with a Deprecation header):
+// API overview (every route is mounted at /api/v1; other /api/* paths
+// answer 404):
 //
 //	GET    /api/v1/graphs                      list graphs
 //	POST   /api/v1/graphs/{name}               upload {"graph": ...} or {"generator": {...}}
@@ -175,8 +178,6 @@ func main() {
 	replListen := flag.String("replication-listen", "", "serve WAL-shipping replication to followers on this address (requires -data-dir)")
 	replFrom := flag.String("replicate-from", "", "run as a read-only follower of the leader at this replication address")
 	logFormat := flag.String("log-format", "text", "log output format: text | json (structured key=value either way)")
-	accounting := flag.Bool("accounting", true, "per-client resource accounting and SLO tracking")
-	accountClients := flag.Int("account-clients", 0, "max clients the ledger tracks individually before folding the rest into \"other\" (0 = default)")
 	sloTargetsFlag := flag.String("slo-targets", "", "override per-route-class p99 latency targets, e.g. query=250ms,mutation=100ms")
 	shedHeaviest := flag.Bool("shed-heaviest", false, "under execution-queue pressure, shed the dominant client's requests first")
 	flag.Parse()
@@ -256,10 +257,7 @@ func main() {
 			}
 			kv := []any{"graph", gr.Name, "nodes", gr.Nodes, "edges", gr.Edges,
 				"version", gr.Version, "wal_records", gr.Records,
-				"torn_tail", gr.TornTail, "index_rebuilt", gr.IndexRebuilt}
-			if gr.IndexErr != "" {
-				kv = append(kv, "index_err", gr.IndexErr)
-			}
+				"torn_tail", gr.TornTail}
 			logger.Event("recovered", kv...)
 		}
 	}
@@ -354,11 +352,8 @@ func main() {
 		SlowQuery:      *slowQuery,
 		Debug:          *debug,
 		Logger:         logger,
-
-		DisableAccounting: !*accounting,
-		AccountClients:    *accountClients,
-		SLOTargets:        sloTargets,
-		ShedHeaviest:      *shedHeaviest,
+		SLOTargets:     sloTargets,
+		ShedHeaviest:   *shedHeaviest,
 	})
 	// /healthz reports the boot recovery outcome; readiness is implied by
 	// serving at all (recovery completed above, before the listener).

@@ -21,8 +21,8 @@
 //     age, WAL growth, admission queue, subscription backlog) up into
 //     one ok|degraded|unhealthy verdict with per-component reasons.
 //
-// Everything here observes and never steers, so query results are
-// byte-identical whether accounting is on or off.
+// Everything here observes finished requests and never steers query
+// evaluation, so answers do not depend on it.
 package account
 
 import (
@@ -201,9 +201,7 @@ type ledgerSlice struct {
 	other   Usage
 }
 
-// Ledger is the per-client resource accountant. Safe for concurrent
-// use; a nil *Ledger ignores every call, so the serving tier wires it
-// unconditionally and the accounting-off configuration is a nil field.
+// Ledger is the per-client resource accountant. Safe for concurrent use.
 type Ledger struct {
 	mu         sync.Mutex
 	maxClients int
@@ -233,9 +231,6 @@ func NewLedger(maxClients int) *Ledger {
 
 // Charge bills one finished request to its client.
 func (l *Ledger) Charge(c Charge) {
-	if l == nil {
-		return
-	}
 	if c.Client == "" {
 		c.Client = "unknown"
 	}
@@ -276,9 +271,6 @@ func chargeInto(m map[string]*Usage, other *Usage, bound int, client string, u U
 // beyond the client bound into OtherClient. A zero window means the
 // since-boot totals.
 func (l *Ledger) Snapshot(window time.Duration) []ClientUsage {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	merged, other := l.mergeLocked(window)
 	bound := l.maxClients
@@ -308,9 +300,6 @@ func (l *Ledger) Snapshot(window time.Duration) []ClientUsage {
 // Totals returns the exact since-boot global aggregate: the sum of
 // every charge ever billed, regardless of client folding.
 func (l *Ledger) Totals() Usage {
-	if l == nil {
-		return Usage{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.total
@@ -355,9 +344,6 @@ func (l *Ledger) mergeLocked(window time.Duration) (map[string]*Usage, Usage) {
 // trailing window and that share in [0,1]. The fold bucket is part of
 // the denominator but never the answer; an idle window returns ("", 0).
 func (l *Ledger) Heaviest(window time.Duration) (string, float64) {
-	if l == nil {
-		return "", 0
-	}
 	l.mu.Lock()
 	merged, other := l.mergeLocked(window)
 	l.mu.Unlock()

@@ -148,20 +148,6 @@ func TestLedgerHeaviest(t *testing.T) {
 	}
 }
 
-func TestNilLedgerIsNoOp(t *testing.T) {
-	var l *Ledger
-	l.Charge(Charge{Client: "x"})
-	if l.Snapshot(time.Minute) != nil {
-		t.Fatal("nil snapshot")
-	}
-	if c, s := l.Heaviest(time.Minute); c != "" || s != 0 {
-		t.Fatal("nil heaviest")
-	}
-	if l.Totals() != (Usage{}) {
-		t.Fatal("nil totals")
-	}
-}
-
 // span builds a test SpanJSON tree node.
 func span(name string, durUS int64, attrs map[string]any, children ...*trace.SpanJSON) *trace.SpanJSON {
 	return &trace.SpanJSON{Name: name, DurationUS: durUS, Attrs: attrs, Children: children}

@@ -57,7 +57,7 @@ type sloSlice struct {
 }
 
 // SLO tracks per-class objectives over rolling windows. Safe for
-// concurrent use; a nil *SLO ignores every call.
+// concurrent use.
 type SLO struct {
 	mu         sync.Mutex
 	now        func() time.Time
@@ -87,9 +87,6 @@ func (s *SLO) objective(class string) Objective {
 
 // Observe records one finished request for its route class.
 func (s *SLO) Observe(class string, status int, d time.Duration) {
-	if s == nil {
-		return
-	}
 	if class == "" {
 		class = OtherClient
 	}
@@ -155,9 +152,6 @@ type ClassReport struct {
 // sorted by name, one WindowReport per requested window. Windows are
 // labeled by their duration string ("1m0s" → "1m").
 func (s *SLO) Report(windows []time.Duration) []ClassReport {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nowEpoch := s.now().UnixNano() / int64(sliceDur)

@@ -116,14 +116,6 @@ func TestSLOClassBoundFoldsIntoOther(t *testing.T) {
 	}
 }
 
-func TestNilSLOIsNoOp(t *testing.T) {
-	var s *SLO
-	s.Observe("query", 200, time.Millisecond)
-	if s.Report([]time.Duration{time.Minute}) != nil {
-		t.Fatal("nil report")
-	}
-}
-
 func TestWindowLabel(t *testing.T) {
 	cases := map[time.Duration]string{
 		time.Minute:      "1m",

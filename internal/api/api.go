@@ -21,12 +21,8 @@ import (
 // Version is the current API version prefix.
 const Version = "v1"
 
-// Prefix is the mount point of the current API surface; LegacyPrefix is
-// the pre-v1 mount point kept alive as deprecated aliases.
-const (
-	Prefix       = "/api/v1"
-	LegacyPrefix = "/api"
-)
+// Prefix is the mount point of the API surface.
+const Prefix = "/api/v1"
 
 // GraphSummary is one entry of the graph listing.
 type GraphSummary struct {

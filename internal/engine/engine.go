@@ -327,27 +327,17 @@ func (e *Engine) addGraph(name string, g *graph.Graph) error {
 
 // register inserts a graph into the registry (the non-durable half of
 // AddGraph, also used by Recover, whose graphs are already attached to
-// the log manager).
+// the log manager) and counts its statistics.
 func (e *Engine) register(name string, g *graph.Graph) error {
-	return e.registerWith(name, g, nil)
-}
-
-// registerWith is register with pre-built statistics — the recovery
-// path restores them from a persisted snapshot instead of paying the
-// full recount. A nil st builds fresh.
-func (e *Engine) registerWith(name string, g *graph.Graph, st *stats.Graph) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.gs[name]; ok {
 		return fmt.Errorf("%w: %q", ErrGraphExists, name)
 	}
-	if st == nil {
-		st = stats.NewGraph(g)
-	}
 	e.gs[name] = &managed{
 		epoch:   e.epochs.Add(1),
 		g:       g,
-		st:      st,
+		st:      stats.NewGraph(g),
 		queries: map[string]*standingQuery{},
 	}
 	return nil
@@ -805,7 +795,9 @@ func (e *Engine) DropCompression(graphName string) error {
 // and returns its stats. Evaluation routes bounded queries through the
 // index as long as it stays fresh (edge insertions are repaired in place;
 // deletions and node removals invalidate it until the next BuildIndex).
-// The build holds the graph's write lock — queries queue behind it.
+// The build holds the graph's write lock — queries queue behind it. Like
+// a partitioning or a quotient, the index lives in memory only: a
+// restarted engine serves without one until it is built again.
 func (e *Engine) BuildIndex(graphName string, opts distindex.Options) (distindex.Stats, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -816,17 +808,7 @@ func (e *Engine) BuildIndex(graphName string, opts distindex.Options) (distindex
 	}
 	mg.mu.Lock()
 	defer mg.mu.Unlock()
-	idx := distindex.Build(mg.g, opts)
-	if pers := e.opts.Persistence; pers != nil {
-		// Recovery re-arms the index from this metadata (see Recover).
-		// Persist before installing: a metadata failure must not leave an
-		// index serving now that silently vanishes at the next boot.
-		meta := &wal.IndexMeta{Landmarks: opts.Landmarks, GraphVersion: mg.g.Version()}
-		if err := pers.SetIndexMeta(graphName, meta); err != nil {
-			return idx.Stats(), fmt.Errorf("engine: persist index metadata: %w", err)
-		}
-	}
-	mg.idx = idx
+	mg.idx = distindex.Build(mg.g, opts)
 	return mg.idx.Stats(), nil
 }
 
@@ -840,14 +822,6 @@ func (e *Engine) DropIndex(graphName string) error {
 	defer mg.mu.Unlock()
 	if mg.idx == nil {
 		return fmt.Errorf("%w: %q", ErrNoIndex, graphName)
-	}
-	// Clear the persisted metadata before the in-memory index: a failure
-	// leaves both in place (consistent), never a dropped index that
-	// recovery resurrects.
-	if pers := e.opts.Persistence; pers != nil {
-		if err := pers.SetIndexMeta(graphName, nil); err != nil {
-			return fmt.Errorf("engine: clear index metadata: %w", err)
-		}
 	}
 	mg.idx = nil
 	return nil

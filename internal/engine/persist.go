@@ -8,20 +8,19 @@ package engine
 //
 // Recovery contract: Recover() registers every persisted graph at its
 // exact pre-crash content and graph.Version() (a torn record at the log
-// tail is dropped; everything before it survives), rebuilds ("re-arms")
-// any distance index recorded in the graph's index metadata, and leaves
-// continuous queries to their protocol — subscriptions are client
-// handles that die with the process, and a reconnecting subscriber gets
-// a fresh snapshot event via the existing overflow→snapshot resync path.
+// tail is dropped; everything before it survives) and recounts its
+// statistics, exactly as AddGraph does. Only the graph is durable: the
+// distance index, partitionings and quotients are in-memory accelerators
+// an operator builds again after a restart, and continuous queries are
+// left to their protocol — subscriptions are client handles that die
+// with the process, and a reconnecting subscriber gets a fresh snapshot
+// event via the existing overflow→snapshot resync path.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
-	"expfinder/internal/distindex"
-	"expfinder/internal/stats"
 	"expfinder/internal/wal"
 )
 
@@ -41,17 +40,6 @@ type GraphRecovery struct {
 	// TornTail reports that a partial trailing record — a crash during an
 	// append — was discarded.
 	TornTail bool `json:"torn_tail,omitempty"`
-	// IndexRebuilt reports that persisted index metadata was found and
-	// the distance index was rebuilt over the recovered graph.
-	IndexRebuilt bool `json:"index_rebuilt,omitempty"`
-	// IndexErr is set when the graph recovered fine but its distance
-	// index could not be rebuilt: the graph IS serving, only the
-	// accelerator is missing (queries fall back to the direct plan).
-	IndexErr string `json:"index_error,omitempty"`
-	// StatsRestored reports that a persisted statistics snapshot matched
-	// the recovered graph and was installed without a full recount; false
-	// means the statistics were rebuilt from scratch.
-	StatsRestored bool `json:"stats_restored,omitempty"`
 	// Err is set when this graph could not be recovered (its files are
 	// left untouched for inspection); other graphs still recover.
 	Err string `json:"error,omitempty"`
@@ -96,38 +84,16 @@ func (e *Engine) Recover() (*RecoverySummary, error) {
 			sum.Graphs = append(sum.Graphs, gr)
 			continue
 		}
-		// A persisted statistics snapshot that still matches the recovered
-		// graph (same version, nodes, edges, consistent counts) skips the
-		// registration recount; anything off falls back to a full rebuild.
-		var st *stats.Graph
-		if rec.Stats != nil {
-			var snap stats.Snapshot
-			if json.Unmarshal(rec.Stats, &snap) == nil {
-				st = stats.Restore(rec.Graph, &snap)
-			}
-		}
-		if err := e.registerWith(name, rec.Graph, st); err != nil {
+		if err := e.register(name, rec.Graph); err != nil {
 			gr.Err = err.Error()
 			sum.Graphs = append(sum.Graphs, gr)
 			continue
 		}
-		gr.StatsRestored = st != nil
 		gr.Nodes = rec.Graph.NumNodes()
 		gr.Edges = rec.Graph.NumEdges()
 		gr.Version = rec.Graph.Version()
 		gr.Records = rec.Records
 		gr.TornTail = rec.TornTail
-		if rec.Index != nil {
-			// Re-arm: rebuild over the recovered graph. The metadata's
-			// build-time version may be stale relative to the replayed
-			// state — rebuilding makes the index fresh either way, and
-			// BuildIndex rewrites the metadata at the recovered version.
-			if _, err := e.BuildIndex(name, distindex.Options{Landmarks: rec.Index.Landmarks}); err != nil {
-				gr.IndexErr = err.Error()
-			} else {
-				gr.IndexRebuilt = true
-			}
-		}
 		sum.Graphs = append(sum.Graphs, gr)
 	}
 	return sum, nil
@@ -148,21 +114,7 @@ func (e *Engine) Checkpoint(graphName string) error {
 	}
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	if err := pers.Checkpoint(graphName, mg.g); err != nil {
-		return err
-	}
-	// Persist the statistics beside the snapshot so a restart restores
-	// them instead of recounting. The snapshot call rebuilds first if
-	// stale, so what lands on disk always describes the checkpointed
-	// version exactly.
-	data, err := json.Marshal(mg.st.Snapshot(mg.g))
-	if err != nil {
-		return fmt.Errorf("engine: marshal stats snapshot: %w", err)
-	}
-	if err := pers.SetStatsSnapshot(graphName, data); err != nil {
-		return fmt.Errorf("engine: persist stats snapshot: %w", err)
-	}
-	return nil
+	return pers.Checkpoint(graphName, mg.g)
 }
 
 // CheckpointAll checkpoints every managed graph, returning the first

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,9 +12,13 @@ import (
 
 	"time"
 
+	"expfinder/internal/compress"
+	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
+	"expfinder/internal/partition"
+	"expfinder/internal/stats"
 	"expfinder/internal/storage"
 	"expfinder/internal/testutil"
 	"expfinder/internal/wal"
@@ -222,27 +227,139 @@ func TestRecoverWALWithNoSnapshot(t *testing.T) {
 	}
 }
 
-func TestRecoverRearmsIndexAfterStaleMetadata(t *testing.T) {
+// TestRecoverDropsAcceleratorsAfterCrash: only the graph is durable. A
+// graph carrying all three operator-built accelerators — a distance
+// index, a partitioning and a bisimulation quotient — is checkpointed,
+// written to and crashed: its data directory is copied while the engine
+// is still open, so nothing is flushed, checkpointed or closed on the
+// way down. The recovered engine holds none of the accelerators, its
+// statistics are a fresh recount, its directory holds only snapshots
+// and segments, and a bounded query answers exactly as before the crash.
+func TestRecoverDropsAcceleratorsAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(5))
-	e := durableEngine(t, dir, wal.Options{})
-	if err := e.AddGraph("g", testutil.RandomGraph(r, 40, 140)); err != nil {
+	e := durableEngine(t, dir, wal.Options{Fsync: wal.FsyncAlways})
+	if err := e.AddGraph("g", testutil.RandomGraph(r, 80, 260)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.BuildIndex("g", distindex.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Mutations after the build: deletions invalidate the live index and
-	// leave the persisted metadata's GraphVersion stale relative to the
-	// state recovery will replay.
-	churn(t, e, "g", r, 60)
-	q := testutil.RandomPattern(r, 3)
-	wantRes, err := e.Query("g", q, 5)
+	if _, err := e.PartitionGraph("g", partition.Options{Parts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CompressGraph("g", compress.Bisimulation, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint("g"); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, e, "g", r, 40)
+	q := dataset.PaperQuery()
+	want, err := e.Query("g", q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := e.Graph("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVersion, wantImage := g.Version(), engineImage(t, e, "g")
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := durableEngine(t, crashed, wal.Options{})
+	sum, err := e2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Graphs) != 1 || sum.Graphs[0].Err != "" {
+		t.Fatalf("recovery summary: %+v", sum.Graphs)
+	}
+	g2, err := e2.Graph("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.Version() != wantVersion || !bytes.Equal(engineImage(t, e2, "g"), wantImage) {
+		t.Fatal("recovered graph differs from the graph at the crash")
+	}
+	if _, err := e2.IndexStats("g"); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("IndexStats after recovery: %v, want ErrNoIndex", err)
+	}
+	if _, err := e2.PartitionStats("g"); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("PartitionStats after recovery: %v, want ErrNoPartition", err)
+	}
+	if c, err := e2.Compressed("g"); err != nil || c != nil {
+		t.Fatalf("Compressed after recovery: %v, %v, want none", c, err)
+	}
+	st, err := e2.GraphStatistics("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Equal(stats.Compute(g2)) {
+		t.Fatal("recovered statistics differ from a recount of the recovered graph")
+	}
+	entries, err := os.ReadDir(filepath.Join(crashed, "graphs", "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, en := range entries {
+		n := en.Name()
+		if !strings.HasPrefix(n, "snapshot-") && !strings.HasPrefix(n, "wal-") {
+			t.Fatalf("graph directory holds %s: want snapshots, segments and torn segments only", n)
+		}
+	}
+	res, err := e2.Query("g", q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relation.String() != want.Relation.String() || !sameRanking(res.TopK, want.TopK) {
+		t.Fatalf("post-recovery answer diverged (plan %v before, %v after)", want.Plan, res.Plan)
+	}
+	if want.Plan != PlanPartitioned || res.Plan != PlanBounded || len(want.TopK) == 0 {
+		t.Fatalf("plans %v -> %v with %d ranked: want an accelerated plan before the crash, the direct one after, and matches",
+			want.Plan, res.Plan, len(want.TopK))
+	}
+}
+
+// TestRecoverIgnoresOldSideFiles: a graph directory written before
+// derived state stopped being persisted may still hold index.json,
+// stats.json and an interrupted .idx-* temp file beside its snapshot and
+// segments. Recovery restores the same image and version, builds no
+// index, recounts statistics instead of trusting the stale stats.json,
+// and leaves the files alone.
+func TestRecoverIgnoresOldSideFiles(t *testing.T) {
+	dir := t.TempDir()
+	r := rand.New(rand.NewSource(9))
+	e := durableEngine(t, dir, wal.Options{})
+	if err := e.AddGraph("g", testutil.RandomGraph(r, 30, 90)); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, e, "g", r, 30)
+	g, err := e.Graph("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantVersion, wantImage := g.Version(), engineImage(t, e, "g")
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The formats the side files had: index re-arm metadata, a statistics
+	// snapshot claiming the current version with counts that no longer
+	// describe the graph, and a metadata write cut short.
+	side := map[string]string{
+		"index.json": fmt.Sprintf(`{"landmarks":16,"graph_version":%d}`, wantVersion),
+		"stats.json": fmt.Sprintf(`{"graph_version":%d,"nodes":1,"edges":0,"out_degree_hist":[{"up_to":0,"count":1}],`+
+			`"in_degree_hist":[{"up_to":0,"count":1}],"labels":{"SA":1},"label_pairs":[],"rebuilds":1}`, wantVersion),
+		".idx-4127": `{"landmarks":`,
+	}
+	gdir := filepath.Join(dir, "graphs", "g")
+	for name, body := range side {
+		if err := os.WriteFile(filepath.Join(gdir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	e2 := durableEngine(t, dir, wal.Options{})
@@ -253,27 +370,28 @@ func TestRecoverRearmsIndexAfterStaleMetadata(t *testing.T) {
 	if len(sum.Graphs) != 1 || sum.Graphs[0].Err != "" {
 		t.Fatalf("recovery summary: %+v", sum.Graphs)
 	}
-	if !sum.Graphs[0].IndexRebuilt {
-		t.Fatal("stale index metadata was not re-armed")
-	}
-	st, err := e2.IndexStats("g")
-	if err != nil {
-		t.Fatalf("rebuilt index missing: %v", err)
-	}
-	if st.Nodes == 0 {
-		t.Fatal("rebuilt index is empty")
-	}
-	// The rebuilt index must be fresh (deep-bound queries route through
-	// it) and agree with the pre-restart engine byte for byte.
-	res, err := e2.Query("g", q, 5)
+	g2, err := e2.Graph("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.IsPlainSimulation() && res.Plan != PlanIndexed {
-		t.Fatalf("post-recovery plan %v, want %v", res.Plan, PlanIndexed)
+	if g2.Version() != wantVersion || !bytes.Equal(engineImage(t, e2, "g"), wantImage) {
+		t.Fatal("recovered graph differs from the graph at close")
 	}
-	if res.Relation.String() != wantRes.Relation.String() {
-		t.Fatal("post-recovery relation diverged")
+	if _, err := e2.IndexStats("g"); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("IndexStats after recovery: %v, want ErrNoIndex", err)
+	}
+	st, err := e2.GraphStatistics("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Equal(stats.Compute(g2)) {
+		t.Fatal("recovered statistics differ from a recount of the recovered graph")
+	}
+	for name, body := range side {
+		got, err := os.ReadFile(filepath.Join(gdir, name))
+		if err != nil || string(got) != body {
+			t.Fatalf("side file %s changed by recovery: %q, %v", name, got, err)
+		}
 	}
 }
 
@@ -298,8 +416,8 @@ func TestDroppedIndexStaysDroppedAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Graphs[0].IndexRebuilt {
-		t.Fatal("dropped index came back after recovery")
+	if len(sum.Graphs) != 1 || sum.Graphs[0].Err != "" {
+		t.Fatalf("recovery summary: %+v", sum.Graphs)
 	}
 	if _, err := e2.IndexStats("g"); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("IndexStats: %v, want ErrNoIndex", err)

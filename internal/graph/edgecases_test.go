@@ -24,14 +24,6 @@ func TestEmptyGraphOperations(t *testing.T) {
 	if b := g.OutBall(0, 3); len(b.Dist) != 0 {
 		t.Errorf("OutBall on empty = %v", b.Dist)
 	}
-	g.BFS(0, func(NodeID, int) bool { t.Error("BFS visited on empty"); return true })
-	if p := g.ShortestPath(0, 1); p != nil {
-		t.Errorf("ShortestPath on empty = %v", p)
-	}
-	comp, n := g.SCCs()
-	if n != 0 || len(comp) != 0 {
-		t.Errorf("SCCs on empty = (%v,%d)", comp, n)
-	}
 	if !g.Equal(New(0)) {
 		t.Error("two empty graphs not Equal")
 	}
@@ -117,17 +109,5 @@ func TestForEachEdgeSkipsTombstoneEndpoints(t *testing.T) {
 	g.ForEachEdge(func(Edge) { count++ })
 	if count != 0 {
 		t.Errorf("edges after removing middle node = %d, want 0", count)
-	}
-}
-
-func TestDistancesFromUnknownSource(t *testing.T) {
-	g := New(2)
-	g.AddNode("A", nil)
-	g.AddNode("B", nil)
-	dist := g.DistancesFrom(99)
-	for i, d := range dist {
-		if d != Unreachable {
-			t.Errorf("dist[%d] = %d from unknown source", i, d)
-		}
 	}
 }

@@ -201,100 +201,3 @@ func (g *Graph) Distance(u, v NodeID) int {
 	})
 	return d
 }
-
-// DistancesFrom runs a full BFS from src and returns a dense distance slice
-// indexed by NodeID (Unreachable where no path exists; 0 at src). The slice
-// has length g.MaxID().
-func (g *Graph) DistancesFrom(src NodeID) []int {
-	dist := make([]int, g.MaxID())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	if !g.Has(src) {
-		return dist
-	}
-	dist[src] = 0
-	g.visitBall(src, -1, false, func(id NodeID, d int) bool {
-		if id != src { // keep dist[src] = 0, not its cycle length
-			dist[id] = d
-		}
-		return true
-	})
-	return dist
-}
-
-// Reaches reports whether v is reachable from u via a nonempty path.
-func (g *Graph) Reaches(u, v NodeID) bool { return g.Distance(u, v) != Unreachable }
-
-// BFS visits nodes reachable from src (including src) in breadth-first
-// order, calling fn with each node and its depth. Returning false from fn
-// stops the traversal early.
-func (g *Graph) BFS(src NodeID, fn func(id NodeID, depth int) bool) {
-	if !g.Has(src) {
-		return
-	}
-	s := acquireScratch(len(g.nodes))
-	defer s.release()
-	s.mark[src] = s.epoch
-	s.queue = append(s.queue, scratchEntry{src, 0})
-	for qi := 0; qi < len(s.queue); qi++ {
-		cur := s.queue[qi]
-		if !fn(cur.id, int(cur.d)) {
-			return
-		}
-		for _, nb := range g.out[cur.id] {
-			if s.mark[nb] != s.epoch {
-				s.mark[nb] = s.epoch
-				s.queue = append(s.queue, scratchEntry{nb, cur.d + 1})
-			}
-		}
-	}
-}
-
-// ShortestPath returns one shortest nonempty path from u to v as a node
-// sequence starting at u and ending at v, or nil if unreachable. Used by the
-// result-graph drill-down (the GUI shows the collaboration chain behind each
-// weighted result edge).
-func (g *Graph) ShortestPath(u, v NodeID) []NodeID {
-	if !g.Has(u) || !g.Has(v) {
-		return nil
-	}
-	parent := map[NodeID]NodeID{}
-	queue := []NodeID{u}
-	visited := map[NodeID]bool{}
-	found := false
-search:
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.out[cur] {
-			if nb == v {
-				parent[v] = cur
-				found = true
-				break search
-			}
-			// Never re-enqueue u: paths are nonempty walks out of u, and
-			// revisiting the source cannot shorten any of them.
-			if !visited[nb] && nb != u {
-				visited[nb] = true
-				parent[nb] = cur
-				queue = append(queue, nb)
-			}
-		}
-	}
-	if !found {
-		return nil
-	}
-	// Walk the parent chain from v back to u, then reverse. When u == v the
-	// chain still terminates: parent entries for intermediate nodes lead
-	// back to the BFS root, which never receives a parent entry of its own.
-	rev := []NodeID{v}
-	for cur := parent[v]; cur != u; cur = parent[cur] {
-		rev = append(rev, cur)
-	}
-	rev = append(rev, u)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}

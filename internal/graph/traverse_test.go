@@ -85,87 +85,6 @@ func TestInBallMirrorsOutBall(t *testing.T) {
 	}
 }
 
-func TestDistancesFromMatchesDistance(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(7)), 40, 120)
-	ids := g.Nodes()
-	src := ids[0]
-	dist := g.DistancesFrom(src)
-	for _, v := range ids {
-		want := g.Distance(src, v)
-		got := dist[v]
-		if v == src {
-			// DistancesFrom reports 0 at the source; Distance uses
-			// nonempty-path semantics. Both are documented.
-			if got != 0 {
-				t.Errorf("DistancesFrom[src] = %d, want 0", got)
-			}
-			continue
-		}
-		if got != want {
-			t.Errorf("DistancesFrom[%d] = %d, Distance = %d", v, got, want)
-		}
-	}
-}
-
-func TestShortestPathEndpoints(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(11)), 30, 90)
-	ids := g.Nodes()
-	for _, u := range ids[:10] {
-		for _, v := range ids[:10] {
-			d := g.Distance(u, v)
-			p := g.ShortestPath(u, v)
-			if d == Unreachable {
-				if p != nil {
-					t.Fatalf("ShortestPath(%d,%d) = %v for unreachable pair", u, v, p)
-				}
-				continue
-			}
-			if len(p) != d+1 {
-				t.Fatalf("ShortestPath(%d,%d) has %d nodes, want %d", u, v, len(p), d+1)
-			}
-			if p[0] != u || p[len(p)-1] != v {
-				t.Fatalf("ShortestPath(%d,%d) endpoints wrong: %v", u, v, p)
-			}
-			for i := 0; i+1 < len(p); i++ {
-				if !g.HasEdge(p[i], p[i+1]) {
-					t.Fatalf("ShortestPath(%d,%d) uses missing edge (%d,%d)", u, v, p[i], p[i+1])
-				}
-			}
-		}
-	}
-}
-
-func TestBFSVisitsEachNodeOnceInOrder(t *testing.T) {
-	g, ids := buildChain(t, 5)
-	var visited []NodeID
-	var depths []int
-	g.BFS(ids[0], func(id NodeID, d int) bool {
-		visited = append(visited, id)
-		depths = append(depths, d)
-		return true
-	})
-	if len(visited) != 5 {
-		t.Fatalf("BFS visited %d nodes, want 5", len(visited))
-	}
-	for i := range depths {
-		if depths[i] != i {
-			t.Errorf("BFS depth[%d] = %d, want %d", i, depths[i], i)
-		}
-	}
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g, ids := buildChain(t, 5)
-	count := 0
-	g.BFS(ids[0], func(NodeID, int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("BFS visited %d nodes after early stop, want 2", count)
-	}
-}
-
 // randomGraph builds a random simple digraph with n nodes and up to m edges.
 func randomGraph(r *rand.Rand, n, m int) *Graph {
 	g := New(n)

@@ -67,52 +67,27 @@ func sloObjectives(targets map[string]time.Duration) map[string]account.Objectiv
 	return out
 }
 
-// HealthThresholds tunes when a component degrades the /healthz
-// rollup. Zero fields take the documented defaults; the execution
-// pool's queue thresholds are structural (half full degrades, full is
-// unhealthy) and not configurable here.
-type HealthThresholds struct {
-	// ReplicationLagDegraded / ReplicationLagUnhealthy are lag-record
-	// thresholds (defaults 500 / 5000).
-	ReplicationLagDegraded  uint64
-	ReplicationLagUnhealthy uint64
-	// CheckpointLagBytes degrades when any graph's WAL grew this far
-	// past its last checkpoint (default 256 MiB).
-	CheckpointLagBytes int64
-	// WALDiskBytes degrades when the total on-disk WAL footprint
-	// crosses it (default 4 GiB).
-	WALDiskBytes int64
-	// SubscriptionBacklog degrades when that many undelivered events
-	// are buffered across subscriptions (default 65536).
-	SubscriptionBacklog int
-}
-
-// withDefaults fills zero thresholds.
-func (t HealthThresholds) withDefaults() HealthThresholds {
-	if t.ReplicationLagDegraded == 0 {
-		t.ReplicationLagDegraded = 500
-	}
-	if t.ReplicationLagUnhealthy == 0 {
-		t.ReplicationLagUnhealthy = 5000
-	}
-	if t.CheckpointLagBytes == 0 {
-		t.CheckpointLagBytes = 256 << 20
-	}
-	if t.WALDiskBytes == 0 {
-		t.WALDiskBytes = 4 << 30
-	}
-	if t.SubscriptionBacklog == 0 {
-		t.SubscriptionBacklog = 65536
-	}
-	return t
-}
+// Thresholds at which a component degrades the /healthz rollup. The
+// execution pool's queue thresholds are structural (half full degrades,
+// full is unhealthy).
+const (
+	// replicationLagDegraded / replicationLagUnhealthy are in records.
+	replicationLagDegraded  = 500
+	replicationLagUnhealthy = 5000
+	// checkpointLagBytes: any graph's WAL grew this far past its last
+	// checkpoint.
+	checkpointLagBytes = 256 << 20
+	// walDiskBytes: the total on-disk WAL footprint.
+	walDiskBytes = 4 << 30
+	// subscriptionBacklog: undelivered events buffered across
+	// subscriptions.
+	subscriptionBacklog = 65536
+)
 
 // registerHealthComponents wires every component probe. Probes read
 // s.repl/s.recovery at evaluation time, so registering before
 // SetReplication/SetRecoverySummary is fine.
 func (s *Server) registerHealthComponents() {
-	th := s.cfg.Health.withDefaults()
-
 	s.health.Register("replication", func() (account.HealthStatus, string) {
 		if s.repl == nil {
 			return account.StatusOK, ""
@@ -123,10 +98,10 @@ func (s *Server) registerHealthComponents() {
 		}
 		lag := st.LagRecords
 		switch {
-		case lag >= th.ReplicationLagUnhealthy:
-			return account.StatusUnhealthy, fmt.Sprintf("lag %d records over unhealthy threshold %d", lag, th.ReplicationLagUnhealthy)
-		case lag >= th.ReplicationLagDegraded:
-			return account.StatusDegraded, fmt.Sprintf("lag %d records over degraded threshold %d", lag, th.ReplicationLagDegraded)
+		case lag >= replicationLagUnhealthy:
+			return account.StatusUnhealthy, fmt.Sprintf("lag %d records over unhealthy threshold %d", lag, replicationLagUnhealthy)
+		case lag >= replicationLagDegraded:
+			return account.StatusDegraded, fmt.Sprintf("lag %d records over degraded threshold %d", lag, replicationLagDegraded)
 		}
 		return account.StatusOK, ""
 	})
@@ -149,8 +124,8 @@ func (s *Server) registerHealthComponents() {
 			}
 			total += g.WALBytes
 		}
-		if total >= th.WALDiskBytes {
-			return account.StatusDegraded, fmt.Sprintf("WAL footprint %d bytes over threshold %d", total, th.WALDiskBytes)
+		if total >= walDiskBytes {
+			return account.StatusDegraded, fmt.Sprintf("WAL footprint %d bytes over threshold %d", total, walDiskBytes)
 		}
 		return account.StatusOK, ""
 	})
@@ -164,9 +139,9 @@ func (s *Server) registerHealthComponents() {
 			return account.StatusOK, ""
 		}
 		for _, g := range st.Graphs {
-			if g.BytesSinceCheckpoint >= th.CheckpointLagBytes {
+			if g.BytesSinceCheckpoint >= checkpointLagBytes {
 				return account.StatusDegraded, fmt.Sprintf("graph %s grew %d bytes past its checkpoint (threshold %d)",
-					g.Name, g.BytesSinceCheckpoint, th.CheckpointLagBytes)
+					g.Name, g.BytesSinceCheckpoint, checkpointLagBytes)
 			}
 		}
 		return account.StatusOK, ""
@@ -184,8 +159,8 @@ func (s *Server) registerHealthComponents() {
 	})
 
 	s.health.Register("subscriptions", func() (account.HealthStatus, string) {
-		if backlog := s.eng.SubscriptionStats().Backlog; backlog >= th.SubscriptionBacklog {
-			return account.StatusDegraded, fmt.Sprintf("%d undelivered events buffered (threshold %d)", backlog, th.SubscriptionBacklog)
+		if backlog := s.eng.SubscriptionStats().Backlog; backlog >= subscriptionBacklog {
+			return account.StatusDegraded, fmt.Sprintf("%d undelivered events buffered (threshold %d)", backlog, subscriptionBacklog)
 		}
 		return account.StatusOK, ""
 	})
@@ -298,11 +273,6 @@ func parseWindow(s string) (time.Duration, string, error) {
 // bill over a trailing window (default 5m) or since boot
 // (?window=total), heaviest wall time first.
 func (s *Server) statsClients(w http.ResponseWriter, r *http.Request) {
-	if s.ledger == nil {
-		writeEnvelope(w, http.StatusNotFound, api.CodeNotFound,
-			"accounting is disabled on this server", nil)
-		return
-	}
 	window, label, err := parseWindow(r.URL.Query().Get("window"))
 	if err != nil {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidRequest, err)
@@ -322,11 +292,6 @@ func (s *Server) statsClients(w http.ResponseWriter, r *http.Request) {
 // sloReport serves GET /slo: per-route-class availability and latency
 // attainment with burn rates over the 1m/5m/1h windows.
 func (s *Server) sloReport(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		writeEnvelope(w, http.StatusNotFound, api.CodeNotFound,
-			"accounting is disabled on this server", nil)
-		return
-	}
 	classes := s.slo.Report(sloWindows)
 	if classes == nil {
 		classes = []account.ClassReport{}

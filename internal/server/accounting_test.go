@@ -306,45 +306,6 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 }
 
-// TestAccountingDisabled: with -accounting=false the endpoints answer
-// 404 and requests still serve.
-func TestAccountingDisabled(t *testing.T) {
-	ts, s := newConfiguredServer(t, Config{DisableAccounting: true})
-	if s.ledger != nil || s.slo != nil {
-		t.Fatal("accounting built despite DisableAccounting")
-	}
-	if resp, _ := do(t, "GET", ts.URL+"/api/v1/graphs", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("request failed with accounting off: %d", resp.StatusCode)
-	}
-	for _, path := range []string{"/api/v1/stats/clients", "/api/v1/slo"} {
-		resp, body := do(t, "GET", ts.URL+path, nil)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: %d, want 404", path, resp.StatusCode)
-		}
-		if env := decodeEnvelope(t, body); env.Error.Code != api.CodeNotFound {
-			t.Errorf("%s code = %q", path, env.Error.Code)
-		}
-	}
-
-	// Accounting observes, never steers: the default server and one without
-	// accounting answer the Fig. 1 query with the same bytes.
-	var want []byte
-	for _, cfg := range []Config{{}, {DisableAccounting: true}} {
-		ts, _ := newConfiguredServer(t, cfg)
-		uploadPaperGraph(t, ts)
-		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 5})
-		body = elapsedRE.ReplaceAll(body, []byte(`"elapsed_us":0`))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%+v: query: %d %s", cfg, resp.StatusCode, body)
-		}
-		if want == nil {
-			want = body
-		} else if !bytes.Equal(body, want) {
-			t.Errorf("%+v answers differently from the default server:\n got %s\nwant %s", cfg, body, want)
-		}
-	}
-}
-
 // TestShedHeaviestClient fills the engine's execution pool and asserts
 // the dominant client is shed with the heaviest_client reason while light
 // clients still queue, and that plain queue-full sheds carry the queue

@@ -26,7 +26,7 @@ func durableServer(t *testing.T) (*Server, *engine.Engine) {
 func TestPersistenceStatsDisabled(t *testing.T) {
 	srv := New(engine.New(engine.Options{}))
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/admin/persistence", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/admin/persistence", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -41,7 +41,7 @@ func TestPersistenceStatsDisabled(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/admin/persistence/checkpoint", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/admin/persistence/checkpoint", nil))
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("checkpoint without persistence: status %d, want 409", rec.Code)
 	}
@@ -60,14 +60,14 @@ func TestPersistenceStatsAndForceCheckpoint(t *testing.T) {
 	}
 	// Append a couple of records past the initial snapshot.
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/graphs/g/updates",
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/graphs/g/updates",
 		strings.NewReader(`{"ops":[{"op":"delete","from":0,"to":1},{"op":"insert","from":1,"to":0}]}`)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("updates: %d %s", rec.Code, rec.Body)
 	}
 
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/admin/persistence", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/admin/persistence", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d %s", rec.Code, rec.Body)
 	}
@@ -96,7 +96,7 @@ func TestPersistenceStatsAndForceCheckpoint(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/admin/persistence/checkpoint",
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/admin/persistence/checkpoint",
 		strings.NewReader(`{"graph":"g"}`)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body)
@@ -129,13 +129,13 @@ func TestPersistenceStatsAndForceCheckpoint(t *testing.T) {
 
 	// Unknown graph -> 404; empty body -> checkpoint everything.
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/admin/persistence/checkpoint",
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/admin/persistence/checkpoint",
 		strings.NewReader(`{"graph":"nope"}`)))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown graph: %d", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/admin/persistence/checkpoint", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/admin/persistence/checkpoint", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("checkpoint-all: %d %s", rec.Code, rec.Body)
 	}

@@ -48,7 +48,7 @@ func goldenRun(t *testing.T) []string {
 		ts, _ := newTestServer(t)
 		uploadPaperGraph(t, ts)
 		if kind.path != "" {
-			if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper"+kind.path, kind.body); resp.StatusCode != http.StatusOK {
+			if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper"+kind.path, kind.body); resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: %d %s", kind.name, resp.StatusCode, body)
 			}
 		}
@@ -69,19 +69,19 @@ func goldenRun(t *testing.T) []string {
 						if metric != "" {
 							req["metric"] = metric
 						}
-						post(fmt.Sprintf("%s/sem=%s/metric=%s/k=%d", p.name, sem, metric, k), "/api/graphs/paper/query", req)
+						post(fmt.Sprintf("%s/sem=%s/metric=%s/k=%d", p.name, sem, metric, k), "/api/v1/graphs/paper/query", req)
 					}
 				}
 			}
 		}
-		post("fig1/sem=bounded", "/api/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1, "semantics": "bounded"})
-		post("fig1/sem=psychic", "/api/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "psychic"})
-		post("fig1/metric=bogus", "/api/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "metric": "bogus"})
-		post("fig1/sem=dual/metric=bogus", "/api/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "dual", "metric": "bogus"})
-		post("fig1/dot", "/api/graphs/paper/query?dot=1", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1})
-		post("fig1/sem=dual/dot", "/api/graphs/paper/query?dot=1", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1, "semantics": "dual"})
-		post("nograph/sem=dual", "/api/graphs/nope/query", map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "dual"})
-		post("batch", "/api/query/batch", map[string]any{"queries": []map[string]any{
+		post("fig1/sem=bounded", "/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1, "semantics": "bounded"})
+		post("fig1/sem=psychic", "/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "psychic"})
+		post("fig1/metric=bogus", "/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "metric": "bogus"})
+		post("fig1/sem=dual/metric=bogus", "/api/v1/graphs/paper/query", map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "dual", "metric": "bogus"})
+		post("fig1/dot", "/api/v1/graphs/paper/query?dot=1", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1})
+		post("fig1/sem=dual/dot", "/api/v1/graphs/paper/query?dot=1", map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1, "semantics": "dual"})
+		post("nograph/sem=dual", "/api/v1/graphs/nope/query", map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "dual"})
+		post("batch", "/api/v1/query/batch", map[string]any{"queries": []map[string]any{
 			{"graph": "paper", "dsl": dataset.PaperQueryDSL, "k": 2},
 			{"graph": "paper", "dsl": goldenStarDSL, "k": 1, "metric": "pagerank"},
 			{"graph": "nope", "dsl": goldenSimDSL},

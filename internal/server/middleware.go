@@ -2,9 +2,8 @@ package server
 
 // The middleware chain of the serving tier. Per request (outermost
 // first): request-id assignment -> structured logging -> per-route
-// metrics -> surface marking (v1 vs deprecated legacy alias) -> token
-// auth -> per-client rate limiting -> deadline propagation and entry
-// into the engine's execution pool -> handler. /healthz and /metrics
+// metrics -> token auth -> per-client rate limiting -> deadline
+// propagation and entry into the engine's execution pool -> handler. /healthz and /metrics
 // are mounted outside the auth/rate/admission chain so probes and
 // scrapes keep answering under overload.
 
@@ -25,26 +24,14 @@ import (
 
 type ctxKey int
 
-const (
-	ctxKeyPrefix ctxKey = iota // API mount prefix ("/api" or "/api/v1")
-	ctxKeyRoute                // *routeInfo, filled by per-route middleware
-)
+// ctxKeyRoute carries the *routeInfo filled by per-route middleware.
+const ctxKeyRoute ctxKey = 0
 
 // routeInfo is allocated by the outer logging middleware and filled in
 // by the per-route metrics middleware, so the access log can name the
 // route that actually matched.
 type routeInfo struct {
 	name string
-}
-
-// apiPrefix returns the mount prefix of the surface serving this
-// request; v1 when the request did not pass a surface middleware (e.g.
-// direct handler tests).
-func apiPrefix(ctx context.Context) string {
-	if p, ok := ctx.Value(ctxKeyPrefix).(string); ok {
-		return p
-	}
-	return api.Prefix
 }
 
 // statusWriter records status and size for logging/metrics. Flush is
@@ -149,20 +136,6 @@ func (s *Server) withMetrics(route string, next http.Handler) http.Handler {
 		}
 		s.mReqs.Inc(route, r.Method, strconv.Itoa(status))
 		s.mLatency.Observe(time.Since(start).Seconds(), route)
-	})
-}
-
-// withSurface marks which mount the request came through. The legacy
-// surface additionally emits a Deprecation header (RFC 9745) pointing
-// clients at the v1 successor.
-func (s *Server) withSurface(prefix string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if prefix == api.LegacyPrefix {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"",
-				api.Prefix, r.URL.Path[len(api.LegacyPrefix):]))
-		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyPrefix, prefix)))
 	})
 }
 
@@ -304,7 +277,7 @@ func (s *Server) withAdmission(mode pooling, next http.Handler) http.Handler {
 		// Targeted shedding: once the queue is half full, the client
 		// burning the majority of the last minute's wall time is shed
 		// first — one heavy tenant should not queue everyone else out.
-		if st := s.eng.Pool(); s.cfg.ShedHeaviest && s.ledger != nil && st.Queued*2 >= st.Bound {
+		if st := s.eng.Pool(); s.cfg.ShedHeaviest && st.Queued*2 >= st.Bound {
 			if heavy, share := s.ledger.Heaviest(time.Minute); heavy != "" && share >= 0.5 && clientKey(r) == heavy {
 				s.mShedHeavy.Inc()
 				ov := &engine.ErrOverloaded{Queued: st.Queued, Bound: st.Bound}

@@ -2,8 +2,7 @@ package server
 
 // Tests for the serving-tier middleware chain: auth, rate limiting,
 // admission control + shedding, deadline propagation into the engine,
-// the error envelope, metrics exposition, and byte-compatibility of the
-// legacy /api aliases against /api/v1.
+// the error envelope, and metrics exposition.
 
 import (
 	"context"
@@ -73,12 +72,6 @@ func TestAuthRequired(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("valid token: %d, want 200", resp3.StatusCode)
-	}
-
-	// Legacy aliases sit behind the same auth.
-	resp4, _ := do(t, "GET", ts.URL+"/api/graphs", nil)
-	if resp4.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("legacy without token: %d, want 401", resp4.StatusCode)
 	}
 
 	// Probes and scrapes stay open.
@@ -379,89 +372,42 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasByteCompat runs the same requests against /api and
-// /api/v1 and requires byte-identical bodies (after zeroing the one
-// nondeterministic field, elapsed_us). The legacy surface must also
-// mark itself deprecated.
-func TestLegacyAliasByteCompat(t *testing.T) {
-	ts, _ := newTestServer(t)
-	uploadPaperGraph(t, ts)
-
-	canon := func(body []byte) string {
-		var m map[string]any
-		if err := json.Unmarshal(body, &m); err != nil {
-			return string(body)
-		}
-		delete(m, "elapsed_us")
-		out, _ := json.Marshal(m)
-		return string(out)
-	}
-
-	reqs := []struct {
-		method, path string
-		body         any
-	}{
-		{"GET", "/graphs", nil},
-		{"GET", "/graphs/paper/stats", nil},
-		{"POST", "/graphs/paper/query", `{"dsl": "node A output", "k": 3}`},
-		{"POST", "/graphs/paper/query", `{"dsl": "node A output", "k": 3, "semantics": "dual"}`},
-		{"GET", "/cache/stats", nil},
-		{"GET", "/subscriptions/stats", nil},
-		{"GET", "/admin/persistence", nil},
-		{"GET", "/graphs/missing", nil}, // error envelope must match too
-	}
-	for _, rq := range reqs {
-		respV1, bodyV1 := do(t, rq.method, ts.URL+"/api/v1"+rq.path, rq.body)
-		respLegacy, bodyLegacy := do(t, rq.method, ts.URL+"/api"+rq.path, rq.body)
-		if respV1.StatusCode != respLegacy.StatusCode {
-			t.Errorf("%s %s: status v1=%d legacy=%d", rq.method, rq.path,
-				respV1.StatusCode, respLegacy.StatusCode)
-			continue
-		}
-		if c1, c2 := canon(bodyV1), canon(bodyLegacy); c1 != c2 {
-			t.Errorf("%s %s: bodies differ\n  v1:     %s\n  legacy: %s",
-				rq.method, rq.path, c1, c2)
-		}
-		if respLegacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: legacy response missing Deprecation header", rq.method, rq.path)
-		}
-		if respV1.Header.Get("Deprecation") != "" {
-			t.Errorf("%s %s: v1 response carries Deprecation header", rq.method, rq.path)
-		}
-	}
-}
-
-// TestSubscriptionEventsURLMatchesSurface checks events_url points back
-// into the surface that created the subscription.
+// TestSubscriptionEventsURLMatchesSurface checks events_url points into
+// the API surface, /api/v1, and resolves there; the retired pre-v1 paths
+// answer 404 with the error envelope.
 func TestSubscriptionEventsURLMatchesSurface(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 
-	for _, prefix := range []string{"/api", "/api/v1"} {
-		resp, body := do(t, "POST", ts.URL+prefix+"/graphs/paper/subscriptions",
-			`{"dsl": "node A output"}`)
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("%s: create subscription: %d %s", prefix, resp.StatusCode, body)
+	for _, path := range []string{"/api/graphs", "/api/graphs/paper/subscriptions"} {
+		resp, body := do(t, "GET", ts.URL+path, nil)
+		if resp.StatusCode != http.StatusNotFound || decodeEnvelope(t, body).Error.Code != api.CodeNotFound {
+			t.Errorf("GET %s: %d %s, want 404 not_found", path, resp.StatusCode, body)
 		}
-		var sub api.SubscribeResponse
-		if err := json.Unmarshal(body, &sub); err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("%s/graphs/paper/subscriptions/%s/events", prefix, sub.ID)
-		if sub.EventsURL != want {
-			t.Errorf("%s: events_url = %q, want %q", prefix, sub.EventsURL, want)
-		}
-		// The advertised URL must actually resolve on its surface.
-		req, _ := http.NewRequest("DELETE",
-			ts.URL+prefix+"/graphs/paper/subscriptions/"+sub.ID, nil)
-		dresp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dresp.Body.Close()
-		if dresp.StatusCode != http.StatusNoContent {
-			t.Errorf("%s: delete subscription: %d", prefix, dresp.StatusCode)
-		}
+	}
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/subscriptions",
+		`{"dsl": "node A output"}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create subscription: %d %s", resp.StatusCode, body)
+	}
+	var sub api.SubscribeResponse
+	if err := json.Unmarshal(body, &sub); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("/api/v1/graphs/paper/subscriptions/%s/events", sub.ID)
+	if sub.EventsURL != want {
+		t.Errorf("events_url = %q, want %q", sub.EventsURL, want)
+	}
+	// The advertised URL must actually resolve on its surface.
+	req, _ := http.NewRequest("DELETE",
+		ts.URL+"/api/v1/graphs/paper/subscriptions/"+sub.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusNoContent {
+		t.Errorf("delete subscription: %d", dresp.StatusCode)
 	}
 }
 

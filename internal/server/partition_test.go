@@ -16,13 +16,13 @@ func TestPartitionEndpoints(t *testing.T) {
 	uploadPaperGraph(t, ts)
 
 	// Stats before a build: 404.
-	resp, _ := do(t, "GET", ts.URL+"/api/graphs/paper/partitions", nil)
+	resp, _ := do(t, "GET", ts.URL+"/api/v1/graphs/paper/partitions", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats before build: %d", resp.StatusCode)
 	}
 
 	// Build with an explicit fragment count and strategy.
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/partitions",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/partitions",
 		`{"parts": 3, "strategy": "greedy"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, body)
@@ -45,7 +45,7 @@ func TestPartitionEndpoints(t *testing.T) {
 	}
 
 	// Bounded queries now route through the partitioned plan.
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/query",
+	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 		map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
@@ -63,11 +63,11 @@ func TestPartitionEndpoints(t *testing.T) {
 
 	// Partition stats are embedded in the graph stats and update their
 	// eval counters.
-	resp, body = do(t, "GET", ts.URL+"/api/graphs/paper/stats", nil)
+	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"partitions"`) {
 		t.Fatalf("graph stats: %d %s", resp.StatusCode, body)
 	}
-	resp, body = do(t, "GET", ts.URL+"/api/graphs/paper/partitions", nil)
+	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/partitions", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %d %s", resp.StatusCode, body)
 	}
@@ -83,11 +83,11 @@ func TestPartitionEndpoints(t *testing.T) {
 
 	// Unknown strategy: 400. Defaulted build (empty body): parts fall
 	// back to the engine's parallelism.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/paper/partitions", `{"strategy": "zoned"}`)
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/paper/partitions", `{"strategy": "zoned"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad strategy: %d", resp.StatusCode)
 	}
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/partitions", ``)
+	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/partitions", ``)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("defaulted build: %d %s", resp.StatusCode, body)
 	}
@@ -99,15 +99,15 @@ func TestPartitionEndpoints(t *testing.T) {
 	}
 
 	// Drop, then 404s.
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/partitions", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/partitions", nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("drop: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/partitions", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/partitions", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double drop: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/missing/partitions", `{}`)
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/missing/partitions", `{}`)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing graph: %d", resp.StatusCode)
 	}

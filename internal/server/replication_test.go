@@ -177,7 +177,7 @@ func TestFollowerServesIdenticalReads(t *testing.T) {
 		if i%2 == 1 {
 			op = "delete"
 		}
-		resp, body := do(t, "POST", p.leaderTS.URL+"/api/graphs/paper/updates",
+		resp, body := do(t, "POST", p.leaderTS.URL+"/api/v1/graphs/paper/updates",
 			fmt.Sprintf(`{"ops": [{"op": %q, "from": 0, "to": 1}]}`, op))
 		if resp.StatusCode != 200 {
 			t.Fatalf("leader update %d: %d %s", i, resp.StatusCode, body)
@@ -303,7 +303,7 @@ func TestFollowerStreamsReplicatedEvents(t *testing.T) {
 	// paper's Example 3 insertion, which grows the match relation.
 	_, pq := dataset.PaperGraph()
 	e1 := dataset.E1(pq)
-	if resp, body := do(t, "POST", p.leaderTS.URL+"/api/graphs/paper/updates",
+	if resp, body := do(t, "POST", p.leaderTS.URL+"/api/v1/graphs/paper/updates",
 		fmt.Sprintf(`{"ops": [{"op": "insert", "from": %d, "to": %d}]}`, e1.From, e1.To)); resp.StatusCode != 200 {
 		t.Fatalf("leader update: %d %s", resp.StatusCode, body)
 	}
@@ -324,7 +324,7 @@ func TestFollowerStreamsReplicatedEvents(t *testing.T) {
 		t.Fatalf("replicated delta = %s", fr.data)
 	}
 
-	if resp, _ := do(t, "DELETE", p.followerTS.URL+"/api/graphs/paper/subscriptions/"+id, nil); resp.StatusCode != http.StatusNoContent {
+	if resp, _ := do(t, "DELETE", p.followerTS.URL+"/api/v1/graphs/paper/subscriptions/"+id, nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("unsubscribe on follower: %d", resp.StatusCode)
 	}
 }

@@ -1,17 +1,19 @@
 package server
 
-// The declarative route table. Each entry names one operation once; the
-// table is mounted twice — under /api/v1 and under the deprecated
-// legacy /api prefix — through the same middleware chain, so the two
-// surfaces cannot diverge. The openapi drift test walks this table
-// against docs/openapi.yaml.
+// The declarative route table. Each entry names one operation once and
+// is mounted under /api/v1 through the middleware chain. The openapi
+// drift test walks this table against docs/openapi.yaml.
 
-import "net/http"
+import (
+	"net/http"
+
+	"expfinder/internal/api"
+)
 
 // route is one API operation.
 type route struct {
 	method string
-	// pattern is the ServeMux path suffix mounted under each API prefix,
+	// pattern is the ServeMux path suffix mounted under api.Prefix,
 	// using Go 1.22 {wildcard} segments (same syntax OpenAPI uses).
 	pattern string
 	// name labels the route in metrics, logs, and the OpenAPI spec
@@ -85,12 +87,12 @@ func (s *Server) routes() []route {
 	}
 }
 
-// mount registers every route under prefix with the per-route slice of
-// the middleware chain: surface marker -> metrics -> trace -> auth ->
-// rate limit -> admission -> handler. Tracing sits inside metrics (the
+// mount registers every route under api.Prefix with the per-route slice
+// of the middleware chain: metrics -> trace -> auth -> rate limit ->
+// admission -> handler. Tracing sits inside metrics (the
 // request id is already assigned) and outside auth, so a traced request
 // captures its auth, rate-limit, and slot-wait time too.
-func (s *Server) mount(mux *http.ServeMux, prefix string, rts []route) {
+func (s *Server) mount(mux *http.ServeMux, rts []route) {
 	for _, rt := range rts {
 		var h http.Handler = rt.h
 		if rt.pool != poolNone {
@@ -100,7 +102,6 @@ func (s *Server) mount(mux *http.ServeMux, prefix string, rts []route) {
 		h = s.withAuth(h)
 		h = s.withTrace(rt.name, h)
 		h = s.withMetrics(rt.name, h)
-		h = s.withSurface(prefix, h)
-		mux.Handle(rt.method+" "+prefix+rt.pattern, h)
+		mux.Handle(rt.method+" "+api.Prefix+rt.pattern, h)
 	}
 }

@@ -8,15 +8,13 @@
 // as subscription resources whose match deltas stream over Server-Sent
 // Events (see subscribe.go).
 //
-// The API is versioned: /api/v1 is the current surface, typed by
-// internal/api; the original /api/* paths remain as deprecated aliases
-// of the same handlers (emitting a Deprecation header) so pre-v1
-// clients keep working byte-for-byte. Every request flows through a
-// middleware chain — request id, structured logging, per-route metrics,
-// optional bearer auth, per-client rate limiting, and admission into
-// the engine's one execution pool, which sheds load with 503 +
-// Retry-After once its bounded queue is full (see middleware.go and
-// routes.go). GET /metrics serves Prometheus-style text; /healthz and
+// The API is versioned: every route lives under /api/v1, typed by
+// internal/api; nothing else under /api answers. Every request flows
+// through a middleware chain — request id, structured logging,
+// per-route metrics, optional bearer auth, per-client rate limiting,
+// and admission into the engine's one execution pool, which sheds load
+// with 503 + Retry-After once its bounded queue is full (see
+// middleware.go and routes.go). GET /metrics serves Prometheus-style text; /healthz and
 // /metrics bypass auth, rate limiting, and the pool so probes keep
 // answering under overload.
 package server
@@ -68,21 +66,10 @@ type Config struct {
 	// execution pool (profiling an overloaded server is the point)
 	// but behind bearer auth when AuthToken is set.
 	Debug bool
-	// DisableAccounting turns off the per-client resource ledger, the
-	// SLO tracker, and their endpoints/metrics. Accounting is on by
-	// default: it observes finished requests only, so results are
-	// byte-identical either way (TestAccountingDisabled).
-	DisableAccounting bool
-	// AccountClients bounds how many distinct clients the ledger tracks
-	// individually (the rest fold into an "other" bucket); 0 means 32.
-	AccountClients int
 	// SLOTargets overrides the per-route-class p99 latency targets
 	// (keys: query, mutation, read, stream, admin, debug). Classes not
 	// listed keep the defaults in defaultSLOTargets.
 	SLOTargets map[string]time.Duration
-	// Health tunes the component-health thresholds /healthz rolls up;
-	// zero fields take the defaults documented on HealthThresholds.
-	Health HealthThresholds
 	// ShedHeaviest lets admission prefer the heaviest client: once the
 	// execution pool's queue is at least half full, requests from a
 	// client consuming the majority of the last minute's wall time are
@@ -106,11 +93,9 @@ type Server struct {
 	limiter  *rateLimiter
 	tracer   *trace.Tracer
 	recorder *stats.Recorder
-	// ledger and slo are nil when Config.DisableAccounting is set; both
-	// are nil-safe, so charge sites never branch. health always exists.
-	ledger *account.Ledger
-	slo    *account.SLO
-	health *account.Health
+	ledger   *account.Ledger
+	slo      *account.SLO
+	health   *account.Health
 
 	mReqs        *metrics.Counter
 	mLatency     *metrics.Histogram
@@ -212,19 +197,16 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 
 	// Per-client accounting + SLO tracking. The charge site is the
 	// withTrace middleware — every request is charged regardless of
-	// sampling; trace-derived cost detail rides along when present.
-	if !c.DisableAccounting {
-		s.ledger = account.NewLedger(c.AccountClients)
-		s.slo = account.NewSLO(sloObjectives(c.SLOTargets))
-	}
+	// sampling; trace-derived cost detail rides along when present. The
+	// ledger tracks its default 32 clients individually.
+	s.ledger = account.NewLedger(0)
+	s.slo = account.NewSLO(sloObjectives(c.SLOTargets))
 	s.health = account.NewHealth()
 	s.registerHealthComponents()
 	s.registerAccountMetrics()
 
 	mux := http.NewServeMux()
-	rts := s.routes()
-	s.mount(mux, api.Prefix, rts)
-	s.mount(mux, api.LegacyPrefix, rts)
+	s.mount(mux, s.routes())
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.Handle("GET /metrics", s.registry.Handler())
 	if c.Debug {

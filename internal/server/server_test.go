@@ -59,7 +59,7 @@ func uploadPaperGraph(t *testing.T, ts *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper",
 		fmt.Sprintf(`{"graph": %s}`, gj))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create graph: %d %s", resp.StatusCode, body)
@@ -70,12 +70,12 @@ func TestGraphCRUD(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 
-	resp, body := do(t, "GET", ts.URL+"/api/graphs", nil)
+	resp, body := do(t, "GET", ts.URL+"/api/v1/graphs", nil)
 	if resp.StatusCode != 200 || !strings.Contains(string(body), `"paper"`) {
 		t.Fatalf("list: %d %s", resp.StatusCode, body)
 	}
 
-	resp, body = do(t, "GET", ts.URL+"/api/graphs/paper/stats", nil)
+	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("stats: %d %s", resp.StatusCode, body)
 	}
@@ -87,16 +87,16 @@ func TestGraphCRUD(t *testing.T) {
 		t.Errorf("stats nodes = %v, want 10", stats["nodes"])
 	}
 
-	resp, _ = do(t, "GET", ts.URL+"/api/graphs/paper", nil)
+	resp, _ = do(t, "GET", ts.URL+"/api/v1/graphs/paper", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("get graph: %d", resp.StatusCode)
 	}
 
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper", nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "GET", ts.URL+"/api/graphs/paper/stats", nil)
+	resp, _ = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats after delete: %d", resp.StatusCode)
 	}
@@ -107,7 +107,7 @@ func TestDuplicateGraphConflicts(t *testing.T) {
 	uploadPaperGraph(t, ts)
 	g, _ := dataset.PaperGraph()
 	gj, _ := g.MarshalJSON()
-	resp, _ := do(t, "POST", ts.URL+"/api/graphs/paper", fmt.Sprintf(`{"graph": %s}`, gj))
+	resp, _ := do(t, "POST", ts.URL+"/api/v1/graphs/paper", fmt.Sprintf(`{"graph": %s}`, gj))
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate create: %d, want 409", resp.StatusCode)
 	}
@@ -115,7 +115,7 @@ func TestDuplicateGraphConflicts(t *testing.T) {
 
 func TestGeneratedGraph(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/synth",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/synth",
 		`{"generator": {"kind": "collab", "nodes": 200, "avg_degree": 4, "seed": 1}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("generate: %d %s", resp.StatusCode, body)
@@ -128,7 +128,7 @@ func TestGeneratedGraph(t *testing.T) {
 		t.Errorf("generated nodes = %v", out["nodes"])
 	}
 	// Unknown generator kind is a 400.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/bad",
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/bad",
 		`{"generator": {"kind": "nope", "nodes": 10}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad generator: %d", resp.StatusCode)
@@ -139,7 +139,7 @@ func TestQueryViaDSL(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 	req := map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1}
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query?dot=1", req)
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query?dot=1", req)
 	if resp.StatusCode != 200 {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
@@ -179,7 +179,7 @@ func TestQueryViaJSONPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 		fmt.Sprintf(`{"pattern": %s, "k": 2}`, pj))
 	if resp.StatusCode != 200 {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
@@ -199,12 +199,12 @@ func TestQueryErrors(t *testing.T) {
 		{`not even json`, 400},
 	}
 	for _, tc := range cases {
-		resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query", tc.body)
+		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", tc.body)
 		if resp.StatusCode != tc.want {
 			t.Errorf("query %q: %d (%s), want %d", tc.body, resp.StatusCode, body, tc.want)
 		}
 	}
-	resp, _ := do(t, "POST", ts.URL+"/api/graphs/missing/query", `{"dsl": "node A output"}`)
+	resp, _ := do(t, "POST", ts.URL+"/api/v1/graphs/missing/query", `{"dsl": "node A output"}`)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("query on missing graph: %d", resp.StatusCode)
 	}
@@ -216,13 +216,13 @@ func TestUpdateFlow(t *testing.T) {
 	_, p := dataset.PaperGraph()
 
 	// Register the paper query, apply e1, check the delta counts.
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/register",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/register",
 		map[string]any{"dsl": dataset.PaperQueryDSL})
 	if resp.StatusCode != 200 {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
 	e1 := dataset.E1(p)
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/updates", map[string]any{
+	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates", map[string]any{
 		"ops": []map[string]any{{"op": "insert", "from": e1.From, "to": e1.To}},
 	})
 	if resp.StatusCode != 200 {
@@ -242,7 +242,7 @@ func TestUpdateFlow(t *testing.T) {
 		t.Errorf("update response = %+v, want 1 applied, 1 added", out)
 	}
 	// Bad op rejected.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "frob", "from": 0, "to": 1}]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad op: %d", resp.StatusCode)
@@ -252,7 +252,7 @@ func TestUpdateFlow(t *testing.T) {
 func TestCompressEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/compress",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/compress",
 		`{"scheme": "simulation-equivalence", "view": []}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("compress: %d %s", resp.StatusCode, body)
@@ -268,12 +268,12 @@ func TestCompressEndpoint(t *testing.T) {
 	if out.Nodes >= 10 || out.Ratio <= 0 {
 		t.Errorf("compression did not shrink: %+v", out)
 	}
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/compress", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/compress", nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("drop compression: %d", resp.StatusCode)
 	}
 	// Unknown scheme.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/paper/compress", `{"scheme": "zip"}`)
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/paper/compress", `{"scheme": "zip"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad scheme: %d", resp.StatusCode)
 	}
@@ -282,7 +282,7 @@ func TestCompressEndpoint(t *testing.T) {
 func TestDOTEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
-	resp, body := do(t, "GET", ts.URL+"/api/graphs/paper/dot?drilldown=1", nil)
+	resp, body := do(t, "GET", ts.URL+"/api/v1/graphs/paper/dot?drilldown=1", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("dot: %d", resp.StatusCode)
 	}
@@ -296,7 +296,7 @@ func TestDOTEndpoint(t *testing.T) {
 func TestQueryDualSemantics(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 		map[string]any{"dsl": dataset.PaperQueryDSL, "k": 2, "semantics": "dual"})
 	if resp.StatusCode != 200 {
 		t.Fatalf("dual query: %d %s", resp.StatusCode, body)
@@ -316,7 +316,7 @@ func TestQueryDualSemantics(t *testing.T) {
 		t.Errorf("dual matches = %v", out.Matches)
 	}
 	// Unknown semantics rejected.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/paper/query",
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 		map[string]any{"dsl": dataset.PaperQueryDSL, "semantics": "psychic"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad semantics: %d", resp.StatusCode)
@@ -327,7 +327,7 @@ func TestQueryMetricSelection(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 	for _, metric := range []string{"", "avg-distance", "closeness", "degree", "pagerank"} {
-		resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query",
+		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 			map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1, "metric": metric})
 		if resp.StatusCode != 200 {
 			t.Fatalf("metric %q: %d %s", metric, resp.StatusCode, body)
@@ -345,7 +345,7 @@ func TestQueryMetricSelection(t *testing.T) {
 			t.Errorf("metric %q top-1 = %v, want Bob", metric, out.TopK)
 		}
 	}
-	resp, _ := do(t, "POST", ts.URL+"/api/graphs/paper/query",
+	resp, _ := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 		map[string]any{"dsl": dataset.PaperQueryDSL, "metric": "astrology"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad metric: %d", resp.StatusCode)
@@ -357,7 +357,7 @@ func TestNodeEndpoints(t *testing.T) {
 	uploadPaperGraph(t, ts)
 
 	// Add a senior SA.
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/nodes",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/nodes",
 		`{"label": "SA", "attrs": {"name": {"kind":"string","s":"Zed"}, "experience": {"kind":"int","i":9}}}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("add node: %d %s", resp.StatusCode, body)
@@ -369,29 +369,29 @@ func TestNodeEndpoints(t *testing.T) {
 	id := created["id"]
 
 	// Update their experience.
-	resp, body = do(t, "POST", fmt.Sprintf("%s/api/graphs/paper/nodes/%d/attrs", ts.URL, id),
+	resp, body = do(t, "POST", fmt.Sprintf("%s/api/v1/graphs/paper/nodes/%d/attrs", ts.URL, id),
 		`{"experience": {"kind":"int","i":12}}`)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("set attrs: %d %s", resp.StatusCode, body)
 	}
 
 	// Remove them.
-	resp, _ = do(t, "DELETE", fmt.Sprintf("%s/api/graphs/paper/nodes/%d", ts.URL, id), nil)
+	resp, _ = do(t, "DELETE", fmt.Sprintf("%s/api/v1/graphs/paper/nodes/%d", ts.URL, id), nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("remove node: %d", resp.StatusCode)
 	}
 	// Double-remove is a 404.
-	resp, _ = do(t, "DELETE", fmt.Sprintf("%s/api/graphs/paper/nodes/%d", ts.URL, id), nil)
+	resp, _ = do(t, "DELETE", fmt.Sprintf("%s/api/v1/graphs/paper/nodes/%d", ts.URL, id), nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("double remove: %d", resp.StatusCode)
 	}
 	// Bad id is a 400.
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/nodes/banana", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/nodes/banana", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id: %d", resp.StatusCode)
 	}
 	// Graph is intact.
-	resp, body = do(t, "GET", ts.URL+"/api/graphs/paper/stats", nil)
+	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatal("stats after node ops")
 	}
@@ -408,9 +408,9 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 	req := map[string]any{"dsl": dataset.PaperQueryDSL, "k": 1}
-	do(t, "POST", ts.URL+"/api/graphs/paper/query", req)
-	do(t, "POST", ts.URL+"/api/graphs/paper/query", req)
-	resp, body := do(t, "GET", ts.URL+"/api/cache/stats", nil)
+	do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", req)
+	do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", req)
+	resp, body := do(t, "GET", ts.URL+"/api/v1/cache/stats", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("cache stats: %d", resp.StatusCode)
 	}
@@ -434,7 +434,7 @@ func TestQueryBatchEndpoint(t *testing.T) {
 		{"graph": "paper", "dsl": dataset.PaperQueryDSL, "k": 1, "semantics": "dual"},
 		{"graph": "paper", "dsl": dataset.PaperQueryDSL, "semantics": "psychic"},
 	}}
-	resp, body := do(t, "POST", ts.URL+"/api/query/batch", req)
+	resp, body := do(t, "POST", ts.URL+"/api/v1/query/batch", req)
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
@@ -481,7 +481,7 @@ func TestQueryBatchEndpoint(t *testing.T) {
 
 func TestQueryBatchEndpointRejectsEmpty(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, _ := do(t, "POST", ts.URL+"/api/query/batch", map[string]any{"queries": []any{}})
+	resp, _ := do(t, "POST", ts.URL+"/api/v1/query/batch", map[string]any{"queries": []any{}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: %d, want 400", resp.StatusCode)
 	}
@@ -492,13 +492,13 @@ func TestIndexEndpoints(t *testing.T) {
 	uploadPaperGraph(t, ts)
 
 	// No index yet: stats 404.
-	resp, _ := do(t, "GET", ts.URL+"/api/graphs/paper/index", nil)
+	resp, _ := do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats before build: %d", resp.StatusCode)
 	}
 
 	// Build (empty body -> complete index).
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/index", nil)
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("build index: %d %s", resp.StatusCode, body)
 	}
@@ -516,7 +516,7 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 
 	// Bounded queries now route through the indexed plan.
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/query",
+	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
 		`{"dsl": "node SA [label = \"SA\", experience >= 5] output\nnode SD [label = \"SD\", experience >= 2]\nedge SA -> SD bound 2", "k": 1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
@@ -530,7 +530,7 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 
 	// Graph stats embed the index stats.
-	resp, body = do(t, "GET", ts.URL+"/api/graphs/paper/stats", nil)
+	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("graph stats: %d", resp.StatusCode)
 	}
@@ -543,7 +543,7 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 
 	// Partial build replaces the index.
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/index", `{"landmarks": 3}`)
+	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", `{"landmarks": 3}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial build: %d %s", resp.StatusCode, body)
 	}
@@ -555,21 +555,21 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 
 	// Drop; stats 404 again; double drop 404.
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/index", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("drop: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "GET", ts.URL+"/api/graphs/paper/index", nil)
+	resp, _ = do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats after drop: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/index", nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double drop: %d", resp.StatusCode)
 	}
 
 	// Unknown graph: 404.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/nope/index", nil)
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/nope/index", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("build on unknown graph: %d", resp.StatusCode)
 	}
@@ -578,11 +578,11 @@ func TestIndexEndpoints(t *testing.T) {
 func TestIndexSurvivesUpdateFlow(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
-	if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, body)
 	}
 	// Insertions are repaired in place: the index stays fresh.
-	resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "insert", "from": 7, "to": 6}]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("updates: %d %s", resp.StatusCode, body)
@@ -591,7 +591,7 @@ func TestIndexSurvivesUpdateFlow(t *testing.T) {
 		Fresh bool `json:"fresh"`
 		Stale bool `json:"stale"`
 	}
-	_, body = do(t, "GET", ts.URL+"/api/graphs/paper/index", nil)
+	_, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -599,11 +599,11 @@ func TestIndexSurvivesUpdateFlow(t *testing.T) {
 		t.Fatalf("index stale after insert: %s", body)
 	}
 	// Deletions invalidate it.
-	if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "delete", "from": 7, "to": 6}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete updates: %d %s", resp.StatusCode, body)
 	}
-	_, body = do(t, "GET", ts.URL+"/api/graphs/paper/index", nil)
+	_, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +625,7 @@ func TestQueryDualSemanticsIndexed(t *testing.T) {
 	dualReq := `{"dsl": "node SD [label = \"SD\"] output\nnode BA [label = \"BA\"]\nedge SD -> BA bound 2", "semantics": "dual", "k": 3}`
 	ask := func(wantSource string) queryResponse {
 		t.Helper()
-		resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/query", dualReq)
+		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", dualReq)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("dual query: %d %s", resp.StatusCode, body)
 		}
@@ -639,18 +639,18 @@ func TestQueryDualSemanticsIndexed(t *testing.T) {
 		return out
 	}
 	direct := ask("direct")
-	if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, body)
 	}
 	answers := []queryResponse{ask("cache")}
 	// Bill (GD) -> Tess (ST): neither matches the pattern, so the answer
 	// stays and the index is repaired in place.
-	if resp, body := do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "insert", "from": 2, "to": 9}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert: %d %s", resp.StatusCode, body)
 	}
 	var st struct{ Fresh bool }
-	if _, body := do(t, "GET", ts.URL+"/api/graphs/paper/index", nil); json.Unmarshal(body, &st) != nil || !st.Fresh {
+	if _, body := do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil); json.Unmarshal(body, &st) != nil || !st.Fresh {
 		t.Fatalf("index not fresh after the insert: %s", body)
 	}
 	answers = append(answers, ask("direct"))

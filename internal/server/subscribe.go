@@ -38,13 +38,11 @@ func (s *Server) createSubscription(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	// events_url points back into the surface the client came through, so
-	// legacy clients keep legacy URLs and v1 clients get v1 URLs.
 	writeJSON(w, http.StatusCreated, api.SubscribeResponse{
 		ID:          sub.ID(),
 		PatternHash: sub.PatternHash(),
 		EventsURL: fmt.Sprintf("%s/graphs/%s/subscriptions/%s/events",
-			apiPrefix(r.Context()), name, sub.ID()),
+			api.Prefix, name, sub.ID()),
 	})
 }
 

@@ -21,7 +21,7 @@ edge SA -> SD bound 2
 
 func createSub(t *testing.T, tsURL string, body any) (id, eventsURL string) {
 	t.Helper()
-	resp, data := do(t, "POST", tsURL+"/api/graphs/paper/subscriptions", body)
+	resp, data := do(t, "POST", tsURL+"/api/v1/graphs/paper/subscriptions", body)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create subscription: %d %s", resp.StatusCode, data)
 	}
@@ -45,13 +45,13 @@ func TestSubscriptionLifecycle(t *testing.T) {
 
 	id, _ := createSub(t, ts.URL, map[string]any{"dsl": subDSL})
 
-	resp, body := do(t, "GET", ts.URL+"/api/graphs/paper/subscriptions", nil)
+	resp, body := do(t, "GET", ts.URL+"/api/v1/graphs/paper/subscriptions", nil)
 	if resp.StatusCode != 200 || !strings.Contains(string(body), fmt.Sprintf("%q", id)) {
 		t.Fatalf("list: %d %s", resp.StatusCode, body)
 	}
 
 	// Updates report the subscription fan-out.
-	resp, body = do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "insert", "from": 0, "to": 1}]}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("updates: %d %s", resp.StatusCode, body)
@@ -63,16 +63,16 @@ func TestSubscriptionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body = do(t, "GET", ts.URL+"/api/subscriptions/stats", nil)
+	resp, body = do(t, "GET", ts.URL+"/api/v1/subscriptions/stats", nil)
 	if resp.StatusCode != 200 || !strings.Contains(string(body), `"subscriptions":1`) {
 		t.Fatalf("stats: %d %s", resp.StatusCode, body)
 	}
 
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/subscriptions/"+id, nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/subscriptions/"+id, nil)
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/paper/subscriptions/"+id, nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/subscriptions/"+id, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double delete: %d", resp.StatusCode)
 	}
@@ -83,17 +83,17 @@ func TestSubscriptionErrors(t *testing.T) {
 	uploadPaperGraph(t, ts)
 
 	// Unknown graph.
-	resp, _ := do(t, "POST", ts.URL+"/api/graphs/nope/subscriptions",
+	resp, _ := do(t, "POST", ts.URL+"/api/v1/graphs/nope/subscriptions",
 		map[string]any{"dsl": subDSL})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown graph: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "GET", ts.URL+"/api/graphs/nope/subscriptions", nil)
+	resp, _ = do(t, "GET", ts.URL+"/api/v1/graphs/nope/subscriptions", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("list unknown graph: %d", resp.StatusCode)
 	}
 	// Bad pattern.
-	resp, _ = do(t, "POST", ts.URL+"/api/graphs/paper/subscriptions",
+	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/paper/subscriptions",
 		map[string]any{"dsl": "node ["})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad pattern: %d", resp.StatusCode)
@@ -102,11 +102,11 @@ func TestSubscriptionErrors(t *testing.T) {
 	id, _ := createSub(t, ts.URL, map[string]any{"dsl": subDSL})
 	g, _ := dataset.PaperGraph()
 	gj, _ := g.MarshalJSON()
-	if resp, body := do(t, "POST", ts.URL+"/api/graphs/other",
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/other",
 		fmt.Sprintf(`{"graph": %s}`, gj)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create other: %d %s", resp.StatusCode, body)
 	}
-	resp, _ = do(t, "DELETE", ts.URL+"/api/graphs/other/subscriptions/"+id, nil)
+	resp, _ = do(t, "DELETE", ts.URL+"/api/v1/graphs/other/subscriptions/"+id, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cross-graph delete: %d", resp.StatusCode)
 	}
@@ -203,7 +203,7 @@ func TestSubscriptionEventStream(t *testing.T) {
 	g, p := dataset.PaperGraph()
 	_ = g
 	e1 := dataset.E1(p)
-	resp2, body := do(t, "POST", ts.URL+"/api/graphs/paper/updates",
+	resp2, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		fmt.Sprintf(`{"ops": [{"op": "insert", "from": %d, "to": %d}]}`, e1.From, e1.To))
 	if resp2.StatusCode != 200 {
 		t.Fatalf("updates: %d %s", resp2.StatusCode, body)
@@ -227,7 +227,7 @@ func TestSubscriptionEventStream(t *testing.T) {
 	}
 
 	// 3. Deleting the subscription ends the stream with a closed frame.
-	if resp3, _ := do(t, "DELETE", ts.URL+"/api/graphs/paper/subscriptions/"+id, nil); resp3.StatusCode != http.StatusNoContent {
+	if resp3, _ := do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/subscriptions/"+id, nil); resp3.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", resp3.StatusCode)
 	}
 	fr = next()
@@ -256,7 +256,7 @@ func TestSubscriptionStreamGraphRemoved(t *testing.T) {
 	go readSSE(t, resp, frames)
 	<-frames // snapshot
 
-	if resp2, _ := do(t, "DELETE", ts.URL+"/api/graphs/paper", nil); resp2.StatusCode != http.StatusNoContent {
+	if resp2, _ := do(t, "DELETE", ts.URL+"/api/v1/graphs/paper", nil); resp2.StatusCode != http.StatusNoContent {
 		t.Fatalf("remove graph: %d", resp2.StatusCode)
 	}
 	select {
@@ -293,7 +293,7 @@ func TestSubscriptionStreamsNodeMutations(t *testing.T) {
 	<-frames // snapshot: SA matches include Bob (node 0)
 
 	// Removing Bob must stream a delta without any edge update arriving.
-	if resp2, body := do(t, "DELETE", ts.URL+"/api/graphs/paper/nodes/0", nil); resp2.StatusCode != http.StatusNoContent {
+	if resp2, body := do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/nodes/0", nil); resp2.StatusCode != http.StatusNoContent {
 		t.Fatalf("remove node: %d %s", resp2.StatusCode, body)
 	}
 	select {
@@ -306,7 +306,7 @@ func TestSubscriptionStreamsNodeMutations(t *testing.T) {
 	}
 
 	// Attribute churn that disqualifies Walt (node 1) also streams.
-	if resp3, body := do(t, "POST", ts.URL+"/api/graphs/paper/nodes/1/attrs",
+	if resp3, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/nodes/1/attrs",
 		`{"experience": {"kind": "int", "i": 0}}`); resp3.StatusCode != http.StatusNoContent {
 		t.Fatalf("set attrs: %d %s", resp3.StatusCode, body)
 	}

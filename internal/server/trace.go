@@ -34,17 +34,11 @@ func traceRequested(r *http.Request) bool {
 // has the client key, final status, elapsed time, response bytes, and
 // the finished trace together — so every request is charged regardless
 // of sampling, with trace-derived cost detail riding along when the
-// request happened to be traced. With tracing sampled out, no
-// slow-query threshold, and accounting off, the request passes through
-// untouched.
+// request happened to be traced.
 func (s *Server) withTrace(route string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, trc := s.tracer.Start(r.Context(), w.Header().Get("X-Request-ID"),
 			route, traceRequested(r))
-		if trc == nil && s.tracer.SlowThreshold() <= 0 && s.ledger == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
 		if trc != nil {
 			r = r.WithContext(ctx)
 		}
@@ -65,11 +59,9 @@ func (s *Server) withTrace(route string, next http.Handler) http.Handler {
 		}
 		client := clientKey(r)
 		s.tracer.NoteSlow(w.Header().Get("X-Request-ID"), route, client, status, elapsed, tj)
-		if s.ledger != nil {
-			ch := account.Charge{Client: client, Route: route, Status: status, Wall: elapsed, BytesOut: bytes}
-			ch.AddTrace(tj)
-			s.ledger.Charge(ch)
-		}
+		ch := account.Charge{Client: client, Route: route, Status: status, Wall: elapsed, BytesOut: bytes}
+		ch.AddTrace(tj)
+		s.ledger.Charge(ch)
 		s.slo.Observe(routeClass(route), status, elapsed)
 	})
 }

@@ -17,9 +17,9 @@
 //     durations, cache hits, distindex proved/refuted ratios — into
 //     rolling summaries with p50/p95.
 //
-// Snapshots of the graph half are persisted beside WAL checkpoints
-// (see internal/wal and engine.Checkpoint) so a restart restores the
-// histograms without an O(E) recount of every edge's label pair.
+// Statistics are derived state and are never persisted: recovery
+// recounts them from the recovered graph (NewGraph), which costs a
+// fraction of decoding the graph image itself.
 package stats
 
 import (
@@ -284,8 +284,7 @@ type LabelPairCount struct {
 }
 
 // Snapshot is the serializable rendering of a Graph's counters — the
-// wire shape of /api/v1/graphs/{name}/stats and the form persisted
-// beside WAL checkpoints.
+// wire shape of /api/v1/graphs/{name}/stats.
 type Snapshot struct {
 	GraphVersion uint64              `json:"graph_version"`
 	Nodes        int                 `json:"nodes"`
@@ -395,66 +394,4 @@ func (a *Snapshot) Equal(b *Snapshot) bool {
 		}
 	}
 	return true
-}
-
-// Restore rebuilds a Graph from a persisted snapshot, provided the
-// snapshot's stamp matches g's current version and its totals match
-// the graph. The per-node degree and label mirrors are re-read from g
-// in O(V); what the snapshot saves is the O(E) edge walk that label-
-// pair counting would otherwise pay. Returns nil when the snapshot is
-// stale or inconsistent — the caller falls back to NewGraph.
-func Restore(g *graph.Graph, snap *Snapshot) *Graph {
-	if snap == nil || snap.GraphVersion != g.Version() ||
-		snap.Nodes != g.NumNodes() || snap.Edges != g.NumEdges() {
-		return nil
-	}
-	s := &Graph{
-		version:   snap.GraphVersion,
-		rebuilds:  snap.Rebuilds,
-		nodes:     snap.Nodes,
-		edges:     snap.Edges,
-		labelIDs:  map[string]labelID{},
-		edgePairs: map[uint64]int64{},
-	}
-	n := g.MaxID()
-	s.outDeg = make([]int32, n)
-	s.inDeg = make([]int32, n)
-	s.labelOf = make([]labelID, n)
-	for i := range s.labelOf {
-		s.labelOf[i] = -1
-	}
-	g.ForEachNode(func(nd graph.Node) {
-		lid := s.internLocked(nd.Label)
-		s.labelOf[nd.ID] = lid
-		s.labelCount[lid]++
-		od, id := g.OutDegree(nd.ID), g.InDegree(nd.ID)
-		s.outDeg[nd.ID], s.inDeg[nd.ID] = int32(od), int32(id)
-		s.outHist[DegreeBucket(od)]++
-		s.inHist[DegreeBucket(id)]++
-	})
-	// Label frequencies came from the graph walk; cross-check them (and
-	// the degree histograms' totals are the node count by construction)
-	// against the snapshot before trusting its label pairs.
-	for name, c := range snap.Labels {
-		lid, ok := s.labelIDs[name]
-		if !ok || s.labelCount[lid] != c {
-			return nil
-		}
-	}
-	for _, p := range snap.LabelPairs {
-		from, okF := s.labelIDs[p.From]
-		to, okT := s.labelIDs[p.To]
-		if !okF || !okT {
-			return nil
-		}
-		s.edgePairs[pairKey(from, to)] += p.Count
-	}
-	var pairTotal int64
-	for _, c := range s.edgePairs {
-		pairTotal += c
-	}
-	if pairTotal != int64(snap.Edges) {
-		return nil
-	}
-	return s
 }

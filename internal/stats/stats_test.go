@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math/rand"
 	"sync"
 	"testing"
@@ -210,51 +209,5 @@ func TestConcurrentReadersRaceClean(t *testing.T) {
 	defer mu.RUnlock()
 	if snap := st.Snapshot(g); !snap.Equal(Compute(g)) {
 		t.Fatal("post-race snapshot diverged from recount")
-	}
-}
-
-// TestRestoreRoundTrip persists a snapshot through JSON (the WAL's
-// stats.json format) and restores it onto the same graph; the restored
-// counters must match without a recount, and a snapshot that no longer
-// matches the graph must be rejected.
-func TestRestoreRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	g := graph.New(0)
-	st := NewGraph(g)
-	var ids []graph.NodeID
-	for i := 0; i < 15; i++ {
-		id := g.AddNode(testLabels[r.Intn(len(testLabels))], nil)
-		st.SyncNodeAdded(g, id)
-		ids = append(ids, id)
-	}
-	for i := 0; i < 40; i++ {
-		applyBatch(g, st, []Update{{Insert: true, From: ids[r.Intn(len(ids))], To: ids[r.Intn(len(ids))]}})
-	}
-	data, err := json.Marshal(st.Snapshot(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	restored := Restore(g, &snap)
-	if restored == nil {
-		t.Fatal("matching snapshot rejected")
-	}
-	if got := restored.Snapshot(g); !got.Equal(Compute(g)) {
-		t.Fatal("restored counters diverged from recount")
-	}
-	// A restore must be cheaper than a rebuild: the counter carries
-	// over from the snapshot with no additional recount.
-	if restored.Rebuilds() != st.Rebuilds() {
-		t.Fatalf("restore paid %d extra rebuilds", restored.Rebuilds()-st.Rebuilds())
-	}
-	// Mutate the graph: the persisted snapshot no longer applies.
-	if err := g.AddEdge(ids[0], ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if Restore(g, &snap) != nil {
-		t.Fatal("stale snapshot restored")
 	}
 }

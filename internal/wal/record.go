@@ -33,8 +33,8 @@ type Update = graph.Update
 
 // Record is the decoded form of one log entry. Post is the graph's
 // version immediately after the mutation; replay restores it exactly, so
-// recovered graphs re-enter the engine at the version every persisted
-// consumer (stored results, index metadata) knew them by.
+// recovered graphs re-enter the engine at the version a follower's
+// position and every version-keyed consumer knew them by.
 type Record struct {
 	Kind  byte
 	Post  uint64

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -32,13 +31,6 @@ type Recovered struct {
 	// signature of a crash during an append — and the partial record was
 	// discarded. Everything before it was recovered.
 	TornTail bool
-	// Index is the persisted distance-index metadata, if any; the engine
-	// re-arms (rebuilds) the index from it.
-	Index *IndexMeta
-	// Stats is the persisted graph-statistics snapshot, if any — opaque
-	// JSON owned by internal/stats; the engine validates it against the
-	// recovered graph before trusting it.
-	Stats []byte
 }
 
 // GraphNames lists the graphs with persisted state, sorted.
@@ -90,8 +82,6 @@ func (m *Manager) Recover(name string) (*Recovered, error) {
 		m.unreserve(name, gl)
 		return nil, fmt.Errorf("wal: recover %q: %w", name, err)
 	}
-	rec.Index = readIndexMeta(dir)
-	rec.Stats = readStatsMeta(dir)
 
 	// Quarantine the torn segment before the re-checkpoint deletes the
 	// replayed files: the discarded partial record stays on disk for
@@ -303,87 +293,4 @@ func tornOrCorrupt(data []byte, tearAt, replayed int) error {
 		}
 	}
 	return nil
-}
-
-// writeIndexMeta atomically persists (or removes, for nil) index
-// metadata.
-func writeIndexMeta(dir string, meta *IndexMeta) error {
-	path := filepath.Join(dir, indexMetaFile)
-	if meta == nil {
-		err := os.Remove(path)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	data, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".idx-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// readIndexMeta loads index metadata; unreadable or corrupt metadata is
-// treated as absent (the index is an accelerator — dropping it is always
-// safe).
-func readIndexMeta(dir string) *IndexMeta {
-	data, err := os.ReadFile(filepath.Join(dir, indexMetaFile))
-	if err != nil {
-		return nil
-	}
-	var meta IndexMeta
-	if json.Unmarshal(data, &meta) != nil {
-		return nil
-	}
-	return &meta
-}
-
-// writeStatsMeta atomically persists (or removes, for nil) a graph's
-// statistics snapshot. The bytes are opaque here: internal/stats owns
-// the format and validates on restore.
-func writeStatsMeta(dir string, data []byte) error {
-	path := filepath.Join(dir, statsMetaFile)
-	if data == nil {
-		err := os.Remove(path)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".stats-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// readStatsMeta loads a persisted statistics snapshot; unreadable means
-// absent (statistics rebuild from the graph — dropping them is always
-// safe).
-func readStatsMeta(dir string) []byte {
-	data, err := os.ReadFile(filepath.Join(dir, statsMetaFile))
-	if err != nil {
-		return nil
-	}
-	return data
 }

@@ -10,8 +10,14 @@
 //	graphs/<name>/snapshot-<version>.snap   exact graph image (storage.WriteGraphImage)
 //	graphs/<name>/wal-<version>.seg         log segments, named by the graph
 //	                                        version at which the segment opened
-//	graphs/<name>/index.json                distance-index metadata, if one was built
+//	graphs/<name>/wal-<version>.seg.torn    a torn final segment, quarantined
+//	                                        by recovery for inspection
 //	trash/                                  staging for crash-safe graph removal
+//
+// Only the graph is persisted. What the engine derives from it — graph
+// statistics, the distance index, partitionings, quotients — is rebuilt
+// in memory (statistics at recovery, accelerators on request); any other
+// file in a graph directory is ignored.
 //
 // Each segment starts with a header (magic "EFWL", format version, base
 // version) followed by CRC32-framed records:
@@ -159,8 +165,6 @@ const (
 	snapSuffix       = ".snap"
 	segPrefix        = "wal-"
 	segSuffix        = ".seg"
-	indexMetaFile    = "index.json"
-	statsMetaFile    = "stats.json"
 )
 
 // Observer receives the manager's record stream as it lands on disk —
@@ -551,42 +555,6 @@ func (m *Manager) NeedsCheckpoint(name string) bool {
 	return gl.broken || gl.sinceCkpt >= m.opts.CheckpointBytes
 }
 
-// IndexMeta records that a distance index was built over a graph, so
-// recovery can re-arm it. GraphVersion is the version at build time;
-// recovery rebuilds from the recovered graph, so a stale version here is
-// informational, never a correctness hazard.
-type IndexMeta struct {
-	Landmarks    int    `json:"landmarks"`
-	GraphVersion uint64 `json:"graph_version"`
-}
-
-// SetIndexMeta persists (or, with nil, clears) the graph's index
-// metadata.
-func (m *Manager) SetIndexMeta(name string, meta *IndexMeta) error {
-	gl, err := m.lookup(name)
-	if err != nil {
-		return err
-	}
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	return writeIndexMeta(gl.dir, meta)
-}
-
-// SetStatsSnapshot persists (or, with nil, clears) the graph's
-// statistics snapshot — an opaque JSON document owned by
-// internal/stats. Like index metadata it lives beside the WAL files
-// and survives checkpoints; recovery hands it back verbatim and the
-// engine decides whether it still matches the recovered graph.
-func (m *Manager) SetStatsSnapshot(name string, data []byte) error {
-	gl, err := m.lookup(name)
-	if err != nil {
-		return err
-	}
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	return writeStatsMeta(gl.dir, data)
-}
-
 // Flush pushes buffered bytes to the OS and syncs every dirty log.
 func (m *Manager) Flush() error {
 	m.mu.Lock()
@@ -644,8 +612,6 @@ type GraphStats struct {
 	SnapshotVersion      uint64 `json:"snapshot_version"`
 	LastVersion          uint64 `json:"last_version"`
 	Records              uint64 `json:"records"`
-	HasIndexMeta         bool   `json:"has_index_meta"`
-	HasStatsMeta         bool   `json:"has_stats_meta"`
 }
 
 // Stats aggregates the manager's counters and per-graph state, sorted by
@@ -894,8 +860,8 @@ func (gl *graphLog) checkpoint(g *graph.Graph) error {
 		if n == snapName(v) || n == segName(v) {
 			continue
 		}
-		// Exact prefix+suffix match only: quarantined *.torn segments and
-		// the index metadata must survive checkpoints.
+		// Exact prefix+suffix match only: quarantined *.torn segments must
+		// survive checkpoints.
 		isSnap := strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, snapSuffix)
 		isSeg := strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix)
 		if isSnap || isSeg {
@@ -934,12 +900,6 @@ func (gl *graphLog) stats() GraphStats {
 				if info, err := e.Info(); err == nil {
 					st.WALBytes += info.Size()
 				}
-			}
-			if e.Name() == indexMetaFile {
-				st.HasIndexMeta = true
-			}
-			if e.Name() == statsMetaFile {
-				st.HasStatsMeta = true
 			}
 		}
 	}

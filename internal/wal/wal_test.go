@@ -298,34 +298,6 @@ func TestInvalidGraphNames(t *testing.T) {
 	}
 }
 
-func TestIndexMetaRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m := openManager(t, dir, Options{})
-	g := graph.New(0)
-	g.AddNode("SA", nil)
-	if err := m.Create("g", g); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetIndexMeta("g", &IndexMeta{Landmarks: 16, GraphVersion: g.Version()}); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	m2 := openManager(t, dir, Options{})
-	rec, err := m2.Recover("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Index == nil || rec.Index.Landmarks != 16 {
-		t.Fatalf("index meta lost: %+v", rec.Index)
-	}
-	if err := m2.SetIndexMeta("g", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "graphs", "g", indexMetaFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("clearing index meta left the file behind")
-	}
-}
-
 func TestNonMonotoneVersionRejected(t *testing.T) {
 	m := openManager(t, t.TempDir(), Options{})
 	g := graph.New(0)
