@@ -147,13 +147,6 @@ func NewQuery() *Query { return pattern.New() }
 //	edge SA -> SD bound 2
 func ParseQuery(dsl string) (*Query, error) { return pattern.Parse(dsl) }
 
-// MinimizeQuery returns an equivalent, typically smaller query (duplicate
-// nodes merged, implied edges dropped) with the node-index mapping. The
-// match relation is preserved exactly; result-graph edges derived from
-// removed pattern edges are not, so minimize before matching, not before
-// ranking comparisons across the two forms.
-func MinimizeQuery(q *Query) (*Query, []QueryNodeIdx) { return pattern.Minimize(q) }
-
 // Matching results.
 type (
 	// MatchRelation is the match relation M(Q,G).
@@ -223,11 +216,6 @@ var (
 	// MetricPageRank prefers experts central to the team's structure.
 	MetricPageRank RankMetric = rank.PageRank{}
 )
-
-// TopKByMetric is TopK under an alternative ranking metric.
-func TopKByMetric(g *Graph, q *Query, r *MatchRelation, k int, metric RankMetric) []Ranked {
-	return rank.TopKByMetric(g, q, r, k, metric)
-}
 
 // TopKOnResult re-ranks an engine query result under another metric
 // without rebuilding the result graph.
@@ -497,47 +485,12 @@ type (
 	// PersistenceManager owns the write-ahead logs and snapshots under
 	// one data directory.
 	PersistenceManager = wal.Manager
-	// PersistenceOptions configures OpenPersistence (directory, fsync
-	// policy, segment/checkpoint sizing).
-	PersistenceOptions = wal.Options
-	// FsyncPolicy selects when log records reach stable storage.
-	FsyncPolicy = wal.FsyncPolicy
 	// PersistenceStats aggregates log-manager counters and per-graph
 	// WAL/snapshot state.
 	PersistenceStats = wal.Stats
 	// RecoverySummary reports Engine.Recover's per-graph outcomes.
 	RecoverySummary = engine.RecoverySummary
 )
-
-// Fsync policies.
-const (
-	// FsyncAlways syncs after every mutation batch.
-	FsyncAlways = wal.FsyncAlways
-	// FsyncInterval (the default) syncs on a short ticker: bounded loss.
-	FsyncInterval = wal.FsyncInterval
-	// FsyncOff writes through to the OS but never syncs.
-	FsyncOff = wal.FsyncOff
-)
-
-// OpenPersistence opens (creating if needed) a durability manager rooted
-// at opts.Dir.
-func OpenPersistence(opts PersistenceOptions) (*PersistenceManager, error) { return wal.Open(opts) }
-
-// EdgeListOptions configures ImportEdgeList.
-type EdgeListOptions = storage.EdgeListOptions
-
-// ImportEdgeList parses a SNAP-style edge list ("src dst" per line, #
-// comments) into a graph, returning the external-id mapping. Combine with
-// ApplyNodeTable for labels and attributes.
-func ImportEdgeList(r io.Reader, opts EdgeListOptions) (*Graph, map[int64]NodeID, error) {
-	return storage.ReadEdgeList(r, opts)
-}
-
-// ApplyNodeTable applies a node attribute CSV (header: id,label,attr...)
-// to an imported graph.
-func ApplyNodeTable(r io.Reader, g *Graph, idMap map[int64]NodeID) error {
-	return storage.ApplyNodeTable(r, g, idMap)
-}
 
 // Baselines.
 type (

@@ -140,6 +140,19 @@ func (c *Compressed) Ratio() float64 {
 	return 1 - float64(comp)/float64(orig)
 }
 
+// payingRatio is the Ratio at or below which a quotient no longer pays:
+// bounded evaluation on it, decompression included, is no faster than the
+// kernel on the source graph. BenchmarkQuotientAfterWrites measures the
+// crossover on the repository benchmark's graph under its write stream
+// (the table is in docs/ARCHITECTURE.md).
+const payingRatio = 0.2
+
+// Pays reports whether the quotient is still small enough to be worth
+// reading and repairing. Maintenance splits blocks and never merges them,
+// so only a rebuild makes a quotient that stopped paying coarse again; the
+// engine drops it instead.
+func (c *Compressed) Pays() bool { return c.Ratio() > payingRatio }
+
 // Decompress expands a match relation computed on the quotient graph into
 // the relation on the original graph: every member of a matched block
 // matches. This is the paper's linear post-processing step.

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"sort"
 
 	"expfinder/internal/graph"
 )
@@ -19,9 +20,12 @@ func Delete(from, to graph.NodeID) Update { return Update{Insert: false, From: f
 // quotient incrementally. The repaired partition stays a valid (stable)
 // bisimulation partition — queries on the quotient remain exact — though it
 // can be finer than the coarsest one: maintenance only splits blocks, never
-// re-merges them. Call Rebuild periodically to restore optimal compression.
+// re-merges them, so the quotient only grows under writes; Rebuild, or a
+// fresh CompressWithView, restores the coarsest one. Pays reports when it
+// has grown too fine to be worth keeping.
 //
-// Only the Bisimulation scheme supports maintenance.
+// Only the Bisimulation scheme supports maintenance. Given the same
+// quotient and the same updates, maintenance assigns the same block ids.
 func (c *Compressed) Maintain(ops []Update) error {
 	if c.scheme != Bisimulation {
 		return ErrNoMaintenance
@@ -103,12 +107,10 @@ func (c *Compressed) bumpEdge(from, to graph.NodeID, delta int) {
 
 // restabilize processes dirty blocks, splitting any whose members disagree
 // on their successor-block signature, and cascading to predecessor blocks
-// whenever a split changes what their signatures refer to.
+// whenever a split changes what their signatures refer to. Blocks are
+// queued in id order, so the same input always splits the same way.
 func (c *Compressed) restabilize(dirty map[graph.NodeID]bool) {
-	queue := make([]graph.NodeID, 0, len(dirty))
-	for b := range dirty {
-		queue = append(queue, b)
-	}
+	queue := sortedIDs(dirty)
 	queued := dirty
 	for len(queue) > 0 {
 		b := queue[len(queue)-1]
@@ -127,13 +129,23 @@ func (c *Compressed) restabilize(dirty map[graph.NodeID]bool) {
 				preds[p] = true
 			}
 		}
-		for p := range preds {
+		for _, p := range sortedIDs(preds) {
 			if !queued[p] {
 				queued[p] = true
 				queue = append(queue, p)
 			}
 		}
 	}
+}
+
+// sortedIDs returns the members of set in ascending order.
+func sortedIDs(set map[graph.NodeID]bool) []graph.NodeID {
+	ids := make([]graph.NodeID, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // memberSuccSig renders the successor-block signature of one source node.
@@ -145,7 +157,7 @@ func (c *Compressed) memberSuccSig(v graph.NodeID) string {
 	if len(blocks) == 0 {
 		return ""
 	}
-	sortInts(blocks)
+	sort.Ints(blocks)
 	out := blocks[:1]
 	for _, b := range blocks[1:] {
 		if b != out[len(out)-1] {
@@ -153,14 +165,6 @@ func (c *Compressed) memberSuccSig(v graph.NodeID) string {
 		}
 	}
 	return fmt.Sprint(out)
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // splitBlock checks uniformity of block b and, if violated, moves each
@@ -180,21 +184,26 @@ func (c *Compressed) splitBlock(b graph.NodeID) []graph.NodeID {
 	if len(groups) == 1 {
 		return nil
 	}
-	// Keep the largest group in place (least churn); deterministic
-	// tie-break on the signature string.
-	var keepSig string
-	for sig, g := range groups {
-		if keepSig == "" || len(g) > len(groups[keepSig]) ||
-			(len(g) == len(groups[keepSig]) && sig < keepSig) {
+	// New blocks are created in signature order. The largest group stays
+	// in place (least churn), the first in that order on a tie.
+	sigs := make([]string, 0, len(groups))
+	for sig := range groups {
+		sigs = append(sigs, sig)
+	}
+	sort.Strings(sigs)
+	keepSig := sigs[0]
+	for _, sig := range sigs[1:] {
+		if len(groups[sig]) > len(groups[keepSig]) {
 			keepSig = sig
 		}
 	}
 	var created []graph.NodeID
 	oldNode := c.gc.MustNode(b)
-	for sig, grp := range groups {
+	for _, sig := range sigs {
 		if sig == keepSig {
 			continue
 		}
+		grp := groups[sig]
 		// The new block inherits the old quotient node's label and (viewed)
 		// attributes: splits never change the static signature.
 		nb := c.gc.AddNode(oldNode.Label, oldNode.Attrs.Clone())

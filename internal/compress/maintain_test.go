@@ -3,11 +3,13 @@ package compress
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"expfinder/internal/bsim"
 	"expfinder/internal/dataset"
+	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/testutil"
 )
@@ -249,4 +251,38 @@ func TestMaintainManySequentialUpdates(t *testing.T) {
 	if !g.Equal(mirror) {
 		t.Error("maintained graph diverged from mirror")
 	}
+}
+
+// TestMaintenanceIsDeterministic: the same quotient fed the same updates
+// assigns every node the same block and ends with the same quotient edges.
+func TestMaintenanceIsDeterministic(t *testing.T) {
+	g, err := generator.Collaboration(generator.Config{Nodes: 600, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches [][]Update
+	writes := testutil.NewEdgeStream(g.Clone(), 5)
+	for i := 0; i < 50; i++ {
+		batches = append(batches, writes.Batch(16))
+	}
+	run := func() *Compressed {
+		src := g.Clone()
+		c := CompressWithView(src, Bisimulation, View{"experience"})
+		for _, ops := range batches {
+			if err := c.Maintain(ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	a, b := run(), run()
+	for _, v := range g.Nodes() {
+		if a.BlockOf(v) != b.BlockOf(v) {
+			t.Fatalf("node %d: block %d in one run, %d in the other", v, a.BlockOf(v), b.BlockOf(v))
+		}
+	}
+	if ea, eb := a.Graph().Edges(), b.Graph().Edges(); !reflect.DeepEqual(ea, eb) {
+		t.Fatalf("quotient edges differ: %d vs %d", len(ea), len(eb))
+	}
+	checkInvariants(t, a)
 }

@@ -7,9 +7,9 @@ import (
 // Node-level maintenance of the bisimulation quotient, mirroring the
 // incremental matcher's node support: added nodes become fresh singleton
 // blocks (a finer-than-coarsest partition stays exact), removed nodes leave
-// their block (dropping it when it empties), and attribute changes move the
-// node into its own block before restabilizing, since the static signature
-// may no longer match its old blockmates'.
+// their block (dropping it when it empties), and a change to a viewed
+// attribute moves the node into its own block before restabilizing, since
+// the static signature may no longer match its old blockmates'.
 
 // SyncNodeAdded registers a node just added to the source graph (no
 // incident edges yet) as a new singleton block.
@@ -88,11 +88,13 @@ func (c *Compressed) SyncNodeRemoving(id graph.NodeID) error {
 	return nil
 }
 
-// SyncAttrChanged moves a node whose attributes changed into a fresh
-// singleton block (its static signature may have diverged from its block)
-// and restabilizes the affected region. A no-op when the node was already
-// alone in its block — then only the block's stored attributes refresh.
-func (c *Compressed) SyncAttrChanged(id graph.NodeID) error {
+// SyncAttrChanged follows a change of attribute key on node id. A key
+// outside the view leaves every static signature as it was, so only the
+// version moves. Otherwise the node moves into a fresh singleton block
+// (its static signature may have diverged from its block) and the affected
+// region restabilizes; when the node was already alone in its block, only
+// the block's stored attributes refresh.
+func (c *Compressed) SyncAttrChanged(id graph.NodeID, key string) error {
 	if c.scheme != Bisimulation {
 		return ErrNoMaintenance
 	}
@@ -104,6 +106,10 @@ func (c *Compressed) SyncAttrChanged(id graph.NodeID) error {
 	old := c.blockOf[id]
 	if old == graph.Invalid {
 		return graph.ErrNoNode
+	}
+	if !c.view.Has(key) {
+		c.version = c.src.Version()
+		return nil
 	}
 	attrs := n.Attrs.Clone()
 	if c.view != nil {

@@ -78,7 +78,7 @@ func TestSyncAttrChangedSplitsAndRefreshes(t *testing.T) {
 	if err := g.SetAttr(l1, "experience", graph.Int(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SyncAttrChanged(l1); err != nil {
+	if err := c.SyncAttrChanged(l1, "experience"); err != nil {
 		t.Fatal(err)
 	}
 	if c.BlockOf(l1) == c.BlockOf(l2) {
@@ -95,13 +95,53 @@ func TestSyncAttrChangedSplitsAndRefreshes(t *testing.T) {
 	if err := g.SetAttr(l1, "experience", graph.Int(5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SyncAttrChanged(l1); err != nil {
+	if err := c.SyncAttrChanged(l1, "experience"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Graph().NumNodes() != blocks {
 		t.Error("singleton attr change altered block count")
 	}
 	checkInvariants(t, c)
+}
+
+// TestAttrOutsideViewSplitsNothing: writing an attribute the view does not
+// distinguish leaves the blocks as they are; a viewed one still splits.
+func TestAttrOutsideViewSplitsNothing(t *testing.T) {
+	g := graph.New(3)
+	hub := g.AddNode("H", nil)
+	l1 := g.AddNode("X", graph.Attrs{"experience": graph.Int(3), "name": graph.String("a")})
+	l2 := g.AddNode("X", graph.Attrs{"experience": graph.Int(3), "name": graph.String("b")})
+	for _, v := range []graph.NodeID{l1, l2} {
+		if err := g.AddEdge(hub, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := CompressWithView(g, Bisimulation, View{"experience"})
+	if c.Graph().NumNodes() != 2 {
+		t.Fatalf("setup: blocks = %d, want 2", c.Graph().NumNodes())
+	}
+	for _, w := range []struct {
+		key    string
+		val    graph.Value
+		blocks int
+	}{
+		{"name", graph.String("c"), 2},
+		{"experience", graph.Int(9), 3},
+	} {
+		if err := g.SetAttr(l1, w.key, w.val); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SyncAttrChanged(l1, w.key); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Graph().NumNodes(); got != w.blocks {
+			t.Errorf("after a %s write: %d blocks, want %d", w.key, got, w.blocks)
+		}
+		if err := c.Maintain(nil); err != nil {
+			t.Errorf("after a %s write: %v", w.key, err)
+		}
+		checkInvariants(t, c)
+	}
 }
 
 func TestNodeOpsRejectedForSimEq(t *testing.T) {
@@ -113,7 +153,7 @@ func TestNodeOpsRejectedForSimEq(t *testing.T) {
 	if err := c.SyncNodeRemoving(p.Bob); err != ErrNoMaintenance {
 		t.Errorf("SyncNodeRemoving err = %v", err)
 	}
-	if err := c.SyncAttrChanged(p.Bob); err != ErrNoMaintenance {
+	if err := c.SyncAttrChanged(p.Bob, "experience"); err != ErrNoMaintenance {
 		t.Errorf("SyncAttrChanged err = %v", err)
 	}
 }
@@ -141,7 +181,7 @@ func TestQuickNodeOpsKeepQuotientExact(t *testing.T) {
 				if err := g.SetAttr(id, "experience", graph.Int(int64(r.Intn(10)))); err != nil {
 					return false
 				}
-				if err := c.SyncAttrChanged(id); err != nil {
+				if err := c.SyncAttrChanged(id, "experience"); err != nil {
 					return false
 				}
 			case 2:

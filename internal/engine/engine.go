@@ -16,8 +16,8 @@
 //  3. if a fresh distance index is registered and the query has bounds
 //     beyond 1, evaluate with the index-accelerated bounded-simulation
 //     plan;
-//  4. if a compressed graph Gc compatible with Q exists, evaluate on Gc
-//     and expand;
+//  4. if a compressed graph Gc compatible with Q exists and still pays
+//     (compress.Compressed.Pays), evaluate on Gc and expand;
 //  5. otherwise evaluate directly on the refinement kernel (internal/bsim),
 //     under the plan name "simulation" when every bound is 1 and
 //     "bounded-simulation" otherwise.
@@ -36,8 +36,9 @@
 // maintainer once → log sequence under the graph's write lock, with edge
 // batches passed to every maintainer and the log as one []graph.Update. A
 // maintainer that cannot repair in place goes stale or is dropped — a
-// simulation-equivalence quotient lives until the first write — and the
-// write itself never fails on its account.
+// simulation-equivalence quotient lives until the first write, a
+// bisimulation one until a write takes it past the cut — and the write
+// itself never fails on its account.
 //
 // Beyond one-shot queries, the engine hosts continuous queries
 // (Subscribe): standing patterns whose match deltas stream to clients as
@@ -686,11 +687,11 @@ func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, 
 	return rel, source, plan, nil
 }
 
-// compressedUsable reports whether the quotient can answer q exactly:
-// the attribute view must cover q's predicates, and bounded plans require
-// the bisimulation scheme.
+// compressedUsable reports whether the quotient should answer q: it must
+// still pay (Compressed.Pays), the attribute view must cover q's
+// predicates, and bounded plans require the bisimulation scheme.
 func (e *Engine) compressedUsable(c *compress.Compressed, q *pattern.Pattern, plan Plan) bool {
-	if !c.AttrView().Compatible(q) {
+	if !c.Pays() || !c.AttrView().Compatible(q) {
 		return false
 	}
 	return plan == PlanSimulation || c.Scheme() == compress.Bisimulation
@@ -754,9 +755,12 @@ func (e *Engine) RegisteredQueries(graphName string) ([]*pattern.Pattern, error)
 	return out, nil
 }
 
-// CompressGraph builds (or replaces) the compressed form of a graph. Only
-// a bisimulation quotient is maintained under writes; one built with the
-// simulation-equivalence scheme is dropped by the first write.
+// CompressGraph builds (or replaces) the compressed form of a graph.
+// Queries read it only while it pays (compress.Compressed.Pays). A
+// bisimulation quotient is maintained under writes until the write that
+// takes it past that cut drops it; one built with the
+// simulation-equivalence scheme is dropped by the first write. Either way
+// the operator rebuilds it on purpose, by calling CompressGraph again.
 func (e *Engine) CompressGraph(graphName string, scheme compress.Scheme, view compress.View) (*compress.Compressed, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -777,6 +781,19 @@ func (e *Engine) Compressed(graphName string) (*compress.Compressed, error) {
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
 	return mg.comp, nil
+}
+
+// WithCompressed runs fn with the named graph's quotient, nil when none is
+// attached, under the graph's read lock, on WithGraph's terms.
+func (e *Engine) WithCompressed(graphName string, fn func(*compress.Compressed)) error {
+	mg, err := e.lookup(graphName)
+	if err != nil {
+		return err
+	}
+	mg.mu.RLock()
+	defer mg.mu.RUnlock()
+	fn(mg.comp)
+	return nil
 }
 
 // DropCompression removes the compressed form.

@@ -260,14 +260,14 @@ func TestIndexNodeLifecycleHooks(t *testing.T) {
 }
 
 func TestIndexedTakesPrecedenceOverCompressed(t *testing.T) {
-	e, _ := newPaperEngine(t)
-	if _, err := e.CompressGraph("paper", compress.Bisimulation, compress.View{"experience"}); err != nil {
+	e := newCollabEngine(t)
+	if _, err := e.CompressGraph("collab", compress.Bisimulation, compress.View{"experience"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
+	if _, err := e.BuildIndex("collab", distindex.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query("paper", dataset.PaperQuery(), 0)
+	res, err := e.Query("collab", dataset.PaperQuery(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

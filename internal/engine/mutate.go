@@ -19,9 +19,11 @@ package engine
 // cannot repair in place is rebuilt from scratch. Any other maintainer
 // that cannot is dropped or left stale and no query routes through it: the
 // fan-out never stops half way, and a mutation that changed the graph
-// never fails on a maintainer's account. Then the subscription hub diffs
-// each subscribed query's repaired relation against the one it last
-// published and delivers the delta.
+// never fails on a maintainer's account. The quotient is also dropped by
+// the write that takes it past compress's cut (Compressed.Pays): repairs
+// only make it finer, and an operator rebuilds it with CompressGraph. Then
+// the subscription hub diffs each subscribed query's repaired relation
+// against the one it last published and delivers the delta.
 
 import (
 	"context"
@@ -214,7 +216,7 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 				mg.rebuild(sq)
 			}
 		}
-		if mg.comp != nil && mg.comp.SyncAttrChanged(rec.ID) != nil {
+		if mg.comp != nil && mg.comp.SyncAttrChanged(rec.ID, rec.Key) != nil {
 			mg.comp = nil
 		}
 		// Attributes move no distance, no ownership and no histogram: these
@@ -230,6 +232,12 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		// Restoring the version, in mutate, is the whole mutation.
 	default:
 		return out, fmt.Errorf("engine: unknown record kind %d", rec.Kind)
+	}
+	// Repairs split blocks and never merge them, so only a rebuild makes a
+	// quotient that stopped paying coarse again: drop it rather than
+	// repair it on every later write.
+	if mg.comp != nil && !mg.comp.Pays() {
+		mg.comp = nil
 	}
 	return out, nil
 }

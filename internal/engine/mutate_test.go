@@ -61,11 +61,12 @@ edge A -> B bound 2`)
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
-			g := graph.New(4)
+			g := graph.New(5)
 			g.AddNode("A", nil)
 			g.AddNode("A", nil)
 			g.AddNode("B", exp(5))
 			g.AddNode("B", exp(5))
+			g.AddNode("B", exp(5)) // a third twin, so the quotient pays
 			if err := g.AddEdge(a1, b1); err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +180,7 @@ func maintainerState(t *testing.T, e *Engine, name string) string {
 // subscribers that were sent the same events.
 func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
-	g := testutil.RandomGraph(r, 60, 200)
+	g := payingGraph(t, 60, 97) // the quotient routes until the stream takes it past the cut
 	registered := testutil.RandomPattern(r, 3)
 	queries := []*pattern.Pattern{registered, testutil.RandomPattern(r, 3), testutil.RandomSimPattern(r, 3)}
 	for _, q := range queries[1:] {
@@ -235,7 +236,7 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 	// rolls a batch back only at rollbackAt, when both are stale anyway.
 	const steps, deletesFrom, rollbackAt = 60, 20, 40
 	scratch := g.Clone() // tracks the native graph, to draw valid ops from
-	replayed, rolledBack := 0, false
+	replayed, rolledBack, readQuotient := 0, false, false
 	for step := 0; step < steps; step++ {
 		nodes := scratch.Nodes()
 		pick := func() graph.NodeID { return nodes[r.Intn(len(nodes))] }
@@ -323,6 +324,7 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 				t.Fatalf("step %d: answers diverge: native %v/%v %v, replica %v/%v %v",
 					step, a.Plan, a.Source, a.Relation, b.Plan, b.Source, b.Relation)
 			}
+			readQuotient = readQuotient || a.Source == SourceCompressed
 		}
 		if a, b := events(subs[0]), events(subs[1]); !reflect.DeepEqual(a, b) {
 			t.Fatalf("step %d: subscribers were sent different events:\n native  %+v\n replica %+v", step, a, b)
@@ -330,6 +332,10 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 	}
 	if !rolledBack {
 		t.Fatal("the stream never rolled a batch back")
+	}
+	// Both sides read the quotient, then dropped it at the same record.
+	if c, _ := native.Compressed("g"); !readQuotient || c != nil {
+		t.Fatalf("the stream read the quotient: %v; it is still attached: %v", readQuotient, c != nil)
 	}
 }
 

@@ -97,6 +97,9 @@ func TestDualIgnoresBoundedMaintainers(t *testing.T) {
 			r := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 20; trial++ {
 				g := testutil.RandomGraph(r, 40+r.Intn(80), 100+r.Intn(300))
+				if kind == "quotient" {
+					g = payingGraph(t, 40+r.Intn(80), r.Int63())
+				}
 				q := testutil.RandomPattern(r, 2+r.Intn(3))
 				if q.IsPlainSimulation() {
 					continue // no indexed or partitioned route to ignore
@@ -138,11 +141,12 @@ func TestDualIgnoresBoundedMaintainers(t *testing.T) {
 
 // TestPlainSimulationRunsOnTheKernel: the "simulation" plan is a name for
 // all-bounds-1 patterns, not a second evaluator; its answers, direct and
-// over a quotient, equal the reference simulation algorithm's.
+// over a quotient, equal the reference simulation algorithm's. The graphs
+// are collaboration graphs, whose quotients pay.
 func TestPlainSimulationRunsOnTheKernel(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
-		g := testutil.RandomGraph(r, 30+r.Intn(60), 80+r.Intn(200))
+		g := payingGraph(t, 30+r.Intn(60), r.Int63())
 		q := testutil.RandomSimPattern(r, 1+r.Intn(4))
 		want := simulation.Compute(g, q)
 		for _, scheme := range []*compress.Scheme{nil, ptr(compress.Bisimulation), ptr(compress.SimulationEquivalence)} {

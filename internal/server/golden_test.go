@@ -14,9 +14,11 @@ import (
 // The golden file pins the query wire surface: one line per request,
 // "name<TAB>status<TAB>body", bodies exactly as the server at commit 704b341
 // wrote them — the last commit whose handler evaluated dual simulation
-// itself — with elapsed_us zeroed. Requests run in the order below on one
-// fresh server per graph kind, so which of them hit the cache is part of
-// what is pinned.
+// itself — with elapsed_us zeroed, and with "source":"direct" on the three
+// compressed/* misses that said "compressed": the paper graph's quotient
+// merges nothing, so it never pays and is never read. Requests run in the
+// order below on one fresh server per graph kind, so which of them hit the
+// cache is part of what is pinned.
 const goldenFile = "testdata/query_golden.txt"
 
 var elapsedRE = regexp.MustCompile(`"elapsed_us":\d+`)

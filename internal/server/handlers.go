@@ -136,6 +136,13 @@ func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
 	if ptStats, err := s.eng.PartitionStats(name); err == nil {
 		body["partitions"] = ptStats
 	}
+	// A quotient is listed while attached; the write that takes it past
+	// compress's cut drops it.
+	_ = s.eng.WithCompressed(name, func(c *compress.Compressed) {
+		if c != nil {
+			body["compressed"] = compressResponse(c)
+		}
+	})
 	// The online statistics: log-bucketed degree histograms, label
 	// frequencies, and label-pair selectivities. Works on followers too —
 	// a pure read.
@@ -429,12 +436,16 @@ func (s *Server) compressGraph(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.CompressResponse{
-		Scheme: scheme.String(),
+	writeJSON(w, http.StatusOK, compressResponse(c))
+}
+
+func compressResponse(c *compress.Compressed) api.CompressResponse {
+	return api.CompressResponse{
+		Scheme: c.Scheme().String(),
 		Nodes:  c.Graph().NumNodes(),
 		Edges:  c.Graph().NumEdges(),
 		Ratio:  c.Ratio(),
-	})
+	}
 }
 
 func (s *Server) dropCompression(w http.ResponseWriter, r *http.Request) {

@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"expfinder/internal/api"
 	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
+	"expfinder/internal/generator"
+	"expfinder/internal/testutil"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
@@ -276,6 +280,75 @@ func TestCompressEndpoint(t *testing.T) {
 	resp, _ = do(t, "POST", ts.URL+"/api/v1/graphs/paper/compress", `{"scheme": "zip"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad scheme: %d", resp.StatusCode)
+	}
+}
+
+// TestQuotientVisibleUntilTheCut: a collaboration graph's quotient pays,
+// so GET .../stats lists it and queries read it; the benchmark's write
+// stream takes it past the cut, after which it is gone from the stats and
+// the same query answers directly. Throughout, the matches equal those of
+// a twin graph that never had a quotient.
+func TestQuotientVisibleUntilTheCut(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const gen = `{"generator": {"kind": "collab", "nodes": 200, "avg_degree": 8, "seed": 1}}`
+	for _, name := range []string{"gc", "g"} {
+		if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/"+name, gen); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, resp.StatusCode, body)
+		}
+	}
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/gc/compress", `{"view": ["experience"]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: %d %s", resp.StatusCode, body)
+	}
+	listed := func() bool {
+		t.Helper()
+		_, body := do(t, "GET", ts.URL+"/api/v1/graphs/gc/stats", nil)
+		var st struct {
+			Compressed *api.CompressResponse `json:"compressed"`
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Compressed != nil
+	}
+	// check queries both graphs and returns gc's source.
+	check := func(stage string) string {
+		t.Helper()
+		var out [2]api.QueryResponse
+		for i, name := range []string{"gc", "g"} {
+			_, body := do(t, "POST", ts.URL+"/api/v1/graphs/"+name+"/query", map[string]any{"dsl": dataset.PaperQueryDSL})
+			if err := json.Unmarshal(body, &out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out[1].Source != "direct" || len(out[1].Matches) == 0 || !reflect.DeepEqual(out[0].Matches, out[1].Matches) {
+			t.Fatalf("%s: gc answered %v from %s, g %v from %s", stage, out[0].Matches, out[0].Source, out[1].Matches, out[1].Source)
+		}
+		return out[0].Source
+	}
+	if !listed() || check("after compress") != "compressed" {
+		t.Fatal("after compress: the quotient is not listed or not read")
+	}
+	replica, err := generator.Collaboration(generator.Config{Nodes: 200, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := testutil.NewEdgeStream(replica, 3)
+	for batch := 1; listed(); batch++ {
+		if batch > 1000 {
+			t.Fatal("the quotient still pays after 1,000 batches")
+		}
+		var req api.UpdateRequest
+		for _, op := range writes.Batch(16) {
+			req.Ops = append(req.Ops, api.UpdateOp{Op: map[bool]string{true: "insert", false: "delete"}[op.Insert], From: int64(op.From), To: int64(op.To)})
+		}
+		for _, name := range []string{"gc", "g"} {
+			if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/"+name+"/updates", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch %d on %s: %d %s", batch, name, resp.StatusCode, body)
+			}
+		}
+	}
+	if src := check("past the cut"); src != "direct" {
+		t.Fatalf("past the cut: gc answered from %s, want direct", src)
 	}
 }
 

@@ -137,3 +137,43 @@ func RandomOps(r *rand.Rand, g *graph.Graph, nOps int) []EdgeOp {
 	}
 	return ops
 }
+
+// EdgeStream is the repository benchmark's write stream (bench/inputs.go,
+// edgeGen): uniformly random edge ops, each a delete of a live edge or an
+// insert of a missing one with equal odds.
+type EdgeStream struct {
+	g     *graph.Graph
+	nodes []graph.NodeID
+	edges []graph.Edge
+	r     *rand.Rand
+}
+
+// NewEdgeStream starts a stream over g, which it mutates.
+func NewEdgeStream(g *graph.Graph, seed int64) *EdgeStream {
+	return &EdgeStream{g: g, nodes: g.Nodes(), edges: g.Edges(), r: rand.New(rand.NewSource(seed))}
+}
+
+// Batch returns the next n ops, already applied to the stream's graph.
+func (s *EdgeStream) Batch(n int) []graph.Update {
+	ops := make([]graph.Update, 0, n)
+	for len(ops) < n {
+		if s.r.Intn(2) == 0 {
+			i := s.r.Intn(len(s.edges))
+			e := s.edges[i]
+			s.edges[i] = s.edges[len(s.edges)-1]
+			s.edges = s.edges[:len(s.edges)-1]
+			if err := s.g.RemoveEdge(e.From, e.To); err != nil {
+				panic(err) // the edge list mirrors the graph
+			}
+			ops = append(ops, graph.Delete(e.From, e.To))
+			continue
+		}
+		u, v := s.nodes[s.r.Intn(len(s.nodes))], s.nodes[s.r.Intn(len(s.nodes))]
+		if u == v || s.g.AddEdge(u, v) != nil {
+			continue
+		}
+		s.edges = append(s.edges, graph.Edge{From: u, To: v})
+		ops = append(ops, graph.Insert(u, v))
+	}
+	return ops
+}
