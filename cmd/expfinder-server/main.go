@@ -51,8 +51,8 @@
 //
 // Observability: any query request can ask for an inline execution
 // profile with ?trace=1 (or X-Trace: 1) — the response then carries the
-// span tree of the whole request: plan selection, fixpoint rounds,
-// partition supersteps, oracle probes, cache hits, WAL appends.
+// span tree of the whole request: cache lookup, the evaluation stage and
+// its fixpoint phases, result graph, ranking, WAL appends.
 // -trace-sample F additionally traces a random fraction of all requests
 // into a bounded ring served at GET /api/v1/debug/traces, -slow-query D
 // logs and retains requests over the threshold (GET /api/v1/debug/slow),
@@ -90,10 +90,10 @@
 //	POST   /api/v1/graphs/{name}/nodes/{id}/attrs   {"experience": {"kind":"int","i":9}}
 //	POST   /api/v1/graphs/{name}/compress      {"scheme": "bisimulation", "view": ["experience"]}
 //	DELETE /api/v1/graphs/{name}/compress      drop compression
-//	POST   /api/v1/graphs/{name}/index         build landmark distance index ({"landmarks": k})
+//	POST   /api/v1/graphs/{name}/index         build landmark distance index ({"landmarks": k}); no query reads it
 //	GET    /api/v1/graphs/{name}/index         index stats
 //	DELETE /api/v1/graphs/{name}/index         drop index
-//	POST   /api/v1/graphs/{name}/partitions    build edge-cut partitioning ({"parts": P, "strategy": "greedy|hash"})
+//	POST   /api/v1/graphs/{name}/partitions    build edge-cut partitioning ({"parts": P, "strategy": "greedy|hash"}); no query reads it
 //	GET    /api/v1/graphs/{name}/partitions    partition stats (fragments, cut edges, exchange volume)
 //	DELETE /api/v1/graphs/{name}/partitions    drop partitioning
 //	POST   /api/v1/query/batch                 {"queries": [{"graph": ..., "dsl": ..., "k": 5, "semantics": "bounded|dual"}, ...]}

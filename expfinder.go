@@ -37,9 +37,7 @@
 // registered queries maintained incrementally under edge updates
 // (RegisterQuery / ApplyUpdates), continuous queries streaming match
 // deltas to subscribers (Engine.Subscribe / PushUpdates), query-preserving
-// graph compression (CompressGraph), a landmark distance index
-// (BuildIndex), edge-cut graph partitioning with partition-parallel
-// evaluation (Engine.PartitionGraph), a result cache, file-based graph
+// graph compression (CompressGraph), a result cache, file-based graph
 // storage, synthetic social-network generators, and an HTTP server
 // (cmd/expfinder-server) standing in for the demo's GUI.
 package expfinder
@@ -355,49 +353,15 @@ func CompressGraphWithView(g *Graph, scheme CompressionScheme, view AttrView) *C
 	return compress.CompressWithView(g, scheme, view)
 }
 
-// Distance index.
+// Distance index and partitioning options and stats, for callers of
+// Engine.BuildIndex and Engine.PartitionGraph. No query reads either
+// structure; the engine only builds and maintains them.
 type (
-	// DistanceIndex is a landmark labeling over a graph answering
-	// bounded-reachability queries in near-constant time. Build one per
-	// graph (Engine.BuildIndex for managed graphs) and pass it to
-	// MatchIndexed, or let the engine route through it automatically.
-	DistanceIndex = distindex.Index
-	// DistanceIndexOptions configures BuildDistanceIndex.
+	// DistanceIndexOptions configures Engine.BuildIndex.
 	DistanceIndexOptions = distindex.Options
 	// DistanceIndexStats summarizes an index.
 	DistanceIndexStats = distindex.Stats
-)
-
-// BuildDistanceIndex constructs a landmark distance index over g. The
-// zero options select every node as a landmark (complete cover: every
-// query answered from labels alone).
-func BuildDistanceIndex(g *Graph, opts DistanceIndexOptions) *DistanceIndex {
-	return distindex.Build(g, opts)
-}
-
-// MatchIndexed is Match with support counters answered through a distance
-// index; the relation is identical, the work can be far smaller for
-// selective predicates with deep bounds. An index built over a different
-// graph cannot answer for g — the call then degrades to plain Match
-// rather than computing garbage.
-func MatchIndexed(g *Graph, q *Query, ix *DistanceIndex) *MatchRelation {
-	if ix == nil || ix.Graph() != g {
-		return bsim.Compute(g, q)
-	}
-	return bsim.ComputeIndexed(g, q, ix)
-}
-
-// Partitioned graphs: edge-cut sharding plus a partition-parallel
-// evaluator. Each fragment refines the candidates of the nodes it owns
-// concurrently and removals crossing a fragment boundary travel as
-// counted decrement deltas exchanged at superstep barriers — the result
-// is byte-identical to Match / MatchDual for every fragment count. For
-// managed graphs use Engine.PartitionGraph and let plan selection route
-// shallow bounded queries through the partitioned plan automatically.
-type (
-	// GraphPartitioning is an edge-cut sharding of one graph.
-	GraphPartitioning = partition.Partitioning
-	// PartitionOptions configures PartitionGraph (fragment count and
+	// PartitionOptions configures Engine.PartitionGraph (fragment count and
 	// assignment strategy).
 	PartitionOptions = partition.Options
 	// PartitionStrategy selects the node-to-fragment assignment policy.
@@ -405,9 +369,6 @@ type (
 	// PartitionStats summarizes fragments, cut edges, ghosts, and the
 	// cumulative boundary-exchange volume.
 	PartitionStats = partition.Stats
-	// PartitionEvalStats reports one partition-parallel evaluation's
-	// supersteps and boundary-exchange volume.
-	PartitionEvalStats = partition.EvalStats
 )
 
 // Partitioning strategies.
@@ -419,24 +380,6 @@ const (
 	// topology-blind.
 	PartitionHash = partition.StrategyHash
 )
-
-// PartitionGraph shards g into fragments (opts.Parts <= 0 means
-// GOMAXPROCS).
-func PartitionGraph(g *Graph, opts PartitionOptions) (*GraphPartitioning, error) {
-	return partition.Partition(g, opts)
-}
-
-// MatchPartitioned is Match evaluated fragment-parallel over pt, with
-// the boundary-exchange stats of the run; the relation is identical to
-// Match's.
-func MatchPartitioned(g *Graph, q *Query, pt *GraphPartitioning) (*MatchRelation, PartitionEvalStats, error) {
-	return partition.Eval(g, q, pt, partition.Bounded)
-}
-
-// MatchDualPartitioned is MatchDual evaluated fragment-parallel over pt.
-func MatchDualPartitioned(g *Graph, q *Query, pt *GraphPartitioning) (*MatchRelation, PartitionEvalStats, error) {
-	return partition.Eval(g, q, pt, partition.Dual)
-}
 
 // Generators.
 type (

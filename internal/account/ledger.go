@@ -10,7 +10,7 @@
 //   - Ledger charges every finished request to its client (the same
 //     X-Client-ID/remote-host key the rate limiter uses): wall time,
 //     queue wait, bytes out, cache bytes served vs. computed,
-//     candidate/removal work, WAL bytes. Aggregates are rolling
+//     candidate work, WAL bytes. Aggregates are rolling
 //     time-sliced windows plus exact since-boot totals, with a top-K
 //     client bound and an "other" bucket so cardinality never grows
 //     with the client population.
@@ -70,10 +70,8 @@ type Charge struct {
 	CacheBytesServed   int64
 	CacheBytesComputed int64
 	// Candidates is summed match-relation sizes (the engine.query
-	// "matches" attribute); Removals is BSP refinement work from
-	// partitioned plans.
+	// "matches" attribute).
 	Candidates int64
-	Removals   int64
 	// WALBytes is bytes appended to the write-ahead log on behalf of
 	// this request.
 	WALBytes int64
@@ -81,7 +79,7 @@ type Charge struct {
 
 // AddTrace folds the cost counters a finished trace carries into the
 // charge: queue-wait spans, cache hit bytes, computed result bytes,
-// candidate/removal work, and WAL appends. Nil traces are ignored.
+// candidate work, and WAL appends. Nil traces are ignored.
 func (c *Charge) AddTrace(tj *trace.TraceJSON) {
 	if tj == nil {
 		return
@@ -91,37 +89,16 @@ func (c *Charge) AddTrace(tj *trace.TraceJSON) {
 		case "admission.wait":
 			c.Queue += time.Duration(sp.DurationUS) * time.Microsecond
 		case "engine.query":
-			c.Candidates += attrInt(sp.Attrs, "matches")
-			c.CacheBytesComputed += attrInt(sp.Attrs, "result_bytes")
+			c.Candidates += sp.Int("matches")
+			c.CacheBytesComputed += sp.Int("result_bytes")
 		case "cache.lookup":
-			if attrBool(sp.Attrs, "hit") {
-				c.CacheBytesServed += attrInt(sp.Attrs, "bytes")
+			if sp.Bool("hit") {
+				c.CacheBytesServed += sp.Int("bytes")
 			}
-		case "eval.partitioned":
-			c.Removals += attrInt(sp.Attrs, "removals")
 		case "wal.append":
-			c.WALBytes += attrInt(sp.Attrs, "bytes")
+			c.WALBytes += sp.Int("bytes")
 		}
 	})
-}
-
-// attrInt reads an integer span attribute. In-process attributes are
-// int64; attributes that round-tripped through JSON are float64.
-func attrInt(attrs map[string]any, key string) int64 {
-	switch v := attrs[key].(type) {
-	case int64:
-		return v
-	case float64:
-		return int64(v)
-	case int:
-		return int64(v)
-	}
-	return 0
-}
-
-func attrBool(attrs map[string]any, key string) bool {
-	b, _ := attrs[key].(bool)
-	return b
 }
 
 // Usage is one aggregation bucket: a client's accumulated bill over a
@@ -142,7 +119,6 @@ type Usage struct {
 	CacheBytesServed   int64 `json:"cache_bytes_served,omitempty"`
 	CacheBytesComputed int64 `json:"cache_bytes_computed,omitempty"`
 	Candidates         int64 `json:"candidates,omitempty"`
-	Removals           int64 `json:"removals,omitempty"`
 	WALBytes           int64 `json:"wal_bytes,omitempty"`
 }
 
@@ -158,7 +134,6 @@ func (u *Usage) add(v Usage) {
 	u.CacheBytesServed += v.CacheBytesServed
 	u.CacheBytesComputed += v.CacheBytesComputed
 	u.Candidates += v.Candidates
-	u.Removals += v.Removals
 	u.WALBytes += v.WALBytes
 }
 
@@ -172,7 +147,6 @@ func (c Charge) usage() Usage {
 		CacheBytesServed:   c.CacheBytesServed,
 		CacheBytesComputed: c.CacheBytesComputed,
 		Candidates:         c.Candidates,
-		Removals:           c.Removals,
 		WALBytes:           c.WALBytes,
 	}
 	if c.Status >= 500 {

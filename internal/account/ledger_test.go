@@ -89,7 +89,6 @@ func TestLedgerReconciles(t *testing.T) {
 			CacheBytesServed:   int64(rng.Intn(2048)),
 			CacheBytesComputed: int64(rng.Intn(2048)),
 			Candidates:         int64(rng.Intn(100)),
-			Removals:           int64(rng.Intn(50)),
 			WALBytes:           int64(rng.Intn(512)),
 		})
 		if rng.Intn(100) == 0 {
@@ -160,7 +159,7 @@ func TestChargeAddTrace(t *testing.T) {
 			span("admission.wait", 120, nil),
 			span("engine.query", 4000, map[string]any{"matches": int64(42), "result_bytes": int64(2048)},
 				span("cache.lookup", 5, map[string]any{"hit": false}),
-				span("eval.partitioned", 3500, map[string]any{"removals": int64(17)}),
+				span("eval.bounded", 3500, nil),
 			),
 			span("engine.query", 300, map[string]any{"matches": int64(7)},
 				span("cache.lookup", 5, map[string]any{"hit": true, "bytes": int64(512)}),
@@ -173,7 +172,7 @@ func TestChargeAddTrace(t *testing.T) {
 	if c.Queue != 120*time.Microsecond {
 		t.Fatalf("queue: %v", c.Queue)
 	}
-	if c.Candidates != 49 || c.Removals != 17 {
+	if c.Candidates != 49 {
 		t.Fatalf("work: %+v", c)
 	}
 	if c.CacheBytesComputed != 2048 || c.CacheBytesServed != 512 {

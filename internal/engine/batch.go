@@ -133,14 +133,13 @@ func (e *Engine) QueryCtx(ctx context.Context, graphName string, q *pattern.Patt
 // *ErrOverloaded when the pool's queue is full, and gives up if ctx is
 // cancelled while waiting. A wait for the graph's read lock (behind an
 // in-progress update) is not cancellable. Once started, an evaluation on the
-// refinement kernel (every plan but the partitioned one) checks ctx
-// between its ball-walk passes: a cancelled query returns ctx.Err() within
-// a few passes, caches nothing, and frees its slot and the read lock. The
-// partitioned evaluator, result-graph construction and ranking each run to
-// completion once started, but ctx is checked at the boundaries between
-// them — after the relation and after the result graph — and the answer
-// enters the cache only as the last step, so a query cancelled at any of
-// those points also returns ctx.Err() and caches nothing.
+// refinement kernel checks ctx between its ball-walk passes: a cancelled
+// query returns ctx.Err() within a few passes, caches nothing, and frees
+// its slot and the read lock. Result-graph construction and ranking each
+// run to completion once started, but ctx is checked at the boundaries
+// between them — after the relation and after the result graph — and the
+// answer enters the cache only as the last step, so a query cancelled at
+// any of those points also returns ctx.Err() and caches nothing.
 //
 // The slot is taken *before* the graph's read lock: a query parked in
 // the queue holds nothing, so writers to its graph never wait for the

@@ -403,10 +403,9 @@ func TestFullQueueOverloads(t *testing.T) {
 
 // TestCancelledQueryReleasesSlotAndLock cancels a query in the middle of an
 // evaluation that takes tens of milliseconds, under either semantics and on
-// the partitioned plan: it must return ctx.Err() within a pass (a superstep,
-// partitioned), hand back its execution slot and the graph's read lock (a
-// writer that was waiting behind it proceeds), and leave nothing in the
-// result cache.
+// a partitioned graph: it must return ctx.Err() within a pass, hand back its
+// execution slot and the graph's read lock (a writer that was waiting behind
+// it proceeds), and leave nothing in the result cache.
 func TestCancelledQueryReleasesSlotAndLock(t *testing.T) {
 	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 20000, AvgDegree: 8, Seed: 1})
 	if err != nil {
@@ -423,15 +422,15 @@ edge SD -> BA bound %s
 	if err != nil {
 		t.Fatal(err)
 	}
-	shallow, err := pattern.Parse(fmt.Sprintf(dsl, "2", "3")) // max bound 4: routed to the fragments
+	shallow, err := pattern.Parse(fmt.Sprintf(dsl, "2", "3"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Run("bounded", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Bounded, 0, 12) })
 	t.Run("dual", func(t *testing.T) { cancelMidEvaluation(t, g, q, match.Dual, 0, 12) })
 	// A miss polls once before its slot and twice after its relation, so a
-	// 4th poll exists only if the partitioned evaluator itself polls: after
-	// its candidate init, then before every superstep.
+	// 4th poll exists only if the evaluator itself polls: the partitioning
+	// is not read, and the kernel polls between its passes.
 	t.Run("partitioned", func(t *testing.T) { cancelMidEvaluation(t, g, shallow, match.Bounded, 2, 4) })
 }
 

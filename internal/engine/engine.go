@@ -13,23 +13,22 @@
 //     for G's current version;
 //  2. if Q is a standing query — registered for incremental maintenance,
 //     watched by a subscription, or both — read the maintained relation;
-//  3. if a fresh distance index is registered and the query has bounds
-//     beyond 1, evaluate with the index-accelerated bounded-simulation
-//     plan;
-//  4. if a compressed graph Gc compatible with Q exists and still pays
+//  3. if a compressed graph Gc compatible with Q exists and still pays
 //     (compress.Compressed.Pays), evaluate on Gc and expand;
-//  5. otherwise evaluate directly on the refinement kernel (internal/bsim),
+//  4. otherwise evaluate directly on the refinement kernel (internal/bsim),
 //     under the plan name "simulation" when every bound is 1 and
 //     "bounded-simulation" otherwise.
 //
-// Steps 2 to 4 are maintainers of the bounded-simulation relation only: a
-// dual-simulation query goes from step 1 straight to the kernel on G. They
-// route only through a maintainer that is attached and fresh; a stale or
-// dropped one costs a plan, never an answer. queryLocked does step 1 and,
-// after a miss, stores the one entry; evaluate is steps 2 to 5 and touches
-// neither the cache nor any file. What a Result carries is the entry's own
-// relation and result graph, shared with every other holder and never
-// copied: the relation is frozen (match.Relation.Freeze).
+// The plan is a function of the request alone (routePlan); which of steps
+// 2 to 4 answers is evaluate's one switch. Steps 2 and 3 are maintainers
+// of the bounded-simulation relation only: a dual-simulation query goes
+// from step 1 straight to the kernel on G. A distance index or an edge-cut
+// partitioning may be attached and is kept in step with writes, but no
+// query reads either. queryLocked does step 1 and, after a miss, stores
+// the one entry; evaluate is steps 2 to 4 and touches neither the cache
+// nor any file. What a Result carries is the entry's own relation and
+// result graph, shared with every other holder and never copied: the
+// relation is frozen (match.Relation.Freeze).
 //
 // Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
 // writes and replicated replay run the same validate → apply → sync every
@@ -91,23 +90,9 @@ const (
 	PlanSimulation Plan = "simulation"         // all bounds 1: every ball is a successor list
 	PlanBounded    Plan = "bounded-simulation" // cubic
 	// PlanDual is dual simulation, evaluated by the same kernel with its
-	// parent counters on, always on the original graph: the matchers, the
-	// quotient, the partitioning and the index maintain or accelerate the
-	// bounded-simulation relation only.
+	// parent counters on, always on the original graph: the matchers and
+	// the quotient maintain the bounded-simulation relation only.
 	PlanDual Plan = "dual-simulation"
-	// PlanIndexed is bounded simulation with support counters answered by
-	// the graph's landmark distance index where a per-edge probe prices
-	// that below the ball walk.
-	// Selected whenever a fresh index is registered and the query has
-	// bounds beyond 1; the relation is identical to PlanBounded's.
-	PlanIndexed Plan = "indexed-bounded-simulation"
-	// PlanPartitioned is bounded simulation evaluated fragment-parallel
-	// over the graph's edge-cut partitioning, with boundary deltas
-	// exchanged between fragments to the global fixpoint. Selected ahead
-	// of the indexed plan when a fresh partitioning exists and the
-	// pattern's radius keeps fragment-local work dominant (no unbounded
-	// edges, small max bound); the relation is identical to PlanBounded's.
-	PlanPartitioned Plan = "partitioned-bounded-simulation"
 )
 
 // Source names where a query result came from.
@@ -118,8 +103,6 @@ const (
 	SourceCache       Source = "cache"
 	SourceIncremental Source = "incremental"
 	SourceCompressed  Source = "compressed"
-	SourceIndexed     Source = "indexed"
-	SourcePartitioned Source = "partitioned"
 	SourceDirect      Source = "direct"
 )
 
@@ -487,10 +470,10 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 		}
 		spCache.End()
 	}
-	plan, source := routePlan(mg, q, req.Semantics), SourceCache
+	plan, source := routePlan(q, req.Semantics), SourceCache
 	if !hit {
 		var err error
-		if en, source, plan, err = e.answer(qctx, mg, q, plan); err != nil {
+		if en, source, err = e.answer(qctx, mg, q, plan); err != nil {
 			sp.SetStr("error", err.Error())
 			sp.End()
 			return nil, err
@@ -538,19 +521,19 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 // answer builds the cache entry for a miss: the relation by the routed
 // plan, then its result graph, then the ranking of every match of the
 // output node (callers slice off their top K).
-func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*cache.Entry, Source, Plan, error) {
-	rel, source, plan, err := e.evaluate(ctx, mg, q, plan)
+func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*cache.Entry, Source, error) {
+	rel, source, err := e.evaluate(ctx, mg, q, plan)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
-		return nil, source, plan, err
+		return nil, source, err
 	}
 	_, spRG := trace.StartSpan(ctx, "result_graph")
 	rg := match.BuildResultGraph(mg.g, q, rel)
 	spRG.End()
 	if err := ctx.Err(); err != nil {
-		return nil, source, plan, err
+		return nil, source, err
 	}
 	_, spRank := trace.StartSpan(ctx, "rank.topk")
 	ranking := rank.TopKWithResultGraph(rg, q, rel, 0) // 0 = rank all
@@ -564,7 +547,7 @@ func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, pl
 		spRank.SetInt("max_weight", int64(rg.MaxWeight()))
 		spRank.End()
 	}
-	return &cache.Entry{Relation: rel, ResultGraph: rg, Ranking: ranking}, source, plan, nil
+	return &cache.Entry{Relation: rel, ResultGraph: rg, Ranking: ranking}, source, nil
 }
 
 // evalWorkers is the intra-query worker budget: the full Parallelism for
@@ -582,115 +565,52 @@ func (e *Engine) evalWorkers() int {
 	return w
 }
 
-// routePlan picks the algorithm for q under sem from which maintainers of
-// mg are attached and fresh. Callers hold mg.mu for at least read.
-func routePlan(mg *managed, q *pattern.Pattern, sem match.Semantics) Plan {
+// routePlan names the algorithm for q under sem. It is a function of the
+// request alone: which structure answers is evaluate's choice.
+func routePlan(q *pattern.Pattern, sem match.Semantics) Plan {
 	switch {
 	case sem == match.Dual:
 		return PlanDual
 	case q.IsPlainSimulation():
-		// Bound-1 obligations are adjacency scans; the index cannot beat
-		// them, so plain-simulation queries never take the indexed plan.
 		return PlanSimulation
-	case mg.part != nil && mg.part.Fresh(mg.g) && partitionedWins(q):
-		// Shallow bounded patterns stay fragment-local: the partitioned
-		// plan parallelizes the whole refinement, where the index only
-		// accelerates individual reachability probes.
-		return PlanPartitioned
-	case mg.idx != nil && mg.idx.Fresh(mg.g):
-		return PlanIndexed
 	}
 	return PlanBounded
 }
 
-// evaluate computes M(Q,G) by steps 2 to 5 of the package comment, given
-// the routed plan; it returns the plan it ended up running. Callers hold
-// mg.mu for at least read. Trace spans (one per pipeline stage) are
-// emitted only when ctx carries an active trace. The kernel gives up at
-// its next pass, the partitioned evaluator at its next superstep, when ctx
-// is cancelled; evaluate then returns ctx.Err().
-func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*match.Relation, Source, Plan, error) {
-	// kernel runs the refinement kernel on the original graph under the
-	// named stage span.
-	kernel := func(span string, sem match.Semantics) *match.Relation {
-		kctx, sp := trace.StartSpan(ctx, span)
-		defer sp.End()
-		return bsim.Evaluate(kctx, mg.g, q, sem, e.evalWorkers(), nil)
-	}
-	var rel *match.Relation
-	source := SourceDirect
+// evaluate computes M(Q,G) for the routed plan by steps 2 to 4 of the
+// package comment: the standing query, then the quotient, then the kernel.
+// Callers hold mg.mu for at least read. Trace spans (one per pipeline
+// stage) are emitted only when ctx carries an active trace. The kernel
+// gives up at its next pass when ctx is cancelled; evaluate then returns
+// ctx.Err().
+func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*match.Relation, Source, error) {
+	g, source, span, sem := mg.g, SourceDirect, "eval.bounded", match.Bounded
 	switch sq, standing := mg.queries[q.Hash()]; {
 	case plan == PlanDual:
-		rel = kernel("eval.dual", match.Dual)
+		span, sem = "eval.dual", match.Dual
 	case standing:
-		return sq.m.Relation(), SourceIncremental, plan, nil
-	// The indexed and partitioned plans answer on the original graph and
-	// take precedence over compressed routing (the quotient would
-	// recompute the balls they already paid for, and the partitioning
-	// does not describe the quotient).
-	case plan != PlanIndexed && plan != PlanPartitioned && mg.comp != nil && e.compressedUsable(mg.comp, q, plan):
-		source = SourceCompressed
-		cctx, spComp := trace.StartSpan(ctx, "eval.compressed")
-		if onQ := bsim.Evaluate(cctx, mg.comp.Graph(), q, match.Bounded, e.evalWorkers(), nil); onQ != nil {
-			rel = mg.comp.Decompress(onQ)
-		}
-		spComp.End()
+		return sq.m.Relation(), SourceIncremental, nil
+	case mg.comp != nil && compressedUsable(mg.comp, q, plan):
+		g, source, span = mg.comp.Graph(), SourceCompressed, "eval.compressed"
 	case plan == PlanSimulation:
-		rel = kernel("eval.simulation", match.Bounded)
-	case plan == PlanIndexed:
-		ictx, spIdx := trace.StartSpan(ctx, "eval.indexed")
-		var before distindex.Stats
-		if spIdx != nil {
-			before = mg.idx.Stats()
-		}
-		rel = bsim.Evaluate(ictx, mg.g, q, match.Bounded, e.evalWorkers(), mg.idx)
-		if spIdx != nil {
-			// Counter deltas around this evaluation; exact when queries do
-			// not overlap (always, in tests), approximate under concurrency.
-			after := mg.idx.Stats()
-			spIdx.SetInt("probes", int64(after.Queries-before.Queries))
-			spIdx.SetInt("proved", int64(after.Proved-before.Proved))
-			spIdx.SetInt("refuted", int64(after.Refuted-before.Refuted))
-			spIdx.SetInt("fallbacks", int64(after.Fallbacks-before.Fallbacks))
-			spIdx.End()
-		}
-		source = SourceIndexed
-	case plan == PlanPartitioned:
-		pctx, spPart := trace.StartSpan(ctx, "eval.partitioned")
-		var st partition.EvalStats
-		var err error
-		rel, st, err = partition.EvalCtx(pctx, mg.g, q, mg.part, match.Bounded)
-		stale := errors.Is(err, partition.ErrStale)
-		if spPart != nil {
-			spPart.SetInt("supersteps", int64(st.Supersteps))
-			spPart.SetInt("messages", int64(st.Messages))
-			spPart.SetInt("removals", int64(st.Removals))
-			spPart.SetBool("fallback", stale)
-			spPart.End()
-		}
-		switch {
-		case err == nil:
-			source = SourcePartitioned
-		case stale:
-			// Unreachable while routing gates on Fresh under the graph's
-			// lock; answer exactly anyway rather than fail the query.
-			rel, plan = kernel("eval.bounded", match.Bounded), PlanBounded
-		default:
-			return nil, source, plan, err
-		}
-	default:
-		rel = kernel("eval.bounded", match.Bounded)
+		span = "eval.simulation"
 	}
+	kctx, sp := trace.StartSpan(ctx, span)
+	rel := bsim.Evaluate(kctx, g, q, sem, e.evalWorkers(), nil)
+	if rel != nil && source == SourceCompressed {
+		rel = mg.comp.Decompress(rel)
+	}
+	sp.End()
 	if rel == nil {
-		return nil, source, plan, ctx.Err()
+		return nil, source, ctx.Err()
 	}
-	return rel, source, plan, nil
+	return rel, source, nil
 }
 
 // compressedUsable reports whether the quotient should answer q: it must
 // still pay (Compressed.Pays), the attribute view must cover q's
 // predicates, and bounded plans require the bisimulation scheme.
-func (e *Engine) compressedUsable(c *compress.Compressed, q *pattern.Pattern, plan Plan) bool {
+func compressedUsable(c *compress.Compressed, q *pattern.Pattern, plan Plan) bool {
 	if !c.Pays() || !c.AttrView().Compatible(q) {
 		return false
 	}
@@ -809,12 +729,12 @@ func (e *Engine) DropCompression(graphName string) error {
 }
 
 // BuildIndex builds (or replaces) the landmark distance index of a graph
-// and returns its stats. Evaluation routes bounded queries through the
-// index as long as it stays fresh (edge insertions are repaired in place;
-// deletions and node removals invalidate it until the next BuildIndex).
-// The build holds the graph's write lock — queries queue behind it. Like
-// a partitioning or a quotient, the index lives in memory only: a
-// restarted engine serves without one until it is built again.
+// and returns its stats. No query reads the index; writes keep it fresh
+// (edge insertions are repaired in place; deletions and node removals
+// invalidate it until the next BuildIndex). The build holds the graph's
+// write lock — queries queue behind it. Like a partitioning or a
+// quotient, the index lives in memory only: a restarted engine carries
+// none until it is built again.
 func (e *Engine) BuildIndex(graphName string, opts distindex.Options) (distindex.Stats, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -856,20 +776,4 @@ func (e *Engine) IndexStats(graphName string) (distindex.Stats, error) {
 		return distindex.Stats{}, fmt.Errorf("%w: %q", ErrNoIndex, graphName)
 	}
 	return mg.idx.Stats(), nil
-}
-
-// Index returns the current distance index, if any. Like Graph, the
-// returned pointer is unsynchronized — callers must not use it
-// concurrently with engine mutations.
-func (e *Engine) Index(graphName string) (*distindex.Index, error) {
-	mg, err := e.lookup(graphName)
-	if err != nil {
-		return nil, err
-	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	if mg.idx == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoIndex, graphName)
-	}
-	return mg.idx, nil
 }

@@ -15,6 +15,7 @@ import (
 	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
+	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
 	"expfinder/internal/testutil"
@@ -207,6 +208,35 @@ func TestPlanSelection(t *testing.T) {
 	}
 	if res.Plan != PlanSimulation {
 		t.Errorf("all-bounds-1 plan = %v, want simulation", res.Plan)
+	}
+}
+
+// TestRoutePlan: the plan is a function of the pattern's shape and the
+// semantics alone — dual always, otherwise simulation when every bound is
+// 1 and bounded simulation when any is not.
+func TestRoutePlan(t *testing.T) {
+	shapes := []struct {
+		name, dsl string
+		bounded   Plan
+	}{
+		{"single node", "node SA [label = \"SA\"] output", PlanSimulation},
+		{"bound 1", "node SA [label = \"SA\"] output\nnode SD [label = \"SD\"]\nedge SA -> SD bound 1", PlanSimulation},
+		{"bound 2", "node SA [label = \"SA\"] output\nnode SD [label = \"SD\"]\nedge SA -> SD bound 2", PlanBounded},
+		{"unbounded", "node SA [label = \"SA\"] output\nnode SD [label = \"SD\"]\nedge SA -> SD bound *", PlanBounded},
+		{"mixed", "node SA [label = \"SA\"] output\nnode SD [label = \"SD\"]\nnode BA [label = \"BA\"]\nedge SA -> SD bound 1\nedge SD -> BA bound 3", PlanBounded},
+		{"fig1", dataset.PaperQueryDSL, PlanBounded},
+		{"deep", testutil.DeepDSL, PlanBounded},
+	}
+	for _, sh := range shapes {
+		q := testutil.MustParse(sh.dsl)
+		for _, c := range []struct {
+			sem  match.Semantics
+			want Plan
+		}{{match.Bounded, sh.bounded}, {match.Dual, PlanDual}} {
+			if got := routePlan(q, c.sem); got != c.want {
+				t.Errorf("%s under %v: plan %v, want %v", sh.name, c.sem, got, c.want)
+			}
+		}
 	}
 }
 

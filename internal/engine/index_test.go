@@ -13,54 +13,44 @@ import (
 	"expfinder/internal/distindex"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
+	"expfinder/internal/partition"
 	"expfinder/internal/pattern"
 )
 
+// attachedIndex is the graph's distance index, nil when none is built,
+// read under the graph's read lock.
+func attachedIndex(t *testing.T, e *Engine, name string) *distindex.Index {
+	t.Helper()
+	mg, err := e.lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg.mu.RLock()
+	defer mg.mu.RUnlock()
+	return mg.idx
+}
+
+// indexAnswersExactly checks that the attached index, handed to the
+// kernel, still gives the kernel's own relation for q on the live graph.
+func indexAnswersExactly(t *testing.T, e *Engine, name string, q *pattern.Pattern) {
+	t.Helper()
+	ix := attachedIndex(t, e, name)
+	if ix == nil {
+		t.Fatal("no index attached")
+	}
+	if err := e.WithGraph(name, func(g *graph.Graph) error {
+		if !bsim.ComputeIndexed(g, q, ix).Equal(bsim.Compute(g, q)) {
+			t.Error("index-backed relation diverges from the kernel's")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIndexedPlanRouting: attaching a distance index leaves the plan, the
+// source and the answer of every query as they were without one.
 func TestIndexedPlanRouting(t *testing.T) {
-	e, _ := newPaperEngine(t)
-	q := dataset.PaperQuery()
-	direct, err := e.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh engine for the routed query, so the result cache from the
-	// direct run cannot mask the indexed plan.
-	eIx := New(Options{})
-	g, _ := dataset.PaperGraph()
-	if err := eIx.AddGraph("paper", g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eIx.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eIx.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan != PlanIndexed || res.Source != SourceIndexed {
-		t.Fatalf("plan/source = %v/%v, want %v/%v", res.Plan, res.Source, PlanIndexed, SourceIndexed)
-	}
-	if !res.Relation.Equal(direct.Relation) {
-		t.Fatal("indexed relation differs from direct")
-	}
-	if fmt.Sprintf("%v", res.TopK) != fmt.Sprintf("%v", direct.TopK) {
-		t.Fatalf("indexed top-K differs: %v vs %v", res.TopK, direct.TopK)
-	}
-
-	// A cache hit keeps reporting the selected plan.
-	res2, err := eIx.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Source != SourceCache || res2.Plan != PlanIndexed {
-		t.Fatalf("repeat plan/source = %v/%v", res2.Plan, res2.Source)
-	}
-
-	// Plain-simulation queries never take the indexed plan.
 	qSim, err := pattern.Parse(`
 node SA [label = "SA"] output
 node SD [label = "SD"]
@@ -69,12 +59,34 @@ edge SA -> SD bound 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSim, err := eIx.Query("paper", qSim, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resSim.Plan != PlanSimulation {
-		t.Fatalf("plain query plan = %v", resSim.Plan)
+	for _, q := range []*pattern.Pattern{dataset.PaperQuery(), qSim} {
+		plain, _ := newPaperEngine(t)
+		want, err := plain.Query("paper", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eIx, _ := newPaperEngine(t)
+		if _, err := eIx.BuildIndex("paper", distindex.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eIx.Query("paper", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan != want.Plan || res.Source != want.Source || res.Source != SourceDirect {
+			t.Fatalf("with an index: plan/source = %v/%v, want %v/%v", res.Plan, res.Source, want.Plan, want.Source)
+		}
+		if !res.Relation.Equal(want.Relation) || fmt.Sprintf("%v", res.TopK) != fmt.Sprintf("%v", want.TopK) {
+			t.Fatalf("with an index: answer %v %v, want %v %v", res.Relation, res.TopK, want.Relation, want.TopK)
+		}
+		// A cache hit keeps reporting the same plan.
+		res2, err := eIx.Query("paper", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Source != SourceCache || res2.Plan != want.Plan {
+			t.Fatalf("repeat plan/source = %v/%v", res2.Plan, res2.Source)
+		}
 	}
 }
 
@@ -90,8 +102,8 @@ func TestIndexStatsLifecycle(t *testing.T) {
 	if !st.Complete || !st.Fresh || st.Landmarks == 0 {
 		t.Fatalf("implausible build stats: %+v", st)
 	}
-	if _, err := e.Index("paper"); err != nil {
-		t.Fatal(err)
+	if attachedIndex(t, e, "paper") == nil {
+		t.Fatal("BuildIndex attached no index")
 	}
 	if err := e.DropIndex("paper"); err != nil {
 		t.Fatal(err)
@@ -121,19 +133,10 @@ func TestIndexRepairedAcrossInsertUpdates(t *testing.T) {
 	if !st.Fresh {
 		t.Fatalf("index not fresh after insert repair: %+v", st)
 	}
+	indexAnswersExactly(t, e, "paper", q)
 	res, err := e.Query("paper", q, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Source != SourceIndexed {
-		t.Fatalf("post-insert source = %v", res.Source)
-	}
-	g, err := e.Graph("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Relation.Equal(bsim.Compute(g, q)) {
-		t.Fatal("indexed relation diverges after insert repair")
 	}
 	sd, _ := q.Lookup("SD")
 	if !res.Relation.Has(sd, p.Fred) {
@@ -147,7 +150,7 @@ func TestIndexStaysFreshAfterRolledBackBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Op 2 duplicates an existing edge; the whole batch rolls back. The
-	// graph content is unchanged, so the index must stay routed.
+	// graph content is unchanged, so the index must stay fresh.
 	_, err := e.ApplyUpdates("paper", []incremental.Update{
 		incremental.Insert(p.Fred, p.Pat),
 		incremental.Insert(p.Bob, p.Dan), // already present
@@ -162,17 +165,7 @@ func TestIndexStaysFreshAfterRolledBackBatch(t *testing.T) {
 	if !st.Fresh {
 		t.Fatalf("index demoted by a rolled-back batch: %+v", st)
 	}
-	res, err := e.Query("paper", dataset.PaperQuery(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != SourceIndexed {
-		t.Fatalf("post-rollback source = %v, want indexed", res.Source)
-	}
-	g, _ := e.Graph("paper")
-	if !res.Relation.Equal(bsim.Compute(g, dataset.PaperQuery())) {
-		t.Fatal("post-rollback relation wrong")
-	}
+	indexAnswersExactly(t, e, "paper", dataset.PaperQuery())
 }
 
 func TestIndexInvalidatedByDeletion(t *testing.T) {
@@ -202,18 +195,11 @@ func TestIndexInvalidatedByDeletion(t *testing.T) {
 	if !res.Relation.Equal(bsim.Compute(g, q)) {
 		t.Fatal("post-delete relation wrong")
 	}
-	// Rebuilding restores the indexed plan.
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
+	// Rebuilding restores a fresh, exact index.
+	if st, err := e.BuildIndex("paper", distindex.Options{}); err != nil || !st.Fresh {
+		t.Fatalf("rebuild: %+v, %v", st, err)
 	}
-	q2 := dataset.BenchQueries(1)[0] // different hash: dodge the cache
-	res2, err := e.Query("paper", q2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Source != SourceIndexed {
-		t.Fatalf("post-rebuild source = %v", res2.Source)
-	}
+	indexAnswersExactly(t, e, "paper", q)
 }
 
 func TestIndexNodeLifecycleHooks(t *testing.T) {
@@ -242,10 +228,7 @@ func TestIndexNodeLifecycleHooks(t *testing.T) {
 	if !st.Fresh {
 		t.Fatalf("index not fresh after node add + inserts: %+v", st)
 	}
-	ix, err := e.Index("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := attachedIndex(t, e, "paper")
 	g, _ := e.Graph("paper")
 	if ix.Distance(p.Bob, p.Eva) != g.Distance(p.Bob, p.Eva) {
 		t.Fatal("index distance diverges after node lifecycle")
@@ -259,20 +242,30 @@ func TestIndexNodeLifecycleHooks(t *testing.T) {
 	}
 }
 
-func TestIndexedTakesPrecedenceOverCompressed(t *testing.T) {
+// TestCompressedTakesPrecedenceOverIndexAndPartitions: on a graph whose
+// quotient pays, a bounded query answers from the quotient with an index
+// and a partitioning attached beside it, and equals the kernel's answer.
+func TestCompressedTakesPrecedenceOverIndexAndPartitions(t *testing.T) {
 	e := newCollabEngine(t)
-	if _, err := e.CompressGraph("collab", compress.Bisimulation, compress.View{"experience"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := e.BuildIndex("collab", distindex.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query("collab", dataset.PaperQuery(), 0)
+	if _, err := e.PartitionGraph("collab", partition.Options{Parts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CompressGraph("collab", compress.Bisimulation, compress.View{"experience"}); err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.PaperQuery()
+	res, err := e.Query("collab", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != SourceIndexed {
-		t.Fatalf("source = %v, want indexed over compressed", res.Source)
+	if res.Plan != PlanBounded || res.Source != SourceCompressed {
+		t.Fatalf("plan/source = %v/%v, want bounded-simulation/compressed", res.Plan, res.Source)
+	}
+	if want := directRelation(t, e, "collab", q); res.Relation.String() != want {
+		t.Fatalf("compressed relation = %s, want the kernel's %s", res.Relation, want)
 	}
 }
 

@@ -1,12 +1,12 @@
 package engine
 
 // Partitioned graphs: the engine front-end of internal/partition. A
-// managed graph can carry an edge-cut partitioning; while it is fresh,
-// bounded queries whose pattern radius keeps fragment-local work
-// dominant route through the partition-parallel evaluator
-// (PlanPartitioned), and every mutation path repairs the fragment
-// assignment and ghost sets in place — the same post-apply Sync contract
-// registered queries, compressed views, and the distance index follow.
+// managed graph can carry an edge-cut partitioning, and every mutation
+// path repairs its fragment assignment and ghost sets in place — the same
+// post-apply Sync contract registered queries, compressed views, and the
+// distance index follow. No query reads it — the partition-parallel
+// evaluator loses to the kernel on every measured shape — and the build,
+// stats and maintenance stay only while the benchmark pins them.
 //
 // Partitionings are in-memory accelerators, like compressed views: they
 // are not persisted, and after a crash recovery the operator (or a boot
@@ -18,17 +18,10 @@ import (
 	"fmt"
 
 	"expfinder/internal/partition"
-	"expfinder/internal/pattern"
 )
 
 // ErrNoPartition reports a partition operation on a graph without one.
 var ErrNoPartition = errors.New("engine: no partitioning built")
-
-// partitionRadiusCap bounds the pattern radius the partitioned plan
-// accepts: beyond it (and for unbounded edges) a candidate's ball spans
-// most of the graph, fragment locality stops paying, and the indexed or
-// direct plans serve better.
-const partitionRadiusCap = 4
 
 // PartitionGraph builds (or replaces) the edge-cut partitioning of a
 // graph and returns its stats. opts.Parts <= 0 defaults to the engine's
@@ -82,17 +75,4 @@ func (e *Engine) PartitionStats(graphName string) (partition.Stats, error) {
 		return partition.Stats{}, fmt.Errorf("%w: %q", ErrNoPartition, graphName)
 	}
 	return mg.part.Stats(), nil
-}
-
-// partitionedWins reports whether the partitioned plan should take q:
-// every ball the evaluator walks has radius <= the pattern's largest
-// bound, so shallow bounded patterns stay fragment-local while deep or
-// unbounded ones would turn every removal into a graph-wide walk with a
-// boundary message per remote member.
-func partitionedWins(q *pattern.Pattern) bool {
-	if q.IsPlainSimulation() {
-		return false // the quadratic simulation plan is strictly cheaper
-	}
-	maxBound, hasUnbounded := q.MaxBound()
-	return !hasUnbounded && maxBound <= partitionRadiusCap
 }

@@ -35,6 +35,31 @@ func directRelation(t *testing.T, e *Engine, name string, q *pattern.Pattern) st
 	return s
 }
 
+// partitionAnswersExactly checks that the attached partitioning is fresh
+// and that the partition-parallel evaluator over it still gives the
+// kernel's relation for q on the live graph.
+func partitionAnswersExactly(t *testing.T, e *Engine, name string, q *pattern.Pattern) {
+	t.Helper()
+	mg, err := e.lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg.mu.RLock()
+	defer mg.mu.RUnlock()
+	if mg.part == nil || !mg.part.Fresh(mg.g) {
+		t.Fatal("partitioning missing or stale")
+	}
+	rel, _, err := partition.Eval(mg.g, q, mg.part, partition.Bounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bsim.Compute(mg.g, q); !rel.Equal(want) {
+		t.Fatalf("partitioned relation diverged:\n got %s\nwant %s", rel, want)
+	}
+}
+
+// TestPartitionPlanRouting: attaching a partitioning leaves the plan, the
+// source and the answer of every query as they were without one.
 func TestPartitionPlanRouting(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := testutil.RandomGraph(r, 300, 900)
@@ -59,11 +84,11 @@ func TestPartitionPlanRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan != PlanPartitioned || res.Source != SourcePartitioned {
-		t.Fatalf("plan/source = %v/%v, want partitioned", res.Plan, res.Source)
+	if res.Plan != PlanBounded || res.Source != SourceDirect {
+		t.Fatalf("plan/source = %v/%v, want bounded-simulation/direct", res.Plan, res.Source)
 	}
 	if res.Relation.String() != want {
-		t.Fatalf("partitioned relation diverged:\n got %s\nwant %s", res.Relation, want)
+		t.Fatalf("relation diverged:\n got %s\nwant %s", res.Relation, want)
 	}
 
 	// A repeat answers from the cache under the same plan label.
@@ -71,7 +96,7 @@ func TestPartitionPlanRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Source != SourceCache || res2.Plan != PlanPartitioned {
+	if res2.Source != SourceCache || res2.Plan != PlanBounded {
 		t.Fatalf("repeat plan/source = %v/%v", res2.Plan, res2.Source)
 	}
 
@@ -87,11 +112,11 @@ edge SA -> SD
 	if res, err = e.Query("g", qSim, 0); err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan != PlanSimulation {
-		t.Fatalf("plain-sim plan = %v", res.Plan)
+	if res.Plan != PlanSimulation || res.Source != SourceDirect {
+		t.Fatalf("plain-sim plan/source = %v/%v", res.Plan, res.Source)
 	}
 
-	// Unbounded patterns span the whole graph — not fragment-local.
+	// Unbounded patterns keep the bounded plan.
 	qStar, err := pattern.Parse(`
 node SA [label = "SA"] output
 node SD [label = "SD"]
@@ -103,8 +128,8 @@ edge SA -> SD bound *
 	if res, err = e.Query("g", qStar, 0); err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan != PlanBounded {
-		t.Fatalf("unbounded plan = %v, want %v", res.Plan, PlanBounded)
+	if res.Plan != PlanBounded || res.Source != SourceDirect {
+		t.Fatalf("unbounded plan/source = %v/%v, want bounded-simulation/direct", res.Plan, res.Source)
 	}
 
 	if err := e.DropPartitions("g"); err != nil {
@@ -115,8 +140,9 @@ edge SA -> SD bound *
 	}
 }
 
-// TestPartitionPrecedence: with both accelerators present, shallow
-// bounded patterns take the partitioned plan, deep ones the indexed.
+// TestPartitionPrecedence: with both a partitioning and a distance index
+// attached, shallow and deep bounded patterns alike answer on the kernel,
+// under the bounded plan, exactly.
 func TestPartitionPrecedence(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	g := testutil.RandomGraph(r, 400, 1200)
@@ -130,14 +156,6 @@ func TestPartitionPrecedence(t *testing.T) {
 	if _, err := e.BuildIndex("g", distindex.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	shallow := dataset.PaperQuery()
-	res, err := e.Query("g", shallow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan != PlanPartitioned {
-		t.Fatalf("shallow plan = %v, want %v", res.Plan, PlanPartitioned)
-	}
 	deep, err := pattern.Parse(`
 node SA [label = "SA", experience >= 4] output
 node SD [label = "SD", experience >= 4]
@@ -146,18 +164,24 @@ edge SA -> SD bound 9
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = e.Query("g", deep, 0); err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan != PlanIndexed {
-		t.Fatalf("deep plan = %v, want %v", res.Plan, PlanIndexed)
+	for _, q := range []*pattern.Pattern{dataset.PaperQuery(), deep} {
+		res, err := e.Query("g", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan != PlanBounded || res.Source != SourceDirect {
+			t.Fatalf("plan/source = %v/%v, want bounded-simulation/direct", res.Plan, res.Source)
+		}
+		if res.Relation.String() != directRelation(t, e, "g", q) {
+			t.Fatal("relation diverged from the kernel's")
+		}
 	}
 }
 
 // TestPartitionMutationRepair drives every engine mutation path over a
-// partitioned graph and checks the partitioning stays fresh (the
-// partitioned plan keeps serving) with results identical to the direct
-// algorithm after every burst.
+// partitioned graph and checks the partitioning stays fresh, with the
+// partition-parallel evaluator over it and the engine's answer identical
+// to the direct algorithm after every burst.
 func TestPartitionMutationRepair(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	g := testutil.RandomGraph(r, 150, 450)
@@ -176,15 +200,10 @@ func TestPartitionMutationRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Plan != PlanPartitioned {
-			t.Fatalf("round %d: plan = %v (partitioning went stale)", round, res.Plan)
-		}
-		if res.Source != SourcePartitioned && res.Source != SourceCache {
-			t.Fatalf("round %d: source = %v", round, res.Source)
-		}
 		if res.Relation.String() != want {
-			t.Fatalf("round %d: partitioned relation diverged", round)
+			t.Fatalf("round %d: relation diverged", round)
 		}
+		partitionAnswersExactly(t, e, "g", q)
 		st, err := e.PartitionStats("g")
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +231,7 @@ func TestPartitionMutationRepair(t *testing.T) {
 }
 
 // TestPartitionRollbackKeepsFresh: a failed update batch rolls back and
-// must leave the partitioning routed (content unchanged, version
+// must leave the partitioning fresh (content unchanged, version
 // re-stamped) — the same contract the distance index has, and the
 // bisimulation quotient too.
 func TestPartitionRollbackKeepsFresh(t *testing.T) {
@@ -245,12 +264,10 @@ func TestPartitionRollbackKeepsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan != PlanPartitioned {
-		t.Fatalf("plan after rollback = %v (partitioning went stale)", res.Plan)
-	}
 	if res.Relation.String() != directRelation(t, e, "g", q) {
 		t.Fatal("relation diverged after rollback")
 	}
+	partitionAnswersExactly(t, e, "g", q)
 	// A plain-simulation query routes through the quotient, which still
 	// describes the restored content exactly and was re-stamped with the
 	// rest: its own staleness check (Maintain's) agrees.
@@ -273,8 +290,8 @@ edge SA -> SD bound 1`)
 }
 
 // TestSubscriptionsOnPartitionedGraph: continuous queries keep their
-// exactness guarantee while the partitioned plan serves one-shot
-// queries on the same graph.
+// exactness guarantee, and the partitioning its freshness, under
+// subscription traffic on a partitioned graph.
 func TestSubscriptionsOnPartitionedGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	g := testutil.RandomGraph(r, 80, 240)
@@ -345,9 +362,7 @@ func TestRecoveryWithPartitionedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan != PlanPartitioned {
-		t.Fatalf("pre-crash plan = %v", res.Plan)
-	}
+	partitionAnswersExactly(t, e, "g", q)
 	before := engineImage(t, e, "g")
 	want := res.Relation.String()
 	if err := e.Close(); err != nil {
@@ -366,7 +381,7 @@ func TestRecoveryWithPartitionedGraph(t *testing.T) {
 		t.Fatal("recovered graph image diverged")
 	}
 	// Partitionings do not survive restarts; queries still answer
-	// exactly, and a re-partition restores the partitioned plan.
+	// exactly, and a re-partition restores a fresh, exact partitioning.
 	if _, err := e2.PartitionStats("g"); !errors.Is(err, ErrNoPartition) {
 		t.Fatalf("partition stats after recovery = %v, want ErrNoPartition", err)
 	}
@@ -387,4 +402,5 @@ func TestRecoveryWithPartitionedGraph(t *testing.T) {
 	if res.Relation.String() != want {
 		t.Fatal("re-partitioned relation diverged")
 	}
+	partitionAnswersExactly(t, e, "g", q)
 }

@@ -318,9 +318,9 @@ func TestRecoverDropsAcceleratorsAfterCrash(t *testing.T) {
 	if res.Relation.String() != want.Relation.String() || !sameRanking(res.TopK, want.TopK) {
 		t.Fatalf("post-recovery answer diverged (plan %v before, %v after)", want.Plan, res.Plan)
 	}
-	if want.Plan != PlanPartitioned || res.Plan != PlanBounded || len(want.TopK) == 0 {
-		t.Fatalf("plans %v -> %v with %d ranked: want an accelerated plan before the crash, the direct one after, and matches",
-			want.Plan, res.Plan, len(want.TopK))
+	if want.Plan != PlanBounded || res.Plan != PlanBounded || want.Source != SourceDirect || res.Source != SourceDirect || len(want.TopK) == 0 {
+		t.Fatalf("plan/source %v/%v -> %v/%v with %d ranked: want bounded-simulation/direct on both sides of the crash, and matches",
+			want.Plan, want.Source, res.Plan, res.Source, len(want.TopK))
 	}
 }
 

@@ -4,33 +4,62 @@ import (
 	"context"
 	"testing"
 
+	"expfinder/internal/bsim"
 	"expfinder/internal/compress"
 	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
+	"expfinder/internal/match"
 	"expfinder/internal/partition"
+	"expfinder/internal/pattern"
 	"expfinder/internal/testutil"
 )
 
-// BenchmarkPlanByShape is the plan × shape table: every evaluator the engine
-// can route a bounded query to, on the repository benchmark's graph, over one
-// pattern from each of its families and the Fig. 1 hiring query. A cell is one
-// (*Engine).evaluate call — no cache, no result graph, no ranking — forced
-// onto the cell's plan whatever routePlan would have picked, with the
-// accelerators built as bench/ builds them (complete index, 2 greedy
-// fragments, bisimulation quotient over the experience view). Each cell's
-// relation is compared to the bounded plan's before the clock starts; a cell
-// is skipped only when its accelerator cannot answer the shape exactly (the
-// quotient's view does not cover the deep shape's specialty predicates).
+// BenchmarkPlanByShape is the plan × shape table: the kernel and every
+// accelerator built for a bounded query, on the repository benchmark's graph,
+// over one pattern from each of its families and the Fig. 1 hiring query.
+// The bounded and compressed cells are one (*Engine).evaluate call — no
+// cache, no result graph, no ranking. No query reads the distance index or
+// the partitioning, so their cells call the index-backed kernel
+// (bsim.Evaluate with the index as its oracle) and the partition-parallel
+// evaluator (partition.EvalCtx) directly. The accelerators are built as
+// bench/ builds them (complete index, 2 greedy fragments, bisimulation
+// quotient over the experience view). Each cell's relation is compared to
+// the bounded cell's before the clock starts; a cell is skipped only when its
+// accelerator cannot answer the shape exactly (the quotient's view does not
+// cover the deep shape's specialty predicates).
 func BenchmarkPlanByShape(b *testing.B) {
+	ctx := context.Background()
+	e := New(Options{})
+	// evaluateFrom is a cell answered by evaluate, which must take the
+	// given source.
+	evaluateFrom := func(want Source) func(*testing.B, *managed, *pattern.Pattern) *match.Relation {
+		return func(b *testing.B, mg *managed, q *pattern.Pattern) *match.Relation {
+			rel, source, err := e.evaluate(ctx, mg, q, PlanBounded)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if source != want {
+				b.Skipf("answered from %q: the accelerator cannot take this shape", source)
+			}
+			return rel
+		}
+	}
 	plans := []struct {
-		name   string
-		plan   Plan
-		source Source
+		name string
+		eval func(*testing.B, *managed, *pattern.Pattern) *match.Relation
 	}{
-		{"bounded", PlanBounded, SourceDirect},
-		{"indexed", PlanIndexed, SourceIndexed},
-		{"partitioned", PlanPartitioned, SourcePartitioned},
-		{"compressed", PlanBounded, SourceCompressed},
+		{"bounded", evaluateFrom(SourceDirect)},
+		{"indexed", func(b *testing.B, mg *managed, q *pattern.Pattern) *match.Relation {
+			return bsim.Evaluate(ctx, mg.g, q, match.Bounded, e.evalWorkers(), mg.idx)
+		}},
+		{"partitioned", func(b *testing.B, mg *managed, q *pattern.Pattern) *match.Relation {
+			rel, _, err := partition.EvalCtx(ctx, mg.g, q, mg.part, match.Bounded)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return rel
+		}},
+		{"compressed", evaluateFrom(SourceCompressed)},
 	}
 	shapes := []struct{ name, dsl string }{
 		{"broad", testutil.BroadDSL},
@@ -41,7 +70,6 @@ func BenchmarkPlanByShape(b *testing.B) {
 	}
 
 	// One read-only graph under four names, each with one accelerator.
-	e := New(Options{})
 	for _, pl := range plans {
 		if err := e.AddGraph(pl.name, testutil.CollabGraph()); err != nil {
 			b.Fatal(err)
@@ -57,14 +85,13 @@ func BenchmarkPlanByShape(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	ctx := context.Background()
 	ref, err := e.lookup("bounded")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, sh := range shapes {
 		q := testutil.MustParse(sh.dsl)
-		want, _, _, err := e.evaluate(ctx, ref, q, PlanBounded)
+		want, _, err := e.evaluate(ctx, ref, q, PlanBounded)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,21 +103,12 @@ func BenchmarkPlanByShape(b *testing.B) {
 				}
 				mg.mu.RLock()
 				defer mg.mu.RUnlock()
-				rel, source, _, err := e.evaluate(ctx, mg, q, pl.plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if source != pl.source {
-					b.Skipf("answered from %q: the %s accelerator cannot take this shape", source, pl.name)
-				}
-				if !rel.Equal(want) {
+				if rel := pl.eval(b, mg, q); !rel.Equal(want) {
 					b.Fatalf("relation differs from the bounded plan's:\n got %s\nwant %s", rel, want)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := e.evaluate(ctx, mg, q, pl.plan); err != nil {
-						b.Fatal(err)
-					}
+					pl.eval(b, mg, q)
 				}
 			})
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"expfinder/internal/bsim"
 	"expfinder/internal/compress"
 	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
@@ -69,11 +70,13 @@ func TestDualIsAFirstClassQuery(t *testing.T) {
 	}
 }
 
-// TestDualIgnoresBoundedMaintainers: a registered matcher, a quotient, a
-// partitioning and a distance index all maintain the bounded-simulation
-// relation; with any or all of them attached and fresh a dual query is
-// still answered by the kernel on the original graph, equal to the
-// defining fixpoint, while the bounded query takes the accelerated route.
+// TestDualIgnoresBoundedMaintainers: a registered matcher and a quotient
+// maintain the bounded-simulation relation, and a partitioning and a
+// distance index are kept in step with the graph; with any or all of them
+// attached and fresh a dual query is still answered by the kernel on the
+// original graph, equal to the defining fixpoint. The bounded query reads
+// the matcher or the quotient, and attaching a partitioning or an index
+// alone leaves its plan, source and answer as on a bare graph.
 func TestDualIgnoresBoundedMaintainers(t *testing.T) {
 	attach := map[string]func(e *Engine, q *QueryRequest) error{
 		"matcher": func(e *Engine, q *QueryRequest) error { return e.RegisterQuery(q.Graph, q.Pattern) },
@@ -91,7 +94,7 @@ func TestDualIgnoresBoundedMaintainers(t *testing.T) {
 		},
 	}
 	bounded := map[string]Source{"matcher": SourceIncremental, "quotient": SourceCompressed,
-		"partitions": SourcePartitioned, "index": SourceIndexed, "all": SourceIncremental}
+		"partitions": SourceDirect, "index": SourceDirect, "all": SourceIncremental}
 	for _, kind := range []string{"matcher", "quotient", "partitions", "index", "all"} {
 		t.Run(kind, func(t *testing.T) {
 			r := rand.New(rand.NewSource(7))
@@ -101,9 +104,6 @@ func TestDualIgnoresBoundedMaintainers(t *testing.T) {
 					g = payingGraph(t, 40+r.Intn(80), r.Int63())
 				}
 				q := testutil.RandomPattern(r, 2+r.Intn(3))
-				if q.IsPlainSimulation() {
-					continue // no indexed or partitioned route to ignore
-				}
 				e := New(Options{})
 				if err := e.AddGraph("g", g); err != nil {
 					t.Fatal(err)
@@ -120,8 +120,11 @@ func TestDualIgnoresBoundedMaintainers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Source != bounded[kind] {
-					t.Fatalf("trial %d: bounded source = %v, want %v", trial, res.Source, bounded[kind])
+				if res.Plan != routePlan(q, match.Bounded) || res.Source != bounded[kind] {
+					t.Fatalf("trial %d: bounded plan/source = %v/%v, want %v/%v", trial, res.Plan, res.Source, routePlan(q, match.Bounded), bounded[kind])
+				}
+				if want := bsim.Compute(g, q); !res.Relation.Equal(want) {
+					t.Fatalf("trial %d: bounded relation = %v, want %v", trial, res.Relation, want)
 				}
 				req.Semantics = match.Dual
 				res, err = e.Execute(context.Background(), req)

@@ -44,25 +44,12 @@ func TestPartitionEndpoints(t *testing.T) {
 		t.Fatalf("build stats = %+v", st)
 	}
 
-	// Bounded queries now route through the partitioned plan.
-	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
-		map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d %s", resp.StatusCode, body)
-	}
-	var qr struct {
-		Plan   string `json:"plan"`
-		Source string `json:"source"`
-	}
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Plan != string(engine.PlanPartitioned) || qr.Source != string(engine.SourcePartitioned) {
-		t.Fatalf("plan/source = %s/%s, want partitioned", qr.Plan, qr.Source)
-	}
+	// No query reads the partitioning: a bounded query answers as on a
+	// bare graph.
+	sameAnswerAsBareGraph(t, ts, dataset.PaperQueryDSL)
 
-	// Partition stats are embedded in the graph stats and update their
-	// eval counters.
+	// Partition stats are embedded in the graph stats, and no evaluation
+	// ran over the fragments.
 	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"partitions"`) {
 		t.Fatalf("graph stats: %d %s", resp.StatusCode, body)
@@ -77,8 +64,8 @@ func TestPartitionEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &live); err != nil {
 		t.Fatal(err)
 	}
-	if live.Evals != 1 {
-		t.Fatalf("evals = %d, want 1", live.Evals)
+	if live.Evals != 0 {
+		t.Fatalf("evals = %d, want 0", live.Evals)
 	}
 
 	// Unknown strategy: 400. Defaulted build (empty body): parts fall

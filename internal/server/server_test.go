@@ -588,19 +588,8 @@ func TestIndexEndpoints(t *testing.T) {
 		t.Fatalf("implausible index stats: %s", body)
 	}
 
-	// Bounded queries now route through the indexed plan.
-	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/paper/query",
-		`{"dsl": "node SA [label = \"SA\", experience >= 5] output\nnode SD [label = \"SD\", experience >= 2]\nedge SA -> SD bound 2", "k": 1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d %s", resp.StatusCode, body)
-	}
-	var qr queryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Plan != string(engine.PlanIndexed) || qr.Source != string(engine.SourceIndexed) {
-		t.Fatalf("plan/source = %s/%s, want indexed", qr.Plan, qr.Source)
-	}
+	// No query reads the index: a bounded query answers as on a bare graph.
+	sameAnswerAsBareGraph(t, ts, dataset.PaperQueryDSL)
 
 	// Graph stats embed the index stats.
 	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
@@ -648,6 +637,29 @@ func TestIndexEndpoints(t *testing.T) {
 	}
 }
 
+// sameAnswerAsBareGraph posts a bounded query to ts's paper graph and to a
+// fresh server holding the bare paper graph, and requires the same
+// response body, plan and source included, with elapsed_us zeroed.
+func sameAnswerAsBareGraph(t *testing.T, ts *httptest.Server, dsl string) {
+	t.Helper()
+	bare, _ := newTestServer(t)
+	uploadPaperGraph(t, bare)
+	var bodies [2]string
+	for i, srv := range []*httptest.Server{ts, bare} {
+		resp, body := do(t, "POST", srv.URL+"/api/v1/graphs/paper/query", map[string]any{"dsl": dsl, "k": 3})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: %d %s", resp.StatusCode, body)
+		}
+		bodies[i] = string(elapsedRE.ReplaceAll(body, []byte(`"elapsed_us":0`)))
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("answer with the structure attached:\n%s\nwant the bare graph's:\n%s", bodies[0], bodies[1])
+	}
+	if !strings.Contains(bodies[0], `"source":"direct"`) {
+		t.Fatalf("answer not evaluated on the kernel: %s", bodies[0])
+	}
+}
+
 func TestIndexSurvivesUpdateFlow(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
@@ -687,7 +699,7 @@ func TestIndexSurvivesUpdateFlow(t *testing.T) {
 
 // TestQueryDualSemanticsIndexed: a distance index does not change how a
 // dual query is answered — same matches and top-K before and after
-// POST …/index, never source "indexed". The repeat right after the build
+// POST …/index, from source "direct" or "cache". The repeat right after the build
 // is a hit (an index is not a write); the insert that follows bumps the
 // graph version, so the last query is evaluated with the repaired index
 // attached and fresh, and the engine still runs the kernel without it.

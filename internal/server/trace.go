@@ -78,38 +78,36 @@ func inlineTrace(r *http.Request) *trace.TraceJSON {
 }
 
 // aggregateTrace folds one finished trace into the per-plan/per-stage
-// histograms. The plan comes from the engine.query span's attribute;
-// spans outside a plan (middleware waits, WAL appends) aggregate under
-// plan "none".
+// histograms. Each span is filed under the plan of its nearest
+// engine.query span — itself, if it is one — so the entries of a batch
+// keep their own plans; spans outside any query (middleware waits, WAL
+// appends) aggregate under plan "none".
 func (s *Server) aggregateTrace(tj *trace.TraceJSON) {
-	plan := "none"
-	tj.Walk(func(sp *trace.SpanJSON) {
-		if plan == "none" && sp.Name == "engine.query" {
-			if p, ok := sp.Attrs["plan"].(string); ok {
-				plan = p
-			}
+	if tj == nil || tj.Root == nil {
+		return
+	}
+	var visit func(sp *trace.SpanJSON, plan string)
+	visit = func(sp *trace.SpanJSON, plan string) {
+		if p := sp.Str("plan"); sp.Name == "engine.query" && p != "" {
+			plan = p
 		}
-	})
-	tj.Walk(func(sp *trace.SpanJSON) {
-		if sp == tj.Root {
-			return // the root duplicates mLatency's request latency
+		if sp != tj.Root { // the root duplicates mLatency's request latency
+			s.mStage.Observe(float64(sp.DurationUS)/1e6, plan, sp.Name)
 		}
-		s.mStage.Observe(float64(sp.DurationUS)/1e6, plan, sp.Name)
-	})
+		for _, c := range sp.Children {
+			visit(c, plan)
+		}
+	}
+	visit(tj.Root, "none")
 }
 
-// planOf returns the trace's plan: the first engine.query span's plan
-// attribute, or "" for traces without one (mutations, admin routes).
-func planOf(tj *trace.TraceJSON) string {
-	plan := ""
+// hasPlan reports whether any engine.query span of the trace ran plan.
+func hasPlan(tj *trace.TraceJSON, plan string) bool {
+	found := false
 	tj.Walk(func(sp *trace.SpanJSON) {
-		if plan == "" && sp.Name == "engine.query" {
-			if p, ok := sp.Attrs["plan"].(string); ok {
-				plan = p
-			}
-		}
+		found = found || sp.Name == "engine.query" && sp.Str("plan") == plan
 	})
-	return plan
+	return found
 }
 
 // ringFilter is the shared ?plan= / ?route= / ?min_ms= filter of the
@@ -142,7 +140,7 @@ func (f ringFilter) matches(route string, durationUS int64, tj *trace.TraceJSON)
 	if durationUS < f.minUS {
 		return false
 	}
-	if f.plan != "" && (tj == nil || planOf(tj) != f.plan) {
+	if f.plan != "" && !hasPlan(tj, f.plan) {
 		return false
 	}
 	return true

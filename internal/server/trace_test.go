@@ -1,9 +1,9 @@
 package server
 
 // End-to-end tests for the tracing surface: inline ?trace=1 profiles on
-// partitioned and indexed queries, the sampled-out fast path, the
-// debug/traces and debug/slow rings, stage aggregation into metrics,
-// and the pprof mount gate.
+// graphs with a partitioning or an index attached, the sampled-out fast
+// path, the debug/traces and debug/slow rings, stage aggregation into
+// metrics, and the pprof mount gate.
 
 import (
 	"encoding/json"
@@ -19,26 +19,78 @@ import (
 	"expfinder/internal/trace"
 )
 
-// queryWithTrace posts a bounded query with ?trace=1 and decodes the
-// response plan plus the inline trace.
-func queryWithTrace(t *testing.T, ts *httptest.Server) (string, *trace.TraceJSON) {
+// tracedQuery is the part of a traced query response these tests read.
+type tracedQuery struct {
+	Plan    string           `json:"plan"`
+	Source  string           `json:"source"`
+	Matches json.RawMessage  `json:"matches"`
+	Trace   *trace.TraceJSON `json:"trace"`
+}
+
+// queryWithTrace posts a bounded query with ?trace=1 to the synth graph
+// and decodes the response with its inline trace.
+func queryWithTrace(t *testing.T, ts *httptest.Server) tracedQuery {
 	t.Helper()
 	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/synth/query?trace=1",
 		map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	var qr struct {
-		Plan  string           `json:"plan"`
-		Trace *trace.TraceJSON `json:"trace"`
-	}
+	var qr tracedQuery
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
 	if qr.Trace == nil || qr.Trace.Root == nil {
 		t.Fatalf("no inline trace in response: %s", body)
 	}
-	return qr.Plan, qr.Trace
+	return qr
+}
+
+// synthServer starts a server without sampling (only an explicit ?trace=1
+// request is traced) holding a small generated graph "synth", and posts
+// body to path under it when path is not empty.
+func synthServer(t *testing.T, path, body string) *httptest.Server {
+	t.Helper()
+	ts, _ := newConfiguredServer(t, Config{TraceSample: 0})
+	resp, out := do(t, "POST", ts.URL+"/api/v1/graphs/synth",
+		`{"generator": {"kind": "collab", "nodes": 300, "avg_degree": 4, "seed": 7}}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("generate: %d %s", resp.StatusCode, out)
+	}
+	if path != "" {
+		if resp, out = do(t, "POST", ts.URL+"/api/v1/graphs/synth"+path, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", path, resp.StatusCode, out)
+		}
+	}
+	return ts
+}
+
+// checkKernelTrace asserts that a traced query on a graph carrying the
+// structure built by POST path ran exactly as on the bare graph: the
+// bounded plan on the kernel, the same matches, a well-formed span tree
+// with one eval.bounded span, and no span from an unread structure.
+func checkKernelTrace(t *testing.T, path, body string) {
+	t.Helper()
+	want := queryWithTrace(t, synthServer(t, "", ""))
+	got := queryWithTrace(t, synthServer(t, path, body))
+	if got.Plan != string(engine.PlanBounded) || got.Source != string(engine.SourceDirect) {
+		t.Fatalf("plan/source = %s/%s, want bounded-simulation/direct", got.Plan, got.Source)
+	}
+	if string(got.Matches) != string(want.Matches) {
+		t.Fatalf("matches %s, want the bare graph's %s", got.Matches, want.Matches)
+	}
+	checkSpanTree(t, got.Trace.Root)
+	if eq := findSpan(got.Trace, "engine.query"); eq == nil || eq.Str("plan") != got.Plan {
+		t.Fatalf("engine.query span = %+v, want plan %s", eq, got.Plan)
+	}
+	if findSpan(got.Trace, "eval.bounded") == nil {
+		t.Fatal("no eval.bounded span")
+	}
+	for _, name := range []string{"eval.partitioned", "superstep", "eval.indexed"} {
+		if findSpan(got.Trace, name) != nil {
+			t.Fatalf("trace carries a %s span", name)
+		}
+	}
 }
 
 // checkSpanTree asserts the structural invariant that makes a profile
@@ -66,73 +118,16 @@ func findSpan(tj *trace.TraceJSON, name string) *trace.SpanJSON {
 	return got
 }
 
+// TestInlineTracePartitionedQuery: with a partitioning attached, a traced
+// query's profile is the kernel's.
 func TestInlineTracePartitionedQuery(t *testing.T) {
-	// Sample rate zero: only the explicit ?trace=1 request is traced.
-	ts, _ := newConfiguredServer(t, Config{TraceSample: 0})
-	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/synth",
-		`{"generator": {"kind": "collab", "nodes": 300, "avg_degree": 4, "seed": 7}}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("generate: %d %s", resp.StatusCode, body)
-	}
-	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/synth/partitions", `{"parts": 3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("build partitions: %d %s", resp.StatusCode, body)
-	}
-
-	plan, tj := queryWithTrace(t, ts)
-	if plan != string(engine.PlanPartitioned) {
-		t.Fatalf("plan = %s, want partitioned", plan)
-	}
-	checkSpanTree(t, tj.Root)
-
-	eq := findSpan(tj, "engine.query")
-	if eq == nil {
-		t.Fatal("no engine.query span")
-	}
-	if p, _ := eq.Attrs["plan"].(string); p != string(engine.PlanPartitioned) {
-		t.Fatalf("engine.query plan attr = %v", eq.Attrs["plan"])
-	}
-	ep := findSpan(tj, "eval.partitioned")
-	if ep == nil {
-		t.Fatal("no eval.partitioned span")
-	}
-	// Supersteps reported on the eval span match the superstep child
-	// spans actually emitted.
-	steps := 0
-	tj.Walk(func(sp *trace.SpanJSON) {
-		if sp.Name == "superstep" {
-			steps++
-		}
-	})
-	if want, _ := ep.Attrs["supersteps"].(float64); int(want) != steps || steps == 0 {
-		t.Fatalf("superstep spans = %d, eval attr = %v", steps, ep.Attrs["supersteps"])
-	}
+	checkKernelTrace(t, "/partitions", `{"parts": 3}`)
 }
 
+// TestInlineTraceIndexedQuery: with a distance index attached, a traced
+// query's profile is the kernel's.
 func TestInlineTraceIndexedQuery(t *testing.T) {
-	ts, _ := newConfiguredServer(t, Config{TraceSample: 0})
-	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/synth",
-		`{"generator": {"kind": "collab", "nodes": 300, "avg_degree": 4, "seed": 7}}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("generate: %d %s", resp.StatusCode, body)
-	}
-	resp, body = do(t, "POST", ts.URL+"/api/v1/graphs/synth/index", `{"landmarks": 8}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("build index: %d %s", resp.StatusCode, body)
-	}
-
-	plan, tj := queryWithTrace(t, ts)
-	if plan != string(engine.PlanIndexed) {
-		t.Fatalf("plan = %s, want indexed", plan)
-	}
-	checkSpanTree(t, tj.Root)
-	ei := findSpan(tj, "eval.indexed")
-	if ei == nil {
-		t.Fatal("no eval.indexed span")
-	}
-	if _, ok := ei.Attrs["probes"]; !ok {
-		t.Fatalf("eval.indexed attrs = %v, want oracle probe counts", ei.Attrs)
-	}
+	checkKernelTrace(t, "/index", `{"landmarks": 8}`)
 }
 
 // TestOneWaitSpanPerQuery pins the one queue a query waits in: a traced
@@ -269,6 +264,52 @@ func TestStageHistogramAggregation(t *testing.T) {
 	if !strings.Contains(text, `expfinder_query_stage_duration_seconds`) ||
 		!strings.Contains(text, `stage="engine.query"`) {
 		t.Fatalf("stage histogram not aggregated:\n%s", text)
+	}
+}
+
+// TestStageHistogramLabelsEachEntryWithItsOwnPlan: in one traced batch
+// with a bounded and a dual entry, whichever comes first, each entry's
+// evaluation span is filed under its own plan, and the batch's admission
+// waits, outside any engine.query span, under "none"; ?plan= on the trace
+// ring finds the batch under either plan.
+func TestStageHistogramLabelsEachEntryWithItsOwnPlan(t *testing.T) {
+	bounded := map[string]any{"graph": "paper", "dsl": dataset.PaperQueryDSL}
+	dual := map[string]any{"graph": "paper", "dsl": dataset.PaperQueryDSL, "semantics": "dual"}
+	for _, order := range [][]any{{bounded, dual}, {dual, bounded}} {
+		ts, _ := newConfiguredServer(t, Config{})
+		uploadPaperGraph(t, ts)
+		if resp, body := do(t, "POST", ts.URL+"/api/v1/query/batch?trace=1", map[string]any{"queries": order}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d %s", resp.StatusCode, body)
+		}
+		_, body := do(t, "GET", ts.URL+"/metrics", nil)
+		text := string(body)
+		for _, series := range []string{
+			`{plan="bounded-simulation",stage="eval.dual"`,
+			`{plan="dual-simulation",stage="eval.bounded"`,
+		} {
+			if strings.Contains(text, series) {
+				t.Errorf("stage histogram has a %s} series", series)
+			}
+		}
+		for _, series := range []string{
+			`{plan="bounded-simulation",stage="eval.bounded"`,
+			`{plan="dual-simulation",stage="eval.dual"`,
+			`{plan="none",stage="admission.wait"`,
+		} {
+			if !strings.Contains(text, series) {
+				t.Errorf("stage histogram lacks a %s} series", series)
+			}
+		}
+		for _, plan := range []string{"bounded-simulation", "dual-simulation"} {
+			_, body := do(t, "GET", ts.URL+"/api/v1/debug/traces?plan="+plan, nil)
+			var tr api.DebugTracesResponse
+			if err := json.Unmarshal(body, &tr); err != nil {
+				t.Fatal(err)
+			}
+			if len(tr.Traces) != 1 || tr.Traces[0].Name != "query_batch" {
+				t.Errorf("?plan=%s: %d traces, want the batch's", plan, len(tr.Traces))
+			}
+		}
 	}
 }
 

@@ -3,11 +3,10 @@ package stats
 // Plan-outcome telemetry: a bounded recorder fed from finished query
 // traces (trace.Tracer.OnFinish). Every engine.query span becomes one
 // outcome, keyed by (graph, plan, pattern shape); outcomes aggregate
-// into rolling summaries — counts, cache hit/miss, distindex
-// proved/refuted, partition removals, and a bounded duration sample
-// ring rendered as p50/p95. This is the "last-run stats" half of the
-// planner's evidence: where the graph statistics describe the data,
-// the recorder describes how each plan actually performed on it.
+// into rolling summaries — counts, cache hit/miss, and a bounded
+// duration sample ring rendered as p50/p95. This is the "last-run stats"
+// half of the planner's evidence: where the graph statistics describe the
+// data, the recorder describes how each plan actually performed on it.
 
 import (
 	"sort"
@@ -40,12 +39,6 @@ type outcomeAgg struct {
 	matches     int64 // summed relation sizes (candidate counts)
 	cacheHits   int64
 	cacheMisses int64
-	probes      int64 // distindex oracle probes
-	proved      int64
-	refuted     int64
-	fallbacks   int64
-	removals    int64 // partitioned-plan refinement removals
-	supersteps  int64
 	durUS       [sampleRing]int64
 	durN        int // samples stored (min(count, sampleRing))
 	durNext     int // ring cursor
@@ -70,30 +63,6 @@ func NewRecorder(maxKeys int) *Recorder {
 	return &Recorder{maxKeys: maxKeys, byKey: map[OutcomeKey]*outcomeAgg{}}
 }
 
-// attrInt reads an integer span attribute. In-process attributes are
-// int64; attributes that round-tripped through JSON are float64.
-func attrInt(attrs map[string]any, key string) int64 {
-	switch v := attrs[key].(type) {
-	case int64:
-		return v
-	case float64:
-		return int64(v)
-	case int:
-		return int64(v)
-	}
-	return 0
-}
-
-func attrStr(attrs map[string]any, key string) string {
-	s, _ := attrs[key].(string)
-	return s
-}
-
-func attrBool(attrs map[string]any, key string) bool {
-	b, _ := attrs[key].(bool)
-	return b
-}
-
 // Observe folds one finished trace into the aggregates. A batch trace
 // carries several engine.query spans; each becomes its own outcome.
 // Intended as a trace.Tracer OnFinish hook.
@@ -112,9 +81,9 @@ func (r *Recorder) Observe(tj *trace.TraceJSON) {
 // observeQuery folds one engine.query span.
 func (r *Recorder) observeQuery(sp *trace.SpanJSON) {
 	key := OutcomeKey{
-		Graph: attrStr(sp.Attrs, "graph"),
-		Plan:  attrStr(sp.Attrs, "plan"),
-		Shape: attrStr(sp.Attrs, "shape"),
+		Graph: sp.Str("graph"),
+		Plan:  sp.Str("plan"),
+		Shape: sp.Str("shape"),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -128,31 +97,21 @@ func (r *Recorder) observeQuery(sp *trace.SpanJSON) {
 		r.byKey[key] = agg
 	}
 	agg.count++
-	agg.matches += attrInt(sp.Attrs, "matches")
+	agg.matches += sp.Int("matches")
 	agg.totalDurUS += sp.DurationUS
 	agg.durUS[agg.durNext] = sp.DurationUS
 	agg.durNext = (agg.durNext + 1) % sampleRing
 	if agg.durN < sampleRing {
 		agg.durN++
 	}
-	// Stage children: cache lookup and the per-plan evaluation spans
-	// carry the counters their subsystems already keep.
 	for _, c := range sp.Children {
-		switch c.Name {
-		case "cache.lookup":
-			if attrBool(c.Attrs, "hit") {
-				agg.cacheHits++
-			} else {
-				agg.cacheMisses++
-			}
-		case "eval.indexed":
-			agg.probes += attrInt(c.Attrs, "probes")
-			agg.proved += attrInt(c.Attrs, "proved")
-			agg.refuted += attrInt(c.Attrs, "refuted")
-			agg.fallbacks += attrInt(c.Attrs, "fallbacks")
-		case "eval.partitioned":
-			agg.removals += attrInt(c.Attrs, "removals")
-			agg.supersteps += attrInt(c.Attrs, "supersteps")
+		if c.Name != "cache.lookup" {
+			continue
+		}
+		if c.Bool("hit") {
+			agg.cacheHits++
+		} else {
+			agg.cacheMisses++
 		}
 	}
 }
@@ -164,14 +123,6 @@ type Summary struct {
 	Matches     int64 `json:"matches"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// Index oracle counters (indexed plan only).
-	Probes    int64 `json:"probes,omitempty"`
-	Proved    int64 `json:"proved,omitempty"`
-	Refuted   int64 `json:"refuted,omitempty"`
-	Fallbacks int64 `json:"fallbacks,omitempty"`
-	// BSP counters (partitioned plan only).
-	Removals   int64 `json:"removals,omitempty"`
-	Supersteps int64 `json:"supersteps,omitempty"`
 	// Duration summary over the retained sample window.
 	MeanUS int64 `json:"mean_us"`
 	P50US  int64 `json:"p50_us"`
@@ -200,12 +151,6 @@ func (a *outcomeAgg) summarize(key OutcomeKey) Summary {
 		Matches:     a.matches,
 		CacheHits:   a.cacheHits,
 		CacheMisses: a.cacheMisses,
-		Probes:      a.probes,
-		Proved:      a.proved,
-		Refuted:     a.refuted,
-		Fallbacks:   a.fallbacks,
-		Removals:    a.removals,
-		Supersteps:  a.supersteps,
 		Samples:     a.durN,
 	}
 	if a.count > 0 {

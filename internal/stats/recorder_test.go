@@ -8,7 +8,7 @@ import (
 )
 
 // querySpan builds an engine.query span the way the engine emits one:
-// key attrs on the span, stage counters on named children.
+// key attrs on the span, stages as named children.
 func querySpan(graphName, plan, shape string, durUS, matches int64, children ...*trace.SpanJSON) *trace.SpanJSON {
 	return &trace.SpanJSON{
 		Name:       "engine.query",
@@ -33,59 +33,48 @@ func traceOf(spans ...*trace.SpanJSON) *trace.TraceJSON {
 func TestRecorderAggregates(t *testing.T) {
 	r := NewRecorder(0)
 	// Two queries in the same bucket (one batch trace carrying both),
-	// with a cache miss then a hit, plus indexed-plan counters.
+	// with a cache miss then a hit.
 	r.Observe(traceOf(
-		querySpan("g1", "indexed", "n2e1b3", 100, 5,
+		querySpan("g1", "bounded-simulation", "n2e1b3", 100, 5,
 			&trace.SpanJSON{Name: "cache.lookup", Attrs: map[string]any{"hit": false}},
-			&trace.SpanJSON{Name: "eval.indexed", Attrs: map[string]any{
-				"probes": int64(10), "proved": int64(7), "refuted": int64(2), "fallbacks": int64(1),
-			}},
+			&trace.SpanJSON{Name: "eval.bounded"},
 		),
-		querySpan("g1", "indexed", "n2e1b3", 300, 5,
+		querySpan("g1", "bounded-simulation", "n2e1b3", 300, 5,
 			&trace.SpanJSON{Name: "cache.lookup", Attrs: map[string]any{"hit": true}},
 		),
 	))
-	// A partitioned-plan query in a second bucket, with float64 attrs
-	// as a JSON round-trip would produce.
-	part := querySpan("g1", "partitioned", "n3e2b*", 900, 12,
-		&trace.SpanJSON{Name: "eval.partitioned", Attrs: map[string]any{
-			"removals": float64(4), "supersteps": float64(3),
-		}},
+	// A simulation-plan query in a second bucket, with float64 attrs as a
+	// JSON round-trip would produce.
+	sim := querySpan("g1", "simulation", "n3e2b1", 900, 12,
+		&trace.SpanJSON{Name: "eval.simulation"},
 	)
-	part.Attrs["matches"] = float64(12)
-	r.Observe(traceOf(part))
+	sim.Attrs["matches"] = float64(12)
+	r.Observe(traceOf(sim))
 
 	sums := r.Summaries()
 	if len(sums) != 2 {
 		t.Fatalf("got %d summaries, want 2", len(sums))
 	}
-	// Busiest first: the indexed bucket saw two queries.
-	idx := sums[0]
-	if idx.Plan != "indexed" || idx.Shape != "n2e1b3" || idx.Count != 2 {
-		t.Fatalf("busiest bucket = %+v", idx)
+	// Busiest first: the bounded bucket saw two queries.
+	bnd := sums[0]
+	if bnd.Plan != "bounded-simulation" || bnd.Shape != "n2e1b3" || bnd.Count != 2 {
+		t.Fatalf("busiest bucket = %+v", bnd)
 	}
-	if idx.Matches != 10 || idx.CacheHits != 1 || idx.CacheMisses != 1 {
-		t.Fatalf("indexed counters = %+v", idx)
+	if bnd.Matches != 10 || bnd.CacheHits != 1 || bnd.CacheMisses != 1 {
+		t.Fatalf("bounded counters = %+v", bnd)
 	}
-	if idx.Probes != 10 || idx.Proved != 7 || idx.Refuted != 2 || idx.Fallbacks != 1 {
-		t.Fatalf("oracle counters = %+v", idx)
+	if bnd.MeanUS != 200 || bnd.P50US != 100 || bnd.P95US != 300 || bnd.Samples != 2 {
+		t.Fatalf("durations = %+v", bnd)
 	}
-	if idx.MeanUS != 200 || idx.P50US != 100 || idx.P95US != 300 || idx.Samples != 2 {
-		t.Fatalf("durations = %+v", idx)
-	}
-	prt := sums[1]
-	if prt.Plan != "partitioned" || prt.Count != 1 || prt.Matches != 12 {
-		t.Fatalf("partitioned bucket = %+v", prt)
-	}
-	if prt.Removals != 4 || prt.Supersteps != 3 {
-		t.Fatalf("bsp counters = %+v", prt)
+	if s := sums[1]; s.Plan != "simulation" || s.Count != 1 || s.Matches != 12 {
+		t.Fatalf("simulation bucket = %+v", s)
 	}
 
 	totals := r.PlanTotals()
 	if len(totals) != 2 {
 		t.Fatalf("got %d plan totals, want 2", len(totals))
 	}
-	if totals[0].Plan != "indexed" || totals[0].Count != 2 || totals[0].P95US != 300 {
+	if totals[0].Plan != "bounded-simulation" || totals[0].Count != 2 || totals[0].P95US != 300 {
 		t.Fatalf("plan total = %+v", totals[0])
 	}
 }

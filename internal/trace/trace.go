@@ -188,6 +188,30 @@ type SpanJSON struct {
 	Children   []*SpanJSON    `json:"children,omitempty"`
 }
 
+// Int reads an integer attribute: int64 as Span.SetInt stores it, float64
+// once the span has round-tripped through JSON. Anything else reads 0.
+func (sp *SpanJSON) Int(key string) int64 {
+	switch v := sp.Attrs[key].(type) {
+	case int64:
+		return v
+	case float64:
+		return int64(v)
+	}
+	return 0
+}
+
+// Str reads a string attribute, "" when absent.
+func (sp *SpanJSON) Str(key string) string {
+	v, _ := sp.Attrs[key].(string)
+	return v
+}
+
+// Bool reads a boolean attribute, false when absent.
+func (sp *SpanJSON) Bool(key string) bool {
+	v, _ := sp.Attrs[key].(bool)
+	return v
+}
+
 // TraceJSON is the wire snapshot of a whole trace.
 type TraceJSON struct {
 	ID         string    `json:"id"`

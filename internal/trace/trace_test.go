@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,37 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	if eng.StartUS < 0 || eng.DurationUS < 0 || tj.DurationUS < eng.DurationUS {
 		t.Fatalf("timing inconsistent: trace %dus, span start %dus dur %dus",
 			tj.DurationUS, eng.StartUS, eng.DurationUS)
+	}
+}
+
+// TestSpanAttrReaders: Int, Str and Bool read a span's attributes the same
+// in process and after a JSON round trip, and read zero values when an
+// attribute is absent or of another type.
+func TestSpanAttrReaders(t *testing.T) {
+	tr := New(Options{Sample: 1})
+	ctx, root := tr.Start(context.Background(), "req-1", "query", false)
+	_, sp := StartSpan(ctx, "engine.query")
+	sp.SetInt("matches", 42)
+	sp.SetStr("plan", "bounded-simulation")
+	sp.SetBool("hit", true)
+	sp.End()
+	live := tr.Finish(root)
+	data, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded TraceJSON
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	for name, tj := range map[string]*TraceJSON{"in process": live, "decoded": &decoded} {
+		q := tj.Find("engine.query")
+		if q.Int("matches") != 42 || q.Str("plan") != "bounded-simulation" || !q.Bool("hit") {
+			t.Errorf("%s: Int/Str/Bool = %d/%q/%v", name, q.Int("matches"), q.Str("plan"), q.Bool("hit"))
+		}
+		if q.Int("plan") != 0 || q.Str("matches") != "" || q.Bool("missing") || q.Int("missing") != 0 {
+			t.Errorf("%s: mistyped or missing attributes read non-zero", name)
+		}
 	}
 }
 
