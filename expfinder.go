@@ -355,7 +355,7 @@ func CompressGraphWithView(g *Graph, scheme CompressionScheme, view AttrView) *C
 
 // Distance index and partitioning options and stats, for callers of
 // Engine.BuildIndex and Engine.PartitionGraph. No query reads either
-// structure; the engine only builds and maintains them.
+// structure; the engine builds them, and the next write detaches them.
 type (
 	// DistanceIndexOptions configures Engine.BuildIndex.
 	DistanceIndexOptions = distindex.Options

@@ -16,13 +16,10 @@
 // fall back to a bounded BFS over the graph when the labels cannot
 // decide. Either way the answers are always exact, never approximate.
 //
-// The index tracks the graph's mutation version. Edge insertions are
-// repaired in place with resumed pruned BFS passes (distances only
-// shrink, so labels only gain or improve entries); edge deletions and
-// node removals invalidate the index, which then answers every query
-// through the BFS fallback until rebuilt. Attribute changes bump the
-// graph version without touching distances, so the engine refreshes the
-// tracked version instead of invalidating.
+// The index describes the graph at the version it was built at and is
+// never repaired: once the graph moves, every query takes the BFS
+// fallback (still exact). The engine detaches an index on the next write
+// and rebuilds one only on request.
 package distindex
 
 import (
@@ -72,30 +69,19 @@ type Options struct {
 	Workers int
 }
 
-// Update is one edge insertion or deletion applied through Sync.
-type Update = graph.Update
-
 // Index is a bidirectional landmark labeling over one graph. Reads
-// (WithinOut, Distance, Stats) are safe concurrently with each
-// other; mutations (Sync, SyncNodeAdded, Invalidate, ...) must be
-// serialized with reads by the owner — the engine holds the graph's
-// write lock for them, exactly as it does for graph mutations.
+// (WithinOut, Distance, Stats) are safe concurrently with each other; the
+// graph must not be mutated while one runs.
 type Index struct {
 	g        *graph.Graph
 	version  uint64 // graph version the labels describe
-	stale    bool   // set by deletions/node removals; rebuild to clear
 	complete bool   // every live node is a landmark (full 2-hop cover)
-	lbExact  bool   // label entries are exact distances (lower bounds usable)
 
 	ord      []graph.NodeID // rank -> landmark node
 	rank     []int32        // node -> rank, noRank for non-landmarks
 	lin      [][]entry      // lin[v]: (landmark h, d(h -> v)), rank-sorted
 	lout     [][]entry      // lout[v]: (landmark h, d(v -> h)), rank-sorted
-	nEntries int            // total entries across both sides, kept incrementally
-
-	// repairSc is the cached BFS scratch of the insert-repair path;
-	// mutations are serialized by the owner, so one suffices.
-	repairSc *buildScratch
+	nEntries int            // total entries across both sides
 
 	buildTime time.Duration
 
@@ -104,15 +90,13 @@ type Index struct {
 	proved    atomic.Uint64
 	refuted   atomic.Uint64
 	fallbacks atomic.Uint64
-	repairs   atomic.Uint64
 }
 
 // Stats summarizes an index for monitoring and experiment reports.
 type Stats struct {
 	Landmarks int    `json:"landmarks"`
 	Complete  bool   `json:"complete"`
-	Fresh     bool   `json:"fresh"`
-	Stale     bool   `json:"stale"`
+	Fresh     bool   `json:"fresh"` // the graph has not moved since the build
 	Nodes     int    `json:"nodes"`
 	Entries   int    `json:"entries"` // label entries across both directions
 	Bytes     int64  `json:"bytes"`   // approximate label memory
@@ -122,7 +106,6 @@ type Stats struct {
 	Proved    uint64 `json:"proved"`
 	Refuted   uint64 `json:"refuted"`
 	Fallbacks uint64 `json:"fallbacks"`
-	Repairs   uint64 `json:"repairs"` // label entries added/improved by edge-insert repair
 }
 
 // Build constructs the index for g. The graph must not be mutated during
@@ -159,7 +142,6 @@ func Build(g *graph.Graph, opts Options) *Index {
 		g:        g,
 		version:  g.Version(),
 		complete: k == len(live),
-		lbExact:  true,
 		ord:      append([]graph.NodeID(nil), live[:k]...),
 		rank:     make([]int32, maxID),
 		lin:      make([][]entry, maxID),
@@ -354,17 +336,28 @@ func (ix *Index) prunedBFS(h graph.NodeID, reverse bool, sc *buildScratch) []nod
 // Graph returns the graph the index was built over.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
-// Fresh reports whether the index describes g's current state: same
-// graph, version unchanged (or repaired in lockstep), and not invalidated
-// by a deletion. A non-fresh index still answers correctly — every query
-// takes the BFS fallback — but the engine stops routing plans through it.
-func (ix *Index) Fresh(g *graph.Graph) bool {
-	return ix.g == g && !ix.stale && ix.version == g.Version()
+// usable reports whether label answers may be trusted right now: the
+// graph has not moved since the build. An index that is not usable still
+// answers exactly, through the BFS fallback.
+func (ix *Index) usable() bool { return ix.version == ix.g.Version() }
+
+// Stats returns a snapshot of the index's shape and query counters. It is
+// O(1) label-wise, cheap enough for the server to call per request under
+// the read lock.
+func (ix *Index) Stats() Stats {
+	entries := ix.nEntries
+	return Stats{
+		Landmarks: len(ix.ord),
+		Complete:  ix.complete,
+		Fresh:     ix.usable(),
+		Nodes:     ix.g.NumNodes(),
+		Entries:   entries,
+		Bytes:     int64(entries)*8 + int64(len(ix.rank))*4,
+		BuildMS:   ix.buildTime.Milliseconds(),
+		Version:   ix.version,
+		Queries:   ix.queries.Load(),
+		Proved:    ix.proved.Load(),
+		Refuted:   ix.refuted.Load(),
+		Fallbacks: ix.fallbacks.Load(),
+	}
 }
-
-// Invalidate marks the index stale. Every subsequent query falls back to
-// bounded BFS (still exact); Fresh reports false until a rebuild.
-func (ix *Index) Invalidate() { ix.stale = true }
-
-// usable reports whether label answers may be trusted right now.
-func (ix *Index) usable() bool { return !ix.stale && ix.version == ix.g.Version() }

@@ -117,112 +117,6 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestInsertRepairKeepsIndexExact(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		n := 4 + r.Intn(12)
-		g := randomGraph(r, n, r.Intn(2*n+1), false)
-		opts := Options{}
-		if trial%2 == 1 {
-			opts.Landmarks = 1 + r.Intn(n)
-		}
-		ix := Build(g, opts)
-		// A few batches of random insertions, each synced through the index.
-		for round := 0; round < 3; round++ {
-			var ops []Update
-			for i := 0; i < 1+r.Intn(4); i++ {
-				u := graph.NodeID(r.Intn(n))
-				v := graph.NodeID(r.Intn(n))
-				if u == v {
-					continue
-				}
-				if g.AddEdge(u, v) == nil {
-					ops = append(ops, Update{Insert: true, From: u, To: v})
-				}
-			}
-			ix.Sync(ops)
-			if !ix.Fresh(g) {
-				t.Fatalf("trial %d round %d: index not fresh after insert sync", trial, round)
-			}
-			checkAllPairs(t, g, ix, fmt.Sprintf("trial %d round %d", trial, round))
-			entries := 0
-			for i := range ix.lin {
-				entries += len(ix.lin[i]) + len(ix.lout[i])
-			}
-			if st := ix.Stats(); st.Entries != entries {
-				t.Fatalf("trial %d round %d: incremental entry count %d, actual %d", trial, round, st.Entries, entries)
-			}
-		}
-	}
-}
-
-func TestDeleteInvalidatesButStaysExact(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	g := randomGraph(r, 10, 25, false)
-	ix := Build(g, Options{})
-	edges := g.Edges()
-	e := edges[r.Intn(len(edges))]
-	if err := g.RemoveEdge(e.From, e.To); err != nil {
-		t.Fatal(err)
-	}
-	ix.Sync([]Update{{Insert: false, From: e.From, To: e.To}})
-	if ix.Fresh(g) {
-		t.Fatal("index fresh after a deletion")
-	}
-	// Not fresh, but still exact: everything goes through the fallback.
-	checkAllPairs(t, g, ix, "post-delete")
-	if ix.Stats().Fallbacks == 0 {
-		t.Fatal("stale index should be answering via fallback")
-	}
-}
-
-func TestNodeAddedThenConnected(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := randomGraph(r, 8, 16, false)
-	ix := Build(g, Options{})
-	// Two new nodes, then edges stitching them in — including a direct
-	// new-node -> new-node edge, whose only cover is the new landmarks.
-	n1 := g.AddNode("N", nil)
-	ix.SyncNodeAdded(n1)
-	n2 := g.AddNode("N", nil)
-	ix.SyncNodeAdded(n2)
-	var ops []Update
-	for _, e := range [][2]graph.NodeID{{0, n1}, {n1, n2}, {n2, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-		ops = append(ops, Update{Insert: true, From: e[0], To: e[1]})
-	}
-	ix.Sync(ops)
-	if !ix.Fresh(g) {
-		t.Fatal("index not fresh after node-add + insert sync")
-	}
-	checkAllPairs(t, g, ix, "node-added")
-}
-
-func TestAttrChangeKeepsIndexFresh(t *testing.T) {
-	g := graph.New(2)
-	a := g.AddNode("A", nil)
-	b := g.AddNode("B", nil)
-	if err := g.AddEdge(a, b); err != nil {
-		t.Fatal(err)
-	}
-	ix := Build(g, Options{})
-	if err := g.SetAttr(a, "experience", graph.Int(9)); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Fresh(g) {
-		t.Fatal("index cannot know about the out-of-band version bump yet")
-	}
-	ix.SyncAttrChanged(a)
-	if !ix.Fresh(g) {
-		t.Fatal("attribute sync should refresh the version")
-	}
-	if !ix.WithinOut(a, b, 1) {
-		t.Fatal("a -> b within 1")
-	}
-}
-
 func TestOutOfBandMutationFallsBack(t *testing.T) {
 	g := graph.New(3)
 	a := g.AddNode("A", nil)
@@ -232,16 +126,24 @@ func TestOutOfBandMutationFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := Build(g, Options{})
-	// Mutate behind the index's back: queries must keep being exact by
-	// falling back, even though Fresh is false.
+	// Mutate behind the index's back, including a node past the labeled
+	// id space: queries must keep being exact by falling back, and must
+	// not index the labels out of range.
 	if err := g.AddEdge(b, c); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Fresh(g) {
-		t.Fatal("index fresh after unsynced mutation")
+	d := g.AddNode("D", nil)
+	if err := g.AddEdge(c, d); err != nil {
+		t.Fatal(err)
 	}
-	if !ix.WithinOut(a, c, 2) {
+	if ix.Stats().Fresh {
+		t.Fatal("index fresh after an out-of-band mutation")
+	}
+	if !ix.WithinOut(a, c, 2) || !ix.WithinOut(a, d, 3) || ix.WithinOut(a, d, 2) {
 		t.Fatal("stale index must still answer exactly via fallback")
+	}
+	if ix.Distance(a, d) != 3 || ix.Stats().Fallbacks == 0 {
+		t.Fatalf("stale index: distance %d, stats %+v", ix.Distance(a, d), ix.Stats())
 	}
 }
 
@@ -333,22 +235,4 @@ func trueWithinBench(g *graph.Graph, u, v graph.NodeID, bound int) bool {
 		return true
 	})
 	return found
-}
-
-func TestSyncWithUnsyncedNodeInvalidates(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	g := randomGraph(r, 6, 10, false)
-	ix := Build(g, Options{})
-	// Library misuse: a node added without SyncNodeAdded, then an edge to
-	// it synced. The index must invalidate, not panic — and keep
-	// answering exactly via the fallback.
-	id := g.AddNode("N", nil)
-	if err := g.AddEdge(0, id); err != nil {
-		t.Fatal(err)
-	}
-	ix.Sync([]Update{{Insert: true, From: 0, To: id}})
-	if ix.Fresh(g) {
-		t.Fatal("index fresh after an insert touching an unsynced node")
-	}
-	checkAllPairs(t, g, ix, "unsynced-node")
 }

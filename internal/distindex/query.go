@@ -84,10 +84,10 @@ func (ix *Index) provedWithin(u, v graph.NodeID, bound int) bool {
 	return false
 }
 
-// lowerBound returns the triangle-inequality lower bound on d(u -> v),
-// valid only while lbExact holds (0 otherwise).
+// lowerBound returns the triangle-inequality lower bound on d(u -> v) on
+// a partial index (0 on a complete one, whose labels decide alone).
 func (ix *Index) lowerBound(u, v graph.NodeID) (lo int32) {
-	if ix.complete || !ix.lbExact {
+	if ix.complete {
 		return 0
 	}
 	var a, b []entry
@@ -195,7 +195,7 @@ func (ix *Index) cycleWithin(v graph.NodeID, bound int) bool {
 }
 
 // fallbackWithin is the exact bounded-BFS answer, used when labels cannot
-// decide (partial index) or the index is not usable (stale/out of date).
+// decide (partial index) or the index is not usable (the graph moved).
 func (ix *Index) fallbackWithin(u, v graph.NodeID, bound int) bool {
 	ok, _ := ix.fallbackWithinCost(u, v, bound)
 	return ok

@@ -23,8 +23,8 @@
 // 2 to 4 answers is evaluate's one switch. Steps 2 and 3 are maintainers
 // of the bounded-simulation relation only: a dual-simulation query goes
 // from step 1 straight to the kernel on G. A distance index or an edge-cut
-// partitioning may be attached and is kept in step with writes, but no
-// query reads either. queryLocked does step 1 and, after a miss, stores
+// partitioning may be attached, but no query reads either, and the next
+// write detaches both. queryLocked does step 1 and, after a miss, stores
 // the one entry; evaluate is steps 2 to 4 and touches neither the cache
 // nor any file. What a Result carries is the entry's own relation and
 // result graph, shared with every other holder and never copied: the
@@ -33,9 +33,10 @@
 // Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
 // writes and replicated replay run the same validate → apply → sync every
 // maintainer once → log sequence under the graph's write lock, with edge
-// batches passed to every maintainer and the log as one []graph.Update. A
-// maintainer that cannot repair in place goes stale or is dropped — a
-// simulation-equivalence quotient lives until the first write, a
+// batches passed to every maintainer and the log as one []graph.Update.
+// The maintainers are what queries read: the standing queries' matchers,
+// the quotient and the statistics. A quotient that cannot repair in place
+// is dropped — a simulation-equivalence one lives until the first write, a
 // bisimulation one until a write takes it past the cut — and the write
 // itself never fails on its account.
 //
@@ -186,8 +187,8 @@ type managed struct {
 	removed bool // set under mu by RemoveGraph; Subscribe re-checks it
 	g       *graph.Graph
 	comp    *compress.Compressed      // optional
-	idx     *distindex.Index          // optional landmark distance index
-	part    *partition.Partitioning   // optional edge-cut partitioning
+	idx     *distindex.Index          // optional; the next write detaches it
+	part    *partition.Partitioning   // optional; the next write detaches it
 	st      *stats.Graph              // online graph statistics
 	queries map[string]*standingQuery // pattern hash -> standing query
 }
@@ -703,17 +704,35 @@ func (e *Engine) Compressed(graphName string) (*compress.Compressed, error) {
 	return mg.comp, nil
 }
 
-// WithCompressed runs fn with the named graph's quotient, nil when none is
-// attached, under the graph's read lock, on WithGraph's terms.
-func (e *Engine) WithCompressed(graphName string, fn func(*compress.Compressed)) error {
+// Attached is what a graph carries beside its data, as one read sees it.
+// A field is nil when nothing of its kind is attached.
+type Attached struct {
+	Index      *distindex.Stats
+	Partitions *partition.Stats
+	Compressed *compress.Compressed
+	Statistics *stats.Snapshot
+}
+
+// WithAttached runs fn with the named graph and what it carries, all
+// under one hold of the graph's read lock, on WithGraph's terms: every
+// part describes the same version.
+func (e *Engine) WithAttached(graphName string, fn func(*graph.Graph, Attached) error) error {
 	mg, err := e.lookup(graphName)
 	if err != nil {
 		return err
 	}
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	fn(mg.comp)
-	return nil
+	a := Attached{Compressed: mg.comp, Statistics: mg.st.Snapshot(mg.g)}
+	if mg.idx != nil {
+		st := mg.idx.Stats()
+		a.Index = &st
+	}
+	if mg.part != nil {
+		st := mg.part.Stats()
+		a.Partitions = &st
+	}
+	return fn(mg.g, a)
 }
 
 // DropCompression removes the compressed form.
@@ -729,12 +748,11 @@ func (e *Engine) DropCompression(graphName string) error {
 }
 
 // BuildIndex builds (or replaces) the landmark distance index of a graph
-// and returns its stats. No query reads the index; writes keep it fresh
-// (edge insertions are repaired in place; deletions and node removals
-// invalidate it until the next BuildIndex). The build holds the graph's
-// write lock — queries queue behind it. Like a partitioning or a
-// quotient, the index lives in memory only: a restarted engine carries
-// none until it is built again.
+// and returns its stats. No query reads the index, and the next write
+// detaches it: IndexStats answers ErrNoIndex until the next BuildIndex.
+// The build holds the graph's write lock — queries queue behind it. Like
+// a partitioning or a quotient, the index lives in memory only: a
+// restarted engine carries none until it is built again.
 func (e *Engine) BuildIndex(graphName string, opts distindex.Options) (distindex.Stats, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {

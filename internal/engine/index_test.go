@@ -7,11 +7,9 @@ import (
 	"sync"
 	"testing"
 
-	"expfinder/internal/bsim"
 	"expfinder/internal/compress"
 	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
-	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
 	"expfinder/internal/partition"
 	"expfinder/internal/pattern"
@@ -28,24 +26,6 @@ func attachedIndex(t *testing.T, e *Engine, name string) *distindex.Index {
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
 	return mg.idx
-}
-
-// indexAnswersExactly checks that the attached index, handed to the
-// kernel, still gives the kernel's own relation for q on the live graph.
-func indexAnswersExactly(t *testing.T, e *Engine, name string, q *pattern.Pattern) {
-	t.Helper()
-	ix := attachedIndex(t, e, name)
-	if ix == nil {
-		t.Fatal("no index attached")
-	}
-	if err := e.WithGraph(name, func(g *graph.Graph) error {
-		if !bsim.ComputeIndexed(g, q, ix).Equal(bsim.Compute(g, q)) {
-			t.Error("index-backed relation diverges from the kernel's")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestIndexedPlanRouting: attaching a distance index leaves the plan, the
@@ -113,132 +93,6 @@ func TestIndexStatsLifecycle(t *testing.T) {
 	}
 	if _, err := e.BuildIndex("nope", distindex.Options{}); !errors.Is(err, ErrNoGraph) {
 		t.Fatalf("build on unknown graph: %v", err)
-	}
-}
-
-func TestIndexRepairedAcrossInsertUpdates(t *testing.T) {
-	e, p := newPaperEngine(t)
-	q := dataset.PaperQuery()
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Example 3: inserting e1 adds exactly (SD, Fred).
-	if _, err := e.ApplyUpdates("paper", []incremental.Update{incremental.Insert(p.Fred, p.Pat)}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.IndexStats("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Fresh {
-		t.Fatalf("index not fresh after insert repair: %+v", st)
-	}
-	indexAnswersExactly(t, e, "paper", q)
-	res, err := e.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, _ := q.Lookup("SD")
-	if !res.Relation.Has(sd, p.Fred) {
-		t.Fatal("(SD, Fred) missing after insert")
-	}
-}
-
-func TestIndexStaysFreshAfterRolledBackBatch(t *testing.T) {
-	e, p := newPaperEngine(t)
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Op 2 duplicates an existing edge; the whole batch rolls back. The
-	// graph content is unchanged, so the index must stay fresh.
-	_, err := e.ApplyUpdates("paper", []incremental.Update{
-		incremental.Insert(p.Fred, p.Pat),
-		incremental.Insert(p.Bob, p.Dan), // already present
-	})
-	if err == nil {
-		t.Fatal("duplicate insert should fail the batch")
-	}
-	st, err := e.IndexStats("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Fresh {
-		t.Fatalf("index demoted by a rolled-back batch: %+v", st)
-	}
-	indexAnswersExactly(t, e, "paper", dataset.PaperQuery())
-}
-
-func TestIndexInvalidatedByDeletion(t *testing.T) {
-	e, p := newPaperEngine(t)
-	q := dataset.PaperQuery()
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ApplyUpdates("paper", []incremental.Update{incremental.Delete(p.Walt, p.Fred)}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.IndexStats("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Fresh || !st.Stale {
-		t.Fatalf("index should be stale after a deletion: %+v", st)
-	}
-	res, err := e.Query("paper", q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan != PlanBounded || res.Source != SourceDirect {
-		t.Fatalf("post-delete plan/source = %v/%v, want bounded/direct", res.Plan, res.Source)
-	}
-	g, _ := e.Graph("paper")
-	if !res.Relation.Equal(bsim.Compute(g, q)) {
-		t.Fatal("post-delete relation wrong")
-	}
-	// Rebuilding restores a fresh, exact index.
-	if st, err := e.BuildIndex("paper", distindex.Options{}); err != nil || !st.Fresh {
-		t.Fatalf("rebuild: %+v, %v", st, err)
-	}
-	indexAnswersExactly(t, e, "paper", q)
-}
-
-func TestIndexNodeLifecycleHooks(t *testing.T) {
-	e, p := newPaperEngine(t)
-	if _, err := e.BuildIndex("paper", distindex.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Attribute changes keep the index fresh (distances untouched).
-	if err := e.SetNodeAttr("paper", p.Bob, "experience", graph.Int(9)); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := e.IndexStats("paper"); !st.Fresh {
-		t.Fatalf("attr change should not invalidate: %+v", st)
-	}
-	// New nodes join the index; connecting them keeps it fresh and exact.
-	id, err := e.AddNode("paper", "SD", graph.Attrs{"experience": graph.Int(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ApplyUpdates("paper", []incremental.Update{
-		incremental.Insert(p.Bob, id), incremental.Insert(id, p.Eva),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := e.IndexStats("paper")
-	if !st.Fresh {
-		t.Fatalf("index not fresh after node add + inserts: %+v", st)
-	}
-	ix := attachedIndex(t, e, "paper")
-	g, _ := e.Graph("paper")
-	if ix.Distance(p.Bob, p.Eva) != g.Distance(p.Bob, p.Eva) {
-		t.Fatal("index distance diverges after node lifecycle")
-	}
-	// Node removal invalidates.
-	if err := e.RemoveNode("paper", id); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := e.IndexStats("paper"); st.Fresh {
-		t.Fatalf("node removal should invalidate: %+v", st)
 	}
 }
 

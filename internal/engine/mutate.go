@@ -12,18 +12,20 @@ package engine
 // the version the graph reached; a replicated one skips records it already
 // holds and restores the leader's version instead.
 //
-// Maintainers — the standing queries' matchers, the quotient, the distance
-// index, the partitioning, the statistics — are told in that fixed order,
-// every one of them on every mutation kind. A matcher is one per standing
-// query, whether a registration, a subscription or both holds it; one that
-// cannot repair in place is rebuilt from scratch. Any other maintainer
-// that cannot is dropped or left stale and no query routes through it: the
-// fan-out never stops half way, and a mutation that changed the graph
-// never fails on a maintainer's account. The quotient is also dropped by
-// the write that takes it past compress's cut (Compressed.Pays): repairs
-// only make it finer, and an operator rebuilds it with CompressGraph. Then
-// the subscription hub diffs each subscribed query's repaired relation
-// against the one it last published and delivers the delta.
+// Maintainers — the standing queries' matchers, the quotient, the
+// statistics — are told in that fixed order, every one of them on every
+// mutation kind: a write keeps current only what a query reads. A matcher
+// is one per standing query, whether a registration, a subscription or
+// both holds it; one that cannot repair in place is rebuilt from scratch.
+// A quotient that cannot is dropped: the fan-out never stops half way, and
+// a mutation that changed the graph never fails on a maintainer's account.
+// The quotient is also dropped by the write that takes it past compress's
+// cut (Compressed.Pays): repairs only make it finer, and an operator
+// rebuilds it with CompressGraph. No query reads the distance index or the
+// partitioning, so every write that reaches the graph detaches both; a
+// write rejected before it changed the graph keeps them. Then the
+// subscription hub diffs each subscribed query's repaired relation against
+// the one it last published and delivers the delta.
 
 import (
 	"context"
@@ -135,6 +137,8 @@ func (e *Engine) mutate(ctx context.Context, name string, rec *wal.Record, repli
 	// leader's — and a version gap would silently demote every query to
 	// the direct plan.
 	mg.refreshVersions()
+	// No query reads these two, so a write detaches rather than repairs them.
+	mg.idx, mg.part = nil, nil
 	if pers := e.opts.Persistence; pers != nil {
 		if logErr := pers.LogRecord(ctx, name, rec); logErr != nil && err == nil {
 			err = fmt.Errorf("engine: log mutation: %w", logErr)
@@ -161,22 +165,10 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		if mg.comp != nil && mg.comp.SyncNodeAdded(out.id) != nil {
 			mg.comp = nil
 		}
-		if mg.idx != nil {
-			mg.idx.SyncNodeAdded(out.id)
-		}
-		if mg.part != nil {
-			mg.part.SyncNodeAdded(out.id)
-		}
 		mg.st.SyncNodeAdded(mg.g, out.id)
 	case wal.RecRemoveNode:
 		if !mg.g.Has(rec.ID) {
 			return out, graph.ErrNoNode
-		}
-		// Removing a node shrinks reachability, which 2-hop labels cannot
-		// repair in place: the index goes stale (queries stay exact through
-		// its BFS fallback until a rebuild).
-		if mg.idx != nil {
-			mg.idx.Invalidate()
 		}
 		// Detach the incident edges as an ordinary edge batch, so cascades
 		// run while the graph is still consistent; then the node is
@@ -203,9 +195,6 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		if err := mg.g.RemoveNode(rec.ID); err != nil {
 			return out, err // unreachable: Has held above, under the write lock
 		}
-		if mg.part != nil {
-			mg.part.SyncNodeRemoved(rec.ID)
-		}
 		mg.st.SyncNodeRemoved(mg.g, rec.ID)
 	case wal.RecSetAttr:
 		if err := mg.g.SetAttr(rec.ID, rec.Key, rec.Val); err != nil {
@@ -218,14 +207,6 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		}
 		if mg.comp != nil && mg.comp.SyncAttrChanged(rec.ID, rec.Key) != nil {
 			mg.comp = nil
-		}
-		// Attributes move no distance, no ownership and no histogram: these
-		// three just follow the version.
-		if mg.idx != nil {
-			mg.idx.SyncAttrChanged(rec.ID)
-		}
-		if mg.part != nil {
-			mg.part.SyncAttrChanged(rec.ID)
 		}
 		mg.st.SyncAttrChanged(mg.g)
 	case wal.RecVersion:
@@ -273,12 +254,6 @@ func (mg *managed) syncEdges(ops []graph.Update) []Delta {
 	if mg.comp != nil && mg.comp.Sync(ops) != nil {
 		mg.comp = nil
 	}
-	if mg.idx != nil {
-		mg.idx.Sync(ops)
-	}
-	if mg.part != nil {
-		mg.part.Sync(ops)
-	}
 	mg.st.Sync(mg.g, ops)
 	return deltas
 }
@@ -291,20 +266,13 @@ func (mg *managed) rebuild(sq *standingQuery) {
 	sq.m = incremental.NewMatcher(mg.g, sq.q)
 }
 
-// refreshVersions re-stamps every maintainer at the graph's version. An
-// invalidated index stays stale.
+// refreshVersions re-stamps every maintainer at the graph's version.
 func (mg *managed) refreshVersions() {
 	for _, sq := range mg.queries {
 		sq.m.RefreshVersion()
 	}
 	if mg.comp != nil {
 		mg.comp.RefreshVersion()
-	}
-	if mg.idx != nil {
-		mg.idx.RefreshVersion()
-	}
-	if mg.part != nil {
-		mg.part.RefreshVersion()
 	}
 	mg.st.RefreshVersion(mg.g)
 }

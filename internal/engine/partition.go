@@ -1,12 +1,10 @@
 package engine
 
 // Partitioned graphs: the engine front-end of internal/partition. A
-// managed graph can carry an edge-cut partitioning, and every mutation
-// path repairs its fragment assignment and ghost sets in place — the same
-// post-apply Sync contract registered queries, compressed views, and the
-// distance index follow. No query reads it — the partition-parallel
-// evaluator loses to the kernel on every measured shape — and the build,
-// stats and maintenance stay only while the benchmark pins them.
+// managed graph can carry an edge-cut partitioning until the next write,
+// which detaches it. No query reads it — the partition-parallel evaluator
+// loses to the kernel on every measured shape — and the build and stats
+// stay only while the benchmark pins them.
 //
 // Partitionings are in-memory accelerators, like compressed views: they
 // are not persisted, and after a crash recovery the operator (or a boot

@@ -178,63 +178,12 @@ edge SA -> SD bound 9
 	}
 }
 
-// TestPartitionMutationRepair drives every engine mutation path over a
-// partitioned graph and checks the partitioning stays fresh, with the
-// partition-parallel evaluator over it and the engine's answer identical
-// to the direct algorithm after every burst.
-func TestPartitionMutationRepair(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	g := testutil.RandomGraph(r, 150, 450)
-	q := dataset.PaperQuery()
-	e := New(Options{})
-	if err := e.AddGraph("g", g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.PartitionGraph("g", partition.Options{Parts: 5, Strategy: partition.StrategyGreedy}); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 6; round++ {
-		churn(t, e, "g", r, 20)
-		want := directRelation(t, e, "g", q)
-		res, err := e.Query("g", q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Relation.String() != want {
-			t.Fatalf("round %d: relation diverged", round)
-		}
-		partitionAnswersExactly(t, e, "g", q)
-		st, err := e.PartitionStats("g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var version uint64
-		total := 0
-		if err := e.WithGraph("g", func(g *graph.Graph) error {
-			version = g.Version()
-			total = g.NumNodes()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if st.GraphVersion != version {
-			t.Fatalf("round %d: partition version %d, graph %d", round, st.GraphVersion, version)
-		}
-		sum := 0
-		for _, fs := range st.Fragments {
-			sum += fs.Nodes
-		}
-		if sum != total {
-			t.Fatalf("round %d: fragments own %d nodes, graph has %d", round, sum, total)
-		}
-	}
-}
-
-// TestPartitionRollbackKeepsFresh: a failed update batch rolls back and
-// must leave the partitioning fresh (content unchanged, version
-// re-stamped) — the same contract the distance index has, and the
-// bisimulation quotient too.
-func TestPartitionRollbackKeepsFresh(t *testing.T) {
+// TestRolledBackBatchDetachesIndexAndPartitions: a batch that applied a
+// prefix and was rolled back still moved the version, so it detaches the
+// distance index and the partitioning; a batch rejected at its first op
+// changed nothing and keeps both. The bisimulation quotient survives
+// either: the content it describes is unchanged.
+func TestRolledBackBatchDetachesIndexAndPartitions(t *testing.T) {
 	g := payingGraph(t, 200, 1)
 	q := dataset.PaperQuery()
 	e := New(Options{})
@@ -242,6 +191,9 @@ func TestPartitionRollbackKeepsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := e.PartitionGraph("g", partition.Options{Parts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.BuildIndex("g", distindex.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	comp, err := e.CompressGraph("g", compress.Bisimulation, compress.View{"experience"})
@@ -253,12 +205,27 @@ func TestPartitionRollbackKeepsFresh(t *testing.T) {
 	if g.HasEdge(u, v) {
 		t.Fatal("fixture edge exists; pick another pair")
 	}
+	version := g.Version()
+	if _, err := e.ApplyUpdates("g", []incremental.Update{incremental.Delete(u, v)}); err == nil {
+		t.Fatal("deleting a missing edge unexpectedly succeeded")
+	}
+	if _, err := e.IndexStats("g"); err != nil || g.Version() != version {
+		t.Fatalf("rejected batch: index %v, version %d -> %d", err, version, g.Version())
+	}
+	partitionAnswersExactly(t, e, "g", q)
+
 	ops := []incremental.Update{
 		incremental.Insert(u, v),
 		incremental.Insert(u, v), // duplicate: fails, rolls back the first
 	}
 	if _, err := e.ApplyUpdates("g", ops); err == nil {
 		t.Fatal("duplicate insert batch unexpectedly succeeded")
+	}
+	if _, err := e.IndexStats("g"); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("index after rollback: %v, want ErrNoIndex", err)
+	}
+	if _, err := e.PartitionStats("g"); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("partitioning after rollback: %v, want ErrNoPartition", err)
 	}
 	res, err := e.Query("g", q, 0)
 	if err != nil {
@@ -267,7 +234,6 @@ func TestPartitionRollbackKeepsFresh(t *testing.T) {
 	if res.Relation.String() != directRelation(t, e, "g", q) {
 		t.Fatal("relation diverged after rollback")
 	}
-	partitionAnswersExactly(t, e, "g", q)
 	// A plain-simulation query routes through the quotient, which still
 	// describes the restored content exactly and was re-stamped with the
 	// rest: its own staleness check (Maintain's) agrees.
@@ -290,8 +256,8 @@ edge SA -> SD bound 1`)
 }
 
 // TestSubscriptionsOnPartitionedGraph: continuous queries keep their
-// exactness guarantee, and the partitioning its freshness, under
-// subscription traffic on a partitioned graph.
+// exactness guarantee under subscription traffic on a partitioned graph,
+// and the first write detaches the partitioning.
 func TestSubscriptionsOnPartitionedGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	g := testutil.RandomGraph(r, 80, 240)
@@ -329,22 +295,15 @@ func TestSubscriptionsOnPartitionedGraph(t *testing.T) {
 			t.Fatalf("round %d: mirrored relation diverged from direct", round)
 		}
 	}
-	st, err := e.PartitionStats("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var version uint64
-	if err := e.WithGraph("g", func(gg *graph.Graph) error { version = gg.Version(); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if st.GraphVersion != version {
-		t.Fatal("partitioning went stale under subscription traffic")
+	if _, err := e.PartitionStats("g"); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("partitioning after subscription traffic: %v, want ErrNoPartition", err)
 	}
 }
 
 // TestRecoveryWithPartitionedGraph: WAL recovery restores a graph that
 // was partitioned byte-identically; the partitioning itself is an
-// in-memory accelerator (not persisted) and is rebuilt on demand.
+// in-memory accelerator, detached by the first write, not persisted, and
+// rebuilt on demand.
 func TestRecoveryWithPartitionedGraph(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(37))
@@ -358,11 +317,13 @@ func TestRecoveryWithPartitionedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(t, e, "g", r, 40)
+	if _, err := e.PartitionStats("g"); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("partition stats after writes = %v, want ErrNoPartition", err)
+	}
 	res, err := e.Query("g", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partitionAnswersExactly(t, e, "g", q)
 	before := engineImage(t, e, "g")
 	want := res.Relation.String()
 	if err := e.Close(); err != nil {
@@ -402,5 +363,5 @@ func TestRecoveryWithPartitionedGraph(t *testing.T) {
 	if res.Relation.String() != want {
 		t.Fatal("re-partitioned relation diverged")
 	}
-	partitionAnswersExactly(t, e, "g", q)
+	partitionAnswersExactly(t, e2, "g", q)
 }

@@ -8,10 +8,10 @@ package engine
 // replay in the same decoded form as crash recovery (wal.Record.Apply is
 // the reference semantics), through the one write pipeline every native
 // mutation runs (see mutate.go), so every maintainer — incremental
-// matchers, compressed form, distance index, partitioning, statistics,
-// live subscriptions — syncs by the same code. That is what lets a
-// follower serve queries AND subscriptions with results byte-identical
-// to the leader at the same applied offset.
+// matchers, compressed form, statistics, live subscriptions — syncs by
+// the same code, and a distance index or partitioning is detached by the
+// same rule. That is what lets a follower serve queries AND subscriptions
+// with results byte-identical to the leader at the same applied offset.
 
 import (
 	"context"
@@ -59,14 +59,6 @@ func (e *Engine) ClearReadOnly() {
 	e.readOnly = false
 	e.leader = ""
 	e.roMu.Unlock()
-}
-
-// ReadOnly reports whether the engine is in follower mode and, if so,
-// the leader address writes are redirected to.
-func (e *Engine) ReadOnly() (bool, string) {
-	e.roMu.RLock()
-	defer e.roMu.RUnlock()
-	return e.readOnly, e.leader
 }
 
 // writable is the guard on every public mutation path.

@@ -71,9 +71,6 @@ func Bool(b bool) Value {
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() ValueKind { return v.kind }
 
-// IsValid reports whether v holds a value of any kind.
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
-
 // Str returns the string payload; it is only meaningful for KindString.
 func (v Value) Str() string { return v.s }
 

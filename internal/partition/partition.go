@@ -15,9 +15,9 @@
 // balance for far fewer cut edges — and cut edges are exactly what the
 // evaluator pays for in boundary messages.
 //
-// A Partitioning is maintained incrementally under the engine's mutation
-// paths (edge updates, node add/remove, attribute changes) via the same
-// post-apply Sync contract as incremental.Matcher and distindex.Index.
+// Sync repairs a Partitioning's boundary bookkeeping after edge ops; no
+// other mutation is repaired in place. The engine detaches its
+// partitioning on the next write and rebuilds one only on request.
 package partition
 
 import (
@@ -236,16 +236,8 @@ func (pt *Partitioning) Parts() int { return pt.parts }
 // Graph returns the partitioned graph.
 func (pt *Partitioning) Graph() *graph.Graph { return pt.g }
 
-// Owner returns the fragment owning id, or -1 for unknown/tombstoned ids.
-func (pt *Partitioning) Owner(id graph.NodeID) int {
-	if int(id) < 0 || int(id) >= len(pt.owner) {
-		return -1
-	}
-	return int(pt.owner[id])
-}
-
 // Fresh reports whether the partitioning describes g exactly (same graph,
-// same version — every mutation was synced).
+// same version — every mutation since the build was synced).
 func (pt *Partitioning) Fresh(g *graph.Graph) bool {
 	return pt.g == g && pt.version == g.Version()
 }
@@ -271,48 +263,6 @@ func (pt *Partitioning) Sync(ops []Update) {
 	}
 	pt.version = pt.g.Version()
 }
-
-// SyncNodeAdded assigns a fragment to a node just added to the graph. A
-// new node has no edges yet, so greedy has no affinity signal and both
-// strategies fall back to their cheapest balanced rule.
-func (pt *Partitioning) SyncNodeAdded(id graph.NodeID) {
-	for int(id) >= len(pt.owner) {
-		pt.owner = append(pt.owner, -1)
-	}
-	var f int32
-	if pt.strategy == StrategyHash {
-		f = hashOwner(id, pt.parts)
-	} else {
-		f = 0
-		for i := 1; i < pt.parts; i++ {
-			if pt.size[i] < pt.size[f] {
-				f = int32(i)
-			}
-		}
-	}
-	pt.owner[id] = f
-	pt.size[f]++
-	pt.version = pt.g.Version()
-}
-
-// SyncNodeRemoved drops an (already edge-detached and removed) node from
-// its fragment. The engine detaches incident edges through Sync first,
-// so no ghost refcounts can still point at id.
-func (pt *Partitioning) SyncNodeRemoved(id graph.NodeID) {
-	if int(id) < len(pt.owner) && pt.owner[id] >= 0 {
-		pt.size[pt.owner[id]]--
-		pt.owner[id] = -1
-	}
-	pt.version = pt.g.Version()
-}
-
-// SyncAttrChanged follows the version: attributes never affect ownership.
-func (pt *Partitioning) SyncAttrChanged(graph.NodeID) { pt.version = pt.g.Version() }
-
-// RefreshVersion re-stamps the partitioning at the graph's current
-// version. For content-preserving version advances only (e.g. the
-// engine's rolled-back update batches).
-func (pt *Partitioning) RefreshVersion() { pt.version = pt.g.Version() }
 
 // noteEval accumulates one evaluator run's exchange counters.
 func (pt *Partitioning) noteEval(st EvalStats) {

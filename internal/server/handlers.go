@@ -114,40 +114,37 @@ func (s *Server) deleteGraph(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// graphStats renders one read of the graph and everything attached to
+// it, so every part of the body describes the same version.
 func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	var body map[string]any
-	err := s.eng.WithGraph(name, func(g *graph.Graph) error {
+	err := s.eng.WithAttached(r.PathValue("name"), func(g *graph.Graph, a engine.Attached) error {
 		st := g.ComputeStats()
 		body = map[string]any{
 			"nodes": st.Nodes, "edges": st.Edges,
 			"max_out_degree": st.MaxOutDeg, "max_in_degree": st.MaxInDeg,
 			"labels": st.Labels, "version": g.Version(),
+			// The online statistics: log-bucketed degree histograms, label
+			// frequencies, and label-pair selectivities. Works on followers
+			// too — a pure read.
+			"statistics": a.Statistics,
+		}
+		if a.Index != nil {
+			body["index"] = a.Index
+		}
+		if a.Partitions != nil {
+			body["partitions"] = a.Partitions
+		}
+		// A quotient is listed while attached; the write that takes it
+		// past compress's cut drops it.
+		if a.Compressed != nil {
+			body["compressed"] = compressResponse(a.Compressed)
 		}
 		return nil
 	})
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
-	}
-	if ixStats, err := s.eng.IndexStats(name); err == nil {
-		body["index"] = ixStats
-	}
-	if ptStats, err := s.eng.PartitionStats(name); err == nil {
-		body["partitions"] = ptStats
-	}
-	// A quotient is listed while attached; the write that takes it past
-	// compress's cut drops it.
-	_ = s.eng.WithCompressed(name, func(c *compress.Compressed) {
-		if c != nil {
-			body["compressed"] = compressResponse(c)
-		}
-	})
-	// The online statistics: log-bucketed degree histograms, label
-	// frequencies, and label-pair selectivities. Works on followers too —
-	// a pure read.
-	if snap, err := s.eng.GraphStatistics(name); err == nil {
-		body["statistics"] = snap
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -1,9 +1,9 @@
 package server
 
 // Partition endpoints: build, inspect, and drop the edge-cut
-// partitioning of a managed graph. Writes keep it fresh, but no query
-// reads it; the stats expose fragment balance, cut edges, ghost counts,
-// and the cumulative boundary-exchange volume.
+// partitioning of a managed graph. No query reads it, and the next write
+// detaches it; the stats expose fragment balance, cut edges, ghost
+// counts, and the cumulative boundary-exchange volume.
 
 import (
 	"encoding/json"

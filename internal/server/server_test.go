@@ -14,6 +14,7 @@ import (
 	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
 	"expfinder/internal/generator"
+	"expfinder/internal/graph"
 	"expfinder/internal/testutil"
 )
 
@@ -660,40 +661,99 @@ func sameAnswerAsBareGraph(t *testing.T, ts *httptest.Server, dsl string) {
 	}
 }
 
+// TestIndexSurvivesUpdateFlow: an update answers as usual with an index
+// attached and detaches it — GET …/index is 404 index_not_found and the
+// graph stats list no index — until a re-POST rebuilds it.
 func TestIndexSurvivesUpdateFlow(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
 	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, body)
 	}
-	// Insertions are repaired in place: the index stays fresh.
 	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "insert", "from": 7, "to": 6}]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("updates: %d %s", resp.StatusCode, body)
 	}
+	resp, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), `"index_not_found"`) {
+		t.Fatalf("index after an insert: %d %s, want 404 index_not_found", resp.StatusCode, body)
+	}
+	if _, body := do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil); strings.Contains(string(body), `"index"`) {
+		t.Fatalf("graph stats list a detached index: %s", body)
+	}
+	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
+	}
 	var st struct {
-		Fresh bool `json:"fresh"`
-		Stale bool `json:"stale"`
+		Fresh   bool   `json:"fresh"`
+		Version uint64 `json:"graph_version"`
 	}
 	_, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Fresh {
-		t.Fatalf("index stale after insert: %s", body)
+	if !st.Fresh || st.Version == 0 {
+		t.Fatalf("rebuilt index: %s", body)
 	}
-	// Deletions invalidate it.
-	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
-		`{"ops": [{"op": "delete", "from": 7, "to": 6}]}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete updates: %d %s", resp.StatusCode, body)
+}
+
+// TestConcurrentGraphStatsIsOneSnapshot: GET …/stats renders one read of
+// the graph. While a writer streams edge batches, every body's version
+// and counts must equal those of the statistics it embeds.
+func TestConcurrentGraphStatsIsOneSnapshot(t *testing.T) {
+	ts, eng := newTestServer(t)
+	uploadPaperGraph(t, ts)
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		batches := [2][]graph.Update{{graph.Insert(7, 6)}, {graph.Delete(7, 6)}}
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				done <- n
+				return
+			default:
+			}
+			if _, err := eng.ApplyUpdates("paper", batches[n%2]); err != nil {
+				t.Error(err)
+				done <- n
+				return
+			}
+		}
+	}()
+	type counts struct {
+		Nodes int `json:"nodes"`
+		Edges int `json:"edges"`
 	}
-	_, body = do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil)
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+	var body struct {
+		counts
+		Version    uint64 `json:"version"`
+		Statistics struct {
+			counts
+			GraphVersion uint64 `json:"graph_version"`
+		} `json:"statistics"`
 	}
-	if st.Fresh || !st.Stale {
-		t.Fatalf("index should be stale after delete: %s", body)
+	torn, bad := 0, ""
+	for i := 0; i < 200 && bad == ""; i++ {
+		resp, raw := do(t, "GET", ts.URL+"/api/v1/graphs/paper/stats", nil)
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &body) != nil {
+			bad = fmt.Sprintf("stats: %d %s", resp.StatusCode, raw)
+		} else if body.Version != body.Statistics.GraphVersion || body.counts != body.Statistics.counts {
+			torn++
+		}
+	}
+	close(stop)
+	writes := <-done
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if writes == 0 {
+		t.Fatal("the writer applied no batch while the reads ran")
+	}
+	if torn > 0 {
+		t.Fatalf("%d of 200 stats bodies mix graph versions", torn)
 	}
 }
 
@@ -701,8 +761,7 @@ func TestIndexSurvivesUpdateFlow(t *testing.T) {
 // dual query is answered — same matches and top-K before and after
 // POST …/index, from source "direct" or "cache". The repeat right after the build
 // is a hit (an index is not a write); the insert that follows bumps the
-// graph version, so the last query is evaluated with the repaired index
-// attached and fresh, and the engine still runs the kernel without it.
+// graph version, so the last query is evaluated again on the kernel.
 func TestQueryDualSemanticsIndexed(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
@@ -729,14 +788,10 @@ func TestQueryDualSemanticsIndexed(t *testing.T) {
 	}
 	answers := []queryResponse{ask("cache")}
 	// Bill (GD) -> Tess (ST): neither matches the pattern, so the answer
-	// stays and the index is repaired in place.
+	// stays.
 	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
 		`{"ops": [{"op": "insert", "from": 2, "to": 9}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert: %d %s", resp.StatusCode, body)
-	}
-	var st struct{ Fresh bool }
-	if _, body := do(t, "GET", ts.URL+"/api/v1/graphs/paper/index", nil); json.Unmarshal(body, &st) != nil || !st.Fresh {
-		t.Fatalf("index not fresh after the insert: %s", body)
 	}
 	answers = append(answers, ask("direct"))
 	for i, got := range answers {

@@ -68,6 +68,3 @@ func (mi *Mirror) Relation() *match.Relation { return mi.rel.Clone() }
 
 // Seq returns the revision the mirror has caught up to.
 func (mi *Mirror) Seq() uint64 { return mi.seq }
-
-// Synced reports whether the mirror has seen its first snapshot.
-func (mi *Mirror) Synced() bool { return mi.synced }

@@ -163,14 +163,6 @@ func (s *Span) SetBool(key string, v bool) {
 	s.set(Attr{Key: key, Value: v})
 }
 
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.set(Attr{Key: key, Value: v})
-}
-
 func (s *Span) set(a Attr) {
 	s.tr.mu.Lock()
 	s.attrs = append(s.attrs, a)
