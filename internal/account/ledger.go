@@ -29,8 +29,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"expfinder/internal/trace"
 )
 
 // OtherClient is the fold bucket for clients beyond the top-K bound.
@@ -52,8 +50,9 @@ const defaultMaxClients = 32
 
 // Charge is one finished request's bill. Wall/Status/BytesOut come
 // from the middleware; Queue and the cost fields below it come from
-// the request's trace when one exists (AddTrace) — untraced requests
-// are still charged their wall time, status, and bytes.
+// the serving tier's fold of the request's trace when one exists —
+// untraced requests are still charged their wall time, status, and
+// bytes.
 type Charge struct {
 	Client   string
 	Route    string
@@ -75,30 +74,6 @@ type Charge struct {
 	// WALBytes is bytes appended to the write-ahead log on behalf of
 	// this request.
 	WALBytes int64
-}
-
-// AddTrace folds the cost counters a finished trace carries into the
-// charge: queue-wait spans, cache hit bytes, computed result bytes,
-// candidate work, and WAL appends. Nil traces are ignored.
-func (c *Charge) AddTrace(tj *trace.TraceJSON) {
-	if tj == nil {
-		return
-	}
-	tj.Walk(func(sp *trace.SpanJSON) {
-		switch sp.Name {
-		case "admission.wait":
-			c.Queue += time.Duration(sp.DurationUS) * time.Microsecond
-		case "engine.query":
-			c.Candidates += sp.Int("matches")
-			c.CacheBytesComputed += sp.Int("result_bytes")
-		case "cache.lookup":
-			if sp.Bool("hit") {
-				c.CacheBytesServed += sp.Int("bytes")
-			}
-		case "wal.append":
-			c.WALBytes += sp.Int("bytes")
-		}
-	})
 }
 
 // Usage is one aggregation bucket: a client's accumulated bill over a

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"expfinder/internal/trace"
 )
 
 // fakeClock is a settable clock for window tests.
@@ -144,54 +142,5 @@ func TestLedgerHeaviest(t *testing.T) {
 	}
 	if share < 0.74 || share > 0.76 {
 		t.Fatalf("share: %v", share)
-	}
-}
-
-// span builds a test SpanJSON tree node.
-func span(name string, durUS int64, attrs map[string]any, children ...*trace.SpanJSON) *trace.SpanJSON {
-	return &trace.SpanJSON{Name: name, DurationUS: durUS, Attrs: attrs, Children: children}
-}
-
-func TestChargeAddTrace(t *testing.T) {
-	tj := &trace.TraceJSON{
-		ID: "r1", Name: "query",
-		Root: span("query", 5000, nil,
-			span("admission.wait", 120, nil),
-			span("engine.query", 4000, map[string]any{"matches": int64(42), "result_bytes": int64(2048)},
-				span("cache.lookup", 5, map[string]any{"hit": false}),
-				span("eval.bounded", 3500, nil),
-			),
-			span("engine.query", 300, map[string]any{"matches": int64(7)},
-				span("cache.lookup", 5, map[string]any{"hit": true, "bytes": int64(512)}),
-			),
-			span("wal.append", 50, map[string]any{"bytes": int64(333)}),
-		),
-	}
-	var c Charge
-	c.AddTrace(tj)
-	if c.Queue != 120*time.Microsecond {
-		t.Fatalf("queue: %v", c.Queue)
-	}
-	if c.Candidates != 49 {
-		t.Fatalf("work: %+v", c)
-	}
-	if c.CacheBytesComputed != 2048 || c.CacheBytesServed != 512 {
-		t.Fatalf("cache bytes: %+v", c)
-	}
-	if c.WALBytes != 333 {
-		t.Fatalf("wal: %+v", c)
-	}
-	// Attributes that round-tripped through JSON arrive as float64.
-	var c2 Charge
-	c2.AddTrace(&trace.TraceJSON{Root: span("q", 0, nil,
-		span("engine.query", 0, map[string]any{"matches": float64(5), "result_bytes": float64(100)}))})
-	if c2.Candidates != 5 || c2.CacheBytesComputed != 100 {
-		t.Fatalf("float attrs: %+v", c2)
-	}
-	// Nil trace is a no-op.
-	var c3 Charge
-	c3.AddTrace(nil)
-	if c3 != (Charge{}) {
-		t.Fatal("nil trace charged something")
 	}
 }

@@ -34,11 +34,12 @@
 // writes and replicated replay run the same validate → apply → sync every
 // maintainer once → log sequence under the graph's write lock, with edge
 // batches passed to every maintainer and the log as one []graph.Update.
-// The maintainers are what queries read: the standing queries' matchers,
-// the quotient and the statistics. A quotient that cannot repair in place
-// is dropped — a simulation-equivalence one lives until the first write, a
-// bisimulation one until a write takes it past the cut — and the write
-// itself never fails on its account.
+// The maintainers are what queries read: the standing queries' matchers
+// and the quotient; statistics are recounted when read, once per graph
+// version. A quotient that cannot repair in place is dropped — a
+// simulation-equivalence one lives until the first write, a bisimulation
+// one until a write takes it past the cut — and the write itself never
+// fails on its account.
 //
 // Beyond one-shot queries, the engine hosts continuous queries
 // (Subscribe): standing patterns whose match deltas stream to clients as
@@ -189,7 +190,7 @@ type managed struct {
 	comp    *compress.Compressed      // optional
 	idx     *distindex.Index          // optional; the next write detaches it
 	part    *partition.Partitioning   // optional; the next write detaches it
-	st      *stats.Graph              // online graph statistics
+	st      *stats.Graph              // statistics, recounted once per version read
 	queries map[string]*standingQuery // pattern hash -> standing query
 }
 
@@ -461,6 +462,13 @@ func (e *Engine) Query(graphName string, q *pattern.Pattern, k int) (*Result, er
 func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest, start time.Time) (*Result, error) {
 	q, k := req.Pattern, req.K
 	qctx, sp := trace.StartSpan(ctx, "engine.query")
+	plan, source := routePlan(q, req.Semantics), SourceCache
+	if sp != nil {
+		// Set at open, so a query that fails still files under its plan.
+		sp.SetStr("graph", req.Graph)
+		sp.SetStr("plan", string(plan))
+		sp.SetStr("shape", patternShape(q))
+	}
 	key := cache.Key{GraphName: req.Graph, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash(), Semantics: req.Semantics}
 	_, spCache := trace.StartSpan(qctx, "cache.lookup")
 	en, hit := e.cache.Lookup(key)
@@ -471,7 +479,6 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 		}
 		spCache.End()
 	}
-	plan, source := routePlan(q, req.Semantics), SourceCache
 	if !hit {
 		var err error
 		if en, source, err = e.answer(qctx, mg, q, plan); err != nil {
@@ -494,10 +501,7 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 		topK = append([]rank.Ranked(nil), topK...) // the entry's ranking is shared
 	}
 	if sp != nil {
-		sp.SetStr("graph", req.Graph)
-		sp.SetStr("plan", string(plan))
 		sp.SetStr("source", string(source))
-		sp.SetStr("shape", patternShape(q))
 		sp.SetInt("matches", int64(en.Relation.Size()))
 		if !hit {
 			// Bytes the engine had to materialize; a hit reports the same

@@ -12,11 +12,12 @@ package engine
 // the version the graph reached; a replicated one skips records it already
 // holds and restores the leader's version instead.
 //
-// Maintainers — the standing queries' matchers, the quotient, the
-// statistics — are told in that fixed order, every one of them on every
-// mutation kind: a write keeps current only what a query reads. A matcher
-// is one per standing query, whether a registration, a subscription or
-// both holds it; one that cannot repair in place is rebuilt from scratch.
+// Maintainers — the standing queries' matchers, then the quotient — are
+// told in that fixed order, both of them on every mutation kind: a write
+// keeps current only what a query reads. Statistics are not maintained:
+// a read recounts them once per graph version. A matcher is one per
+// standing query, whether a registration, a subscription or both holds
+// it; one that cannot repair in place is rebuilt from scratch.
 // A quotient that cannot is dropped: the fan-out never stops half way, and
 // a mutation that changed the graph never fails on a maintainer's account.
 // The quotient is also dropped by the write that takes it past compress's
@@ -165,7 +166,6 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		if mg.comp != nil && mg.comp.SyncNodeAdded(out.id) != nil {
 			mg.comp = nil
 		}
-		mg.st.SyncNodeAdded(mg.g, out.id)
 	case wal.RecRemoveNode:
 		if !mg.g.Has(rec.ID) {
 			return out, graph.ErrNoNode
@@ -195,7 +195,6 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		if err := mg.g.RemoveNode(rec.ID); err != nil {
 			return out, err // unreachable: Has held above, under the write lock
 		}
-		mg.st.SyncNodeRemoved(mg.g, rec.ID)
 	case wal.RecSetAttr:
 		if err := mg.g.SetAttr(rec.ID, rec.Key, rec.Val); err != nil {
 			return out, err
@@ -208,7 +207,6 @@ func (e *Engine) apply(mg *managed, rec *wal.Record) (out applied, err error) {
 		if mg.comp != nil && mg.comp.SyncAttrChanged(rec.ID, rec.Key) != nil {
 			mg.comp = nil
 		}
-		mg.st.SyncAttrChanged(mg.g)
 	case wal.RecVersion:
 		// Restoring the version, in mutate, is the whole mutation.
 	default:
@@ -254,7 +252,6 @@ func (mg *managed) syncEdges(ops []graph.Update) []Delta {
 	if mg.comp != nil && mg.comp.Sync(ops) != nil {
 		mg.comp = nil
 	}
-	mg.st.Sync(mg.g, ops)
 	return deltas
 }
 
@@ -274,5 +271,4 @@ func (mg *managed) refreshVersions() {
 	if mg.comp != nil {
 		mg.comp.RefreshVersion()
 	}
-	mg.st.RefreshVersion(mg.g)
 }

@@ -8,10 +8,10 @@ package engine
 // replay in the same decoded form as crash recovery (wal.Record.Apply is
 // the reference semantics), through the one write pipeline every native
 // mutation runs (see mutate.go), so every maintainer — incremental
-// matchers, compressed form, statistics, live subscriptions — syncs by
-// the same code, and a distance index or partitioning is detached by the
-// same rule. That is what lets a follower serve queries AND subscriptions
-// with results byte-identical to the leader at the same applied offset.
+// matchers, compressed form, live subscriptions — syncs by the same code,
+// and a distance index or partitioning is detached by the same rule. That
+// is what lets a follower serve queries AND subscriptions with results
+// byte-identical to the leader at the same applied offset.
 
 import (
 	"context"

@@ -2,8 +2,9 @@ package engine
 
 // Engine surface of the statistics subsystem (see internal/stats):
 // the shape signature stamped on query spans for the plan-outcome
-// recorder, and the accessor the serving tier renders at
-// /api/v1/graphs/{name}/stats.
+// recorder, and the accessors the serving tier renders at
+// /api/v1/graphs/{name}/stats and /metrics. No write maintains the
+// statistics: the first read at a new graph version recounts them.
 
 import (
 	"fmt"
@@ -25,7 +26,7 @@ func patternShape(q *pattern.Pattern) string {
 }
 
 // GraphStatistics returns the named graph's statistics snapshot,
-// rebuilding first if the counters have gone stale.
+// recounting first if the graph moved since the last read.
 func (e *Engine) GraphStatistics(graphName string) (*stats.Snapshot, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {
@@ -37,8 +38,8 @@ func (e *Engine) GraphStatistics(graphName string) (*stats.Snapshot, error) {
 }
 
 // StatsRebuilds reports how many from-scratch recounts the named
-// graph's statistics have paid (1 for the build at registration; more
-// means a reader caught a stale stamp).
+// graph's statistics have paid: 1 for the build at registration, plus
+// one per graph version a read recounted.
 func (e *Engine) StatsRebuilds(graphName string) (uint64, error) {
 	mg, err := e.lookup(graphName)
 	if err != nil {

@@ -124,7 +124,7 @@ func (s *Server) graphStats(w http.ResponseWriter, r *http.Request) {
 			"nodes": st.Nodes, "edges": st.Edges,
 			"max_out_degree": st.MaxOutDeg, "max_in_degree": st.MaxInDeg,
 			"labels": st.Labels, "version": g.Version(),
-			// The online statistics: log-bucketed degree histograms, label
+			// The statistics: log-bucketed degree histograms, label
 			// frequencies, and label-pair selectivities. Works on followers
 			// too — a pure read.
 			"statistics": a.Statistics,

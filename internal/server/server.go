@@ -181,18 +181,13 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 		})
 	metrics.RegisterRuntime(s.registry)
 
-	// Finished traces aggregate into per-plan/per-stage latency
-	// histograms, so even sampled tracing feeds dashboards continuously.
+	// foldTrace reads every finished trace once into the per-plan/per-
+	// stage histograms, the plan-outcome recorder behind /stats/queries
+	// and the expfinder_plan_outcome_* series, and the request's charge.
 	s.mStage = s.registry.NewHistogram("expfinder_query_stage_duration_seconds",
 		"Traced query-stage latency in seconds, by plan and stage.", nil,
 		"plan", "stage")
-	s.tracer.OnFinish(s.aggregateTrace)
-
-	// The same finished traces feed the plan-outcome recorder — the
-	// rolling per-(graph, plan, shape) summaries behind /stats/queries
-	// and the expfinder_plan_outcome_* series.
 	s.recorder = stats.NewRecorder(0)
-	s.tracer.OnFinish(s.recorder.Observe)
 	s.registerStatsMetrics()
 
 	// Per-client accounting + SLO tracking. The charge site is the

@@ -2,8 +2,8 @@ package server
 
 // Serving-tier surface of the statistics subsystem: build-info
 // identification, the per-graph statistics gauges, and the
-// plan-outcome recorder that turns finished traces into the rolling
-// summaries served at GET /api/v1/stats/queries.
+// plan-outcome recorder (fed by foldTrace) whose rolling summaries are
+// served at GET /api/v1/stats/queries.
 
 import (
 	"net/http"
@@ -59,7 +59,7 @@ func buildInfo() api.BuildInfo {
 
 // registerStatsMetrics wires the statistics subsystem into the metrics
 // registry: the constant build_info series, per-graph graph-shape
-// gauges sampled from the engine's online statistics, and per-
+// gauges read from the engine's statistics, and per-
 // (graph, plan) plan-outcome series from the recorder.
 func (s *Server) registerStatsMetrics() {
 	bi := buildInfo()
@@ -112,7 +112,7 @@ func (s *Server) registerStatsMetrics() {
 			return out
 		})
 	s.registry.NewCounterVecFunc("expfinder_graph_stats_rebuilds_total",
-		"From-scratch statistic recounts per graph (1 is the build at registration; more means a reader caught a stale stamp).",
+		"From-scratch statistic recounts per graph: 1 at registration, then one per graph version read.",
 		[]string{"graph"}, func() []metrics.LabeledValue {
 			var out []metrics.LabeledValue
 			for _, name := range s.eng.ListGraphs() {

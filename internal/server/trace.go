@@ -2,12 +2,12 @@ package server
 
 // Query-execution tracing at the serving tier: the withTrace middleware
 // starts a trace per sampled (or explicitly requested) request and hands
-// the traced context down the chain — engine, matchers, partition
-// evaluator, and WAL all emit spans through internal/trace when the
-// context carries one. Finished traces land in the tracer's ring
-// (GET /api/v1/debug/traces), feed the slow-query log
-// (GET /api/v1/debug/slow), and aggregate into per-plan/per-stage
-// latency histograms on the metrics registry.
+// the traced context down the chain — engine, matchers and WAL all emit
+// spans through internal/trace when the context carries one. Finished
+// traces land in the tracer's ring (GET /api/v1/debug/traces), feed the
+// slow-query log (GET /api/v1/debug/slow), and are read once, by
+// foldTrace, into the stage histograms, the plan-outcome recorder and the
+// request's charge.
 
 import (
 	"fmt"
@@ -17,6 +17,7 @@ import (
 
 	"expfinder/internal/account"
 	"expfinder/internal/api"
+	"expfinder/internal/stats"
 	"expfinder/internal/trace"
 )
 
@@ -45,10 +46,6 @@ func (s *Server) withTrace(route string, next http.Handler) http.Handler {
 		start := time.Now()
 		next.ServeHTTP(w, r)
 		elapsed := time.Since(start)
-		var tj *trace.TraceJSON
-		if trc != nil {
-			tj = s.tracer.Finish(trc)
-		}
 		status := http.StatusOK
 		var bytes int64
 		if sw, ok := w.(*statusWriter); ok {
@@ -58,9 +55,10 @@ func (s *Server) withTrace(route string, next http.Handler) http.Handler {
 			bytes = sw.bytes
 		}
 		client := clientKey(r)
-		s.tracer.NoteSlow(w.Header().Get("X-Request-ID"), route, client, status, elapsed, tj)
 		ch := account.Charge{Client: client, Route: route, Status: status, Wall: elapsed, BytesOut: bytes}
-		ch.AddTrace(tj)
+		tj := s.tracer.Finish(trc)
+		s.foldTrace(tj, &ch)
+		s.tracer.NoteSlow(w.Header().Get("X-Request-ID"), route, client, status, elapsed, tj)
 		s.ledger.Charge(ch)
 		s.slo.Observe(routeClass(route), status, elapsed)
 	})
@@ -77,28 +75,58 @@ func inlineTrace(r *http.Request) *trace.TraceJSON {
 	return nil
 }
 
-// aggregateTrace folds one finished trace into the per-plan/per-stage
-// histograms. Each span is filed under the plan of its nearest
-// engine.query span — itself, if it is one — so the entries of a batch
-// keep their own plans; spans outside any query (middleware waits, WAL
-// appends) aggregate under plan "none".
-func (s *Server) aggregateTrace(tj *trace.TraceJSON) {
+// foldTrace reads a finished trace once, below its root (whose duration
+// is mLatency's request latency), and hands each consumer its figures:
+// every span to the per-plan/per-stage histogram, each engine.query to
+// the plan-outcome recorder, and the request's cost counters to ch.
+// Sampled-out requests (tj == nil) cost nothing.
+func (s *Server) foldTrace(tj *trace.TraceJSON, ch *account.Charge) {
 	if tj == nil || tj.Root == nil {
 		return
 	}
-	var visit func(sp *trace.SpanJSON, plan string)
-	visit = func(sp *trace.SpanJSON, plan string) {
-		if p := sp.Str("plan"); sp.Name == "engine.query" && p != "" {
-			plan = p
-		}
-		if sp != tj.Root { // the root duplicates mLatency's request latency
-			s.mStage.Observe(float64(sp.DurationUS)/1e6, plan, sp.Name)
-		}
-		for _, c := range sp.Children {
-			visit(c, plan)
-		}
+	for _, sp := range tj.Root.Children {
+		s.foldSpan(sp, nil, ch)
 	}
-	visit(tj.Root, "none")
+}
+
+// foldSpan folds sp and its subtree. q is the outcome of the nearest
+// enclosing engine.query — sp's own, if it is one — so each span is filed
+// under its own query's plan and the entries of a batch keep theirs;
+// spans outside any query (admission waits, WAL appends) file under plan
+// "none".
+func (s *Server) foldSpan(sp *trace.SpanJSON, q *stats.Outcome, ch *account.Charge) {
+	switch sp.Name {
+	case "engine.query":
+		q = &stats.Outcome{
+			OutcomeKey: stats.OutcomeKey{Graph: sp.Str("graph"), Plan: sp.Str("plan"), Shape: sp.Str("shape")},
+			DurationUS: sp.DurationUS,
+			Matches:    sp.Int("matches"),
+		}
+		ch.Candidates += q.Matches
+		ch.CacheBytesComputed += sp.Int("result_bytes")
+	case "cache.lookup":
+		if sp.Bool("hit") {
+			ch.CacheBytesServed += sp.Int("bytes")
+			if q != nil {
+				q.Hit = true
+			}
+		}
+	case "admission.wait":
+		ch.Queue += time.Duration(sp.DurationUS) * time.Microsecond
+	case "wal.append":
+		ch.WALBytes += sp.Int("bytes")
+	}
+	plan := "none"
+	if q != nil {
+		plan = q.Plan
+	}
+	s.mStage.Observe(float64(sp.DurationUS)/1e6, plan, sp.Name)
+	for _, c := range sp.Children {
+		s.foldSpan(c, q, ch)
+	}
+	if sp.Name == "engine.query" {
+		s.recorder.Record(*q)
+	}
 }
 
 // hasPlan reports whether any engine.query span of the trace ran plan.

@@ -6,6 +6,8 @@ package server
 // metrics, and the pprof mount gate.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"expfinder/internal/account"
 	"expfinder/internal/api"
 	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
+	"expfinder/internal/testutil"
 	"expfinder/internal/trace"
 )
 
@@ -310,6 +314,125 @@ func TestStageHistogramLabelsEachEntryWithItsOwnPlan(t *testing.T) {
 				t.Errorf("?plan=%s: %d traces, want the batch's", plan, len(tr.Traces))
 			}
 		}
+	}
+}
+
+// span builds a test SpanJSON tree node.
+func span(name string, durUS int64, attrs map[string]any, children ...*trace.SpanJSON) *trace.SpanJSON {
+	return &trace.SpanJSON{Name: name, DurationUS: durUS, Attrs: attrs, Children: children}
+}
+
+// TestFoldTraceCharge feeds foldTrace finished traces directly: one
+// with two queries (a miss, then a hit), a queue wait and a WAL append
+// bills every cost counter and records one outcome per query; attributes
+// that round-tripped through JSON (float64) read the same; a trace with
+// no engine.query records no outcome; and a nil trace changes nothing.
+func TestFoldTraceCharge(t *testing.T) {
+	_, s := newConfiguredServer(t, Config{})
+	query := func(durUS int64, attrs map[string]any, children ...*trace.SpanJSON) *trace.SpanJSON {
+		a := map[string]any{"graph": "g", "plan": "bounded-simulation", "shape": "n2e1b3"}
+		for k, v := range attrs {
+			a[k] = v
+		}
+		return span("engine.query", durUS, a, children...)
+	}
+	var c account.Charge
+	s.foldTrace(&trace.TraceJSON{ID: "r1", Name: "query", Root: span("query", 5000, nil,
+		span("admission.wait", 120, nil),
+		query(4000, map[string]any{"matches": int64(42), "result_bytes": int64(2048)},
+			span("cache.lookup", 5, map[string]any{"hit": false}),
+			span("eval.bounded", 3500, nil),
+		),
+		query(300, map[string]any{"matches": int64(7)},
+			span("cache.lookup", 5, map[string]any{"hit": true, "bytes": int64(512)}),
+		),
+		span("wal.append", 50, map[string]any{"bytes": int64(333)}),
+	)}, &c)
+	if c.Queue != 120*time.Microsecond || c.Candidates != 49 || c.WALBytes != 333 {
+		t.Fatalf("queue, work, wal: %+v", c)
+	}
+	if c.CacheBytesComputed != 2048 || c.CacheBytesServed != 512 {
+		t.Fatalf("cache bytes: %+v", c)
+	}
+	sums := s.recorder.Summaries()
+	if len(sums) != 1 {
+		t.Fatalf("got %d outcome buckets, want 1: %+v", len(sums), sums)
+	}
+	if b := sums[0]; b.Graph != "g" || b.Plan != "bounded-simulation" || b.Shape != "n2e1b3" ||
+		b.Count != 2 || b.Matches != 49 || b.CacheHits != 1 || b.CacheMisses != 1 || b.MeanUS != 2150 {
+		t.Fatalf("outcome bucket = %+v", b)
+	}
+
+	var c2 account.Charge
+	s.foldTrace(&trace.TraceJSON{Root: span("q", 0, nil,
+		query(0, map[string]any{"matches": float64(5), "result_bytes": float64(100)}))}, &c2)
+	if c2.Candidates != 5 || c2.CacheBytesComputed != 100 {
+		t.Fatalf("float attrs: %+v", c2)
+	}
+
+	before := s.recorder.Summaries()[0].Count
+	var c3 account.Charge
+	s.foldTrace(&trace.TraceJSON{Root: span("update", 0, nil,
+		span("engine.update", 0, map[string]any{"graph": "g"}))}, &c3)
+	s.foldTrace(nil, &c3)
+	if c3 != (account.Charge{}) || len(s.recorder.Summaries()) != 1 || s.recorder.Summaries()[0].Count != before {
+		t.Fatalf("non-query and nil traces: charge %+v, outcomes %+v", c3, s.recorder.Summaries())
+	}
+}
+
+// TestCancelledQueryFilesUnderItsPlan cancels one traced query at each
+// point its request polls its context. A cancelled engine.query still
+// names its graph, plan and shape: /stats/queries gains no bucket with
+// an empty key, and every span of the query files under its plan; only
+// the admission wait, outside the query, files under "none".
+func TestCancelledQueryFilesUnderItsPlan(t *testing.T) {
+	query := func(s *Server, ctx context.Context) int {
+		body, err := json.Marshal(map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/graphs/paper/query?trace=1",
+			bytes.NewReader(body)).WithContext(ctx))
+		return rec.Code
+	}
+	dryTS, dry := newConfiguredServer(t, Config{})
+	uploadPaperGraph(t, dryTS)
+	all := &testutil.PollCtx{Context: context.Background(), N: 1 << 60}
+	if code := query(dry, all); code != http.StatusOK {
+		t.Fatalf("undisturbed query: %d", code)
+	}
+	midEval := 0
+	for n := int64(1); n <= all.Polls(); n++ {
+		ts, s := newConfiguredServer(t, Config{})
+		uploadPaperGraph(t, ts)
+		if code := query(s, &testutil.PollCtx{Context: context.Background(), N: n}); code == http.StatusOK {
+			continue
+		}
+		_, body := do(t, "GET", ts.URL+"/api/v1/stats/queries", nil)
+		var qs api.QueryStatsResponse
+		if err := json.Unmarshal(body, &qs); err != nil {
+			t.Fatal(err)
+		}
+		for _, sum := range qs.Summaries {
+			if sum.Graph != "paper" || sum.Plan != "bounded-simulation" || sum.Shape == "" {
+				t.Errorf("poll %d: cancelled query recorded under %+v", n, sum.OutcomeKey)
+			}
+		}
+		_, body = do(t, "GET", ts.URL+"/metrics", nil)
+		text := string(body)
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "expfinder_query_stage_duration_seconds") &&
+				!strings.Contains(line, `stage="admission.wait"`) && !strings.Contains(line, `plan="bounded-simulation"`) {
+				t.Errorf("poll %d: a span of the query filed under another plan: %s", n, line)
+			}
+		}
+		if len(qs.Summaries) == 1 && strings.Contains(text, `{plan="bounded-simulation",stage="eval.bounded"`) {
+			midEval++
+		}
+	}
+	if midEval == 0 {
+		t.Fatal("no poll point cancelled the query after its evaluation began")
 	}
 }
 

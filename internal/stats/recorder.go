@@ -1,18 +1,14 @@
 package stats
 
-// Plan-outcome telemetry: a bounded recorder fed from finished query
-// traces (trace.Tracer.OnFinish). Every engine.query span becomes one
-// outcome, keyed by (graph, plan, pattern shape); outcomes aggregate
-// into rolling summaries — counts, cache hit/miss, and a bounded
-// duration sample ring rendered as p50/p95. This is the "last-run stats"
-// half of the planner's evidence: where the graph statistics describe the
-// data, the recorder describes how each plan actually performed on it.
+// Plan-outcome telemetry: a bounded recorder of finished queries. The
+// serving tier's trace fold hands it one Outcome per engine.query span,
+// keyed by (graph, plan, pattern shape); outcomes aggregate into
+// rolling summaries — counts, cache hit/miss, and a bounded duration
+// sample ring rendered as p50/p95.
 
 import (
 	"sort"
 	"sync"
-
-	"expfinder/internal/trace"
 )
 
 // OutcomeKey identifies one aggregation bucket.
@@ -45,8 +41,16 @@ type outcomeAgg struct {
 	totalDurUS  int64
 }
 
-// Recorder aggregates plan outcomes. Safe for concurrent use; a nil
-// *Recorder ignores every call.
+// Outcome is one finished query: its bucket, how long it ran, how many
+// pairs it matched, and whether the result cache answered it.
+type Outcome struct {
+	OutcomeKey
+	DurationUS int64
+	Matches    int64
+	Hit        bool
+}
+
+// Recorder aggregates plan outcomes. Safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
 	maxKeys int
@@ -63,56 +67,31 @@ func NewRecorder(maxKeys int) *Recorder {
 	return &Recorder{maxKeys: maxKeys, byKey: map[OutcomeKey]*outcomeAgg{}}
 }
 
-// Observe folds one finished trace into the aggregates. A batch trace
-// carries several engine.query spans; each becomes its own outcome.
-// Intended as a trace.Tracer OnFinish hook.
-func (r *Recorder) Observe(tj *trace.TraceJSON) {
-	if r == nil || tj == nil {
-		return
-	}
-	tj.Walk(func(sp *trace.SpanJSON) {
-		if sp.Name != "engine.query" || sp.Attrs == nil {
-			return
-		}
-		r.observeQuery(sp)
-	})
-}
-
-// observeQuery folds one engine.query span.
-func (r *Recorder) observeQuery(sp *trace.SpanJSON) {
-	key := OutcomeKey{
-		Graph: sp.Str("graph"),
-		Plan:  sp.Str("plan"),
-		Shape: sp.Str("shape"),
-	}
+// Record folds one outcome into its bucket.
+func (r *Recorder) Record(o Outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	agg, ok := r.byKey[key]
+	agg, ok := r.byKey[o.OutcomeKey]
 	if !ok {
 		if len(r.byKey) >= r.maxKeys {
 			r.dropped++
 			return
 		}
 		agg = &outcomeAgg{}
-		r.byKey[key] = agg
+		r.byKey[o.OutcomeKey] = agg
 	}
 	agg.count++
-	agg.matches += sp.Int("matches")
-	agg.totalDurUS += sp.DurationUS
-	agg.durUS[agg.durNext] = sp.DurationUS
+	agg.matches += o.Matches
+	agg.totalDurUS += o.DurationUS
+	agg.durUS[agg.durNext] = o.DurationUS
 	agg.durNext = (agg.durNext + 1) % sampleRing
 	if agg.durN < sampleRing {
 		agg.durN++
 	}
-	for _, c := range sp.Children {
-		if c.Name != "cache.lookup" {
-			continue
-		}
-		if c.Bool("hit") {
-			agg.cacheHits++
-		} else {
-			agg.cacheMisses++
-		}
+	if o.Hit {
+		agg.cacheHits++
+	} else {
+		agg.cacheMisses++
 	}
 }
 
@@ -168,9 +147,6 @@ func (a *outcomeAgg) summarize(key OutcomeKey) Summary {
 // Summaries renders every bucket, busiest first (then by key for
 // determinism at equal counts).
 func (r *Recorder) Summaries() []Summary {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	out := make([]Summary, 0, len(r.byKey))
 	for key, agg := range r.byKey {
@@ -195,9 +171,6 @@ func (r *Recorder) Summaries() []Summary {
 
 // Dropped reports outcomes discarded because the key bound was hit.
 func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
@@ -216,9 +189,6 @@ type PlanTotal struct {
 // PlanTotals merges buckets by (graph, plan), sorted by key. The p95
 // merges the retained sample windows of every shape in the pair.
 func (r *Recorder) PlanTotals() []PlanTotal {
-	if r == nil {
-		return nil
-	}
 	type pair struct{ graph, plan string }
 	r.mu.Lock()
 	counts := map[pair]int64{}

@@ -3,53 +3,26 @@ package stats
 import (
 	"fmt"
 	"testing"
-
-	"expfinder/internal/trace"
 )
 
-// querySpan builds an engine.query span the way the engine emits one:
-// key attrs on the span, stages as named children.
-func querySpan(graphName, plan, shape string, durUS, matches int64, children ...*trace.SpanJSON) *trace.SpanJSON {
-	return &trace.SpanJSON{
-		Name:       "engine.query",
+// outcome builds one query outcome the way the serving tier's trace
+// fold reads it off an engine.query span.
+func outcome(graphName, plan, shape string, durUS, matches int64, hit bool) Outcome {
+	return Outcome{
+		OutcomeKey: OutcomeKey{Graph: graphName, Plan: plan, Shape: shape},
 		DurationUS: durUS,
-		Attrs: map[string]any{
-			"graph":   graphName,
-			"plan":    plan,
-			"shape":   shape,
-			"matches": matches,
-		},
-		Children: children,
-	}
-}
-
-func traceOf(spans ...*trace.SpanJSON) *trace.TraceJSON {
-	return &trace.TraceJSON{
-		Name: "http.request",
-		Root: &trace.SpanJSON{Name: "http.request", Children: spans},
+		Matches:    matches,
+		Hit:        hit,
 	}
 }
 
 func TestRecorderAggregates(t *testing.T) {
 	r := NewRecorder(0)
-	// Two queries in the same bucket (one batch trace carrying both),
-	// with a cache miss then a hit.
-	r.Observe(traceOf(
-		querySpan("g1", "bounded-simulation", "n2e1b3", 100, 5,
-			&trace.SpanJSON{Name: "cache.lookup", Attrs: map[string]any{"hit": false}},
-			&trace.SpanJSON{Name: "eval.bounded"},
-		),
-		querySpan("g1", "bounded-simulation", "n2e1b3", 300, 5,
-			&trace.SpanJSON{Name: "cache.lookup", Attrs: map[string]any{"hit": true}},
-		),
-	))
-	// A simulation-plan query in a second bucket, with float64 attrs as a
-	// JSON round-trip would produce.
-	sim := querySpan("g1", "simulation", "n3e2b1", 900, 12,
-		&trace.SpanJSON{Name: "eval.simulation"},
-	)
-	sim.Attrs["matches"] = float64(12)
-	r.Observe(traceOf(sim))
+	// Two queries in the same bucket, a cache miss then a hit.
+	r.Record(outcome("g1", "bounded-simulation", "n2e1b3", 100, 5, false))
+	r.Record(outcome("g1", "bounded-simulation", "n2e1b3", 300, 5, true))
+	// A simulation-plan query in a second bucket.
+	r.Record(outcome("g1", "simulation", "n3e2b1", 900, 12, false))
 
 	sums := r.Summaries()
 	if len(sums) != 2 {
@@ -82,7 +55,7 @@ func TestRecorderAggregates(t *testing.T) {
 func TestRecorderKeyBound(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
-		r.Observe(traceOf(querySpan("g", fmt.Sprintf("plan-%d", i), "n1e0b*", 10, 1)))
+		r.Record(outcome("g", fmt.Sprintf("plan-%d", i), "n1e0b*", 10, 1, false))
 	}
 	if got := len(r.Summaries()); got != 2 {
 		t.Fatalf("bucket count = %d, want 2", got)
@@ -91,22 +64,8 @@ func TestRecorderKeyBound(t *testing.T) {
 		t.Fatalf("dropped = %d, want 3", got)
 	}
 	// Established buckets still aggregate after the cap is hit.
-	r.Observe(traceOf(querySpan("g", "plan-0", "n1e0b*", 10, 1)))
+	r.Record(outcome("g", "plan-0", "n1e0b*", 10, 1, false))
 	if got := r.Summaries()[0].Count; got != 2 {
 		t.Fatalf("capped bucket count = %d, want 2", got)
-	}
-}
-
-func TestRecorderIgnoresNonQuerySpans(t *testing.T) {
-	r := NewRecorder(0)
-	r.Observe(nil)
-	r.Observe(traceOf(&trace.SpanJSON{Name: "engine.update", Attrs: map[string]any{"graph": "g"}}))
-	if len(r.Summaries()) != 0 || r.Dropped() != 0 {
-		t.Fatal("non-query spans recorded")
-	}
-	var nilRec *Recorder
-	nilRec.Observe(traceOf(querySpan("g", "p", "s", 1, 1)))
-	if nilRec.Summaries() != nil || nilRec.Dropped() != 0 || nilRec.PlanTotals() != nil {
-		t.Fatal("nil recorder not inert")
 	}
 }

@@ -1,25 +1,20 @@
-// Package stats is ExpFinder's workload- and graph-statistics
-// subsystem: the evidence layer the cost-based planner direction needs
-// (ROADMAP, "capabilities and hints"). It has two halves:
+// Package stats describes what a managed graph looks like and how
+// queries ran on it. It has two halves:
 //
-//   - Graph statistics (this file): online in/out-degree histograms
+//   - Graph statistics (this file): in/out-degree histograms
 //     (log-bucketed), label frequency counters, and label-pair
-//     selectivity counters, maintained incrementally by the engine's
-//     mutation fan-out — the same place compressed views, distance
-//     indexes, and partitionings sync. Every maintained figure carries
-//     a graph.Version()-keyed freshness stamp; a consumer that finds
-//     the stamp stale rebuilds from the graph instead of trusting the
-//     counters, so drift can cost a recount but never a wrong answer.
+//     selectivity counters. They are counted when read: a Snapshot
+//     whose graph.Version() stamp is stale recounts from the graph, so
+//     a read pays one recount per graph version and a write pays
+//     nothing.
 //
-//   - Plan-outcome telemetry (recorder.go): a bounded recorder fed
-//     from finished query traces that aggregates per-(graph, plan,
-//     pattern-shape) execution outcomes — candidate counts, stage
-//     durations, cache hits, distindex proved/refuted ratios — into
-//     rolling summaries with p50/p95.
+//   - Plan-outcome telemetry (recorder.go): a bounded recorder that
+//     aggregates per-(graph, plan, pattern-shape) query outcomes —
+//     match counts, durations, cache hits — into rolling summaries
+//     with p50/p95.
 //
-// Statistics are derived state and are never persisted: recovery
-// recounts them from the recovered graph (NewGraph), which costs a
-// fraction of decoding the graph image itself.
+// Both only observe; no routing decision reads them. Statistics are
+// derived state and are never persisted.
 package stats
 
 import (
@@ -55,16 +50,16 @@ type Update = graph.Update
 // hashes one uint64 per edge op instead of two strings.
 type labelID int32
 
-// Graph holds incrementally maintained statistics of one data graph.
-// Methods are safe for concurrent use; the engine additionally
-// serializes maintenance calls under the graph's write lock, so the
-// internal mutex only coordinates maintenance against snapshot reads.
+// Graph holds the statistics of one data graph as of the version it
+// is stamped with. Methods are safe for concurrent use; callers hold
+// the graph's read lock (or otherwise exclude mutations) across a
+// Snapshot, so concurrent readers at one version share one recount.
 type Graph struct {
 	mu sync.Mutex
 
 	// version is the graph.Version() the counters describe — the
 	// freshness stamp. A Snapshot finding version != g.Version()
-	// rebuilds instead of trusting the counters.
+	// recounts instead of trusting the counters.
 	version uint64
 	// rebuilds counts from-scratch recounts (one at construction).
 	rebuilds uint64
@@ -75,8 +70,8 @@ type Graph struct {
 
 	// Per-node mirrors, indexed by NodeID (dense, tombstones included):
 	// the degree a node contributed to the histograms and the label it
-	// contributed to the frequency counters. The mirrors make every
-	// incremental move O(1) and order-independent within a batch.
+	// contributed to the frequency counters. Only Sync reads them: they
+	// make each edge op O(1) and order-independent within a batch.
 	outDeg, inDeg []int32
 	labelOf       []labelID // -1 for dead/never-seen ids
 
@@ -99,27 +94,9 @@ func NewGraph(g *graph.Graph) *Graph {
 	return s
 }
 
-// Fresh reports whether the counters describe g's current version.
-func (s *Graph) Fresh(g *graph.Graph) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version == g.Version()
-}
-
-// RefreshVersion re-stamps the counters at g's current version without
-// touching them. For the paths where the version moved but the content
-// the counters describe did not: a rolled-back update batch (content
-// restored, version advanced) and replicated-record replay (version
-// restored to the leader's after the syncs already ran).
-func (s *Graph) RefreshVersion(g *graph.Graph) {
-	s.mu.Lock()
-	s.version = g.Version()
-	s.mu.Unlock()
-}
-
-// Rebuilds returns how many from-scratch recounts the stats have paid
-// (1 for a freshly built instance; more means a consumer caught a
-// stale stamp).
+// Rebuilds returns how many from-scratch recounts the stats have paid:
+// 1 for a freshly built instance, plus one per stale version a
+// Snapshot recounted.
 func (s *Graph) Rebuilds() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,8 +138,8 @@ func moveBucket(hist *[DegreeBuckets]int64, d, delta int) {
 
 // Sync applies the histogram deltas of an edge-update batch that has
 // already been applied to g, then stamps the counters at g's current
-// version. The engine calls it under the graph's write lock, after the
-// other consumers, on exactly the ops that applied.
+// version. The engine does not call it — its statistics are counted
+// when read — but the benchmark's replay still times it per batch.
 func (s *Graph) Sync(g *graph.Graph, ops []Update) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,50 +166,6 @@ func (s *Graph) Sync(g *graph.Graph, ops []Update) {
 		}
 	}
 	s.version = g.Version()
-}
-
-// SyncNodeAdded accounts a node just added to g (zero degree, label
-// from the graph) and stamps the counters.
-func (s *Graph) SyncNodeAdded(g *graph.Graph, id graph.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.growLocked(id)
-	lid := s.internLocked(g.Label(id))
-	s.labelOf[id] = lid
-	s.labelCount[lid]++
-	s.outHist[0]++
-	s.inHist[0]++
-	s.nodes++
-	s.version = g.Version()
-}
-
-// SyncNodeRemoved accounts a node just removed from g. The engine
-// detaches incident edges through Sync first (mirroring RemoveNode's
-// two-phase shape), so the node leaves at degree zero.
-func (s *Graph) SyncNodeRemoved(g *graph.Graph, id graph.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.growLocked(id)
-	if lid := s.labelOf[id]; lid >= 0 {
-		s.labelCount[lid]--
-		s.labelOf[id] = -1
-	}
-	s.outHist[0]--
-	s.inHist[0]--
-	s.nodes--
-	s.version = g.Version()
-}
-
-// SyncAttrChanged follows an attribute update: attributes do not move
-// any counter (labels are immutable through the engine's mutation
-// surface), so only the stamp advances.
-func (s *Graph) SyncAttrChanged(g *graph.Graph) { s.RefreshVersion(g) }
-
-// Rebuild recounts everything from g and stamps fresh.
-func (s *Graph) Rebuild(g *graph.Graph) {
-	s.mu.Lock()
-	s.rebuildLocked(g)
-	s.mu.Unlock()
 }
 
 func (s *Graph) rebuildLocked(g *graph.Graph) {
@@ -296,9 +229,9 @@ type Snapshot struct {
 	Rebuilds     uint64              `json:"rebuilds"`
 }
 
-// Snapshot renders the counters, rebuilding first if the stamp is
-// stale — stale statistics are rebuilt, never trusted. The caller must
-// hold the graph's read lock (or otherwise exclude mutations).
+// Snapshot renders the counters, recounting first if the stamp is
+// stale — stale statistics are recounted, never trusted. The caller
+// must hold the graph's read lock (or otherwise exclude mutations).
 func (s *Graph) Snapshot(g *graph.Graph) *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,8 +293,7 @@ func renderHist(hist *[DegreeBuckets]int64) []DegreeBucketCount {
 }
 
 // Compute is the reference recount: statistics of g built from scratch
-// and rendered. The property tests compare incrementally maintained
-// snapshots against it.
+// and rendered. The tests compare served snapshots against it.
 func Compute(g *graph.Graph) *Snapshot { return NewGraph(g).Snapshot(g) }
 
 // Equal reports whether two snapshots describe identical statistics

@@ -320,16 +320,15 @@ type Options struct {
 const defaultRing = 64
 
 // Tracer owns the sampling decision, the bounded ring of recent trace
-// snapshots, the slow-query log, and the finish hooks. A nil *Tracer
-// is valid and never samples.
+// snapshots, and the slow-query log. A nil *Tracer is valid and never
+// samples.
 type Tracer struct {
 	opts Options
 	seq  atomic.Uint64
 
-	mu       sync.Mutex
-	recent   ring[*TraceJSON]
-	slow     ring[*SlowEntry]
-	onFinish []func(*TraceJSON)
+	mu     sync.Mutex
+	recent ring[*TraceJSON]
+	slow   ring[*SlowEntry]
 }
 
 // New returns a Tracer.
@@ -339,15 +338,6 @@ func New(opts Options) *Tracer {
 		n = defaultRing
 	}
 	return &Tracer{opts: opts, recent: newRing[*TraceJSON](n), slow: newRing[*SlowEntry](n)}
-}
-
-// OnFinish registers a hook called with every finished trace's
-// snapshot (the metrics aggregation path). Must be called before
-// serving; hooks run synchronously on the finishing goroutine.
-func (t *Tracer) OnFinish(fn func(*TraceJSON)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onFinish = append(t.onFinish, fn)
 }
 
 // sampled decides deterministically whether the next request is
@@ -378,7 +368,7 @@ func (t *Tracer) Start(ctx context.Context, id, name string, forced bool) (conte
 }
 
 // Finish closes the trace's root span, records the snapshot in the
-// recent ring, and runs the finish hooks. Nil-safe on both receivers.
+// recent ring, and returns it. Nil-safe on both receivers.
 func (t *Tracer) Finish(tr *Trace) *TraceJSON {
 	if t == nil || tr == nil {
 		return nil
@@ -387,11 +377,7 @@ func (t *Tracer) Finish(tr *Trace) *TraceJSON {
 	tj := tr.Snapshot()
 	t.mu.Lock()
 	t.recent.push(tj)
-	hooks := t.onFinish
 	t.mu.Unlock()
-	for _, fn := range hooks {
-		fn(tj)
-	}
 	return tj
 }
 

@@ -232,17 +232,6 @@ func TestConcurrentSpanCreation(t *testing.T) {
 	}
 }
 
-func TestOnFinishHook(t *testing.T) {
-	tr := New(Options{Sample: 1})
-	var seen []*TraceJSON
-	tr.OnFinish(func(tj *TraceJSON) { seen = append(seen, tj) })
-	_, trc := tr.Start(context.Background(), "id", "q", false)
-	tr.Finish(trc)
-	if len(seen) != 1 || seen[0].ID != "id" {
-		t.Fatalf("hook saw %+v", seen)
-	}
-}
-
 func TestOpenSpanMeasuredToSnapshot(t *testing.T) {
 	tr := New(Options{Sample: 1})
 	ctx, trc := tr.Start(context.Background(), "id", "q", false)
