@@ -164,7 +164,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "", "one-shot import at boot: add this store directory's graphs whose names are not already held (recovered or demo)")
 	demo := flag.Bool("demo", true, "preload the paper's Fig. 1 dataset as graph \"paper\"")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (each answer charged its relation, result graph and ranking)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (each answer charged its relation and ranking)")
 	parallelism := flag.Int("parallelism", 0, "execution slots shared by queries and other requests; 4x as many may queue before 503 (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "enable durable persistence (per-graph WAL + snapshots) rooted here")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always | interval | off")

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -270,6 +271,18 @@ func cmdQuery(storeDir string, args []string) error {
 	if err != nil {
 		return err
 	}
+	var metric expfinder.RankMetric // nil: the paper's avg-distance
+	switch *metricName {
+	case "avg-distance":
+	case "closeness":
+		metric = expfinder.MetricCloseness
+	case "degree":
+		metric = expfinder.MetricDegree
+	case "pagerank":
+		metric = expfinder.MetricPageRank
+	default:
+		return fmt.Errorf("unknown metric %q", *metricName)
+	}
 	store, err := openStore(storeDir)
 	if err != nil {
 		return err
@@ -282,21 +295,9 @@ func cmdQuery(storeDir string, args []string) error {
 	if err := eng.AddGraph(*name, g); err != nil {
 		return err
 	}
-	res, err := eng.Query(*name, q, *k)
+	res, err := eng.Execute(context.Background(), expfinder.BatchQuery{Graph: *name, Pattern: q, K: *k, Metric: metric})
 	if err != nil {
 		return err
-	}
-	switch *metricName {
-	case "avg-distance":
-		// res.TopK already uses the paper's metric.
-	case "closeness":
-		res.TopK = expfinder.TopKOnResult(res, q, *k, expfinder.MetricCloseness)
-	case "degree":
-		res.TopK = expfinder.TopKOnResult(res, q, *k, expfinder.MetricDegree)
-	case "pagerank":
-		res.TopK = expfinder.TopKOnResult(res, q, *k, expfinder.MetricPageRank)
-	default:
-		return fmt.Errorf("unknown metric %q", *metricName)
 	}
 	fmt.Printf("plan: %s  source: %s  elapsed: %s\n", res.Plan, res.Source, res.Elapsed)
 	fmt.Printf("matches: %d pairs over %d pattern nodes\n", res.Relation.Size(), q.NumNodes())
@@ -315,7 +316,10 @@ func cmdQuery(storeDir string, args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := viz.WriteTopK(f, g, res.ResultGraph, res.TopK, viz.Options{}); err != nil {
+		if err := eng.WithGraph(*name, func(g *expfinder.Graph) error {
+			rg := expfinder.BuildResultGraph(g, q, res.Relation)
+			return viz.WriteTopK(f, g, rg, res.TopK, viz.Options{})
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("result graph written to %s\n", *dotOut)

@@ -70,7 +70,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := viz.WriteTopK(f, g, res.ResultGraph, res.TopK, viz.Options{}); err != nil {
+	if err := eng.WithGraph("paper", func(g *expfinder.Graph) error {
+		rg := expfinder.BuildResultGraph(g, q, res.Relation)
+		return viz.WriteTopK(f, g, rg, res.TopK, viz.Options{})
+	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nresult graph written to teamsearch-result.dot (render with `dot -Tsvg`)")

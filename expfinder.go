@@ -215,12 +215,6 @@ var (
 	MetricPageRank RankMetric = rank.PageRank{}
 )
 
-// TopKOnResult re-ranks an engine query result under another metric
-// without rebuilding the result graph.
-func TopKOnResult(res *QueryResult, q *Query, k int, metric RankMetric) []Ranked {
-	return rank.TopKByMetricWithResultGraph(res.ResultGraph, q, res.Relation, k, metric)
-}
-
 // Engine.
 type (
 	// Engine manages graphs and runs the full query pipeline: cache,

@@ -1,10 +1,13 @@
 // Package cache is the one place ExpFinder's query engine remembers an
 // answer: per (graph identity, graph version, pattern hash, semantics) one
-// immutable Entry holding M(Q,G), its result graph and the full ranking,
-// under LRU eviction against a single byte budget. An entry is charged what
-// all three occupy (match.Relation.ApproxBytes, match.ResultGraph.ApproxBytes,
-// the ranking slice), so one enormous result cannot masquerade as cheap
-// the way it could under entry-count accounting. Nothing is copied in or
+// immutable Entry holding M(Q,G) and the full ranking, under LRU eviction
+// against a single byte budget. An entry is charged what both occupy
+// (match.Relation.ApproxBytes, the ranking slice), so one enormous result
+// cannot masquerade as cheap the way it could under entry-count
+// accounting. The result graph the ranking was computed over is not kept:
+// no hit of the default ranking reads it, and the few callers that do (a
+// re-rank by another metric, a DOT render) rebuild it from the relation,
+// exactly, on the graph version the key names. Nothing is copied in or
 // out: Store freezes the relation and every hit hands out the same
 // pointers. An entry is valid only while the graph version matches, so
 // updates applied outside the incremental machinery silently invalidate
@@ -37,8 +40,8 @@ type Key struct {
 type Stats struct {
 	Hits, Misses, Evictions int
 	Entries                 int
-	// Bytes is the accounted footprint of all resident entries (relation,
-	// result graph and ranking); BudgetBytes is the eviction threshold.
+	// Bytes is the accounted footprint of all resident entries (relation
+	// and ranking); BudgetBytes is the eviction threshold.
 	Bytes       int64
 	BudgetBytes int64
 }
@@ -69,9 +72,8 @@ type Cache struct {
 // Entry is one query's whole answer. It is immutable once stored: every
 // lookup of its key returns this same pointer, and holders only read.
 type Entry struct {
-	Relation    *match.Relation
-	ResultGraph *match.ResultGraph // nil for an entry stored through Put
-	Ranking     []rank.Ranked      // every match of the output node, best first
+	Relation *match.Relation
+	Ranking  []rank.Ranked // every match of the output node, best first; nil through Put
 	// Bytes is what the entry is charged against the budget, set by Store.
 	Bytes int64
 
@@ -113,9 +115,6 @@ func (c *Cache) Store(key Key, en *Entry) {
 	en.Relation.Freeze()
 	en.key = key
 	en.Bytes = en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes
-	if en.ResultGraph != nil {
-		en.Bytes += en.ResultGraph.ApproxBytes()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -92,10 +92,12 @@ func TestStoredRelationIsSharedAndFrozen(t *testing.T) {
 	}
 }
 
-// fanEntry is an answer whose result graph dominates its bytes: n "A"
-// nodes each pointing at the same n "B" nodes match A -> B with n*n result
-// edges (16 bytes each) against 2n relation pairs.
-func fanEntry(n int) *Entry {
+// fanEntry is an answer whose result graph would dominate its bytes: n
+// "A" nodes each pointing at the same n "B" nodes match A -> B with n*n
+// result edges (16 bytes each) against 2n relation pairs. The entry keeps
+// the relation and the ranking; the result graph the ranking was computed
+// over is returned beside it.
+func fanEntry(n int) (*Entry, *match.ResultGraph) {
 	g := graph.New(2 * n)
 	r := match.NewRelation(2)
 	for i := 0; i < 2*n; i++ {
@@ -115,30 +117,32 @@ func fanEntry(n int) *Entry {
 		panic(err)
 	}
 	rg := match.BuildResultGraph(g, q, r)
-	return &Entry{Relation: r, ResultGraph: rg, Ranking: rank.TopKWithResultGraph(rg, q, r, 0)}
+	return &Entry{Relation: r, Ranking: rank.TopKWithResultGraph(rg, q, r, 0)}, rg
 }
 
-// TestEntryChargedForResultGraphAndRanking stores whole answers: the
-// accounted bytes are the three parts' sum, and a budget that would hold
-// many such relations holds only as many entries as their result graphs
-// allow.
-func TestEntryChargedForResultGraphAndRanking(t *testing.T) {
+// TestEntryChargedForRelationAndRanking stores whole answers: the
+// accounted bytes are the relation's plus the ranking's, and the result
+// graph the ranking was computed over — many times the relation here — is
+// neither kept nor charged, so a budget smaller than one such graph holds
+// two entries.
+func TestEntryChargedForRelationAndRanking(t *testing.T) {
 	const n = 32
-	en := fanEntry(n)
-	relBytes, rgBytes := en.Relation.ApproxBytes(), en.ResultGraph.ApproxBytes()
-	want := relBytes + rgBytes + int64(len(en.Ranking))*rankedBytes
-	if en.ResultGraph.NumEdges() != n*n || len(en.Ranking) != n || rgBytes < 8*relBytes {
-		t.Fatalf("fixture: %d edges, %d ranked, result graph %d B vs relation %d B; want %d, %d and a dominant result graph",
-			en.ResultGraph.NumEdges(), len(en.Ranking), rgBytes, relBytes, n*n, n)
+	en, rg := fanEntry(n)
+	want := en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes
+	c := New(2*want + want/2) // room for two answers
+	if rg.NumEdges() != n*n || len(en.Ranking) != n || rg.ApproxBytes() <= c.Stats().BudgetBytes {
+		t.Fatalf("fixture: %d edges, %d ranked, result graph %d B vs budget %d B; want %d, %d and a graph over budget",
+			rg.NumEdges(), len(en.Ranking), rg.ApproxBytes(), c.Stats().BudgetBytes, n*n, n)
 	}
-	c := New(2*want + want/2) // room for two whole answers, or ~20 bare relations
 	k := func(i int) Key { return Key{GraphName: "g", GraphVersion: uint64(i), PatternHash: "h"} }
 	c.Store(k(1), en)
 	if en.Bytes != want || c.Stats().Bytes != want {
 		t.Fatalf("entry charged %d (cache %d), want %d", en.Bytes, c.Stats().Bytes, want)
 	}
-	c.Store(k(2), fanEntry(n))
-	c.Store(k(3), fanEntry(n))
+	en2, _ := fanEntry(n)
+	c.Store(k(2), en2)
+	en3, _ := fanEntry(n)
+	c.Store(k(3), en3)
 	st := c.Stats()
 	if st.Entries != 2 || st.Evictions != 1 || st.Bytes != 2*want {
 		t.Errorf("after three answers: %+v, want 2 entries, 1 eviction, %d bytes", st, 2*want)
@@ -147,7 +151,7 @@ func TestEntryChargedForResultGraphAndRanking(t *testing.T) {
 		t.Error("the least recently used answer survived")
 	}
 	got, ok := c.Lookup(k(3))
-	if !ok || got.ResultGraph == nil || len(got.Ranking) != n {
+	if !ok || got.Relation.Size() != 2*n || len(got.Ranking) != n {
 		t.Errorf("Lookup lost parts of the entry: %+v", got)
 	}
 }
@@ -158,7 +162,7 @@ func TestEntryChargedForResultGraphAndRanking(t *testing.T) {
 func TestConcurrentHitsShareOneEntry(t *testing.T) {
 	c := New(0)
 	k := Key{GraphName: "g", GraphVersion: 1, PatternHash: "h"}
-	stored := fanEntry(8)
+	stored, _ := fanEntry(8)
 	c.Store(k, stored)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -167,12 +171,12 @@ func TestConcurrentHitsShareOneEntry(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				en, ok := c.Lookup(k)
-				if !ok || en != stored || en.Relation != stored.Relation || en.ResultGraph != stored.ResultGraph {
+				if !ok || en != stored || en.Relation != stored.Relation {
 					t.Errorf("hit returned %p (ok %v), want the stored entry %p", en, ok, stored)
 					return
 				}
-				if len(en.Relation.Pairs()) != 16 || en.ResultGraph.NumEdges() != 64 || len(en.ResultGraph.Out(0)) != 8 || len(en.Ranking) != 8 {
-					t.Errorf("entry read back wrong: %d pairs, %d edges", en.Relation.Size(), en.ResultGraph.NumEdges())
+				if len(en.Relation.Pairs()) != 16 || len(en.Relation.MatchesOf(1)) != 8 || len(en.Ranking) != 8 || en.Ranking[0].Connected != 8 {
+					t.Errorf("entry read back wrong: %d pairs, %d ranked", en.Relation.Size(), len(en.Ranking))
 					return
 				}
 				if rel, _ := c.Get(k); rel != stored.Relation {

@@ -26,12 +26,14 @@ type QueryRequest struct {
 	Semantics match.Semantics
 	// Metric is the ranking function. nil is the paper's average distance,
 	// served from the answer's cached ranking; any other metric is ranked
-	// on each request from the answer's relation and result graph.
+	// on each request over the answer's result graph, which a cache hit
+	// rebuilds from the cached relation.
 	Metric rank.Metric
 	// Render, when set, runs on a successful answer while the graph's read
 	// lock is still held, so whatever it reads of the graph (display
-	// names, DOT) is the version the answer was computed on. It must not
-	// retain the graph or call back into the engine.
+	// names, the result graph it builds from Result.Relation for DOT) is
+	// the version the answer was computed on. It must not retain the graph
+	// or call back into the engine.
 	Render func(*graph.Graph, *Result)
 }
 

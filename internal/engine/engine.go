@@ -8,9 +8,9 @@
 // Evaluation pipeline for a query Q on graph G, under either matching
 // semantics (match.Semantics is a field of the query and of the cache key):
 //
-//  1. return the cached answer — M(Q,G), its result graph and the full
-//     ranking, one immutable internal/cache entry — if the cache holds one
-//     for G's current version;
+//  1. return the cached answer — M(Q,G) and the full ranking, one
+//     immutable internal/cache entry — if the cache holds one for G's
+//     current version;
 //  2. if Q is a standing query — registered for incremental maintenance,
 //     watched by a subscription, or both — read the maintained relation;
 //  3. if a compressed graph Gc compatible with Q exists and still pays
@@ -26,9 +26,12 @@
 // partitioning may be attached, but no query reads either, and the next
 // write detaches both. queryLocked does step 1 and, after a miss, stores
 // the one entry; evaluate is steps 2 to 4 and touches neither the cache
-// nor any file. What a Result carries is the entry's own relation and
-// result graph, shared with every other holder and never copied: the
-// relation is frozen (match.Relation.Freeze).
+// nor any file. What a Result carries is the entry's own relation, shared
+// with every other holder and never copied: the relation is frozen
+// (match.Relation.Freeze). The result graph a miss ranks over is not
+// cached; a request ranked by another metric rebuilds it from the relation
+// on a hit, and so does a Render that draws it, both under the read lock
+// the answer was computed under.
 //
 // Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
 // writes and replicated replay run the same validate → apply → sync every
@@ -429,19 +432,20 @@ func (e *Engine) ListGraphs() []string {
 	return names
 }
 
-// Result is the full answer to a query: the match relation, the result
-// graph for visualization, the ranked top-K experts, and provenance.
-// Relation and ResultGraph are the cache entry's own and shared with every
-// other holder of the same answer: read them, never modify them (a frozen
-// relation panics on Add/Remove; Clone it for a private copy). TopK is the
-// caller's own slice.
+// Result is the full answer to a query: the match relation, the ranked
+// top-K experts, and provenance. Relation is the cache entry's own and
+// shared with every other holder of the same answer: read it, never modify
+// it (a frozen relation panics on Add/Remove; Clone it for a private
+// copy). TopK is the caller's own slice. A caller that draws the result
+// graph builds it with match.BuildResultGraph from the graph and Relation,
+// in QueryRequest.Render, where the graph is the version the answer was
+// computed on.
 type Result struct {
-	Relation    *match.Relation
-	ResultGraph *match.ResultGraph
-	TopK        []rank.Ranked
-	Plan        Plan
-	Source      Source
-	Elapsed     time.Duration
+	Relation *match.Relation
+	TopK     []rank.Ranked
+	Plan     Plan
+	Source   Source
+	Elapsed  time.Duration
 }
 
 // Query evaluates q on the named graph and ranks the top k matches of the
@@ -454,7 +458,10 @@ func (e *Engine) Query(graphName string, q *pattern.Pattern, k int) (*Result, er
 // queryLocked runs the evaluation pipeline. The caller holds mg.mu for
 // read and an execution slot. It is the only code that reads or fills
 // the result cache: one lookup, and after a miss — evaluate, result graph,
-// ranking — one store. ctx is checked at each of those stage boundaries; a
+// ranking — one store. A request ranked by a metric other than the
+// default reads the result graph: a miss hands over the one it ranked
+// with, a hit rebuilds it from the entry's relation under a "result_graph"
+// span. ctx is checked at each of those stage boundaries; a
 // cancelled query returns ctx.Err() and caches nothing. When ctx carries
 // an active trace (see internal/trace) the pipeline emits an
 // "engine.query" span with one child per stage; results are byte-identical
@@ -479,9 +486,10 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 		}
 		spCache.End()
 	}
+	var rg *match.ResultGraph
 	if !hit {
 		var err error
-		if en, source, err = e.answer(qctx, mg, q, plan); err != nil {
+		if en, rg, source, err = e.answer(qctx, mg, q, plan); err != nil {
 			sp.SetStr("error", err.Error())
 			sp.End()
 			return nil, err
@@ -490,8 +498,13 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 	}
 	topK := en.Ranking
 	if req.Metric != nil {
+		if rg == nil {
+			_, spRG := trace.StartSpan(qctx, "result_graph")
+			rg = match.BuildResultGraph(mg.g, q, en.Relation)
+			spRG.End()
+		}
 		_, spRank := trace.StartSpan(qctx, "rank.topk")
-		topK = rank.TopKByMetricWithResultGraph(en.ResultGraph, q, en.Relation, k, req.Metric)
+		topK = rank.TopKByMetricWithResultGraph(rg, q, en.Relation, k, req.Metric)
 		spRank.SetStr("metric", req.Metric.Name())
 		spRank.End()
 	} else {
@@ -514,31 +527,32 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 		sp.End()
 	}
 	return &Result{
-		Relation:    en.Relation,
-		ResultGraph: en.ResultGraph,
-		TopK:        topK,
-		Plan:        plan,
-		Source:      source,
-		Elapsed:     time.Since(start),
+		Relation: en.Relation,
+		TopK:     topK,
+		Plan:     plan,
+		Source:   source,
+		Elapsed:  time.Since(start),
 	}, nil
 }
 
 // answer builds the cache entry for a miss: the relation by the routed
 // plan, then its result graph, then the ranking of every match of the
-// output node (callers slice off their top K).
-func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*cache.Entry, Source, error) {
+// output node (callers slice off their top K). The entry keeps the
+// relation and the ranking; the result graph is returned beside it for
+// the miss's own metric ranking and is not cached.
+func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*cache.Entry, *match.ResultGraph, Source, error) {
 	rel, source, err := e.evaluate(ctx, mg, q, plan)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
-		return nil, source, err
+		return nil, nil, source, err
 	}
 	_, spRG := trace.StartSpan(ctx, "result_graph")
 	rg := match.BuildResultGraph(mg.g, q, rel)
 	spRG.End()
 	if err := ctx.Err(); err != nil {
-		return nil, source, err
+		return nil, nil, source, err
 	}
 	_, spRank := trace.StartSpan(ctx, "rank.topk")
 	ranking := rank.TopKWithResultGraph(rg, q, rel, 0) // 0 = rank all
@@ -552,7 +566,7 @@ func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, pl
 		spRank.SetInt("max_weight", int64(rg.MaxWeight()))
 		spRank.End()
 	}
-	return &cache.Entry{Relation: rel, ResultGraph: rg, Ranking: ranking}, source, nil
+	return &cache.Entry{Relation: rel, Ranking: ranking}, rg, source, nil
 }
 
 // evalWorkers is the intra-query worker budget: the full Parallelism for

@@ -75,8 +75,9 @@ func TestQueryEndToEnd(t *testing.T) {
 	if res.Plan != PlanBounded || res.Source != SourceDirect {
 		t.Errorf("plan/source = %v/%v, want bounded/direct", res.Plan, res.Source)
 	}
-	if res.ResultGraph.NumNodes() != 7 {
-		t.Errorf("result graph nodes = %d, want 7", res.ResultGraph.NumNodes())
+	g, _ := e.Graph("paper")
+	if rg := match.BuildResultGraph(g, q, res.Relation); rg.NumNodes() != 7 {
+		t.Errorf("result graph nodes = %d, want 7", rg.NumNodes())
 	}
 }
 
@@ -117,11 +118,12 @@ func TestRankSpanExplainsItself(t *testing.T) {
 	if sp == nil {
 		t.Fatal("no rank.topk span")
 	}
+	rg := match.BuildResultGraph(testutil.CollabGraph(), q, res.Relation)
 	want := map[string]any{
 		"matches":    int64(len(res.TopK)),
 		"batches":    int64((len(res.TopK) + 63) / 64),
-		"nodes":      int64(res.ResultGraph.NumNodes()),
-		"edges":      int64(res.ResultGraph.NumEdges()),
+		"nodes":      int64(rg.NumNodes()),
+		"edges":      int64(rg.NumEdges()),
 		"max_weight": int64(3),
 	}
 	if !reflect.DeepEqual(sp.Attrs, want) {
@@ -134,11 +136,11 @@ func TestRankSpanExplainsItself(t *testing.T) {
 }
 
 // TestHitsShareTheEntryButNotTopK pins what a Result may alias. Relation
-// and ResultGraph are the cache entry's own, the same pointers for every
-// holder, read here from many goroutines at once (the -race half of the
-// contract) and frozen. TopK is each caller's own slice: growing one
-// Result's TopK in place must not reach the cached ranking another Result
-// is cut from.
+// is the cache entry's own, the same pointer for every holder, read here
+// from many goroutines at once (the -race half of the contract) and
+// frozen; the entry holds no result graph. TopK is each caller's own
+// slice: growing one Result's TopK in place must not reach the cached
+// ranking another Result is cut from.
 func TestHitsShareTheEntryButNotTopK(t *testing.T) {
 	// One slot per goroutine below, whatever GOMAXPROCS is: the default
 	// pool of a 1-CPU host queues only 4 and would refuse the rest.
@@ -166,11 +168,10 @@ func TestHitsShareTheEntryButNotTopK(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if res.Source != SourceCache || res.Relation != first.Relation || res.ResultGraph != first.ResultGraph {
-				t.Errorf("hit (source %v) returned relation %p, result graph %p; want the entry's %p, %p",
-					res.Source, res.Relation, res.ResultGraph, first.Relation, first.ResultGraph)
+			if res.Source != SourceCache || res.Relation != first.Relation {
+				t.Errorf("hit (source %v) returned relation %p; want the entry's %p", res.Source, res.Relation, first.Relation)
 			}
-			if res.Relation.Size() != 7 || len(res.Relation.Pairs()) != 7 || res.ResultGraph.NumNodes() != 7 {
+			if res.Relation.Size() != 7 || len(res.Relation.Pairs()) != 7 || len(res.Relation.MatchesOf(q.Output())) != 2 {
 				t.Errorf("shared answer read back wrong: %v", res.Relation)
 			}
 			// k=1 of a longer ranking: an append with spare capacity would
@@ -328,7 +329,7 @@ func TestQuotientThatDoesNotPayIsNotRead(t *testing.T) {
 	if res.Source != SourceDirect || res.Relation.Size() != 7 {
 		t.Errorf("source = %v, %d pairs; want direct, 7", res.Source, res.Relation.Size())
 	}
-	if err := e.SetNodeAttr("paper", p.Bob, "name", graph.String("Robert")); err != nil {
+	if err := e.SetNodeAttr(context.Background(), "paper", p.Bob, "name", graph.String("Robert")); err != nil {
 		t.Fatal(err)
 	}
 	if c, _ := e.Compressed("paper"); c != nil {
@@ -429,7 +430,7 @@ func TestPayingQuotientFollowsEveryRecordKind(t *testing.T) {
 	}
 	sa, _ := q.Lookup("SA")
 	lead := bsim.Compute(g, q).MatchesOf(sa)[0]
-	newSA, err := e.AddNode("collab", "SA", graph.Attrs{"name": graph.String("Zed"), "experience": graph.Int(9)})
+	newSA, err := e.AddNode(context.Background(), "collab", "SA", graph.Attrs{"name": graph.String("Zed"), "experience": graph.Int(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,18 +451,18 @@ func TestPayingQuotientFollowsEveryRecordKind(t *testing.T) {
 		}
 	})
 	before := blocks()
-	if err := e.SetNodeAttr("collab", shared, "name", graph.String("Renamed")); err != nil {
+	if err := e.SetNodeAttr(context.Background(), "collab", shared, "name", graph.String("Renamed")); err != nil {
 		t.Fatal(err)
 	}
 	if after := blocks(); after != before {
 		t.Errorf("a write outside the view changed the block count: %d -> %d", before, after)
 	}
 	check("after SetNodeAttr name")
-	if err := e.SetNodeAttr("collab", lead, "experience", graph.Int(0)); err != nil {
+	if err := e.SetNodeAttr(context.Background(), "collab", lead, "experience", graph.Int(0)); err != nil {
 		t.Fatal(err)
 	}
 	check("after SetNodeAttr experience")
-	if err := e.RemoveNode("collab", newSA); err != nil {
+	if err := e.RemoveNode(context.Background(), "collab", newSA); err != nil {
 		t.Fatal(err)
 	}
 	check("after RemoveNode")
@@ -692,7 +693,7 @@ func TestEngineNodeLifecycle(t *testing.T) {
 	}
 
 	// Add a senior SA and wire them into Bob's team.
-	newSA, err := e.AddNode("paper", "SA", graph.Attrs{
+	newSA, err := e.AddNode(context.Background(), "paper", "SA", graph.Attrs{
 		"name": graph.String("Zed"), "experience": graph.Int(9),
 	})
 	if err != nil {
@@ -713,7 +714,7 @@ func TestEngineNodeLifecycle(t *testing.T) {
 	}
 
 	// Demote Walt; he must drop out.
-	if err := e.SetNodeAttr("paper", p.Walt, "experience", graph.Int(2)); err != nil {
+	if err := e.SetNodeAttr(context.Background(), "paper", p.Walt, "experience", graph.Int(2)); err != nil {
 		t.Fatal(err)
 	}
 	check("after SetNodeAttr")
@@ -723,7 +724,7 @@ func TestEngineNodeLifecycle(t *testing.T) {
 	}
 
 	// Remove Dan entirely.
-	if err := e.RemoveNode("paper", p.Dan); err != nil {
+	if err := e.RemoveNode(context.Background(), "paper", p.Dan); err != nil {
 		t.Fatal(err)
 	}
 	check("after RemoveNode")
@@ -733,13 +734,13 @@ func TestEngineNodeLifecycle(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := e.AddNode("nope", "X", nil); !errors.Is(err, ErrNoGraph) {
+	if _, err := e.AddNode(context.Background(), "nope", "X", nil); !errors.Is(err, ErrNoGraph) {
 		t.Errorf("AddNode missing graph err = %v", err)
 	}
-	if err := e.RemoveNode("paper", 9999); !errors.Is(err, graph.ErrNoNode) {
+	if err := e.RemoveNode(context.Background(), "paper", 9999); !errors.Is(err, graph.ErrNoNode) {
 		t.Errorf("RemoveNode missing node err = %v", err)
 	}
-	if err := e.SetNodeAttr("paper", 9999, "x", graph.Int(1)); !errors.Is(err, graph.ErrNoNode) {
+	if err := e.SetNodeAttr(context.Background(), "paper", 9999, "x", graph.Int(1)); !errors.Is(err, graph.ErrNoNode) {
 		t.Errorf("SetNodeAttr missing node err = %v", err)
 	}
 }

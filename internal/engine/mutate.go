@@ -68,24 +68,27 @@ func (e *Engine) ApplyUpdates(graphName string, ops []graph.Update) ([]Delta, er
 }
 
 // AddNode inserts a node into a managed graph, keeping registered queries
-// and the compressed form in sync.
-func (e *Engine) AddNode(graphName, label string, attrs graph.Attrs) (graph.NodeID, error) {
-	out, err := e.mutate(context.Background(), graphName, &wal.Record{Kind: wal.RecAddNode, Label: label, Attrs: attrs}, false)
+// and the compressed form in sync. ctx reaches the WAL append, for its
+// trace span.
+func (e *Engine) AddNode(ctx context.Context, graphName, label string, attrs graph.Attrs) (graph.NodeID, error) {
+	out, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecAddNode, Label: label, Attrs: attrs}, false)
 	return out.id, err
 }
 
 // RemoveNode removes a node and its incident edges from a managed graph,
-// repairing registered queries and the compressed form incrementally.
-func (e *Engine) RemoveNode(graphName string, id graph.NodeID) error {
-	_, err := e.mutate(context.Background(), graphName, &wal.Record{Kind: wal.RecRemoveNode, ID: id}, false)
+// repairing registered queries and the compressed form incrementally. ctx
+// reaches the WAL append, for its trace span.
+func (e *Engine) RemoveNode(ctx context.Context, graphName string, id graph.NodeID) error {
+	_, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecRemoveNode, ID: id}, false)
 	return err
 }
 
 // SetNodeAttr updates one attribute of a node in a managed graph, keeping
 // registered queries and the compressed form in sync (the predicate and
-// signature changes are repaired incrementally).
-func (e *Engine) SetNodeAttr(graphName string, id graph.NodeID, key string, v graph.Value) error {
-	_, err := e.mutate(context.Background(), graphName, &wal.Record{Kind: wal.RecSetAttr, ID: id, Key: key, Val: v}, false)
+// signature changes are repaired incrementally). ctx reaches the WAL
+// append, for its trace span.
+func (e *Engine) SetNodeAttr(ctx context.Context, graphName string, id graph.NodeID, key string, v graph.Value) error {
+	_, err := e.mutate(ctx, graphName, &wal.Record{Kind: wal.RecSetAttr, ID: id, Key: key, Val: v}, false)
 	return err
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -59,9 +60,9 @@ edge A -> B bound 2`)
 			_, err := e.ApplyUpdates("g", []graph.Update{graph.Insert(a2, b2)})
 			return err
 		}},
-		{"AddNode", func(e *Engine) error { _, err := e.AddNode("g", "B", exp(5)); return err }},
-		{"RemoveNode", func(e *Engine) error { return e.RemoveNode("g", b1) }},
-		{"SetNodeAttr", func(e *Engine) error { return e.SetNodeAttr("g", b1, "experience", graph.Int(0)) }},
+		{"AddNode", func(e *Engine) error { _, err := e.AddNode(context.Background(), "g", "B", exp(5)); return err }},
+		{"RemoveNode", func(e *Engine) error { return e.RemoveNode(context.Background(), "g", b1) }},
+		{"SetNodeAttr", func(e *Engine) error { return e.SetNodeAttr(context.Background(), "g", b1, "experience", graph.Int(0)) }},
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -292,7 +293,7 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 		case kind < 7:
 			label, attrs := testutil.Labels[r.Intn(len(testutil.Labels))], graph.Attrs{"experience": graph.Int(int64(r.Intn(10)))}
 			scratch.AddNode(label, attrs)
-			if _, err := native.AddNode("g", label, attrs); err != nil {
+			if _, err := native.AddNode(context.Background(), "g", label, attrs); err != nil {
 				t.Fatal(err)
 			}
 		case kind < 8 && step >= deletesFrom:
@@ -300,7 +301,7 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 			if err := scratch.RemoveNode(id); err != nil {
 				t.Fatal(err)
 			}
-			if err := native.RemoveNode("g", id); err != nil {
+			if err := native.RemoveNode(context.Background(), "g", id); err != nil {
 				t.Fatal(err)
 			}
 		default:
@@ -308,7 +309,7 @@ func TestNativeAndReplicatedPathsAgree(t *testing.T) {
 			if err := scratch.SetAttr(id, "experience", v); err != nil {
 				t.Fatal(err)
 			}
-			if err := native.SetNodeAttr("g", id, "experience", v); err != nil {
+			if err := native.SetNodeAttr(context.Background(), "g", id, "experience", v); err != nil {
 				t.Fatal(err)
 			}
 		}

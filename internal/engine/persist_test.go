@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -85,21 +86,21 @@ func churn(t *testing.T, e *Engine, name string, r *rand.Rand, steps int) {
 			}
 		case k < 8:
 			label := testutil.Labels[r.Intn(len(testutil.Labels))]
-			if _, err := e.AddNode(name, label, graph.Attrs{"experience": graph.Int(int64(r.Intn(10)))}); err != nil {
+			if _, err := e.AddNode(context.Background(), name, label, graph.Attrs{"experience": graph.Int(int64(r.Intn(10)))}); err != nil {
 				t.Fatalf("AddNode: %v", err)
 			}
 		case k < 9:
 			if len(nodes) < 4 {
 				continue
 			}
-			if err := e.RemoveNode(name, nodes[r.Intn(len(nodes))]); err != nil {
+			if err := e.RemoveNode(context.Background(), name, nodes[r.Intn(len(nodes))]); err != nil {
 				t.Fatalf("RemoveNode: %v", err)
 			}
 		default:
 			if len(nodes) == 0 {
 				continue
 			}
-			if err := e.SetNodeAttr(name, nodes[r.Intn(len(nodes))], "experience", graph.Int(int64(r.Intn(50)))); err != nil {
+			if err := e.SetNodeAttr(context.Background(), name, nodes[r.Intn(len(nodes))], "experience", graph.Int(int64(r.Intn(50)))); err != nil {
 				t.Fatalf("SetNodeAttr: %v", err)
 			}
 		}
@@ -189,11 +190,11 @@ func TestRecoverWALWithNoSnapshot(t *testing.T) {
 	if err := e.AddGraph("g", graph.New(0)); err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.AddNode("g", "SA", graph.Attrs{"name": graph.String("Ann")})
+	a, err := e.AddNode(context.Background(), "g", "SA", graph.Attrs{"name": graph.String("Ann")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.AddNode("g", "SD", nil)
+	b, err := e.AddNode(context.Background(), "g", "SD", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,10 +186,12 @@ func ptr[T any](v T) *T { return &v }
 
 // TestMetricIsRankedInsideThePipeline: a non-default metric is ranked from
 // the cached answer on every request — miss and hit alike — under a
-// rank.topk span of the engine.query span, and the default metric still
-// hands out the entry's own ranking.
+// rank.topk span of the engine.query span, over one result graph per
+// request (the miss's own, or the hit's rebuild), and the default metric
+// still hands out the entry's own ranking.
 func TestMetricIsRankedInsideThePipeline(t *testing.T) {
 	e, _ := newPaperEngine(t)
+	g, _ := e.Graph("paper")
 	q := dataset.PaperQuery()
 	for _, sem := range []match.Semantics{match.Bounded, match.Dual} {
 		for i, source := range []Source{SourceDirect, SourceCache} {
@@ -202,16 +204,23 @@ func TestMetricIsRankedInsideThePipeline(t *testing.T) {
 			if res.Source != source {
 				t.Fatalf("sem %d request %d: source %v, want %v", sem, i, res.Source, source)
 			}
-			if want := rank.TopKByMetricWithResultGraph(res.ResultGraph, q, res.Relation, 1, rank.PageRank{}); !reflect.DeepEqual(res.TopK, want) {
+			if want := rank.TopKByMetric(g, q, res.Relation, 1, rank.PageRank{}); !reflect.DeepEqual(res.TopK, want) {
 				t.Errorf("sem %d request %d: top-K %v, want the pagerank ranking %v", sem, i, res.TopK, want)
 			}
 			var metrics []any
+			builds := 0
 			tj := tracer.Finish(tr)
 			tj.Walk(func(sp *trace.SpanJSON) {
-				if sp.Name == "rank.topk" {
+				switch sp.Name {
+				case "rank.topk":
 					metrics = append(metrics, sp.Attrs["metric"])
+				case "result_graph":
+					builds++
 				}
 			})
+			if builds != 1 {
+				t.Errorf("sem %d request %d: %d result_graph spans, want 1", sem, i, builds)
+			}
 			// A miss ranks twice: the entry's default ranking, then the metric.
 			if want := [][]any{{nil, "pagerank"}, {"pagerank"}}[i]; !reflect.DeepEqual(metrics, want) {
 				t.Errorf("sem %d request %d: rank.topk spans carry metrics %v, want %v", sem, i, metrics, want)
@@ -221,7 +230,7 @@ func TestMetricIsRankedInsideThePipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := rank.TopKWithResultGraph(def.ResultGraph, q, def.Relation, 1); def.Source != SourceCache || !reflect.DeepEqual(def.TopK, want) {
+		if want := rank.TopK(g, q, def.Relation, 1); def.Source != SourceCache || !reflect.DeepEqual(def.TopK, want) {
 			t.Errorf("sem %d default metric: source %v top-K %v, want a hit ranked %v", sem, def.Source, def.TopK, want)
 		}
 	}

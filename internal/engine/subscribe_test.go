@@ -306,9 +306,9 @@ func TestNodeChurnPublishesWithoutFlush(t *testing.T) {
 		mutate func() error
 	}{
 		// Bob drops below the SA threshold; Walt remains.
-		{"SetNodeAttr", func() error { return e.SetNodeAttr("g", p.Bob, "experience", graph.Int(3)) }},
+		{"SetNodeAttr", func() error { return e.SetNodeAttr(context.Background(), "g", p.Bob, "experience", graph.Int(3)) }},
 		// Without its only qualifying tester the team dissolves.
-		{"RemoveNode", func() error { return e.RemoveNode("g", p.Eva) }},
+		{"RemoveNode", func() error { return e.RemoveNode(context.Background(), "g", p.Eva) }},
 	}
 	for _, m := range mutations {
 		if err := m.mutate(); err != nil {
@@ -389,7 +389,7 @@ func TestStandingQueriesUnderConcurrentUse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := e.SetNodeAttr("g", p.Bob, "experience", graph.Int(int64(i%10))); err != nil {
+			if err := e.SetNodeAttr(context.Background(), "g", p.Bob, "experience", graph.Int(int64(i%10))); err != nil {
 				t.Error(err)
 				return
 			}
@@ -461,7 +461,7 @@ func TestQuickSubscriptionStreamEqualsMatch(t *testing.T) {
 		for round := 0; round < 12; round++ {
 			switch r.Intn(6) {
 			case 0: // node insertion
-				if _, err := e.AddNode("g", testutil.Labels[r.Intn(len(testutil.Labels))],
+				if _, err := e.AddNode(context.Background(), "g", testutil.Labels[r.Intn(len(testutil.Labels))],
 					graph.Attrs{"experience": graph.Int(int64(r.Intn(10)))}); err != nil {
 					t.Fatal(err)
 				}
@@ -472,7 +472,7 @@ func TestQuickSubscriptionStreamEqualsMatch(t *testing.T) {
 				}
 				nodes := mgG.Nodes()
 				if len(nodes) > 10 {
-					if err := e.RemoveNode("g", nodes[r.Intn(len(nodes))]); err != nil {
+					if err := e.RemoveNode(context.Background(), "g", nodes[r.Intn(len(nodes))]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -483,7 +483,7 @@ func TestQuickSubscriptionStreamEqualsMatch(t *testing.T) {
 				}
 				nodes := mgG.Nodes()
 				id := nodes[r.Intn(len(nodes))]
-				if err := e.SetNodeAttr("g", id, "experience", graph.Int(int64(r.Intn(10)))); err != nil {
+				if err := e.SetNodeAttr(context.Background(), "g", id, "experience", graph.Int(int64(r.Intn(10)))); err != nil {
 					t.Fatal(err)
 				}
 			default: // edge churn

@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -147,7 +148,7 @@ func mutate(t *testing.T, eng *engine.Engine, name string, r *rand.Rand) {
 	t.Helper()
 	switch r.Intn(10) {
 	case 0: // add node
-		if _, err := eng.AddNode(name, testutil.Labels[r.Intn(len(testutil.Labels))],
+		if _, err := eng.AddNode(context.Background(), name, testutil.Labels[r.Intn(len(testutil.Labels))],
 			graph.Attrs{"experience": graph.Int(int64(r.Intn(10)))}); err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func mutate(t *testing.T, eng *engine.Engine, name string, r *rand.Rand) {
 		if len(nodes) <= 2 {
 			return
 		}
-		if err := eng.RemoveNode(name, nodes[r.Intn(len(nodes))]); err != nil && !errors.Is(err, graph.ErrNoNode) {
+		if err := eng.RemoveNode(context.Background(), name, nodes[r.Intn(len(nodes))]); err != nil && !errors.Is(err, graph.ErrNoNode) {
 			t.Fatal(err)
 		}
 	case 2: // set an attribute
@@ -172,7 +173,7 @@ func mutate(t *testing.T, eng *engine.Engine, name string, r *rand.Rand) {
 		if len(nodes) == 0 {
 			return
 		}
-		if err := eng.SetNodeAttr(name, nodes[r.Intn(len(nodes))], "experience",
+		if err := eng.SetNodeAttr(context.Background(), name, nodes[r.Intn(len(nodes))], "experience",
 			graph.Int(int64(r.Intn(10)))); err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +334,7 @@ func TestLeaderFollowerBasic(t *testing.T) {
 	waitConverged(t, le.eng, feng, "live records")
 
 	// Writes on the follower are rejected with the leader's address.
-	_, err := feng.AddNode("before", "SA", nil)
+	_, err := feng.AddNode(context.Background(), "before", "SA", nil)
 	if !errors.Is(err, engine.ErrReadOnly) {
 		t.Fatalf("follower write: got %v, want ErrReadOnly", err)
 	}
@@ -388,7 +389,7 @@ func TestFollowerPromote(t *testing.T) {
 		t.Fatalf("promoted follower still reports role %q", st.Role)
 	}
 	// Writable now.
-	if _, err := feng.AddNode("g", "SA", nil); err != nil {
+	if _, err := feng.AddNode(context.Background(), "g", "SA", nil); err != nil {
 		t.Fatalf("write after promote: %v", err)
 	}
 	// And the old leader rejects Promote by construction.

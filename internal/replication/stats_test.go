@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -66,7 +67,7 @@ func TestFollowerServesStats(t *testing.T) {
 	}
 
 	// And the stats surface stays read-only like everything else.
-	if _, err := feng.AddNode("g", "SA", nil); !errors.Is(err, engine.ErrReadOnly) {
+	if _, err := feng.AddNode(context.Background(), "g", "SA", nil); !errors.Is(err, engine.ErrReadOnly) {
 		t.Fatalf("follower write: got %v, want ErrReadOnly", err)
 	}
 

@@ -2,13 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
 	"expfinder/internal/graph"
+	"expfinder/internal/trace"
 	"expfinder/internal/wal"
 )
 
@@ -138,5 +141,47 @@ func TestPersistenceStatsAndForceCheckpoint(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/admin/persistence/checkpoint", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("checkpoint-all: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestNodeWritesAreTracedAndBilled: a traced node insert, node removal
+// and attribute set each append one WAL record under a wal.append span of
+// its request's trace, and the request's client is billed those bytes.
+func TestNodeWritesAreTracedAndBilled(t *testing.T) {
+	srv, eng := durableServer(t)
+	g, p := dataset.PaperGraph()
+	if err := eng.AddGraph("paper", g); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ client, method, path, body string }{
+		{"adder", "POST", "/api/v1/graphs/paper/nodes", `{"label":"SA","attrs":{"experience":{"kind":"int","i":7}}}`},
+		{"remover", "DELETE", fmt.Sprintf("/api/v1/graphs/paper/nodes/%d", p.Dan), ""},
+		{"setter", "POST", fmt.Sprintf("/api/v1/graphs/paper/nodes/%d/attrs", p.Bob), `{"experience":{"kind":"int","i":1}}`},
+	} {
+		req := httptest.NewRequest(w.method, w.path+"?trace=1", strings.NewReader(w.body))
+		req.Header.Set("X-Client-ID", w.client)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code >= 300 {
+			t.Fatalf("%s: status %d: %s", w.client, rec.Code, rec.Body)
+		}
+		appends := 0
+		srv.tracer.Recent()[0].Walk(func(sp *trace.SpanJSON) {
+			if sp.Name == "wal.append" && sp.Int("bytes") > 0 {
+				appends++
+			}
+		})
+		if appends != 1 {
+			t.Errorf("%s: %d wal.append spans with bytes, want 1", w.client, appends)
+		}
+		var billed int64
+		for _, cu := range srv.ledger.Snapshot(0) {
+			if cu.Client == w.client {
+				billed = cu.WALBytes
+			}
+		}
+		if billed <= 0 {
+			t.Errorf("%s: billed %d WAL bytes, want a nonzero charge", w.client, billed)
+		}
 	}
 }

@@ -265,7 +265,8 @@ func responseFor(g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot
 	}
 	if withDot {
 		var dot jsonBuilder
-		if err := viz.WriteTopK(&dot, g, res.ResultGraph, res.TopK, viz.Options{}); err == nil {
+		rg := match.BuildResultGraph(g, q, res.Relation)
+		if err := viz.WriteTopK(&dot, g, rg, res.TopK, viz.Options{}); err == nil {
 			resp.ResultDOT = dot.String()
 		}
 	}
@@ -355,7 +356,7 @@ func (s *Server) addNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	attrs := graph.Attrs(req.Attrs)
-	id, err := s.eng.AddNode(name, req.Label, attrs)
+	id, err := s.eng.AddNode(r.Context(), name, req.Label, attrs)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -379,7 +380,7 @@ func (s *Server) removeNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	if err := s.eng.RemoveNode(name, id); err != nil {
+	if err := s.eng.RemoveNode(r.Context(), name, id); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
@@ -399,7 +400,7 @@ func (s *Server) setNodeAttrs(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	for key, v := range attrs {
-		if err := s.eng.SetNodeAttr(name, id, key, v); err != nil {
+		if err := s.eng.SetNodeAttr(r.Context(), name, id, key, v); err != nil {
 			writeErr(w, statusFor(err), err)
 			return
 		}

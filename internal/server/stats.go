@@ -73,8 +73,11 @@ func (s *Server) registerStatsMetrics() {
 			}}
 		})
 
-	// One snapshot pass serves all per-graph families: each scrape walks
-	// the graphs once and fans the snapshot out per metric.
+	// graphSnapshots reads every graph's statistics. Each of the three
+	// per-graph families below calls it on its own, so one scrape walks
+	// the graphs three times; statistics are recounted at most once per
+	// graph version, so the second and third walks read what the first
+	// counted unless a write landed between them.
 	graphSnapshots := func() map[string]*stats.Snapshot {
 		out := map[string]*stats.Snapshot{}
 		for _, name := range s.eng.ListGraphs() {
