@@ -271,8 +271,8 @@ type CacheStatsResponse struct {
 	Misses    int `json:"misses"`
 	Evictions int `json:"evictions"`
 	Entries   int `json:"entries"`
-	// Bytes is the accounted size of all cached answers (relation, result
-	// graph and ranking of each); BudgetBytes is the eviction threshold.
+	// Bytes is the accounted size of all cached answers (relation and
+	// ranking of each); BudgetBytes is the eviction threshold.
 	Bytes       int64 `json:"bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
 }

@@ -9,9 +9,10 @@
 // re-rank by another metric, a DOT render) rebuild it from the relation,
 // exactly, on the graph version the key names. Nothing is copied in or
 // out: Store freezes the relation and every hit hands out the same
-// pointers. An entry is valid only while the graph version matches, so
-// updates applied outside the incremental machinery silently invalidate
-// stale results.
+// pointers. An entry is valid only while the graph version matches, and
+// the engine drops a graph's entries (InvalidateGraph) on every write that
+// reaches it, so the superseded versions no query can name do not hold the
+// budget until eviction.
 package cache
 
 import (
@@ -152,8 +153,9 @@ func (c *Cache) evictOver() {
 	}
 }
 
-// InvalidateGraph drops every entry for the named graph (any version),
-// e.g. after out-of-band mutations.
+// InvalidateGraph drops every entry for the named graph (any version).
+// The engine calls it under the graph's write lock on every write that
+// reaches the graph and when the graph is removed.
 func (c *Cache) InvalidateGraph(graphName string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -28,10 +28,12 @@
 // the one entry; evaluate is steps 2 to 4 and touches neither the cache
 // nor any file. What a Result carries is the entry's own relation, shared
 // with every other holder and never copied: the relation is frozen
-// (match.Relation.Freeze). The result graph a miss ranks over is not
-// cached; a request ranked by another metric rebuilds it from the relation
-// on a hit, and so does a Render that draws it, both under the read lock
-// the answer was computed under.
+// (match.Relation.Freeze) as soon as it is evaluated, so the result graph,
+// the ranking and every response read the order it was frozen in. The
+// result graph a miss ranks over is not cached; a request ranked by
+// another metric rebuilds it from the relation on a hit, and so does a
+// Render that draws it, both under the read lock the answer was computed
+// under.
 //
 // Writes are one pipeline (mutate.go). A mutation is a wal.Record; native
 // writes and replicated replay run the same validate → apply → sync every
@@ -39,7 +41,9 @@
 // batches passed to every maintainer and the log as one []graph.Update.
 // The maintainers are what queries read: the standing queries' matchers
 // and the quotient; statistics are recounted when read, once per graph
-// version. A quotient that cannot repair in place is dropped — a
+// version. Every write that reaches the graph drops the graph's cache
+// entries: their keys name a version no query can ask for again. A
+// quotient that cannot repair in place is dropped — a
 // simulation-equivalence one lives until the first write, a bisimulation
 // one until a write takes it past the cut — and the write itself never
 // fails on its account.
@@ -118,7 +122,7 @@ type Options struct {
 	// may not edit, names it; the next benchmark change removes it.
 	CacheSize int
 	// CacheBytes is the byte budget of the result cache: each answer is
-	// charged its relation, result graph and ranking. <= 0 means
+	// charged its relation and ranking. <= 0 means
 	// cache.DefaultBudget.
 	CacheBytes int64
 	// Parallelism is the execution pool's slot count — how many queries
@@ -548,6 +552,9 @@ func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, pl
 	if err != nil {
 		return nil, nil, source, err
 	}
+	// Frozen now, so the result graph, the ranking and every response read
+	// the one sorted order instead of each sorting again.
+	rel.Freeze()
 	_, spRG := trace.StartSpan(ctx, "result_graph")
 	rg := match.BuildResultGraph(mg.g, q, rel)
 	spRG.End()

@@ -143,6 +143,10 @@ func (e *Engine) mutate(ctx context.Context, name string, rec *wal.Record, repli
 	mg.refreshVersions()
 	// No query reads these two, so a write detaches rather than repairs them.
 	mg.idx, mg.part = nil, nil
+	// Keys carry the version, which only rises, and every reader of the old
+	// one stored its entry before this lock was granted: no query can reach
+	// them any more.
+	e.cache.InvalidateGraph(name)
 	if pers := e.opts.Persistence; pers != nil {
 		if logErr := pers.LogRecord(ctx, name, rec); logErr != nil && err == nil {
 			err = fmt.Errorf("engine: log mutation: %w", logErr)

@@ -11,6 +11,7 @@ import (
 
 	"expfinder/internal/bsim"
 	"expfinder/internal/compress"
+	"expfinder/internal/dataset"
 	"expfinder/internal/distindex"
 	"expfinder/internal/generator"
 	"expfinder/internal/graph"
@@ -409,5 +410,74 @@ edge SA -> SD bound 2`)
 		if _, err := e.ApplyUpdates("g", batches[i%2]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWriteDropsSupersededEntries: every write that reaches a graph drops
+// that graph's cache entries, since their keys name a version no query can
+// ask for again; a batch rejected before any op applied changes nothing
+// and keeps them, and another graph's entries survive.
+func TestWriteDropsSupersededEntries(t *testing.T) {
+	ctx := context.Background()
+	e, p := newPaperEngine(t)
+	other, _ := dataset.PaperGraph()
+	if err := e.AddGraph("other", other); err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.PaperQuery()
+	query := func(name string) Source {
+		t.Helper()
+		res, err := e.Query(name, q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Source
+	}
+	g, _ := e.Graph("paper")
+	var added graph.NodeID
+	writes := []struct {
+		name  string
+		write func() error
+	}{
+		{"edge batch", func() error {
+			_, err := e.ApplyUpdates("paper", []graph.Update{graph.Insert(p.Fred, p.Pat), graph.Delete(p.Bob, p.Dan)})
+			return err
+		}},
+		{"AddNode", func() (err error) {
+			added, err = e.AddNode(ctx, "paper", "SD", graph.Attrs{"experience": graph.Int(3)})
+			return err
+		}},
+		{"RemoveNode", func() error { return e.RemoveNode(ctx, "paper", added) }},
+		{"SetNodeAttr", func() error { return e.SetNodeAttr(ctx, "paper", p.Walt, "experience", graph.Int(1)) }},
+		{"replicated record", func() error {
+			return e.ApplyReplicatedRecord("paper", &wal.Record{Kind: wal.RecUpdates, Ops: []graph.Update{graph.Insert(p.Bob, p.Dan)}, Post: g.Version() + 1})
+		}},
+	}
+	for _, w := range writes {
+		query("paper")
+		query("other")
+		if n := e.CacheStats().Entries; n != 2 {
+			t.Fatalf("%s: %d entries before the write, want one per graph", w.name, n)
+		}
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if n := e.CacheStats().Entries; n != 1 {
+			t.Errorf("%s: %d entries after the write, want only the other graph's", w.name, n)
+		}
+		if src := query("other"); src != SourceCache {
+			t.Errorf("%s: the other graph's query answered from %q, want its cached entry", w.name, src)
+		}
+	}
+
+	query("paper")
+	if _, err := e.ApplyUpdates("paper", []graph.Update{graph.Insert(p.Bob, p.Dan)}); err == nil {
+		t.Fatal("inserting an existing edge was accepted")
+	}
+	if n := e.CacheStats().Entries; n != 2 {
+		t.Errorf("a batch rejected at its first op left %d entries, want 2", n)
+	}
+	if src := query("paper"); src != SourceCache {
+		t.Errorf("after a rejected batch the query answered from %q, want cache", src)
 	}
 }

@@ -6,6 +6,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,10 +30,12 @@ type Pair struct {
 // entire relation is empty — that is the paper's definition of M(Q,G).
 //
 // A relation is mutable while an evaluator builds it and frozen (Freeze)
-// once it enters the result cache: from then on every holder shares one
-// pointer, and Add, Remove and a Normalize that would clear it panic.
+// once it is answered: from then on every holder shares one pointer, Add,
+// Remove and a Normalize that would clear it panic, and MatchesOf reads
+// the ascending order Freeze recorded instead of sorting again.
 type Relation struct {
 	sets   []map[graph.NodeID]bool // indexed by pattern.NodeIdx
+	sorted [][]graph.NodeID        // sets in ascending order; filled by Freeze
 	frozen bool
 }
 
@@ -59,13 +62,21 @@ func NewRelationSized(sizes []int) *Relation {
 // NumPatternNodes returns the number of pattern nodes the relation covers.
 func (r *Relation) NumPatternNodes() int { return len(r.sets) }
 
-// Freeze makes the relation immutable. The result cache freezes what it
-// stores before publishing the pointer, so a shared relation is only ever
-// read. Clone yields a mutable copy.
+// Freeze makes the relation immutable and records each pattern node's
+// matches in ascending order, which every later MatchesOf copies. The
+// engine freezes an answer before it builds the result graph, and the
+// result cache freezes what it stores before publishing the pointer, so a
+// shared relation is only ever read. A second Freeze writes nothing.
+// Clone yields a mutable copy.
 func (r *Relation) Freeze() {
-	if !r.frozen { // no write to a relation other goroutines may be reading
-		r.frozen = true
+	if r.frozen { // no write to a relation other goroutines may be reading
+		return
 	}
+	r.sorted = make([][]graph.NodeID, len(r.sets))
+	for u := range r.sets {
+		r.sorted[u] = r.collect(pattern.NodeIdx(u))
+	}
+	r.frozen = true
 }
 
 func (r *Relation) mutable() {
@@ -90,12 +101,22 @@ func (r *Relation) Remove(u pattern.NodeIdx, v graph.NodeID) {
 func (r *Relation) Has(u pattern.NodeIdx, v graph.NodeID) bool { return r.sets[u][v] }
 
 // MatchesOf returns the matches of pattern node u in ascending id order.
+// The caller owns the slice: on a frozen relation it is a copy of the
+// order Freeze recorded.
 func (r *Relation) MatchesOf(u pattern.NodeIdx) []graph.NodeID {
+	if r.frozen {
+		return slices.Clone(r.sorted[u])
+	}
+	return r.collect(u)
+}
+
+// collect returns the matches of u, sorted, in a new slice.
+func (r *Relation) collect(u pattern.NodeIdx) []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(r.sets[u]))
 	for v := range r.sets[u] {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -114,19 +135,21 @@ func (r *Relation) Size() int {
 // IsEmpty reports whether the relation has no pairs at all.
 func (r *Relation) IsEmpty() bool { return r.Size() == 0 }
 
-// ApproxBytes estimates the heap footprint of the relation: a map header
-// per pattern node plus a bucket entry per pair. Go map internals charge
-// roughly 48 bytes of header and, for a NodeID->bool entry, about 24
-// bytes per element once bucket overhead is amortized. The estimate is
-// intentionally simple and stable — the byte-budgeted result cache uses
-// it for admission and eviction accounting, where relative proportions
-// matter more than absolute precision.
+// ApproxBytes estimates the heap footprint of the relation once frozen: a
+// map header and a slice header per pattern node, plus a bucket entry and
+// a NodeID of the sorted order per pair. Go map internals charge roughly
+// 48 bytes of header and, for a NodeID->bool entry, about 24 bytes per
+// element once bucket overhead is amortized. The estimate charges the
+// order before Freeze too, so it does not move when the relation freezes.
+// It is intentionally simple and stable — the byte-budgeted result cache
+// uses it for admission and eviction accounting, where relative
+// proportions matter more than absolute precision.
 func (r *Relation) ApproxBytes() int64 {
 	const (
-		mapHeaderBytes = 48
-		pairBytes      = 24
+		headerBytes = 48 + 24 // map header + sorted-slice header
+		pairBytes   = 24 + 4  // map entry + NodeID in the sorted slice
 	)
-	n := int64(len(r.sets)) * mapHeaderBytes
+	n := int64(len(r.sets)) * headerBytes
 	for _, s := range r.sets {
 		n += int64(len(s)) * pairBytes
 	}

@@ -1,6 +1,9 @@
 package match
 
 import (
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"expfinder/internal/graph"
@@ -128,4 +131,100 @@ func TestFormatUsesNames(t *testing.T) {
 	if got != "SA -> Bob" {
 		t.Errorf("Format = %q", got)
 	}
+}
+
+// TestFrozenOrderEqualsMapOrder: Freeze records the order MatchesOf
+// sorted before it, the caller owns every returned slice, a second Freeze
+// writes nothing, and the byte estimate does not move at Freeze.
+func TestFrozenOrderEqualsMapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var rels []*Relation
+	rels = append(rels, NewRelation(3)) // empty
+	gone := NewRelation(3)              // normalized away: node 2 unmatched
+	gone.Add(0, 4)
+	gone.Add(1, 9)
+	rels = append(rels, gone.Normalize())
+	for i := 0; i < 200; i++ {
+		r := NewRelation(1 + rng.Intn(5))
+		for u := 0; u < r.NumPatternNodes(); u++ {
+			for j := rng.Intn(60); j > 0; j-- {
+				r.Add(pattern.NodeIdx(u), graph.NodeID(rng.Intn(500)))
+			}
+		}
+		rels = append(rels, r.Normalize())
+	}
+	for i, r := range rels {
+		n := r.NumPatternNodes()
+		before := make([][]graph.NodeID, n)
+		for u := range before {
+			before[u] = r.MatchesOf(pattern.NodeIdx(u))
+		}
+		bytes := r.ApproxBytes()
+		r.Freeze()
+		if got := r.ApproxBytes(); got != bytes {
+			t.Fatalf("relation %d: ApproxBytes %d before Freeze, %d after", i, bytes, got)
+		}
+		for u := 0; u < n; u++ {
+			got := r.MatchesOf(pattern.NodeIdx(u))
+			if !slices.Equal(got, before[u]) {
+				t.Fatalf("relation %d node %d: frozen %v, mutable %v", i, u, got, before[u])
+			}
+			if len(got) != r.CountOf(pattern.NodeIdx(u)) {
+				t.Fatalf("relation %d node %d: %d matches listed, %d held", i, u, len(got), r.CountOf(pattern.NodeIdx(u)))
+			}
+			for j, v := range got {
+				if j > 0 && got[j-1] >= v {
+					t.Fatalf("relation %d node %d: %v is not strictly ascending", i, u, got)
+				}
+				if !r.Has(pattern.NodeIdx(u), v) {
+					t.Fatalf("relation %d node %d: %d listed but not held", i, u, v)
+				}
+			}
+			for j := range got {
+				got[j] = -1
+			}
+			if again := r.MatchesOf(pattern.NodeIdx(u)); !slices.Equal(again, before[u]) {
+				t.Fatalf("relation %d node %d: writing a returned slice changed the next call to %v", i, u, again)
+			}
+		}
+		order := r.sorted
+		r.Freeze()
+		if len(order) > 0 && &r.sorted[0] != &order[0] {
+			t.Fatalf("relation %d: a second Freeze rebuilt the order", i)
+		}
+		for u := range order {
+			if len(order[u]) > 0 && &r.sorted[u][0] != &order[u][0] {
+				t.Fatalf("relation %d node %d: a second Freeze rebuilt the order", i, u)
+			}
+		}
+	}
+}
+
+// TestFrozenOrderConcurrentReads: readers of one frozen relation share
+// it without synchronizing, Freeze included; run under -race.
+func TestFrozenOrderConcurrentReads(t *testing.T) {
+	r := NewRelation(3)
+	for v := graph.NodeID(0); v < 300; v++ {
+		r.Add(pattern.NodeIdx(v%3), v*7%1000)
+	}
+	r.Freeze()
+	want := r.Size()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.Freeze()
+				u := pattern.NodeIdx(i % 3)
+				ms := r.MatchesOf(u)
+				if len(ms) != 100 || r.Size() != want || !r.Has(u, ms[i%len(ms)]) {
+					t.Errorf("reader saw %d matches of %d, size %d", len(ms), u, r.Size())
+					return
+				}
+				ms[0] = -1 // the caller owns the copy
+			}
+		}()
+	}
+	wg.Wait()
 }

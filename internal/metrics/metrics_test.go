@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -209,5 +211,33 @@ func TestRegisterRuntime(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("runtime metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRuntimeGaugesSamplePerScrape: two scrapes taken back to back read
+// two snapshots, so a GC cycle between them shows in the second.
+func TestRuntimeGaugesSamplePerScrape(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntime(r)
+	cycles := func() float64 {
+		t.Helper()
+		var sb strings.Builder
+		r.WriteText(&sb)
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "expfinder_gc_cycles_total "); ok {
+				n, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no expfinder_gc_cycles_total in\n%s", sb.String())
+		return 0
+	}
+	before := cycles()
+	runtime.GC()
+	if after := cycles(); after <= before {
+		t.Errorf("expfinder_gc_cycles_total %v after runtime.GC(), %v before", after, before)
 	}
 }

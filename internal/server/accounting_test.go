@@ -203,8 +203,8 @@ func TestStatsClientsEndpoint(t *testing.T) {
 
 	// All six queries are one answer: alice's first computed it, the other
 	// five were served from the cache. Both sides of the ledger charge the
-	// same quantity per query — the cache entry's accounted bytes (relation,
-	// result graph and ranking) — so served is exactly 5x computed.
+	// same quantity per query — the cache entry's accounted bytes (relation
+	// and ranking) — so served is exactly 5x computed.
 	_, body = do(t, "GET", ts.URL+"/api/v1/cache/stats", nil)
 	var cst api.CacheStatsResponse
 	if err := json.Unmarshal(body, &cst); err != nil {
