@@ -1,12 +1,13 @@
 // Package api defines the versioned wire contract of the ExpFinder HTTP
 // surface: typed request/response DTOs for every /api/v1 endpoint plus
 // the uniform JSON error envelope with stable, machine-readable error
-// codes. internal/server renders exclusively through these types, and
-// the legacy /api/* aliases reuse the same handlers, so the two
-// surfaces cannot drift apart. Endpoints that expose a subsystem's own
-// Stats struct (index, partitions, persistence, subscriptions) pass it
-// through verbatim; this package types everything whose shape the API
-// itself owns.
+// codes. internal/server renders through these types, with one exception
+// on the way out: it writes query and batch responses by hand, byte for
+// byte what encoding/json writes for QueryResponse and BatchResponse,
+// which stay the types clients decode into. Endpoints that expose a
+// subsystem's own Stats struct (index, partitions, persistence,
+// subscriptions) pass it through verbatim; this package types everything
+// whose shape the API itself owns.
 package api
 
 import (
@@ -69,7 +70,9 @@ type QueryRequest struct {
 	Metric string `json:"metric,omitempty"`
 }
 
-// TopEntry is one ranked expert of a query answer.
+// TopEntry is one ranked expert of a query answer. A match connected to
+// nothing ranks +Inf, which JSON cannot spell: the server writes its rank
+// as null (decoded here as 0) beside a connected of 0.
 type TopEntry struct {
 	Node      int64   `json:"node"`
 	Name      string  `json:"name,omitempty"`

@@ -1,15 +1,17 @@
 // Package cache is the one place ExpFinder's query engine remembers an
 // answer: per (graph identity, graph version, pattern hash, semantics) one
-// immutable Entry holding M(Q,G) and the full ranking, under LRU eviction
-// against a single byte budget. An entry is charged what both occupy
-// (match.Relation.ApproxBytes, the ranking slice), so one enormous result
-// cannot masquerade as cheap the way it could under entry-count
-// accounting. The result graph the ranking was computed over is not kept:
-// no hit of the default ranking reads it, and the few callers that do (a
-// re-rank by another metric, a DOT render) rebuild it from the relation,
-// exactly, on the graph version the key names. Nothing is copied in or
-// out: Store freezes the relation and every hit hands out the same
-// pointers. An entry is valid only while the graph version matches, and
+// immutable Entry holding M(Q,G), the full ranking and the relation's
+// encoded "matches" object, under LRU eviction against a single byte
+// budget. Entry.Bytes charges what all three occupy: the relation's
+// estimate (match.Relation.ApproxBytes), 24 bytes per ranked match, and
+// len(Matches), the encoded bytes every response to the answer writes as
+// they are. One enormous result cannot masquerade as cheap the way it
+// could under entry-count accounting. The result graph the ranking was
+// computed over is not kept: no hit of the default ranking reads it, and
+// the few callers that do (a re-rank by another metric, a DOT render)
+// rebuild it from the relation, exactly, on the graph version the key
+// names. Nothing is copied in or out: Store freezes the relation and
+// every hit hands out the same pointers. An entry is valid only while the graph version matches, and
 // the engine drops a graph's entries (InvalidateGraph) on every write that
 // reaches it, so the superseded versions no query can name do not hold the
 // budget until eviction.
@@ -41,8 +43,8 @@ type Key struct {
 type Stats struct {
 	Hits, Misses, Evictions int
 	Entries                 int
-	// Bytes is the accounted footprint of all resident entries (relation
-	// and ranking); BudgetBytes is the eviction threshold.
+	// Bytes is the accounted footprint of all resident entries (relation,
+	// ranking and encoded matches); BudgetBytes is the eviction threshold.
 	Bytes       int64
 	BudgetBytes int64
 }
@@ -75,6 +77,10 @@ type Cache struct {
 type Entry struct {
 	Relation *match.Relation
 	Ranking  []rank.Ranked // every match of the output node, best first; nil through Put
+	// Matches is Relation encoded once by match.Relation.AppendJSON for
+	// the pattern the key hashes; nil through Put. Holders share it and
+	// only read it.
+	Matches []byte
 	// Bytes is what the entry is charged against the budget, set by Store.
 	Bytes int64
 
@@ -115,7 +121,7 @@ func (c *Cache) Lookup(key Key) (*Entry, bool) {
 func (c *Cache) Store(key Key, en *Entry) {
 	en.Relation.Freeze()
 	en.key = key
-	en.Bytes = en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes
+	en.Bytes = en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes + int64(len(en.Matches))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

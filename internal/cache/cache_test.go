@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -95,8 +96,8 @@ func TestStoredRelationIsSharedAndFrozen(t *testing.T) {
 // fanEntry is an answer whose result graph would dominate its bytes: n
 // "A" nodes each pointing at the same n "B" nodes match A -> B with n*n
 // result edges (16 bytes each) against 2n relation pairs. The entry keeps
-// the relation and the ranking; the result graph the ranking was computed
-// over is returned beside it.
+// the relation, the ranking and the encoded matches; the result graph the
+// ranking was computed over is returned beside it.
 func fanEntry(n int) (*Entry, *match.ResultGraph) {
 	g := graph.New(2 * n)
 	r := match.NewRelation(2)
@@ -117,18 +118,21 @@ func fanEntry(n int) (*Entry, *match.ResultGraph) {
 		panic(err)
 	}
 	rg := match.BuildResultGraph(g, q, r)
-	return &Entry{Relation: r, Ranking: rank.TopKWithResultGraph(rg, q, r, 0)}, rg
+	return &Entry{Relation: r, Ranking: rank.TopKWithResultGraph(rg, q, r, 0), Matches: r.AppendJSON(nil, q)}, rg
 }
 
 // TestEntryChargedForRelationAndRanking stores whole answers: the
-// accounted bytes are the relation's plus the ranking's, and the result
-// graph the ranking was computed over — many times the relation here — is
-// neither kept nor charged, so a budget smaller than one such graph holds
-// two entries.
+// accounted bytes are the relation's plus the ranking's plus the encoded
+// matches', and the result graph the ranking was computed over — many
+// times the relation here — is neither kept nor charged, so a budget
+// smaller than one such graph holds two entries.
 func TestEntryChargedForRelationAndRanking(t *testing.T) {
 	const n = 32
 	en, rg := fanEntry(n)
-	want := en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes
+	if len(en.Matches) == 0 {
+		t.Fatal("fixture: no encoded matches")
+	}
+	want := en.Relation.ApproxBytes() + int64(len(en.Ranking))*rankedBytes + int64(len(en.Matches))
 	c := New(2*want + want/2) // room for two answers
 	if rg.NumEdges() != n*n || len(en.Ranking) != n || rg.ApproxBytes() <= c.Stats().BudgetBytes {
 		t.Fatalf("fixture: %d edges, %d ranked, result graph %d B vs budget %d B; want %d, %d and a graph over budget",
@@ -151,18 +155,20 @@ func TestEntryChargedForRelationAndRanking(t *testing.T) {
 		t.Error("the least recently used answer survived")
 	}
 	got, ok := c.Lookup(k(3))
-	if !ok || got.Relation.Size() != 2*n || len(got.Ranking) != n {
+	if !ok || got.Relation.Size() != 2*n || len(got.Ranking) != n || !bytes.Equal(got.Matches, en3.Matches) {
 		t.Errorf("Lookup lost parts of the entry: %+v", got)
 	}
 }
 
 // TestConcurrentHitsShareOneEntry has many goroutines hit one key and read
-// everything the entry holds at once. Under -race this is the proof that a
-// hit hands out pointers to data nothing writes any more.
+// everything the entry holds at once, the encoded matches byte by byte.
+// Under -race this is the proof that a hit hands out pointers to data
+// nothing writes any more.
 func TestConcurrentHitsShareOneEntry(t *testing.T) {
 	c := New(0)
 	k := Key{GraphName: "g", GraphVersion: 1, PatternHash: "h"}
 	stored, _ := fanEntry(8)
+	want := string(stored.Matches)
 	c.Store(k, stored)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -177,6 +183,10 @@ func TestConcurrentHitsShareOneEntry(t *testing.T) {
 				}
 				if len(en.Relation.Pairs()) != 16 || len(en.Relation.MatchesOf(1)) != 8 || len(en.Ranking) != 8 || en.Ranking[0].Connected != 8 {
 					t.Errorf("entry read back wrong: %d pairs, %d ranked", en.Relation.Size(), len(en.Ranking))
+					return
+				}
+				if &en.Matches[0] != &stored.Matches[0] || string(en.Matches) != want {
+					t.Errorf("hit read matches %.40s at %p, want the stored %.40s at %p", en.Matches, en.Matches, want, stored.Matches)
 					return
 				}
 				if rel, _ := c.Get(k); rel != stored.Relation {

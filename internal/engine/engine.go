@@ -26,10 +26,12 @@
 // partitioning may be attached, but no query reads either, and the next
 // write detaches both. queryLocked does step 1 and, after a miss, stores
 // the one entry; evaluate is steps 2 to 4 and touches neither the cache
-// nor any file. What a Result carries is the entry's own relation, shared
-// with every other holder and never copied: the relation is frozen
-// (match.Relation.Freeze) as soon as it is evaluated, so the result graph,
-// the ranking and every response read the order it was frozen in. The
+// nor any file. What a Result carries is the entry's own relation and its
+// encoded matches, shared with every other holder and never copied: the
+// relation is frozen (match.Relation.Freeze) as soon as it is evaluated
+// and encoded once right after (match.Relation.AppendJSON), so the result
+// graph and the ranking read the order it was frozen in, and every
+// response writes the bytes the miss encoded. The
 // result graph a miss ranks over is not cached; a request ranked by
 // another metric rebuilds it from the relation on a hit, and so does a
 // Render that draws it, both under the read lock the answer was computed
@@ -443,9 +445,12 @@ func (e *Engine) ListGraphs() []string {
 // copy). TopK is the caller's own slice. A caller that draws the result
 // graph builds it with match.BuildResultGraph from the graph and Relation,
 // in QueryRequest.Render, where the graph is the version the answer was
-// computed on.
+// computed on. Matches is the entry's encoding of Relation for the
+// request's pattern, the "matches" object of a query response; it is
+// shared like Relation and only read.
 type Result struct {
 	Relation *match.Relation
+	Matches  []byte
 	TopK     []rank.Ranked
 	Plan     Plan
 	Source   Source
@@ -480,7 +485,8 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 		sp.SetStr("plan", string(plan))
 		sp.SetStr("shape", patternShape(q))
 	}
-	key := cache.Key{GraphName: req.Graph, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: q.Hash(), Semantics: req.Semantics}
+	h := q.Hash()
+	key := cache.Key{GraphName: req.Graph, Epoch: mg.epoch, GraphVersion: mg.g.Version(), PatternHash: h, Semantics: req.Semantics}
 	_, spCache := trace.StartSpan(qctx, "cache.lookup")
 	en, hit := e.cache.Lookup(key)
 	if spCache != nil {
@@ -493,7 +499,7 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 	var rg *match.ResultGraph
 	if !hit {
 		var err error
-		if en, rg, source, err = e.answer(qctx, mg, q, plan); err != nil {
+		if en, rg, source, err = e.answer(qctx, mg, q, h, plan); err != nil {
 			sp.SetStr("error", err.Error())
 			sp.End()
 			return nil, err
@@ -532,6 +538,7 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 	}
 	return &Result{
 		Relation: en.Relation,
+		Matches:  en.Matches,
 		TopK:     topK,
 		Plan:     plan,
 		Source:   source,
@@ -540,21 +547,24 @@ func (e *Engine) queryLocked(ctx context.Context, mg *managed, req QueryRequest,
 }
 
 // answer builds the cache entry for a miss: the relation by the routed
-// plan, then its result graph, then the ranking of every match of the
-// output node (callers slice off their top K). The entry keeps the
-// relation and the ranking; the result graph is returned beside it for
-// the miss's own metric ranking and is not cached.
-func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*cache.Entry, *match.ResultGraph, Source, error) {
-	rel, source, err := e.evaluate(ctx, mg, q, plan)
+// plan (h is q's hash), its encoded matches, then its result graph, then
+// the ranking of every match of the output node (callers slice off their
+// top K). The entry keeps the relation, its encoding and the ranking; the
+// result graph is returned beside it for the miss's own metric ranking
+// and is not cached.
+func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, h string, plan Plan) (*cache.Entry, *match.ResultGraph, Source, error) {
+	rel, source, err := e.evaluate(ctx, mg, q, h, plan)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		return nil, nil, source, err
 	}
-	// Frozen now, so the result graph, the ranking and every response read
-	// the one sorted order instead of each sorting again.
+	// Frozen now, so the encoding, the result graph and the ranking read
+	// the one sorted order instead of each sorting again; every response
+	// to the answer writes the encoding as it is.
 	rel.Freeze()
+	matches := rel.AppendJSON(nil, q)
 	_, spRG := trace.StartSpan(ctx, "result_graph")
 	rg := match.BuildResultGraph(mg.g, q, rel)
 	spRG.End()
@@ -573,7 +583,7 @@ func (e *Engine) answer(ctx context.Context, mg *managed, q *pattern.Pattern, pl
 		spRank.SetInt("max_weight", int64(rg.MaxWeight()))
 		spRank.End()
 	}
-	return &cache.Entry{Relation: rel, Ranking: ranking}, rg, source, nil
+	return &cache.Entry{Relation: rel, Ranking: ranking, Matches: matches}, rg, source, nil
 }
 
 // evalWorkers is the intra-query worker budget: the full Parallelism for
@@ -604,14 +614,15 @@ func routePlan(q *pattern.Pattern, sem match.Semantics) Plan {
 }
 
 // evaluate computes M(Q,G) for the routed plan by steps 2 to 4 of the
-// package comment: the standing query, then the quotient, then the kernel.
+// package comment: the standing query (found by h, q's hash), then the
+// quotient, then the kernel.
 // Callers hold mg.mu for at least read. Trace spans (one per pipeline
 // stage) are emitted only when ctx carries an active trace. The kernel
 // gives up at its next pass when ctx is cancelled; evaluate then returns
 // ctx.Err().
-func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, plan Plan) (*match.Relation, Source, error) {
+func (e *Engine) evaluate(ctx context.Context, mg *managed, q *pattern.Pattern, h string, plan Plan) (*match.Relation, Source, error) {
 	g, source, span, sem := mg.g, SourceDirect, "eval.bounded", match.Bounded
-	switch sq, standing := mg.queries[q.Hash()]; {
+	switch sq, standing := mg.queries[h]; {
 	case plan == PlanDual:
 		span, sem = "eval.dual", match.Dual
 	case standing:

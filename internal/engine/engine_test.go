@@ -136,9 +136,9 @@ func TestRankSpanExplainsItself(t *testing.T) {
 }
 
 // TestHitsShareTheEntryButNotTopK pins what a Result may alias. Relation
-// is the cache entry's own, the same pointer for every holder, read here
-// from many goroutines at once (the -race half of the contract) and
-// frozen; the entry holds no result graph. TopK is each caller's own
+// and its encoded Matches are the cache entry's own, the same pointers
+// for every holder, read here from many goroutines at once (the -race
+// half of the contract) and frozen; the entry holds no result graph. TopK is each caller's own
 // slice: growing one Result's TopK in place must not reach the cached
 // ranking another Result is cut from.
 func TestHitsShareTheEntryButNotTopK(t *testing.T) {
@@ -173,6 +173,9 @@ func TestHitsShareTheEntryButNotTopK(t *testing.T) {
 			}
 			if res.Relation.Size() != 7 || len(res.Relation.Pairs()) != 7 || len(res.Relation.MatchesOf(q.Output())) != 2 {
 				t.Errorf("shared answer read back wrong: %v", res.Relation)
+			}
+			if &res.Matches[0] != &first.Matches[0] || string(res.Matches) != string(first.Relation.AppendJSON(nil, q)) {
+				t.Errorf("hit's encoded matches %s are not the entry's %s", res.Matches, first.Matches)
 			}
 			// k=1 of a longer ranking: an append with spare capacity would
 			// overwrite the cached second place.

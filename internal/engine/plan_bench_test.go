@@ -34,7 +34,7 @@ func BenchmarkPlanByShape(b *testing.B) {
 	// given source.
 	evaluateFrom := func(want Source) func(*testing.B, *managed, *pattern.Pattern) *match.Relation {
 		return func(b *testing.B, mg *managed, q *pattern.Pattern) *match.Relation {
-			rel, source, err := e.evaluate(ctx, mg, q, PlanBounded)
+			rel, source, err := e.evaluate(ctx, mg, q, q.Hash(), PlanBounded)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func BenchmarkPlanByShape(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		q := testutil.MustParse(sh.dsl)
-		want, _, err := e.evaluate(ctx, ref, q, PlanBounded)
+		want, _, err := e.evaluate(ctx, ref, q, q.Hash(), PlanBounded)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -158,18 +158,21 @@ func (v Value) String() string {
 
 // Canon renders the value with an unambiguous kind prefix, used when hashing
 // attribute tuples (so Int(1) and String("1") hash differently).
-func (v Value) Canon() string {
+func (v Value) Canon() string { return string(v.AppendCanon(nil)) }
+
+// AppendCanon appends Canon's rendering of v to dst.
+func (v Value) AppendCanon(dst []byte) []byte {
 	switch v.kind {
 	case KindString:
-		return "s:" + strconv.Quote(v.s)
+		return strconv.AppendQuote(append(dst, "s:"...), v.s)
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.n, 10)
+		return strconv.AppendInt(append(dst, "i:"...), v.n, 10)
 	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "f:"...), v.f, 'g', -1, 64)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.n != 0)
+		return strconv.AppendBool(append(dst, "b:"...), v.n != 0)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

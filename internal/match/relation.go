@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"expfinder/internal/graph"
+	"expfinder/internal/jsonenc"
 	"expfinder/internal/pattern"
 )
 
@@ -108,6 +110,45 @@ func (r *Relation) MatchesOf(u pattern.NodeIdx) []graph.NodeID {
 		return slices.Clone(r.sorted[u])
 	}
 	return r.collect(u)
+}
+
+// ordered returns the matches of u in ascending id order: on a frozen
+// relation the order Freeze recorded, which the caller must not modify.
+func (r *Relation) ordered(u pattern.NodeIdx) []graph.NodeID {
+	if r.frozen {
+		return r.sorted[u]
+	}
+	return r.collect(u)
+}
+
+// AppendJSON appends the relation as the "matches" object of a query
+// response, byte for byte what encoding/json writes for the
+// map[string][]int64 clients decode it into: pattern node names sorted
+// and escaped the way it sorts and escapes map keys, each node's data
+// node ids ascending, and an empty set as []. q is the pattern the
+// relation answers. The engine encodes an answer once, when it freezes
+// it, and every response to that answer writes these bytes.
+func (r *Relation) AppendJSON(dst []byte, q *pattern.Pattern) []byte {
+	order := make([]pattern.NodeIdx, len(r.sets))
+	for u := range order {
+		order[u] = pattern.NodeIdx(u)
+	}
+	slices.SortFunc(order, func(a, b pattern.NodeIdx) int { return strings.Compare(q.Node(a).Name, q.Node(b).Name) })
+	dst = append(dst, '{')
+	for i, u := range order {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(jsonenc.AppendString(dst, q.Node(u).Name), ':', '[')
+		for j, v := range r.ordered(u) {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(v), 10)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
 // collect returns the matches of u, sorted, in a new slice.

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"sync"
@@ -227,4 +228,44 @@ func TestFrozenOrderConcurrentReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAppendJSONEqualsMarshal: the encoded matches are the bytes
+// encoding/json writes for the map[string][]int64 a response carries,
+// on mutable and frozen relations, with names that need escaping or
+// sort differently as bytes than as runes, and with empty sets.
+func TestAppendJSONEqualsMarshal(t *testing.T) {
+	names := []string{"SA", "sd", "<b>", "a&b", `q"t`, "Zoë", "名", "line\u2028", "B", "é", "\x7f", ""}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		q := pattern.New()
+		for _, j := range rng.Perm(len(names))[:1+rng.Intn(5)] {
+			q.MustAddNode(names[j], pattern.Predicate{})
+		}
+		r := NewRelation(q.NumNodes())
+		for u := 0; u < q.NumNodes(); u++ {
+			for k := rng.Intn(4) * rng.Intn(20); k > 0; k-- {
+				r.Add(pattern.NodeIdx(u), graph.NodeID(rng.Intn(1<<20)))
+			}
+		}
+		want := map[string][]int64{}
+		for u := 0; u < q.NumNodes(); u++ {
+			ids := []int64{}
+			for _, v := range r.MatchesOf(pattern.NodeIdx(u)) {
+				ids = append(ids, int64(v))
+			}
+			want[q.Node(pattern.NodeIdx(u)).Name] = ids
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.AppendJSON([]byte("x"), q); string(got) != "x"+string(wantJSON) {
+			t.Fatalf("mutable %d: %s, want %s", i, got[1:], wantJSON)
+		}
+		r.Freeze()
+		if got := r.AppendJSON(nil, q); string(got) != string(wantJSON) {
+			t.Fatalf("frozen %d: %s, want %s", i, got, wantJSON)
+		}
+	}
 }

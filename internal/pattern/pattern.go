@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -227,22 +228,28 @@ func (p *Pattern) String() string {
 
 // Canon returns a canonical rendering used for cache keys: node order and
 // names are preserved (patterns are small and authored once) but predicate
-// condition order is normalized.
-func (p *Pattern) Canon() string {
-	var b strings.Builder
+// condition order is normalized. Node i renders as "n<i>:<name>:<pred>;",
+// edges as "e<from>><to>@<bound>;", and the output node as "out<idx>".
+func (p *Pattern) Canon() string { return string(p.appendCanon(nil)) }
+
+func (p *Pattern) appendCanon(b []byte) []byte {
 	for i, n := range p.nodes {
-		fmt.Fprintf(&b, "n%d:%s:%s;", i, n.Name, n.Pred.Canon())
+		b = append(strconv.AppendInt(append(b, 'n'), int64(i), 10), ':')
+		b = append(append(b, n.Name...), ':')
+		b = append(n.Pred.appendCanon(b), ';')
 	}
 	for _, e := range p.edges {
-		fmt.Fprintf(&b, "e%d>%d@%d;", e.From, e.To, e.Bound)
+		b = strconv.AppendInt(append(b, 'e'), int64(e.From), 10)
+		b = strconv.AppendInt(append(b, '>'), int64(e.To), 10)
+		b = append(strconv.AppendInt(append(b, '@'), int64(e.Bound), 10), ';')
 	}
-	fmt.Fprintf(&b, "out%d", p.output)
-	return b.String()
+	return strconv.AppendInt(append(b, "out"...), int64(p.output), 10)
 }
 
 // Hash returns a stable hex digest of the canonical form, used as the
 // result-cache key component.
 func (p *Pattern) Hash() string {
-	sum := sha256.Sum256([]byte(p.Canon()))
+	var buf [512]byte
+	sum := sha256.Sum256(p.appendCanon(buf[:0]))
 	return hex.EncodeToString(sum[:])
 }

@@ -7,6 +7,8 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"expfinder/internal/graph"
@@ -155,22 +157,29 @@ func (p Predicate) String() string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// Canon renders the predicate deterministically for hashing: conditions are
-// emitted in a sorted order so that logically identical predicates built in
-// different orders hash the same.
-func (p Predicate) Canon() string {
+// Canon renders the predicate deterministically for hashing: each
+// condition as "<attr>|<op number>|<value canon>", the renderings sorted so
+// that logically identical predicates built in different orders hash the
+// same, joined by "&".
+func (p Predicate) Canon() string { return string(p.appendCanon(nil)) }
+
+func (p Predicate) appendCanon(b []byte) []byte {
 	parts := make([]string, len(p.Conds))
 	for i, c := range p.Conds {
-		parts[i] = fmt.Sprintf("%s|%d|%s", c.Attr, c.Op, c.Value.Canon())
+		parts[i] = string(c.appendCanon(nil))
 	}
-	sortStrings(parts)
-	return strings.Join(parts, "&")
+	slices.Sort(parts)
+	for i, part := range parts {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = append(b, part...)
+	}
+	return b
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+func (c Condition) appendCanon(b []byte) []byte {
+	b = append(append(b, c.Attr...), '|')
+	b = append(strconv.AppendUint(b, uint64(c.Op), 10), '|')
+	return c.Value.AppendCanon(b)
 }

@@ -10,7 +10,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strconv"
 
 	"expfinder/internal/api"
 	"expfinder/internal/engine"
@@ -19,10 +21,25 @@ import (
 	"expfinder/internal/wal"
 )
 
+// writeJSON encodes body before it sends the status, so a body
+// encoding/json refuses (a NaN, say) answers 500 with the error envelope
+// instead of a status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(body)
+	if err != nil {
+		writeCode(w, http.StatusInternalServerError, api.CodeInternal, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody sends one encoded JSON body in one Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(body) // a failed write has no client left to tell
 }
 
 // writeErr renders err as the error envelope, deriving the stable code

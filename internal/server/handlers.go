@@ -2,8 +2,9 @@ package server
 
 // Handlers for the API route table (routes.go). Wire shapes live in
 // internal/api; every handler here decodes into and encodes from those
-// DTOs, shared verbatim by the /api/v1 surface and the legacy /api
-// aliases. Handlers run innermost in the middleware chain, so
+// DTOs, except that query and batch responses are written by hand
+// (appendQueryResponse) to the bytes encoding/json would write for
+// them. Handlers run innermost in the middleware chain, so
 // r.Context() already carries the request deadline when one is
 // configured — engine calls taking a context stop computing when the
 // client's budget runs out.
@@ -13,7 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
+	"strconv"
 
 	"expfinder/internal/api"
 	"expfinder/internal/compress"
@@ -22,15 +26,13 @@ import (
 	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/incremental"
+	"expfinder/internal/jsonenc"
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
 	"expfinder/internal/rank"
+	"expfinder/internal/trace"
 	"expfinder/internal/viz"
 )
-
-// queryResponse is kept as an alias so pre-v1 in-package call sites
-// (and the server tests) keep compiling against the api type.
-type queryResponse = api.QueryResponse
 
 func (s *Server) listGraphs(w http.ResponseWriter, r *http.Request) {
 	var out []api.GraphSummary
@@ -225,53 +227,85 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var resp queryResponse
+	var buf []byte
 	withDot := r.URL.Query().Get("dot") == "1"
-	ereq.Render = func(g *graph.Graph, res *engine.Result) { resp = responseFor(g, q, res, withDot) }
+	ereq.Render = func(g *graph.Graph, res *engine.Result) { buf = appendQueryResponse(buf, g, q, res, withDot) }
 	if _, err := s.eng.Execute(r.Context(), ereq); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	resp.Trace = inlineTrace(r)
-	writeJSON(w, http.StatusOK, resp)
+	if buf, err = closeResponse(buf, inlineTrace(r)); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, http.StatusOK, buf)
 }
 
-// responseFor renders an engine result into the wire form shared by the
-// single-query and batch endpoints. It runs as the query's Render, inside
-// the read scope the answer was computed in, so display names and DOT
-// come from the same graph version as the matches.
-func responseFor(g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot bool) queryResponse {
-	resp := queryResponse{
-		Plan:      string(res.Plan),
-		Source:    string(res.Source),
-		ElapsedUS: res.Elapsed.Microseconds(),
-		Matches:   map[string][]int64{},
-	}
-	for i := 0; i < q.NumNodes(); i++ {
-		idx := pattern.NodeIdx(i)
-		ids := res.Relation.MatchesOf(idx)
-		out := make([]int64, len(ids))
-		for j, id := range ids {
-			out[j] = int64(id)
+// appendQueryResponse appends res to dst as an api.QueryResponse object
+// less its trace and closing brace, which the caller appends (see
+// closeResponse): byte for byte what encoding/json writes for the same
+// response, with the cache entry's encoded matches copied in as they are.
+// It runs as the query's Render, inside the read scope the answer was
+// computed in, so display names and DOT come from the same graph version
+// as the matches. A match connected to nothing ranks +Inf, which JSON
+// cannot spell: its rank is written as null (and its connected is 0).
+func appendQueryResponse(dst []byte, g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot bool) []byte {
+	dst = slices.Grow(dst, len(res.Matches)+96*len(res.TopK)+128)
+	dst = jsonenc.AppendString(append(dst, `{"plan":`...), string(res.Plan))
+	dst = jsonenc.AppendString(append(dst, `,"source":`...), string(res.Source))
+	dst = strconv.AppendInt(append(dst, `,"elapsed_us":`...), res.Elapsed.Microseconds(), 10)
+	dst = append(append(dst, `,"matches":`...), res.Matches...)
+	dst = append(dst, `,"top_k":`...)
+	if len(res.TopK) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, t := range res.TopK {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, `{"node":`...), int64(t.Node), 10)
+			if v, ok := g.Attr(t.Node, "name"); ok && v.Str() != "" {
+				dst = jsonenc.AppendString(append(dst, `,"name":`...), v.Str())
+			}
+			dst = append(dst, `,"rank":`...)
+			if math.IsInf(t.Rank, 0) || math.IsNaN(t.Rank) {
+				dst = append(dst, "null"...)
+			} else {
+				dst = jsonenc.AppendFloat(dst, t.Rank)
+			}
+			dst = strconv.AppendInt(append(dst, `,"connected":`...), int64(t.Connected), 10)
+			dst = append(dst, '}')
 		}
-		resp.Matches[q.Node(idx).Name] = out
-	}
-	for _, t := range res.TopK {
-		entry := api.TopEntry{Node: int64(t.Node), Rank: t.Rank, Connected: t.Connected}
-		if v, ok := g.Attr(t.Node, "name"); ok {
-			entry.Name = v.Str()
-		}
-		resp.TopK = append(resp.TopK, entry)
+		dst = append(dst, ']')
 	}
 	if withDot {
 		var dot jsonBuilder
 		rg := match.BuildResultGraph(g, q, res.Relation)
-		if err := viz.WriteTopK(&dot, g, rg, res.TopK, viz.Options{}); err == nil {
-			resp.ResultDOT = dot.String()
+		if err := viz.WriteTopK(&dot, g, rg, res.TopK, viz.Options{}); err == nil && len(dot.buf) > 0 {
+			dst = jsonenc.AppendString(append(dst, `,"result_dot":`...), dot.String())
 		}
 	}
-	return resp
+	return dst
 }
+
+// closeResponse appends the optional "trace" member and closes the
+// object appendQueryResponse (or batchResponse) opened, with the newline
+// json.Encoder ends a value with.
+func closeResponse(dst []byte, tr *trace.TraceJSON) ([]byte, error) {
+	if tr != nil {
+		b, err := json.Marshal(tr)
+		if err != nil {
+			return nil, fmt.Errorf("encode trace: %w", err)
+		}
+		dst = append(append(dst, `,"trace":`...), b...)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// zeroResponse is the zero api.QueryResponse a failed batch entry embeds,
+// open for the entry's error.
+const zeroResponse = `{"plan":"","source":"","elapsed_us":0,"matches":null,"top_k":null`
 
 // queryBatch evaluates many queries in one request through the engine's
 // bounded parallel executor. Outcomes come back in request order, and a
@@ -287,9 +321,10 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("request needs a non-empty queries list"))
 		return
 	}
-	entries := make([]api.BatchEntry, len(req.Queries))
+	rendered := make([][]byte, len(req.Queries)) // appendQueryResponse, per entry
+	errs := make([]string, len(req.Queries))
 	var reqs []engine.QueryRequest
-	var at []int // reqs index -> entries index
+	var at []int // reqs index -> request index
 	for i, bq := range req.Queries {
 		q, err := parsePattern(api.QueryRequest{Pattern: bq.Pattern, DSL: bq.DSL})
 		var ereq engine.QueryRequest
@@ -297,10 +332,10 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 			ereq, err = engineQuery(bq.Graph, q, bq.K, bq.Metric, bq.Semantics)
 		}
 		if err != nil {
-			entries[i].Error = err.Error()
+			errs[i] = err.Error()
 			continue
 		}
-		ereq.Render = func(g *graph.Graph, res *engine.Result) { entries[i].QueryResponse = responseFor(g, q, res, false) }
+		ereq.Render = func(g *graph.Graph, res *engine.Result) { rendered[i] = appendQueryResponse(nil, g, q, res, false) }
 		reqs = append(reqs, ereq)
 		at = append(at, i)
 	}
@@ -309,10 +344,38 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 			if errors.As(oc.Err, new(*engine.ErrOverloaded)) {
 				s.mShed.Inc()
 			}
-			entries[at[j]].Error = oc.Err.Error()
+			errs[at[j]] = oc.Err.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, api.BatchResponse{Results: entries, Trace: inlineTrace(r)})
+	buf, err := batchResponse(rendered, errs, inlineTrace(r))
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, http.StatusOK, buf)
+}
+
+// batchResponse encodes an api.BatchResponse: entry i is rendered[i], the
+// open object appendQueryResponse wrote, or for a query that failed the
+// zero response with its error, errs[i].
+func batchResponse(rendered [][]byte, errs []string, tr *trace.TraceJSON) ([]byte, error) {
+	size := 64 // the wrapper; a failed entry's error may grow the buffer once
+	for _, rb := range rendered {
+		size += len(rb) + 1
+	}
+	buf := append(make([]byte, 0, size), `{"results":[`...)
+	for i, rb := range rendered {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if rb != nil {
+			buf = append(buf, rb...)
+		} else {
+			buf = jsonenc.AppendString(append(buf, zeroResponse+`,"error":`...), errs[i])
+		}
+		buf = append(buf, '}')
+	}
+	return closeResponse(append(buf, ']'), tr)
 }
 
 func (s *Server) applyUpdates(w http.ResponseWriter, r *http.Request) {

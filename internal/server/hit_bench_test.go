@@ -14,23 +14,36 @@ import (
 )
 
 // BenchmarkServeQueryHit is a cache hit through the whole handler stack:
-// decode, parse, the cache lookup, the render of matches and top-K, and
-// the JSON encode, on the repository benchmark's graph (collab, 6,000
-// nodes), k = 10, with a broad and a shallow pattern. It reports the
-// response body's length beside ns/op and allocs/op.
+// decode, parse, the cache lookup, the response written around the
+// entry's encoded matches, on the repository benchmark's graph (collab,
+// 6,000 nodes), k = 10, with a broad and a shallow pattern, and a batch
+// of four hits (broad, deep, shallow, star) in one request. It reports
+// the response body's length beside ns/op and allocs/op.
 func BenchmarkServeQueryHit(b *testing.B) {
 	eng := engine.New(engine.Options{})
 	if err := eng.AddGraph("collab", testutil.CollabGraph().Clone()); err != nil {
 		b.Fatal(err)
 	}
 	srv := New(eng)
-	for _, shape := range []struct{ name, dsl string }{{"broad", testutil.BroadDSL}, {"shallow", testutil.ShallowDSL}} {
-		body, err := json.Marshal(api.QueryRequest{DSL: shape.dsl, K: 10})
+	var batch api.BatchRequest
+	for _, dsl := range []string{testutil.BroadDSL, testutil.DeepDSL, testutil.ShallowDSL, testutil.StarDSL} {
+		batch.Queries = append(batch.Queries, api.BatchQuery{Graph: "collab", DSL: dsl, K: 10})
+	}
+	for _, cell := range []struct {
+		name, path string
+		req        any
+		hits       int // "source":"cache" in a warm response
+	}{
+		{"broad", "/api/v1/graphs/collab/query", api.QueryRequest{DSL: testutil.BroadDSL, K: 10}, 1},
+		{"shallow", "/api/v1/graphs/collab/query", api.QueryRequest{DSL: testutil.ShallowDSL, K: 10}, 1},
+		{"batch", "/api/v1/query/batch", batch, len(batch.Queries)},
+	} {
+		body, err := json.Marshal(cell.req)
 		if err != nil {
 			b.Fatal(err)
 		}
 		serve := func() *httptest.ResponseRecorder {
-			req := httptest.NewRequest(http.MethodPost, "/api/v1/graphs/collab/query", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, cell.path, bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
@@ -38,11 +51,11 @@ func BenchmarkServeQueryHit(b *testing.B) {
 			}
 			return rec
 		}
-		serve() // the miss that fills the entry
-		if rec := serve(); !strings.Contains(rec.Body.String(), `"source":"cache"`) {
-			b.Fatalf("repeat query was not a hit: %.200s", rec.Body)
+		serve() // the misses that fill the entries
+		if rec := serve(); strings.Count(rec.Body.String(), `"source":"cache"`) != cell.hits {
+			b.Fatalf("repeat request was not %d hits: %.200s", cell.hits, rec.Body)
 		}
-		b.Run(shape.name, func(b *testing.B) {
+		b.Run(cell.name, func(b *testing.B) {
 			b.ReportAllocs()
 			n := 0
 			for i := 0; i < b.N; i++ {

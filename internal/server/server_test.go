@@ -767,13 +767,13 @@ func TestQueryDualSemanticsIndexed(t *testing.T) {
 	uploadPaperGraph(t, ts)
 
 	dualReq := `{"dsl": "node SD [label = \"SD\"] output\nnode BA [label = \"BA\"]\nedge SD -> BA bound 2", "semantics": "dual", "k": 3}`
-	ask := func(wantSource string) queryResponse {
+	ask := func(wantSource string) api.QueryResponse {
 		t.Helper()
 		resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query", dualReq)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("dual query: %d %s", resp.StatusCode, body)
 		}
-		var out queryResponse
+		var out api.QueryResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -786,7 +786,7 @@ func TestQueryDualSemanticsIndexed(t *testing.T) {
 	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/index", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("build: %d %s", resp.StatusCode, body)
 	}
-	answers := []queryResponse{ask("cache")}
+	answers := []api.QueryResponse{ask("cache")}
 	// Bill (GD) -> Tess (ST): neither matches the pattern, so the answer
 	// stays.
 	if resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/updates",
