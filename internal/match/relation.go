@@ -112,26 +112,45 @@ func (r *Relation) MatchesOf(u pattern.NodeIdx) []graph.NodeID {
 	return r.collect(u)
 }
 
-// ordered returns the matches of u in ascending id order: on a frozen
-// relation the order Freeze recorded, which the caller must not modify.
-func (r *Relation) ordered(u pattern.NodeIdx) []graph.NodeID {
-	if r.frozen {
-		return r.sorted[u]
+// AppendJSON appends the relation as the "matches" object of a query
+// response (see appendIDObject), with a pattern node that has no match
+// written as []. q is the pattern the relation answers. The engine
+// encodes an answer once, when it freezes it, and every response to that
+// answer writes these bytes.
+func (r *Relation) AppendJSON(dst []byte, q *pattern.Pattern) []byte {
+	sets := r.sorted
+	if !r.frozen {
+		sets = make([][]graph.NodeID, len(r.sets))
+		for u := range sets {
+			sets[u] = r.collect(pattern.NodeIdx(u))
+		}
 	}
-	return r.collect(u)
+	return appendIDObject(dst, q, sets, false)
 }
 
-// AppendJSON appends the relation as the "matches" object of a query
-// response, byte for byte what encoding/json writes for the
-// map[string][]int64 clients decode it into: pattern node names sorted
-// and escaped the way it sorts and escapes map keys, each node's data
-// node ids ascending, and an empty set as []. q is the pattern the
-// relation answers. The engine encodes an answer once, when it freezes
-// it, and every response to that answer writes these bytes.
-func (r *Relation) AppendJSON(dst []byte, q *pattern.Pattern) []byte {
-	order := make([]pattern.NodeIdx, len(r.sets))
-	for u := range order {
-		order[u] = pattern.NodeIdx(u)
+// AppendPairsJSON appends pairs sorted by (pattern node, data node), as a
+// subscription event holds them, as the object of appendIDObject, leaving
+// out a pattern node with no pair.
+func AppendPairsJSON(dst []byte, q *pattern.Pattern, pairs []Pair) []byte {
+	sets := make([][]graph.NodeID, q.NumNodes())
+	for _, p := range pairs {
+		sets[p.PNode] = append(sets[p.PNode], p.Node)
+	}
+	return appendIDObject(dst, q, sets, true)
+}
+
+// appendIDObject is the one encoder of a name-keyed id object,
+// {"<pattern node name>":[ids],...}: byte for byte what encoding/json
+// writes for the map[string][]int64 clients decode it into, with names
+// sorted and escaped the way it sorts and escapes map keys. sets[u] holds
+// the ascending ids of pattern node u of q; skipEmpty leaves out a node
+// whose set is empty instead of writing [].
+func appendIDObject(dst []byte, q *pattern.Pattern, sets [][]graph.NodeID, skipEmpty bool) []byte {
+	order := make([]pattern.NodeIdx, 0, len(sets))
+	for u, ids := range sets {
+		if len(ids) > 0 || !skipEmpty {
+			order = append(order, pattern.NodeIdx(u))
+		}
 	}
 	slices.SortFunc(order, func(a, b pattern.NodeIdx) int { return strings.Compare(q.Node(a).Name, q.Node(b).Name) })
 	dst = append(dst, '{')
@@ -140,7 +159,7 @@ func (r *Relation) AppendJSON(dst []byte, q *pattern.Pattern) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(jsonenc.AppendString(dst, q.Node(u).Name), ':', '[')
-		for j, v := range r.ordered(u) {
+		for j, v := range sets[u] {
 			if j > 0 {
 				dst = append(dst, ',')
 			}

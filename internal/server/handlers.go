@@ -247,38 +247,14 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 // response, with the cache entry's encoded matches copied in as they are.
 // It runs as the query's Render, inside the read scope the answer was
 // computed in, so display names and DOT come from the same graph version
-// as the matches. A match connected to nothing ranks +Inf, which JSON
-// cannot spell: its rank is written as null (and its connected is 0).
+// as the matches.
 func appendQueryResponse(dst []byte, g *graph.Graph, q *pattern.Pattern, res *engine.Result, withDot bool) []byte {
 	dst = slices.Grow(dst, len(res.Matches)+96*len(res.TopK)+128)
 	dst = jsonenc.AppendString(append(dst, `{"plan":`...), string(res.Plan))
 	dst = jsonenc.AppendString(append(dst, `,"source":`...), string(res.Source))
 	dst = strconv.AppendInt(append(dst, `,"elapsed_us":`...), res.Elapsed.Microseconds(), 10)
 	dst = append(append(dst, `,"matches":`...), res.Matches...)
-	dst = append(dst, `,"top_k":`...)
-	if len(res.TopK) == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, t := range res.TopK {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(append(dst, `{"node":`...), int64(t.Node), 10)
-			if v, ok := g.Attr(t.Node, "name"); ok && v.Str() != "" {
-				dst = jsonenc.AppendString(append(dst, `,"name":`...), v.Str())
-			}
-			dst = append(dst, `,"rank":`...)
-			if math.IsInf(t.Rank, 0) || math.IsNaN(t.Rank) {
-				dst = append(dst, "null"...)
-			} else {
-				dst = jsonenc.AppendFloat(dst, t.Rank)
-			}
-			dst = strconv.AppendInt(append(dst, `,"connected":`...), int64(t.Connected), 10)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
+	dst = appendTopK(append(dst, `,"top_k":`...), res.TopK, g)
 	if withDot {
 		var dot jsonBuilder
 		rg := match.BuildResultGraph(g, q, res.Relation)
@@ -287,6 +263,39 @@ func appendQueryResponse(dst []byte, g *graph.Graph, q *pattern.Pattern, res *en
 		}
 	}
 	return dst
+}
+
+// appendTopK writes every ranking on the wire: topK as a top_k array of
+// {"node","name","rank","connected"} entries, or null when empty. Query
+// responses pass the graph, whose display name an entry carries when it
+// has one; subscription events pass nil and carry none. A match connected
+// to nothing ranks +Inf, which JSON cannot spell: its rank is written as
+// null (and its connected is 0).
+func appendTopK(dst []byte, topK []rank.Ranked, g *graph.Graph) []byte {
+	if len(topK) == 0 {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, t := range topK {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, `{"node":`...), int64(t.Node), 10)
+		if g != nil {
+			if v, ok := g.Attr(t.Node, "name"); ok && v.Str() != "" {
+				dst = jsonenc.AppendString(append(dst, `,"name":`...), v.Str())
+			}
+		}
+		dst = append(dst, `,"rank":`...)
+		if math.IsInf(t.Rank, 0) || math.IsNaN(t.Rank) {
+			dst = append(dst, "null"...)
+		} else {
+			dst = jsonenc.AppendFloat(dst, t.Rank)
+		}
+		dst = strconv.AppendInt(append(dst, `,"connected":`...), int64(t.Connected), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
 }
 
 // closeResponse appends the optional "trace" member and closes the

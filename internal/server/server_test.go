@@ -140,6 +140,9 @@ func TestGeneratedGraph(t *testing.T) {
 	}
 }
 
+// TestQueryViaDSL answers the paper query with DOT twice: the miss and
+// the hit, which rebuilds the result graph from the cached relation, draw
+// the same bytes.
 func TestQueryViaDSL(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaperGraph(t, ts)
@@ -147,6 +150,14 @@ func TestQueryViaDSL(t *testing.T) {
 	resp, body := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query?dot=1", req)
 	if resp.StatusCode != 200 {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	resp, hitBody := do(t, "POST", ts.URL+"/api/v1/graphs/paper/query?dot=1", req)
+	var hit struct {
+		Source    string `json:"source"`
+		ResultDOT string `json:"result_dot"`
+	}
+	if resp.StatusCode != 200 || json.Unmarshal(hitBody, &hit) != nil || hit.Source != "cache" {
+		t.Fatalf("repeat query: %d %s", resp.StatusCode, hitBody)
 	}
 	var out struct {
 		Plan    string             `json:"plan"`
@@ -173,6 +184,9 @@ func TestQueryViaDSL(t *testing.T) {
 	if !strings.Contains(out.ResultDOT, "digraph Result") ||
 		!strings.Contains(out.ResultDOT, "color=red") {
 		t.Error("result DOT missing or lacks highlight")
+	}
+	if out.Source == "cache" || hit.ResultDOT != out.ResultDOT {
+		t.Errorf("%s answer drew\n%s\nthe hit drew\n%s", out.Source, out.ResultDOT, hit.ResultDOT)
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"expfinder/internal/api"
+	"expfinder/internal/jsonenc"
 	"expfinder/internal/match"
 	"expfinder/internal/pattern"
-	"expfinder/internal/rank"
 	"expfinder/internal/subscribe"
 )
 
@@ -90,50 +91,10 @@ func (s *Server) deleteSubscription(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// sseEvent is the wire form of one subscription event. Matches are keyed
-// by pattern node name, mirroring the query endpoint's response.
-type sseEvent struct {
-	Seq     uint64              `json:"seq"`
-	Kind    string              `json:"kind"`
-	Resync  bool                `json:"resync,omitempty"`
-	Pairs   map[string][]int64  `json:"pairs,omitempty"`
-	Added   map[string][]int64  `json:"added,omitempty"`
-	Removed map[string][]int64  `json:"removed,omitempty"`
-	TopK    []subscribeTopEntry `json:"top_k,omitempty"`
-}
-
-type subscribeTopEntry struct {
-	Node      int64   `json:"node"`
-	Rank      float64 `json:"rank"`
-	Connected int     `json:"connected"`
-}
-
-// groupPairs keys match pairs by pattern node name, mirroring the query
-// endpoint's matches map. Ids within a name stay in the event's sorted
-// order.
-func groupPairs(q *pattern.Pattern, pairs []match.Pair) map[string][]int64 {
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := map[string][]int64{}
-	for _, p := range pairs {
-		name := q.Node(p.PNode).Name
-		out[name] = append(out[name], int64(p.Node))
-	}
-	return out
-}
-
-func renderTopK(topk []rank.Ranked) []subscribeTopEntry {
-	out := make([]subscribeTopEntry, len(topk))
-	for i, t := range topk {
-		out[i] = subscribeTopEntry{Node: int64(t.Node), Rank: t.Rank, Connected: t.Connected}
-	}
-	return out
-}
-
 // streamEvents serves GET .../subscriptions/{id}/events as Server-Sent
 // Events: one "snapshot" or "delta" event per subscription event, a
 // terminal "closed" event when the subscription or its graph goes away.
+// Frames are written by hand into one buffer the connection reuses.
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 	sub, err := s.lookupSub(r)
 	if err != nil {
@@ -152,6 +113,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	q := sub.Pattern()
+	var buf []byte
 	for {
 		ev, err := sub.Next(r.Context().Done())
 		if err != nil {
@@ -160,27 +122,45 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 				if errors.Is(cerr, subscribe.ErrGraphRemoved) {
 					reason = "graph-removed"
 				}
-				fmt.Fprintf(w, "event: closed\ndata: {\"reason\":%q}\n\n", reason)
+				buf = jsonenc.AppendString(append(buf[:0], "event: closed\ndata: {\"reason\":"...), reason)
+				w.Write(append(buf, "}\n\n"...))
 				flusher.Flush()
 			}
 			return // client went away or subscription closed
 		}
-		wire := sseEvent{
-			Seq: ev.Seq, Kind: string(ev.Kind), Resync: ev.Resync,
-			Pairs:   groupPairs(q, ev.Pairs),
-			Added:   groupPairs(q, ev.Added),
-			Removed: groupPairs(q, ev.Removed),
-			TopK:    renderTopK(ev.TopK),
-		}
-		data, err := json.Marshal(wire)
-		if err != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data); err != nil {
+		buf = appendEvent(buf[:0], q, ev)
+		if _, err := w.Write(buf); err != nil {
 			return
 		}
 		flusher.Flush()
 	}
+}
+
+// appendEvent appends ev as one SSE frame: its kind on the event line and
+// on the data line the object {"seq","kind","resync","pairs","added",
+// "removed","top_k"}, each of the last five left out when false or empty.
+// Pairs are keyed by pattern node name as in a query's matches, and top_k
+// entries are the query's less the display name.
+func appendEvent(dst []byte, q *pattern.Pattern, ev subscribe.Event) []byte {
+	dst = append(append(append(dst, "event: "...), ev.Kind...), "\ndata: "...)
+	dst = strconv.AppendUint(append(dst, `{"seq":`...), ev.Seq, 10)
+	dst = jsonenc.AppendString(append(dst, `,"kind":`...), string(ev.Kind))
+	if ev.Resync {
+		dst = append(dst, `,"resync":true`...)
+	}
+	if len(ev.Pairs) > 0 {
+		dst = match.AppendPairsJSON(append(dst, `,"pairs":`...), q, ev.Pairs)
+	}
+	if len(ev.Added) > 0 {
+		dst = match.AppendPairsJSON(append(dst, `,"added":`...), q, ev.Added)
+	}
+	if len(ev.Removed) > 0 {
+		dst = match.AppendPairsJSON(append(dst, `,"removed":`...), q, ev.Removed)
+	}
+	if len(ev.TopK) > 0 {
+		dst = appendTopK(append(dst, `,"top_k":`...), ev.TopK, nil)
+	}
+	return append(dst, "}\n\n"...)
 }
 
 // subscriptionStats exposes the hub's counters.

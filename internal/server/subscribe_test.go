@@ -5,12 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"expfinder/internal/dataset"
+	"expfinder/internal/engine"
+	"expfinder/internal/match"
+	"expfinder/internal/pattern"
+	"expfinder/internal/subscribe"
+	"expfinder/internal/testutil"
 )
 
 const subDSL = `
@@ -317,5 +323,171 @@ func TestSubscriptionStreamsNodeMutations(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("attribute change did not stream a delta")
+	}
+}
+
+// TestStreamUnconnectedRankNull: a subscription whose pattern has no
+// edges leaves every match connected to nothing, which ranks +Inf. The
+// stream writes that rank as null, as /query does, and keeps running:
+// deleting the subscription still ends it with a closed frame.
+func TestStreamUnconnectedRankNull(t *testing.T) {
+	ts, _ := newTestServer(t)
+	uploadPaperGraph(t, ts)
+	id, eventsURL := createSub(t, ts.URL, map[string]any{"dsl": `node SA [label = "SA"] output`, "k": 2})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+eventsURL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := make(chan sseFrame, 16)
+	go readSSE(t, resp, frames)
+	next := func() sseFrame {
+		t.Helper()
+		select {
+		case fr, ok := <-frames:
+			if !ok {
+				t.Fatal("stream ended without a frame")
+			}
+			return fr
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for SSE frame")
+		}
+		panic("unreachable")
+	}
+
+	fr := next()
+	var snap struct {
+		TopK []map[string]any `json:"top_k"`
+	}
+	if fr.event != "snapshot" || json.Unmarshal([]byte(fr.data), &snap) != nil || len(snap.TopK) != 2 {
+		t.Fatalf("first frame = %+v, want a snapshot with two top_k entries", fr)
+	}
+	for _, e := range snap.TopK {
+		if r, ok := e["rank"]; !ok || r != nil || e["connected"] != float64(0) {
+			t.Fatalf("snapshot entry %v, want rank null and connected 0", e)
+		}
+	}
+
+	if resp, _ := do(t, "DELETE", ts.URL+"/api/v1/graphs/paper/subscriptions/"+id, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: %d", resp.StatusCode)
+	}
+	if fr := next(); fr.event != "closed" || fr.data != `{"reason":"closed"}` {
+		t.Fatalf("terminal frame = %+v", fr)
+	}
+}
+
+// Reference wire form of a subscription event: the structs the stream
+// encoded with encoding/json before it wrote frames itself.
+type refEvent struct {
+	Seq     uint64             `json:"seq"`
+	Kind    string             `json:"kind"`
+	Resync  bool               `json:"resync,omitempty"`
+	Pairs   map[string][]int64 `json:"pairs,omitempty"`
+	Added   map[string][]int64 `json:"added,omitempty"`
+	Removed map[string][]int64 `json:"removed,omitempty"`
+	TopK    []refTopEntry      `json:"top_k,omitempty"`
+}
+
+type refTopEntry struct {
+	Node      int64   `json:"node"`
+	Rank      float64 `json:"rank"`
+	Connected int     `json:"connected"`
+}
+
+func refGroupPairs(q *pattern.Pattern, pairs []match.Pair) map[string][]int64 {
+	if len(pairs) == 0 {
+		return nil
+	}
+	out := map[string][]int64{}
+	for _, p := range pairs {
+		name := q.Node(p.PNode).Name
+		out[name] = append(out[name], int64(p.Node))
+	}
+	return out
+}
+
+func refFrame(q *pattern.Pattern, ev subscribe.Event) (string, error) {
+	wire := refEvent{
+		Seq: ev.Seq, Kind: string(ev.Kind), Resync: ev.Resync,
+		Pairs:   refGroupPairs(q, ev.Pairs),
+		Added:   refGroupPairs(q, ev.Added),
+		Removed: refGroupPairs(q, ev.Removed),
+	}
+	for _, t := range ev.TopK {
+		wire.TopK = append(wire.TopK, refTopEntry{Node: int64(t.Node), Rank: t.Rank, Connected: t.Connected})
+	}
+	data, err := json.Marshal(wire)
+	return fmt.Sprintf("event: %s\ndata: %s\n\n", ev.Kind, data), err
+}
+
+// TestStreamFrameEqualsEncodingJSON: over random graphs, patterns (with
+// node names that need escaping and sort out of index order), update
+// streams, buffers and k, every frame the stream writes for an event
+// whose ranks are all finite is byte for byte the frame encoding/json
+// wrote for the reference structs: snapshots, resyncs, coalesced deltas,
+// and events with and without top_k.
+func TestStreamFrameEqualsEncodingJSON(t *testing.T) {
+	names := []string{"SA", "<b>", "a&b", `q"t`, "Zoë", "名前", "line\u2028sep", "\t", "n10", "n2", "A"}
+	seen := map[string]int{}
+	for trial := 0; trial < 40; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		g := testutil.RandomGraph(r, 30+r.Intn(30), 90+r.Intn(90))
+		rq := testutil.RandomPattern(r, 2+r.Intn(3))
+		q := pattern.New()
+		for i, j := range r.Perm(len(names))[:rq.NumNodes()] {
+			q.MustAddNode(names[j], rq.Node(pattern.NodeIdx(i)).Pred)
+		}
+		for _, e := range rq.Edges() {
+			q.MustAddEdge(e.From, e.To, e.Bound)
+		}
+		if err := q.SetOutput(rq.Output()); err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(engine.Options{})
+		if err := e.AddGraph("g", g.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := e.Subscribe("g", q, subscribe.Options{K: r.Intn(4), Buffer: 1 + r.Intn(4), NoCoalesce: r.Intn(2) == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := testutil.NewEdgeStream(g, int64(trial))
+		for round := 0; round < 30; round++ {
+			if _, err := e.ApplyUpdates("g", stream.Batch(1+r.Intn(6))); err != nil {
+				t.Fatal(err)
+			}
+			if r.Intn(3) > 0 {
+				continue // let deltas pile up, coalesce and overflow
+			}
+			for ev, ok := sub.Poll(); ok; ev, ok = sub.Poll() {
+				want, err := refFrame(q, ev)
+				if err != nil {
+					seen["non-finite"]++ // encoding/json refuses the event
+					continue
+				}
+				if got := string(appendEvent(nil, q, ev)); got != want {
+					t.Fatalf("trial %d round %d: frame\n%q\nwant\n%q", trial, round, got, want)
+				}
+				seen[string(ev.Kind)]++
+				if ev.Resync {
+					seen["resync"]++
+				}
+				if len(ev.TopK) > 0 {
+					seen["top_k"]++
+				}
+			}
+		}
+	}
+	for _, what := range []string{"snapshot", "delta", "resync", "top_k"} {
+		if seen[what] == 0 {
+			t.Errorf("no %s frame compared (%v)", what, seen)
+		}
 	}
 }

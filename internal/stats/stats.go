@@ -19,6 +19,7 @@ package stats
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -68,13 +69,6 @@ type Graph struct {
 	outHist      [DegreeBuckets]int64
 	inHist       [DegreeBuckets]int64
 
-	// Per-node mirrors, indexed by NodeID (dense, tombstones included):
-	// the degree a node contributed to the histograms and the label it
-	// contributed to the frequency counters. Only Sync reads them: they
-	// make each edge op O(1) and order-independent within a batch.
-	outDeg, inDeg []int32
-	labelOf       []labelID // -1 for dead/never-seen ids
-
 	labelNames []string // labelID -> label
 	labelIDs   map[string]labelID
 	labelCount []int64 // live nodes per labelID
@@ -120,20 +114,11 @@ func pairKey(from, to labelID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// growLocked extends the per-node mirrors to cover id.
-func (s *Graph) growLocked(id graph.NodeID) {
-	for len(s.outDeg) <= int(id) {
-		s.outDeg = append(s.outDeg, 0)
-		s.inDeg = append(s.inDeg, 0)
-		s.labelOf = append(s.labelOf, -1)
-	}
-}
-
-// moveBucket shifts one count from the bucket of degree d to the
-// bucket of degree d+delta (delta is ±1).
-func moveBucket(hist *[DegreeBuckets]int64, d, delta int) {
-	hist[DegreeBucket(d)]--
-	hist[DegreeBucket(d+delta)]++
+// moveBucket shifts one node's count from the bucket of its degree
+// before a batch, post-net, to the bucket of its degree after it, post.
+func moveBucket(hist *[DegreeBuckets]int64, post, net int) {
+	hist[DegreeBucket(post-net)]--
+	hist[DegreeBucket(post)]++
 }
 
 // Sync applies the histogram deltas of an edge-update batch that has
@@ -143,56 +128,59 @@ func moveBucket(hist *[DegreeBuckets]int64, d, delta int) {
 func (s *Graph) Sync(g *graph.Graph, ops []Update) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Each touched degree's ±1s are netted over the batch and its one
+	// histogram count moved once, from the degree before the batch to
+	// the degree g reports after it: the order of ops does not matter.
+	// An op's two ends are encoded node<<2 | in<<1 | insert, so a sort
+	// groups each degree's ends.
+	var small [32]uint64
+	ends := small[:0]
 	for _, op := range ops {
-		s.growLocked(op.From)
-		s.growLocked(op.To)
-		pk := pairKey(s.labelOf[op.From], s.labelOf[op.To])
+		pk := pairKey(s.internLocked(g.Label(op.From)), s.internLocked(g.Label(op.To)))
+		var ins uint64
 		if op.Insert {
-			moveBucket(&s.outHist, int(s.outDeg[op.From]), +1)
-			s.outDeg[op.From]++
-			moveBucket(&s.inHist, int(s.inDeg[op.To]), +1)
-			s.inDeg[op.To]++
+			ins = 1
 			s.edgePairs[pk]++
 			s.edges++
 		} else {
-			moveBucket(&s.outHist, int(s.outDeg[op.From]), -1)
-			s.outDeg[op.From]--
-			moveBucket(&s.inHist, int(s.inDeg[op.To]), -1)
-			s.inDeg[op.To]--
 			if s.edgePairs[pk]--; s.edgePairs[pk] == 0 {
 				delete(s.edgePairs, pk)
 			}
 			s.edges--
+		}
+		ends = append(ends, uint64(op.From)<<2|ins, uint64(op.To)<<2|2|ins)
+	}
+	slices.Sort(ends)
+	for i := 0; i < len(ends); {
+		end, net := ends[i]>>1, 0
+		for ; i < len(ends) && ends[i]>>1 == end; i++ {
+			net += int(ends[i]&1)*2 - 1
+		}
+		if v := graph.NodeID(end >> 1); end&1 == 1 {
+			moveBucket(&s.inHist, g.InDegree(v), net)
+		} else {
+			moveBucket(&s.outHist, g.OutDegree(v), net)
 		}
 	}
 	s.version = g.Version()
 }
 
 func (s *Graph) rebuildLocked(g *graph.Graph) {
-	n := g.MaxID()
 	s.nodes, s.edges = g.NumNodes(), g.NumEdges()
 	s.outHist, s.inHist = [DegreeBuckets]int64{}, [DegreeBuckets]int64{}
-	s.outDeg = make([]int32, n)
-	s.inDeg = make([]int32, n)
-	s.labelOf = make([]labelID, n)
-	for i := range s.labelOf {
-		s.labelOf[i] = -1
-	}
 	s.labelNames = nil
 	s.labelIDs = map[string]labelID{}
 	s.labelCount = nil
 	s.edgePairs = map[uint64]int64{}
+	labelOf := make([]labelID, g.MaxID()) // for the edge pass only
 	g.ForEachNode(func(nd graph.Node) {
-		lid := s.internLocked(nd.Label)
-		s.labelOf[nd.ID] = lid
-		s.labelCount[lid]++
-		od, id := g.OutDegree(nd.ID), g.InDegree(nd.ID)
-		s.outDeg[nd.ID], s.inDeg[nd.ID] = int32(od), int32(id)
-		s.outHist[DegreeBucket(od)]++
-		s.inHist[DegreeBucket(id)]++
+		labelOf[nd.ID] = s.internLocked(nd.Label)
+		s.labelCount[labelOf[nd.ID]]++
+		s.outHist[DegreeBucket(g.OutDegree(nd.ID))]++
+		s.inHist[DegreeBucket(g.InDegree(nd.ID))]++
 	})
 	g.ForEachEdge(func(e graph.Edge) {
-		s.edgePairs[pairKey(s.labelOf[e.From], s.labelOf[e.To])]++
+		s.edgePairs[pairKey(labelOf[e.From], labelOf[e.To])]++
 	})
 	s.version = g.Version()
 	s.rebuilds++
@@ -258,13 +246,7 @@ func (s *Graph) snapshotLocked() *Snapshot {
 	}
 	snap.LabelPairs = make([]LabelPairCount, 0, len(s.edgePairs))
 	for pk, c := range s.edgePairs {
-		p := LabelPairCount{Count: c}
-		if from := labelID(int32(pk >> 32)); from >= 0 {
-			p.From = s.labelNames[from]
-		}
-		if to := labelID(int32(uint32(pk))); to >= 0 {
-			p.To = s.labelNames[to]
-		}
+		p := LabelPairCount{From: s.labelNames[pk>>32], To: s.labelNames[uint32(pk)], Count: c}
 		if s.edges > 0 {
 			p.Selectivity = float64(c) / float64(s.edges)
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 )
 
@@ -39,7 +40,9 @@ var testLabels = []string{"HR", "AI", "DB", "SE", "Bio"}
 
 // TestIncrementalMatchesRecount drives random edge-batch streams (some
 // failing mid-batch and rolling back) through Sync and checks after
-// every step that the snapshot equals a from-scratch recount. Sync
+// every step that the snapshot equals a from-scratch recount. Some
+// batches touch one node several times, an insert and a delete of the
+// same edge included, so Sync must net each node's ops. Sync
 // keeps the counters fresh; only a rollback, which moves the version
 // without a Sync, costs the next read a recount.
 func TestIncrementalMatchesRecount(t *testing.T) {
@@ -52,7 +55,7 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 		}
 		st := NewGraph(g)
 		pick := func() graph.NodeID { return alive[r.Intn(len(alive))] }
-		rollbacks, stale := 0, 0
+		rollbacks, repeats, stale := 0, 0, 0
 		for step := 0; step < 200; step++ {
 			before := g.Version()
 			var ops []Update
@@ -62,6 +65,24 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 				from, to := pick(), pick()
 				ops = []Update{{Insert: true, From: from, To: to}, {Insert: true, From: from, To: to}}
 				rollbacks++
+			} else if r.Intn(4) == 0 {
+				// One node touched several times in one batch: a fresh edge
+				// inserted and deleted again, then more edges out of and
+				// into the same node, so its ±1s net over the batch.
+				hub := pick()
+				to := pick()
+				for g.HasEdge(hub, to) {
+					to = pick()
+				}
+				ops = []Update{{Insert: true, From: hub, To: to}, {Insert: false, From: hub, To: to}}
+				for i := 1 + r.Intn(3); i > 0; i-- {
+					if other := pick(); r.Intn(2) == 0 {
+						ops = append(ops, Update{Insert: !g.HasEdge(hub, other), From: hub, To: other})
+					} else {
+						ops = append(ops, Update{Insert: !g.HasEdge(other, hub), From: other, To: hub})
+					}
+				}
+				repeats++
 			} else {
 				for i := 1 + r.Intn(4); i > 0; i-- {
 					ops = append(ops, Update{Insert: r.Intn(3) > 0, From: pick(), To: pick()})
@@ -76,8 +97,8 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 					seed, step, snap, want)
 			}
 		}
-		if rollbacks == 0 {
-			t.Fatalf("seed %d: rollback path never exercised", seed)
+		if rollbacks == 0 || repeats == 0 {
+			t.Fatalf("seed %d: %d rollbacks, %d repeated-node batches; want both", seed, rollbacks, repeats)
 		}
 		// The recounts are NewGraph's and one per batch that moved the
 		// version and then rolled back.
@@ -158,5 +179,36 @@ func TestConcurrentReadersRaceClean(t *testing.T) {
 	defer mu.RUnlock()
 	if snap := st.Snapshot(g); !snap.Equal(Compute(g)) {
 		t.Fatal("post-race snapshot diverged from recount")
+	}
+}
+
+// BenchmarkSync syncs a 16-edge insert batch and the batch deleting the
+// same edges on a 2,000-node collaboration graph, the batch size the
+// ingest benchmark replays. The graph holds the batch's edges throughout,
+// so each iteration measures two Syncs and no graph write.
+func BenchmarkSync(b *testing.B) {
+	g, err := generator.Collaboration(generator.Config{Nodes: 2000, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	var ins, del []Update
+	for len(ins) < 16 {
+		from, to := graph.NodeID(r.Intn(2000)), graph.NodeID(r.Intn(2000))
+		if from == to || g.HasEdge(from, to) {
+			continue
+		}
+		if err := g.AddEdge(from, to); err != nil {
+			b.Fatal(err)
+		}
+		ins = append(ins, Update{Insert: true, From: from, To: to})
+		del = append(del, Update{From: from, To: to})
+	}
+	st := NewGraph(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Sync(g, ins)
+		st.Sync(g, del)
 	}
 }

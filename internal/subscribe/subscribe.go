@@ -148,16 +148,7 @@ func (s *Subscription) Pattern() *pattern.Pattern { return s.q }
 func (s *Subscription) Next(done <-chan struct{}) (Event, error) {
 	for {
 		s.mu.Lock()
-		if len(s.buf) > 0 {
-			ev := s.buf[0]
-			s.buf = append(s.buf[:0], s.buf[1:]...)
-			s.delivered++
-			if len(s.buf) > 0 && !s.closed {
-				// Re-signal so a second blocked consumer is not stranded
-				// on the 1-slot notify channel while events remain (after
-				// close the channel is closed and wakes everyone anyway).
-				s.wake()
-			}
+		if ev, ok := s.pop(); ok {
 			s.mu.Unlock()
 			return ev, nil
 		}
@@ -180,6 +171,14 @@ func (s *Subscription) Next(done <-chan struct{}) (Event, error) {
 func (s *Subscription) Poll() (ev Event, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.pop()
+}
+
+// pop dequeues the oldest buffered event under s.mu, which the caller
+// holds. It re-signals while events remain, so a second blocked Next is
+// not stranded on the 1-slot notify channel (a closed subscription's
+// channel is closed and wakes everyone anyway).
+func (s *Subscription) pop() (ev Event, ok bool) {
 	if len(s.buf) == 0 {
 		return Event{}, false
 	}
@@ -187,7 +186,7 @@ func (s *Subscription) Poll() (ev Event, ok bool) {
 	s.buf = append(s.buf[:0], s.buf[1:]...)
 	s.delivered++
 	if len(s.buf) > 0 && !s.closed {
-		s.wake() // keep a blocked Next from missing the remaining events
+		s.wake()
 	}
 	return ev, true
 }
