@@ -70,8 +70,9 @@
 // subscription backlog) rolls up into /healthz as ok|degraded|unhealthy
 // with per-component reasons. -shed-heaviest sheds the heaviest client
 // first under queue pressure. All log output —
-// access log, slow_query lines, boot and replication notices — is
-// structured; -log-format json renders one JSON object per line.
+// access log, slow_query lines, boot and replication notices — goes
+// through one log/slog handler: key=value text lines, or with
+// -log-format json one JSON object per line.
 //
 // API overview (every route is mounted at /api/v1; other /api/* paths
 // answer 404):
@@ -121,6 +122,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -133,7 +135,6 @@ import (
 	"expfinder"
 	"expfinder/internal/dataset"
 	"expfinder/internal/engine"
-	"expfinder/internal/logx"
 	"expfinder/internal/replication"
 	"expfinder/internal/server"
 	"expfinder/internal/wal"
@@ -177,21 +178,29 @@ func main() {
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/ (bearer-authed when -auth-token is set)")
 	replListen := flag.String("replication-listen", "", "serve WAL-shipping replication to followers on this address (requires -data-dir)")
 	replFrom := flag.String("replicate-from", "", "run as a read-only follower of the leader at this replication address")
-	logFormat := flag.String("log-format", "text", "log output format: text | json (structured key=value either way)")
+	logFormat := flag.String("log-format", "text", "log output format: text (key=value lines) | json (one object per line)")
 	sloTargetsFlag := flag.String("slo-targets", "", "override per-route-class p99 latency targets, e.g. query=250ms,mutation=100ms")
 	shedHeaviest := flag.Bool("shed-heaviest", false, "under execution-queue pressure, shed the dominant client's requests first")
 	flag.Parse()
 
-	format, err := logx.ParseFormat(*logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	var handler slog.Handler
+	switch *logFormat {
+	case "text":
+		handler = slog.NewTextHandler(os.Stderr, nil)
+	case "json":
+		handler = slog.NewJSONHandler(os.Stderr, nil)
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -log-format %q (want text or json)\n", *logFormat)
 		os.Exit(1)
 	}
-	logger := logx.New(os.Stderr, format)
+	logger := slog.New(handler)
+	// The replication leader and follower take a standard logger; their
+	// lines join the same stream, tagged with their component.
+	replLogger := slog.NewLogLogger(handler.WithAttrs([]slog.Attr{slog.String("component", "replication")}), slog.LevelInfo)
 	// fatal is the boot-error exit: same structured stream as everything
 	// else, so a crash-looping node's last words are machine-readable too.
 	fatal := func(kv ...any) {
-		logger.Event("fatal", kv...)
+		logger.Error("fatal", kv...)
 		os.Exit(1)
 	}
 
@@ -234,12 +243,12 @@ func main() {
 			Engine:   eng,
 			WAL:      walMgr,
 			Listener: ln,
-			Logger:   logger.Std("replication"),
+			Logger:   replLogger,
 		})
 		if err != nil {
 			fatal("op", "start replication leader", "err", err)
 		}
-		logger.Event("replication", "role", "leader", "listen", fmt.Sprint(leader.Addr()))
+		logger.Info("replication", "role", "leader", "listen", fmt.Sprint(leader.Addr()))
 	}
 
 	var recovery *engine.RecoverySummary
@@ -251,14 +260,13 @@ func main() {
 		recovery = sum
 		for _, gr := range sum.Graphs {
 			if gr.Err != "" {
-				logger.Event("recover_failed", "graph", gr.Name, "err", gr.Err,
+				logger.Error("recover_failed", "graph", gr.Name, "err", gr.Err,
 					"note", "files left for inspection")
 				continue
 			}
-			kv := []any{"graph", gr.Name, "nodes", gr.Nodes, "edges", gr.Edges,
+			logger.Info("recovered", "graph", gr.Name, "nodes", gr.Nodes, "edges", gr.Edges,
 				"version", gr.Version, "wal_records", gr.Records,
-				"torn_tail", gr.TornTail}
-			logger.Event("recovered", kv...)
+				"torn_tail", gr.TornTail)
 		}
 	}
 
@@ -272,7 +280,7 @@ func main() {
 		fopts := replication.FollowerOptions{
 			Engine: eng,
 			Leader: *replFrom,
-			Logger: logger.Std("replication"),
+			Logger: replLogger,
 		}
 		if *dataDir != "" {
 			fopts.StateFile = filepath.Join(*dataDir, "replication-state.json")
@@ -282,10 +290,10 @@ func main() {
 		if err != nil {
 			fatal("op", "start replication follower", "err", err)
 		}
-		logger.Event("replication", "role", "follower", "leader", *replFrom,
+		logger.Info("replication", "role", "follower", "leader", *replFrom,
 			"note", "read-only until promoted")
 		if *demo || *storeDir != "" {
-			logger.Event("replication", "role", "follower",
+			logger.Info("replication", "role", "follower",
 				"note", "skipping -demo/-store preloads")
 		}
 		*demo, *storeDir = false, ""
@@ -295,16 +303,16 @@ func main() {
 		g, _ := dataset.PaperGraph()
 		switch err := eng.AddGraph("paper", g); {
 		case err == nil:
-			logger.Event("preload", "graph", "paper", "source", "demo",
+			logger.Info("preload", "graph", "paper", "source", "demo",
 				"nodes", g.NumNodes(), "edges", g.NumEdges())
 		case errors.Is(err, engine.ErrGraphExists):
-			logger.Event("preload", "graph", "paper", "source", "demo",
+			logger.Info("preload", "graph", "paper", "source", "demo",
 				"note", "already present (recovered)")
 		case errors.Is(err, wal.ErrExists):
 			// Recovery failed for this name and left its files on disk; a
 			// fatal exit here would turn one damaged graph into a boot
 			// loop. Serve without the demo graph instead.
-			logger.Event("preload_skipped", "graph", "paper", "source", "demo",
+			logger.Warn("preload_skipped", "graph", "paper", "source", "demo",
 				"err", err, "note", "unrecovered persisted state on disk")
 		default:
 			fatal("op", "preload demo graph", "err", err)
@@ -325,20 +333,20 @@ func main() {
 		}
 		for _, name := range names {
 			if held[name] {
-				logger.Event("preload", "graph", name, "source", "store",
+				logger.Info("preload", "graph", name, "source", "store",
 					"note", "already present (recovered)")
 				continue
 			}
 			g, err := store.LoadGraph(name)
 			if err != nil {
-				logger.Event("preload_skipped", "graph", name, "source", "store", "err", err)
+				logger.Warn("preload_skipped", "graph", name, "source", "store", "err", err)
 				continue
 			}
 			if err := eng.AddGraph(name, g); err != nil {
-				logger.Event("preload_skipped", "graph", name, "source", "store", "err", err)
+				logger.Warn("preload_skipped", "graph", name, "source", "store", "err", err)
 				continue
 			}
-			logger.Event("preload", "graph", name, "source", "store",
+			logger.Info("preload", "graph", name, "source", "store",
 				"nodes", g.NumNodes(), "edges", g.NumEdges())
 		}
 	}
@@ -388,7 +396,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		logger.Event("listening", "addr", *addr, "parallelism", eng.Parallelism())
+		logger.Info("listening", "addr", *addr, "parallelism", eng.Parallelism())
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -399,11 +407,11 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop()
-		logger.Event("shutdown", "note", "draining in-flight requests")
+		logger.Info("shutdown", "note", "draining in-flight requests")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
-			logger.Event("shutdown", "note", "forced close", "err", err)
+			logger.Warn("shutdown", "note", "forced close", "err", err)
 			_ = srv.Close()
 		}
 	}
@@ -420,7 +428,7 @@ func main() {
 		fatal("op", "persistence close", "err", err)
 	}
 	if opts.Persistence != nil {
-		logger.Event("shutdown", "note", "persistence flushed and closed",
+		logger.Info("shutdown", "note", "persistence flushed and closed",
 			"dir", opts.Persistence.Dir())
 	}
 }

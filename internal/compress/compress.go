@@ -345,11 +345,9 @@ func succSig(g *graph.Graph, part []int, v graph.NodeID) string {
 func compressSimEq(g *graph.Graph, view View) *Compressed {
 	maxID := g.MaxID()
 	// Group nodes by static signature; the preorder only relates nodes
-	// within a group.
+	// within a group, so each node has an index within its group.
 	groupOf := make([]int, maxID)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
+	idx := make([]graph.NodeID, maxID)
 	bySig := map[string]int{}
 	var groups [][]graph.NodeID
 	g.ForEachNode(func(n graph.Node) {
@@ -361,50 +359,55 @@ func compressSimEq(g *graph.Graph, view View) *Compressed {
 			groups = append(groups, nil)
 		}
 		groupOf[n.ID] = gi
+		idx[n.ID] = graph.NodeID(len(groups[gi]))
 		groups[gi] = append(groups[gi], n.ID)
 	})
 
-	// simBy[x] = set of y (same group) currently believed to simulate x.
+	// simBy[x] = set of y (same group, by index) currently believed to
+	// simulate x: a group of k nodes costs k*k bits, not k*maxID.
 	simBy := make([]*graph.Bitset, maxID)
 	for _, grp := range groups {
 		for _, x := range grp {
-			s := graph.NewBitset(maxID)
-			for _, y := range grp {
-				s.Set(y)
+			s := graph.NewBitset(len(grp))
+			for i := range grp {
+				s.Set(graph.NodeID(i))
 			}
 			simBy[x] = s
 		}
 	}
+	simulates := func(y, x graph.NodeID) bool {
+		return groupOf[y] == groupOf[x] && simBy[x].Has(idx[y])
+	}
 
 	// Refine: y stops simulating x when some successor x' of x has no
-	// successor y' of y with y' simulating x'.
+	// successor y' of y with y' simulating x'. A pair is cleared as soon
+	// as it fails (ForEach reads each word before visiting its bits); the
+	// greatest fixpoint does not depend on the order of removals.
 	for changed := true; changed; {
 		changed = false
 		g.ForEachNode(func(nx graph.Node) {
 			x := nx.ID
-			var drop []graph.NodeID
-			simBy[x].ForEach(func(y graph.NodeID) {
+			grp := groups[groupOf[x]]
+			simBy[x].ForEach(func(i graph.NodeID) {
+				y := grp[i]
 				if y == x {
 					return
 				}
 				for _, xs := range g.Out(x) {
 					ok := false
 					for _, ys := range g.Out(y) {
-						if simBy[xs] != nil && simBy[xs].Has(ys) {
+						if simulates(ys, xs) {
 							ok = true
 							break
 						}
 					}
 					if !ok {
-						drop = append(drop, y)
+						simBy[x].Clear(i)
+						changed = true
 						return
 					}
 				}
 			})
-			for _, y := range drop {
-				simBy[x].Clear(y)
-				changed = true
-			}
 		})
 	}
 
@@ -420,8 +423,9 @@ func compressSimEq(g *graph.Graph, view View) *Compressed {
 			return
 		}
 		part[x] = nBlocks
-		simBy[x].ForEach(func(y graph.NodeID) {
-			if y != x && part[y] == -1 && simBy[y].Has(x) {
+		grp := groups[groupOf[x]]
+		simBy[x].ForEach(func(i graph.NodeID) {
+			if y := grp[i]; y != x && part[y] == -1 && simulates(x, y) {
 				part[y] = nBlocks
 			}
 		})

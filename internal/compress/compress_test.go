@@ -2,11 +2,13 @@ package compress
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"expfinder/internal/bsim"
 	"expfinder/internal/dataset"
+	"expfinder/internal/generator"
 	"expfinder/internal/graph"
 	"expfinder/internal/pattern"
 	"expfinder/internal/simulation"
@@ -173,6 +175,28 @@ func TestQuickSimEqCoarserThanBisim(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSimEqAllocBoundedByGroups pins the preorder's memory to the
+// signature groups: each node's simulator set has one bit per member of
+// its group, not one per node id. At 3,000 collab nodes under the label
+// view, sets sized by node id allocated 13.5 MB; group-sized sets
+// allocate under 2 MB.
+func TestSimEqAllocBoundedByGroups(t *testing.T) {
+	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 3000, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := CompressWithView(g, SimulationEquivalence, View{})
+	runtime.ReadMemStats(&after)
+	if c.Graph().NumNodes() != 1020 {
+		t.Errorf("blocks = %d, want 1020", c.Graph().NumNodes())
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 4 {
+		t.Errorf("simulation-equivalence compression allocated %.1f MB, want at most 4", mb)
 	}
 }
 

@@ -8,12 +8,9 @@
 // prefix P.
 //
 // Wire format. Every message is one frame, identical in shape to a WAL
-// segment record:
-//
-//	uvarint payload length | payload | crc32 (IEEE, little-endian) of payload
-//
-// A frame that fails its checksum, overruns the length cap, or decodes
-// to an unknown or malformed message is a protocol error: the receiver
+// segment record (storage.AppendFrame). A frame that fails its
+// checksum, overruns the length cap, or decodes to an unknown or
+// malformed message is a protocol error: the receiver
 // drops the connection and the follower reconnects — torn bytes are
 // never applied. Payloads begin with a one-byte message type:
 //
@@ -107,20 +104,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: payload %d exceeds cap", ErrBadFrame, len(payload))
 	}
-	var hdr bytes.Buffer
-	hdr.Grow(binary.MaxVarintLen64)
-	if err := storage.WriteUvarint(&hdr, uint64(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crcBuf[:])
+	_, err := w.Write(storage.AppendFrame(nil, payload))
 	return err
 }
 

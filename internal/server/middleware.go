@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -78,8 +79,7 @@ func nextRequestID() string {
 }
 
 // withObservability wraps the whole mux: assigns the request id (echoed
-// as X-Request-ID) and, when a logger is configured, emits one
-// structured line per request.
+// as X-Request-ID) and writes one access-log record per request.
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -95,7 +95,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		// Probe and scrape endpoints are exempt from the access log: a
 		// load balancer polling /healthz every few seconds would drown
 		// real request logs in identical lines.
-		if s.cfg.Logger != nil && r.URL.Path != "/healthz" && r.URL.Path != "/metrics" {
+		if r.URL.Path != "/healthz" && r.URL.Path != "/metrics" {
 			status := sw.status
 			if status == 0 {
 				status = http.StatusOK
@@ -104,10 +104,13 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			if route == "" {
 				route = "unmatched"
 			}
-			s.cfg.Logger.Event("request",
-				"request_id", id, "method", r.Method, "path", r.URL.Path,
-				"route", route, "status", status, "bytes", sw.bytes,
-				"latency", time.Since(start).Round(time.Microsecond))
+			// LogAttrs, not Info's key/value form: typed attributes box
+			// nothing, so a discarding logger costs no allocation here.
+			s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("request_id", id), slog.String("method", r.Method),
+				slog.String("path", r.URL.Path), slog.String("route", route),
+				slog.Int("status", status), slog.Int64("bytes", sw.bytes),
+				slog.Duration("latency", time.Since(start).Round(time.Microsecond)))
 		}
 	})
 }

@@ -5,9 +5,11 @@ package server
 // the error envelope, and metrics exposition.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -461,6 +463,111 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	resp2.Body.Close()
 	if got := resp2.Header.Get("X-Request-ID"); got != "caller-supplied-1" {
 		t.Errorf("X-Request-ID = %q, want caller-supplied id echoed", got)
+	}
+}
+
+// TestAccessLogOneLinePerRequest sends paths and a client id that need
+// quoting through both log formats: every record is exactly one line,
+// also when requests log concurrently, and a JSON record reads back the
+// values sent (invalid UTF-8 as U+FFFD). The routed request is slow
+// (SlowQuery 1ns), so it writes a slow_query record beside its access
+// record.
+func TestAccessLogOneLinePerRequest(t *testing.T) {
+	cases := []struct {
+		target, client string
+		records        int
+		// text is what the text record must hold: the value quoted.
+		text string
+	}{
+		{"/api/v1/x%0Aforged_line", "", 1, `path="/api/v1/x\nforged_line"`},
+		{"/api/v1/x%01%ff", "", 1, `path="/api/v1/x\x01\xff"`},
+		{"/api/v1/graphs", `a"b c=d`, 2, `client="a\"b c=d"`},
+	}
+	send := func(s *Server, i int) *http.Request {
+		req := httptest.NewRequest("GET", cases[i].target, nil)
+		if cases[i].client != "" {
+			req.Header.Set("X-Client-ID", cases[i].client)
+		}
+		s.ServeHTTP(httptest.NewRecorder(), req)
+		return req
+	}
+	for _, format := range []string{"text", "json"} {
+		t.Run(format, func(t *testing.T) {
+			var buf bytes.Buffer
+			var h slog.Handler = slog.NewTextHandler(&buf, nil)
+			if format == "json" {
+				h = slog.NewJSONHandler(&buf, nil)
+			}
+			s := New(engine.New(engine.Options{}), Config{Logger: slog.New(h), SlowQuery: time.Nanosecond})
+			// records splits the log into lines, checks each is one whole
+			// record, and returns the JSON ones decoded.
+			records := func(want int) []map[string]any {
+				t.Helper()
+				out := buf.String()
+				buf.Reset()
+				lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+				if len(lines) != want || !strings.HasSuffix(out, "\n") {
+					t.Fatalf("%d lines, want %d records:\n%s", len(lines), want, out)
+				}
+				var recs []map[string]any
+				for _, line := range lines {
+					if format == "text" {
+						if !strings.HasPrefix(line, "time=") {
+							t.Fatalf("line does not start a record: %q", line)
+						}
+						continue
+					}
+					var rec map[string]any
+					if err := json.Unmarshal([]byte(line), &rec); err != nil {
+						t.Fatalf("invalid JSON line %q: %v", line, err)
+					}
+					recs = append(recs, rec)
+				}
+				return recs
+			}
+			total := 0
+			for i, c := range cases {
+				total += c.records
+				req := send(s, i)
+				if format == "text" {
+					out := buf.String()
+					records(c.records)
+					if !strings.Contains(out, c.text) {
+						t.Errorf("%s: record lacks %s:\n%s", c.target, c.text, out)
+					}
+					continue
+				}
+				for _, rec := range records(c.records) {
+					switch rec["msg"] {
+					case "request":
+						if want := strings.ToValidUTF8(req.URL.Path, "\uFFFD"); rec["path"] != want {
+							t.Errorf("path = %q, want %q", rec["path"], want)
+						}
+					case "slow_query":
+						if rec["client"] != c.client {
+							t.Errorf("client = %q, want %q", rec["client"], c.client)
+						}
+					default:
+						t.Errorf("unexpected record %v", rec)
+					}
+				}
+			}
+
+			// Request goroutines log concurrently; no two records share a line.
+			const workers = 8
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range cases {
+						send(s, i)
+					}
+				}()
+			}
+			wg.Wait()
+			records(workers * total)
+		})
 	}
 }
 

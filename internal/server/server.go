@@ -20,6 +20,7 @@
 package server
 
 import (
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -27,7 +28,6 @@ import (
 	"expfinder/internal/account"
 	"expfinder/internal/api"
 	"expfinder/internal/engine"
-	"expfinder/internal/logx"
 	"expfinder/internal/metrics"
 	"expfinder/internal/replication"
 	"expfinder/internal/stats"
@@ -50,10 +50,10 @@ type Config struct {
 	// RequestTimeout is propagated as a context deadline into the engine
 	// on every route that uses the execution pool; 0 means no deadline.
 	RequestTimeout time.Duration
-	// Logger, when set, receives one structured event per request (the
-	// access log), plus slow_query events; text vs. JSON rendering is
-	// the logger's own -log-format concern.
-	Logger *logx.Logger
+	// Logger receives one record per request (the access log), plus
+	// slow_query records; nil discards them. Text vs. JSON rendering is
+	// the handler's concern (-log-format).
+	Logger *slog.Logger
 	// TraceSample is the fraction of requests traced through the query
 	// engine (0 = none, 1 = all). Requests asking explicitly with
 	// ?trace=1 or X-Trace: 1 are always traced regardless of the rate.
@@ -112,6 +112,9 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 	var c Config
 	if len(cfg) > 0 {
 		c = cfg[0]
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{eng: eng, cfg: c, registry: metrics.NewRegistry()}
 

@@ -14,6 +14,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"expfinder/internal/graph"
 )
@@ -50,6 +51,17 @@ func WriteUvarint(w io.Writer, x uint64) error {
 	n := binary.PutUvarint(buf[:], x)
 	_, err := w.Write(buf[:n])
 	return err
+}
+
+// AppendFrame appends payload to dst as one checksummed frame, the shape
+// of every WAL segment record and every replication message:
+//
+//	uvarint payload length | payload | crc32 (IEEE, little-endian) of payload
+func AppendFrame(dst, payload []byte) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+len(payload)+4)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
 // WriteString writes a length-prefixed string (uvarint + bytes).

@@ -25,11 +25,10 @@ package trace
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"expfinder/internal/logx"
 )
 
 // Attr is one key/value annotation on a span. Values are kept to
@@ -311,9 +310,9 @@ type Options struct {
 	// RingSize bounds the recent-trace and slow-query rings
 	// (default 64 each).
 	RingSize int
-	// Logger, when set, receives one structured slow_query event per
-	// slow query.
-	Logger *logx.Logger
+	// Logger receives one slow_query record per slow query; nil
+	// discards them.
+	Logger *slog.Logger
 }
 
 // defaultRing is the ring capacity when Options.RingSize is 0.
@@ -336,6 +335,9 @@ func New(opts Options) *Tracer {
 	n := opts.RingSize
 	if n <= 0 {
 		n = defaultRing
+	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
 	return &Tracer{opts: opts, recent: newRing[*TraceJSON](n), slow: newRing[*SlowEntry](n)}
 }
@@ -394,7 +396,7 @@ func (t *Tracer) NoteSlow(id, route, client string, status int, d time.Duration,
 	t.mu.Lock()
 	t.slow.push(e)
 	t.mu.Unlock()
-	t.opts.Logger.Event("slow_query",
+	t.opts.Logger.Warn("slow_query",
 		"request_id", id, "route", route, "client", client, "status", status,
 		"duration", d.Round(time.Microsecond), "threshold", t.opts.SlowThreshold,
 		"traced", tj != nil)

@@ -20,10 +20,7 @@
 // file in a graph directory is ignored.
 //
 // Each segment starts with a header (magic "EFWL", format version, base
-// version) followed by CRC32-framed records:
-//
-//	uvarint payload length | payload | crc32 (IEEE, little-endian) of payload
-//
+// version) followed by CRC32-framed records (storage.AppendFrame).
 // Payloads reuse the storage binary string/uvarint conventions and carry
 // the post-mutation graph version, so replay restores versions exactly.
 // A checkpoint writes a fresh snapshot (temp file + rename, both
@@ -43,10 +40,8 @@ package wal
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -728,14 +723,8 @@ func (gl *graphLog) append(payload []byte, postVersion uint64) error {
 	if postVersion <= gl.lastVersion {
 		return fmt.Errorf("%w: %d after %d", ErrNonMonotone, postVersion, gl.lastVersion)
 	}
-	var frame bytes.Buffer
-	frame.Grow(len(payload) + binary.MaxVarintLen64 + 4)
-	_ = storage.WriteUvarint(&frame, uint64(len(payload)))
-	frame.Write(payload)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
-	frame.Write(crcBuf[:])
-	if _, err := gl.f.Write(frame.Bytes()); err != nil {
+	frame := storage.AppendFrame(nil, payload)
+	if _, err := gl.f.Write(frame); err != nil {
 		// The file may hold a partial frame and the in-memory mutation is
 		// already applied: this record is lost to the log. Poison it —
 		// accepting later records would shift replayed node ids and make
@@ -743,8 +732,8 @@ func (gl *graphLog) append(payload []byte, postVersion uint64) error {
 		gl.broken = true
 		return fmt.Errorf("wal: append %q: %w", gl.name, err)
 	}
-	gl.segBytes += int64(frame.Len())
-	gl.sinceCkpt += int64(frame.Len())
+	gl.segBytes += int64(len(frame))
+	gl.sinceCkpt += int64(len(frame))
 	gl.lastVersion = postVersion
 	gl.records++
 	gl.dirty = true
