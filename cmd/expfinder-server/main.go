@@ -194,9 +194,9 @@ func main() {
 		os.Exit(1)
 	}
 	logger := slog.New(handler)
-	// The replication leader and follower take a standard logger; their
-	// lines join the same stream, tagged with their component.
-	replLogger := slog.NewLogLogger(handler.WithAttrs([]slog.Attr{slog.String("component", "replication")}), slog.LevelInfo)
+	// The replication leader's and follower's records join the same
+	// stream, tagged with their component.
+	replLogger := logger.With("component", "replication")
 	// fatal is the boot-error exit: same structured stream as everything
 	// else, so a crash-looping node's last words are machine-readable too.
 	fatal := func(kv ...any) {

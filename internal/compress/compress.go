@@ -21,7 +21,8 @@ package compress
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"expfinder/internal/graph"
 	"expfinder/internal/match"
@@ -168,20 +169,35 @@ func (c *Compressed) Decompress(rc *match.Relation) *match.Relation {
 	return r.Normalize()
 }
 
-// sigKey is a node's static signature under a view: nodes can only share a
-// block if their label and every *viewed* attribute coincide, because
-// search conditions may test any viewed attribute.
-func sigKey(n graph.Node, view View) string {
-	if view == nil {
-		return n.Label + "\x00" + n.Attrs.Canon()
-	}
-	viewed := graph.Attrs{}
-	for _, a := range view {
-		if val, ok := n.Attrs[a]; ok {
-			viewed[a] = val
+// sigKeys renders nodes' static signatures under one view into a reused
+// buffer: the label, a NUL, then the viewed attributes as
+// graph.Attrs.Canon renders them. Nodes can only share a block if their
+// label and every *viewed* attribute coincide, because search conditions
+// may test any viewed attribute.
+type sigKeys struct {
+	all   bool     // a nil view: every attribute is viewed
+	view  []string // the view, sorted and deduplicated
+	names []string // scratch: one node's attribute names when all
+	buf   []byte
+}
+
+func newSigKeys(view View) *sigKeys {
+	return &sigKeys{all: view == nil, view: slices.Compact(slices.Sorted(slices.Values(view)))}
+}
+
+// of returns n's signature; the bytes are valid until the next call.
+func (s *sigKeys) of(n graph.Node) []byte {
+	names := s.view
+	if s.all {
+		s.names = s.names[:0]
+		for k := range n.Attrs {
+			s.names = append(s.names, k)
 		}
+		slices.Sort(s.names)
+		names = s.names
 	}
-	return n.Label + "\x00" + viewed.Canon()
+	s.buf = n.Attrs.AppendCanon(append(append(s.buf[:0], n.Label...), 0), names)
+	return s.buf
 }
 
 // Compress builds the quotient of g under the given scheme, distinguishing
@@ -277,65 +293,67 @@ func compressBisim(g *graph.Graph, view View) *Compressed {
 	for i := range part {
 		part[i] = -1
 	}
+	sigs := newSigKeys(view)
 	bySig := map[string]int{}
 	nBlocks := 0
 	g.ForEachNode(func(n graph.Node) {
-		k := sigKey(n, view)
-		b, ok := bySig[k]
+		k := sigs.of(n)
+		b, ok := bySig[string(k)]
 		if !ok {
 			b = nBlocks
 			nBlocks++
-			bySig[k] = b
+			bySig[string(k)] = b
 		}
 		part[n.ID] = b
 	})
 
+	newPart := make([]int, maxID)
+	bySplit := map[string]int{}
+	var key []byte // one split key, rebuilt per node
+	var succ []int // one node's successor blocks
 	for {
 		// Re-partition by (current block, successor-block signature); the
 		// block count grows monotonically and the loop stops at a fixpoint.
-		newPart := make([]int, maxID)
+		// Blocks are numbered in order of first appearance.
 		for i := range newPart {
 			newPart[i] = -1
 		}
-		bySplit := map[string]int{}
+		clear(bySplit)
 		next := 0
 		g.ForEachNode(func(n graph.Node) {
-			key := fmt.Sprintf("%d|%s", part[n.ID], succSig(g, part, n.ID))
-			b, ok := bySplit[key]
+			key, succ = appendSplitKey(key[:0], succ, g, part, n.ID)
+			b, ok := bySplit[string(key)] // a lookup allocates no string
 			if !ok {
 				b = next
 				next++
-				bySplit[key] = b
+				bySplit[string(key)] = b
 			}
 			newPart[n.ID] = b
 		})
 		if next == nBlocks {
 			break
 		}
-		part, nBlocks = newPart, next
+		part, newPart, nBlocks = newPart, part, next
 	}
 	return buildQuotient(g, part, nBlocks, Bisimulation, view)
 }
 
-// succSig renders the sorted set of successor blocks of node v.
-func succSig(g *graph.Graph, part []int, v graph.NodeID) string {
-	succ := g.Out(v)
-	if len(succ) == 0 {
-		return ""
+// appendSplitKey appends v's split key to key: its block, then the sorted
+// distinct blocks of its successors, each after a comma. succ is scratch
+// for the successor blocks, returned for reuse.
+func appendSplitKey(key []byte, succ []int, g *graph.Graph, part []int, v graph.NodeID) ([]byte, []int) {
+	key = strconv.AppendInt(key, int64(part[v]), 10)
+	succ = succ[:0]
+	for _, w := range g.Out(v) {
+		succ = append(succ, part[w])
 	}
-	blocks := make([]int, 0, len(succ))
-	for _, w := range succ {
-		blocks = append(blocks, part[w])
-	}
-	sort.Ints(blocks)
-	// Deduplicate in place.
-	out := blocks[:1]
-	for _, b := range blocks[1:] {
-		if b != out[len(out)-1] {
-			out = append(out, b)
+	slices.Sort(succ)
+	for i, b := range succ {
+		if i == 0 || b != succ[i-1] {
+			key = strconv.AppendInt(append(key, ','), int64(b), 10)
 		}
 	}
-	return fmt.Sprint(out)
+	return key, succ
 }
 
 // compressSimEq computes simulation-equivalence classes: x ~ y iff x and y
@@ -348,14 +366,15 @@ func compressSimEq(g *graph.Graph, view View) *Compressed {
 	// within a group, so each node has an index within its group.
 	groupOf := make([]int, maxID)
 	idx := make([]graph.NodeID, maxID)
+	sigs := newSigKeys(view)
 	bySig := map[string]int{}
 	var groups [][]graph.NodeID
 	g.ForEachNode(func(n graph.Node) {
-		k := sigKey(n, view)
-		gi, ok := bySig[k]
+		k := sigs.of(n)
+		gi, ok := bySig[string(k)]
 		if !ok {
 			gi = len(groups)
-			bySig[k] = gi
+			bySig[string(k)] = gi
 			groups = append(groups, nil)
 		}
 		groupOf[n.ID] = gi

@@ -1,6 +1,9 @@
 package compress
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -54,6 +57,7 @@ func TestBisimBlocksShareSignature(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := testutil.RandomGraph(r, 35, 90)
 	c := Compress(g, Bisimulation)
+	sigs := newSigKeys(nil)
 	for _, b := range c.Graph().Nodes() {
 		ms := c.Members(b)
 		want := ""
@@ -71,7 +75,7 @@ func TestBisimBlocksShareSignature(t *testing.T) {
 		wantAttr := ""
 		for i, v := range ms {
 			n := g.MustNode(v)
-			sig := sigKey(n, nil)
+			sig := string(sigs.of(n))
 			if i == 0 {
 				wantAttr = sig
 			} else if sig != wantAttr {
@@ -239,5 +243,35 @@ func TestQuotientSelfLoopsRepresentIntraBlockEdges(t *testing.T) {
 	expanded := c.Decompress(bsim.Compute(c.Graph(), q))
 	if !expanded.Equal(direct) {
 		t.Errorf("self-loop quotient broke self-edge pattern: %v vs %v", expanded, direct)
+	}
+}
+
+// TestBisimBuildAllocsAndIdentity pins the bisimulation build on a
+// 12,000-node collab graph over the experience view: its quotient and
+// every node's block are byte for byte what the build wrote when it keyed
+// refinement rounds with fmt strings, and it allocates under a third of
+// the 479,059 times that build did.
+func TestBisimBuildAllocsAndIdentity(t *testing.T) {
+	g, err := generator.Generate(generator.KindCollab, generator.Config{Nodes: 12000, AvgDegree: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := View{"experience"}
+	c := CompressWithView(g, Bisimulation, view)
+	qj, err := c.Graph().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(qj)
+	g.ForEachNode(func(n graph.Node) { fmt.Fprintf(h, "%d>%d;", n.ID, c.BlockOf(n.ID)) })
+	if got, want := hex.EncodeToString(h.Sum(nil)), "aeab8a28700c477e7ed712f4a6430099e77a96be9ef4ca2b637eed81f58c9c61"; got != want {
+		t.Errorf("quotient fingerprint %s, want %s (%d blocks)", got, want, c.Graph().NumNodes())
+	}
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	if n := testing.AllocsPerRun(1, func() { CompressWithView(g, Bisimulation, view) }); n > 479059/3 {
+		t.Errorf("bisimulation build allocated %.0f times, want at most %d", n, 479059/3)
 	}
 }

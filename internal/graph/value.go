@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -234,22 +234,24 @@ func (a Attrs) Equal(b Attrs) bool {
 // Canon renders the attribute map deterministically (sorted by key) for
 // hashing and equivalence-class construction.
 func (a Attrs) Canon() string {
-	if len(a) == 0 {
-		return "{}"
-	}
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
+	return string(a.AppendCanon(nil, slices.Sorted(maps.Keys(a))))
+}
+
+// AppendCanon appends Canon's rendering of the attributes named in keys,
+// which must be sorted, to dst; a name a does not hold is skipped.
+func (a Attrs) AppendCanon(dst []byte, keys []string) []byte {
+	dst = append(dst, '{')
+	sep := false
+	for _, k := range keys {
+		v, ok := a[k]
+		if !ok {
+			continue
 		}
-		fmt.Fprintf(&b, "%s=%s", k, a[k].Canon())
+		if sep {
+			dst = append(dst, ',')
+		}
+		sep = true
+		dst = v.AppendCanon(append(append(dst, k...), '='))
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }

@@ -57,6 +57,7 @@ func (p *Pattern) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes and validates a pattern from its wire form.
 func (p *Pattern) UnmarshalJSON(data []byte) error {
+	p.mutable()
 	var jp jsonPattern
 	if err := json.Unmarshal(data, &jp); err != nil {
 		return fmt.Errorf("pattern: decode: %w", err)

@@ -34,11 +34,18 @@ type Edge struct {
 // Pattern is a bounded-simulation query: pattern nodes with predicates,
 // bounded edges, and one output node whose matches are ranked and returned
 // to the user as the experts sought.
+//
+// A pattern is mutable while it is built and frozen (Freeze) once it is
+// shared: from then on AddNode, AddEdge, SetOutput and UnmarshalJSON
+// panic, and Hash returns the digest Freeze stored, so concurrent readers
+// of a shared pattern never write to it.
 type Pattern struct {
 	nodes  []Node
 	edges  []Edge
 	byName map[string]NodeIdx
 	output NodeIdx // -1 until set
+	hash   string  // the canonical digest; set by Freeze
+	frozen bool
 }
 
 // New returns an empty pattern.
@@ -56,8 +63,26 @@ var (
 	ErrDupEdge    = errors.New("pattern: duplicate edge")
 )
 
+// Freeze makes the pattern immutable and stores its Hash, which every
+// later Hash returns. A second Freeze writes nothing. Clone yields a
+// mutable copy.
+func (p *Pattern) Freeze() {
+	if p.frozen { // no write to a pattern other goroutines may be reading
+		return
+	}
+	p.hash = p.computeHash()
+	p.frozen = true
+}
+
+func (p *Pattern) mutable() {
+	if p.frozen {
+		panic("pattern: mutation of a frozen pattern (it may be shared; Clone it first)")
+	}
+}
+
 // AddNode appends a pattern node and returns its index.
 func (p *Pattern) AddNode(name string, pred Predicate) (NodeIdx, error) {
+	p.mutable()
 	if _, ok := p.byName[name]; ok {
 		return 0, fmt.Errorf("%w: %q", ErrDupName, name)
 	}
@@ -79,6 +104,7 @@ func (p *Pattern) MustAddNode(name string, pred Predicate) NodeIdx {
 // AddEdge appends a bounded edge between existing nodes. Self-edges are
 // allowed in patterns (a match must lie on a cycle of length <= bound).
 func (p *Pattern) AddEdge(from, to NodeIdx, bound int) error {
+	p.mutable()
 	if int(from) < 0 || int(from) >= len(p.nodes) || int(to) < 0 || int(to) >= len(p.nodes) {
 		return ErrNoSuchNode
 	}
@@ -103,6 +129,7 @@ func (p *Pattern) MustAddEdge(from, to NodeIdx, bound int) {
 
 // SetOutput designates the output node (the `*` node in the paper's Fig. 1).
 func (p *Pattern) SetOutput(idx NodeIdx) error {
+	p.mutable()
 	if int(idx) < 0 || int(idx) >= len(p.nodes) {
 		return ErrNoSuchNode
 	}
@@ -192,7 +219,7 @@ func (p *Pattern) MaxBound() (max int, hasUnbounded bool) {
 	return max, hasUnbounded
 }
 
-// Clone returns a deep copy of the pattern.
+// Clone returns a deep, mutable copy of the pattern.
 func (p *Pattern) Clone() *Pattern {
 	c := New()
 	for _, n := range p.nodes {
@@ -247,8 +274,16 @@ func (p *Pattern) appendCanon(b []byte) []byte {
 }
 
 // Hash returns a stable hex digest of the canonical form, used as the
-// result-cache key component.
+// result-cache key component. A frozen pattern returns the digest Freeze
+// stored; an unfrozen one computes it on every call.
 func (p *Pattern) Hash() string {
+	if p.frozen {
+		return p.hash
+	}
+	return p.computeHash()
+}
+
+func (p *Pattern) computeHash() string {
 	var buf [512]byte
 	sum := sha256.Sum256(p.appendCanon(buf[:0]))
 	return hex.EncodeToString(sum[:])

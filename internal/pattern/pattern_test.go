@@ -229,3 +229,38 @@ func TestStringRendersParsableDSL(t *testing.T) {
 		t.Errorf("String/Parse round-trip changed the pattern:\n%s\nvs\n%s", p.Canon(), back.Canon())
 	}
 }
+
+// TestFrozenPatternRejectsMutation: after Freeze every mutator panics,
+// Hash returns the digest of the unfrozen form (a mutable Clone's), a
+// second Freeze changes nothing, and the Clone itself is mutable.
+func TestFrozenPatternRejectsMutation(t *testing.T) {
+	p := paperPattern(t)
+	want := p.Hash()
+	p.Freeze()
+	p.Freeze()
+	for name, mutate := range map[string]func(){
+		"AddNode":       func() { _, _ = p.AddNode("X", Predicate{}) },
+		"AddEdge":       func() { _ = p.AddEdge(0, 1, 5) },
+		"SetOutput":     func() { _ = p.SetOutput(1) },
+		"UnmarshalJSON": func() { _ = p.UnmarshalJSON([]byte(`{"nodes":[{"name":"A"}],"output":"A"}`)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen pattern did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+	c := p.Clone()
+	if got := p.Hash(); got != want || got != c.Hash() {
+		t.Errorf("frozen Hash = %s, unfrozen %s, Clone %s", got, want, c.Hash())
+	}
+	if p.NumNodes() != 4 || p.NumEdges() != 4 || p.Output() != 0 {
+		t.Errorf("a rejected mutation changed the frozen pattern: %s", p)
+	}
+	if _, err := c.AddNode("X", Predicate{}); err != nil {
+		t.Errorf("AddNode on the Clone of a frozen pattern: %v", err)
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"os"
 	"sync"
@@ -51,8 +51,8 @@ type FollowerOptions struct {
 	// after the state it describes is durable, so at worst it lags — and
 	// a lagging incarnation merely costs one snapshot re-seed.
 	StateFile string
-	// Logger, when set, receives connection lifecycle lines.
-	Logger *log.Logger
+	// Logger receives connection lifecycle records; nil discards them.
+	Logger *slog.Logger
 }
 
 // Follower maintains a replication session to a leader: it dials with
@@ -102,6 +102,9 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	if opts.SessionDeadline <= 0 {
 		opts.SessionDeadline = DefaultSessionDeadline
 	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
+	}
 	f := &Follower{opts: opts, stopc: make(chan struct{}), incs: map[string]uint64{}}
 	f.loadState()
 	opts.Engine.SetReadOnly(opts.Leader)
@@ -124,7 +127,7 @@ func (f *Follower) loadState() {
 	}
 	var incs map[string]uint64
 	if err := json.Unmarshal(data, &incs); err != nil {
-		f.logf("replication: state file %s: %v", f.opts.StateFile, err)
+		f.opts.Logger.Warn("state_file_unreadable", "file", f.opts.StateFile, "err", err)
 		return
 	}
 	have := f.opts.Engine.GraphVersions()
@@ -147,11 +150,11 @@ func (f *Follower) saveState() {
 	}
 	tmp := f.opts.StateFile + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		f.logf("replication: write state: %v", err)
+		f.opts.Logger.Error("state_write_failed", "err", err)
 		return
 	}
 	if err := os.Rename(tmp, f.opts.StateFile); err != nil {
-		f.logf("replication: rename state: %v", err)
+		f.opts.Logger.Error("state_rename_failed", "err", err)
 	}
 }
 
@@ -185,12 +188,6 @@ func (f *Follower) helloMaps() (map[string]uint64, map[string]uint64) {
 	}
 	f.mu.Unlock()
 	return applied, incs
-}
-
-func (f *Follower) logf(format string, args ...any) {
-	if f.opts.Logger != nil {
-		f.opts.Logger.Printf(format, args...)
-	}
 }
 
 // Close stops replicating. The engine STAYS read-only: a stopped
@@ -244,7 +241,7 @@ func (f *Follower) run() {
 		}
 		conn, err := f.opts.Dial(f.opts.Leader)
 		if err != nil {
-			f.logf("replication: dial %s: %v", f.opts.Leader, err)
+			f.opts.Logger.Warn("dial_failed", "leader", f.opts.Leader, "err", err)
 			if !f.sleep(backoff) {
 				return
 			}
@@ -271,7 +268,7 @@ func (f *Follower) run() {
 			return
 		}
 		f.reconnects.Add(1)
-		f.logf("replication: session with %s ended: %v", f.opts.Leader, err)
+		f.opts.Logger.Info("session_ended", "leader", f.opts.Leader, "err", err)
 		// A session that survived a while earned a fresh backoff; an
 		// instant failure backs off further.
 		if time.Since(start) > f.opts.ReconnectMax {

@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"math/rand"
 	"net"
 	"sort"
@@ -46,8 +46,8 @@ type LeaderOptions struct {
 	// HeartbeatEvery is the leader-version broadcast period — the
 	// follower's lag signal. Default DefaultHeartbeatEvery.
 	HeartbeatEvery time.Duration
-	// Logger, when set, receives connection lifecycle lines.
-	Logger *log.Logger
+	// Logger receives connection lifecycle records; nil discards them.
+	Logger *slog.Logger
 }
 
 // Leader streams the WAL to followers. It taps the wal.Manager's
@@ -106,6 +106,9 @@ func NewLeader(opts LeaderOptions) (*Leader, error) {
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = DefaultHeartbeatEvery
 	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
+	}
 	l := &Leader{
 		opts:      opts,
 		incs:      map[string]uint64{},
@@ -151,13 +154,6 @@ func (l *Leader) Promote() error {
 	return errors.New("replication: already the leader")
 }
 
-// logf writes a lifecycle line when a logger is configured.
-func (l *Leader) logf(format string, args ...any) {
-	if l.opts.Logger != nil {
-		l.opts.Logger.Printf(format, args...)
-	}
-}
-
 // --- wal.Observer ---
 
 // GraphCreated fires when Create or Recover publishes a graph. The
@@ -167,13 +163,13 @@ func (l *Leader) logf(format string, args ...any) {
 func (l *Leader) GraphCreated(name string, g *graph.Graph) {
 	var img bytes.Buffer
 	if err := storage.WriteGraphImage(&img, g); err != nil {
-		l.logf("replication: image %q: %v", name, err)
+		l.opts.Logger.Error("image_failed", "graph", name, "err", err)
 		return
 	}
 	inc := rand.Uint64()
 	payload, err := EncodeSnapshot(name, inc, img.Bytes())
 	if err != nil {
-		l.logf("replication: encode snapshot %q: %v", name, err)
+		l.opts.Logger.Error("encode_snapshot_failed", "graph", name, "err", err)
 		return
 	}
 	l.mu.Lock()
@@ -271,7 +267,7 @@ func (l *Leader) acceptLoop() {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			l.logf("replication: accept: %v", err)
+			l.opts.Logger.Warn("accept_failed", "err", err)
 			continue
 		}
 		l.wg.Add(1)
@@ -293,7 +289,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	hello, err := DecodeMessage(frame)
 	if err != nil || hello.Type != MsgHello || hello.Proto != ProtoVersion {
-		l.logf("replication: %s: bad hello", conn.RemoteAddr())
+		l.opts.Logger.Warn("bad_hello", "follower", conn.RemoteAddr().String())
 		conn.Close()
 		return
 	}
@@ -315,7 +311,7 @@ func (l *Leader) handleConn(conn net.Conn) {
 	}
 	l.followers[fc] = struct{}{}
 	l.mu.Unlock()
-	l.logf("replication: follower %s connected (%d graphs known)", conn.RemoteAddr(), len(hello.Graphs))
+	l.opts.Logger.Info("follower_connected", "follower", conn.RemoteAddr().String(), "graphs", len(hello.Graphs))
 
 	l.wg.Add(1)
 	go func() {
@@ -409,7 +405,7 @@ func (l *Leader) catchUp(fc *followerConn, have, haveIncs map[string]uint64) err
 				// follower's outbox may block.
 				recs, covered, err := l.opts.WAL.RecordsSince(name, v)
 				if err != nil {
-					l.logf("replication: catch-up %q from the WAL: %v (sending a snapshot)", name, err)
+					l.opts.Logger.Warn("wal_catchup_failed", "graph", name, "err", err, "note", "sending a snapshot")
 				}
 				if covered {
 					for _, payload := range recs {
@@ -633,6 +629,6 @@ func (fc *followerConn) sever(reason string) {
 	delete(fc.l.followers, fc)
 	fc.l.mu.Unlock()
 	fc.l.severed.Add(1)
-	fc.l.logf("replication: follower %s severed: %s", fc.conn.RemoteAddr(), reason)
+	fc.l.opts.Logger.Info("follower_severed", "follower", fc.conn.RemoteAddr().String(), "reason", reason)
 	_ = fc.conn.Close()
 }

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 
 	"expfinder/internal/api"
 	"expfinder/internal/compress"
@@ -181,21 +182,6 @@ func metricByName(name string) (rank.Metric, error) {
 	}
 }
 
-func parsePattern(req api.QueryRequest) (*pattern.Pattern, error) {
-	switch {
-	case req.DSL != "":
-		return pattern.Parse(req.DSL)
-	case req.Pattern != nil:
-		q := pattern.New()
-		if err := q.UnmarshalJSON(req.Pattern); err != nil {
-			return nil, err
-		}
-		return q, nil
-	default:
-		return nil, errors.New("request needs pattern or dsl")
-	}
-}
-
 // engineQuery resolves a wire query's metric and semantics names into the
 // engine's request.
 func engineQuery(graphName string, q *pattern.Pattern, k int, metricName, semanticsName string) (engine.QueryRequest, error) {
@@ -217,7 +203,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := parsePattern(req)
+	q, err := s.parsePattern(r.Context(), req.DSL, req.Pattern)
 	if err != nil {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidPattern, err)
 		return
@@ -227,18 +213,40 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var buf []byte
+	bp := getResponseBuf()
+	defer putResponseBuf(bp)
 	withDot := r.URL.Query().Get("dot") == "1"
-	ereq.Render = func(g *graph.Graph, res *engine.Result) { buf = appendQueryResponse(buf, g, q, res, withDot) }
+	ereq.Render = func(g *graph.Graph, res *engine.Result) { *bp = appendQueryResponse(*bp, g, q, res, withDot) }
 	if _, err := s.eng.Execute(r.Context(), ereq); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	if buf, err = closeResponse(buf, inlineTrace(r)); err != nil {
+	buf, err := closeResponse(*bp, inlineTrace(r))
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	*bp = buf
 	writeBody(w, http.StatusOK, buf)
+}
+
+// responseBufs holds the buffers query and batch responses are written
+// into (as *[]byte, so a Put allocates nothing). A buffer goes back once
+// the response is written: writeBody's one Write copies it out, and
+// nothing else keeps it. One grown past maxPooledResponse (a DOT
+// response, a large batch) is dropped instead.
+var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResponse = 64 << 10
+
+func getResponseBuf() *[]byte { return responseBufs.Get().(*[]byte) }
+
+func putResponseBuf(bp *[]byte) {
+	if cap(*bp) > maxPooledResponse {
+		return
+	}
+	*bp = (*bp)[:0]
+	responseBufs.Put(bp)
 }
 
 // appendQueryResponse appends res to dst as an api.QueryResponse object
@@ -331,11 +339,19 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rendered := make([][]byte, len(req.Queries)) // appendQueryResponse, per entry
+	pooled := make([]*[]byte, len(req.Queries))  // the buffers rendered points into
+	defer func() {
+		for _, bp := range pooled {
+			if bp != nil {
+				putResponseBuf(bp)
+			}
+		}
+	}()
 	errs := make([]string, len(req.Queries))
 	var reqs []engine.QueryRequest
 	var at []int // reqs index -> request index
 	for i, bq := range req.Queries {
-		q, err := parsePattern(api.QueryRequest{Pattern: bq.Pattern, DSL: bq.DSL})
+		q, err := s.parsePattern(r.Context(), bq.DSL, bq.Pattern)
 		var ereq engine.QueryRequest
 		if err == nil {
 			ereq, err = engineQuery(bq.Graph, q, bq.K, bq.Metric, bq.Semantics)
@@ -344,7 +360,11 @@ func (s *Server) queryBatch(w http.ResponseWriter, r *http.Request) {
 			errs[i] = err.Error()
 			continue
 		}
-		ereq.Render = func(g *graph.Graph, res *engine.Result) { rendered[i] = appendQueryResponse(nil, g, q, res, false) }
+		ereq.Render = func(g *graph.Graph, res *engine.Result) {
+			bp := getResponseBuf()
+			*bp = appendQueryResponse(*bp, g, q, res, false)
+			pooled[i], rendered[i] = bp, *bp
+		}
 		reqs = append(reqs, ereq)
 		at = append(at, i)
 	}
@@ -565,7 +585,7 @@ func (s *Server) registerQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := parsePattern(req)
+	q, err := s.parsePattern(r.Context(), req.DSL, req.Pattern)
 	if err != nil {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidPattern, err)
 		return

@@ -14,7 +14,8 @@ import (
 )
 
 // BenchmarkServeQueryHit is a cache hit through the whole handler stack:
-// decode, parse, the cache lookup, the response written around the
+// decode, the pattern memo's lookup (the warm-up request parsed the text),
+// the cache lookup, the response written into a pooled buffer around the
 // entry's encoded matches, on the repository benchmark's graph (collab,
 // 6,000 nodes), k = 10, with a broad and a shallow pattern, and a batch
 // of four hits (broad, deep, shallow, star) in one request. It reports

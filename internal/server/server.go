@@ -88,6 +88,8 @@ type Server struct {
 	// repl is the node's replication role (leader or follower); set once
 	// via SetReplication before serving, nil on standalone nodes.
 	repl replication.Source
+	// patterns is the parse memo behind parsePattern (patterns.go).
+	patterns *patternMemo
 
 	registry *metrics.Registry
 	limiter  *rateLimiter
@@ -116,7 +118,7 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	s := &Server{eng: eng, cfg: c, registry: metrics.NewRegistry()}
+	s := &Server{eng: eng, cfg: c, registry: metrics.NewRegistry(), patterns: newPatternMemo()}
 
 	// The tracer always exists: forced traces (?trace=1) work with a zero
 	// sample rate, and the slow-query log is threshold-gated on its own.
@@ -172,6 +174,18 @@ func New(eng *engine.Engine, cfg ...Config) *Server {
 	s.registry.NewGaugeFunc("expfinder_cache_misses",
 		"Result-cache misses since boot.", func() float64 {
 			return float64(s.eng.CacheStats().Misses)
+		})
+	s.registry.NewGaugeFunc("expfinder_pattern_memo_entries",
+		"Parsed patterns resident in the pattern memo.", func() float64 {
+			return float64(s.patterns.len())
+		})
+	s.registry.NewGaugeFunc("expfinder_pattern_memo_hits",
+		"Patterns served from the pattern memo since boot.", func() float64 {
+			return float64(s.patterns.hits.Load())
+		})
+	s.registry.NewGaugeFunc("expfinder_pattern_memo_misses",
+		"Patterns parsed since boot (pattern-memo misses).", func() float64 {
+			return float64(s.patterns.misses.Load())
 		})
 	s.registry.NewGaugeFunc("expfinder_replication_lag_records",
 		"Replication lag in records: a follower's distance behind the "+

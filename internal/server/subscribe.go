@@ -27,7 +27,7 @@ func (s *Server) createSubscription(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := parsePattern(api.QueryRequest{Pattern: req.Pattern, DSL: req.DSL})
+	q, err := s.parsePattern(r.Context(), req.DSL, req.Pattern)
 	if err != nil {
 		writeCode(w, http.StatusBadRequest, api.CodeInvalidPattern, err)
 		return

@@ -92,8 +92,8 @@ func (s *Server) foldTrace(tj *trace.TraceJSON, ch *account.Charge) {
 // foldSpan folds sp and its subtree. q is the outcome of the nearest
 // enclosing engine.query — sp's own, if it is one — so each span is filed
 // under its own query's plan and the entries of a batch keep theirs;
-// spans outside any query (admission waits, WAL appends) file under plan
-// "none".
+// spans outside any query (pattern parses, admission waits, WAL appends)
+// file under plan "none".
 func (s *Server) foldSpan(sp *trace.SpanJSON, q *stats.Outcome, ch *account.Charge) {
 	switch sp.Name {
 	case "engine.query":

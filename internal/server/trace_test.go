@@ -384,7 +384,8 @@ func TestFoldTraceCharge(t *testing.T) {
 // point its request polls its context. A cancelled engine.query still
 // names its graph, plan and shape: /stats/queries gains no bucket with
 // an empty key, and every span of the query files under its plan; only
-// the admission wait, outside the query, files under "none".
+// the pattern parse and the admission wait, outside the query, file
+// under "none".
 func TestCancelledQueryFilesUnderItsPlan(t *testing.T) {
 	query := func(s *Server, ctx context.Context) int {
 		body, err := json.Marshal(map[string]any{"dsl": dataset.PaperQueryDSL, "k": 3})
@@ -423,7 +424,8 @@ func TestCancelledQueryFilesUnderItsPlan(t *testing.T) {
 		text := string(body)
 		for _, line := range strings.Split(text, "\n") {
 			if strings.HasPrefix(line, "expfinder_query_stage_duration_seconds") &&
-				!strings.Contains(line, `stage="admission.wait"`) && !strings.Contains(line, `plan="bounded-simulation"`) {
+				!strings.Contains(line, `stage="admission.wait"`) && !strings.Contains(line, `stage="pattern.parse"`) &&
+				!strings.Contains(line, `plan="bounded-simulation"`) {
 				t.Errorf("poll %d: a span of the query filed under another plan: %s", n, line)
 			}
 		}
